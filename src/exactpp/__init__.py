@@ -5,7 +5,7 @@ restriction of the stationary target process, germ truncation and retention
 thinning included. The package is organized by construction:
 
 - core: windows, point patterns, reproducible RNG streams, intensity measures
-- poisson: homogeneous / dominated / finite-density Poisson samplers
+- poisson: homogeneous and finite-density Poisson samplers
 - cluster_exact: retention thinning with clusters conditioned to hit the window
 - boolean_model: grain processes (disks, segments, lines) with edge correction
 - germ_thinning: thinned grids, renewal streams, Matern hard cores,
@@ -40,12 +40,9 @@ from .cluster_exact import (
     BrixKendallSampler,
     TranslatedPoissonCluster,
     UniformDisplacement,
-    brix_kendall_sample,
-    retention_prob_cox,
     sample_conditioned_cluster,
 )
 from .core import (
-    AtomicIntensity,
     ConfigError,
     DensityIntensity,
     LebesgueIntensity,
@@ -55,13 +52,11 @@ from .core import (
     Window,
     branching_total_intensity,
     cluster_intensity,
-    window_volume,
 )
 from .germ_thinning import (
     GeometricGrid,
     InverseSquareGrid,
     TableGrid,
-    grid_last_point,
     matern_thin_first,
     nonlinear_hawkes_germ,
     renewal_thin_first,
@@ -77,15 +72,12 @@ from .hawkes_mr import (
     PolynomialFertility,
     Sandwich,
     build_sandwich,
-    mr_perfect_sample,
-    phi_apply,
     sample_gw_cluster,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicIntensity",
     "BooleanSample",
     "BrixKendallSampler",
     "ConfigError",
@@ -117,22 +109,16 @@ __all__ = [
     "approx_branching_sample",
     "boolean_exact_sample",
     "branching_total_intensity",
-    "brix_kendall_sample",
     "build_sandwich",
     "certificate_generations_for",
     "cluster_intensity",
-    "grid_last_point",
     "hit_prob_poisson_line",
     "matern_thin_first",
-    "mr_perfect_sample",
     "nonlinear_hawkes_germ",
-    "phi_apply",
     "renewal_thin_first",
-    "retention_prob_cox",
     "sample_conditioned_cluster",
     "sample_gw_cluster",
     "sample_poisson_lines",
     "thin_grid",
     "thin_grid_dominated",
-    "window_volume",
 ]

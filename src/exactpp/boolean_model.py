@@ -32,7 +32,6 @@ __all__ = [
     "sample_poisson_lines",
     "box_distance",
     "segment_hits_box",
-    "segment_box_distance",
 ]
 
 TAIL_CERT = 1e-12
@@ -209,12 +208,8 @@ class SegmentGrains:
         x = np.asarray(x, dtype=float)
         return x - h, x + h
 
-    def hit_prob(self, xs, window, fatten=0.0, n_angle=4096):
-        """(1/pi) * measure of orientations whose segment meets the window.
-
-        fatten > 0 uses the epsilon-fattened segment (distance predicate),
-        which decreases monotonically to the exact value as fatten -> 0.
-        """
+    def hit_prob(self, xs, window, n_angle=4096):
+        """(1/pi) * measure of orientations whose segment meets the window."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         thetas = (np.arange(n_angle) + 0.5) * np.pi / n_angle
         out = np.empty(xs.shape[0])
@@ -222,11 +217,7 @@ class SegmentGrains:
             hits = 0
             for theta in thetas:
                 p0, p1 = self.endpoints(x, theta)
-                if fatten > 0:
-                    ok = segment_box_distance(p0, p1, window) <= fatten
-                else:
-                    ok = segment_hits_box(p0, p1, window)
-                hits += bool(ok)
+                hits += segment_hits_box(p0, p1, window)
             out[i] = hits / n_angle
         return out
 
@@ -262,56 +253,6 @@ def segment_hits_box(p0, p1, window):
         if t0 > t1:
             return False
     return True
-
-
-def _seg_seg_distance(a0, a1, b0, b1):
-    """Minimum distance between two 2-D segments."""
-    if _segments_cross(a0, a1, b0, b1):
-        return 0.0
-    return min(
-        _point_seg_distance(a0, b0, b1),
-        _point_seg_distance(a1, b0, b1),
-        _point_seg_distance(b0, a0, a1),
-        _point_seg_distance(b1, a0, a1),
-    )
-
-
-def _point_seg_distance(p, s0, s1):
-    p = np.asarray(p, dtype=float)
-    s0 = np.asarray(s0, dtype=float)
-    s1 = np.asarray(s1, dtype=float)
-    d = s1 - s0
-    den = float(d @ d)
-    t = 0.0 if den == 0 else float(np.clip((p - s0) @ d / den, 0.0, 1.0))
-    return float(np.linalg.norm(p - (s0 + t * d)))
-
-
-def _segments_cross(a0, a1, b0, b1):
-    def orient(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-    d1 = orient(b0, b1, a0)
-    d2 = orient(b0, b1, a1)
-    d3 = orient(a0, a1, b0)
-    d4 = orient(a0, a1, b1)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return True
-    return False
-
-
-def segment_box_distance(p0, p1, window):
-    """Distance between a segment and a closed box (0 when they meet)."""
-    if segment_hits_box(p0, p1, window):
-        return 0.0
-    lo, hi = window.lower, window.upper
-    corners = [
-        (lo[0], lo[1]),
-        (hi[0], lo[1]),
-        (hi[0], hi[1]),
-        (lo[0], hi[1]),
-    ]
-    edges = [(corners[i], corners[(i + 1) % 4]) for i in range(4)]
-    return min(_seg_seg_distance(p0, p1, e0, e1) for e0, e1 in edges)
 
 
 # -- Boolean sampler -----------------------------------------------------------

@@ -70,6 +70,7 @@ from .hawkes_mr import (
 from .validation import (
     ReportCollector,
     TestReport,
+    _jsonable,
     mean_ci,
     replicate_counts,
     two_sample_ks,
@@ -96,6 +97,20 @@ def _check_keys(d, allowed, path):
         raise ConfigError(f"unknown key '{prefix}{unknown[0]}'")
 
 
+def _finite(v):
+    """float(v) for a finite JSON number, None for anything else (bools included).
+
+    Python's json module reads NaN, Infinity and integers too large for a float.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        x = float(v)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
 def _get(d, key, kind, path, default=_MISSING):
     prefix = f"{path}." if path else ""
     if key not in d:
@@ -104,9 +119,10 @@ def _get(d, key, kind, path, default=_MISSING):
         return default
     v = d[key]
     if kind is float:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"'{prefix}{key}' must be a number")
-        return float(v)
+        x = _finite(v)
+        if x is None:
+            raise ConfigError(f"'{prefix}{key}' must be a finite number")
+        return x
     if kind is int:
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError(f"'{prefix}{key}' must be an integer")
@@ -132,11 +148,9 @@ def _get(d, key, kind, path, default=_MISSING):
 
 def _floats(d, key, path):
     v = _get(d, key, list, path)
-    out = []
-    for x in v:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"'{path}.{key}' must be a list of numbers")
-        out.append(float(x))
+    out = [_finite(x) for x in v]
+    if None in out:
+        raise ConfigError(f"'{path}.{key}' must be a list of finite numbers")
     return out
 
 
@@ -158,9 +172,11 @@ def _fertility(spec, path):
     family = _get(spec, "family", str, path)
     marks = spec.get("marks", [[1.0, 1.0]])
     if not isinstance(marks, list) or not all(
-        isinstance(m, list) and len(m) == 2 for m in marks
+        isinstance(m, list) and len(m) == 2 and None not in map(_finite, m) for m in marks
     ):
-        raise ConfigError(f"'{path}.marks' must be a list of [weight, value] pairs")
+        raise ConfigError(
+            f"'{path}.marks' must be a list of [weight, value] pairs of finite numbers"
+        )
     marks = tuple((float(w), float(z)) for w, z in marks)
     if family == "exponential":
         _check_keys(spec, {"family", "beta", "gamma", "marks"}, path)
@@ -198,22 +214,6 @@ def _interval_report(name, value, expect, half):
         decision="accept" if err <= half else "reject",
         details={"value": value, "expected": expect},
     )
-
-
-def _jsonable(v):
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
-    if isinstance(v, (np.bool_, bool)):
-        return bool(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    return v
 
 
 # -- sampler registry --------------------------------------------------------------

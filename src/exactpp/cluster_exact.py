@@ -17,15 +17,12 @@ import numpy as np
 from scipy import integrate
 
 from .core import DensityIntensity, PointPattern, SamplerError
-from .poisson import FiniteDensitySampler
 
 __all__ = [
     "UniformDisplacement",
     "TranslatedPoissonCluster",
-    "retention_prob_cox",
     "sample_conditioned_cluster",
     "BrixKendallSampler",
-    "brix_kendall_sample",
 ]
 
 TAIL_CERT = 1e-12  # envelope certification level for truncated germ regions
@@ -116,11 +113,6 @@ class TranslatedPoissonCluster:
         return PointPattern(pts, dim=self.dim)
 
 
-def retention_prob_cox(kernel, xs, window):
-    """Retention probability 1 - exp(-K(x, W-x)) of a Poisson-cluster germ."""
-    return kernel.retention(xs, window)
-
-
 def sample_conditioned_cluster(kernel, x, window, rng, floor=1e-9):
     """One cluster at germ x conditioned on putting at least one point in W.
 
@@ -147,9 +139,10 @@ def sample_conditioned_cluster(kernel, x, window, rng, floor=1e-9):
 class BrixKendallSampler:
     """Exact cluster-process sampler on a window (build once, sample repeatedly).
 
-    The thinned-germ density p(x) mu(x) is tabulated over the germ region at
-    construction; each sample() draws the retained germs, attaches clusters
-    conditioned to hit the window in batched rejection rounds, and restricts.
+    Each sample() draws the retained germs by thinning a homogeneous process
+    at the germ's bound on the germ region by p(x) mu(x) / bound, attaches
+    clusters conditioned to hit the window in batched rejection rounds, and
+    restricts. The same path serves every dimension.
 
     For kernels with bounded displacement support the germ region is exact.
     Otherwise the caller must declare truncation_radius together with an
@@ -157,15 +150,7 @@ class BrixKendallSampler:
     the radius; the certification level is 1e-12.
     """
 
-    def __init__(
-        self,
-        germ,
-        kernel,
-        window,
-        truncation_radius=None,
-        envelope_tail=None,
-        grid_step=None,
-    ):
+    def __init__(self, germ, kernel, window, truncation_radius=None, envelope_tail=None):
         if kernel.dim != window.dim:
             raise SamplerError("kernel and window dimension mismatch")
         self.germ = germ
@@ -186,55 +171,36 @@ class BrixKendallSampler:
             region = window.buffered(truncation_radius)
         self.region = region
 
-        if window.dim == 1:
-            lo = region.lower[0]
-            length = region.sides[0]
+        def thinned_density(pts):
+            # DensityIntensity passes a flat array of positions in dim 1
+            xs = np.reshape(pts, (-1, window.dim))
+            return kernel.retention(xs, window) * germ.density_at(xs)
 
-            def thinned_density(t):
-                t = np.atleast_1d(np.asarray(t, dtype=float))
-                xs = (lo + t)[:, None]
-                p = kernel.retention(xs, window)
-                return p * germ.density_at(xs)
-
-            mass, _ = integrate.quad(lambda t: float(thinned_density(t)[0]), 0.0, length, limit=400)
+        self._thinned = None
+        self.retained_mass = 0.0
+        bound = float(germ.bound_on(region))
+        if bound > 0:  # DensityIntensity refuses a zero bound; the germ is then void
+            self._thinned = DensityIntensity(thinned_density, bound=bound, dim=window.dim)
+            # retained mass (diagnostics and tests): tensor trapezoid in 2-D,
+            # adaptive quadrature in 1-D
+            if window.dim > 1:
+                mass = self._thinned.total_on(region)
+            else:
+                mass, _ = integrate.quad(
+                    lambda t: float(thinned_density(t)[0]),
+                    region.lower[0],
+                    region.upper[0],
+                    limit=400,
+                )
             if not np.isfinite(mass):
                 raise SamplerError("retention mass diverges: exact sampling impossible")
-            self._germ_sampler = FiniteDensitySampler(
-                thinned_density,
-                upper=length,
-                total_mass=mass,
-                grid_step=grid_step,
-            )
             self.retained_mass = mass
-            self._offset = lo
-        else:
-            bound = germ.bound_on(region)
-            self._bound = float(bound)
-            self._germ_sampler = None
-            self._offset = None
-            # retained mass by tensor quadrature (diagnostics and tests)
-            probe = DensityIntensity(
-                lambda pts: kernel.retention(pts, window) * germ.density_at(pts),
-                bound=bound,
-                dim=window.dim,
-            )
-            self.retained_mass = probe.total_on(region)
 
     def sample_retained_germs(self, rng):
         """Thinned germ: Poisson with density p(x) mu(x) on the germ region."""
-        if self._germ_sampler is not None:
-            n = rng.poisson(self._germ_sampler.total_mass)
-            ts = self._germ_sampler.positions(n, rng)
-            return self._offset + np.sort(ts)[:, None] if n else np.empty((0, 1))
-        n = rng.poisson(self._bound * self.region.volume())
-        pts = self.region.sample_uniform(n, rng)
-        if n == 0:
+        if self._thinned is None:
             return np.empty((0, self.window.dim))
-        accept_prob = (
-            self.kernel.retention(pts, self.window) * self.germ.density_at(pts) / self._bound
-        )
-        keep = rng.random(n) < accept_prob
-        return pts[keep]
+        return self._thinned.sample_on(self.region, rng).points
 
     def sample(self, rng):
         """One exact draw of the cluster process restricted to the window."""
@@ -269,17 +235,3 @@ class BrixKendallSampler:
         points = np.vstack(collected) if collected else np.empty((0, self.window.dim))
         return PointPattern(points, dim=self.window.dim).restrict(self.window)
 
-
-def brix_kendall_sample(
-    germ, kernel, window, rng, truncation_radius=None, envelope_tail=None, grid_step=None
-):
-    """One-shot exact cluster-process draw (see BrixKendallSampler)."""
-    sampler = BrixKendallSampler(
-        germ,
-        kernel,
-        window,
-        truncation_radius=truncation_radius,
-        envelope_tail=envelope_tail,
-        grid_step=grid_step,
-    )
-    return sampler.sample(rng)

@@ -23,8 +23,6 @@ __all__ = [
     "RngStream",
     "LebesgueIntensity",
     "DensityIntensity",
-    "AtomicIntensity",
-    "window_volume",
     "cluster_intensity",
     "branching_total_intensity",
     "config_hash",
@@ -98,11 +96,6 @@ class Window:
         """n i.i.d. uniform points in the box, shape (n, dim)."""
         lo = np.asarray(self.lower)
         return lo + rng.random((int(n), self.dim)) * self.sides
-
-
-def window_volume(w):
-    """Lebesgue volume of a window."""
-    return w.volume()
 
 
 def _as_points(points, dim=None):
@@ -363,38 +356,6 @@ class DensityIntensity:
             return PointPattern.empty(w.dim)
         keep = rng.random(n) * self.bound < self.density_at(pts)
         return PointPattern(pts[keep], dim=w.dim)
-
-
-@dataclass(frozen=True)
-class AtomicIntensity:
-    """Purely atomic intensity: independent Poisson masses at fixed atoms."""
-
-    atoms: np.ndarray
-    masses: np.ndarray
-
-    def __post_init__(self):
-        atoms = _as_points(self.atoms)
-        masses = np.asarray(self.masses, dtype=float).reshape(-1)
-        if atoms.shape[0] != masses.shape[0]:
-            raise ConfigError("atoms and masses must align")
-        if np.any(masses < 0):
-            raise ConfigError("atom masses must be nonnegative")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "masses", masses)
-
-    @property
-    def dim(self):
-        return self.atoms.shape[1]
-
-    def total_on(self, w):
-        inside = w.contains(self.atoms)
-        return float(self.masses[inside].sum())
-
-    def sample_on(self, w, rng):
-        inside = w.contains(self.atoms)
-        counts = rng.poisson(np.where(inside, self.masses, 0.0))
-        pts = np.repeat(self.atoms, counts, axis=0)
-        return PointPattern(pts, dim=self.dim)
 
 
 # -- intensity calculus -----------------------------------------------------

@@ -28,11 +28,8 @@ __all__ = [
     "TableGrid",
     "GeometricGrid",
     "InverseSquareGrid",
-    "grid_last_point",
     "thin_grid",
     "thin_grid_dominated",
-    "index_to_z2",
-    "z2_to_index",
     "renewal_thin_first",
     "matern_thin_first",
     "nonlinear_hawkes_germ",
@@ -161,11 +158,6 @@ class InverseSquareGrid(_GridBase):
         return float(np.exp(-self.C * special.polygamma(1, n + 2)))
 
 
-def grid_last_point(spec, rng):
-    """Last retained site index of the thinned grid (None when empty)."""
-    return spec.sample_last(rng)
-
-
 def thin_grid(spec, rng):
     """Exact draw of the retained sites of a thinned grid on N."""
     return spec.thin(rng)
@@ -185,52 +177,6 @@ def thin_grid_dominated(target_p, dominating, rng):
     return retained_q[keep]
 
 
-# -- Z^2 enumeration -----------------------------------------------------------
-
-_SPIRAL_SITES = [(0, 0)]
-_SPIRAL_INDEX = {(0, 0): 0}
-
-
-def _extend_spiral(target_len):
-    """Walk the square spiral (right, up, left, down; legs grow every 2 turns)."""
-    if len(_SPIRAL_SITES) >= target_len:
-        return
-    sites = [(0, 0)]
-    x = y = 0
-    leg, d = 1, 0
-    dirs = ((1, 0), (0, 1), (-1, 0), (0, -1))
-    while len(sites) < target_len:
-        for _ in range(2):
-            dx, dy = dirs[d % 4]
-            for _ in range(leg):
-                x, y = x + dx, y + dy
-                sites.append((x, y))
-            d += 1
-        leg += 1
-    _SPIRAL_SITES[:] = sites
-    _SPIRAL_INDEX.clear()
-    _SPIRAL_INDEX.update({s: i for i, s in enumerate(sites)})
-
-
-def index_to_z2(n):
-    """Site of Z^2 at spiral index n (bijection used to thin planar grids)."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if n >= len(_SPIRAL_SITES):
-        _extend_spiral(n + 1)
-    return _SPIRAL_SITES[n]
-
-
-def z2_to_index(site):
-    """Spiral index of a Z^2 site (inverse of index_to_z2)."""
-    site = (int(site[0]), int(site[1]))
-    ring = max(abs(site[0]), abs(site[1]))
-    need = (2 * ring + 1) ** 2
-    if len(_SPIRAL_SITES) < need:
-        _extend_spiral(need)
-    return _SPIRAL_INDEX[site]
-
-
 # -- renewal germs ---------------------------------------------------------------
 
 
@@ -243,14 +189,14 @@ def renewal_thin_first(hazard, bound, thin_p, rng, p_upper=None, p_tail=None, p_
     (hazard(t - last renewal) against height*bound), and renewal points
     flagged as candidates are the output. hazard must be bounded by `bound`.
     """
-    candidate_sampler = FiniteDensitySampler(
+    candidates = FiniteDensitySampler(
         lambda t: bound * np.asarray(thin_p(t), dtype=float),
+        bound,
         upper=p_upper,
         tail_mass=(lambda t: bound * p_tail(t)) if p_tail is not None else None,
         total_mass=bound * p_mass if p_mass is not None else None,
-    )
-    k = rng.poisson(candidate_sampler.total_mass)
-    cand = np.sort(candidate_sampler.positions(k, rng))
+    ).sample(rng)
+    cand = np.sort(candidates.points[:, 0])
     if cand.size == 0:
         return PointPattern.empty(1)
     t_last = cand[-1]

@@ -43,12 +43,10 @@ __all__ = [
     "GWCluster",
     "sample_gw_cluster",
     "PhiOperator",
-    "phi_apply",
     "BoundPair",
     "Sandwich",
     "build_sandwich",
     "HawkesSampler",
-    "mr_perfect_sample",
 ]
 
 EPS_ROUND = 1e-10  # directed-rounding margin absorbing quadrature float error
@@ -364,7 +362,6 @@ class PhiOperator:
             self._dnu_fft.append(sp_fft.rfft(dnu, self._fft_len) if np.any(dnu) else None)
             self._nu_inf.append(float(kernel.nu_inf(z)))
             self._w.append(float(w))
-        self.last_width = 0.0
         self.max_width = 0.0
 
     def _integrals(self, f):
@@ -404,30 +401,12 @@ class PhiOperator:
                 integral = 0.5 * (i_down + i_up)
             width = max(width, w * float(np.max(i_up - i_down)))
             out += w * np.exp(np.minimum(-nu_inf + integral, 0.0))
-        self.last_width = width
         self.max_width = max(self.max_width, width)
         if rounding == "up":
             out += self.eps
         elif rounding == "down":
             out -= self.eps
         return np.clip(out, 0.0, 1.0)
-
-
-def phi_apply(f, kernel, step, rounding="nearest", quad_tol=0.25):
-    """One application of Phi to a grid function on {0, step, 2*step, ...}.
-
-    The staircase bracket width is the quadrature error estimate; raise when
-    it exceeds quad_tol rather than return silently bad values.
-    """
-    f = np.asarray(f, dtype=float)
-    op = PhiOperator(kernel, step, f.size)
-    out = op.apply(f, rounding)
-    if op.last_width > quad_tol:
-        raise SamplerError(
-            f"grid too coarse: staircase quadrature width {op.last_width:.3g} "
-            f"exceeds {quad_tol:.3g}"
-        )
-    return out
 
 
 # -- sandwich bounds ----------------------------------------------------------------
@@ -477,8 +456,7 @@ class Sandwich:
 
     e_hi starts at 1 and is iterated with up-rounded quadrature; e_lo starts
     at the zero-started certified iterate (everything below E stays below E
-    under down-rounding), optionally lifted by a user CDF G once G is
-    certified <= E.  Both paths are clamped monotone in n and tightened
+    under down-rounding).  Both paths are clamped monotone in n and tightened
     monotone in t, so every BoundPair invariant holds by construction.
     """
 
@@ -555,7 +533,6 @@ def _certified_floor(phi, n_nodes, cert_max=160, stall=0.25 * EPS_ROUND):
 
 def build_sandwich(
     kernel,
-    G=None,
     n_max=200,
     tol=1e-3,
     t_max=None,
@@ -564,9 +541,7 @@ def build_sandwich(
 ):
     """Certified sandwich driven to tolerance on a uniform grid.
 
-    G, when given, must be a CDF with G <= E; it is certified against the
-    zero-started floor and then initializes the lower CDF path (the floor
-    itself is used when it is tighter, and always when G is None).
+    The lower CDF path starts at the zero-started certified floor.
     """
     if t_max is None:
         t_max = 30.0 / max(kernel.suggested_decay() / 2.0, 1e-6)
@@ -578,18 +553,10 @@ def build_sandwich(
             f"grid too coarse: staircase quadrature width {phi.max_width:.3g} "
             f"exceeds {quad_tol:.3g}"
         )
-    e_lo = floor
-    if G is not None:
-        g_nodes = np.asarray(G(phi.taus), dtype=float)
-        if np.any(g_nodes < -1e-12) or np.any(g_nodes > 1 + 1e-12) or np.any(np.diff(g_nodes) < -1e-12):
-            raise SamplerError("G must be a nondecreasing CDF with values in [0, 1]")
-        if np.any(g_nodes > floor + 1e-12):
-            raise SamplerError("supplied G does not bracket the fixed point")
-        e_lo = np.maximum(floor, g_nodes)
     sw = Sandwich(
         kernel=kernel,
         phi=phi,
-        e_lo=e_lo,
+        e_lo=floor,
         e_hi=np.ones(n_nodes),
         meta={"t_max": float(t_max), "step": float(step), "cert_iterations": cert_iters},
     )
@@ -659,7 +626,6 @@ class HawkesSampler:
         mu,
         a,
         mu_bound=None,
-        G=None,
         tol=1e-3,
         n_max=200,
         step=1e-4,
@@ -687,7 +653,6 @@ class HawkesSampler:
         self.refine_levels = int(refine_levels)
         self.classify_fallback = classify_fallback
         self.point_cap = int(point_cap)
-        self._G = G
         self._step0 = float(step)
         self._t_max = t_max
         self.stats = {
@@ -697,7 +662,7 @@ class HawkesSampler:
             "extra_iterations": 0,
         }
         self.sandwich = build_sandwich(
-            kernel, G=G, n_max=n_max, tol=tol, t_max=t_max, step=step
+            kernel, n_max=n_max, tol=tol, t_max=t_max, step=step
         )
         self._install_envelope()
 
@@ -745,7 +710,6 @@ class HawkesSampler:
         self.stats["grid_levels_built"] += 1
         self.sandwich = build_sandwich(
             self.kernel,
-            G=self._G,
             n_max=self.n_max,
             tol=self.tol,
             t_max=self._t_max,
@@ -836,7 +800,3 @@ class HawkesSampler:
         window = Window((0.0,), (self.a,))
         return PointPattern(np.sort(pts).reshape(-1, 1), dim=1).restrict(window)
 
-
-def mr_perfect_sample(mu, kernel, a, rng, G=None, tol=1e-3, **kwargs):
-    """One-shot exact draw on [0, a]; build a HawkesSampler once for many draws."""
-    return HawkesSampler(kernel, mu, a, G=G, tol=tol, **kwargs).sample(rng)

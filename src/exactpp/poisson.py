@@ -1,27 +1,20 @@
-"""Poisson samplers: homogeneous, dominated strip, and finite-density.
+"""Poisson samplers: homogeneous, and finite-density on the half-line.
 
-The strip sampler keeps its full dominating pattern (rejected points and
-heights included) because downstream constructions couple against it; the
-finite-density sampler draws positions by inverse CDF on a monotone grid
-whose step is a documented bias knob.
+The finite-density sampler certifies a truncation point for the density's
+tail and then thins a homogeneous process under the density's bound
+(DensityIntensity.sample_on), so its draws are exact on [0, upper].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import integrate
 
-from .core import PointPattern, SamplerError, Window
+from .core import DensityIntensity, PointPattern, SamplerError, Window
 
 __all__ = [
     "sample_homogeneous",
-    "DominatedIntensity",
-    "StripSample",
-    "sample_inhomogeneous_strip",
     "FiniteDensitySampler",
-    "sample_poisson_finite_density",
 ]
 
 
@@ -33,101 +26,29 @@ def sample_homogeneous(window, rate, rng):
     return PointPattern(window.sample_uniform(n, rng), dim=window.dim)
 
 
-@dataclass(frozen=True)
-class DominatedIntensity:
-    """Conditional intensity t -> rate(t, history) with a declared bound.
-
-    history is the array of already-accepted points below t; the bound is a
-    hard contract and any evaluation above it aborts the draw.
-    """
-
-    bound: float
-    rate: object
-
-    def __post_init__(self):
-        if not self.bound > 0:
-            raise SamplerError("dominating bound must be positive")
-
-    def evaluate(self, t, history):
-        lam = float(self.rate(t, history))
-        if lam < 0:
-            raise SamplerError("conditional intensity returned a negative value")
-        if lam > self.bound * (1 + 1e-12):
-            raise SamplerError(
-                f"conditional intensity {lam:.6g} exceeds declared bound {self.bound:.6g}"
-            )
-        return lam
-
-
-@dataclass(frozen=True)
-class StripSample:
-    """A dominating strip draw on (0, horizon] x (0, bound).
-
-    times/heights hold every dominating point; accepted marks the thinned
-    subset. The rejected points are retained on purpose: couplings against
-    the same strip need them.
-    """
-
-    times: np.ndarray
-    heights: np.ndarray
-    accepted: np.ndarray
-    bound: float
-    horizon: float
-
-    @property
-    def accepted_times(self):
-        return self.times[self.accepted]
-
-    def pattern(self):
-        return PointPattern(self.accepted_times[:, None], dim=1)
-
-
-def sample_inhomogeneous_strip(horizon, intensity, rng):
-    """Thin a rate-`bound` stream on (0, horizon] by a causal intensity.
-
-    Each dominating point (t, v) with v uniform on (0, bound) is accepted
-    iff v < rate(t, accepted-so-far), evaluated in time order so the
-    intensity may depend on the accepted history.
-    """
-    horizon = float(horizon)
-    if horizon <= 0:
-        raise SamplerError("horizon must be positive")
-    n = rng.poisson(intensity.bound * horizon)
-    times = np.sort(rng.random(n)) * horizon
-    heights = rng.random(n) * intensity.bound
-    accepted = np.zeros(n, dtype=bool)
-    history = []
-    for i in range(n):
-        lam = intensity.evaluate(times[i], np.asarray(history))
-        if heights[i] < lam:
-            accepted[i] = True
-            history.append(times[i])
-    return StripSample(times, heights, accepted, intensity.bound, horizon)
-
-
 class FiniteDensitySampler:
-    """Poisson process on [0, inf) with integrable density r(t).
+    """Poisson process on [0, inf) with integrable density r(t) <= bound.
 
-    Positions are drawn by inverting a piecewise-linear CDF tabulated on a
-    monotone grid over [0, upper]; the grid step (default 1e-3 of the support
-    diameter) bounds the interpolation bias at O(step^2 * |r'|) in the CDF.
-    The truncation point must carry a certified tail: either `tail_mass(t)`
-    is supplied and `upper` is grown until the tail is below tail_tol of the
-    total mass, or `upper` is taken as the exact support endpoint.
+    Each draw thins a rate-`bound` homogeneous process on [0, upper] by
+    r(t)/bound; a density value above the bound or below zero raises
+    SamplerError when it is met. The truncation point must carry a certified
+    tail: either `tail_mass(t)` is supplied and `upper` is grown until the
+    tail is below tail_tol of the total mass, or `upper` is taken as the
+    exact support endpoint.
 
-    The table is built once so replicate loops can reuse the sampler.
+    The truncation point is certified once so replicate loops can reuse the
+    sampler.
     """
 
     def __init__(
         self,
         density,
+        bound,
         upper=None,
         total_mass=None,
         tail_mass=None,
-        grid_step=None,
         tail_tol=1e-12,
     ):
-        self.density = density
         if upper is None and tail_mass is None:
             raise SamplerError("need a support endpoint or a computable tail mass")
         if total_mass is None:
@@ -147,38 +68,8 @@ class FiniteDensitySampler:
                 if upper > 1e12:
                     raise SamplerError("tail mass does not reach the truncation tolerance")
         self.upper = float(upper)
-
-        if grid_step is None:
-            grid_step = 1e-3 * self.upper
-        n_grid = max(int(np.ceil(self.upper / grid_step)) + 1, 8)
-        grid = np.linspace(0.0, self.upper, n_grid)
-        dens = np.asarray(density(grid), dtype=float)
-        if np.any(dens < 0):
-            raise SamplerError("density returned a negative value")
-        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * np.diff(grid) / 2.0)])
-        if cdf[-1] <= 0:
-            self._grid, self._cdf = grid, None
-        else:
-            self._grid = grid
-            self._cdf = cdf / cdf[-1]
-
-    def positions(self, n, rng):
-        if n == 0 or self._cdf is None:
-            return np.empty(0)
-        u = rng.random(int(n))
-        return np.interp(u, self._cdf, self._grid)
+        self._intensity = DensityIntensity(density, bound)
+        self._support = Window((0.0,), (self.upper,))
 
     def sample(self, rng):
-        n = rng.poisson(self.total_mass)
-        pts = self.positions(n, rng)
-        return PointPattern(np.sort(pts)[:, None], dim=1)
-
-
-def sample_poisson_finite_density(
-    density, rng, upper=None, total_mass=None, tail_mass=None, grid_step=None
-):
-    """One-shot draw from FiniteDensitySampler (see that class for contracts)."""
-    sampler = FiniteDensitySampler(
-        density, upper=upper, total_mass=total_mass, tail_mass=tail_mass, grid_step=grid_step
-    )
-    return sampler.sample(rng)
+        return self._intensity.sample_on(self._support, rng)

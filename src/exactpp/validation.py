@@ -64,7 +64,7 @@ class TestReport:
             "decision": self.decision,
             "pvalue": None if self.pvalue is None else float(self.pvalue),
             "n": self.n,
-            "details": {k: _jsonable(v) for k, v in self.details.items()},
+            "details": _jsonable(self.details),
         }
         return out
 
@@ -75,10 +75,19 @@ class TestReport:
 
 
 def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
+    """v with numpy scalars and arrays replaced by plain JSON values, recursively."""
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
     if isinstance(v, np.ndarray):
-        return v.tolist()
+        return [_jsonable(x) for x in v.tolist()]
+    if isinstance(v, (np.bool_, bool)):
+        return bool(v)
+    if isinstance(v, (np.integer, int)):
+        return int(v)
+    if isinstance(v, (np.floating, float)):
+        return float(v)
     return v
 
 

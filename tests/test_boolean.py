@@ -1,6 +1,6 @@
 """Boolean models and Poisson lines: closed-form hit probabilities, coverage
-against the exponential-of-mean-area formula, segment-fattening monotonicity,
-and the chord geometry of retained lines."""
+against the exponential-of-mean-area formula, and the chord geometry of
+retained lines."""
 
 import math
 
@@ -139,20 +139,6 @@ def test_every_retained_disk_hits_the_window():
 
 
 # -- segment grains ------------------------------------------------------------------
-
-
-def test_segment_fattening_brackets_from_above():
-    grains = SegmentGrains(length=1.0)
-    xs = np.array([[4.2, 2.0], [-0.3, 0.1], [4.4, 4.4], [2.0, -0.45]])
-    exact = grains.hit_prob(xs, SQUARE, n_angle=256)
-    prev = None
-    for eps in (1e-1, 1e-2, 1e-3):
-        fat = grains.hit_prob(xs, SQUARE, fatten=eps, n_angle=256)
-        assert np.all(fat >= exact - 1e-12)
-        if prev is not None:
-            assert np.all(fat <= prev + 1e-12)
-        prev = fat
-    assert np.max(np.abs(prev - exact)) < 0.05
 
 
 def test_segment_interior_germ_always_hits():

@@ -58,6 +58,23 @@ def _sample(tmp_path, cfg, sub="out", name="config.json"):
             lambda c: c.update(validation={"alpha": 1.5}),
             "'validation.alpha' must lie strictly between 0 and 1",
         ),
+        (lambda c: c["params"].update(rate=float("nan")), "'params.rate' must be a finite number"),
+        (
+            lambda c: c["window"].update(upper=[2.0, float("inf")]),
+            "'window.upper' must be a list of finite numbers",
+        ),
+        (
+            lambda c: c.update(
+                sampler="hawkes_mr",
+                window={"lower": [0.0], "upper": [5.0]},
+                params={
+                    "mu": 1.0,
+                    "kernel": {"family": "exponential", "beta": 0.5, "gamma": 1.0,
+                               "marks": [["a", 1]]},
+                },
+            ),
+            "'params.kernel.marks' must be a list of [weight, value] pairs of finite numbers",
+        ),
     ],
 )
 def test_bad_config_exits_2_with_dotted_path(tmp_path, capsys, mangle, message):

@@ -16,8 +16,6 @@ from exactpp import (
     TranslatedPoissonCluster,
     UniformDisplacement,
     Window,
-    brix_kendall_sample,
-    retention_prob_cox,
     sample_conditioned_cluster,
 )
 from exactpp.validation import chi_square, mean_ci
@@ -40,28 +38,28 @@ def _kernel(mean):
 def test_retention_closed_form_values():
     # an interior germ has full displacement overlap, so p = 1 - e^{-mean}
     x = np.array([[5.0]])
-    assert retention_prob_cox(_kernel(1e-12), x, W10)[0] == pytest.approx(0.0, abs=1e-11)
-    assert retention_prob_cox(_kernel(math.log(2.0)), x, W10)[0] == pytest.approx(0.5)
-    assert retention_prob_cox(_kernel(1.0), x, W10)[0] == pytest.approx(1.0 - math.exp(-1.0))
+    assert _kernel(1e-12).retention(x, W10)[0] == pytest.approx(0.0, abs=1e-11)
+    assert _kernel(math.log(2.0)).retention(x, W10)[0] == pytest.approx(0.5)
+    assert _kernel(1.0).retention(x, W10)[0] == pytest.approx(1.0 - math.exp(-1.0))
 
 
 def test_retention_vanishes_out_of_reach():
     xs = np.array([[-0.6], [10.6], [100.0]])
-    assert np.all(retention_prob_cox(_kernel(2.0), xs, W10) == 0.0)
+    assert np.all(_kernel(2.0).retention(xs, W10) == 0.0)
 
 
 def test_retention_monotone_in_the_window():
     xs = np.linspace(-1.0, 11.0, 241)[:, None]
     small = Window((2.0,), (8.0,))
-    p_small = retention_prob_cox(_kernel(2.0), xs, small)
-    p_big = retention_prob_cox(_kernel(2.0), xs, W10)
+    p_small = _kernel(2.0).retention(xs, small)
+    p_big = _kernel(2.0).retention(xs, W10)
     assert np.all(p_small <= p_big + 1e-15)
 
 
 def test_retention_monotone_in_cluster_mean():
     xs = np.linspace(-0.5, 10.5, 101)[:, None]
-    p1 = retention_prob_cox(_kernel(1.0), xs, W10)
-    p2 = retention_prob_cox(_kernel(2.0), xs, W10)
+    p1 = _kernel(1.0).retention(xs, W10)
+    p2 = _kernel(2.0).retention(xs, W10)
     assert np.all(p1 <= p2 + 1e-15)
 
 
@@ -160,7 +158,7 @@ def test_mean_window_count_matches_intensity():
 def test_every_point_lies_inside_the_window():
     rng = _gen(28)
     for _ in range(40):
-        pat = brix_kendall_sample(LebesgueIntensity(1.0, 1), _kernel(2.0), W10, rng)
+        pat = BrixKendallSampler(LebesgueIntensity(1.0, 1), _kernel(2.0), W10).sample(rng)
         assert pat.dim == 1
         assert np.all(W10.contains(pat.points))
 

@@ -18,7 +18,6 @@ from exactpp import (
     Window,
     branching_total_intensity,
     cluster_intensity,
-    window_volume,
 )
 
 UNIT = Window((0.0,), (1.0,))
@@ -28,9 +27,9 @@ UNIT = Window((0.0,), (1.0,))
 
 
 def test_window_volume_examples():
-    assert window_volume(Window((0.0,), (1.0,))) == 1.0
-    assert window_volume(Window((0.0, 0.0, 0.0), (1.0, 2.0, 3.0))) == 6.0
-    assert window_volume(Window((-1.0,), (1.0,))) == 2.0
+    assert Window((0.0,), (1.0,)).volume() == 1.0
+    assert Window((0.0, 0.0, 0.0), (1.0, 2.0, 3.0)).volume() == 6.0
+    assert Window((-1.0,), (1.0,)).volume() == 2.0
 
 
 def test_window_rejects_degenerate_boxes():

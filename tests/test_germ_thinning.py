@@ -6,8 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from exactpp import (
     GeometricGrid,
@@ -16,14 +14,12 @@ from exactpp import (
     SamplerError,
     TableGrid,
     Window,
-    grid_last_point,
     matern_thin_first,
     nonlinear_hawkes_germ,
     renewal_thin_first,
     thin_grid,
     thin_grid_dominated,
 )
-from exactpp.germ_thinning import index_to_z2, z2_to_index
 from exactpp.oracles import grid_thin_after, renewal_thin_after
 from exactpp.validation import chi_square, two_sample_ks
 
@@ -70,7 +66,7 @@ def test_degenerate_tables():
     assert dead.prob_empty() == 1.0
     for _ in range(20):
         assert thin_grid(dead, rng).size == 0
-        assert grid_last_point(dead, rng) is None
+        assert dead.sample_last(rng) is None
     certain = TableGrid((1.0,))
     assert certain.prob_empty() == 0.0
     for _ in range(20):
@@ -172,25 +168,6 @@ def test_thin_returns_sorted_unique_indices():
         kept = thin_grid(grid, rng)
         assert kept.dtype == np.int64
         assert np.all(np.diff(kept) > 0)
-
-
-# -- planar spiral enumeration ---------------------------------------------------------
-
-
-def test_spiral_round_trip():
-    for n in range(500):
-        assert z2_to_index(index_to_z2(n)) == n
-
-
-def test_spiral_covers_centered_squares():
-    sites = {index_to_z2(n) for n in range(25)}
-    assert sites == {(i, j) for i in range(-2, 3) for j in range(-2, 3)}
-
-
-@settings(deadline=None, max_examples=50)
-@given(st.integers(0, 100_000))
-def test_spiral_round_trip_property(n):
-    assert z2_to_index(index_to_z2(n)) == n
 
 
 # -- renewal thin-first ------------------------------------------------------------------

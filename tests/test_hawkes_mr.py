@@ -15,8 +15,6 @@ from exactpp import (
     RngStream,
     SamplerError,
     build_sandwich,
-    mr_perfect_sample,
-    phi_apply,
     sample_gw_cluster,
 )
 from exactpp.oracles import hawkes_exp_burn_in
@@ -93,13 +91,14 @@ def test_operator_value_at_zero_is_the_no_offspring_probability():
     # ancestor (the fixed point E has E(0) = P(no offspring))
     step, n = 0.01, 512
     expected = math.exp(-0.5)
+    op = PhiOperator(KERNEL, step, n)
     for f in (np.zeros(n), np.ones(n), np.linspace(0.0, 1.0, n) ** 2):
-        out = phi_apply(f, KERNEL, step, rounding="nearest")
+        out = op.apply(f, "nearest")
         assert out[0] == pytest.approx(expected, abs=1e-12)
 
     marked = ExponentialFertility(0.5, 1.0, marks=((0.6, 0.5), (0.4, 1.2)))
     expected_marked = 0.6 * math.exp(-0.5 * 0.5) + 0.4 * math.exp(-0.5 * 1.2)
-    out = phi_apply(np.ones(n), marked, step, rounding="nearest")
+    out = PhiOperator(marked, step, n).apply(np.ones(n), "nearest")
     assert out[0] == pytest.approx(expected_marked, abs=1e-12)
 
 
@@ -145,9 +144,6 @@ def test_operator_rejects_out_of_range_grid_functions():
 
 
 def test_coarse_grid_is_refused():
-    f = np.concatenate([np.zeros(2), np.ones(2)])
-    with pytest.raises(SamplerError, match="grid too coarse"):
-        phi_apply(f, ExponentialFertility(0.45, 0.5), 5.0)
     with pytest.raises(SamplerError, match="grid too coarse"):
         build_sandwich(
             ExponentialFertility(0.45, 0.5), step=5.0, t_max=20.0, quad_tol=0.1
@@ -219,19 +215,6 @@ def test_zero_excitation_sandwich_collapses_immediately():
     b = sw.bounds()
     assert np.all(b.upp <= 5e-10)  # the tail of a point mass at 0
     assert sw.gap <= 5e-10
-
-
-def test_supplied_lower_cdf_is_validated():
-    ok = build_sandwich(KERNEL, G=lambda ts: np.zeros(ts.size), tol=1e-3, step=2e-3)
-    assert ok.gap <= 1e-3
-    with pytest.raises(SamplerError, match="does not bracket"):
-        build_sandwich(KERNEL, G=lambda ts: np.full(ts.size, 0.99), tol=1e-3, step=2e-3)
-    with pytest.raises(SamplerError, match="nondecreasing CDF"):
-        build_sandwich(
-            KERNEL, G=lambda ts: np.clip(0.5 - ts, 0.0, 1.0), tol=1e-3, step=2e-3
-        )
-    with pytest.raises(SamplerError, match=r"values in \[0, 1\]"):
-        build_sandwich(KERNEL, G=lambda ts: np.full(ts.size, 1.5), tol=1e-3, step=2e-3)
 
 
 # -- single-ancestor clusters ----------------------------------------------------
@@ -422,7 +405,10 @@ def test_unresolved_candidates_raise_in_error_mode():
     assert coin.stats["fallback_coins"] > 0
 
 
-def test_one_shot_wrapper():
-    pat = mr_perfect_sample(1.0, KERNEL, 5.0, _gen(98), tol=5e-3, step=2e-3)
+def test_fresh_sampler_draw_is_reproducible():
+    def draw():
+        return HawkesSampler(KERNEL, 1.0, 5.0, tol=5e-3, step=2e-3).sample(_gen(98))
+
+    pat = draw()
     assert pat.dim == 1
-    assert pat.n == mr_perfect_sample(1.0, KERNEL, 5.0, _gen(98), tol=5e-3, step=2e-3).n
+    assert pat.n == draw().n

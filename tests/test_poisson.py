@@ -1,4 +1,4 @@
-"""Poisson samplers: moments, strip thinning semantics, finite-density laws,
+"""Poisson samplers: moments, thinning under a bound, finite-density laws,
 and the consistency couplings (thinning, superposition) they must satisfy."""
 
 import math
@@ -6,17 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from exactpp import PointPattern, RngStream, SamplerError, Window
-from exactpp.poisson import (
-    DominatedIntensity,
-    FiniteDensitySampler,
-    sample_homogeneous,
-    sample_inhomogeneous_strip,
-    sample_poisson_finite_density,
-)
+from exactpp import DensityIntensity, LebesgueIntensity, RngStream, SamplerError, Window
+from exactpp.poisson import FiniteDensitySampler, sample_homogeneous
 from exactpp.validation import chi_square, ks_against_cdf, two_sample_ks
 
 UNIT_SQUARE = Window((0.0, 0.0), (1.0, 1.0))
+LINE = Window((0.0,), (10.0,))
 
 
 def _gen(seed, stream=0):
@@ -48,77 +43,62 @@ def test_homogeneous_points_are_uniform():
     assert rep.accepted
 
 
-# -- dominated strip ------------------------------------------------------------
+# -- thinning under a bound ----------------------------------------------------------
+# DensityIntensity.sample_on thins the dominating strip (0, T] x (0, bound):
+# a rate-`bound` point t with uniform height v is kept iff v < density(t).
 
 
 def test_strip_with_full_rate_accepts_every_dominating_point():
-    intensity = DominatedIntensity(bound=3.0, rate=lambda t, hist: 3.0)
-    strip = sample_inhomogeneous_strip(10.0, intensity, _gen(4))
-    assert strip.accepted.all()
-    assert np.array_equal(strip.accepted_times, strip.times)
-    assert strip.pattern().n == strip.times.size
+    full = DensityIntensity(lambda t: np.full(t.shape, 3.0), bound=3.0)
+    dominating = LebesgueIntensity(3.0).sample_on(LINE, _gen(4))
+    thinned = full.sample_on(LINE, _gen(4))
+    assert dominating.n > 0
+    assert np.array_equal(thinned.points, dominating.points)
 
 
 def test_strip_with_zero_rate_accepts_nothing():
-    intensity = DominatedIntensity(bound=3.0, rate=lambda t, hist: 0.0)
-    strip = sample_inhomogeneous_strip(10.0, intensity, _gen(5))
-    assert strip.times.size > 0  # the dominating stream itself is there
-    assert strip.accepted_times.size == 0
+    zero = DensityIntensity(lambda t: np.zeros(t.shape), bound=3.0)
+    assert LebesgueIntensity(3.0).sample_on(LINE, _gen(5)).n > 0  # the dominating stream
+    assert zero.sample_on(LINE, _gen(5)).n == 0
 
 
 def test_strip_linear_rate_mean_count():
     # rate(t) = M t / T on (0, T]: mean accepted count is M T / 2
     M, T = 2.0, 5.0
-    intensity = DominatedIntensity(bound=M, rate=lambda t, hist: M * t / T)
+    intensity = DensityIntensity(lambda t: M * t / T, bound=M)
+    line = Window((0.0,), (T,))
     rng = _gen(6)
-    counts = np.array(
-        [sample_inhomogeneous_strip(T, intensity, rng).accepted_times.size for _ in range(20_000)]
-    )
+    counts = np.array([intensity.sample_on(line, rng).n for _ in range(20_000)])
     target = M * T / 2.0
     se = counts.std(ddof=1) / math.sqrt(counts.size)
     assert abs(counts.mean() - target) < 4.0 * se
 
 
-def test_strip_history_is_the_accepted_prefix():
-    seen = []
-
-    def rate(t, history):
-        seen.append(np.asarray(history).copy())
-        return 1.0
-
-    intensity = DominatedIntensity(bound=1.0, rate=rate)
-    strip = sample_inhomogeneous_strip(50.0, intensity, _gen(7))
-    # with rate == bound everything is accepted, so the i-th evaluation sees
-    # exactly the first i accepted times
-    for i, hist in enumerate(seen):
-        assert np.array_equal(hist, strip.times[:i])
-
-
 def test_strip_rejects_rate_above_bound():
-    intensity = DominatedIntensity(bound=1.0, rate=lambda t, hist: 2.0)
-    with pytest.raises(SamplerError, match="exceeds declared bound"):
-        sample_inhomogeneous_strip(200.0, intensity, _gen(8))
+    intensity = DensityIntensity(lambda t: np.full(t.shape, 2.0), bound=1.0)
+    with pytest.raises(SamplerError, match="exceeds its declared bound"):
+        intensity.sample_on(Window((0.0,), (200.0,)), _gen(8))
 
 
 def test_strip_rejects_negative_rate():
-    intensity = DominatedIntensity(bound=1.0, rate=lambda t, hist: -0.5)
+    intensity = DensityIntensity(lambda t: np.full(t.shape, -0.5), bound=1.0)
     with pytest.raises(SamplerError, match="negative"):
-        sample_inhomogeneous_strip(200.0, intensity, _gen(9))
+        intensity.sample_on(Window((0.0,), (200.0,)), _gen(9))
 
 
 def test_thinning_consistency_with_homogeneous_target():
-    # thinning a dominated strip at constant rate p*M must match a plain
+    # thinning the strip at constant rate p*M must match a plain
     # homogeneous draw at rate p*M in count law and position law
     M, p, T = 4.0, 0.35, 10.0
-    intensity = DominatedIntensity(bound=M, rate=lambda t, hist: p * M)
+    intensity = DensityIntensity(lambda t: np.full(t.shape, p * M), bound=M)
+    line = Window((0.0,), (T,))
     rng = _gen(10)
     thinned_counts, thinned_pos = [], []
     for _ in range(10_000):
-        strip = sample_inhomogeneous_strip(T, intensity, rng)
-        thinned_counts.append(strip.accepted_times.size)
-        thinned_pos.append(strip.accepted_times)
+        pat = intensity.sample_on(line, rng)
+        thinned_counts.append(pat.n)
+        thinned_pos.append(pat.points[:, 0])
     rng2 = _gen(11)
-    line = Window((0.0,), (T,))
     direct_counts, direct_pos = [], []
     for _ in range(10_000):
         pat = sample_homogeneous(line, p * M, rng2)
@@ -151,65 +131,74 @@ def test_superposition_of_independent_poissons_is_poisson():
 # -- finite-density sampler ---------------------------------------------------------
 
 
+def _exp_density(rate=1.0):
+    return lambda t: rate * np.exp(-rate * np.asarray(t, dtype=float))
+
+
 def test_finite_density_zero_density_is_empty():
-    pat = sample_poisson_finite_density(
-        lambda t: np.zeros_like(np.asarray(t, dtype=float)), _gen(13), upper=1.0
+    sampler = FiniteDensitySampler(
+        lambda t: np.zeros_like(np.asarray(t, dtype=float)), 1.0, upper=1.0
     )
-    assert pat.n == 0
+    assert sampler.sample(_gen(13)).n == 0
 
 
 def test_finite_density_exponential_mean_and_positions():
     sampler = FiniteDensitySampler(
-        lambda t: np.exp(-np.asarray(t, dtype=float)),
-        tail_mass=lambda t: math.exp(-t),
-        total_mass=1.0,
+        _exp_density(), 1.0, tail_mass=lambda t: math.exp(-t), total_mass=1.0
     )
     assert sampler.total_mass == pytest.approx(1.0)
     rng = _gen(14)
-    counts = rng.poisson(sampler.total_mass, size=100_000)
-    assert abs(counts.mean() - 1.0) < 0.01
-    pos = sampler.positions(100_000, rng)
+    draws = [sampler.sample(rng).points[:, 0] for _ in range(40_000)]
+    counts = np.array([d.size for d in draws])
+    assert abs(counts.mean() - 1.0) < 4.0 / math.sqrt(counts.size)
+    pos = np.concatenate(draws)
+    # exact thinning: positions are Exp(1) with no discretisation allowance
     rep = ks_against_cdf(pos, lambda t: -np.expm1(-np.clip(t, 0.0, None)), alpha=0.01)
-    # inverse-CDF interpolation carries a small documented grid bias; the KS
-    # statistic must still sit below the 1% band at n = 1e5
-    assert rep.statistic < 1.63 / math.sqrt(pos.size)
-    assert rep.accepted
+    assert rep.accepted, rep.to_dict()
 
 
 def test_finite_density_one_shot_draw_matches_mass():
-    pat = sample_poisson_finite_density(
-        lambda t: 2.0 * np.exp(-2.0 * np.asarray(t, dtype=float)),
-        _gen(15),
-        tail_mass=lambda t: math.exp(-2.0 * t),
-    )
+    pat = FiniteDensitySampler(
+        _exp_density(2.0), 2.0, tail_mass=lambda t: math.exp(-2.0 * t)
+    ).sample(_gen(15))
     assert pat.dim == 1
     assert np.all(pat.points >= 0.0)
 
 
+def test_finite_density_above_bound_rejected():
+    sampler = FiniteDensitySampler(
+        lambda t: np.full_like(np.asarray(t, dtype=float), 2.0), 1.0, upper=10.0
+    )
+    with pytest.raises(SamplerError, match="exceeds its declared bound"):
+        sampler.sample(_gen(17))
+
+
 def test_finite_density_requires_support_information():
     with pytest.raises(SamplerError, match="support endpoint|tail mass"):
-        FiniteDensitySampler(lambda t: np.exp(-np.asarray(t)))
+        FiniteDensitySampler(_exp_density(), 1.0)
 
 
 def test_finite_density_divergent_mass_rejected():
     with pytest.raises(SamplerError, match="diverges"):
         FiniteDensitySampler(
             lambda t: np.ones_like(np.asarray(t, dtype=float)),
+            1.0,
             total_mass=math.inf,
             upper=1.0,
         )
 
 
 def test_finite_density_negative_density_rejected():
+    # positive total mass, negative below t = 1/4: caught when a draw meets it
+    sampler = FiniteDensitySampler(lambda t: np.asarray(t, dtype=float) - 0.25, 50.0, upper=1.0)
     with pytest.raises(SamplerError, match="negative"):
-        FiniteDensitySampler(lambda t: -np.ones_like(np.asarray(t, dtype=float)), upper=1.0)
+        sampler.sample(_gen(18))
 
 
-def test_finite_density_table_reuse_is_deterministic():
-    sampler = FiniteDensitySampler(
-        lambda t: np.exp(-np.asarray(t, dtype=float)),
-        tail_mass=lambda t: math.exp(-t),
-    )
-    a = sampler.positions(100, _gen(16))
-    b = sampler.positions(100, _gen(16))
+def test_finite_density_reuse_is_deterministic():
+    sampler = FiniteDensitySampler(_exp_density(), 1.0, tail_mass=lambda t: math.exp(-t))
+    rng_a, rng_b = _gen(16), _gen(16)
+    a = np.concatenate([sampler.sample(rng_a).points for _ in range(20)])
+    b = np.concatenate([sampler.sample(rng_b).points for _ in range(20)])
+    assert a.size > 0
     assert np.array_equal(a, b)
