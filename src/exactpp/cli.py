@@ -24,6 +24,7 @@ import math
 import os
 import sys
 from concurrent import futures
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -712,13 +713,15 @@ def build(cfg):
 # -- commands -------------------------------------------------------------------------
 
 
-def _write_range(cfg, outdir, indices):
-    built = build(cfg)
-    seed = cfg["seed"]
+def _write_patterns(built, seed, outdir, indices):
     for r in indices:
         rng = RngStream(seed, stream_id=r).generator()
         built["sample"](rng).to_csv(Path(outdir) / f"pattern-{r:05d}.csv")
-    return len(indices)
+
+
+def _write_range(cfg, outdir, indices):
+    """Pool worker: build the sampler and write the given replicates."""
+    _write_patterns(build(cfg), cfg["seed"], outdir, indices)
 
 
 def _run_validation(cfg, built):
@@ -747,18 +750,16 @@ def cmd_sample(cfg, outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     reps = cfg.get("replicates", 1)
-    workers = int(os.environ.get("EXACTPP_WORKERS", "1"))
-    indices = list(range(reps))
-    if workers > 1 and reps > 1:
-        chunks = [c for c in (indices[i::workers] for i in range(workers)) if c]
-        with futures.ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            list(pool.map(_write_range, [cfg] * len(chunks), [outdir] * len(chunks), chunks))
+    workers = min(max(int(os.environ.get("EXACTPP_WORKERS", "1")), 1), reps)
+    # replicate r goes to chunk r % workers; the parent writes chunk 0 (all of a serial run)
+    chunks = [list(range(i, reps, workers)) for i in range(workers)]
+    pool = futures.ProcessPoolExecutor(workers - 1) if workers > 1 else nullcontext()
+    with pool:
+        jobs = [pool.submit(_write_range, cfg, outdir, c) for c in chunks[1:]]
         built = build(cfg)
-    else:
-        built = build(cfg)
-        for r in indices:
-            rng = RngStream(cfg["seed"], stream_id=r).generator()
-            built["sample"](rng).to_csv(outdir / f"pattern-{r:05d}.csv")
+        _write_patterns(built, cfg["seed"], outdir, chunks[0])
+        for job in jobs:
+            job.result()
     meta = {
         "schema": SCHEMA_VERSION,
         "sampler": cfg["sampler"],
@@ -828,14 +829,10 @@ def cmd_plotdata(cfg, kind, outdir):
         b = built["sandwich"].bounds()
         stride = max(1, b.taus.size // 2000)
         taus, ell, upp = b.taus[::stride], b.ell[::stride], b.upp[::stride]
-        gw_stream = RngStream(seed, stream_id=30_000)
         n_clusters = 20_000
-        lengths = np.empty(n_clusters)
-        for i in range(n_clusters):
-            lengths[i] = sample_gw_cluster(
-                built["kernel"], 0.0, gw_stream.substream(i).generator()
-            ).extinction_time
-        lengths.sort()
+        lengths = np.sort(sample_gw_cluster(
+            built["kernel"], np.zeros(n_clusters), RngStream(seed, stream_id=30_000).generator()
+        ).extinction_time)
         oracle = 1.0 - np.searchsorted(lengths, taus, side="right") / n_clusters
         _csv_rows(out, "t,lower,upper,oracle_tail",
                   ([_ftext(t), _ftext(lo), _ftext(hi), _ftext(o)]

@@ -27,6 +27,7 @@ __all__ = [
 
 TAIL_CERT = 1e-12  # envelope certification level for truncated germ regions
 ROUND_CAP = 10_000  # conditioning rounds before declaring the draw implausible
+RETENTION_FLOOR = 1e-9  # smallest conditioning probability a germ may have
 
 
 @dataclass(frozen=True)
@@ -107,33 +108,46 @@ class TranslatedPoissonCluster:
         """Concatenated displacements for clusters of the given sizes."""
         return self.displacement.sample(int(np.sum(counts)), rng)
 
-    def sample_cluster(self, x, rng):
-        count = rng.poisson(self.total_mean)
-        pts = np.asarray(x, dtype=float)[None, :] + self.displacement.sample(count, rng)
-        return PointPattern(pts, dim=self.dim)
 
+def sample_conditioned_cluster(kernel, germs, window, rng):
+    """Clusters at the germ rows (k, dim), each conditioned on putting a point in W.
 
-def sample_conditioned_cluster(kernel, x, window, rng, floor=1e-9):
-    """One cluster at germ x conditioned on putting at least one point in W.
-
-    Plain rejection: resample the unconditioned cluster until it hits the
-    window. Returns (cluster, attempts). Raises when the conditioning event
-    has probability below `floor`, or when rejection runs implausibly long
-    (the round cap sits at e^-60 territory for any retention above 1e-2;
-    exceeding it signals a broken configuration, not bad luck).
+    Rejection in batched rounds: each germ whose cluster has not hit W yet
+    draws a fresh one.  Returns the accepted clusters' points (inside W or
+    not), the germ row owning each point and the clusters drawn per germ.
+    Raises for a conditioning probability below RETENTION_FLOOR, or after
+    ROUND_CAP rounds (e^-60 territory for any retention above 1e-2: a broken
+    configuration, not bad luck).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p = float(kernel.retention(x[None, :], window)[0])
-    if p < floor:
+    p = kernel.retention(germs, window)
+    if np.any(p < RETENTION_FLOOR):
+        i = int(np.argmin(p))
         raise SamplerError(
-            f"conditioning probability {p:.3e} below floor {floor:.1e} at germ {x.tolist()}"
+            f"conditioning probability {p[i]:.3e} below floor {RETENTION_FLOOR:.1e} "
+            f"at germ {germs[i].tolist()}"
         )
-    max_attempts = int(np.ceil(60.0 / p))
-    for attempt in range(1, max_attempts + 1):
-        cluster = kernel.sample_cluster(x, rng)
-        if cluster.n and np.any(window.contains(cluster.points)):
-            return cluster, attempt
-    raise SamplerError(f"conditioning did not hit the window in {max_attempts} attempts")
+    attempts = np.zeros(germs.shape[0], dtype=np.int64)
+    collected, owners = [], []
+    live = np.arange(germs.shape[0])
+    for _ in range(ROUND_CAP):
+        attempts[live] += 1
+        counts = rng.poisson(kernel.total_mean, size=live.size)
+        offsets = kernel.sample_offsets(counts, rng)
+        germ_idx = np.repeat(np.arange(live.size), counts)
+        pts = germs[live[germ_idx]] + offsets
+        hit_germ = np.zeros(live.size, dtype=bool)
+        np.logical_or.at(hit_germ, germ_idx[window.contains(pts)], True)
+        keep_rows = hit_germ[germ_idx]
+        collected.append(pts[keep_rows])
+        owners.append(live[germ_idx[keep_rows]])
+        live = live[~hit_germ]
+        if not live.size:
+            break
+    else:
+        raise SamplerError(
+            f"conditioning round cap {ROUND_CAP} exceeded for {live.size} germs"
+        )
+    return np.vstack(collected), np.concatenate(owners), attempts
 
 
 class BrixKendallSampler:
@@ -205,33 +219,5 @@ class BrixKendallSampler:
     def sample(self, rng):
         """One exact draw of the cluster process restricted to the window."""
         germs = self.sample_retained_germs(rng)
-        k = germs.shape[0]
-        if k == 0:
-            return PointPattern.empty(self.window.dim)
-        collected = []
-        live = np.arange(k)
-        live_germs = germs
-        for _ in range(ROUND_CAP):
-            counts = rng.poisson(self.kernel.total_mean, size=live.size)
-            offsets = self.kernel.sample_offsets(counts, rng)
-            germ_idx = np.repeat(np.arange(live.size), counts)
-            pts = live_germs[germ_idx] + offsets
-            hit_pt = self.window.contains(pts) if pts.size else np.zeros(0, dtype=bool)
-            hit_germ = np.zeros(live.size, dtype=bool)
-            if pts.size:
-                np.logical_or.at(hit_germ, germ_idx[hit_pt], True)
-            if np.any(hit_germ):
-                keep_rows = hit_germ[germ_idx]
-                collected.append(pts[keep_rows])
-            live_mask = ~hit_germ
-            if not np.any(live_mask):
-                break
-            live = live[live_mask]
-            live_germs = live_germs[live_mask]
-        else:
-            raise SamplerError(
-                f"conditioning round cap {ROUND_CAP} exceeded for {live.size} germs"
-            )
-        points = np.vstack(collected) if collected else np.empty((0, self.window.dim))
+        points, _, _ = sample_conditioned_cluster(self.kernel, germs, self.window, rng)
         return PointPattern(points, dim=self.window.dim).restrict(self.window)
-

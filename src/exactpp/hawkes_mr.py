@@ -73,7 +73,8 @@ class FertilityKernel:
     density h0 / nu0_inf.  Subclasses provide the base shape h0: its exact
     cumulative _nu0, total mass _nu0_inf, first moment _t_moment = int t h0,
     a suggested exponential decay rate for the dominating tail, and an exact
-    displacement sampler.
+    displacement sampler; their __init__ sets _displacement_m2, a bound on the
+    second moment of one displacement.
     """
 
     def __init__(self, marks=((1.0, 1.0),)):
@@ -143,6 +144,7 @@ class ExponentialFertility(FertilityKernel):
             raise SamplerError("need beta >= 0 and gamma > 0")
         self.beta = float(beta)
         self.gamma = float(gamma)
+        self._displacement_m2 = 2.0 / self.gamma**2  # exact for Exp(gamma)
         super().__init__(marks)
 
     def _h0(self, t):
@@ -186,6 +188,7 @@ class PolynomialFertility(FertilityKernel):
         if np.min(vals) < 0:
             raise SamplerError("fertility polynomial is negative on its support")
         self._h_max = float(np.max(vals))
+        self._displacement_m2 = self.support**2
         super().__init__(marks)
 
     def _h0(self, t):
@@ -238,6 +241,7 @@ class PiecewiseConstantFertility(FertilityKernel):
         self.values = values
         self._cell_mass = values * np.diff(breaks)
         self._cum = np.concatenate([[0.0], np.cumsum(self._cell_mass)])
+        self._displacement_m2 = float(breaks[-1]) ** 2
         super().__init__(marks)
 
     def _h0(self, t):
@@ -273,42 +277,45 @@ class PiecewiseConstantFertility(FertilityKernel):
 
 @dataclass(frozen=True)
 class GWCluster:
-    """All points of a single-ancestor cluster with their generation labels."""
+    """All points of one or more single-ancestor clusters, with generation labels.
+
+    owner[i] is the root that point i descends from.  ancestor, ancestor_mark
+    and extinction_time (last point minus ancestor) are floats for a scalar
+    ancestor and arrays with one entry per root otherwise.
+    """
 
     points: np.ndarray
     generations: np.ndarray
-    ancestor: float
-    ancestor_mark: float
+    owner: np.ndarray
+    ancestor: float | np.ndarray
+    ancestor_mark: float | np.ndarray
+    extinction_time: float | np.ndarray
 
     @property
     def n(self):
         return self.points.shape[0]
 
     @property
-    def extinction_time(self):
-        """Last point minus ancestor (0 for a childless ancestor)."""
-        return float(self.points.max() - self.ancestor)
-
-    @property
     def offsets(self):
-        return self.points - self.ancestor
+        return self.points - np.atleast_1d(self.ancestor)[self.owner]
 
 
 def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP):
-    """Generation-by-generation draw of a single-ancestor cluster.
+    """Generation-by-generation draw of the clusters of a scalar or 1-D array of ancestors.
 
-    Each point with mark z spawns Poisson(nu_inf(z)) children displaced by the
-    kernel's normalized shape; the recursion terminates a.s. (rho < 1) with
-    mean total size 1/(1-rho).
+    Each point with mark z spawns Poisson(nu_inf(z)) children displaced by
+    the kernel's normalized shape; the recursion terminates a.s. (rho < 1)
+    with mean total size 1/(1-rho) per root.  All clusters grow in one
+    generation loop, and point_cap bounds the points of the whole call,
+    roots included.
     """
-    pts = [np.array([float(ancestor)])]
-    gens = [np.zeros(1, dtype=np.int64)]
-    marks = kernel.sample_mark(1, rng)
-    anc_mark = float(marks[0])
-    cur = pts[0]
-    total = 1
-    g = 0
-    while cur.size:
+    roots = np.asarray(ancestor, dtype=float)
+    batch = roots.ndim > 0  # a scalar ancestor owns every point: no owner bookkeeping
+    roots = roots.reshape(-1)
+    marks = anc_marks = kernel.sample_mark(roots.size, rng)
+    pts, gens, owners = [roots], [np.zeros(roots.size, dtype=np.int64)], [np.arange(roots.size)]
+    total = roots.size
+    while pts[-1].size:
         counts = rng.poisson(kernel.nu_inf(marks))
         n_next = int(counts.sum())
         total += n_next
@@ -319,13 +326,19 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP):
             )
         if n_next == 0:
             break
-        parents = np.repeat(cur, counts)
-        cur = parents + kernel.sample_displacement(n_next, rng)
-        g += 1
-        pts.append(cur)
-        gens.append(np.full(n_next, g, dtype=np.int64))
+        pts.append(np.repeat(pts[-1], counts) + kernel.sample_displacement(n_next, rng))
+        gens.append(np.full(n_next, len(gens), dtype=np.int64))
+        if batch:
+            owners.append(np.repeat(owners[-1], counts))
         marks = kernel.sample_mark(n_next, rng)
-    return GWCluster(np.concatenate(pts), np.concatenate(gens), float(ancestor), anc_mark)
+    points, generations = np.concatenate(pts), np.concatenate(gens)
+    if not batch:
+        owner, a = np.zeros(points.size, dtype=np.int64), float(ancestor)
+        return GWCluster(points, generations, owner, a, float(anc_marks[0]), float(points.max() - a))
+    owner = np.concatenate(owners)
+    extinction = np.zeros(roots.size)
+    np.maximum.at(extinction, owner, points - roots[owner])
+    return GWCluster(points, generations, owner, roots, anc_marks, extinction)
 
 
 # -- the fixed-point operator on a uniform grid -----------------------------------
@@ -581,14 +594,7 @@ def _moment_tail_bound(kernel, t_max):
     if base == 0:
         return 0.0
     m_d = kernel._t_moment() / base
-    # crude second moment of one displacement: bounded by support for compact
-    # shapes; for the exponential shape it is 2/gamma^2 exactly.
-    if isinstance(kernel, ExponentialFertility):
-        q_d = 2.0 / kernel.gamma**2
-    elif isinstance(kernel, PolynomialFertility):
-        q_d = kernel.support**2
-    else:
-        q_d = float(kernel.breaks[-1]) ** 2 if hasattr(kernel, "breaks") else np.inf
+    q_d = kernel._displacement_m2
     rho = kernel.rho
     w, z = np.array([m for m, _ in kernel.components()]), np.array(
         [z for _, z in kernel.components()]
@@ -608,12 +614,12 @@ class HawkesSampler:
     discard strictly above the upper).  Unresolved candidates trigger more
     iterations, then a grid refinement, and finally the configured fallback:
 
-    - "cluster-coin" (default): decide by simulating one cluster and keeping
-      the candidate iff it survives past the candidate's distance (the
-      successful cluster doubles as the conditioned cluster).  The decision
-      replaces a conditional probability it differs from by at most the
-      terminal band width, and fires with probability at most that width -
-      the documented deviation from perfection, bounded by ~1e-5 per draw.
+    - "cluster-coin" (default): draw one cluster and keep the candidate iff
+      it outlives the candidate's distance (the cluster is then its
+      conditioned cluster).  Within t_max, only draws where a candidate
+      reaches the coin can depart from the exact law; meta["unresolved_rate"]
+      bounds the expected number of candidates per draw between the bounds
+      of the sandwich as built, and stats["fallback_coins"] counts the coins.
     - "error": raise carrying the offending points.
 
     Retained ancestors get clusters conditioned to reach the window by
@@ -653,7 +659,6 @@ class HawkesSampler:
         self.refine_levels = int(refine_levels)
         self.classify_fallback = classify_fallback
         self.point_cap = int(point_cap)
-        self._step0 = float(step)
         self._t_max = t_max
         self.stats = {
             "fallback_coins": 0,
@@ -678,11 +683,15 @@ class HawkesSampler:
         t_max = sw.meta["t_max"]
         delta = max(self.kernel.suggested_decay() / 2.0, 1e-6)
         assumed = self.mu_bound * math.exp(-delta * t_max) / delta
-        retained = float(np.sum(sw.bounds().ell) * sw.phi.step * self.mu_bound)
+        b = sw.bounds()
+        retained = float(np.sum(b.ell) * sw.phi.step * self.mu_bound)
+        # a candidate in cell k is unresolved iff its score lies in [ell[k+1], upp[k]]
+        unresolved = float(np.sum(b.upp[:-1] - b.ell[1:]) * sw.phi.step * self.mu_bound)
         self.meta = {
             **sw.meta,
             "candidate_mass": self._env_mass,
             "retained_mass_estimate": retained,
+            "unresolved_rate": unresolved,
             "tail_bound_assumed_decay": assumed,
             "tail_bound_moment": self.mu_bound * _moment_tail_bound(self.kernel, t_max),
             "tail_audit_ok": bool(assumed <= 1e-12 * max(retained, 1e-300)),
@@ -717,20 +726,18 @@ class HawkesSampler:
         )
         # the frozen envelope stays: it is valid for any certified sandwich
 
-    def _classify(self, ts, scores, rng):
-        """True/False per candidate; exact except for the documented fallback."""
+    def _classify(self, ts, scores):
+        """(retained, unresolved) masks and the last lower bounds at ts; exact."""
         retain = np.zeros(ts.size, dtype=bool)
         pending = np.ones(ts.size, dtype=bool)
-        witnesses = {}
         levels_left = self.refine_levels
         while True:
             b = self.sandwich.bounds()
             lo, up = b.lower_at(ts), b.upper_at(ts)
-            newly = pending & (scores < lo)
-            retain[newly] = True
+            retain |= pending & (scores < lo)
             pending &= ~(scores < lo) & ~(scores > up)
             if not pending.any():
-                return retain, witnesses
+                return retain, pending, lo
             if self.sandwich.n < self.n_max:
                 before = self.sandwich.gap
                 self.sandwich.advance(3)
@@ -742,61 +749,70 @@ class HawkesSampler:
                 self._refine_grid()
                 continue
             break
-        stuck = np.flatnonzero(pending)
         if self.classify_fallback == "error":
+            stuck = np.flatnonzero(pending)
             pts = ", ".join(f"(t={ts[i]:.6g}, height={scores[i]:.6g})" for i in stuck)
             raise SamplerError(
                 f"{stuck.size} dominated points left unclassified between the bounds "
                 f"after refinement: {pts}"
             )
-        for i in stuck:
-            self.stats["fallback_coins"] += 1
-            cl = sample_gw_cluster(self.kernel, 0.0, rng, self.point_cap)
-            if cl.extinction_time > ts[i]:
-                retain[i] = True
-                witnesses[int(i)] = cl
-        return retain, witnesses
+        return retain, pending, lo
 
-    def _conditioned_cluster(self, t, rng):
-        """Cluster given that it reaches past t, by rejection."""
-        floor = max(float(self.sandwich.bounds().lower_at(np.array([t]))[0]), 1e-6)
-        cap = min(int(math.ceil(60.0 / floor)), CONDITION_ATTEMPT_CAP)
-        for _ in range(cap):
-            self.stats["condition_attempts"] += 1
-            cl = sample_gw_cluster(self.kernel, 0.0, rng, self.point_cap)
-            if cl.extinction_time > t:
-                return cl
-        raise SamplerError(
-            f"conditioned-cluster rejection exhausted {cap} attempts at distance "
-            f"{t:.4g} (success probability is the survival tail there)"
-        )
+    def _conditioned_cluster(self, ts, lower, coin, rng):
+        """Points of clusters rooted at -ts, each conditioned to outlive its t.
+
+        Rejection in rounds: each unsatisfied candidate gets a block of iid
+        clusters, sized from the lower bound on F(t), and keeps the first
+        that outlives its t, which has the conditioned law.  A round draws
+        about a tenth of point_cap points on average.  A `coin` candidate gets
+        a single cluster and is dropped unless that cluster outlives its t.
+        """
+        floor = np.maximum(lower, 1e-6)
+        cap = np.where(coin, 1, np.minimum(np.ceil(60.0 / floor), CONDITION_ATTEMPT_CAP))
+        self.stats["fallback_coins"] += int(coin.sum())
+        budget = max(int(0.1 * self.point_cap / self.kernel.mean_cluster_size()), 1)
+        used = np.zeros(ts.size, dtype=np.int64)
+        live = np.arange(ts.size)
+        pieces = [np.empty(0)]
+        while live.size:
+            block = np.minimum(np.ceil(1.0 / floor[live]), cap[live] - used[live]).astype(np.int64)
+            if block.sum() > budget:
+                block = np.maximum(block * budget // block.sum(), 1)
+            starts = np.cumsum(block) - block
+            cand = np.repeat(live, block)
+            cl = sample_gw_cluster(self.kernel, np.zeros(cand.size), rng, self.point_cap)
+            hit = cl.extinction_time > ts[cand]
+            # the first hit of each block, or past the block's end when there is none
+            first = np.minimum.reduceat(np.where(hit, np.arange(cand.size), cand.size), starts)
+            won = first < starts + block
+            examined = np.minimum(first - starts + 1, block)
+            used[live] += examined
+            self.stats["condition_attempts"] += int(examined[~coin[live]].sum())
+            kept = np.isin(cl.owner, first[won])
+            pieces.append(-ts[cand[cl.owner[kept]]] + cl.points[kept])
+            live = live[~won & ~coin[live]]
+            exhausted = live[used[live] >= cap[live]]
+            if exhausted.size:
+                i = exhausted[0]
+                raise SamplerError(
+                    f"conditioned-cluster rejection exhausted {cap[i]:.0f} attempts at distance "
+                    f"{ts[i]:.4g} (success probability is the survival tail there)"
+                )
+        return np.concatenate(pieces)
 
     def sample(self, rng):
         """One exact draw on [0, a] as a sorted 1-D pattern."""
         ts = self._sample_candidates(rng)
         heights = rng.random(ts.size)
         scores = heights * self._env_at(ts)
-        retain, witnesses = self._classify(ts, scores, rng)
-        pieces = []
-        for i in np.flatnonzero(retain):
-            cl = witnesses.get(int(i))
-            if cl is None:
-                cl = self._conditioned_cluster(ts[i], rng)
-            pieces.append(-ts[i] + cl.points)
-        if self.mu is None:
-            k = rng.poisson(self.mu_bound * self.a)
-            imm = np.sort(rng.random(k)) * self.a
-        else:
-            k = rng.poisson(self.mu_bound * self.a)
-            cand = np.sort(rng.random(k)) * self.a
-            imm = cand[rng.random(k) * self.mu_bound < np.asarray(self.mu(cand), dtype=float)]
-        for x in imm:
-            cl = sample_gw_cluster(self.kernel, 0.0, rng, self.point_cap)
-            pieces.append(x + cl.points)
-        if pieces:
-            pts = np.concatenate(pieces)
-        else:
-            pts = np.empty(0)
+        retain, coin, lower = self._classify(ts, scores)
+        take = retain | coin
+        kept = self._conditioned_cluster(ts[take], lower[take], coin[take], rng)
+        k = rng.poisson(self.mu_bound * self.a)
+        imm = np.sort(rng.random(k)) * self.a
+        if self.mu is not None:  # thin a bounded variable immigrant intensity
+            imm = imm[rng.random(k) * self.mu_bound < np.asarray(self.mu(imm), dtype=float)]
+        free = sample_gw_cluster(self.kernel, imm, rng, self.point_cap).points
+        pts = np.concatenate([kept, free])
         window = Window((0.0,), (self.a,))
         return PointPattern(np.sort(pts).reshape(-1, 1), dim=1).restrict(window)
-

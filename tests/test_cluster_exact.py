@@ -69,20 +69,18 @@ def test_retention_monotone_in_cluster_mean():
 def test_conditioned_cluster_rejection_cost():
     # interior germ, mean 1: success probability 1 - e^{-1}, so the attempt
     # count is geometric with mean 1/(1-e^{-1}) = 1.5819767...
-    kernel = _kernel(1.0)
-    rng = _gen(21)
-    attempts = np.empty(100_000)
-    sizes = np.empty(100_000, dtype=np.int64)
-    for i in range(attempts.size):
-        cluster, k = sample_conditioned_cluster(kernel, np.array([5.0]), W10, rng)
-        attempts[i] = k
-        sizes[i] = cluster.n
+    n = 100_000
+    points, owner, attempts = sample_conditioned_cluster(
+        _kernel(1.0), np.full((n, 1), 5.0), W10, _gen(21)
+    )
     p = 1.0 - math.exp(-1.0)
     target = 1.0 / p
     se = attempts.std(ddof=1) / math.sqrt(attempts.size)
     assert abs(attempts.mean() - target) < 4.0 * se
 
     # conditioned size is zero-truncated Poisson(1)
+    sizes = np.bincount(owner, minlength=n)
+    assert points.shape == (sizes.sum(), 1)
     k_hi = 6
     probs = np.array([math.exp(-1.0) / math.factorial(k) / p for k in range(1, k_hi)])
     probs = np.append(probs, 1.0 - probs.sum())
@@ -92,16 +90,18 @@ def test_conditioned_cluster_rejection_cost():
 
 
 def test_conditioned_cluster_always_hits_the_window():
-    kernel = _kernel(0.5)
-    rng = _gen(22)
-    for _ in range(500):
-        cluster, _ = sample_conditioned_cluster(kernel, np.array([0.0]), W10, rng)
-        assert np.any(W10.contains(cluster.points))
+    n = 500
+    points, owner, attempts = sample_conditioned_cluster(
+        _kernel(0.5), np.zeros((n, 1)), W10, _gen(22)
+    )
+    hits = np.bincount(owner[W10.contains(points)], minlength=n)
+    assert np.all(hits >= 1)
+    assert np.all(attempts >= 1)
 
 
 def test_conditioning_floor_rejects_unreachable_germs():
     with pytest.raises(SamplerError, match="below floor"):
-        sample_conditioned_cluster(_kernel(2.0), np.array([50.0]), W10, _gen(23))
+        sample_conditioned_cluster(_kernel(2.0), np.array([[5.0], [50.0]]), W10, _gen(23))
 
 
 # -- the full sampler -------------------------------------------------------------

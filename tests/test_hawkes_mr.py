@@ -273,6 +273,44 @@ def test_cluster_point_cap_guards_near_critical_growth():
             sample_gw_cluster(kernel, 0.0, rng, point_cap=5)
 
 
+def test_forest_extinction_times_match_single_clusters():
+    n = 20_000
+    forest = sample_gw_cluster(KERNEL, np.zeros(n), _gen(101))
+    rng = _gen(102)
+    single = np.array([sample_gw_cluster(KERNEL, 0.0, rng).extinction_time for _ in range(n)])
+    rep = two_sample_ks(forest.extinction_time, single, alpha=0.01)
+    assert rep.accepted, rep.to_dict()
+
+
+def test_forest_bookkeeping_per_root():
+    kernel = ExponentialFertility(0.5, 1.0, marks=((0.5, 0.4), (0.5, 1.2)))
+    roots = np.linspace(-3.0, 3.0, 400)
+    cl = sample_gw_cluster(kernel, roots, _gen(103))
+    # every root appears once, at generation 0, owning itself
+    gen0 = cl.generations == 0
+    assert np.array_equal(cl.points[gen0], roots)
+    assert np.array_equal(cl.owner[gen0], np.arange(roots.size))
+    assert np.array_equal(cl.ancestor, roots)
+    assert cl.ancestor_mark.shape == roots.shape
+    # each root's extinction time is the largest offset in its owner group
+    offsets = cl.offsets
+    assert np.all(offsets >= 0.0)
+    for i in range(roots.size):
+        assert cl.extinction_time[i] == np.max(offsets[cl.owner == i])
+    # a scalar ancestor and a one-element array draw the same clusters
+    one = sample_gw_cluster(kernel, np.array([1.5]), _gen(104))
+    scalar = sample_gw_cluster(kernel, 1.5, _gen(104))
+    assert np.array_equal(one.points, scalar.points)
+    assert one.extinction_time[0] == scalar.extinction_time
+
+
+def test_point_cap_counts_the_whole_call():
+    # ten bare ancestors: the cap covers all of them together, roots included
+    assert sample_gw_cluster(ZERO_KERNEL, np.zeros(10), _gen(105), point_cap=10).n == 10
+    with pytest.raises(SamplerError, match="cluster exceeded 9 points"):
+        sample_gw_cluster(ZERO_KERNEL, np.zeros(10), _gen(105), point_cap=9)
+
+
 # -- the perfect sampler ------------------------------------------------------------
 
 
@@ -334,6 +372,39 @@ def test_tolerance_band_never_needs_the_fallback(sampler):
     for _ in range(300):
         sampler.sample(rng)
     assert sampler.stats["fallback_coins"] == before
+
+
+def test_conditioned_clusters_match_single_cluster_rejection(sampler):
+    # the batched rounds give each candidate the law of the first cluster
+    # that outlives its t in a plain one-cluster-at-a-time loop
+    ts = np.array([0.3, 1.0, 2.5])
+    lower = sampler.sandwich.bounds().lower_at(ts)
+    rng = _gen(106)
+    batched = [
+        sampler._conditioned_cluster(ts, lower, np.zeros(ts.size, dtype=bool), rng)
+        for _ in range(3_000)
+    ]
+    rng = _gen(107)
+
+    def first_outliving(t):
+        while True:
+            cl = sample_gw_cluster(KERNEL, 0.0, rng)
+            if cl.extinction_time > t:
+                return -t + cl.points
+
+    looped = [np.concatenate([first_outliving(t) for t in ts]) for _ in range(3_000)]
+    for stat in (len, np.max):  # points per call; the last point of a call
+        rep = two_sample_ks(
+            np.array([stat(p) for p in batched]), np.array([stat(p) for p in looped]), alpha=0.01
+        )
+        assert rep.accepted, (stat, rep.to_dict())
+
+
+def test_conditioned_cluster_rejection_is_capped(sampler):
+    # a claimed lower bound of 1 caps the rejection at 60 attempts, far too
+    # few for a cluster to outlive t = 60
+    with pytest.raises(SamplerError, match="exhausted 60 attempts at distance 60"):
+        sampler._conditioned_cluster(np.array([60.0]), np.ones(1), np.zeros(1, dtype=bool), _gen(108))
 
 
 def test_zero_excitation_sampler_is_poisson():
