@@ -79,6 +79,9 @@ class FertilityKernel:
 
     def __init__(self, marks=((1.0, 1.0),)):
         self.marks, self._weights, self._zs = _validate_marks(marks)
+        cdf = self._weights.cumsum()
+        cdf /= cdf[-1]
+        self._mark_cdf = cdf  # the CDF Generator.choice(p=) would rebuild per call
         base = self._nu0_inf()
         if base < 0 or not np.isfinite(base):
             raise SamplerError("offspring mass must be finite and nonnegative")
@@ -132,8 +135,8 @@ class FertilityKernel:
         return 1.0 / (1.0 - self.rho)
 
     def sample_mark(self, n, rng):
-        idx = rng.choice(self._zs.size, size=n, p=self._weights)
-        return self._zs[idx]
+        """n iid marks: the indices and random numbers of rng.choice(p=weights)."""
+        return self._zs[self._mark_cdf.searchsorted(rng.random(n), side="right")]
 
 
 class ExponentialFertility(FertilityKernel):
@@ -427,7 +430,11 @@ class PhiOperator:
 
 @dataclass(frozen=True)
 class BoundPair:
-    """Rigorous node bounds ell <= F <= upp on the survival tail F = 1 - E."""
+    """Rigorous node bounds ell <= F <= upp on the survival tail F = 1 - E.
+
+    A Sandwich builds one pair per iterate and hands the same pair to every
+    caller, so ell and upp are read-only.
+    """
 
     taus: np.ndarray
     ell: np.ndarray
@@ -437,6 +444,8 @@ class BoundPair:
     def __post_init__(self):
         if np.any(self.ell > self.upp + 1e-15):
             raise SamplerError("lower bound exceeded upper bound: rigor leak")
+        self.ell.flags.writeable = False
+        self.upp.flags.writeable = False
 
     @property
     def step(self):
@@ -471,6 +480,9 @@ class Sandwich:
     at the zero-started certified iterate (everything below E stays below E
     under down-rounding).  Both paths are clamped monotone in n and tightened
     monotone in t, so every BoundPair invariant holds by construction.
+    advance() is the only code that moves the iterates; the read-only
+    BoundPair of the current iterate is built there and at construction, and
+    bounds() returns it without copying.
     """
 
     kernel: object
@@ -482,6 +494,13 @@ class Sandwich:
     gaps: list = field(default_factory=list)
     cert_ok: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    _bounds: BoundPair = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._set_bounds()
+
+    def _set_bounds(self):
+        self._bounds = BoundPair(self.taus, 1.0 - self.e_hi, 1.0 - self.e_lo, self.n)
 
     @property
     def taus(self):
@@ -492,7 +511,7 @@ class Sandwich:
         return float(np.max(self.e_hi - self.e_lo))
 
     def bounds(self):
-        return BoundPair(self.taus, 1.0 - self.e_hi, 1.0 - self.e_lo, self.n)
+        return self._bounds
 
     def certificate_bound(self, n=None):
         """Geometric certificate rho^n/(1-rho) * initial residual."""
@@ -514,6 +533,7 @@ class Sandwich:
             g = self.gap
             self.gaps.append(g)
             self.cert_ok.append(bool(g <= self.certificate_bound()))
+        self._set_bounds()
         return self.gap
 
     def drive(self, tol, n_max):
@@ -612,7 +632,9 @@ class HawkesSampler:
     staircase envelope of the survival tail; uniform heights classify each
     candidate against the sandwich (retain strictly below the lower curve,
     discard strictly above the upper).  Unresolved candidates trigger more
-    iterations, then a grid refinement, and finally the configured fallback:
+    iterations (up to n_max), then grid refinements while the sampler's
+    budget of refine_levels halvings lasts (a budget for the sampler's
+    lifetime, not per draw), and finally the configured fallback:
 
     - "cluster-coin" (default): draw one cluster and keep the candidate iff
       it outlives the candidate's distance (the cluster is then its
@@ -624,6 +646,11 @@ class HawkesSampler:
 
     Retained ancestors get clusters conditioned to reach the window by
     rejection; immigrants inside the window carry unconditioned clusters.
+
+    A draw's work scales with its candidates and clusters, not with the grid:
+    the envelope's cell masses and the sandwich's bound pair are built ahead
+    of the draws, and only Sandwich.advance and the capped refinement do work
+    the size of the grid.
     """
 
     def __init__(
@@ -646,6 +673,7 @@ class HawkesSampler:
             raise SamplerError("classify_fallback must be 'cluster-coin' or 'error'")
         self.kernel = kernel
         self.a = float(a)
+        self._window = Window((0.0,), (self.a,))
         if callable(mu):
             if mu_bound is None:
                 raise SamplerError("a callable immigrant intensity needs mu_bound")
@@ -679,6 +707,10 @@ class HawkesSampler:
         self._env_step = sw.phi.step  # frozen: refinement must not move the envelope
         cell = upp * self._env_step * self.mu_bound
         self._env_cum = np.concatenate([[0.0], np.cumsum(cell)])
+        # per-cell divisor for the position inside a cell; it is the diff of
+        # the cumulative masses, not `cell`, which differs in the low bits
+        cum_step = np.diff(self._env_cum)
+        self._env_div = np.where(cum_step > 0, cum_step, 1.0)
         self._env_mass = float(self._env_cum[-1])
         t_max = sw.meta["t_max"]
         delta = max(self.kernel.suggested_decay() / 2.0, 1e-6)
@@ -703,8 +735,7 @@ class HawkesSampler:
             return np.empty(0)
         r = np.sort(rng.random(k)) * self._env_mass
         idx = np.clip(np.searchsorted(self._env_cum, r, side="right") - 1, 0, self._env_vals.size - 1)
-        cell_mass = np.diff(self._env_cum)
-        frac = (r - self._env_cum[idx]) / np.where(cell_mass[idx] > 0, cell_mass[idx], 1.0)
+        frac = (r - self._env_cum[idx]) / self._env_div[idx]
         ts = (idx + frac) * self._env_step
         if self.mu is not None:  # thin a bounded variable immigrant intensity
             accept = rng.random(k) * self.mu_bound < np.asarray(self.mu(-ts), dtype=float)
@@ -730,7 +761,6 @@ class HawkesSampler:
         """(retained, unresolved) masks and the last lower bounds at ts; exact."""
         retain = np.zeros(ts.size, dtype=bool)
         pending = np.ones(ts.size, dtype=bool)
-        levels_left = self.refine_levels
         while True:
             b = self.sandwich.bounds()
             lo, up = b.lower_at(ts), b.upper_at(ts)
@@ -744,8 +774,7 @@ class HawkesSampler:
                 self.stats["extra_iterations"] += 3
                 if self.sandwich.gap < 0.98 * before:
                     continue
-            if levels_left > 0:
-                levels_left -= 1
+            if self.stats["grid_levels_built"] < self.refine_levels:  # a budget per sampler
                 self._refine_grid()
                 continue
             break
@@ -814,5 +843,4 @@ class HawkesSampler:
             imm = imm[rng.random(k) * self.mu_bound < np.asarray(self.mu(imm), dtype=float)]
         free = sample_gw_cluster(self.kernel, imm, rng, self.point_cap).points
         pts = np.concatenate([kept, free])
-        window = Window((0.0,), (self.a,))
-        return PointPattern(np.sort(pts).reshape(-1, 1), dim=1).restrict(window)
+        return PointPattern(np.sort(pts).reshape(-1, 1), dim=1).restrict(self._window)

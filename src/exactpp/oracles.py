@@ -97,10 +97,15 @@ def hawkes_exp_burn_in(kernel, mu, a, burn_in, rng):
     exact given the empty start.  Initialization bias is the chance that
     pre-start points would have influenced [0, a]; it decays like
     exp(-gamma (1 - rho) burn_in) and the caller sizes burn_in accordingly.
+    Marks are drawn here from kernel.components(), not by the sampler's own
+    mark routine, so the oracle does not share code with what it checks.
     """
     beta, gamma = kernel.beta, kernel.gamma
     if mu < 0:
         raise SamplerError("immigrant intensity must be nonnegative")
+    w = np.array([w for w, _ in kernel.components()])
+    w = w / w.sum()
+    zs = [z for _, z in kernel.components()]
     t = -float(burn_in)
     s = 0.0
     out = []
@@ -116,7 +121,7 @@ def hawkes_exp_burn_in(kernel, mu, a, burn_in, rng):
         if rng.random() * bound < mu + s:
             if t >= 0.0:
                 out.append(t)
-            z = float(kernel.sample_mark(1, rng)[0])
+            z = zs[rng.choice(len(w), p=w)]
             s += z * beta
     return PointPattern(np.asarray(out).reshape(-1, 1), dim=1)
 

@@ -2,6 +2,7 @@
 perfect self-exciting sampler built on them."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,22 @@ def test_mark_mixture_validation():
         ExponentialFertility(0.5, 1.0, marks=((-0.5, 1.0), (1.5, 2.0)))
     k = ExponentialFertility(0.5, 1.0, marks=((0.6, 0.5), (0.4, 1.2)))
     assert k.rho == pytest.approx(0.5 * (0.6 * 0.5 + 0.4 * 1.2))
+
+
+@pytest.mark.parametrize(
+    "marks",
+    [((1.0, 1.0),), ((0.3, 0.5), (0.7, 1.0)), ((0.2, 0.1), (0.5, 0.6), (0.3, 1.2))],
+)
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_sample_mark_matches_generator_choice(marks, n):
+    # the precomputed CDF gives the marks of Generator.choice(p=) and leaves
+    # the generator in the same state
+    k = ExponentialFertility(0.5, 1.0, marks=marks)
+    w = np.array([w for w, _ in marks])
+    zs = np.array([z for _, z in marks])
+    rng_k, rng_c = _gen(110), _gen(110)
+    assert np.array_equal(k.sample_mark(n, rng_k), zs[rng_c.choice(zs.size, size=n, p=w / w.sum())])
+    assert rng_k.random() == rng_c.random()
 
 
 # -- the operator ------------------------------------------------------------------
@@ -195,6 +212,20 @@ def test_sandwich_advance_only_tightens():
     assert np.all(after.ell >= before.ell - 1e-15)
     assert np.all(after.upp <= before.upp + 1e-15)
     assert sw.gap <= sw.gaps[-3] + 1e-15
+
+
+def test_sandwich_bounds_are_built_once_per_iterate():
+    sw = build_sandwich(KERNEL, tol=5e-2, step=2e-3)
+    b = sw.bounds()
+    assert sw.bounds() is b
+    assert np.array_equal(b.ell, 1.0 - sw.e_hi) and np.array_equal(b.upp, 1.0 - sw.e_lo)
+    sw.advance(1)
+    after = sw.bounds()
+    assert after is not b and sw.bounds() is after and after.n == sw.n == b.n + 1
+    assert np.array_equal(after.ell, 1.0 - sw.e_hi) and np.array_equal(after.upp, 1.0 - sw.e_lo)
+    for arr in (b.ell, b.upp, after.ell, after.upp):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
 
 
 def test_sandwich_near_fixed_point_residual(sandwich):
@@ -407,6 +438,22 @@ def test_conditioned_cluster_rejection_is_capped(sampler):
         sampler._conditioned_cluster(np.array([60.0]), np.ones(1), np.zeros(1, dtype=bool), _gen(108))
 
 
+def test_draws_allocate_nothing_the_size_of_the_grid(sampler):
+    # without an advance or a refinement a draw only looks up its candidates
+    grid_bytes = sampler.sandwich.phi.n_nodes * 8
+    state = (sampler.sandwich.n, sampler.stats["grid_levels_built"])
+    rng = _gen(109)
+    tracemalloc.start()
+    try:
+        for _ in range(50):
+            sampler.sample(rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (sampler.sandwich.n, sampler.stats["grid_levels_built"]) == state
+    assert peak < grid_bytes / 4, (peak, grid_bytes)
+
+
 def test_zero_excitation_sampler_is_poisson():
     s = HawkesSampler(ZERO_KERNEL, mu=2.0, a=3.0, tol=1e-3, step=0.01, t_max=5.0)
     rng = _gen(95)
@@ -429,6 +476,23 @@ def test_refinement_halves_the_grid_but_freezes_the_envelope():
     assert s.sandwich.phi.step == pytest.approx(step0 / 2.0)
     assert s._env_step == env_step
     assert s._env_mass == env_mass
+    assert s.stats["grid_levels_built"] == 1
+
+
+def test_refinement_budget_is_spent_once_per_sampler():
+    # a sandwich frozen at n = 0 leaves every score between its bounds stuck;
+    # repeated draws may halve the grid once in all, not once each
+    s = HawkesSampler(KERNEL, mu=1.0, a=2.0, tol=0.45, n_max=0, step=1 / 64, t_max=8.0, refine_levels=1)
+    n0 = s.sandwich.phi.n_nodes
+    ts = np.linspace(0.1, 4.0, 20)
+    for _ in range(4):
+        b = s.sandwich.bounds()
+        lo, up = b.lower_at(ts), b.upper_at(ts)
+        assert np.all(lo < up)
+        _, unresolved, _ = s._classify(ts, 0.5 * (lo + up))
+        assert unresolved.all()
+        assert s.stats["grid_levels_built"] <= 1
+        assert s.sandwich.phi.n_nodes <= 2 * (n0 - 1) + 1
     assert s.stats["grid_levels_built"] == 1
 
 
@@ -474,6 +538,18 @@ def test_unresolved_candidates_raise_in_error_mode():
         if pat.n:
             assert pat.points.min() >= 0.0 and pat.points.max() <= 2.0
     assert coin.stats["fallback_coins"] > 0
+
+
+def test_burn_in_oracle_draws_its_own_marks(monkeypatch):
+    k = ExponentialFertility(0.5, 1.0, marks=((0.5, 0.5), (0.5, 1.5)))
+    expected = hawkes_exp_burn_in(k, 1.0, 5.0, 40.0, _gen(111))
+
+    def broken(n, rng):
+        raise AssertionError("the oracle called the sampler's mark routine")
+
+    monkeypatch.setattr(k, "sample_mark", broken)
+    pat = hawkes_exp_burn_in(k, 1.0, 5.0, 40.0, _gen(111))
+    assert pat.n > 0 and np.array_equal(pat.points, expected.points)
 
 
 def test_fresh_sampler_draw_is_reproducible():
