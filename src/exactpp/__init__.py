@@ -17,6 +17,10 @@ thinning included. The package is organized by construction:
 - validation: statistical acceptance harness (KS, chi-square, Laplace, Holm)
 - oracles: independently-coded reference samplers used only by validation
 - cli: `exactpp sample | validate | plotdata` driven by JSON configs
+
+scipy is imported inside the few routines that call it (quadrature, the
+trigamma tail, the gamma hazard, the statistical tests), so importing the
+package, or building and drawing a Hawkes sampler, loads no scipy module.
 """
 
 from .boolean_model import (
@@ -59,6 +63,7 @@ from .germ_thinning import (
     TableGrid,
     matern_thin_first,
     nonlinear_hawkes_germ,
+    renewal_candidates,
     renewal_thin_first,
     thin_grid,
     thin_grid_dominated,
@@ -115,6 +120,7 @@ __all__ = [
     "hit_prob_poisson_line",
     "matern_thin_first",
     "nonlinear_hawkes_germ",
+    "renewal_candidates",
     "renewal_thin_first",
     "sample_conditioned_cluster",
     "sample_gw_cluster",

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .core import ConfigError, PointPattern, SamplerError, Window
 
@@ -284,6 +283,8 @@ class BooleanSample:
 
 def _disk_truncation_mass(rate, radius_law, window, r0):
     """Retention mass of germs beyond distance r0 from a 2-D box window."""
+    from scipy import integrate
+
     perimeter = 2.0 * float(np.sum(window.sides))
     mass, _ = integrate.quad(
         lambda u: float(radius_law.tail(u)) * (perimeter + 2.0 * np.pi * u),

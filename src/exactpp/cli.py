@@ -58,6 +58,7 @@ from .germ_thinning import (
     TableGrid,
     matern_thin_first,
     nonlinear_hawkes_germ,
+    renewal_candidates,
     renewal_thin_first,
     thin_grid,
 )
@@ -472,15 +473,15 @@ def _build_renewal(cfg):
     def thin_p(ts):
         return np.exp(-thin_rate * np.asarray(ts, dtype=float))
 
+    candidates = renewal_candidates(
+        bound,
+        thin_p,
+        p_tail=lambda t: math.exp(-thin_rate * t) / thin_rate,
+        p_mass=1.0 / thin_rate,
+    )
+
     def sample(rng):
-        return renewal_thin_first(
-            hazard,
-            bound,
-            thin_p,
-            rng,
-            p_tail=lambda t: math.exp(-thin_rate * t) / thin_rate,
-            p_mass=1.0 / thin_rate,
-        )
+        return renewal_thin_first(hazard, bound, thin_p, rng, candidates=candidates)
 
     def validate(stream, n_reps, collector):
         counts = replicate_counts(sample, n_reps, stream)

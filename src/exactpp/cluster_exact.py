@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .core import DensityIntensity, PointPattern, SamplerError
 
@@ -200,6 +199,8 @@ class BrixKendallSampler:
             if window.dim > 1:
                 mass = self._thinned.total_on(region)
             else:
+                from scipy import integrate
+
                 mass, _ = integrate.quad(
                     lambda t: float(thinned_density(t)[0]),
                     region.lower[0],

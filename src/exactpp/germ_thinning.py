@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import PointPattern, SamplerError, Window
 from .poisson import FiniteDensitySampler
@@ -30,6 +29,7 @@ __all__ = [
     "InverseSquareGrid",
     "thin_grid",
     "thin_grid_dominated",
+    "renewal_candidates",
     "renewal_thin_first",
     "matern_thin_first",
     "nonlinear_hawkes_germ",
@@ -155,6 +155,8 @@ class InverseSquareGrid(_GridBase):
         return -np.expm1(-self.C / (ks + 1.0) ** 2)
 
     def survival(self, n):
+        from scipy import special
+
         return float(np.exp(-self.C * special.polygamma(1, n + 2)))
 
 
@@ -180,7 +182,25 @@ def thin_grid_dominated(target_p, dominating, rng):
 # -- renewal germs ---------------------------------------------------------------
 
 
-def renewal_thin_first(hazard, bound, thin_p, rng, p_upper=None, p_tail=None, p_mass=None):
+def renewal_candidates(bound, thin_p, p_upper=None, p_tail=None, p_mass=None):
+    """Sampler of the candidates of renewal_thin_first: Poisson, density bound*p(t).
+
+    p vanishes beyond its support endpoint p_upper, or has the tail
+    p_tail(t) = int_t^inf p and the total mass p_mass. The sampler draws no
+    random numbers when it is built, so it can be built once and reused.
+    """
+    return FiniteDensitySampler(
+        lambda t: bound * np.asarray(thin_p(t), dtype=float),
+        bound,
+        upper=p_upper,
+        tail_mass=(lambda t: bound * p_tail(t)) if p_tail is not None else None,
+        total_mass=bound * p_mass if p_mass is not None else None,
+    )
+
+
+def renewal_thin_first(
+    hazard, bound, thin_p, rng, p_upper=None, p_tail=None, p_mass=None, candidates=None
+):
     """Thin a stationary-start renewal stream by p without a horizon.
 
     The retained candidates form a Poisson process with density bound*p(t)
@@ -188,15 +208,14 @@ def renewal_thin_first(hazard, bound, thin_p, rng, p_upper=None, p_tail=None, p_
     last candidate, heights build the renewal chain N0 inside the strip
     (hazard(t - last renewal) against height*bound), and renewal points
     flagged as candidates are the output. hazard must be bounded by `bound`.
+
+    `candidates` is renewal_candidates(bound, thin_p, ...) built once by a
+    caller that draws many times; without it, each call builds its own from
+    p_upper, p_tail and p_mass.
     """
-    candidates = FiniteDensitySampler(
-        lambda t: bound * np.asarray(thin_p(t), dtype=float),
-        bound,
-        upper=p_upper,
-        tail_mass=(lambda t: bound * p_tail(t)) if p_tail is not None else None,
-        total_mass=bound * p_mass if p_mass is not None else None,
-    ).sample(rng)
-    cand = np.sort(candidates.points[:, 0])
+    if candidates is None:
+        candidates = renewal_candidates(bound, thin_p, p_upper, p_tail, p_mass)
+    cand = np.sort(candidates.sample(rng).points[:, 0])
     if cand.size == 0:
         return PointPattern.empty(1)
     t_last = cand[-1]

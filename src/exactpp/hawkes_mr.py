@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .core import PointPattern, SamplerError, Window
 
@@ -347,6 +346,23 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP):
 # -- the fixed-point operator on a uniform grid -----------------------------------
 
 
+def _next_fast_len(target):
+    """Smallest integer >= target whose only prime factors are 2, 3, 5, 7, 11.
+
+    The same length as scipy.fft.next_fast_len(target) (real=False).  Such
+    numbers lie at most 15,750 apart below 5e6, so the scan stays short.
+    """
+    n = target
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 class PhiOperator:
     """Phi on grid functions with bracketed staircase quadrature.
 
@@ -355,7 +371,9 @@ class PhiOperator:
     cell mass of h(., z); for CDF-like nondecreasing g the node values are the
     true cell extrema, so "up"/"down" rounding yields rigorous one-sided
     results (plus/minus EPS_ROUND absorbing float error).  Both alignments
-    are single convolutions.
+    are single convolutions, computed with numpy.fft at the 11-smooth length
+    (prime factors 2, 3, 5, 7 and 11 only) at or above the full linear
+    convolution's 2 * n_nodes - 2.
     """
 
     def __init__(self, kernel, step, n_nodes, eps=EPS_ROUND):
@@ -366,7 +384,7 @@ class PhiOperator:
         self.n_nodes = int(n_nodes)
         self.eps = float(eps)
         self.taus = np.arange(self.n_nodes) * self.step
-        self._fft_len = sp_fft.next_fast_len(2 * self.n_nodes - 2)
+        self._fft_len = _next_fast_len(2 * self.n_nodes - 2)
         self._dnu = []
         self._dnu_fft = []
         self._nu_inf = []
@@ -375,7 +393,7 @@ class PhiOperator:
             nu_nodes = kernel.nu(self.taus, z)
             dnu = np.diff(nu_nodes)
             self._dnu.append(dnu)
-            self._dnu_fft.append(sp_fft.rfft(dnu, self._fft_len) if np.any(dnu) else None)
+            self._dnu_fft.append(np.fft.rfft(dnu, self._fft_len) if np.any(dnu) else None)
             self._nu_inf.append(float(kernel.nu_inf(z)))
             self._w.append(float(w))
         self.max_width = 0.0
@@ -391,8 +409,8 @@ class PhiOperator:
                 out.append((zero, zero))
                 continue
             if f_fft is None:
-                f_fft = sp_fft.rfft(f, self._fft_len)
-            c = sp_fft.irfft(f_fft * dnu_fft, self._fft_len)
+                f_fft = np.fft.rfft(f, self._fft_len)
+            c = np.fft.irfft(f_fft * dnu_fft, self._fft_len)
             i_up = c[:n].copy()
             i_up[:-1] -= f[0] * dnu
             i_down = np.concatenate([[0.0], c[: n - 1]])
@@ -433,7 +451,8 @@ class BoundPair:
     """Rigorous node bounds ell <= F <= upp on the survival tail F = 1 - E.
 
     A Sandwich builds one pair per iterate and hands the same pair to every
-    caller, so ell and upp are read-only.
+    caller, so ell and upp are read-only.  A deep copy (of a sandwich or a
+    sampler) shares the pair instead of copying it into writable arrays.
     """
 
     taus: np.ndarray
@@ -446,6 +465,9 @@ class BoundPair:
             raise SamplerError("lower bound exceeded upper bound: rigor leak")
         self.ell.flags.writeable = False
         self.upp.flags.writeable = False
+
+    def __deepcopy__(self, memo):
+        return self
 
     @property
     def step(self):

@@ -8,7 +8,6 @@ tail and then thins a homogeneous process under the density's bound
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
 
 from .core import DensityIntensity, PointPattern, SamplerError, Window
 
@@ -52,6 +51,8 @@ class FiniteDensitySampler:
         if upper is None and tail_mass is None:
             raise SamplerError("need a support endpoint or a computable tail mass")
         if total_mass is None:
+            from scipy import integrate
+
             hi = upper if upper is not None else np.inf
             total_mass, _ = integrate.quad(density, 0.0, hi, limit=200)
         total_mass = float(total_mass)

@@ -17,7 +17,6 @@ import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "TestReport",
@@ -142,6 +141,8 @@ def void_probability(counts, z=3.0):
 
 def two_sample_ks(a, b, alpha=0.05, name="two-sample-ks"):
     """Two-sample KS; threshold is the asymptotic c(alpha) sqrt((n+m)/nm)."""
+    from scipy import stats
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     res = stats.ks_2samp(a, b, method="asymp")
@@ -163,6 +164,8 @@ def two_sample_ks(a, b, alpha=0.05, name="two-sample-ks"):
 
 def ks_against_cdf(samples, cdf, alpha=0.05, name="ks-vs-cdf"):
     """One-sample KS against a callable CDF; threshold K_alpha / sqrt(n)."""
+    from scipy import stats
+
     samples = np.asarray(samples, dtype=float)
     res = stats.kstest(samples, cdf)
     k_alpha = stats.kstwobign.isf(alpha)
@@ -185,6 +188,8 @@ def chi_square(observed, expected_probs, alpha=0.05, name="chi-square", min_expe
     Trailing categories are pooled until every expected count reaches
     min_expected; expected_probs must sum to 1 over the given categories.
     """
+    from scipy import stats
+
     obs = np.asarray(observed, dtype=float)
     probs = np.asarray(expected_probs, dtype=float)
     if obs.shape != probs.shape:

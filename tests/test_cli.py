@@ -219,6 +219,24 @@ def test_parallel_sample_builds_once_per_process(tmp_path, monkeypatch):
     ]
 
 
+def test_renewal_candidates_are_built_once_per_build(monkeypatch):
+    from exactpp import cli, poisson
+    from exactpp.core import RngStream
+
+    builds = []
+    init = poisson.FiniteDensitySampler.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(poisson.FiniteDensitySampler, "__init__", counting_init)
+    sample = cli.build(RENEWAL_CFG)["sample"]
+    for r in range(5):
+        sample(RngStream(19, r).generator())
+    assert len(builds) == 1
+
+
 def test_sample_writes_validation_report_when_enabled(tmp_path):
     cfg = dict(POISSON_CFG, seed=5,
                validation={"enabled": True, "replicates": 300})

@@ -16,6 +16,7 @@ from exactpp import (
     Window,
     matern_thin_first,
     nonlinear_hawkes_germ,
+    renewal_candidates,
     renewal_thin_first,
     thin_grid,
     thin_grid_dominated,
@@ -178,15 +179,11 @@ def test_renewal_constant_hazard_full_retention_is_poisson():
     # everything on [0, T] must give Poisson(bound*T) counts
     M, T = 1.0, 5.0
     rng = _gen(58)
+    thin = lambda t: np.asarray(np.asarray(t) <= T, dtype=float)
+    candidates = renewal_candidates(M, thin, p_upper=T)
     counts = np.array(
         [
-            renewal_thin_first(
-                lambda t: M,
-                M,
-                lambda t: np.asarray(np.asarray(t) <= T, dtype=float),
-                rng,
-                p_upper=T,
-            ).n
+            renewal_thin_first(lambda t: M, M, thin, rng, candidates=candidates).n
             for _ in range(4_000)
         ]
     )
@@ -200,9 +197,9 @@ def test_renewal_constant_hazard_full_retention_is_poisson():
 
 def test_renewal_zero_retention_is_empty():
     rng = _gen(59)
-    pat = renewal_thin_first(
-        lambda t: 1.0, 1.0, lambda t: np.zeros_like(np.asarray(t, dtype=float)), rng, p_upper=10.0
-    )
+    thin = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    candidates = renewal_candidates(1.0, thin, p_upper=10.0)
+    pat = renewal_thin_first(lambda t: 1.0, 1.0, thin, rng, candidates=candidates)
     assert pat.n == 0
 
 
@@ -222,17 +219,17 @@ def test_renewal_thin_first_matches_thin_after_oracle():
         return min(stats.gamma.pdf(u, shape, scale=scale) / sf, bound)
 
     thin_rate = 0.5
+    thin = lambda t: np.exp(-thin_rate * np.asarray(t, dtype=float))
+    candidates = renewal_candidates(
+        bound,
+        thin,
+        p_tail=lambda t: math.exp(-thin_rate * t) / thin_rate,
+        p_mass=1.0 / thin_rate,
+    )
     rng = _gen(60)
     first = np.array(
         [
-            renewal_thin_first(
-                hazard,
-                bound,
-                lambda t: np.exp(-thin_rate * np.asarray(t, dtype=float)),
-                rng,
-                p_tail=lambda t: math.exp(-thin_rate * t) / thin_rate,
-                p_mass=1.0 / thin_rate,
-            ).n
+            renewal_thin_first(hazard, bound, thin, rng, candidates=candidates).n
             for _ in range(3_000)
         ]
     )
@@ -254,14 +251,25 @@ def test_renewal_thin_first_matches_thin_after_oracle():
 
 def test_renewal_hazard_bound_is_enforced():
     rng = _gen(62)
+    thin = lambda t: np.asarray(np.asarray(t) <= 30.0, dtype=float)
+    candidates = renewal_candidates(1.0, thin, p_upper=30.0)
     with pytest.raises(SamplerError, match="hazard left its declared bound"):
-        renewal_thin_first(
-            lambda t: 2.0,
-            1.0,
-            lambda t: np.asarray(np.asarray(t) <= 30.0, dtype=float),
-            rng,
-            p_upper=30.0,
-        )
+        renewal_thin_first(lambda t: 2.0, 1.0, thin, rng, candidates=candidates)
+
+
+def test_renewal_prebuilt_candidates_draw_the_same_bytes():
+    # building the candidate sampler draws nothing, so one built ahead and
+    # reused gives the bytes of one built inside every call
+    hazard = lambda u: 0.0 if u <= 0 else u / (1.0 + u)
+    thin = lambda t: np.exp(-np.asarray(t, dtype=float))
+    tail = dict(p_tail=lambda t: math.exp(-t), p_mass=1.0)
+    candidates = renewal_candidates(1.0, thin, **tail)
+    rng_a, rng_b = _gen(64), _gen(64)
+    for _ in range(200):
+        a = renewal_thin_first(hazard, 1.0, thin, rng_a, **tail)
+        b = renewal_thin_first(hazard, 1.0, thin, rng_b, candidates=candidates)
+        assert a.points.tobytes() == b.points.tobytes()
+    assert rng_a.random() == rng_b.random()  # the streams stay in step
 
 
 # -- Matern hard core ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Fixed-point operator, certified sandwich, single-ancestor clusters, and the
 perfect self-exciting sampler built on them."""
 
+import copy
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ from exactpp import (
     build_sandwich,
     sample_gw_cluster,
 )
+from exactpp.hawkes_mr import _next_fast_len
 from exactpp.oracles import hawkes_exp_burn_in
 from exactpp.validation import chi_square, mean_ci, two_sample_ks
 
@@ -150,6 +152,40 @@ def test_directed_rounding_brackets_the_midpoint():
     up = op.apply(f, "up")
     assert np.all(down <= near + 1e-15)
     assert np.all(near <= up + 1e-15)
+
+
+def test_fft_length_matches_scipy():
+    from scipy import fft
+
+    # the grids over t_max = 120 that the demo config and the tests build, at
+    # step 1e-2 down to the third halving of step 1e-3 (smaller ones are in range)
+    steps = (1e-2, 2e-3, 1e-3, 5e-4, 2.5e-4, 1.25e-4)
+    grids = [math.ceil(120.0 / step) + 1 for step in steps]
+    for target in [*range(2, 20_001), *(2 * n - 2 for n in grids)]:
+        assert _next_fast_len(target) == fft.next_fast_len(target), target
+
+
+def test_operator_quadratures_match_direct_convolution():
+    # I_up[i] = sum_{k<i} f[i-k] dnu_k and I_down[i] = sum_{k<i} f[i-1-k] dnu_k:
+    # per cell [tau_k, tau_k+1], the kernel mass times f at its two end nodes
+    step, n = 0.01, 500
+    kernels = (
+        ExponentialFertility(0.5, 1.0, marks=((0.6, 0.5), (0.4, 1.2))),
+        PolynomialFertility((0.3, -0.3), 1.0),
+    )
+    f = np.sort(_gen(84).random(n))
+    for kernel in kernels:
+        op = PhiOperator(kernel, step, n)
+        expected = {"down": np.zeros(n), "up": np.zeros(n)}
+        for w, z in kernel.components():
+            dnu = np.diff(kernel.nu(op.taus, z))
+            i_down = np.concatenate([[0.0], np.convolve(f, dnu)[: n - 1]])
+            i_up = np.concatenate([[0.0], np.convolve(f[1:], dnu)[: n - 1]])
+            for rounding, integral in (("down", i_down), ("up", i_up)):
+                expected[rounding] += w * np.exp(np.minimum(-kernel.nu_inf(z) + integral, 0.0))
+        for rounding, sign in (("down", -1.0), ("up", 1.0)):
+            want = np.clip(expected[rounding] + sign * op.eps, 0.0, 1.0)
+            assert np.max(np.abs(op.apply(f, rounding) - want)) <= 1e-12
 
 
 def test_operator_rejects_out_of_range_grid_functions():
@@ -395,6 +431,18 @@ def test_sampler_is_deterministic_per_stream(sampler):
     a = sampler.sample(_gen(93))
     b = sampler.sample(_gen(93))
     assert np.array_equal(a.points, b.points)
+
+
+def test_deep_copy_keeps_the_bounds_read_only(sampler):
+    twin = copy.deepcopy(sampler)
+    b = twin.sandwich.bounds()
+    for arr in (b.ell, b.upp):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+    for r in range(20):
+        mine = twin.sample(_gen(112, r))
+        assert mine.points.tobytes() == sampler.sample(_gen(112, r)).points.tobytes()
 
 
 def test_tolerance_band_never_needs_the_fallback(sampler):

@@ -1,0 +1,42 @@
+"""Start-up cost: importing the package and the CLI, building the Hawkes demo
+config and drawing from it load no scipy module. scipy is imported only inside
+the routines that call it (quadrature, the trigamma tail, the gamma hazard and
+the validation tests), so a fresh process shows what a cold run pays."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import exactpp, exactpp.cli
+after_import = scipy_modules()
+built = exactpp.cli.build(exactpp.cli.load_config("configs/hawkes_mr.json"))
+for r in range(4):
+    built["sample"](exactpp.RngStream(31, r).generator())
+print(json.dumps([after_import, scipy_modules()]))
+"""
+
+
+def test_import_and_hawkes_run_load_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    after_import, after_draws = json.loads(out.stdout.splitlines()[-1])
+    assert after_import == []
+    assert after_draws == []
