@@ -10,8 +10,9 @@ thinning included. The package is organized by construction:
 - boolean_model: grain processes (disks, segments, lines) with edge correction
 - germ_thinning: thinned grids, renewal streams, Matern hard cores,
   non-linear self-exciting germs
-- hawkes_mr: perfect sampling of linear Hawkes processes via fixed-point
-  sandwich bounds on the cluster-length distribution
+- hawkes_mr: perfect sampling of linear Hawkes processes by thinning under
+  a closed-form tilted envelope with spine clusters, and certified
+  fixed-point sandwich bounds on the cluster-length distribution
 - branching_approx: generation-truncated branching with variation-distance
   certificates
 - validation: statistical acceptance harness (KS, chi-square, Laplace, Holm)

@@ -578,7 +578,7 @@ def _build_nonlinear_hawkes(cfg):
 
 def _build_hawkes_mr(cfg):
     params = _as_dict(cfg.get("params", {}), "params")
-    _check_keys(params, {"kernel", "mu", "tol", "step", "t_max", "classify_fallback"}, "params")
+    _check_keys(params, {"kernel", "mu", "tol", "step"}, "params")
     kernel = _fertility(_get(params, "kernel", dict, "params"), "params.kernel")
     mu = _get(params, "mu", float, "params")
     if mu < 0:
@@ -588,36 +588,27 @@ def _build_hawkes_mr(cfg):
         raise ConfigError("'window.lower' must be [0] for the self-exciting sampler")
     tol = _get(params, "tol", float, "params", 1e-3)
     step = _get(params, "step", float, "params", 1e-4)
-    t_max = None
-    if "t_max" in params:
-        t_max = _get(params, "t_max", float, "params")
-    fallback = _get(params, "classify_fallback", str, "params", "cluster-coin")
-    if fallback not in {"cluster-coin", "error"}:
-        raise ConfigError("'params.classify_fallback' must be 'cluster-coin' or 'error'")
-    sampler = HawkesSampler(
-        kernel, mu, window.upper[0], tol=tol, step=step, t_max=t_max,
-        classify_fallback=fallback,
-    )
+    sampler = HawkesSampler(kernel, mu, window.upper[0], tol=tol, step=step)
 
     def validate(stream, n_reps, collector):
         counts = replicate_counts(sampler.sample, n_reps, stream)
         mean, half = mean_ci(counts)
         expect = mu * window.upper[0] / (1.0 - kernel.rho)
         collector.add(_interval_report("self-exciting-mean-count", mean, expect, half))
-        if isinstance(kernel, ExponentialFertility):
-            burn = 60.0 / max(kernel.suggested_decay(), 1e-6)
-            oracle_counts = replicate_counts(
-                lambda rng: oracles.hawkes_exp_burn_in(kernel, mu, window.upper[0], burn, rng),
-                n_reps,
-                stream.substream(10_001),
-            )
-            collector.add(
-                two_sample_ks(counts, oracle_counts, name="self-exciting-counts-vs-burn-in")
-            )
+        burn = 60.0 / max(kernel.suggested_decay(), 1e-6)
+        oracle = (oracles.hawkes_exp_burn_in if isinstance(kernel, ExponentialFertility)
+                  else oracles.hawkes_bounded_burn_in)
+        oracle_counts = replicate_counts(
+            lambda rng: oracle(kernel, mu, window.upper[0], burn, rng),
+            n_reps,
+            stream.substream(10_001),
+        )
+        collector.add(two_sample_ks(counts, oracle_counts, name="self-exciting-counts-vs-burn-in"))
 
+    # the certified curve is built only if a plot reads it
     return {"sample": sampler.sample, "window": window, "validate": validate,
             "plots": {"points-2d", "counts-histogram", "sandwich-curves"},
-            "meta": dict(sampler.meta), "sandwich": sampler.sandwich, "kernel": kernel}
+            "meta": dict(sampler.meta), "sampler": sampler, "kernel": kernel}
 
 
 def _build_branching_approx(cfg):
@@ -827,7 +818,7 @@ def cmd_plotdata(cfg, kind, outdir):
         hist = np.bincount(counts)
         _csv_rows(out, "count,frequency", ([str(k), str(int(v))] for k, v in enumerate(hist)))
     elif kind == "sandwich-curves":
-        b = built["sandwich"].bounds()
+        b = built["sampler"].sandwich.bounds()
         stride = max(1, b.taus.size // 2000)
         taus, ell, upp = b.taus[::stride], b.ell[::stride], b.upp[::stride]
         n_clusters = 20_000

@@ -24,7 +24,6 @@ __all__ = [
     "BrixKendallSampler",
 ]
 
-TAIL_CERT = 1e-12  # envelope certification level for truncated germ regions
 ROUND_CAP = 10_000  # conditioning rounds before declaring the draw implausible
 RETENTION_FLOOR = 1e-9  # smallest conditioning probability a germ may have
 
@@ -157,32 +156,17 @@ class BrixKendallSampler:
     clusters conditioned to hit the window in batched rejection rounds, and
     restricts. The same path serves every dimension.
 
-    For kernels with bounded displacement support the germ region is exact.
-    Otherwise the caller must declare truncation_radius together with an
-    analytic envelope_tail(r) certifying the neglected retention mass beyond
-    the radius; the certification level is 1e-12.
+    The displacement is bounded, so the germ region (every germ whose
+    cluster can reach the window) is a box and no germ is truncated away.
     """
 
-    def __init__(self, germ, kernel, window, truncation_radius=None, envelope_tail=None):
+    def __init__(self, germ, kernel, window):
         if kernel.dim != window.dim:
             raise SamplerError("kernel and window dimension mismatch")
         self.germ = germ
         self.kernel = kernel
         self.window = window
-
-        if truncation_radius is None:
-            region = kernel.germ_region(window)
-        else:
-            if envelope_tail is None:
-                raise SamplerError("truncation radius needs an analytic envelope_tail")
-            neglected = float(envelope_tail(truncation_radius))
-            if not neglected < TAIL_CERT:
-                raise SamplerError(
-                    f"envelope tail {neglected:.3e} at radius {truncation_radius} "
-                    f"exceeds certification level {TAIL_CERT:.0e}"
-                )
-            region = window.buffered(truncation_radius)
-        self.region = region
+        self.region = region = kernel.germ_region(window)
 
         def thinned_density(pts):
             # DensityIntensity passes a flat array of positions in dim 1

@@ -3,7 +3,13 @@
 A single-ancestor cluster rooted at 0 (offspring arrive as a Poisson process
 with intensity h(., z) scaled by the parent's mark, each offspring spawning
 its own independent subtree) has extinction time L = last point - ancestor.
-Its CDF E(t) = P(L <= t) is the unique fixed point of
+An ancestor a distance t before the window reaches it iff L > t, an event of
+probability F(t) = P(L > t).  HawkesSampler keeps exactly those ancestors
+without evaluating F: it thins candidates under the closed-form envelope
+U(t) = e^(-theta t) / (1 - rho_theta) of an exponentially tilted cluster law,
+and draws the tilted clusters through their spine.
+
+The CDF E = 1 - F is also the unique fixed point of
 
     (Phi g)(t) = sum_j w_j * exp( -nu_inf(z_j) + int_0^t g(t-s) h(s, z_j) ds ),
 
@@ -15,17 +21,17 @@ at t = 0 for every argument, while the true E(0) = P(no offspring at all) =
 sum_j w_j exp(-nu_inf(z_j)).  The Monte-Carlo containment check in the
 validation suite discriminates the two forms.
 
-F = 1 - E is the survival tail.  An ancestor a reversed distance t before
-the window contributes iff its cluster survives past t - an event of
-probability F(t) - so dominated candidate ancestors carrying uniform heights
-are classified against rigorous sandwich bounds l_n <= F <= u_n without ever
-evaluating F: quadrature is bracketed by staircase envelopes with exact
-per-cell kernel mass, every step rounds outward by EPS_ROUND, and iterates
-are clamped monotone, so the bounds stay valid on the grid by induction.
+build_sandwich drives certified bounds l_n <= F <= u_n on a grid:
+quadrature is bracketed by staircase envelopes with exact per-cell kernel
+mass, every step rounds outward by EPS_ROUND, and iterates are clamped
+monotone, so the bounds stay valid on the grid by induction.  The sandwich
+is an independent construction of F that checks the spine route; no draw
+uses it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,7 +56,6 @@ __all__ = [
 
 EPS_ROUND = 1e-10  # directed-rounding margin absorbing quadrature float error
 POINT_CAP = 1_000_000
-CONDITION_ATTEMPT_CAP = 1_000_000
 
 
 def _validate_marks(marks):
@@ -64,36 +69,44 @@ def _validate_marks(marks):
     return marks, ws / ws.sum(), zs
 
 
+def _cdf(weights):
+    cdf = weights.cumsum()
+    return cdf / cdf[-1]
+
+
 class FertilityKernel:
     """Reproduction rate h(t, z) = z * h0(t), marks from a finite mixture.
 
     Marks scale the offspring intensity multiplicatively, so offspring counts
     are Poisson(z * nu0_inf) and displacement positions share one law with
     density h0 / nu0_inf.  Subclasses provide the base shape h0: its exact
-    cumulative _nu0, total mass _nu0_inf, first moment _t_moment = int t h0,
-    a suggested exponential decay rate for the dominating tail, and an exact
-    displacement sampler; their __init__ sets _displacement_m2, a bound on the
-    second moment of one displacement.
+    cumulative _nu0, total mass _nu0_inf and tilted mass _tilted_mass(theta) =
+    int h0(s) e^(theta s) ds, a suggested exponential decay rate for the grid
+    of the certified curve, and exact samplers of one displacement and of one
+    tilted displacement (density proportional to h0(s) e^(theta s)).
+
+    theta is the tilt of the spine construction (see HawkesSampler), a
+    function of the kernel alone: the theta > 0 where rho_theta =
+    E[z] * _tilted_mass(theta) equals (1 + rho) / 2.  The zero kernel (rho = 0)
+    has theta = rho_theta = 0 and never needs a tilt.
     """
 
     def __init__(self, marks=((1.0, 1.0),)):
         self.marks, self._weights, self._zs = _validate_marks(marks)
-        cdf = self._weights.cumsum()
-        cdf /= cdf[-1]
-        self._mark_cdf = cdf  # the CDF Generator.choice(p=) would rebuild per call
+        self._mark_cdf = _cdf(self._weights)  # the CDF Generator.choice(p=) would rebuild per call
         base = self._nu0_inf()
         if base < 0 or not np.isfinite(base):
             raise SamplerError("offspring mass must be finite and nonnegative")
-        self.rho = float(np.sum(self._weights * self._zs) * base)
+        self.mean_mark = float(np.sum(self._weights * self._zs))
+        self.rho = float(self.mean_mark * base)
         if self.rho >= 1:
             raise SamplerError(
                 f"branching ratio rho={self.rho:.6g} >= 1: supercritical, no finite clusters"
             )
-        tm = self._t_moment()
-        if not np.isfinite(tm):
-            raise SamplerError("first moment of the fertility rate must be finite")
-        self.m1 = float(np.sum(self._weights * self._zs) * tm)
-        self.mean_mark = float(np.sum(self._weights * self._zs))
+        self.theta, self.rho_theta = 0.0, 0.0
+        if self.rho > 0:
+            self._biased_cdf = _cdf(self._weights * self._zs)
+            self.theta, self.rho_theta = self._tilt()
 
     # -- base-shape interface ----------------------------------------------
     def _h0(self, t):
@@ -105,14 +118,35 @@ class FertilityKernel:
     def _nu0_inf(self):
         raise NotImplementedError
 
-    def _t_moment(self):
+    def _tilted_mass(self, theta):
         raise NotImplementedError
 
     def sample_displacement(self, n, rng):
         raise NotImplementedError
 
+    def sample_tilted_displacement(self, n, rng):
+        raise NotImplementedError
+
     def suggested_decay(self):
         raise NotImplementedError
+
+    def _tilt(self):
+        """(theta, rho_theta) with rho_theta = (1 + rho) / 2, by bisection on the closed form.
+
+        Bounded support makes the tilted mass finite and unbounded in theta.
+        """
+        target = 0.5 * (1.0 + self.rho)
+
+        def rho_at(theta):
+            return self.mean_mark * self._tilted_mass(theta)
+
+        lo, hi = 0.0, 1.0 / self.support
+        while rho_at(hi) < target:
+            lo, hi = hi, 2.0 * hi
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if rho_at(mid) < target else (lo, mid)
+        return lo, rho_at(lo)
 
     # -- derived quantities --------------------------------------------------
     def h(self, t, z):
@@ -137,16 +171,22 @@ class FertilityKernel:
         """n iid marks: the indices and random numbers of rng.choice(p=weights)."""
         return self._zs[self._mark_cdf.searchsorted(rng.random(n), side="right")]
 
+    def sample_biased_mark(self, n, rng):
+        """n iid z-size-biased marks (weights w_j z_j): the marks of a spine's parents."""
+        return self._zs[self._biased_cdf.searchsorted(rng.random(n), side="right")]
+
 
 class ExponentialFertility(FertilityKernel):
-    """h(t, z) = z * beta * exp(-gamma t); displacements are Exp(gamma)."""
+    """h(t, z) = z * beta * exp(-gamma t); displacements are Exp(gamma).
+
+    Tilted displacements are Exp(gamma - theta), and theta = gamma (1 - rho) / (1 + rho).
+    """
 
     def __init__(self, beta, gamma, marks=((1.0, 1.0),)):
         if beta < 0 or gamma <= 0:
             raise SamplerError("need beta >= 0 and gamma > 0")
         self.beta = float(beta)
         self.gamma = float(gamma)
-        self._displacement_m2 = 2.0 / self.gamma**2  # exact for Exp(gamma)
         super().__init__(marks)
 
     def _h0(self, t):
@@ -158,11 +198,18 @@ class ExponentialFertility(FertilityKernel):
     def _nu0_inf(self):
         return self.beta / self.gamma
 
-    def _t_moment(self):
-        return self.beta / self.gamma**2
+    def _tilted_mass(self, theta):
+        return self.beta / (self.gamma - theta)
+
+    def _tilt(self):
+        theta = self.gamma * (1.0 - self.rho) / (1.0 + self.rho)
+        return theta, self.mean_mark * self._tilted_mass(theta)
 
     def sample_displacement(self, n, rng):
         return rng.exponential(1.0 / self.gamma, size=int(n))
+
+    def sample_tilted_displacement(self, n, rng):
+        return rng.exponential(1.0 / (self.gamma - self.theta), size=int(n))
 
     def suggested_decay(self):
         return self.gamma * (1.0 - self.rho)
@@ -172,8 +219,9 @@ class PolynomialFertility(FertilityKernel):
     """h0(t) = max(poly(t), 0-checked) on [0, support], zero beyond.
 
     The polynomial must be nonnegative on its support (checked at the
-    derivative's real roots and the endpoints, so the check is exact).
-    Displacements are drawn by rejection under the exact polynomial maximum.
+    derivative's real roots and the endpoints, so the check is exact), and
+    h_max is its exact maximum there.  Displacements are drawn by rejection
+    under h_max, tilted ones under h_max * e^(theta * support).
     """
 
     def __init__(self, coeffs, support, marks=((1.0, 1.0),)):
@@ -189,8 +237,7 @@ class PolynomialFertility(FertilityKernel):
         vals = self._poly(np.array(crit))
         if np.min(vals) < 0:
             raise SamplerError("fertility polynomial is negative on its support")
-        self._h_max = float(np.max(vals))
-        self._displacement_m2 = self.support**2
+        self.h_max = float(np.max(vals))
         super().__init__(marks)
 
     def _h0(self, t):
@@ -206,29 +253,50 @@ class PolynomialFertility(FertilityKernel):
         integ = self._poly.integ()
         return float(integ(self.support) - integ(0.0))
 
-    def _t_moment(self):
-        shifted = self._poly * np.polynomial.Polynomial([0.0, 1.0])
-        integ = shifted.integ()
-        return float(integ(self.support) - integ(0.0))
+    def _tilted_mass(self, theta):
+        # int_0^S p(s) e^(theta s) ds = S sum_m (theta S)^m / m! int_0^1 u^m p(S u) du:
+        # p >= 0 on the support, so no term is negative and the series does not cancel
+        x = theta * self.support
+        scaled = [c * self.support**j for j, c in enumerate(self.coeffs)]
+        total, coef, m = 0.0, 1.0, 0
+        while True:
+            term = coef * sum(c / (j + m + 1) for j, c in enumerate(scaled))
+            total += term
+            if m > x and abs(term) <= 1e-17 * total:
+                return self.support * total
+            m += 1
+            coef *= x / m
 
-    def sample_displacement(self, n, rng):
+    def _under_box(self, n, rng, theta):
+        """Rejection from uniform proposals under h_max e^(theta support) >= h0(s) e^(theta s)."""
         out = np.empty(int(n))
         have = 0
         while have < n:
             m = max(int(2.2 * (n - have)) + 8, 16)
             cand = rng.random(m) * self.support
-            keep = rng.random(m) * self._h_max < self._h0(cand)
+            tilt = np.exp(theta * (cand - self.support))
+            keep = rng.random(m) * self.h_max < self._h0(cand) * tilt
             got = cand[keep][: n - have]
             out[have : have + got.size] = got
             have += got.size
         return out
+
+    def sample_displacement(self, n, rng):
+        return self._under_box(n, rng, 0.0)  # the factor e^0 is exactly 1
+
+    def sample_tilted_displacement(self, n, rng):
+        return self._under_box(n, rng, self.theta)
 
     def suggested_decay(self):
         return -math.log(max(self.rho, 1e-12)) / self.support
 
 
 class PiecewiseConstantFertility(FertilityKernel):
-    """User-table shape: h0 constant on each cell of a breakpoint grid."""
+    """User-table shape: h0 constant on each cell of a breakpoint grid.
+
+    A displacement picks a cell by its mass and is uniform inside it; a tilted
+    one picks a cell by its tilted mass and is a truncated exponential inside it.
+    """
 
     def __init__(self, breaks, values, marks=((1.0, 1.0),)):
         breaks = np.asarray(breaks, dtype=float)
@@ -241,37 +309,52 @@ class PiecewiseConstantFertility(FertilityKernel):
             raise SamplerError("need one nonnegative value per cell")
         self.breaks = breaks
         self.values = values
-        self._cell_mass = values * np.diff(breaks)
+        self.support = float(breaks[-1])
+        self.h_max = float(values.max())
+        self._widths = np.diff(breaks)
+        self._cell_mass = values * self._widths
         self._cum = np.concatenate([[0.0], np.cumsum(self._cell_mass)])
-        self._displacement_m2 = float(breaks[-1]) ** 2
         super().__init__(marks)
 
     def _h0(self, t):
         t = np.asarray(t, dtype=float)
         idx = np.clip(np.searchsorted(self.breaks, t, side="right") - 1, 0, self.values.size - 1)
-        return np.where(t <= self.breaks[-1], self.values[idx], 0.0)
+        return np.where(t <= self.support, self.values[idx], 0.0)
 
     def _nu0(self, t):
-        t = np.minimum(np.asarray(t, dtype=float), self.breaks[-1])
+        t = np.minimum(np.asarray(t, dtype=float), self.support)
         idx = np.clip(np.searchsorted(self.breaks, t, side="right") - 1, 0, self.values.size - 1)
         return self._cum[idx] + self.values[idx] * (t - self.breaks[idx])
 
     def _nu0_inf(self):
         return float(self._cum[-1])
 
-    def _t_moment(self):
-        lo, hi = self.breaks[:-1], self.breaks[1:]
-        return float(np.sum(self.values * (hi**2 - lo**2) / 2.0))
+    def _tilted_cells(self, theta):
+        lo = self.breaks[:-1]
+        return self.values * np.exp(theta * lo) * np.expm1(theta * self._widths) / theta
+
+    def _tilted_mass(self, theta):
+        return float(np.sum(self._tilted_cells(theta)))
+
+    def _pick_cells(self, cum, mass, n, rng):
+        """n cells drawn by mass (cum: its running sum from 0); each draw's fraction of its cell."""
+        r = rng.random(int(n)) * cum[-1]
+        idx = np.clip(np.searchsorted(cum, r, side="right") - 1, 0, self.values.size - 1)
+        return idx, (r - cum[idx]) / np.where(mass[idx] > 0, mass[idx], 1.0)
 
     def sample_displacement(self, n, rng):
-        total = self._cum[-1]
-        r = rng.random(int(n)) * total
-        idx = np.clip(np.searchsorted(self._cum, r, side="right") - 1, 0, self.values.size - 1)
-        frac = (r - self._cum[idx]) / np.where(self._cell_mass[idx] > 0, self._cell_mass[idx], 1.0)
+        idx, frac = self._pick_cells(self._cum, self._cell_mass, n, rng)
         return self.breaks[idx] + frac * (self.breaks[idx + 1] - self.breaks[idx])
 
+    def sample_tilted_displacement(self, n, rng):
+        mass = self._tilted_cells(self.theta)
+        idx, frac = self._pick_cells(np.concatenate([[0.0], np.cumsum(mass)]), mass, n, rng)
+        # inverse CDF of the density e^(theta s) on the cell
+        theta = self.theta
+        return self.breaks[idx] + np.log1p(frac * np.expm1(theta * self._widths[idx])) / theta
+
     def suggested_decay(self):
-        return -math.log(max(self.rho, 1e-12)) / self.breaks[-1]
+        return -math.log(max(self.rho, 1e-12)) / self.support
 
 
 # -- single-ancestor clusters ----------------------------------------------------
@@ -302,19 +385,23 @@ class GWCluster:
         return self.points - np.atleast_1d(self.ancestor)[self.owner]
 
 
-def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP):
+def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=None):
     """Generation-by-generation draw of the clusters of a scalar or 1-D array of ancestors.
 
     Each point with mark z spawns Poisson(nu_inf(z)) children displaced by
     the kernel's normalized shape; the recursion terminates a.s. (rho < 1)
     with mean total size 1/(1-rho) per root.  All clusters grow in one
     generation loop, and point_cap bounds the points of the whole call,
-    roots included.
+    roots included.  The roots draw their marks from the mixture unless
+    root_marks gives them.
     """
     roots = np.asarray(ancestor, dtype=float)
     batch = roots.ndim > 0  # a scalar ancestor owns every point: no owner bookkeeping
     roots = roots.reshape(-1)
-    marks = anc_marks = kernel.sample_mark(roots.size, rng)
+    if root_marks is None:
+        marks = anc_marks = kernel.sample_mark(roots.size, rng)
+    else:
+        marks = anc_marks = np.asarray(root_marks, dtype=float).reshape(-1)
     pts, gens, owners = [roots], [np.zeros(roots.size, dtype=np.int64)], [np.arange(roots.size)]
     total = roots.size
     while pts[-1].size:
@@ -469,30 +556,6 @@ class BoundPair:
     def __deepcopy__(self, memo):
         return self
 
-    @property
-    def step(self):
-        return float(self.taus[1] - self.taus[0])
-
-    @property
-    def width(self):
-        return float(np.max(self.upp - self.ell))
-
-    def lower_at(self, ts):
-        """Valid lower bound off-grid: F is nonincreasing, so use the right node
-        (zero beyond the grid)."""
-        ts = np.asarray(ts, dtype=float)
-        idx = np.ceil(ts / self.step - 1e-12).astype(np.int64)
-        out = np.zeros(ts.shape)
-        inside = idx < self.taus.size
-        out[inside] = self.ell[np.clip(idx[inside], 0, self.taus.size - 1)]
-        return out
-
-    def upper_at(self, ts):
-        """Valid upper bound off-grid: left node; frozen at the last node beyond."""
-        ts = np.asarray(ts, dtype=float)
-        idx = np.clip(np.floor(ts / self.step + 1e-12).astype(np.int64), 0, self.taus.size - 1)
-        return self.upp[idx]
-
 
 @dataclass
 class Sandwich:
@@ -625,74 +688,88 @@ def build_sandwich(
 # -- the perfect sampler ---------------------------------------------------------------
 
 
-def _moment_tail_bound(kernel, t_max):
-    """Assumption-free (Markov) bound on int_{t_max}^inf P(L > t) dt.
+def _reaching_clusters(kernel, ts, n_plain, rng, point_cap=POINT_CAP):
+    """Which candidate ancestors at distances ts before the window reach it, and their clusters.
 
-    L is at most the sum S of all displacements in the cluster tree, whose
-    first two moments are closed-form Wald-type recursions; then
-    E[(S - T)^+] <= E[S^2]/T.
+    The first n_plain candidates draw one ordinary cluster each and are kept
+    iff its extinction time L exceeds t.  The others draw one Q-cluster each
+    and are kept with probability 1{L > t} e^(theta t) / Z, at most 1 because
+    Z = sum_v e^(theta pos_v) >= e^(theta L).  Either way a kept cluster has
+    the law P(. | L > t).
+
+    A Q-cluster is a cluster size-biased by Z.  Under Q, a distinguished node
+    lies Geometric(1 - rho_theta) - 1 generations deep, and the path to it (the
+    spine) takes steps with density proportional to h0(s) e^(theta s).  The
+    spine nodes before the last carry z-size-biased marks, and every spine
+    node roots an ordinary cluster with its mark.  All clusters of the call
+    grow in one batched sample_gw_cluster call.
+
+    Returns the points of the kept clusters (at -t plus their offsets), the
+    candidate of each of those points and the kept mask over the candidates.
     """
-    base = kernel._nu0_inf()
-    if base == 0:
-        return 0.0
-    m_d = kernel._t_moment() / base
-    q_d = kernel._displacement_m2
-    rho = kernel.rho
-    w, z = np.array([m for m, _ in kernel.components()]), np.array(
-        [z for _, z in kernel.components()]
-    )
-    rho2 = float(np.sum(w * (z * base) ** 2))
-    s1 = rho * m_d / (1.0 - rho)
-    s2 = (rho * (q_d + 2.0 * m_d * s1) + rho2 * (m_d + s1) ** 2) / (1.0 - rho)
-    return s2 / t_max
+    theta = kernel.theta
+    n_spine = ts.size - n_plain
+    nodes = rng.geometric(1.0 - kernel.rho_theta, size=n_spine)
+    spine = np.repeat(np.arange(n_plain, ts.size), nodes)  # the candidate of each spine node
+    last = np.cumsum(nodes) - 1
+    first = last - nodes + 1
+    steps = np.zeros(spine.size)
+    later = np.ones(spine.size, dtype=bool)
+    later[first] = False
+    steps[later] = kernel.sample_tilted_displacement(spine.size - n_spine, rng)
+    pos = np.cumsum(steps)
+    pos -= np.repeat(pos[first], nodes)
+    marks = np.empty(spine.size)
+    before_last = np.ones(spine.size, dtype=bool)
+    before_last[last] = False
+    marks[before_last] = kernel.sample_biased_mark(spine.size - n_spine, rng)
+    marks[last] = kernel.sample_mark(n_spine, rng)
+
+    roots = np.concatenate([np.zeros(n_plain), pos])
+    owner = np.concatenate([np.arange(n_plain), spine])  # the candidate of each root
+    marks = np.concatenate([kernel.sample_mark(n_plain, rng), marks])
+    cl = sample_gw_cluster(kernel, roots, rng, point_cap, root_marks=marks)
+    who = owner[cl.owner]
+    reach = np.zeros(ts.size)
+    np.maximum.at(reach, owner, roots + cl.extinction_time)
+    z_tilted = np.bincount(who, weights=np.exp(theta * (cl.points - ts[who])), minlength=ts.size)
+    kept = reach > ts
+    kept[n_plain:] &= rng.random(n_spine) * z_tilted[n_plain:] < 1.0  # u < e^(theta t) / Z
+    mine = kept[who]
+    return cl.points[mine] - ts[who[mine]], who[mine], kept
 
 
 class HawkesSampler:
-    """Exact draws of a self-exciting process on [0, a] via sandwich thinning.
+    """Exact draws of a self-exciting process on [0, a], with no grid and no state between draws.
 
-    Candidate pre-window ancestors are a Poisson process under a certified
-    staircase envelope of the survival tail; uniform heights classify each
-    candidate against the sandwich (retain strictly below the lower curve,
-    discard strictly above the upper).  Unresolved candidates trigger more
-    iterations (up to n_max), then grid refinements while the sampler's
-    budget of refine_levels halvings lasts (a budget for the sampler's
-    lifetime, not per draw), and finally the configured fallback:
+    Immigrants inside the window carry ordinary clusters.  An ancestor at
+    distance t before the window contributes iff its cluster's extinction
+    time L exceeds t, which has probability F(t).  With the kernel's tilt
+    theta (rho_theta = E[z] int h0(s) e^(theta s) ds < 1) and Z = sum_v
+    e^(theta pos_v) over a cluster rooted at 0, E[Z] = 1/(1 - rho_theta) and
+    Z >= e^(theta L), so
 
-    - "cluster-coin" (default): draw one cluster and keep the candidate iff
-      it outlives the candidate's distance (the cluster is then its
-      conditioned cluster).  Within t_max, only draws where a candidate
-      reaches the coin can depart from the exact law; meta["unresolved_rate"]
-      bounds the expected number of candidates per draw between the bounds
-      of the sandwich as built, and stats["fallback_coins"] counts the coins.
-    - "error": raise carrying the offending points.
+        F(t) = U(t) E_Q[1{L > t} e^(theta t) / Z],   U(t) = e^(-theta t) / (1 - rho_theta),
 
-    Retained ancestors get clusters conditioned to reach the window by
-    rejection; immigrants inside the window carry unconditioned clusters.
+    with Q the Z-size-biased cluster law (Chen & Wang 2020 tilt the Hawkes
+    cluster this way; Lyons, Pemantle & Peres 1995 give the spine form of Q).
+    U(t0) = 1 at t0 = -ln(1 - rho_theta)/theta.  Candidates arrive at rate mu
+    on (0, t0], where U >= 1, and Poisson(mu/theta) of them at t0 + Exp(theta),
+    rate mu U(t), beyond; _reaching_clusters keeps exactly the ancestors that
+    reach the window, each with its cluster of law P(. | L > t).  A callable
+    mu is thinned at mu_bound.  The zero kernel (rho = 0) keeps no
+    pre-window ancestor.
 
-    A draw's work scales with its candidates and clusters, not with the grid:
-    the envelope's cell masses and the sandwich's bound pair are built ahead
-    of the draws, and only Sandwich.advance and the capped refinement do work
-    the size of the grid.
+    tol and step describe only the certified curve of F, the sandwich
+    property: it is built from them when first read, and no draw reads it.
+    stats["condition_attempts"] counts the pre-window clusters proposed;
+    stats["fallback_coins"] and stats["grid_levels_built"] stay 0 and are kept
+    for the counters that perfbench reports.
     """
 
-    def __init__(
-        self,
-        kernel,
-        mu,
-        a,
-        mu_bound=None,
-        tol=1e-3,
-        n_max=200,
-        step=1e-4,
-        t_max=None,
-        refine_levels=1,
-        classify_fallback="cluster-coin",
-        point_cap=POINT_CAP,
-    ):
+    def __init__(self, kernel, mu, a, mu_bound=None, tol=1e-3, step=1e-4, point_cap=POINT_CAP):
         if a <= 0:
             raise SamplerError("window length must be positive")
-        if classify_fallback not in ("cluster-coin", "error"):
-            raise SamplerError("classify_fallback must be 'cluster-coin' or 'error'")
         self.kernel = kernel
         self.a = float(a)
         self._window = Window((0.0,), (self.a,))
@@ -705,164 +782,40 @@ class HawkesSampler:
             if self.mu_bound < 0:
                 raise SamplerError("immigrant intensity must be nonnegative")
         self.tol = float(tol)
-        self.n_max = int(n_max)
-        self.refine_levels = int(refine_levels)
-        self.classify_fallback = classify_fallback
+        self.step = float(step)
         self.point_cap = int(point_cap)
-        self._t_max = t_max
-        self.stats = {
-            "fallback_coins": 0,
-            "condition_attempts": 0,
-            "grid_levels_built": 0,
-            "extra_iterations": 0,
-        }
-        self.sandwich = build_sandwich(
-            kernel, n_max=n_max, tol=tol, t_max=t_max, step=step
-        )
-        self._install_envelope()
+        self.stats = {"condition_attempts": 0, "fallback_coins": 0, "grid_levels_built": 0}
+        self._t0 = -math.log1p(-kernel.rho_theta) / kernel.theta if kernel.rho > 0 else 0.0
+        self.meta = {"theta": kernel.theta, "rho_theta": kernel.rho_theta, "t0": self._t0}
 
-    # -- envelope over the survival tail ------------------------------------
-    def _install_envelope(self):
-        sw = self.sandwich
-        upp = (1.0 - sw.e_lo)[:-1]  # left-node staircase dominates F on each cell
-        self._env_vals = upp
-        self._env_step = sw.phi.step  # frozen: refinement must not move the envelope
-        cell = upp * self._env_step * self.mu_bound
-        self._env_cum = np.concatenate([[0.0], np.cumsum(cell)])
-        # per-cell divisor for the position inside a cell; it is the diff of
-        # the cumulative masses, not `cell`, which differs in the low bits
-        cum_step = np.diff(self._env_cum)
-        self._env_div = np.where(cum_step > 0, cum_step, 1.0)
-        self._env_mass = float(self._env_cum[-1])
-        t_max = sw.meta["t_max"]
-        delta = max(self.kernel.suggested_decay() / 2.0, 1e-6)
-        assumed = self.mu_bound * math.exp(-delta * t_max) / delta
-        b = sw.bounds()
-        retained = float(np.sum(b.ell) * sw.phi.step * self.mu_bound)
-        # a candidate in cell k is unresolved iff its score lies in [ell[k+1], upp[k]]
-        unresolved = float(np.sum(b.upp[:-1] - b.ell[1:]) * sw.phi.step * self.mu_bound)
-        self.meta = {
-            **sw.meta,
-            "candidate_mass": self._env_mass,
-            "retained_mass_estimate": retained,
-            "unresolved_rate": unresolved,
-            "tail_bound_assumed_decay": assumed,
-            "tail_bound_moment": self.mu_bound * _moment_tail_bound(self.kernel, t_max),
-            "tail_audit_ok": bool(assumed <= 1e-12 * max(retained, 1e-300)),
-        }
+    @functools.cached_property
+    def sandwich(self):
+        """The certified curve of F: a Sandwich driven to tol on a grid of the given step."""
+        return build_sandwich(self.kernel, tol=self.tol, step=self.step)
 
-    def _sample_candidates(self, rng):
-        k = rng.poisson(self._env_mass)
-        if k == 0:
+    def _thin_mu(self, x, rng):
+        """Positions x of candidates at rate mu_bound, thinned to rate mu(x) when mu varies."""
+        if self.mu is None:
+            return x
+        return x[rng.random(x.size) * self.mu_bound < np.asarray(self.mu(x), dtype=float)]
+
+    def _conditioned_cluster(self, rng):
+        """Points of the clusters of the pre-window ancestors that reach the window."""
+        kernel = self.kernel
+        if kernel.rho == 0:  # a bare ancestor never outlives a positive distance
             return np.empty(0)
-        r = np.sort(rng.random(k)) * self._env_mass
-        idx = np.clip(np.searchsorted(self._env_cum, r, side="right") - 1, 0, self._env_vals.size - 1)
-        frac = (r - self._env_cum[idx]) / self._env_div[idx]
-        ts = (idx + frac) * self._env_step
-        if self.mu is not None:  # thin a bounded variable immigrant intensity
-            accept = rng.random(k) * self.mu_bound < np.asarray(self.mu(-ts), dtype=float)
-            ts = ts[accept]
-        return ts
-
-    def _env_at(self, ts):
-        idx = np.clip(np.floor(ts / self._env_step).astype(np.int64), 0, self._env_vals.size - 1)
-        return self._env_vals[idx]
-
-    def _refine_grid(self):
-        self.stats["grid_levels_built"] += 1
-        self.sandwich = build_sandwich(
-            self.kernel,
-            n_max=self.n_max,
-            tol=self.tol,
-            t_max=self._t_max,
-            step=self.sandwich.phi.step / 2.0,
-        )
-        # the frozen envelope stays: it is valid for any certified sandwich
-
-    def _classify(self, ts, scores):
-        """(retained, unresolved) masks and the last lower bounds at ts; exact."""
-        retain = np.zeros(ts.size, dtype=bool)
-        pending = np.ones(ts.size, dtype=bool)
-        while True:
-            b = self.sandwich.bounds()
-            lo, up = b.lower_at(ts), b.upper_at(ts)
-            retain |= pending & (scores < lo)
-            pending &= ~(scores < lo) & ~(scores > up)
-            if not pending.any():
-                return retain, pending, lo
-            if self.sandwich.n < self.n_max:
-                before = self.sandwich.gap
-                self.sandwich.advance(3)
-                self.stats["extra_iterations"] += 3
-                if self.sandwich.gap < 0.98 * before:
-                    continue
-            if self.stats["grid_levels_built"] < self.refine_levels:  # a budget per sampler
-                self._refine_grid()
-                continue
-            break
-        if self.classify_fallback == "error":
-            stuck = np.flatnonzero(pending)
-            pts = ", ".join(f"(t={ts[i]:.6g}, height={scores[i]:.6g})" for i in stuck)
-            raise SamplerError(
-                f"{stuck.size} dominated points left unclassified between the bounds "
-                f"after refinement: {pts}"
-            )
-        return retain, pending, lo
-
-    def _conditioned_cluster(self, ts, lower, coin, rng):
-        """Points of clusters rooted at -ts, each conditioned to outlive its t.
-
-        Rejection in rounds: each unsatisfied candidate gets a block of iid
-        clusters, sized from the lower bound on F(t), and keeps the first
-        that outlives its t, which has the conditioned law.  A round draws
-        about a tenth of point_cap points on average.  A `coin` candidate gets
-        a single cluster and is dropped unless that cluster outlives its t.
-        """
-        floor = np.maximum(lower, 1e-6)
-        cap = np.where(coin, 1, np.minimum(np.ceil(60.0 / floor), CONDITION_ATTEMPT_CAP))
-        self.stats["fallback_coins"] += int(coin.sum())
-        budget = max(int(0.1 * self.point_cap / self.kernel.mean_cluster_size()), 1)
-        used = np.zeros(ts.size, dtype=np.int64)
-        live = np.arange(ts.size)
-        pieces = [np.empty(0)]
-        while live.size:
-            block = np.minimum(np.ceil(1.0 / floor[live]), cap[live] - used[live]).astype(np.int64)
-            if block.sum() > budget:
-                block = np.maximum(block * budget // block.sum(), 1)
-            starts = np.cumsum(block) - block
-            cand = np.repeat(live, block)
-            cl = sample_gw_cluster(self.kernel, np.zeros(cand.size), rng, self.point_cap)
-            hit = cl.extinction_time > ts[cand]
-            # the first hit of each block, or past the block's end when there is none
-            first = np.minimum.reduceat(np.where(hit, np.arange(cand.size), cand.size), starts)
-            won = first < starts + block
-            examined = np.minimum(first - starts + 1, block)
-            used[live] += examined
-            self.stats["condition_attempts"] += int(examined[~coin[live]].sum())
-            kept = np.isin(cl.owner, first[won])
-            pieces.append(-ts[cand[cl.owner[kept]]] + cl.points[kept])
-            live = live[~won & ~coin[live]]
-            exhausted = live[used[live] >= cap[live]]
-            if exhausted.size:
-                i = exhausted[0]
-                raise SamplerError(
-                    f"conditioned-cluster rejection exhausted {cap[i]:.0f} attempts at distance "
-                    f"{ts[i]:.4g} (success probability is the survival tail there)"
-                )
-        return np.concatenate(pieces)
+        near = -self._t0 * rng.random(rng.poisson(self.mu_bound * self._t0))
+        n_far = rng.poisson(self.mu_bound / kernel.theta)
+        far = -self._t0 - rng.exponential(1.0 / kernel.theta, size=n_far)
+        near, far = self._thin_mu(near, rng), self._thin_mu(far, rng)
+        self.stats["condition_attempts"] += near.size + far.size
+        ts = -np.concatenate([near, far])
+        return _reaching_clusters(kernel, ts, near.size, rng, self.point_cap)[0]
 
     def sample(self, rng):
         """One exact draw on [0, a] as a sorted 1-D pattern."""
-        ts = self._sample_candidates(rng)
-        heights = rng.random(ts.size)
-        scores = heights * self._env_at(ts)
-        retain, coin, lower = self._classify(ts, scores)
-        take = retain | coin
-        kept = self._conditioned_cluster(ts[take], lower[take], coin[take], rng)
-        k = rng.poisson(self.mu_bound * self.a)
-        imm = np.sort(rng.random(k)) * self.a
-        if self.mu is not None:  # thin a bounded variable immigrant intensity
-            imm = imm[rng.random(k) * self.mu_bound < np.asarray(self.mu(imm), dtype=float)]
+        kept = self._conditioned_cluster(rng)
+        imm = self._thin_mu(np.sort(rng.random(rng.poisson(self.mu_bound * self.a))) * self.a, rng)
         free = sample_gw_cluster(self.kernel, imm, rng, self.point_cap).points
         pts = np.concatenate([kept, free])
         return PointPattern(np.sort(pts).reshape(-1, 1), dim=1).restrict(self._window)

@@ -23,6 +23,7 @@ __all__ = [
     "matern_direct_oracle",
     "renewal_thin_after",
     "hawkes_exp_burn_in",
+    "hawkes_bounded_burn_in",
     "nonlinear_hawkes_burn_in",
     "grid_thin_after",
 ]
@@ -123,6 +124,50 @@ def hawkes_exp_burn_in(kernel, mu, a, burn_in, rng):
                 out.append(t)
             z = zs[rng.choice(len(w), p=w)]
             s += z * beta
+    return PointPattern(np.asarray(out).reshape(-1, 1), dim=1)
+
+
+def hawkes_bounded_burn_in(kernel, mu, a, burn_in, rng):
+    """Self-exciting process with a bounded-support fertility by Ogata thinning.
+
+    Simulation starts empty at -burn_in.  Until the next event arrives, events
+    only leave the support, so mu + h_max * sum z_i over the events still
+    within the support dominates the future intensity; thinning against that
+    running bound is exact given the empty start.  The initialization bias
+    is the chance that pre-start points would have influenced [0, a]; a
+    cluster spans at most one support per generation, so the bias decays like
+    rho^(burn_in / support) and the caller sizes burn_in accordingly.  The
+    fertility is read through kernel.h, kernel.support and kernel.h_max, and
+    marks are drawn here from kernel.components(), not by the sampler's own
+    mark routine.
+    """
+    if mu < 0:
+        raise SamplerError("immigrant intensity must be nonnegative")
+    cdf = np.cumsum([w for w, _ in kernel.components()])
+    cdf /= cdf[-1]
+    zs = [z for _, z in kernel.components()]
+    support, h_max = kernel.support, kernel.h_max
+    t = -float(burn_in)
+    times, marks = [], []  # the events within the support of the current time
+    out = []
+    while True:
+        while times and t - times[0] > support:
+            times.pop(0)
+            marks.pop(0)
+        bound = mu + h_max * sum(marks)
+        if bound <= 0:
+            break
+        t += rng.exponential(1.0 / bound)
+        if t > a:
+            break
+        rate = mu
+        if times:
+            rate += float(np.sum(kernel.h(t - np.asarray(times), np.asarray(marks))))
+        if rng.random() * bound < rate:
+            if t >= 0.0:
+                out.append(t)
+            times.append(t)
+            marks.append(zs[int(np.searchsorted(cdf, rng.random(), side="right"))])
     return PointPattern(np.asarray(out).reshape(-1, 1), dim=1)
 
 

@@ -6,11 +6,14 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from exactpp.cli import main
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 POISSON_CFG = {
     "schema": 1,
@@ -37,6 +40,19 @@ def _cfg_file(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     return str(path)
+
+
+def _hawkes(**params):
+    """The top-level keys of a hawkes_mr config, with extra params."""
+    return dict(
+        sampler="hawkes_mr",
+        window={"lower": [0.0], "upper": [5.0]},
+        params={
+            "mu": 1.0,
+            "kernel": {"family": "exponential", "beta": 0.5, "gamma": 1.0},
+            **params,
+        },
+    )
 
 
 def _sample(tmp_path, cfg, sub="out", name="config.json"):
@@ -76,6 +92,11 @@ def _sample(tmp_path, cfg, sub="out", name="config.json"):
                 },
             ),
             "'params.kernel.marks' must be a list of [weight, value] pairs of finite numbers",
+        ),
+        (lambda c: c.update(_hawkes(t_max=40.0)), "unknown key 'params.t_max'"),
+        (
+            lambda c: c.update(_hawkes(classify_fallback="error")),
+            "unknown key 'params.classify_fallback'",
         ),
     ],
 )
@@ -184,16 +205,36 @@ def test_sample_rerun_is_byte_identical(tmp_path):
 
 
 def test_sample_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
-    cfg = dict(POISSON_CFG, replicates=4)
-    monkeypatch.setenv("EXACTPP_WORKERS", "1")
-    _, a = _sample(tmp_path, cfg, sub="serial")
-    monkeypatch.setenv("EXACTPP_WORKERS", "2")
-    _, b = _sample(tmp_path, cfg, sub="parallel")
-    names_a = sorted(f.name for f in a.iterdir())
-    names_b = sorted(f.name for f in b.iterdir())
-    assert names_a == names_b
-    for name in names_a:
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    hawkes = json.loads((CONFIG_DIR / "hawkes_mr.json").read_text())
+    for name, cfg in (("poisson", dict(POISSON_CFG, replicates=4)), ("hawkes", hawkes)):
+        monkeypatch.setenv("EXACTPP_WORKERS", "1")
+        _, a = _sample(tmp_path, cfg, sub=f"{name}-serial")
+        monkeypatch.setenv("EXACTPP_WORKERS", "2")
+        _, b = _sample(tmp_path, cfg, sub=f"{name}-parallel")
+        names_a = sorted(f.name for f in a.iterdir())
+        names_b = sorted(f.name for f in b.iterdir())
+        assert names_a == names_b
+        for fname in names_a:
+            assert (a / fname).read_bytes() == (b / fname).read_bytes(), (name, fname)
+
+
+def test_hawkes_build_leaves_the_certified_curve_unbuilt(monkeypatch):
+    from exactpp import cli, hawkes_mr
+    from exactpp.core import RngStream
+
+    calls = []
+    build_sandwich = hawkes_mr.build_sandwich
+
+    def counting_build(*args, **kwargs):
+        calls.append(1)
+        return build_sandwich(*args, **kwargs)
+
+    monkeypatch.setattr(hawkes_mr, "build_sandwich", counting_build)
+    built = cli.build(cli.load_config(str(CONFIG_DIR / "hawkes_mr.json")))
+    for r in range(5):
+        built["sample"](RngStream(31, r).generator())
+    assert calls == []
+    assert set(built["meta"]) == {"theta", "rho_theta", "t0"}
 
 
 def test_parallel_sample_builds_once_per_process(tmp_path, monkeypatch):

@@ -178,26 +178,3 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(SamplerError, match="dimension mismatch"):
         BrixKendallSampler(LebesgueIntensity(1.0, 1), _kernel(2.0), Window((0.0, 0.0), (1.0, 1.0)))
 
-
-def test_truncation_requires_certified_tail():
-    with pytest.raises(SamplerError, match="envelope_tail"):
-        BrixKendallSampler(
-            LebesgueIntensity(1.0, 1), _kernel(2.0), W10, truncation_radius=5.0
-        )
-    with pytest.raises(SamplerError, match="exceeds certification"):
-        BrixKendallSampler(
-            LebesgueIntensity(1.0, 1),
-            _kernel(2.0),
-            W10,
-            truncation_radius=5.0,
-            envelope_tail=lambda r: 1e-3,
-        )
-    # a genuinely certified tail is accepted
-    sampler = BrixKendallSampler(
-        LebesgueIntensity(1.0, 1),
-        _kernel(2.0),
-        W10,
-        truncation_radius=5.0,
-        envelope_tail=lambda r: 1e-15,
-    )
-    assert sampler.region.lower[0] == pytest.approx(-5.0)
