@@ -20,8 +20,9 @@ thinning included. The package is organized by construction:
 - cli: `exactpp sample | validate | plotdata` driven by JSON configs
 
 scipy is imported inside the few routines that call it (quadrature, the
-trigamma tail, the gamma hazard, the statistical tests), so importing the
-package, or building and drawing a Hawkes sampler, loads no scipy module.
+trigamma tail, the gamma hazard through scipy.special, the statistical
+tests), so importing the package, or building and drawing a Hawkes sampler,
+loads no scipy module.
 """
 
 from .boolean_model import (

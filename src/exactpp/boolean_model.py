@@ -3,10 +3,15 @@
 Germs whose grain can reach the window are kept with probability
 p(x) = P((S + x) hits W) and receive a grain conditioned on hitting; germs
 beyond reach contribute nothing. Disk grains expose p(x) in closed form
-(tail of the radius law at the distance to the window); segment grains have
-no closed form, so retention and conditioning collapse into one exact step:
-draw the grain and keep the pair iff it hits. Poisson lines through germ
-points use the arcsin retention rule on a disk target.
+(tail of the radius law at the distance d to the window), and the radius
+conditioned on R >= d is drawn in closed form, with no rejection: the law's
+value when fixed, U[max(lo, d), hi] when uniform, d + Exp(rate) when
+exponential (Lantuejoul 2002, Geostatistical Simulation, ch. 14). Segment
+grains have no closed form, so retention and conditioning collapse into one
+exact step: draw every grain and keep the pairs whose segment hits. Poisson
+lines through germ points use the arcsin retention rule on a disk target;
+a retained line's direction is uniform on the arc of directions that meet
+the disk, again drawn in closed form.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ __all__ = [
 ]
 
 TAIL_CERT = 1e-12
+_BLOCK = 1 << 16  # (probe, angle) pairs per block of SegmentGrains.hit_prob
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,10 @@ class FixedRadius:
     def tail(self, r):
         return np.where(np.asarray(r, dtype=float) <= self.value, 1.0, 0.0)
 
+    def sample_at_least(self, d, rng):
+        """Radii conditioned on R >= d (d <= value): the value, no random number drawn."""
+        return np.full(np.shape(d), float(self.value))
+
 
 @dataclass(frozen=True)
 class UniformRadius:
@@ -127,6 +137,11 @@ class UniformRadius:
     def tail(self, r):
         r = np.asarray(r, dtype=float)
         return np.clip((self.hi - r) / (self.hi - self.lo), 0.0, 1.0)
+
+    def sample_at_least(self, d, rng):
+        """Radii conditioned on R >= d (d < hi): uniform on [max(lo, d), hi]."""
+        start = np.maximum(self.lo, np.asarray(d, dtype=float))
+        return start + rng.random(start.shape) * (self.hi - start)
 
 
 @dataclass(frozen=True)
@@ -147,13 +162,23 @@ class ExpRadius:
     def tail(self, r):
         return np.exp(-self.rate * np.clip(np.asarray(r, dtype=float), 0.0, None))
 
+    def sample_at_least(self, d, rng):
+        """Radii conditioned on R >= d >= 0: d + Exp(rate), by memorylessness."""
+        d = np.asarray(d, dtype=float)
+        return d + rng.exponential(1.0 / self.rate, d.shape)
+
 
 # -- grain distributions -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class DiskGrains:
-    """I.i.d. disk grains; hit probability is the radius tail at the distance."""
+    """I.i.d. disk grains; hit probability is the radius tail at the distance.
+
+    A kept germ at distance d from the window gets its radius from the
+    radius law conditioned on R >= d, drawn in closed form by the law's
+    sample_at_least (no rejection).
+    """
 
     radius_law: object
 
@@ -167,17 +192,12 @@ class DiskGrains:
         return self.radius_law.tail(box_distance(xs, window))
 
     def sample_conditioned(self, x, window, rng):
-        """Radius conditioned on the disk hitting the window (rejection)."""
-        d = float(box_distance(np.asarray(x)[None, :], window)[0])
-        p = float(self.radius_law.tail(d))
-        if p <= 0:
+        """Grain at germ x conditioned on the disk hitting the window."""
+        d = box_distance(np.asarray(x, dtype=float)[None, :], window)
+        if not float(self.radius_law.tail(d[0])) > 0:
             raise SamplerError("germ cannot reach the window")
-        cap = int(np.ceil(60.0 / p))
-        for _ in range(cap):
-            r = float(self.radius_law.sample(1, rng)[0])
-            if r >= d:
-                return {"type": "disk", "center": list(map(float, x)), "radius": r}
-        raise SamplerError(f"grain conditioning failed after {cap} attempts")
+        r = float(self.radius_law.sample_at_least(d, rng)[0])
+        return {"type": "disk", "center": list(map(float, x)), "radius": r}
 
 
 @dataclass(frozen=True)
@@ -203,7 +223,9 @@ class SegmentGrains:
         return self.length / 2.0
 
     def endpoints(self, x, theta):
-        h = 0.5 * self.length * np.array([np.cos(theta), np.sin(theta)])
+        """End points of the segments at germs x (..., 2) with angles theta (...)."""
+        theta = np.asarray(theta, dtype=float)
+        h = 0.5 * self.length * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         x = np.asarray(x, dtype=float)
         return x - h, x + h
 
@@ -212,46 +234,36 @@ class SegmentGrains:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         thetas = (np.arange(n_angle) + 0.5) * np.pi / n_angle
         out = np.empty(xs.shape[0])
-        for i, x in enumerate(xs):
-            hits = 0
-            for theta in thetas:
-                p0, p1 = self.endpoints(x, theta)
-                hits += segment_hits_box(p0, p1, window)
-            out[i] = hits / n_angle
-        return out
-
-    def sample_grain(self, x, rng):
-        theta = rng.random() * np.pi
-        p0, p1 = self.endpoints(x, theta)
-        return {
-            "type": "segment",
-            "center": list(map(float, x)),
-            "angle": float(theta),
-            "p0": p0.tolist(),
-            "p1": p1.tolist(),
-        }
+        rows = max(1, _BLOCK // n_angle)
+        for i in range(0, xs.shape[0], rows):
+            p0, p1 = self.endpoints(xs[i : i + rows, None, :], thetas)
+            out[i : i + rows] = np.count_nonzero(segment_hits_box(p0, p1, window), axis=1)
+        return out / n_angle
 
 
 def segment_hits_box(p0, p1, window):
-    """Exact segment vs closed box predicate (slab clipping)."""
+    """Exact segment vs closed box predicate (slab clipping).
+
+    p0 and p1 are end points of shape (dim,) or (..., dim); the result is a
+    bool, or a boolean array over the leading axes.
+    """
     p0 = np.asarray(p0, dtype=float)
     d = np.asarray(p1, dtype=float) - p0
-    t0, t1 = 0.0, 1.0
-    for ax in range(len(p0)):
+    t0 = np.zeros(p0.shape[:-1])
+    t1 = np.ones(p0.shape[:-1])
+    hit = np.ones(p0.shape[:-1], dtype=bool)
+    for ax in range(p0.shape[-1]):
         lo, hi = window.lower[ax], window.upper[ax]
-        if abs(d[ax]) < 1e-300:
-            if p0[ax] < lo or p0[ax] > hi:
-                return False
-            continue
-        ta = (lo - p0[ax]) / d[ax]
-        tb = (hi - p0[ax]) / d[ax]
-        if ta > tb:
-            ta, tb = tb, ta
-        t0 = max(t0, ta)
-        t1 = min(t1, tb)
-        if t0 > t1:
-            return False
-    return True
+        x, dx = p0[..., ax], d[..., ax]
+        flat = np.abs(dx) < 1e-300  # parallel to the slab: inside it or never
+        hit &= ~(flat & ((x < lo) | (x > hi)))
+        step = np.where(flat, 1.0, dx)
+        ta = (lo - x) / step
+        tb = (hi - x) / step
+        t0 = np.where(flat, t0, np.maximum(t0, np.minimum(ta, tb)))
+        t1 = np.where(flat, t1, np.minimum(t1, np.maximum(ta, tb)))
+    hit &= t0 <= t1
+    return bool(hit) if hit.ndim == 0 else hit
 
 
 # -- Boolean sampler -----------------------------------------------------------
@@ -268,13 +280,13 @@ class BooleanSample:
     def coverage(self, points):
         """Boolean mask: probe point lies in the grain union (disk grains)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        covered = np.zeros(pts.shape[0], dtype=bool)
-        for g in self.grains:
-            if g["type"] == "disk":
-                c = np.asarray(g["center"])
-                d2 = np.sum((pts - c) ** 2, axis=1)
-                covered |= d2 <= g["radius"] ** 2
-        return covered
+        disks = [g for g in self.grains if g["type"] == "disk"]
+        if not disks:
+            return np.zeros(pts.shape[0], dtype=bool)
+        centers = np.asarray([g["center"] for g in disks], dtype=float)
+        radii = np.asarray([g["radius"] for g in disks], dtype=float)
+        d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        return np.any(d2 <= radii**2, axis=1)
 
     def germ_pattern(self):
         dim = self.window.dim
@@ -319,22 +331,26 @@ def boolean_exact_sample(rate, grains, window, rng, truncation_radius=None):
     n = rng.poisson(rate * region.volume())
     cand = region.sample_uniform(n, rng)
 
-    kept_germs = []
-    kept_grains = []
     if grains.hit_prob_kind == "closed_form":
         p = grains.hit_prob(cand, window) if n else np.zeros(0)
-        keep = rng.random(n) < p
-        for x in cand[keep]:
-            kept_germs.append(x)
-            kept_grains.append(grains.sample_conditioned(x, window, rng))
+        germs = cand[rng.random(n) < p]
+        radii = grains.radius_law.sample_at_least(box_distance(germs, window), rng)
+        kept = [
+            {"type": "disk", "center": c, "radius": r}
+            for c, r in zip(germs.tolist(), radii.tolist())
+        ]
     else:
-        for x in cand:
-            grain = grains.sample_grain(x, rng)
-            if grain["type"] == "segment" and segment_hits_box(grain["p0"], grain["p1"], window):
-                kept_germs.append(x)
-                kept_grains.append(grain)
-    germs = np.asarray(kept_germs, dtype=float).reshape(-1, window.dim)
-    return BooleanSample(germs, tuple(kept_grains), window)
+        thetas = rng.random(n) * np.pi
+        p0, p1 = grains.endpoints(cand, thetas)
+        keep = segment_hits_box(p0, p1, window)
+        germs = cand[keep]
+        kept = [
+            {"type": "segment", "center": c, "angle": t, "p0": a, "p1": b}
+            for c, t, a, b in zip(
+                germs.tolist(), thetas[keep].tolist(), p0[keep].tolist(), p1[keep].tolist()
+            )
+        ]
+    return BooleanSample(germs.reshape(-1, window.dim), tuple(kept), window)
 
 
 # -- Poisson lines through germ points ----------------------------------------
@@ -368,51 +384,41 @@ class LineSample:
     target: DiskWindow
 
 
-def _line_hits_disk(x, theta, disk):
-    u = np.array([np.cos(theta), np.sin(theta)])
-    c = np.asarray(disk.center) - np.asarray(x)
-    return abs(u[0] * c[1] - u[1] * c[0]) <= disk.radius
-
-
-def _chord(x, theta, disk):
-    u = np.array([np.cos(theta), np.sin(theta)])
-    c = np.asarray(disk.center)
-    x = np.asarray(x, dtype=float)
-    t0 = float((c - x) @ u)
-    h2 = disk.radius**2 - float(np.sum((x + t0 * u - c) ** 2))
-    h = np.sqrt(max(h2, 0.0))
-    return ((x + (t0 - h) * u).tolist(), (x + (t0 + h) * u).tolist())
-
-
 def sample_poisson_lines(rate, target, germ_region, rng):
     """Lines through Poisson germs retained by the arcsin rule.
 
     The retained mass over the whole plane diverges (the rule decays like
     1/||x||), so a bounded germ region is part of the model; germs are
     Poisson(rate) on it, retained with hit_prob_poisson_line, and retained
-    germs get an orientation conditioned on meeting the disk (rejection over
-    the uniform angle).
+    germs get a uniform orientation conditioned on meeting the disk, drawn
+    in closed form: uniform on the arc of half-width arcsin(R/rho) about the
+    direction to the centre for a germ at distance rho > R, and uniform on
+    [0, pi) for a germ inside the disk.
     """
     n = rng.poisson(rate * germ_region.volume())
     cand = germ_region.sample_uniform(n, rng)
-    cand = cand - np.asarray(target.center)  # work in target-centered frame
+    center = np.asarray(target.center)
+    cand = cand - center  # work in target-centered frame
     p = hit_prob_poisson_line(cand, target.radius) if n else np.zeros(0)
-    keep = rng.random(n) < p
+    x = cand[rng.random(n) < p]
+    angles = _line_angles(x, target.radius, rng)
 
-    germs, angles, chords = [], [], []
-    for x in cand[keep]:
-        for _ in range(100_000):
-            theta = rng.random() * np.pi
-            if _line_hits_disk(x, theta, DiskWindow((0.0, 0.0), target.radius)):
-                break
-        else:
-            raise SamplerError("line conditioning failed")
-        germs.append(x + np.asarray(target.center))
-        angles.append(theta)
-        chords.append(_chord(x + np.asarray(target.center), theta, target))
-    return LineSample(
-        np.asarray(germs, dtype=float).reshape(-1, 2),
-        np.asarray(angles, dtype=float),
-        tuple(chords),
-        target,
-    )
+    germs = x + center
+    u = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    t0 = np.sum((center - germs) * u, axis=1)
+    h2 = target.radius**2 - np.sum((germs + t0[:, None] * u - center) ** 2, axis=1)
+    h = np.sqrt(np.maximum(h2, 0.0))
+    ends0 = germs + (t0 - h)[:, None] * u
+    ends1 = germs + (t0 + h)[:, None] * u
+    return LineSample(germs, angles, tuple(zip(ends0.tolist(), ends1.tolist())), target)
+
+
+def _line_angles(x, radius, rng):
+    """Uniform line directions in [0, pi) through centre-relative germs x,
+    conditioned on the line meeting the disk of the given radius."""
+    u = rng.random(x.shape[0])
+    rho = np.hypot(x[:, 0], x[:, 1])
+    far = rho > radius
+    half = np.arcsin(radius / np.where(far, rho, radius))
+    toward = np.arctan2(-x[:, 1], -x[:, 0])
+    return np.where(far, np.mod(toward + (2.0 * u - 1.0) * half, np.pi), np.pi * u)

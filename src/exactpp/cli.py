@@ -461,14 +461,19 @@ def _build_renewal(cfg):
     if thin_rate <= 0:
         raise ConfigError("'params.thin.rate' must be positive")
 
-    from scipy import stats
+    from scipy import special
 
-    dist = stats.gamma(a=shape, scale=scale)
     bound = 1.0 / scale  # gamma hazard with shape >= 1 increases toward 1/scale
+    log_norm = special.gammaln(shape)
+    xlogy, gammaincc = special.xlogy, special.gammaincc
 
     def hazard(t):
-        sf = float(dist.sf(t))
-        return bound if sf <= 0 else min(float(dist.pdf(t)) / sf, bound)
+        # the gamma pdf and survival function as scipy.stats.gamma computes them
+        x = t / scale
+        sf = float(gammaincc(shape, x))
+        if sf <= 0:
+            return bound
+        return min(float(np.exp(xlogy(shape - 1.0, x) - x - log_norm)) / scale / sf, bound)
 
     def thin_p(ts):
         return np.exp(-thin_rate * np.asarray(ts, dtype=float))

@@ -176,18 +176,20 @@ class PointPattern:
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path):
-        """Write columns x1..xm (and mark) with deterministic float text."""
+        """Write columns x1..xm (and mark) with deterministic float text.
+
+        Each value is its shortest round-trip decimal (repr), with -0.0
+        written as 0.0 so that files are stable.
+        """
+        header = [f"x{i + 1}" for i in range(self.dim)]
+        cols = self.points
+        if self.marks is not None:
+            header.append("mark")
+            cols = np.column_stack([cols, self.marks])
+        # adding 0.0 turns -0.0 into 0.0 and leaves every other value alone
+        rows = [",".join(map(repr, row)) for row in (cols + 0.0).tolist()]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            header = [f"x{i + 1}" for i in range(self.dim)]
-            if self.marks is not None:
-                header.append("mark")
-            writer.writerow(header)
-            for i in range(self.n):
-                row = [_float_text(v) for v in self.points[i]]
-                if self.marks is not None:
-                    row.append(_float_text(self.marks[i]))
-                writer.writerow(row)
+            fh.write("\n".join([",".join(header)] + rows) + "\n")
 
     @classmethod
     def from_csv(cls, path):
@@ -232,14 +234,6 @@ class PointPattern:
             dim=payload["dim"],
         )
         return pattern, payload.get("meta", {})
-
-
-def _float_text(v):
-    # shortest round-trip decimal; resolves -0.0 to 0.0 for stable files
-    v = float(v)
-    if v == 0.0:
-        v = 0.0
-    return repr(v)
 
 
 @dataclass(frozen=True)

@@ -284,15 +284,19 @@ def matern_thin_first(rate, radius, thin_p, window, rng):
 
     full = np.vstack([first, comp])
     marks = rng.random(full.shape[0])
-    k1 = first.shape[0]
-    survives = np.ones(k1, dtype=bool)
-    for i in range(k1):
-        d2 = np.sum((full - full[i]) ** 2, axis=1)
-        near = (d2 <= radius**2) & (np.arange(full.shape[0]) != i)
-        if np.any(marks[near] < marks[i]):
-            survives[i] = False
-    out = first[survives]
+    out = first[_mark_minimal(full, marks, first.shape[0], radius)]
     return PointPattern(out, dim=window.dim).restrict(window)
+
+
+def _mark_minimal(points, marks, k, radius):
+    """Mask of the first k points whose mark beats every other point within radius.
+
+    One (k x n) distance and mark comparison; a point's own mark is never
+    smaller than itself, so it needs no exclusion.
+    """
+    d2 = np.sum((points[None, :, :] - points[:k, None, :]) ** 2, axis=2)
+    beaten = (d2 <= radius**2) & (marks[None, :] < marks[:k, None])
+    return ~np.any(beaten, axis=1)
 
 
 # -- non-linear self-exciting germ -------------------------------------------------

@@ -105,8 +105,11 @@ def hawkes_exp_burn_in(kernel, mu, a, burn_in, rng):
     if mu < 0:
         raise SamplerError("immigrant intensity must be nonnegative")
     w = np.array([w for w, _ in kernel.components()])
-    w = w / w.sum()
+    # the generator calls of rng.choice(len(w), p=w), with the CDF built once
+    cdf = np.cumsum(w / w.sum())
+    cdf /= cdf[-1]
     zs = [z for _, z in kernel.components()]
+    exponential, uniform, exp = rng.exponential, rng.random, np.exp
     t = -float(burn_in)
     s = 0.0
     out = []
@@ -114,16 +117,15 @@ def hawkes_exp_burn_in(kernel, mu, a, burn_in, rng):
         bound = mu + s
         if bound <= 0:
             break
-        gap = rng.exponential(1.0 / bound)
-        s *= np.exp(-gamma * gap)
+        gap = exponential(1.0 / bound)
+        s *= exp(-gamma * gap)
         t += gap
         if t > a:
             break
-        if rng.random() * bound < mu + s:
+        if uniform() * bound < mu + s:
             if t >= 0.0:
                 out.append(t)
-            z = zs[rng.choice(len(w), p=w)]
-            s += z * beta
+            s += zs[cdf.searchsorted(uniform(), side="right")] * beta
     return PointPattern(np.asarray(out).reshape(-1, 1), dim=1)
 
 

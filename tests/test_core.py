@@ -251,6 +251,46 @@ def test_empty_pattern_csv_round_trip(tmp_path):
     assert back.n == 0 and back.dim == 3
 
 
+def _row_writer_csv(pattern, path):
+    """Reference writer: csv.writer, one formatted cell at a time."""
+    import csv
+
+    def text(v):
+        v = float(v)
+        return repr(0.0 if v == 0.0 else v)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        header = [f"x{i + 1}" for i in range(pattern.dim)]
+        if pattern.marks is not None:
+            header.append("mark")
+        writer.writerow(header)
+        for i in range(pattern.n):
+            row = [text(v) for v in pattern.points[i]]
+            if pattern.marks is not None:
+                row.append(text(pattern.marks[i]))
+            writer.writerow(row)
+
+
+def test_csv_bytes_match_row_writer(tmp_path):
+    rng = RngStream(7, 0).generator()
+    odd = np.array([-0.0, 0.0, 1e-310, -2.5e22, 1.0 / 3.0, np.inf, -1e-5])
+    patterns = [
+        PointPattern.empty(2),
+        PointPattern.empty(1, with_marks=True),
+        PointPattern(rng.random(9) * 1e4 - 5e3, dim=1),
+        PointPattern(rng.normal(size=(13, 2)), dim=2),
+        PointPattern(rng.random((11, 3)), marks=rng.random(11) * 6.0, dim=3),
+        PointPattern(np.column_stack([odd, odd[::-1]]), marks=-odd, dim=2),
+        PointPattern(np.array([[-0.0]]), marks=np.array([-0.0]), dim=1),
+    ]
+    for i, pat in enumerate(patterns):
+        ours, ref = tmp_path / f"ours{i}.csv", tmp_path / f"ref{i}.csv"
+        pat.to_csv(ours)
+        _row_writer_csv(pat, ref)
+        assert ours.read_bytes() == ref.read_bytes(), i
+
+
 def test_json_round_trip_preserves_pattern_and_meta(tmp_path):
     rng = RngStream(6, 0).generator()
     pat = PointPattern(rng.random((9, 3)), marks=rng.random(9), dim=3)

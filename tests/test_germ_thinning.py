@@ -321,6 +321,26 @@ def test_matern_thin_first_matches_direct_oracle():
     assert rep.accepted, rep.to_dict()
 
 
+def test_mark_minimal_survival_matches_per_point_loop():
+    from exactpp.germ_thinning import _mark_minimal
+
+    rng = _gen(68)
+    for trial in range(60):
+        dim = 1 + trial % 3
+        n = int(rng.integers(1, 60))
+        k = int(rng.integers(1, n + 1))
+        pts = rng.random((n, dim)) * 2.0
+        marks = rng.random(n)
+        radius = float(rng.uniform(0.05, 0.8))
+        expected = np.ones(k, dtype=bool)
+        for i in range(k):
+            d2 = np.sum((pts - pts[i]) ** 2, axis=1)
+            near = (d2 <= radius**2) & (np.arange(n) != i)
+            if np.any(marks[near] < marks[i]):
+                expected[i] = False
+        assert np.array_equal(_mark_minimal(pts, marks, k, radius), expected)
+
+
 def test_matern_rejects_invalid_thinning_probabilities():
     window = Window((0.0, 0.0), (2.0, 2.0))
     with pytest.raises(SamplerError, match=r"\[0,1\]"):

@@ -1,7 +1,9 @@
 """Start-up cost: importing the package and the CLI, building the Hawkes demo
-config and drawing from it load no scipy module. scipy is imported only inside
-the routines that call it (quadrature, the trigamma tail, the gamma hazard and
-the validation tests), so a fresh process shows what a cold run pays."""
+config and drawing from it load no scipy module, and the renewal demo config
+loads no scipy.stats module. scipy is imported only inside the routines that
+call it (quadrature, the trigamma tail, the gamma hazard through
+scipy.special, and the validation tests), so a fresh process shows what a
+cold run pays."""
 
 import json
 import os
@@ -40,3 +42,29 @@ def test_import_and_hawkes_run_load_no_scipy():
     after_import, after_draws = json.loads(out.stdout.splitlines()[-1])
     assert after_import == []
     assert after_draws == []
+
+
+RENEWAL_SCRIPT = """
+import json, sys
+import exactpp, exactpp.cli
+built = exactpp.cli.build(exactpp.cli.load_config("configs/renewal.json"))
+for r in range(5):
+    built["sample"](exactpp.RngStream(19, r).generator())
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def test_renewal_run_loads_no_scipy_stats():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", RENEWAL_SCRIPT],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert "scipy.special" in loaded
+    assert [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")] == []
