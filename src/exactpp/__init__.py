@@ -1,8 +1,9 @@
 """Exact sampling of cluster point processes, Boolean models, and Hawkes processes.
 
 Samplers produce point patterns on bounded windows whose law is exactly the
-restriction of the stationary target process, germ truncation and retention
-thinning included. The package is organized by construction:
+restriction of the stationary target process: germs are thinned to those
+that reach the window, or drawn only there, and never truncated. The package
+is organized by construction:
 
 - core: windows, point patterns, reproducible RNG streams, intensity measures
 - poisson: homogeneous and finite-density Poisson samplers

@@ -1,26 +1,29 @@
 """Boolean models: germ-grain processes sampled without edge effects.
 
-Germs whose grain can reach the window are kept with probability
-p(x) = P((S + x) hits W) and receive a grain conditioned on hitting; germs
-beyond reach contribute nothing. Disk grains expose p(x) in closed form
-(tail of the radius law at the distance d to the window), and the radius
-conditioned on R >= d is drawn in closed form, with no rejection: the law's
-value when fixed, U[max(lo, d), hi] when uniform, d + Exp(rate) when
-exponential (Lantuejoul 2002, Geostatistical Simulation, ch. 14). Segment
-grains have no closed form, so retention and conditioning collapse into one
-exact step: draw every grain and keep the pairs whose segment hits. Poisson
-lines through germ points use the arcsin retention rule on a disk target;
-a retained line's direction is uniform on the arc of directions that meet
-the disk, again drawn in closed form.
+A Boolean model restricted to a box W is exactly its grains that hit W, and
+the (germ, grain) pairs that hit W form a Poisson process of finite mass,
+drawn directly with no truncation. For disk grains, the germs whose disk of
+radius r hits W are uniform on W + B(r), of Steiner area A + P r + pi r^2
+(A the area and P the perimeter of W); so the kept pairs number
+Poisson(rate (A + P E R + pi E R^2)), each radius comes from the law
+reweighted by that polynomial, and each germ is uniform on its dilated
+window (Chiu, Stoyan, Kendall & Mecke 2013, Stochastic Geometry and its
+Applications, sec. 3.1; Lantuejoul 2002, Geostatistical Simulation). Segment
+grains have bounded reach: draw every germ of the reach-buffered window with
+its grain and keep the pairs whose segment hits. Poisson lines are rays from
+germ points, kept by the arcsin rule against a disk target; a kept ray's
+direction is uniform on the arc of directions that meet the disk, drawn in
+closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, PointPattern, SamplerError, Window
+from .core import ConfigError, PointPattern, Window
 
 __all__ = [
     "DiskWindow",
@@ -37,9 +40,6 @@ __all__ = [
     "box_distance",
     "segment_hits_box",
 ]
-
-TAIL_CERT = 1e-12
-_BLOCK = 1 << 16  # (probe, angle) pairs per block of SegmentGrains.hit_prob
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,9 @@ def box_distance(points, window):
 
 
 # -- radius laws --------------------------------------------------------------
+#
+# Each law gives its moments E R^k and draws from itself reweighted by r^k,
+# the law of the radius of a kept disk given the Steiner term k it came from.
 
 
 @dataclass(frozen=True)
@@ -107,17 +110,15 @@ class FixedRadius:
         if not self.value > 0:
             raise ConfigError("radius must be positive")
 
-    upper = property(lambda self: self.value)
-
     def sample(self, n, rng):
         return np.full(int(n), float(self.value))
 
-    def tail(self, r):
-        return np.where(np.asarray(r, dtype=float) <= self.value, 1.0, 0.0)
+    def moment(self, k):
+        return float(self.value) ** k
 
-    def sample_at_least(self, d, rng):
-        """Radii conditioned on R >= d (d <= value): the value, no random number drawn."""
-        return np.full(np.shape(d), float(self.value))
+    def sample_biased(self, k, n, rng):
+        """n radii from the law reweighted by r^k: the value, no random number drawn."""
+        return self.sample(n, rng)
 
 
 @dataclass(frozen=True)
@@ -129,24 +130,21 @@ class UniformRadius:
         if not 0 <= self.lo < self.hi:
             raise ConfigError("need 0 <= lo < hi")
 
-    upper = property(lambda self: self.hi)
-
     def sample(self, n, rng):
         return self.lo + rng.random(int(n)) * (self.hi - self.lo)
 
-    def tail(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.clip((self.hi - r) / (self.hi - self.lo), 0.0, 1.0)
+    def moment(self, k):
+        return (self.hi ** (k + 1) - self.lo ** (k + 1)) / ((k + 1) * (self.hi - self.lo))
 
-    def sample_at_least(self, d, rng):
-        """Radii conditioned on R >= d (d < hi): uniform on [max(lo, d), hi]."""
-        start = np.maximum(self.lo, np.asarray(d, dtype=float))
-        return start + rng.random(start.shape) * (self.hi - start)
+    def sample_biased(self, k, n, rng):
+        """n radii with density proportional to r^k on [lo, hi], by inverse CDF."""
+        a, b = self.lo ** (k + 1), self.hi ** (k + 1)
+        return (a + rng.random(int(n)) * (b - a)) ** (1.0 / (k + 1))
 
 
 @dataclass(frozen=True)
 class ExpRadius:
-    """Exponential radius law; unbounded support, so germs need truncation."""
+    """Exponential radius law: unbounded support, drawn with no truncation."""
 
     rate: float
 
@@ -154,18 +152,15 @@ class ExpRadius:
         if not self.rate > 0:
             raise ConfigError("rate must be positive")
 
-    upper = property(lambda self: np.inf)
-
     def sample(self, n, rng):
         return rng.exponential(1.0 / self.rate, int(n))
 
-    def tail(self, r):
-        return np.exp(-self.rate * np.clip(np.asarray(r, dtype=float), 0.0, None))
+    def moment(self, k):
+        return math.factorial(k) / self.rate**k
 
-    def sample_at_least(self, d, rng):
-        """Radii conditioned on R >= d >= 0: d + Exp(rate), by memorylessness."""
-        d = np.asarray(d, dtype=float)
-        return d + rng.exponential(1.0 / self.rate, d.shape)
+    def sample_biased(self, k, n, rng):
+        """n radii from the exponential law reweighted by r^k: Gamma(k + 1, 1/rate)."""
+        return rng.gamma(k + 1, 1.0 / self.rate, int(n))
 
 
 # -- grain distributions -------------------------------------------------------
@@ -173,54 +168,58 @@ class ExpRadius:
 
 @dataclass(frozen=True)
 class DiskGrains:
-    """I.i.d. disk grains; hit probability is the radius tail at the distance.
+    """I.i.d. disk grains, drawn exactly on a 2-D box by the Steiner formula.
 
-    A kept germ at distance d from the window gets its radius from the
-    radius law conditioned on R >= d, drawn in closed form by the law's
-    sample_at_least (no rejection).
+    The kept (germ, radius) pairs are Poisson with intensity
+    rate * 1{dist(x, W) <= r} dx F(dr), of mass rate (A + P E R + pi E R^2).
+    Each pair picks a Steiner term k in {0, 1, 2} with weights
+    (A, P E R, pi E R^2), a radius from F reweighted by r^k, and a germ
+    uniform on W + B(r) by rejection from the box W buffered by r
+    (acceptance at least pi/4). No radius law needs a truncation.
     """
 
     radius_law: object
 
-    hit_prob_kind = "closed_form"
+    def draw(self, rate, window, rng):
+        """Kept germs (n, 2) and their disk grains on the box window."""
+        if window.dim != 2:
+            raise ConfigError("disk grains need a 2-D window")
+        law = self.radius_law
+        perimeter = 2.0 * float(np.sum(window.sides))
+        weights = np.array([window.volume(), perimeter * law.moment(1), np.pi * law.moment(2)])
+        total = weights.sum()
+        n = rng.poisson(rate * total)
+        terms = np.searchsorted(np.cumsum(weights)[:-1], rng.random(n) * total, side="right")
+        radii = np.empty(n)
+        for k in range(3):
+            at = terms == k
+            radii[at] = law.sample_biased(k, np.count_nonzero(at), rng)
 
-    @property
-    def reach(self):
-        return self.radius_law.upper
-
-    def hit_prob(self, xs, window):
-        return self.radius_law.tail(box_distance(xs, window))
-
-    def sample_conditioned(self, x, window, rng):
-        """Grain at germ x conditioned on the disk hitting the window."""
-        d = box_distance(np.asarray(x, dtype=float)[None, :], window)
-        if not float(self.radius_law.tail(d[0])) > 0:
-            raise SamplerError("germ cannot reach the window")
-        r = float(self.radius_law.sample_at_least(d, rng)[0])
-        return {"type": "disk", "center": list(map(float, x)), "radius": r}
+        lo, hi = np.asarray(window.lower), np.asarray(window.upper)
+        germs = np.empty((n, 2))
+        todo = np.arange(n)
+        while todo.size:
+            r = radii[todo]
+            cand = lo - r[:, None] + rng.random((todo.size, 2)) * (hi - lo + 2.0 * r[:, None])
+            ok = box_distance(cand, window) <= r
+            germs[todo[ok]] = cand[ok]
+            todo = todo[~ok]
+        kept = [
+            {"type": "disk", "center": c, "radius": r}
+            for c, r in zip(germs.tolist(), radii.tolist())
+        ]
+        return germs, kept
 
 
 @dataclass(frozen=True)
 class SegmentGrains:
-    """Segments of fixed length centered at the germ, uniform orientation.
-
-    hit_prob is numeric (angle quadrature); the sampler never calls it —
-    retention and conditioning are realized jointly by drawing the grain and
-    keeping the (germ, grain) pair iff the segment meets the window, which
-    has the same law as thin-then-condition.
-    """
+    """Segments of fixed length centered at the germ, uniform orientation."""
 
     length: float
-
-    hit_prob_kind = "numeric"
 
     def __post_init__(self):
         if not self.length > 0:
             raise ConfigError("segment length must be positive")
-
-    @property
-    def reach(self):
-        return self.length / 2.0
 
     def endpoints(self, x, theta):
         """End points of the segments at germs x (..., 2) with angles theta (...)."""
@@ -229,16 +228,23 @@ class SegmentGrains:
         x = np.asarray(x, dtype=float)
         return x - h, x + h
 
-    def hit_prob(self, xs, window, n_angle=4096):
-        """(1/pi) * measure of orientations whose segment meets the window."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        thetas = (np.arange(n_angle) + 0.5) * np.pi / n_angle
-        out = np.empty(xs.shape[0])
-        rows = max(1, _BLOCK // n_angle)
-        for i in range(0, xs.shape[0], rows):
-            p0, p1 = self.endpoints(xs[i : i + rows, None, :], thetas)
-            out[i : i + rows] = np.count_nonzero(segment_hits_box(p0, p1, window), axis=1)
-        return out / n_angle
+    def draw(self, rate, window, rng):
+        """Kept germs and their segments: every germ within reach draws its
+        segment, and the pairs whose segment meets the window are kept."""
+        region = window.buffered(0.5 * self.length)
+        n = rng.poisson(rate * region.volume())
+        cand = region.sample_uniform(n, rng)
+        thetas = rng.random(n) * np.pi
+        p0, p1 = self.endpoints(cand, thetas)
+        keep = segment_hits_box(p0, p1, window)
+        germs = cand[keep]
+        kept = [
+            {"type": "segment", "center": c, "angle": t, "p0": a, "p1": b}
+            for c, t, a, b in zip(
+                germs.tolist(), thetas[keep].tolist(), p0[keep].tolist(), p1[keep].tolist()
+            )
+        ]
+        return germs, kept
 
 
 def segment_hits_box(p0, p1, window):
@@ -293,63 +299,9 @@ class BooleanSample:
         return PointPattern(self.germs.reshape(-1, dim), dim=dim)
 
 
-def _disk_truncation_mass(rate, radius_law, window, r0):
-    """Retention mass of germs beyond distance r0 from a 2-D box window."""
-    from scipy import integrate
-
-    perimeter = 2.0 * float(np.sum(window.sides))
-    mass, _ = integrate.quad(
-        lambda u: float(radius_law.tail(u)) * (perimeter + 2.0 * np.pi * u),
-        r0,
-        np.inf,
-        limit=200,
-    )
-    return rate * mass
-
-
-def boolean_exact_sample(rate, grains, window, rng, truncation_radius=None):
-    """Exact Boolean-model draw on a box window.
-
-    Germs are Poisson(rate) on the window buffered by the grain reach; with
-    unbounded reach a truncation radius is required and its neglected
-    retention mass is certified below 1e-12 from the radius tail.
-    """
-    reach = grains.reach
-    if np.isinf(reach):
-        if truncation_radius is None:
-            raise SamplerError("unbounded grains need a truncation radius")
-        if not isinstance(grains, DiskGrains):
-            raise SamplerError("truncation certification implemented for disk grains")
-        neglected = _disk_truncation_mass(rate, grains.radius_law, window, truncation_radius)
-        if not neglected < TAIL_CERT:
-            raise SamplerError(
-                f"neglected retention mass {neglected:.3e} beyond radius "
-                f"{truncation_radius} exceeds {TAIL_CERT:.0e}"
-            )
-        reach = truncation_radius
-    region = window.buffered(float(reach))
-    n = rng.poisson(rate * region.volume())
-    cand = region.sample_uniform(n, rng)
-
-    if grains.hit_prob_kind == "closed_form":
-        p = grains.hit_prob(cand, window) if n else np.zeros(0)
-        germs = cand[rng.random(n) < p]
-        radii = grains.radius_law.sample_at_least(box_distance(germs, window), rng)
-        kept = [
-            {"type": "disk", "center": c, "radius": r}
-            for c, r in zip(germs.tolist(), radii.tolist())
-        ]
-    else:
-        thetas = rng.random(n) * np.pi
-        p0, p1 = grains.endpoints(cand, thetas)
-        keep = segment_hits_box(p0, p1, window)
-        germs = cand[keep]
-        kept = [
-            {"type": "segment", "center": c, "angle": t, "p0": a, "p1": b}
-            for c, t, a, b in zip(
-                germs.tolist(), thetas[keep].tolist(), p0[keep].tolist(), p1[keep].tolist()
-            )
-        ]
+def boolean_exact_sample(rate, grains, window, rng):
+    """Exact Boolean-model draw on a box window: the grains that hit it."""
+    germs, kept = grains.draw(rate, window, rng)
     return BooleanSample(germs.reshape(-1, window.dim), tuple(kept), window)
 
 
@@ -357,14 +309,10 @@ def boolean_exact_sample(rate, grains, window, rng, truncation_radius=None):
 
 
 def hit_prob_poisson_line(xs, radius):
-    """Arcsin retention rule for a uniformly-oriented line through x against
+    """Arcsin retention rule for a ray from x in a uniform direction against
     a disk of given radius at the origin: 1 inside the disk, else
-    (1/pi) * arcsin(radius / ||x||).
-
-    Note: the geometric hit fraction of an undirected uniform line is twice
-    this value (a line through a boundary point always meets the closed
-    disk); the rule is kept as the model's defining retention and validated
-    against its own quadrature.
+    (1/pi) * arcsin(radius / ||x||), the fraction of directions whose ray
+    meets the disk.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     d = np.linalg.norm(xs, axis=1)
@@ -376,7 +324,7 @@ def hit_prob_poisson_line(xs, radius):
 
 @dataclass(frozen=True)
 class LineSample:
-    """Retained germ points with their line directions and disk chords."""
+    """Retained germ points with their ray directions and disk chords."""
 
     germs: np.ndarray
     angles: np.ndarray
@@ -385,15 +333,16 @@ class LineSample:
 
 
 def sample_poisson_lines(rate, target, germ_region, rng):
-    """Lines through Poisson germs retained by the arcsin rule.
+    """Rays from Poisson germs retained by the arcsin rule.
 
     The retained mass over the whole plane diverges (the rule decays like
     1/||x||), so a bounded germ region is part of the model; germs are
     Poisson(rate) on it, retained with hit_prob_poisson_line, and retained
-    germs get a uniform orientation conditioned on meeting the disk, drawn
-    in closed form: uniform on the arc of half-width arcsin(R/rho) about the
-    direction to the centre for a germ at distance rho > R, and uniform on
-    [0, pi) for a germ inside the disk.
+    germs get a uniform direction conditioned on the ray meeting the disk,
+    drawn in closed form: uniform on the arc of half-width arcsin(R/rho)
+    about the direction to the centre for a germ at distance rho > R, and
+    uniform on [0, 2 pi) for a germ inside the disk. A chord is the part of
+    the ray inside the disk, so an inside germ's chord starts at the germ.
     """
     n = rng.poisson(rate * germ_region.volume())
     cand = germ_region.sample_uniform(n, rng)
@@ -408,17 +357,17 @@ def sample_poisson_lines(rate, target, germ_region, rng):
     t0 = np.sum((center - germs) * u, axis=1)
     h2 = target.radius**2 - np.sum((germs + t0[:, None] * u - center) ** 2, axis=1)
     h = np.sqrt(np.maximum(h2, 0.0))
-    ends0 = germs + (t0 - h)[:, None] * u
+    ends0 = germs + np.maximum(t0 - h, 0.0)[:, None] * u
     ends1 = germs + (t0 + h)[:, None] * u
     return LineSample(germs, angles, tuple(zip(ends0.tolist(), ends1.tolist())), target)
 
 
 def _line_angles(x, radius, rng):
-    """Uniform line directions in [0, pi) through centre-relative germs x,
-    conditioned on the line meeting the disk of the given radius."""
+    """Uniform ray directions in [0, 2 pi) from centre-relative germs x,
+    conditioned on the ray meeting the disk of the given radius."""
     u = rng.random(x.shape[0])
     rho = np.hypot(x[:, 0], x[:, 1])
     far = rho > radius
     half = np.arcsin(radius / np.where(far, rho, radius))
     toward = np.arctan2(-x[:, 1], -x[:, 0])
-    return np.where(far, np.mod(toward + (2.0 * u - 1.0) * half, np.pi), np.pi * u)
+    return np.where(far, np.mod(toward + (2.0 * u - 1.0) * half, 2.0 * np.pi), 2.0 * np.pi * u)

@@ -287,27 +287,16 @@ def _radius_law(spec, path):
     raise ConfigError(f"'{path}.kind' must be one of: fixed, uniform, exp")
 
 
-def _mean_square_radius(law):
-    if isinstance(law, FixedRadius):
-        return law.value**2
-    if isinstance(law, UniformRadius):
-        return (law.lo**2 + law.lo * law.hi + law.hi**2) / 3.0
-    return 2.0 / law.rate**2  # exponential law
-
-
 def _build_boolean_disks(cfg):
     params = _as_dict(cfg.get("params", {}), "params")
-    _check_keys(params, {"rate", "radius", "truncation_radius"}, "params")
+    _check_keys(params, {"rate", "radius"}, "params")
     rate = _get(params, "rate", float, "params")
     law = _radius_law(_get(params, "radius", dict, "params"), "params.radius")
-    trunc = None
-    if "truncation_radius" in params:
-        trunc = _get(params, "truncation_radius", float, "params")
     window = _window(cfg["window"], dim=2)
     grains = DiskGrains(law)
 
     def draw(rng):
-        return boolean_exact_sample(rate, grains, window, rng, truncation_radius=trunc)
+        return boolean_exact_sample(rate, grains, window, rng)
 
     def sample(rng):
         bs = draw(rng)
@@ -321,7 +310,7 @@ def _build_boolean_disks(cfg):
             bs = draw(stream.substream(r).generator())
             fracs[r] = float(np.mean(bs.coverage(probes)))
         mean, half = mean_ci(fracs)
-        expect = 1.0 - math.exp(-rate * math.pi * _mean_square_radius(law))
+        expect = 1.0 - math.exp(-rate * math.pi * law.moment(2))
         collector.add(_interval_report("boolean-coverage", mean, expect, half))
 
     return {"sample": sample, "window": window, "validate": validate,
@@ -345,12 +334,10 @@ def _build_boolean_segments(cfg):
     def validate(stream, n_reps, collector):
         counts = replicate_counts(sample, n_reps, stream)
         mean, half = mean_ci(counts)
-        region = window.buffered(grains.reach)
-        probes = region.sample_uniform(200, stream.substream(10_002).generator())
-        p = grains.hit_prob(probes, window, n_angle=512)
-        expect = rate * region.volume() * float(np.mean(p))
-        mc_half = 3.0 * rate * region.volume() * float(np.std(p)) / math.sqrt(p.size)
-        collector.add(_interval_report("segment-germ-count", mean, expect, half + mc_half))
+        # mean area of the germs whose segment meets the box: A + L P / pi
+        perimeter = 2.0 * float(np.sum(window.sides))
+        expect = rate * (window.volume() + grains.length * perimeter / math.pi)
+        collector.add(_interval_report("segment-germ-count", mean, expect, half))
 
     return {"sample": sample, "window": window, "validate": validate,
             "plots": {"points-2d", "counts-histogram"}, "meta": {}, "boolean_draw": draw}

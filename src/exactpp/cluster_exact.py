@@ -5,12 +5,14 @@ cluster actually hits the window — for Poisson-cluster kernels the retention
 probability is p(x) = 1 - exp(-K(x, W-x)) with K the mean cluster mass
 falling in W — then attach one cluster per retained germ conditioned on
 hitting W, superpose, and restrict. The thinned germ has finite mass
-integral p(x) mu(dx); if that integral diverges no exact sampler exists and
-the construction refuses.
+integral p(x) mu(dx), at most the germ's bound times the volume of the
+bounded germ region; the construction refuses a germ whose bound is not
+finite, the only way that integral can diverge.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,27 +175,32 @@ class BrixKendallSampler:
             xs = np.reshape(pts, (-1, window.dim))
             return kernel.retention(xs, window) * germ.density_at(xs)
 
-        self._thinned = None
-        self.retained_mass = 0.0
         bound = float(germ.bound_on(region))
-        if bound > 0:  # DensityIntensity refuses a zero bound; the germ is then void
-            self._thinned = DensityIntensity(thinned_density, bound=bound, dim=window.dim)
-            # retained mass (diagnostics and tests): tensor trapezoid in 2-D,
-            # adaptive quadrature in 1-D
-            if window.dim > 1:
-                mass = self._thinned.total_on(region)
-            else:
-                from scipy import integrate
+        if not np.isfinite(bound):
+            # the retained mass is at most bound * |region|, finite for a finite bound
+            raise SamplerError("germ bound is not finite: exact sampling impossible")
+        # DensityIntensity refuses a zero bound; the germ is then void
+        self._thinned = (
+            DensityIntensity(thinned_density, bound=bound, dim=window.dim) if bound > 0 else None
+        )
 
-                mass, _ = integrate.quad(
-                    lambda t: float(thinned_density(t)[0]),
-                    region.lower[0],
-                    region.upper[0],
-                    limit=400,
-                )
-            if not np.isfinite(mass):
-                raise SamplerError("retention mass diverges: exact sampling impossible")
-            self.retained_mass = mass
+    @functools.cached_property
+    def retained_mass(self):
+        """Mean retained-germ count (diagnostics and tests): tensor trapezoid in
+        2-D, adaptive quadrature in 1-D."""
+        if self._thinned is None:
+            return 0.0
+        if self.window.dim > 1:
+            return self._thinned.total_on(self.region)
+        from scipy import integrate
+
+        mass, _ = integrate.quad(
+            lambda t: float(self._thinned.density_at([[t]])[0]),
+            self.region.lower[0],
+            self.region.upper[0],
+            limit=400,
+        )
+        return mass
 
     def sample_retained_germs(self, rng):
         """Thinned germ: Poisson with density p(x) mu(x) on the germ region."""

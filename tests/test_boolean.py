@@ -1,7 +1,8 @@
-"""Boolean models and Poisson lines: closed-form hit probabilities, coverage
-against the exponential-of-mean-area formula, the chord geometry of
-retained lines, and the closed-form conditional laws and batched predicates
-against the per-germ rejection and scalar loops they replace."""
+"""Boolean models and Poisson lines: the Steiner-weighted disk draw against
+a definition-based reference, the radius laws' moments and r^k-reweighted
+draws, coverage against the exponential-of-mean-area formula, the chord
+geometry of retained rays, and the closed-form ray directions and batched
+predicates against the rejection and scalar loops they replace."""
 
 import math
 
@@ -15,7 +16,6 @@ from exactpp import (
     ExpRadius,
     FixedRadius,
     RngStream,
-    SamplerError,
     SegmentGrains,
     UniformRadius,
     Window,
@@ -23,8 +23,11 @@ from exactpp import (
     hit_prob_poisson_line,
     sample_poisson_lines,
 )
-from exactpp.boolean_model import _line_angles, segment_hits_box
+from exactpp.boolean_model import _line_angles, box_distance, segment_hits_box
 from exactpp.validation import mean_ci, two_sample_ks
+
+LAWS = [FixedRadius(0.5), UniformRadius(0.1, 0.6), ExpRadius(2.0)]
+LAW_IDS = ["fixed", "uniform", "exp"]
 
 SQUARE = Window((0.0, 0.0), (4.0, 4.0))
 
@@ -47,27 +50,43 @@ def test_radius_laws_validate_parameters():
         ExpRadius(0.0)
 
 
-def test_radius_tails():
-    assert FixedRadius(1.0).tail(0.5) == 1.0
-    assert FixedRadius(1.0).tail(1.0) == 1.0
-    assert FixedRadius(1.0).tail(1.5) == 0.0
-    assert UniformRadius(0.0, 2.0).tail(1.0) == pytest.approx(0.5)
-    assert ExpRadius(1.0).tail(1.0) == pytest.approx(math.exp(-1.0))
-    assert ExpRadius(1.0).tail(0.0) == 1.0
+@pytest.mark.parametrize(
+    "law,moments",
+    [
+        (FixedRadius(0.5), [1.0, 0.5, 0.25]),
+        (UniformRadius(0.1, 0.6), [1.0, 0.35, 0.215 / 1.5]),
+        (ExpRadius(2.0), [1.0, 0.5, 0.5]),
+    ],
+    ids=LAW_IDS,
+)
+def test_radius_moments_match_closed_forms(law, moments):
+    draws = law.sample(200_000, _gen(52))
+    for k, m in enumerate(moments):
+        assert law.moment(k) == pytest.approx(m, rel=1e-12)
+        assert np.mean(draws**k) == pytest.approx(m, rel=0.02)
+
+
+@pytest.mark.parametrize("law", [UniformRadius(0.1, 0.6), ExpRadius(2.0)], ids=["uniform", "exp"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_sample_biased_matches_reweighting(law, k):
+    # the law reweighted by r^k, by importance resampling of plain draws
+    rng = _gen(44, k)
+    pool = law.sample(400_000, rng)
+    w = pool**k
+    reweighted = pool[rng.choice(pool.size, 4_000, p=w / w.sum())]
+    biased = law.sample_biased(k, 4_000, rng)
+    rep = two_sample_ks(biased, reweighted, alpha=0.01)
+    assert rep.accepted, (k, rep.to_dict())
+
+
+def test_fixed_radius_conditioning_draws_no_random_number():
+    rng = _gen(45)
+    for k in range(3):
+        assert np.array_equal(FixedRadius(0.5).sample_biased(k, 2, rng), [0.5, 0.5])
+    assert rng.random() == _gen(45).random()
 
 
 # -- disk grains --------------------------------------------------------------------
-
-
-def test_disk_hit_prob_examples():
-    grains = DiskGrains(FixedRadius(1.0))
-    inside = np.array([[1.0, 1.0]])
-    assert grains.hit_prob(inside, SQUARE)[0] == 1.0
-    two_away = np.array([[-2.0, 2.0]])  # distance 2 from the box
-    assert grains.hit_prob(two_away, SQUARE)[0] == 0.0
-    exp_grains = DiskGrains(ExpRadius(1.0))
-    one_away = np.array([[-1.0, 2.0]])
-    assert exp_grains.hit_prob(one_away, SQUARE)[0] == pytest.approx(math.exp(-1.0))
 
 
 def test_zero_rate_boolean_model_is_empty():
@@ -77,55 +96,55 @@ def test_zero_rate_boolean_model_is_empty():
     assert not sample.coverage(probes).any()
 
 
-def test_unbounded_grains_need_truncation():
-    with pytest.raises(SamplerError, match="truncation radius"):
-        boolean_exact_sample(1.0, DiskGrains(ExpRadius(2.0)), SQUARE, _gen(33))
+def _reference_disks(rate, law, window, buffer, rng):
+    """The Boolean model by its definition: Poisson germs on a generously
+    buffered box with unconditioned radii, keeping the disks that meet W."""
+    region = window.buffered(buffer)
+    germs = region.sample_uniform(rng.poisson(rate * region.volume()), rng)
+    radii = law.sample(germs.shape[0], rng)
+    return radii[box_distance(germs, window) <= radii]
 
 
-def test_truncation_mass_must_be_certified():
-    with pytest.raises(SamplerError, match="neglected retention mass"):
-        boolean_exact_sample(
-            1.0, DiskGrains(ExpRadius(2.0)), SQUARE, _gen(34), truncation_radius=1.0
-        )
-    # far enough out the exponential tail certifies
-    sample = boolean_exact_sample(
-        1.0, DiskGrains(ExpRadius(2.0)), SQUARE, _gen(35), truncation_radius=25.0
-    )
-    assert sample.window is SQUARE
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_kept_disks_match_the_definition(law):
+    # radii beyond the buffer of 12 have mass e^-24 under ExpRadius(2)
+    buffer = 12.0 if isinstance(law, ExpRadius) else 0.6
+    grains = DiskGrains(law)
+    rng, ref_rng = _gen(53), _gen(54)
+    counts, ref_counts, radii, ref_radii = [], [], [], []
+    for _ in range(1_000):
+        sample = boolean_exact_sample(1.0, grains, SQUARE, rng)
+        counts.append(len(sample.grains))
+        radii.extend(g["radius"] for g in sample.grains)
+        ref = _reference_disks(1.0, law, SQUARE, buffer, ref_rng)
+        ref_counts.append(ref.size)
+        ref_radii.extend(ref.tolist())
+    assert two_sample_ks(counts, ref_counts, alpha=0.01).accepted
+    if not isinstance(law, FixedRadius):
+        rep = two_sample_ks(radii[:5_000], ref_radii[:5_000], alpha=0.01)
+        assert rep.accepted, rep.to_dict()
+    # Steiner: mean count rate * (A + P E R + pi E R^2)
+    expected = 16.0 + 16.0 * law.moment(1) + math.pi * law.moment(2)
+    mean, half = mean_ci(counts, z=4.0)
+    assert abs(mean - expected) < half
 
 
-def test_conditioned_grain_reaches_the_window():
-    grains = DiskGrains(ExpRadius(1.0))
-    rng = _gen(36)
-    x = np.array([-1.5, 2.0])  # distance 1.5 from the box
-    for _ in range(200):
-        grain = grains.sample_conditioned(x, SQUARE, rng)
-        assert grain["radius"] >= 1.5
+def test_exp_radius_coverage_at_the_corner():
+    # stationary coverage 1 - exp(-rate pi E R^2) holds at the window's corner
+    target = 1.0 - math.exp(-math.pi * ExpRadius(2.0).moment(2))
+    grains = DiskGrains(ExpRadius(2.0))
+    rng = _gen(55)
+    hits = [
+        bool(boolean_exact_sample(1.0, grains, SQUARE, rng).coverage([[0.1, 0.1]])[0])
+        for _ in range(4_000)
+    ]
+    mean, half = mean_ci(np.asarray(hits, dtype=float), z=4.0)
+    assert abs(mean - target) < half
 
 
-@pytest.mark.parametrize(
-    "law", [UniformRadius(0.1, 0.6), ExpRadius(2.0)], ids=["uniform", "exp"]
-)
-def test_sample_at_least_matches_rejection(law):
-    rng = _gen(44)
-    for d in (0.0, 0.3, 0.5):
-        closed = law.sample_at_least(np.full(4_000, d), rng)
-        assert np.all(closed >= d)
-        draws = law.sample(60_000, rng)
-        rejected = draws[draws >= d][:4_000]
-        rep = two_sample_ks(closed, rejected, alpha=0.01)
-        assert rep.accepted, (d, rep.to_dict())
-
-
-def test_fixed_radius_conditioning_draws_no_random_number():
-    rng = _gen(45)
-    assert np.array_equal(FixedRadius(0.5).sample_at_least(np.array([0.0, 0.4]), rng), [0.5, 0.5])
-    assert rng.random() == _gen(45).random()
-
-
-def test_conditioning_a_germ_beyond_reach_raises():
-    with pytest.raises(SamplerError, match="cannot reach"):
-        DiskGrains(FixedRadius(0.5)).sample_conditioned(np.array([-1.0, 2.0]), SQUARE, _gen(46))
+def test_disk_grains_need_a_planar_window():
+    with pytest.raises(ConfigError, match="2-D window"):
+        boolean_exact_sample(1.0, DiskGrains(FixedRadius(0.5)), Window((0.0,), (4.0,)), _gen(56))
 
 
 def test_coverage_matches_per_grain_loop():
@@ -165,8 +184,9 @@ def test_germs_live_in_the_reach_buffered_region():
             assert np.all(region.contains(sample.germs))
 
 
-def test_every_retained_disk_hits_the_window():
-    grains = DiskGrains(UniformRadius(0.1, 0.6))
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_every_retained_disk_hits_the_window(law):
+    grains = DiskGrains(law)
     rng = _gen(40)
     for _ in range(100):
         sample = boolean_exact_sample(1.0, grains, SQUARE, rng)
@@ -180,8 +200,9 @@ def test_every_retained_disk_hits_the_window():
 
 
 def test_segment_interior_germ_always_hits():
-    grains = SegmentGrains(length=1.0)
-    assert grains.hit_prob(np.array([[2.0, 2.0]]), SQUARE, n_angle=64)[0] == 1.0
+    thetas = np.linspace(0.0, np.pi, 64, endpoint=False)
+    p0, p1 = SegmentGrains(length=1.0).endpoints(np.array([2.0, 2.0]), thetas)
+    assert segment_hits_box(p0, p1, SQUARE).all()
 
 
 def test_segment_sampler_keeps_only_window_hitting_segments():
@@ -194,6 +215,15 @@ def test_segment_sampler_keeps_only_window_hitting_segments():
             seen += 1
             assert segment_hits_box(g["p0"], g["p1"], SQUARE)
     assert seen > 0
+
+
+def test_segment_germ_count_matches_steiner():
+    # germs whose length-L segment meets the box: mean area A + L P / pi
+    grains = SegmentGrains(length=1.0)
+    rng = _gen(57)
+    counts = [len(boolean_exact_sample(0.5, grains, SQUARE, rng).grains) for _ in range(4_000)]
+    mean, half = mean_ci(counts, z=4.0)
+    assert abs(mean - 0.5 * (16.0 + 16.0 / math.pi)) < half
 
 
 def _scalar_slab_hit(p0, p1, window):
@@ -246,21 +276,6 @@ def test_batched_slab_predicate_matches_scalar_loop():
     assert all(type(v) is bool for v in single) and single == expected[:200].tolist()
 
 
-def test_segment_hit_prob_matches_scalar_loop():
-    grains = SegmentGrains(length=1.0)
-    probes = SQUARE.buffered(0.5).sample_uniform(20, _gen(49))
-    n_angle = 256
-    thetas = (np.arange(n_angle) + 0.5) * np.pi / n_angle
-    expected = np.empty(probes.shape[0])
-    for i, x in enumerate(probes):
-        hits = 0
-        for theta in thetas:
-            h = 0.5 * grains.length * np.array([np.cos(theta), np.sin(theta)])
-            hits += _scalar_slab_hit(x - h, x + h, SQUARE)
-        expected[i] = hits / n_angle
-    assert np.array_equal(grains.hit_prob(probes, SQUARE, n_angle=n_angle), expected)
-
-
 # -- Poisson lines --------------------------------------------------------------------
 
 
@@ -284,26 +299,29 @@ def test_line_hit_prob_monotone_in_distance():
 
 def test_sampled_chords_actually_cross_the_disk():
     target = DiskWindow((2.0, 2.0), 1.0)
+    center = np.asarray(target.center)
     region = Window((0.0, 0.0), (4.0, 4.0))
     rng = _gen(42)
-    total = 0
+    inside = outside = 0
     for _ in range(50):
         ls = sample_poisson_lines(0.8, target, region, rng)
         assert ls.germs.shape[0] == ls.angles.shape[0] == len(ls.chords)
-        for (p0, p1) in ls.chords:
-            total += 1
-            for end in (p0, p1):
-                assert np.linalg.norm(np.asarray(end) - np.asarray(target.center)) == pytest.approx(
-                    target.radius, abs=1e-9
-                )
-        # the germ lies on its own chord line
         for germ, theta, (p0, p1) in zip(ls.germs, ls.angles, ls.chords):
+            p0, p1 = np.asarray(p0), np.asarray(p1)
+            # a germ inside the disk starts its ray's chord
+            if np.linalg.norm(germ - center) < target.radius:
+                inside += 1
+                assert np.allclose(p0, germ, rtol=0.0, atol=1e-12)
+            else:
+                outside += 1
+                assert np.linalg.norm(p0 - center) == pytest.approx(target.radius, abs=1e-9)
+            assert np.linalg.norm(p1 - center) == pytest.approx(target.radius, abs=1e-9)
+            # the chord lies on the ray from the germ, in its direction
             u = np.array([math.cos(theta), math.sin(theta)])
-            v = np.asarray(p1) - np.asarray(p0)
-            if np.linalg.norm(v) > 1e-9:
-                cross = abs(u[0] * v[1] - u[1] * v[0])
-                assert cross < 1e-9
-    assert total > 0
+            for v in (p0 - germ, p1 - germ):
+                assert abs(u[0] * v[1] - u[1] * v[0]) < 1e-9
+                assert np.dot(u, v) >= -1e-12
+    assert inside > 0 and outside > 0
 
 
 def test_retained_line_count_mean():
@@ -326,12 +344,14 @@ def test_retained_line_count_mean():
 
 
 def _rejected_angles(x, radius, n, rng):
-    """Uniform directions in [0, pi) kept when the line through x meets the disk."""
+    """Uniform directions in [0, 2 pi) kept when the ray from x meets the disk."""
     out = []
     while len(out) < n:
-        theta = rng.random(4 * n) * np.pi
+        theta = rng.random(4 * n) * 2.0 * np.pi
         cross = np.abs(np.cos(theta) * -x[1] - np.sin(theta) * -x[0])
-        out.extend(theta[cross <= radius].tolist())
+        ahead = np.cos(theta) * -x[0] + np.sin(theta) * -x[1] >= 0.0
+        meets = (cross <= radius) & (ahead | (np.hypot(*x) <= radius))
+        out.extend(theta[meets].tolist())
     return np.asarray(out[:n])
 
 
@@ -341,7 +361,7 @@ def test_closed_form_line_angle_matches_rejection(rho):
     x = rho * np.array([math.cos(0.7), math.sin(0.7)])
     rng = _gen(50)
     closed = _line_angles(np.tile(x, (3_000, 1)), radius, rng)
-    assert np.all((closed >= 0.0) & (closed <= np.pi))
+    assert np.all((closed >= 0.0) & (closed <= 2.0 * np.pi))
     cross = np.abs(np.cos(closed) * -x[1] - np.sin(closed) * -x[0])
     assert np.all(cross <= radius * (1 + 1e-12))
     rep = two_sample_ks(closed, _rejected_angles(x, radius, 3_000, rng), alpha=0.01)
@@ -357,3 +377,7 @@ def test_every_sampled_line_meets_the_disk():
         c = np.asarray(target.center) - ls.germs
         cross = np.abs(np.cos(ls.angles) * c[:, 1] - np.sin(ls.angles) * c[:, 0])
         assert np.all(cross <= target.radius * (1 + 1e-12))
+        # a germ outside the disk points its ray toward the centre
+        ahead = np.cos(ls.angles) * c[:, 0] + np.sin(ls.angles) * c[:, 1]
+        outside = np.hypot(c[:, 0], c[:, 1]) > target.radius
+        assert np.all(ahead[outside] >= 0.0)

@@ -197,6 +197,18 @@ def test_sample_one_dimensional_header(tmp_path):
     assert header == "x1"
 
 
+def test_boolean_disks_take_exp_radii_with_no_truncation_key(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "boolean_disks.json").read_text())
+    cfg["params"]["radius"] = {"kind": "exp", "rate": 2.0}
+    rc, outdir = _sample(tmp_path, cfg)
+    assert rc == 0
+    assert len(list(outdir.glob("pattern-*.csv"))) == cfg["replicates"]
+    cfg["params"]["truncation_radius"] = 25.0
+    rc, _ = _sample(tmp_path, cfg, sub="truncated")
+    assert rc == 2
+    assert "unknown key 'params.truncation_radius'" in capsys.readouterr().err
+
+
 def test_sample_rerun_is_byte_identical(tmp_path):
     _, a = _sample(tmp_path, POISSON_CFG, sub="a")
     _, b = _sample(tmp_path, POISSON_CFG, sub="b")

@@ -115,6 +115,11 @@ def test_retained_mass_closed_form():
     assert sampler.retained_mass == pytest.approx(analytic, abs=1e-6)
 
 
+def test_unbounded_germ_is_refused():
+    with pytest.raises(SamplerError, match="germ bound is not finite"):
+        BrixKendallSampler(LebesgueIntensity(math.inf, 1), _kernel(2.0), W10)
+
+
 def test_zero_germ_rate_gives_empty_patterns():
     sampler = BrixKendallSampler(LebesgueIntensity(0.0, 1), _kernel(2.0), W10)
     assert sampler.retained_mass == pytest.approx(0.0, abs=1e-12)

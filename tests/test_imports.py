@@ -1,6 +1,7 @@
-"""Start-up cost: importing the package and the CLI, building the Hawkes demo
-config and drawing from it load no scipy module, and the renewal demo config
-loads no scipy.stats module. scipy is imported only inside the routines that
+"""Start-up cost: importing the package and the CLI, building the Hawkes,
+Brix-Kendall, Boolean and Poisson-line demo configs and drawing from them
+load no scipy module, and the renewal demo config loads no scipy.stats
+module. scipy is imported only inside the routines that
 call it (quadrature, the trigamma tail, the gamma hazard through
 scipy.special, and the validation tests), so a fresh process shows what a
 cold run pays."""
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,17 +24,20 @@ def scipy_modules():
 
 import exactpp, exactpp.cli
 after_import = scipy_modules()
-built = exactpp.cli.build(exactpp.cli.load_config("configs/hawkes_mr.json"))
+built = exactpp.cli.build(exactpp.cli.load_config(sys.argv[1]))
 for r in range(4):
     built["sample"](exactpp.RngStream(31, r).generator())
 print(json.dumps([after_import, scipy_modules()]))
 """
 
 
-def test_import_and_hawkes_run_load_no_scipy():
+@pytest.mark.parametrize(
+    "config", ["hawkes_mr", "brix_kendall", "boolean_disks", "boolean_segments", "poisson_lines"]
+)
+def test_import_and_hawkes_run_load_no_scipy(config):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", SCRIPT, f"configs/{config}.json"],
         cwd=ROOT,
         env=env,
         capture_output=True,
