@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, PointPattern, Window
+from .core import ConfigError, PointPattern, Window, sample_homogeneous, thin
 
 __all__ = [
     "DiskWindow",
@@ -231,10 +231,8 @@ class SegmentGrains:
     def draw(self, rate, window, rng):
         """Kept germs and their segments: every germ within reach draws its
         segment, and the pairs whose segment meets the window are kept."""
-        region = window.buffered(0.5 * self.length)
-        n = rng.poisson(rate * region.volume())
-        cand = region.sample_uniform(n, rng)
-        thetas = rng.random(n) * np.pi
+        cand = sample_homogeneous(window.buffered(0.5 * self.length), rate, rng).points
+        thetas = rng.random(len(cand)) * np.pi
         p0, p1 = self.endpoints(cand, thetas)
         keep = segment_hits_box(p0, p1, window)
         germs = cand[keep]
@@ -344,12 +342,9 @@ def sample_poisson_lines(rate, target, germ_region, rng):
     uniform on [0, 2 pi) for a germ inside the disk. A chord is the part of
     the ray inside the disk, so an inside germ's chord starts at the germ.
     """
-    n = rng.poisson(rate * germ_region.volume())
-    cand = germ_region.sample_uniform(n, rng)
     center = np.asarray(target.center)
-    cand = cand - center  # work in target-centered frame
-    p = hit_prob_poisson_line(cand, target.radius) if n else np.zeros(0)
-    x = cand[rng.random(n) < p]
+    cand = sample_homogeneous(germ_region, rate, rng).points - center  # target-centered frame
+    x = thin(cand, hit_prob_poisson_line(cand, target.radius), rng)
     angles = _line_angles(x, target.radius, rng)
 
     germs = x + center

@@ -19,6 +19,7 @@ Model-level impossibilities raised while constructing or running a sampler
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -51,6 +52,7 @@ from .core import (
     SamplerError,
     Window,
     config_hash,
+    sample_homogeneous,
 )
 from .germ_thinning import (
     GeometricGrid,
@@ -218,6 +220,25 @@ def _interval_report(name, value, expect, half):
     )
 
 
+def _count_checks(sample, mean=None, oracle=None):
+    """The count battery as a validate closure: replicate counts, then a mean
+    check for mean=(name, expected count) and a KS test for
+    oracle=(name, oracle_fn), oracle_fn(rng) drawing one reference pattern
+    from substream 10_001. Any oracle set-up belongs inside oracle_fn, so it
+    runs only when validation does."""
+
+    def validate(stream, n_reps, collector):
+        counts = replicate_counts(sample, n_reps, stream)
+        if mean is not None:
+            value, half = mean_ci(counts)
+            collector.add(_interval_report(mean[0], value, mean[1], half))
+        if oracle is not None:
+            oracle_counts = replicate_counts(oracle[1], n_reps, stream.substream(10_001))
+            collector.add(two_sample_ks(counts, oracle_counts, name=oracle[0]))
+
+    return validate
+
+
 # -- sampler registry --------------------------------------------------------------
 
 
@@ -230,16 +251,9 @@ def _build_poisson(cfg):
     window = _window(cfg["window"])
 
     def sample(rng):
-        n = rng.poisson(rate * window.volume())
-        return PointPattern(window.sample_uniform(n, rng), dim=window.dim)
+        return sample_homogeneous(window, rate, rng)
 
-    def validate(stream, n_reps, collector):
-        counts = replicate_counts(sample, n_reps, stream)
-        mean, half = mean_ci(counts)
-        collector.add(
-            _interval_report("poisson-mean-count", mean, rate * window.volume(), half)
-        )
-
+    validate = _count_checks(sample, mean=("poisson-mean-count", rate * window.volume()))
     return {"sample": sample, "window": window, "validate": validate,
             "plots": {"points-2d", "counts-histogram"}, "meta": {}}
 
@@ -255,19 +269,12 @@ def _build_brix_kendall(cfg):
     window = _window(cfg["window"])
     sampler = BrixKendallSampler(LebesgueIntensity(rate0, window.dim), kernel, window)
 
-    def validate(stream, n_reps, collector):
-        counts = replicate_counts(sampler.sample, n_reps, stream)
-        mean, half = mean_ci(counts)
-        collector.add(
-            _interval_report("cluster-mean-count", mean, rate0 * cmean * window.volume(), half)
-        )
-        oracle_counts = replicate_counts(
-            lambda rng: oracles.cluster_direct_oracle(rate0, kernel, window, rng),
-            n_reps,
-            stream.substream(10_001),
-        )
-        collector.add(two_sample_ks(counts, oracle_counts, name="cluster-counts-vs-oracle"))
-
+    validate = _count_checks(
+        sampler.sample,
+        mean=("cluster-mean-count", rate0 * cmean * window.volume()),
+        oracle=("cluster-counts-vs-oracle",
+                lambda rng: oracles.cluster_direct_oracle(rate0, kernel, window, rng)),
+    )
     return {"sample": sampler.sample, "window": window, "validate": validate,
             "plots": {"points-2d", "counts-histogram"}, "meta": {}}
 
@@ -331,14 +338,10 @@ def _build_boolean_segments(cfg):
     def sample(rng):
         return PointPattern(draw(rng).germs, dim=window.dim)
 
-    def validate(stream, n_reps, collector):
-        counts = replicate_counts(sample, n_reps, stream)
-        mean, half = mean_ci(counts)
-        # mean area of the germs whose segment meets the box: A + L P / pi
-        perimeter = 2.0 * float(np.sum(window.sides))
-        expect = rate * (window.volume() + grains.length * perimeter / math.pi)
-        collector.add(_interval_report("segment-germ-count", mean, expect, half))
-
+    # mean area of the germs whose segment meets the box: A + L P / pi
+    perimeter = 2.0 * float(np.sum(window.sides))
+    expect = rate * (window.volume() + grains.length * perimeter / math.pi)
+    validate = _count_checks(sample, mean=("segment-germ-count", expect))
     return {"sample": sample, "window": window, "validate": validate,
             "plots": {"points-2d", "counts-histogram"}, "meta": {}, "boolean_draw": draw}
 
@@ -408,21 +411,13 @@ def _build_grid_thinning(cfg):
         sites = thin_grid(spec, rng)
         return PointPattern(np.asarray(sites, dtype=float).reshape(-1, 1), dim=1)
 
-    def validate(stream, n_reps, collector):
-        counts = replicate_counts(sample, n_reps, stream)
-        horizon = _grid_horizon(spec)
-        oracle_counts = replicate_counts(
-            lambda rng: PointPattern(
-                np.asarray(
-                    oracles.grid_thin_after(spec.p, horizon, rng), dtype=float
-                ).reshape(-1, 1),
-                dim=1,
-            ),
-            n_reps,
-            stream.substream(10_001),
-        )
-        collector.add(two_sample_ks(counts, oracle_counts, name="grid-counts-vs-thin-after"))
+    horizon = functools.cache(lambda: _grid_horizon(spec))  # found at the first oracle draw
 
+    def oracle(rng):
+        sites = oracles.grid_thin_after(spec.p, horizon(), rng)
+        return PointPattern(np.asarray(sites, dtype=float).reshape(-1, 1), dim=1)
+
+    validate = _count_checks(sample, oracle=("grid-counts-vs-thin-after", oracle))
     return {"sample": sample, "window": None, "validate": validate,
             "plots": {"counts-histogram"}, "meta": {}}
 
@@ -475,18 +470,12 @@ def _build_renewal(cfg):
     def sample(rng):
         return renewal_thin_first(hazard, bound, thin_p, rng, candidates=candidates)
 
-    def validate(stream, n_reps, collector):
-        counts = replicate_counts(sample, n_reps, stream)
-        horizon = 60.0 / thin_rate
-        oracle_counts = replicate_counts(
-            lambda rng: oracles.renewal_thin_after(
-                lambda r: r.gamma(shape, scale), thin_p, horizon, rng
-            ),
-            n_reps,
-            stream.substream(10_001),
+    def oracle(rng):
+        return oracles.renewal_thin_after(
+            lambda r: r.gamma(shape, scale), thin_p, 60.0 / thin_rate, rng
         )
-        collector.add(two_sample_ks(counts, oracle_counts, name="renewal-counts-vs-thin-after"))
 
+    validate = _count_checks(sample, oracle=("renewal-counts-vs-thin-after", oracle))
     return {"sample": sample, "window": None, "validate": validate,
             "plots": {"counts-histogram"}, "meta": {}}
 
@@ -507,17 +496,10 @@ def _build_matern(cfg):
     def sample(rng):
         return matern_thin_first(rate, radius, thin_fn, window, rng)
 
-    def validate(stream, n_reps, collector):
-        counts = replicate_counts(sample, n_reps, stream)
-        oracle_counts = replicate_counts(
-            lambda rng: oracles.matern_direct_oracle(rate, radius, thin_fn, window, rng),
-            n_reps,
-            stream.substream(10_001),
-        )
-        collector.add(
-            two_sample_ks(counts, oracle_counts, name="hardcore-counts-vs-thin-after")
-        )
-
+    validate = _count_checks(sample, oracle=(
+        "hardcore-counts-vs-thin-after",
+        lambda rng: oracles.matern_direct_oracle(rate, radius, thin_fn, window, rng),
+    ))
     return {"sample": sample, "window": window, "validate": validate,
             "plots": {"points-2d", "counts-histogram"}, "meta": {}}
 
@@ -552,18 +534,11 @@ def _build_nonlinear_hawkes(cfg):
     def sample(rng):
         return nonlinear_hawkes_germ(phi, lam, h, support, window, rng)
 
-    def validate(stream, n_reps, collector):
-        counts = replicate_counts(sample, n_reps, stream)
+    def oracle(rng):
         burn = 20.0 * math.exp(min(lam * support, 30.0)) / lam + 10.0 * support
-        oracle_counts = replicate_counts(
-            lambda rng: oracles.nonlinear_hawkes_burn_in(
-                phi, lam, h, support, window, burn, rng
-            ),
-            n_reps,
-            stream.substream(10_001),
-        )
-        collector.add(two_sample_ks(counts, oracle_counts, name="nonlinear-counts-vs-burn-in"))
+        return oracles.nonlinear_hawkes_burn_in(phi, lam, h, support, window, burn, rng)
 
+    validate = _count_checks(sample, oracle=("nonlinear-counts-vs-burn-in", oracle))
     return {"sample": sample, "window": window, "validate": validate,
             "plots": {"counts-histogram"}, "meta": {}}
 
@@ -582,21 +557,17 @@ def _build_hawkes_mr(cfg):
     step = _get(params, "step", float, "params", 1e-4)
     sampler = HawkesSampler(kernel, mu, window.upper[0], tol=tol, step=step)
 
-    def validate(stream, n_reps, collector):
-        counts = replicate_counts(sampler.sample, n_reps, stream)
-        mean, half = mean_ci(counts)
-        expect = mu * window.upper[0] / (1.0 - kernel.rho)
-        collector.add(_interval_report("self-exciting-mean-count", mean, expect, half))
+    def oracle(rng):
         burn = 60.0 / max(kernel.suggested_decay(), 1e-6)
-        oracle = (oracles.hawkes_exp_burn_in if isinstance(kernel, ExponentialFertility)
-                  else oracles.hawkes_bounded_burn_in)
-        oracle_counts = replicate_counts(
-            lambda rng: oracle(kernel, mu, window.upper[0], burn, rng),
-            n_reps,
-            stream.substream(10_001),
-        )
-        collector.add(two_sample_ks(counts, oracle_counts, name="self-exciting-counts-vs-burn-in"))
+        draw = (oracles.hawkes_exp_burn_in if isinstance(kernel, ExponentialFertility)
+                else oracles.hawkes_bounded_burn_in)
+        return draw(kernel, mu, window.upper[0], burn, rng)
 
+    validate = _count_checks(
+        sampler.sample,
+        mean=("self-exciting-mean-count", mu * window.upper[0] / (1.0 - kernel.rho)),
+        oracle=("self-exciting-counts-vs-burn-in", oracle),
+    )
     # the certified curve is built only if a plot reads it
     return {"sample": sampler.sample, "window": window, "validate": validate,
             "plots": {"points-2d", "counts-histogram", "sandwich-curves"},
@@ -621,15 +592,9 @@ def _build_branching_approx(cfg):
         pattern, _ = approx_branching_sample(rate0, progeny, window, n_gen, rng)
         return pattern
 
-    def validate(stream, n_reps, collector):
-        counts = replicate_counts(sample, n_reps, stream)
-        mean, half = mean_ci(counts)
-        if pmean == 1.0:
-            expect = rate0 * (n_gen + 1) * window.volume()
-        else:
-            expect = rate0 * (1.0 - pmean ** (n_gen + 1)) / (1.0 - pmean) * window.volume()
-        collector.add(_interval_report("branching-mean-count", mean, expect, half))
-
+    # the build above has refused pmean >= 1
+    expect = rate0 * (1.0 - pmean ** (n_gen + 1)) / (1.0 - pmean) * window.volume()
+    validate = _count_checks(sample, mean=("branching-mean-count", expect))
     return {"sample": sample, "window": window, "validate": validate,
             "plots": {"points-2d", "counts-histogram"},
             "meta": {"truncation_certificate": cert.to_dict()}}
@@ -734,7 +699,10 @@ def cmd_sample(cfg, outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     reps = cfg.get("replicates", 1)
-    workers = min(max(int(os.environ.get("EXACTPP_WORKERS", "1")), 1), reps)
+    try:
+        workers = min(max(int(os.environ.get("EXACTPP_WORKERS", "1")), 1), reps)
+    except ValueError:
+        raise ConfigError("EXACTPP_WORKERS must be an integer") from None
     # replicate r goes to chunk r % workers; the parent writes chunk 0 (all of a serial run)
     chunks = [list(range(i, reps, workers)) for i in range(workers)]
     pool = futures.ProcessPoolExecutor(workers - 1) if workers > 1 else nullcontext()

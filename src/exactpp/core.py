@@ -1,9 +1,15 @@
-"""Shared geometry, point-pattern, RNG, and intensity-measure types.
+"""Shared geometry, point-pattern, RNG, and intensity-measure types, and the
+two steps every exact sampler is built from.
 
 Everything here has value semantics: windows and RNG streams are frozen,
 point patterns copy their arrays on construction, and samplers receive an
 RngStream rather than a live generator so that a (seed, stream_id) pair
 pins down the output bit-for-bit.
+
+sample_homogeneous draws the dominating homogeneous Poisson process on a box
+and thin is the one coin step: one uniform per row, kept iff it is below the
+row's retention probability (Lewis & Shedler 1979). Every sampler that thins
+a dominating process goes through these two routines.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ __all__ = [
     "ConfigError",
     "SamplerError",
     "Window",
+    "sample_homogeneous",
+    "thin",
     "PointPattern",
     "RngStream",
     "LebesgueIntensity",
@@ -269,6 +277,33 @@ def config_hash(config):
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+# -- dominating process and thinning ---------------------------------------
+
+
+def sample_homogeneous(window, rate, rng):
+    """Homogeneous Poisson(rate) restricted to the window."""
+    if rate < 0:
+        raise SamplerError("rate must be nonnegative")
+    n = rng.poisson(rate * window.volume())
+    return PointPattern(window.sample_uniform(n, rng), dim=window.dim)
+
+
+def thin(points, p, rng):
+    """Independent p-thinning: the rows of `points` whose uniform u is below p.
+
+    One uniform is drawn per row, in row order, so the generator advances as
+    rng.random(len(points)) does. p is a scalar or one value per row and must
+    lie in [0,1]; a relative slack of 1e-12 above 1 absorbs the rounding of a
+    density divided by its bound.
+    """
+    u = rng.random(len(points))
+    p = np.asarray(p, dtype=float)
+    # one reduction each way (a NaN fails both); the initial 0.5 covers no rows
+    if not (p.min(initial=0.5) >= 0.0 and p.max(initial=0.5) <= 1.0 + 1e-12):
+        raise SamplerError("retention probabilities must lie in [0,1]")
+    return points[u < p]
+
+
 # -- intensity measures -----------------------------------------------------
 
 
@@ -283,19 +318,12 @@ class LebesgueIntensity:
         if self.rate < 0:
             raise ConfigError("intensity rate must be nonnegative")
 
-    def total_on(self, w):
-        return self.rate * w.volume()
-
     def bound_on(self, w):
         return self.rate
 
     def density_at(self, points):
         pts = _as_points(points, self.dim)
         return np.full(pts.shape[0], float(self.rate))
-
-    def sample_on(self, w, rng):
-        n = rng.poisson(self.total_on(w))
-        return PointPattern(w.sample_uniform(n, rng), dim=w.dim)
 
 
 @dataclass(frozen=True)
@@ -343,13 +371,11 @@ class DensityIntensity:
         return self.bound
 
     def sample_on(self, w, rng):
-        """Exact draw by thinning a homogeneous process at the bound."""
-        n = rng.poisson(self.bound * w.volume())
-        pts = w.sample_uniform(n, rng)
-        if n == 0:
-            return PointPattern.empty(w.dim)
-        keep = rng.random(n) * self.bound < self.density_at(pts)
-        return PointPattern(pts[keep], dim=w.dim)
+        """Exact draw: the homogeneous process at the bound, thinned by density/bound."""
+        pts = sample_homogeneous(w, self.bound, rng).points
+        if len(pts):
+            pts = thin(pts, self.density_at(pts) / self.bound, rng)
+        return PointPattern(pts, dim=w.dim)
 
 
 # -- intensity calculus -----------------------------------------------------

@@ -10,7 +10,10 @@ rate-M strip so only finitely many interarrivals are ever drawn.
 
 Matern hard cores and non-linear self-exciting germs follow the same
 pattern: a dominating finite construction whose thinning reproduces the
-restriction of the infinite process exactly.
+restriction of the infinite process exactly. Every independent coin -- the
+grid sites below T, the dominated ratio, the renewal complement and both
+Matern stages -- is core.thin; only the sequential renewal and non-linear
+chains, whose coins depend on earlier decisions, flip their own.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointPattern, SamplerError, Window
+from .core import PointPattern, SamplerError, Window, sample_homogeneous, thin
 from .poisson import FiniteDensitySampler
 
 __all__ = [
@@ -73,8 +76,7 @@ class _GridBase:
         if t is None:
             return np.empty(0, dtype=np.int64)
         ks = np.arange(t)
-        keep = rng.random(t) < self.p(ks)
-        return np.append(ks[keep], t)
+        return np.append(thin(ks, self.p(ks), rng), t)
 
 
 @dataclass(frozen=True)
@@ -175,8 +177,7 @@ def thin_grid_dominated(target_p, dominating, rng):
     if np.any(p_vals > q_vals * (1 + 1e-12)):
         raise SamplerError("dominating family does not dominate the target")
     ratio = np.where(q_vals > 0, p_vals / np.where(q_vals > 0, q_vals, 1.0), 0.0)
-    keep = rng.random(retained_q.size) < ratio
-    return retained_q[keep]
+    return thin(retained_q, ratio, rng)
 
 
 # -- renewal germs ---------------------------------------------------------------
@@ -221,10 +222,8 @@ def renewal_thin_first(
     t_last = cand[-1]
 
     # complement stream has density bound*(1-p): thin a homogeneous stream by 1-p
-    n_extra = rng.poisson(bound * t_last)
-    extra = np.sort(rng.random(n_extra)) * t_last
-    keep = rng.random(n_extra) >= np.asarray(thin_p(extra), dtype=float)
-    extra = extra[keep]
+    extra = np.sort(sample_homogeneous(Window((0.0,), (t_last,)), bound, rng).points[:, 0])
+    extra = thin(extra, 1.0 - np.asarray(thin_p(extra), dtype=float), rng)
 
     times = np.concatenate([cand, extra])
     flags = np.concatenate([np.ones(cand.size, bool), np.zeros(extra.size, bool)])
@@ -256,31 +255,20 @@ def matern_thin_first(rate, radius, thin_p, window, rng):
     complement points can never compete), uniform marks on N1+N2, and an N1
     point survives iff its mark beats every neighbor within `radius`.
     """
-    buffered = window.buffered(radius)
-    n_cand = rng.poisson(rate * buffered.volume())
-    cand = buffered.sample_uniform(n_cand, rng)
-    p_vals = np.asarray(thin_p(cand), dtype=float) if n_cand else np.zeros(0)
-    if np.any((p_vals < 0) | (p_vals > 1)):
-        raise SamplerError("thinning probabilities must lie in [0,1]")
-    first = cand[rng.random(n_cand) < p_vals]
-
+    cand = sample_homogeneous(window.buffered(radius), rate, rng).points
+    first = thin(cand, thin_p(cand), rng) if len(cand) else cand
     if first.shape[0] == 0:
         return PointPattern.empty(window.dim)
 
     lo = first.min(axis=0) - radius
     hi = first.max(axis=0) + radius
-    union_box = Window(tuple(lo), tuple(hi))
-    n2 = rng.poisson(rate * union_box.volume())
-    comp = union_box.sample_uniform(n2, rng)
-    if n2:
+    comp = sample_homogeneous(Window(tuple(lo), tuple(hi)), rate, rng).points
+    if len(comp):
         d2 = np.min(
             np.sum((comp[:, None, :] - first[None, :, :]) ** 2, axis=2), axis=1
         )
         comp = comp[d2 <= radius**2]
-        pc = np.asarray(thin_p(comp), dtype=float)
-        comp = comp[rng.random(comp.shape[0]) >= pc]
-    else:
-        comp = np.empty((0, window.dim))
+        comp = thin(comp, 1.0 - np.asarray(thin_p(comp), dtype=float), rng)
 
     full = np.vstack([first, comp])
     marks = rng.random(full.shape[0])
@@ -337,8 +325,7 @@ def nonlinear_hawkes_germ(
         pos = nxt
 
     dominating = np.sort(np.asarray(back))
-    n_fwd = rng.poisson(lam * (b1 - b0))
-    forward = np.sort(rng.random(n_fwd)) * (b1 - b0) + b0
+    forward = np.sort(sample_homogeneous(window, lam, rng).points[:, 0])
     stream = np.concatenate([dominating, forward])
 
     retained = []

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PointPattern, SamplerError, Window
+from .core import PointPattern, SamplerError, Window, thin
 
 __all__ = [
     "EPS_ROUND",
@@ -779,8 +779,8 @@ class HawkesSampler:
             self.mu, self.mu_bound = mu, float(mu_bound)
         else:
             self.mu, self.mu_bound = None, float(mu)
-            if self.mu_bound < 0:
-                raise SamplerError("immigrant intensity must be nonnegative")
+        if self.mu_bound < 0:
+            raise SamplerError("immigrant intensity must be nonnegative")
         self.tol = float(tol)
         self.step = float(step)
         self.point_cap = int(point_cap)
@@ -794,10 +794,13 @@ class HawkesSampler:
         return build_sandwich(self.kernel, tol=self.tol, step=self.step)
 
     def _thin_mu(self, x, rng):
-        """Positions x of candidates at rate mu_bound, thinned to rate mu(x) when mu varies."""
-        if self.mu is None:
+        """Positions x of candidates at rate mu_bound, thinned to rate mu(x) when mu varies.
+
+        A mu(x) above mu_bound or below 0 raises SamplerError.
+        """
+        if self.mu is None or x.size == 0:
             return x
-        return x[rng.random(x.size) * self.mu_bound < np.asarray(self.mu(x), dtype=float)]
+        return thin(x, np.asarray(self.mu(x), dtype=float) / self.mu_bound, rng)
 
     def _conditioned_cluster(self, rng):
         """Points of the clusters of the pre-window ancestors that reach the window."""

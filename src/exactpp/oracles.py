@@ -162,10 +162,13 @@ def hawkes_bounded_burn_in(kernel, mu, a, burn_in, rng):
         t += rng.exponential(1.0 / bound)
         if t > a:
             break
-        rate = mu
-        if times:
-            rate += float(np.sum(kernel.h(t - np.asarray(times), np.asarray(marks))))
-        if rng.random() * bound < rate:
+        # below mu the proposal is accepted whatever the excitation is, so h is
+        # evaluated only above it: the same generator calls and the same decisions
+        u = rng.random() * bound
+        accept = u < mu
+        if not accept and times:
+            accept = u < mu + float(np.sum(kernel.h(t - np.asarray(times), np.asarray(marks))))
+        if accept:
             if t >= 0.0:
                 out.append(t)
             times.append(t)

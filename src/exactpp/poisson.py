@@ -1,28 +1,22 @@
 """Poisson samplers: homogeneous, and finite-density on the half-line.
 
-The finite-density sampler certifies a truncation point for the density's
-tail and then thins a homogeneous process under the density's bound
-(DensityIntensity.sample_on), so its draws are exact on [0, upper].
+sample_homogeneous lives in core, beside thin, and is re-exported here. The
+finite-density sampler certifies a truncation point for the density's tail
+and then thins a homogeneous process under the density's bound with thin
+(DensityIntensity.sample_on), so its draws are exact on [0, upper]; the
+tail beyond upper, at most tail_tol of the mass, is dropped.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import DensityIntensity, PointPattern, SamplerError, Window
+from .core import DensityIntensity, SamplerError, Window, sample_homogeneous
 
 __all__ = [
     "sample_homogeneous",
     "FiniteDensitySampler",
 ]
-
-
-def sample_homogeneous(window, rate, rng):
-    """Homogeneous Poisson(rate) restricted to the window."""
-    if rate < 0:
-        raise SamplerError("rate must be nonnegative")
-    n = rng.poisson(rate * window.volume())
-    return PointPattern(window.sample_uniform(n, rng), dim=window.dim)
 
 
 class FiniteDensitySampler:

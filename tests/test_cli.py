@@ -128,6 +128,13 @@ def test_window_on_windowless_sampler_exits_2(tmp_path, capsys):
     assert "runs on its own half-axis" in capsys.readouterr().err
 
 
+def test_non_integer_worker_count_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EXACTPP_WORKERS", "two")
+    rc, _ = _sample(tmp_path, POISSON_CFG)
+    assert rc == 2
+    assert "EXACTPP_WORKERS" in capsys.readouterr().err
+
+
 # -- sampler errors exit 3 ---------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from exactpp import (
     branching_total_intensity,
     cluster_intensity,
 )
+from exactpp.core import thin
 
 UNIT = Window((0.0,), (1.0,))
 
@@ -65,6 +66,34 @@ def test_window_uniform_sampling_stays_inside():
     pts = w.sample_uniform(500, rng)
     assert pts.shape == (500, 2)
     assert np.all(w.contains(pts))
+
+
+# -- the coin step ------------------------------------------------------------------
+
+
+def test_thin_keeps_the_rows_whose_uniform_is_below_p():
+    rows = np.arange(40.0).reshape(20, 2)
+    p = np.linspace(0.0, 1.0, 20)
+    rng, ref = RngStream(12, 0).generator(), RngStream(12, 0).generator()
+    kept = thin(rows, p, rng)
+    u = ref.random(20)
+    assert np.array_equal(kept, rows[u < p])
+    assert rng.random() == ref.random()  # the generator advanced as rng.random(n) does
+
+
+def test_thin_with_p_zero_and_one():
+    rows = np.arange(10)
+    rng = RngStream(13, 0).generator()
+    assert thin(rows, 0.0, rng).size == 0
+    assert np.array_equal(thin(rows, 1.0, rng), rows)
+    assert np.array_equal(thin(rows, np.full(10, 1.0 + 1e-13), rng), rows)  # bound rounding
+    assert thin(np.empty((0, 2)), 0.5, rng).shape == (0, 2)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.01, np.nan, [0.5, 0.5, 2.0]])
+def test_thin_rejects_probabilities_outside_the_unit_interval(p):
+    with pytest.raises(SamplerError, match=r"\[0,1\]"):
+        thin(np.arange(3), p, RngStream(14, 0).generator())
 
 
 # -- intensity identities ----------------------------------------------------------

@@ -347,6 +347,20 @@ def test_matern_rejects_invalid_thinning_probabilities():
         matern_thin_first(5.0, 0.2, lambda pts: np.full(pts.shape[0], 1.5), window, _gen(67))
 
 
+def test_matern_complement_stage_checks_its_thinning_probabilities():
+    # p lies in [0,1] on the buffered window, where the first stage draws, and
+    # is 1.5 beyond it, where only complement points fall
+    window, radius = Window((0.0, 0.0), (2.0, 2.0)), 0.3
+
+    def thin_p(pts):
+        return np.where(pts[:, 0] < -radius, 1.5, 0.9)
+
+    rng = _gen(68)
+    with pytest.raises(SamplerError, match=r"\[0,1\]"):
+        for _ in range(50):
+            matern_thin_first(20.0, radius, thin_p, window, rng)
+
+
 # -- non-linear self-exciting germ ----------------------------------------------
 
 

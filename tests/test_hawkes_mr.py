@@ -561,6 +561,17 @@ def test_variable_immigrant_intensity_needs_a_bound():
         HawkesSampler(KERNEL, mu=1.0, a=0.0)
 
 
+@pytest.mark.parametrize(
+    "mu", [lambda t: 2.0, lambda t: np.full(np.shape(t), -0.5)], ids=["above", "negative"]
+)
+def test_variable_immigrant_intensity_outside_its_bound_raises(mu):
+    # an immigrant intensity above mu_bound or below 0 has no thinning; it
+    # must raise rather than draw a process of the wrong rate
+    s = HawkesSampler(ExponentialFertility(0.0, 1.0), mu=mu, a=10.0, mu_bound=1.0)
+    with pytest.raises(SamplerError, match=r"\[0,1\]"):
+        s.sample(_gen(97))
+
+
 def test_variable_immigrant_intensity_halves_the_rate():
     # mu(t) = 0.5 everywhere, by thinning against bound 1: the immigrants in
     # the window and the pre-window candidates are both halved

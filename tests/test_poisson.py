@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from exactpp import DensityIntensity, LebesgueIntensity, RngStream, SamplerError, Window
+from exactpp import DensityIntensity, RngStream, SamplerError, Window
 from exactpp.poisson import FiniteDensitySampler, sample_homogeneous
 from exactpp.validation import chi_square, ks_against_cdf, two_sample_ks
 
@@ -50,7 +50,7 @@ def test_homogeneous_points_are_uniform():
 
 def test_strip_with_full_rate_accepts_every_dominating_point():
     full = DensityIntensity(lambda t: np.full(t.shape, 3.0), bound=3.0)
-    dominating = LebesgueIntensity(3.0).sample_on(LINE, _gen(4))
+    dominating = sample_homogeneous(LINE, 3.0, _gen(4))
     thinned = full.sample_on(LINE, _gen(4))
     assert dominating.n > 0
     assert np.array_equal(thinned.points, dominating.points)
@@ -58,7 +58,7 @@ def test_strip_with_full_rate_accepts_every_dominating_point():
 
 def test_strip_with_zero_rate_accepts_nothing():
     zero = DensityIntensity(lambda t: np.zeros(t.shape), bound=3.0)
-    assert LebesgueIntensity(3.0).sample_on(LINE, _gen(5)).n > 0  # the dominating stream
+    assert sample_homogeneous(LINE, 3.0, _gen(5)).n > 0  # the dominating stream
     assert zero.sample_on(LINE, _gen(5)).n == 0
 
 
