@@ -21,9 +21,10 @@ is organized by construction:
 - cli: `exactpp sample | validate | plotdata` driven by JSON configs
 
 scipy is imported inside the few routines that call it (quadrature, the
-trigamma tail, the gamma hazard through scipy.special, the statistical
-tests), so importing the package, or building and drawing a Hawkes sampler,
-loads no scipy module.
+trigamma tail, the gamma hazard through scipy.special, the one-sample KS and
+chi-square tests), so importing the package, or building and drawing a
+Hawkes sampler, loads no scipy module. The two-sample KS test computes its
+p-value with numpy alone, so no CLI command loads scipy.stats.
 """
 
 from .boolean_model import (

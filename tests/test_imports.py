@@ -1,10 +1,13 @@
 """Start-up cost: importing the package and the CLI, building the Hawkes,
 Brix-Kendall, Boolean and Poisson-line demo configs and drawing from them
 load no scipy module, and the renewal demo config loads no scipy.stats
-module. scipy is imported only inside the routines that
-call it (quadrature, the trigamma tail, the gamma hazard through
-scipy.special, and the validation tests), so a fresh process shows what a
-cold run pays."""
+module. `exactpp sample` with validation on loads no scipy module for the
+configs whose validation is a mean check and a two-sample KS test against an
+oracle, since that test's p-value is computed with numpy alone; renewal's run
+loads scipy.special, never scipy.stats. scipy is imported only inside the
+routines that call it (quadrature, the trigamma tail, the gamma hazard
+through scipy.special, and the one-sample KS and chi-square tests), so a
+fresh process shows what a cold run pays."""
 
 import json
 import os
@@ -73,4 +76,47 @@ def test_renewal_run_loads_no_scipy_stats():
     )
     loaded = json.loads(out.stdout.splitlines()[-1])
     assert "scipy.special" in loaded
+    assert [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")] == []
+
+
+CLI_SCRIPT = """
+import json, sys
+import exactpp.cli
+cfg = json.load(open(sys.argv[1]))
+cfg.setdefault("validation", {})["enabled"] = True
+json.dump(cfg, open(sys.argv[2] + "/config.json", "w"))
+code = exactpp.cli.main(["sample", "-c", sys.argv[2] + "/config.json", "-o", sys.argv[2] + "/out"])
+print(json.dumps([code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+"""
+
+
+def _validated_sample(config, tmp_path):
+    """(exit code, loaded scipy modules) of a fresh `exactpp sample` with validation on."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), EXACTPP_WORKERS="1")
+    env.pop("EXACTPP_FRESH_SEED", None)
+    out = subprocess.run(
+        [sys.executable, "-c", CLI_SCRIPT, f"configs/{config}.json", str(tmp_path)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    assert (tmp_path / "out" / "validation_report.json").is_file()
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "config", ["brix_kendall", "grid_thinning", "hawkes_mr", "matern", "nonlinear_hawkes"]
+)
+def test_validated_sample_loads_no_scipy(config, tmp_path):
+    code, loaded = _validated_sample(config, tmp_path)
+    assert code == 0
+    assert loaded == []
+
+
+def test_validated_renewal_sample_loads_no_scipy_stats(tmp_path):
+    code, loaded = _validated_sample("renewal", tmp_path)
+    assert code == 0
     assert [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")] == []

@@ -1,6 +1,7 @@
 """Validation harness self-checks: summary statistics against closed forms,
-calibration and power of the KS/chi-square wrappers, Holm correction
-arithmetic, and report serialization."""
+calibration and power of the KS/chi-square wrappers, the numpy Kolmogorov
+survival function against scipy.stats.kstwo, Holm correction arithmetic, and
+report serialization."""
 
 import json
 import math
@@ -14,6 +15,7 @@ from exactpp.poisson import sample_homogeneous
 from exactpp.validation import (
     ReportCollector,
     TestReport,
+    _kolmogorov_sf,
     base_seed,
     chi_square,
     empirical_intensity,
@@ -119,6 +121,70 @@ def test_two_sample_ks_report_fields():
     assert rep.name == "shifted"
     assert rep.n == 100 and rep.details["m"] == 100
     assert (rep.pvalue >= rep.alpha) == rep.accepted
+
+
+def test_two_sample_ks_rejects_an_empty_sample():
+    with pytest.raises(ValueError, match="nonempty"):
+        two_sample_ks(np.array([]), np.arange(5.0))
+
+
+def test_two_sample_ks_rejects_a_nan_value():
+    with pytest.raises(ValueError, match="NaN"):
+        two_sample_ks(np.array([1.0, np.nan, 2.0]), np.arange(5.0))
+
+
+def test_two_sample_ks_rejects_one_value_against_one():
+    # the effective size nm/(n+m) = 1/2 rounds to 0: no Kolmogorov law to read
+    with pytest.raises(ValueError, match="effective size"):
+        two_sample_ks([1.0], [2.0])
+
+
+def _not_literal(n, x):
+    """Where the port departs from scipy's arithmetic: scipy's 2 * smirnov
+    regime (x >= 1/2, or n x^2 >= 2.2 at n > 140) and all of n <= 140, where
+    scipy runs the Pomeranz recursion or 2 * smirnov."""
+    return n <= 140 or x >= 0.5 or n * x * x >= 2.2
+
+
+def _attainable(n):
+    """Every x = i/(2n) in [0, 1]: the edges of every branch, and the values a
+    two-sample statistic often takes at effective size n."""
+    return np.arange(2 * n + 1) / (2 * n)
+
+
+@pytest.mark.parametrize("n", [141, 200, 250, 300, 400, 1000, 2500])
+def test_kolmogorov_sf_is_scipys_bit_for_bit_where_ported_literally(n):
+    xs = [x for x in _attainable(n) if not _not_literal(n, x)]
+    assert len(xs) > 10
+    got = np.array([_kolmogorov_sf(n, x) for x in xs])
+    assert np.array_equal(got, stats.kstwo.sf(xs, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 25, 64, 139, 140, 141, 250, 1000, 2500])
+def test_kolmogorov_sf_matches_scipy_where_the_arithmetic_differs(n):
+    xs = [x for x in _attainable(n) if _not_literal(n, x)]
+    xs = xs[:: max(1, len(xs) // 60)]
+    got = np.array([_kolmogorov_sf(n, x) for x in xs])
+    want = stats.kstwo.sf(xs, n)
+    # relative 1e-10, down to the smallest normal double (subnormals hold fewer digits)
+    assert np.all(np.abs(got - want) <= 1e-10 * want + np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("sizes", [(400, 400), (400, 800), (300, 1000), (800, 800), (30, 70)])
+@pytest.mark.parametrize("shift", [0.0, 0.4, 1.0])
+def test_two_sample_ks_matches_scipy_on_tied_counts(sizes, shift):
+    rng = _gen(130 + sizes[0] + sizes[1])
+    a = rng.poisson(5.0, sizes[0]).astype(float)
+    b = rng.poisson(5.0 + shift, sizes[1]).astype(float)
+    rep = two_sample_ks(a, b)
+    ref = stats.ks_2samp(a, b, method="asymp")
+    assert rep.statistic == ref.statistic
+    size = round(sizes[0] * sizes[1] / sum(sizes))
+    if _not_literal(size, rep.statistic):
+        assert rep.pvalue == pytest.approx(ref.pvalue, rel=1e-10, abs=np.finfo(float).tiny)
+    else:
+        assert rep.pvalue == ref.pvalue
+    assert rep.accepted == (ref.pvalue >= rep.alpha)
 
 
 def test_ks_against_cdf_uniform_accepts_and_shifted_rejects():
