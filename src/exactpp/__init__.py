@@ -7,7 +7,8 @@ is organized by construction:
 
 - core: windows, point patterns, reproducible RNG streams, intensity measures
 - poisson: homogeneous and finite-density Poisson samplers
-- cluster_exact: retention thinning with clusters conditioned to hit the window
+- cluster_exact: retention thinning, then each kept germ's in-window points
+  drawn directly
 - boolean_model: grain processes (disks, segments, lines) with edge correction
 - germ_thinning: thinned grids, renewal streams, Matern hard cores,
   non-linear self-exciting germs
@@ -48,7 +49,6 @@ from .cluster_exact import (
     BrixKendallSampler,
     TranslatedPoissonCluster,
     UniformDisplacement,
-    sample_conditioned_cluster,
 )
 from .core import (
     ConfigError,
@@ -126,7 +126,6 @@ __all__ = [
     "nonlinear_hawkes_germ",
     "renewal_candidates",
     "renewal_thin_first",
-    "sample_conditioned_cluster",
     "sample_gw_cluster",
     "sample_poisson_lines",
     "thin_grid",

@@ -13,7 +13,8 @@ outputs are byte-identical across reruns and independent of EXACTPP_WORKERS.
 Config schema errors (unknown, missing, or mistyped keys; out-of-range plain
 values) are reported with the dotted path of the offending field and exit 2.
 Model-level impossibilities raised while constructing or running a sampler
-(supercritical kernels, unbounded buffers, exhausted rejections) exit 3.
+(supercritical kernels, unbounded buffers, point counts too large to draw)
+exit 3.
 """
 
 from __future__ import annotations

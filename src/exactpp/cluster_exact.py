@@ -3,11 +3,15 @@
 Construction: thin the (possibly infinite-mass) germ down to the germs whose
 cluster actually hits the window — for Poisson-cluster kernels the retention
 probability is p(x) = 1 - exp(-K(x, W-x)) with K the mean cluster mass
-falling in W — then attach one cluster per retained germ conditioned on
-hitting W, superpose, and restrict. The thinned germ has finite mass
-integral p(x) mu(dx), at most the germ's bound times the volume of the
-bounded germ region; the construction refuses a germ whose bound is not
-finite, the only way that integral can diverge.
+falling in W — then draw each retained germ's points in W directly. By the
+colouring theorem (Kingman 1993, Poisson Processes, 5.1) the points of a
+Poisson cluster that fall in W are independent of those outside, so given a
+hit they are a zero-truncated Poisson(K(x, W-x)) number of i.i.d. points on
+the cluster's support intersected with W; the points outside W are never
+drawn. The thinned germ has finite mass integral p(x) mu(dx), at most the
+germ's bound times the volume of the bounded germ region; the construction
+refuses a germ whose bound is not finite, the only way that integral can
+diverge.
 """
 
 from __future__ import annotations
@@ -22,13 +26,8 @@ from .core import DensityIntensity, PointPattern, SamplerError
 __all__ = [
     "UniformDisplacement",
     "TranslatedPoissonCluster",
-    "sample_conditioned_cluster",
     "BrixKendallSampler",
 ]
-
-ROUND_CAP = 10_000  # conditioning rounds before declaring the draw implausible
-RETENTION_FLOOR = 1e-9  # smallest conditioning probability a germ may have
-
 
 @dataclass(frozen=True)
 class UniformDisplacement:
@@ -60,16 +59,20 @@ class UniformDisplacement:
         hi = np.asarray(self.hi)
         return lo + rng.random((int(n), self.dim)) * (hi - lo)
 
+    def _overlap(self, xs, window):
+        """Corners (lo, hi) of (x + box) ∩ W for each germ row x; empty where lo >= hi."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        return np.maximum(xs + self.lo, window.lower), np.minimum(xs + self.hi, window.upper)
+
     def prob_in(self, xs, window):
         """P(x + D in W) for each germ row x (closed form, product of overlaps)."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        p = np.ones(xs.shape[0])
-        for d in range(self.dim):
-            a = xs[:, d] + self.lo[d]
-            b = xs[:, d] + self.hi[d]
-            overlap = np.minimum(b, window.upper[d]) - np.maximum(a, window.lower[d])
-            p *= np.clip(overlap, 0.0, None) / (self.hi[d] - self.lo[d])
-        return p
+        lo, hi = self._overlap(xs, window)
+        return np.prod(np.clip(hi - lo, 0.0, None) / np.subtract(self.hi, self.lo), axis=1)
+
+    def sample_in(self, xs, counts, window, rng):
+        """counts[i] points uniform on (xs[i] + box) ∩ W for each germ row, concatenated."""
+        lo, hi = (np.repeat(c, counts, axis=0) for c in self._overlap(xs, window))
+        return lo + rng.random(lo.shape) * (hi - lo)
 
 
 @dataclass(frozen=True)
@@ -108,55 +111,33 @@ class TranslatedPoissonCluster:
         """Concatenated displacements for clusters of the given sizes."""
         return self.displacement.sample(int(np.sum(counts)), rng)
 
+    def sample_conditioned(self, germs, window, rng):
+        """In-window points of clusters at the germ rows (k, dim), each cluster
+        conditioned on hitting W, and the germ row owning each point.
 
-def sample_conditioned_cluster(kernel, germs, window, rng):
-    """Clusters at the germ rows (k, dim), each conditioned on putting a point in W.
-
-    Rejection in batched rounds: each germ whose cluster has not hit W yet
-    draws a fresh one.  Returns the accepted clusters' points (inside W or
-    not), the germ row owning each point and the clusters drawn per germ.
-    Raises for a conditioning probability below RETENTION_FLOOR, or after
-    ROUND_CAP rounds (e^-60 territory for any retention above 1e-2: a broken
-    configuration, not bad luck).
-    """
-    p = kernel.retention(germs, window)
-    if np.any(p < RETENTION_FLOOR):
-        i = int(np.argmin(p))
-        raise SamplerError(
-            f"conditioning probability {p[i]:.3e} below floor {RETENTION_FLOOR:.1e} "
-            f"at germ {germs[i].tolist()}"
-        )
-    attempts = np.zeros(germs.shape[0], dtype=np.int64)
-    collected, owners = [], []
-    live = np.arange(germs.shape[0])
-    for _ in range(ROUND_CAP):
-        attempts[live] += 1
-        counts = rng.poisson(kernel.total_mean, size=live.size)
-        offsets = kernel.sample_offsets(counts, rng)
-        germ_idx = np.repeat(np.arange(live.size), counts)
-        pts = germs[live[germ_idx]] + offsets
-        hit_germ = np.zeros(live.size, dtype=bool)
-        np.logical_or.at(hit_germ, germ_idx[window.contains(pts)], True)
-        keep_rows = hit_germ[germ_idx]
-        collected.append(pts[keep_rows])
-        owners.append(live[germ_idx[keep_rows]])
-        live = live[~hit_germ]
-        if not live.size:
-            break
-    else:
-        raise SamplerError(
-            f"conditioning round cap {ROUND_CAP} exceeded for {live.size} germs"
-        )
-    return np.vstack(collected), np.concatenate(owners), attempts
+        The in-W count at x is Poisson(lam), lam = mass_in(x, W). Given a hit it
+        is 1 + Poisson(lam - T1), with T1 the first arrival of a unit-rate
+        process given that it falls below lam, drawn by inversion; the points
+        are i.i.d. uniform on (x + box) ∩ W. No loop, and no point outside W.
+        """
+        lam = self.mass_in(germs, window)
+        if not lam.min(initial=1.0) > 0:
+            raise SamplerError("cannot condition a cluster that misses the window to hit it")
+        first = -np.log1p(rng.random(lam.size) * np.expm1(-lam))
+        # log1p and expm1 round independently, so T1 <= lam is not guaranteed to the ulp
+        counts = 1 + rng.poisson(np.maximum(lam - first, 0.0))
+        owner = np.repeat(np.arange(lam.size), counts)
+        return self.displacement.sample_in(germs, counts, window, rng), owner
 
 
 class BrixKendallSampler:
     """Exact cluster-process sampler on a window (build once, sample repeatedly).
 
     Each sample() draws the retained germs by thinning a homogeneous process
-    at the germ's bound on the germ region by p(x) mu(x) / bound, attaches
-    clusters conditioned to hit the window in batched rejection rounds, and
-    restricts. The same path serves every dimension.
+    at the germ's bound on the germ region by p(x) mu(x) / bound, then draws
+    each retained germ's in-window points directly
+    (TranslatedPoissonCluster.sample_conditioned). The same path serves every
+    dimension.
 
     The displacement is bounded, so the germ region (every germ whose
     cluster can reach the window) is a box and no germ is truncated away.
@@ -211,5 +192,5 @@ class BrixKendallSampler:
     def sample(self, rng):
         """One exact draw of the cluster process restricted to the window."""
         germs = self.sample_retained_germs(rng)
-        points, _, _ = sample_conditioned_cluster(self.kernel, germs, self.window, rng)
-        return PointPattern(points, dim=self.window.dim).restrict(self.window)
+        points, _ = self.kernel.sample_conditioned(germs, self.window, rng)
+        return PointPattern(points, dim=self.window.dim)

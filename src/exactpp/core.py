@@ -279,12 +279,23 @@ def config_hash(config):
 
 # -- dominating process and thinning ---------------------------------------
 
+MAX_MEAN_POINTS = 1e9  # largest mean count sample_homogeneous draws; more cannot fit in memory
+
 
 def sample_homogeneous(window, rate, rng):
-    """Homogeneous Poisson(rate) restricted to the window."""
+    """Homogeneous Poisson(rate) restricted to the window.
+
+    A mean count rate * volume above MAX_MEAN_POINTS raises SamplerError
+    before anything is drawn.
+    """
     if rate < 0:
         raise SamplerError("rate must be nonnegative")
-    n = rng.poisson(rate * window.volume())
+    mean = rate * window.volume()
+    if not mean <= MAX_MEAN_POINTS:
+        raise SamplerError(
+            f"mean point count {mean:.3g} exceeds the limit {MAX_MEAN_POINTS:.0e}"
+        )
+    n = rng.poisson(mean)
     return PointPattern(window.sample_uniform(n, rng), dim=window.dim)
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,27 @@ def test_supercritical_hawkes_exits_3(tmp_path, capsys):
     assert "sampler error" in err and "supercritical" in err
 
 
+@pytest.mark.parametrize(
+    "sampler,params",
+    [
+        ("poisson", {"rate": 1e15}),
+        ("brix_kendall", {"rate0": 1e20, "cluster_mean": 2.0,
+                          "displacement": {"lo": [-0.5, -0.5], "hi": [0.5, 0.5]}}),
+    ],
+)
+def test_absurd_rate_exits_3_before_drawing(tmp_path, capsys, sampler, params):
+    cfg = dict(POISSON_CFG, sampler=sampler, params=params)
+    tracemalloc.start()
+    try:
+        rc, _ = _sample(tmp_path, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("sampler error: mean point count")
+    assert peak < 64 * 2**20
+
+
 # -- validation rejection exits 1 ---------------------------------------------------
 
 
@@ -178,6 +200,17 @@ def test_validate_accepts_and_prints_reports(tmp_path, capsys):
     assert "PASS poisson-mean-count" in out
     assert "statistic=" in out and "threshold=" in out
     assert out.rstrip().endswith("validation accepted")
+
+
+def test_two_dimensional_brix_kendall_validates(tmp_path, capsys):
+    # the demo's params on a [0,3]^2 window with box displacement
+    cfg = json.loads((CONFIG_DIR / "brix_kendall.json").read_text())
+    cfg["window"] = {"lower": [0.0, 0.0], "upper": [3.0, 3.0]}
+    cfg["params"]["displacement"] = {"lo": [-0.5, -0.5], "hi": [0.5, 0.5]}
+    rc = main(["validate", "-c", _cfg_file(tmp_path, cfg)])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "PASS cluster-counts-vs-oracle" in out
 
 
 # -- sample command -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Retention thinning and window-conditioned clusters: closed-form retention
-values, rejection-cost law, conditioned-size law, and the thinned-germ Poisson
-structure of the full sampler."""
+values, the zero-truncated Poisson law of a kept germ's in-window points and
+their uniform positions, and the thinned-germ Poisson structure of the full
+sampler."""
 
 import math
 
@@ -16,9 +17,8 @@ from exactpp import (
     TranslatedPoissonCluster,
     UniformDisplacement,
     Window,
-    sample_conditioned_cluster,
 )
-from exactpp.validation import chi_square, mean_ci
+from exactpp.validation import chi_square, ks_against_cdf, mean_ci
 
 W10 = Window((0.0,), (10.0,))
 DISP = UniformDisplacement((-0.5,), (0.5,))
@@ -66,42 +66,74 @@ def test_retention_monotone_in_cluster_mean():
 # -- conditioned clusters --------------------------------------------------------
 
 
-def test_conditioned_cluster_rejection_cost():
-    # interior germ, mean 1: success probability 1 - e^{-1}, so the attempt
-    # count is geometric with mean 1/(1-e^{-1}) = 1.5819767...
-    n = 100_000
-    points, owner, attempts = sample_conditioned_cluster(
-        _kernel(1.0), np.full((n, 1), 5.0), W10, _gen(21)
-    )
-    p = 1.0 - math.exp(-1.0)
-    target = 1.0 / p
-    se = attempts.std(ddof=1) / math.sqrt(attempts.size)
-    assert abs(attempts.mean() - target) < 4.0 * se
-
-    # conditioned size is zero-truncated Poisson(1)
+def _ztp_size_report(kernel, germ, lam, n, seed):
+    # chi-square of the in-W sizes at n copies of one germ against ZTP(lam)
+    _, owner = kernel.sample_conditioned(np.tile(germ, (n, 1)), W10, _gen(seed))
     sizes = np.bincount(owner, minlength=n)
-    assert points.shape == (sizes.sum(), 1)
-    k_hi = 6
-    probs = np.array([math.exp(-1.0) / math.factorial(k) / p for k in range(1, k_hi)])
+    k_hi = 7
+    norm = -math.expm1(-lam)
+    probs = np.array([math.exp(-lam) * lam**k / math.factorial(k) / norm for k in range(1, k_hi)])
     probs = np.append(probs, 1.0 - probs.sum())
     observed = np.bincount(np.minimum(sizes, k_hi), minlength=k_hi + 1)[1:]
-    rep = chi_square(observed, probs, alpha=0.01)
+    return chi_square(observed, probs, alpha=0.01)
+
+
+def test_conditioned_size_is_zero_truncated_poisson_for_an_interior_germ():
+    # full overlap: the in-W size is ZTP(mean) = ZTP(1)
+    rep = _ztp_size_report(_kernel(1.0), [5.0], 1.0, 100_000, 21)
+    assert rep.accepted, rep.to_dict()
+
+
+def test_conditioned_size_is_zero_truncated_poisson_for_a_half_overlapping_germ():
+    # germ at 0 reaches [-1/2, 1/2]: q = 1/2, so the in-W size is ZTP(3 * 1/2)
+    rep = _ztp_size_report(_kernel(3.0), [0.0], 1.5, 100_000, 22)
+    assert rep.accepted, rep.to_dict()
+
+
+def test_conditioned_positions_are_uniform_on_the_overlap():
+    points, _ = _kernel(3.0).sample_conditioned(np.zeros((20_000, 1)), W10, _gen(23))
+    rep = ks_against_cdf(points[:, 0], lambda t: np.clip(t / 0.5, 0.0, 1.0), alpha=0.01)
     assert rep.accepted, rep.to_dict()
 
 
 def test_conditioned_cluster_always_hits_the_window():
     n = 500
-    points, owner, attempts = sample_conditioned_cluster(
-        _kernel(0.5), np.zeros((n, 1)), W10, _gen(22)
-    )
-    hits = np.bincount(owner[W10.contains(points)], minlength=n)
-    assert np.all(hits >= 1)
-    assert np.all(attempts >= 1)
+    points, owner = _kernel(0.5).sample_conditioned(np.zeros((n, 1)), W10, _gen(24))
+    assert np.all(np.bincount(owner, minlength=n) >= 1)
+    assert np.all(W10.contains(points))
 
 
-def test_conditioning_floor_rejects_unreachable_germs():
-    with pytest.raises(SamplerError, match="below floor"):
-        sample_conditioned_cluster(_kernel(2.0), np.array([[5.0], [50.0]]), W10, _gen(23))
+def test_germ_at_the_edge_of_reach_gets_exactly_one_point():
+    # overlap 1e-12: conditioning probability ~2e-12, which has a law to sample
+    germs = np.full((1_000, 1), -0.5 + 1e-12)
+    points, owner = _kernel(2.0).sample_conditioned(germs, W10, _gen(25))
+    assert np.array_equal(owner, np.arange(1_000))
+    assert np.all(W10.contains(points))
+
+
+def test_germ_out_of_reach_cannot_be_conditioned():
+    with pytest.raises(SamplerError, match="misses the window"):
+        _kernel(2.0).sample_conditioned(np.array([[5.0], [50.0]]), W10, _gen(26))
+
+
+@pytest.mark.parametrize(
+    "window,disp",
+    [
+        (W10, DISP),
+        (Window((0.0, 0.0), (3.0, 3.0)), UniformDisplacement((-0.5, -0.5), (0.5, 0.5))),
+    ],
+)
+def test_conditioned_points_never_leave_the_window(window, disp):
+    # germs across the whole germ region, its edges included
+    kernel = TranslatedPoissonCluster(total_mean=2.0, displacement=disp)
+    region = kernel.germ_region(window)
+    rng = _gen(27)
+    germs = region.sample_uniform(5_000, rng)
+    germs = germs[kernel.mass_in(germs, window) > 0]
+    edge = np.array(region.lower) + 1e-12
+    points, _ = kernel.sample_conditioned(np.vstack([germs, edge]), window, rng)
+    assert points.shape[0] > germs.shape[0]
+    assert np.all(window.contains(points))
 
 
 # -- the full sampler -------------------------------------------------------------
@@ -168,7 +200,7 @@ def test_every_point_lies_inside_the_window():
         assert np.all(W10.contains(pat.points))
 
 
-def test_two_dimensional_window_runs_the_rejection_route():
+def test_two_dimensional_mean_window_count_matches_intensity():
     window = Window((0.0, 0.0), (3.0, 3.0))
     disp = UniformDisplacement((-0.5, -0.5), (0.5, 0.5))
     kernel = TranslatedPoissonCluster(total_mean=2.0, displacement=disp)
