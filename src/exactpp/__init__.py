@@ -5,8 +5,9 @@ restriction of the stationary target process: germs are thinned to those
 that reach the window, or drawn only there, and never truncated. The package
 is organized by construction:
 
-- core: windows, point patterns, reproducible RNG streams, intensity measures
-- poisson: homogeneous and finite-density Poisson samplers
+- core: windows, point patterns, reproducible RNG streams, intensity measures,
+  the homogeneous Poisson draw and the thinning coin
+- poisson: finite-density Poisson sampling on the half-line
 - cluster_exact: retention thinning, then each kept germ's in-window points
   drawn directly
 - boolean_model: grain processes (disks, segments, lines) with edge correction
@@ -58,8 +59,6 @@ from .core import (
     RngStream,
     SamplerError,
     Window,
-    branching_total_intensity,
-    cluster_intensity,
 )
 from .germ_thinning import (
     GeometricGrid,
@@ -70,7 +69,6 @@ from .germ_thinning import (
     renewal_candidates,
     renewal_thin_first,
     thin_grid,
-    thin_grid_dominated,
 )
 from .hawkes_mr import (
     ExponentialFertility,
@@ -117,10 +115,8 @@ __all__ = [
     "Window",
     "approx_branching_sample",
     "boolean_exact_sample",
-    "branching_total_intensity",
     "build_sandwich",
     "certificate_generations_for",
-    "cluster_intensity",
     "hit_prob_poisson_line",
     "matern_thin_first",
     "nonlinear_hawkes_germ",
@@ -129,5 +125,4 @@ __all__ = [
     "sample_gw_cluster",
     "sample_poisson_lines",
     "thin_grid",
-    "thin_grid_dominated",
 ]

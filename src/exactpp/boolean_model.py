@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, PointPattern, Window, sample_homogeneous, thin
+from .core import ConfigError, sample_homogeneous, thin
 
 __all__ = [
     "DiskWindow",
@@ -56,35 +56,6 @@ class DiskWindow:
             raise ConfigError("disk window lives in the plane")
         if not self.radius > 0:
             raise ConfigError("disk radius must be positive")
-
-    @property
-    def dim(self):
-        return 2
-
-    def volume(self):
-        return float(np.pi * self.radius**2)
-
-    def contains(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d2 = np.sum((pts - np.asarray(self.center)) ** 2, axis=1)
-        return d2 <= self.radius**2
-
-    def bounding_box(self):
-        c = np.asarray(self.center)
-        return Window(tuple(c - self.radius), tuple(c + self.radius))
-
-    def sample_uniform(self, n, rng):
-        """Uniform points in the disk by rejection from the bounding box."""
-        box = self.bounding_box()
-        out = np.empty((int(n), 2))
-        filled = 0
-        while filled < n:
-            cand = box.sample_uniform(max(int(1.5 * (n - filled)) + 8, 8), rng)
-            keep = cand[self.contains(cand)]
-            take = min(keep.shape[0], n - filled)
-            out[filled : filled + take] = keep[:take]
-            filled += take
-        return out
 
 
 def box_distance(points, window):
@@ -291,10 +262,6 @@ class BooleanSample:
         radii = np.asarray([g["radius"] for g in disks], dtype=float)
         d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         return np.any(d2 <= radii**2, axis=1)
-
-    def germ_pattern(self):
-        dim = self.window.dim
-        return PointPattern(self.germs.reshape(-1, dim), dim=dim)
 
 
 def boolean_exact_sample(rate, grains, window, rng):

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointPattern, SamplerError
-from .poisson import sample_homogeneous
+from .core import PointPattern, SamplerError, sample_homogeneous
 
 __all__ = [
     "TruncationCertificate",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityIntensity, PointPattern, SamplerError
+from .core import MAX_MEAN_POINTS, DensityIntensity, PointPattern, SamplerError
 
 __all__ = [
     "UniformDisplacement",
@@ -81,7 +81,8 @@ class TranslatedPoissonCluster:
 
     K(x, W-x) = total_mean * P(x + D in W) is available in closed form when
     the displacement reports prob_in, which is what makes the retention
-    probability 1 - exp(-K) evaluable exactly.
+    probability 1 - exp(-K) evaluable exactly. total_mean must lie in
+    (0, core.MAX_MEAN_POINTS].
     """
 
     total_mean: float
@@ -90,6 +91,10 @@ class TranslatedPoissonCluster:
     def __post_init__(self):
         if not self.total_mean > 0:
             raise SamplerError("cluster mean must be positive")
+        if not self.total_mean <= MAX_MEAN_POINTS:
+            raise SamplerError(
+                f"cluster mean {self.total_mean:.3g} exceeds the limit {MAX_MEAN_POINTS:.0e}"
+            )
 
     @property
     def dim(self):

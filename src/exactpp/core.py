@@ -31,8 +31,6 @@ __all__ = [
     "RngStream",
     "LebesgueIntensity",
     "DensityIntensity",
-    "cluster_intensity",
-    "branching_total_intensity",
     "config_hash",
 ]
 
@@ -140,9 +138,8 @@ class PointPattern:
             object.__setattr__(self, "marks", m)
 
     @classmethod
-    def empty(cls, dim, with_marks=False):
-        marks = np.empty(0) if with_marks else None
-        return cls(np.empty((0, int(dim))), marks=marks, dim=int(dim))
+    def empty(cls, dim):
+        return cls(np.empty((0, int(dim))), dim=int(dim))
 
     @property
     def n(self):
@@ -151,9 +148,6 @@ class PointPattern:
     def __len__(self):
         return self.n
 
-    def count_in(self, w):
-        return int(np.count_nonzero(w.contains(self.points))) if self.n else 0
-
     def restrict(self, w):
         """Sub-pattern inside the window (marks carried along)."""
         if self.n == 0:
@@ -161,25 +155,6 @@ class PointPattern:
         keep = w.contains(self.points)
         marks = self.marks[keep] if self.marks is not None else None
         return PointPattern(self.points[keep], marks=marks, dim=self.dim)
-
-    def superpose(self, other):
-        if other.dim != self.dim:
-            raise ValueError("cannot superpose patterns of different dim")
-        pts = np.vstack([self.points, other.points])
-        marks = None
-        if self.marks is not None or other.marks is not None:
-            a = self.marks if self.marks is not None else np.zeros(self.n)
-            b = other.marks if other.marks is not None else np.zeros(other.n)
-            marks = np.concatenate([a, b])
-        return PointPattern(pts, marks=marks, dim=self.dim)
-
-    def sorted(self):
-        """Pattern with rows sorted lexicographically (canonical file order)."""
-        if self.n == 0:
-            return self
-        order = np.lexsort(self.points.T[::-1])
-        marks = self.marks[order] if self.marks is not None else None
-        return PointPattern(self.points[order], marks=marks, dim=self.dim)
 
     # -- serialization ------------------------------------------------------
 
@@ -217,31 +192,6 @@ class PointPattern:
             marks=np.asarray(marks) if has_marks else None,
             dim=dim,
         )
-
-    def to_json(self, path, meta=None):
-        """Write {dim, points, marks, meta}; meta records seed/stream/sampler."""
-        payload = {
-            "dim": self.dim,
-            "points": [[float(v) for v in row] for row in self.points],
-            "marks": [float(v) for v in self.marks] if self.marks is not None else None,
-            "meta": dict(meta) if meta else {},
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            payload = json.load(fh)
-        pts = np.asarray(payload["points"], dtype=float).reshape(-1, payload["dim"])
-        marks = payload.get("marks")
-        pattern = cls(
-            pts,
-            marks=np.asarray(marks, dtype=float) if marks is not None else None,
-            dim=payload["dim"],
-        )
-        return pattern, payload.get("meta", {})
 
 
 @dataclass(frozen=True)
@@ -363,13 +313,14 @@ class DensityIntensity:
             raise SamplerError("intensity density exceeds its declared bound")
         return vals
 
-    def total_on(self, w, n_grid=4096):
-        """Tensor trapezoid estimate of the mass on a window (1-D and 2-D)."""
+    def total_on(self, w):
+        """Tensor trapezoid estimate of the mass on a window: 4096 nodes in 1-D,
+        a 65 x 65 grid in 2-D."""
         if w.dim == 1:
-            xs = np.linspace(w.lower[0], w.upper[0], n_grid)
+            xs = np.linspace(w.lower[0], w.upper[0], 4096)
             return float(np.trapezoid(self.density_at(xs[:, None]), xs))
         if w.dim == 2:
-            k = int(np.sqrt(n_grid)) + 1
+            k = 65
             xs = np.linspace(w.lower[0], w.upper[0], k)
             ys = np.linspace(w.lower[1], w.upper[1], k)
             gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -387,50 +338,3 @@ class DensityIntensity:
         if len(pts):
             pts = thin(pts, self.density_at(pts) / self.bound, rng)
         return PointPattern(pts, dim=w.dim)
-
-
-# -- intensity calculus -----------------------------------------------------
-
-
-def cluster_intensity(germ, window, kernel_mass=None, mean_cluster_size=None, n_grid=20001):
-    """Mean count of a cluster process on a window.
-
-    The mean measure is nu(C) = integral of K(y, C - y) over the germ measure,
-    where K(y, .) is the mean measure of the cluster attached at y. With a
-    Lebesgue germ and a translation-invariant cluster this collapses to
-    rate * mean_cluster_size * volume(C); otherwise supply kernel_mass(y, w)
-    (vectorized over germ positions y) and the germ is integrated by
-    trapezoid quadrature over its effective support (1-D germs).
-    """
-    if mean_cluster_size is not None:
-        if not isinstance(germ, LebesgueIntensity):
-            raise ConfigError("mean_cluster_size shortcut needs a Lebesgue germ")
-        return germ.rate * float(mean_cluster_size) * window.volume()
-    if kernel_mass is None:
-        raise ConfigError("need kernel_mass or mean_cluster_size")
-    if window.dim != 1:
-        raise NotImplementedError("kernel quadrature implemented for 1-D germs")
-    # integrate K(y, W - y) * germ density over a generously buffered region
-    span = window.sides[0]
-    region = window.buffered(10.0 * span)
-    ys = np.linspace(region.lower[0], region.upper[0], n_grid)
-    kmass = np.asarray(kernel_mass(ys, window), dtype=float)
-    dens = germ.density_at(ys[:, None])
-    return float(np.trapezoid(kmass * dens, ys))
-
-
-def branching_total_intensity(rate0, progeny_mass, generation=None):
-    """Intensity of a branching cluster process with ancestor rate rate0.
-
-    progeny_mass is the mean number of direct offspring |nu_alpha| < 1.
-    Returns rate0 / (1 - progeny_mass); with generation=n, the intensity
-    rate0 * progeny_mass**n of generation n alone.
-    """
-    m = float(progeny_mass)
-    if m < 0:
-        raise ConfigError("progeny mass must be nonnegative")
-    if generation is not None:
-        return float(rate0) * m ** int(generation)
-    if m >= 1:
-        raise SamplerError("supercritical progeny: total intensity diverges")
-    return float(rate0) / (1.0 - m)

@@ -11,7 +11,7 @@ rate-M strip so only finitely many interarrivals are ever drawn.
 Matern hard cores and non-linear self-exciting germs follow the same
 pattern: a dominating finite construction whose thinning reproduces the
 restriction of the infinite process exactly. Every independent coin -- the
-grid sites below T, the dominated ratio, the renewal complement and both
+grid sites below T, the renewal complement and both
 Matern stages -- is core.thin; only the sequential renewal and non-linear
 chains, whose coins depend on earlier decisions, flip their own.
 """
@@ -31,7 +31,6 @@ __all__ = [
     "GeometricGrid",
     "InverseSquareGrid",
     "thin_grid",
-    "thin_grid_dominated",
     "renewal_candidates",
     "renewal_thin_first",
     "matern_thin_first",
@@ -165,19 +164,6 @@ class InverseSquareGrid(_GridBase):
 def thin_grid(spec, rng):
     """Exact draw of the retained sites of a thinned grid on N."""
     return spec.thin(rng)
-
-
-def thin_grid_dominated(target_p, dominating, rng):
-    """Thin under a dominating family q >= p, then keep site k w.p. p_k/q_k."""
-    retained_q = dominating.thin(rng)
-    if retained_q.size == 0:
-        return retained_q
-    p_vals = np.asarray(target_p(retained_q), dtype=float)
-    q_vals = dominating.p(retained_q)
-    if np.any(p_vals > q_vals * (1 + 1e-12)):
-        raise SamplerError("dominating family does not dominate the target")
-    ratio = np.where(q_vals > 0, p_vals / np.where(q_vals > 0, q_vals, 1.0), 0.0)
-    return thin(retained_q, ratio, rng)
 
 
 # -- renewal germs ---------------------------------------------------------------

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PointPattern, SamplerError, Window, thin
+from .core import MAX_MEAN_POINTS, PointPattern, SamplerError, Window, thin
 
 __all__ = [
     "EPS_ROUND",
@@ -163,9 +163,6 @@ class FertilityKernel:
     def components(self):
         """(weight, z) pairs of the mark mixture."""
         return self.marks
-
-    def mean_cluster_size(self):
-        return 1.0 / (1.0 - self.rho)
 
     def sample_mark(self, n, rng):
         """n iid marks: the indices and random numbers of rng.choice(p=weights)."""
@@ -380,10 +377,6 @@ class GWCluster:
     def n(self):
         return self.points.shape[0]
 
-    @property
-    def offsets(self):
-        return self.points - np.atleast_1d(self.ancestor)[self.owner]
-
 
 def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=None):
     """Generation-by-generation draw of the clusters of a scalar or 1-D array of ancestors.
@@ -463,13 +456,12 @@ class PhiOperator:
     convolution's 2 * n_nodes - 2.
     """
 
-    def __init__(self, kernel, step, n_nodes, eps=EPS_ROUND):
+    def __init__(self, kernel, step, n_nodes):
         if step <= 0 or n_nodes < 2:
             raise SamplerError("need a positive step and at least two grid nodes")
         self.kernel = kernel
         self.step = float(step)
         self.n_nodes = int(n_nodes)
-        self.eps = float(eps)
         self.taus = np.arange(self.n_nodes) * self.step
         self._fft_len = _next_fast_len(2 * self.n_nodes - 2)
         self._dnu = []
@@ -524,9 +516,9 @@ class PhiOperator:
             out += w * np.exp(np.minimum(-nu_inf + integral, 0.0))
         self.max_width = max(self.max_width, width)
         if rounding == "up":
-            out += self.eps
+            out += EPS_ROUND
         elif rounding == "down":
-            out -= self.eps
+            out -= EPS_ROUND
         return np.clip(out, 0.0, 1.0)
 
 
@@ -688,7 +680,7 @@ def build_sandwich(
 # -- the perfect sampler ---------------------------------------------------------------
 
 
-def _reaching_clusters(kernel, ts, n_plain, rng, point_cap=POINT_CAP):
+def _reaching_clusters(kernel, ts, n_plain, rng):
     """Which candidate ancestors at distances ts before the window reach it, and their clusters.
 
     The first n_plain candidates draw one ordinary cluster each and are kept
@@ -728,7 +720,7 @@ def _reaching_clusters(kernel, ts, n_plain, rng, point_cap=POINT_CAP):
     roots = np.concatenate([np.zeros(n_plain), pos])
     owner = np.concatenate([np.arange(n_plain), spine])  # the candidate of each root
     marks = np.concatenate([kernel.sample_mark(n_plain, rng), marks])
-    cl = sample_gw_cluster(kernel, roots, rng, point_cap, root_marks=marks)
+    cl = sample_gw_cluster(kernel, roots, rng, root_marks=marks)
     who = owner[cl.owner]
     reach = np.zeros(ts.size)
     np.maximum.at(reach, owner, roots + cl.extinction_time)
@@ -758,7 +750,9 @@ class HawkesSampler:
     rate mu U(t), beyond; _reaching_clusters keeps exactly the ancestors that
     reach the window, each with its cluster of law P(. | L > t).  A callable
     mu is thinned at mu_bound.  The zero kernel (rho = 0) keeps no
-    pre-window ancestor.
+    pre-window ancestor.  A mean candidate count per draw, mu_bound (a + t0 +
+    1/theta), above core.MAX_MEAN_POINTS raises SamplerError when the sampler
+    is built.
 
     tol and step describe only the certified curve of F, the sandwich
     property: it is built from them when first read, and no draw reads it.
@@ -767,7 +761,7 @@ class HawkesSampler:
     for the counters that perfbench reports.
     """
 
-    def __init__(self, kernel, mu, a, mu_bound=None, tol=1e-3, step=1e-4, point_cap=POINT_CAP):
+    def __init__(self, kernel, mu, a, mu_bound=None, tol=1e-3, step=1e-4):
         if a <= 0:
             raise SamplerError("window length must be positive")
         self.kernel = kernel
@@ -783,9 +777,15 @@ class HawkesSampler:
             raise SamplerError("immigrant intensity must be nonnegative")
         self.tol = float(tol)
         self.step = float(step)
-        self.point_cap = int(point_cap)
         self.stats = {"condition_attempts": 0, "fallback_coins": 0, "grid_levels_built": 0}
         self._t0 = -math.log1p(-kernel.rho_theta) / kernel.theta if kernel.rho > 0 else 0.0
+        # immigrants on [0, a], then pre-window candidates on (0, t0] and beyond t0
+        pre_window = self._t0 + 1.0 / kernel.theta if kernel.rho > 0 else 0.0
+        mean = self.mu_bound * (self.a + pre_window)
+        if not mean <= MAX_MEAN_POINTS:
+            raise SamplerError(
+                f"mean candidate count {mean:.3g} per draw exceeds the limit {MAX_MEAN_POINTS:.0e}"
+            )
         self.meta = {"theta": kernel.theta, "rho_theta": kernel.rho_theta, "t0": self._t0}
 
     @functools.cached_property
@@ -813,12 +813,12 @@ class HawkesSampler:
         near, far = self._thin_mu(near, rng), self._thin_mu(far, rng)
         self.stats["condition_attempts"] += near.size + far.size
         ts = -np.concatenate([near, far])
-        return _reaching_clusters(kernel, ts, near.size, rng, self.point_cap)[0]
+        return _reaching_clusters(kernel, ts, near.size, rng)[0]
 
     def sample(self, rng):
         """One exact draw on [0, a] as a sorted 1-D pattern."""
         kept = self._conditioned_cluster(rng)
         imm = self._thin_mu(np.sort(rng.random(rng.poisson(self.mu_bound * self.a))) * self.a, rng)
-        free = sample_gw_cluster(self.kernel, imm, rng, self.point_cap).points
+        free = sample_gw_cluster(self.kernel, imm, rng).points
         pts = np.concatenate([kept, free])
         return PointPattern(np.sort(pts).reshape(-1, 1), dim=1).restrict(self._window)

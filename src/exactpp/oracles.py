@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PointPattern, SamplerError
-from .poisson import sample_homogeneous
+from .core import PointPattern, SamplerError, sample_homogeneous
 
 __all__ = [
     "cluster_direct_oracle",

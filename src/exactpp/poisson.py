@@ -1,22 +1,24 @@
-"""Poisson samplers: homogeneous, and finite-density on the half-line.
+"""Finite-density Poisson sampling on the half-line.
 
-sample_homogeneous lives in core, beside thin, and is re-exported here. The
-finite-density sampler certifies a truncation point for the density's tail
-and then thins a homogeneous process under the density's bound with thin
+The sampler certifies a truncation point for the density's tail and then
+thins a homogeneous process under the density's bound with core.thin
 (DensityIntensity.sample_on), so its draws are exact on [0, upper]; the
-tail beyond upper, at most tail_tol of the mass, is dropped.
+tail beyond upper, at most TAIL_TOL of the mass, is dropped. The homogeneous
+draw itself is core.sample_homogeneous.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import DensityIntensity, SamplerError, Window, sample_homogeneous
+from .core import DensityIntensity, SamplerError, Window
 
 __all__ = [
-    "sample_homogeneous",
+    "TAIL_TOL",
     "FiniteDensitySampler",
 ]
+
+TAIL_TOL = 1e-12  # largest share of the mass a certified truncation may drop
 
 
 class FiniteDensitySampler:
@@ -26,7 +28,7 @@ class FiniteDensitySampler:
     r(t)/bound; a density value above the bound or below zero raises
     SamplerError when it is met. The truncation point must carry a certified
     tail: either `tail_mass(t)` is supplied and `upper` is grown until the
-    tail is below tail_tol of the total mass, or `upper` is taken as the
+    tail is below TAIL_TOL of the total mass, or `upper` is taken as the
     exact support endpoint.
 
     The truncation point is certified once so replicate loops can reuse the
@@ -40,7 +42,6 @@ class FiniteDensitySampler:
         upper=None,
         total_mass=None,
         tail_mass=None,
-        tail_tol=1e-12,
     ):
         if upper is None and tail_mass is None:
             raise SamplerError("need a support endpoint or a computable tail mass")
@@ -58,7 +59,7 @@ class FiniteDensitySampler:
 
         if upper is None:
             upper = 1.0
-            while tail_mass(upper) > tail_tol * max(total_mass, 1e-300):
+            while tail_mass(upper) > TAIL_TOL * max(total_mass, 1e-300):
                 upper *= 2.0
                 if upper > 1e12:
                     raise SamplerError("tail mass does not reach the truncation tolerance")

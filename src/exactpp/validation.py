@@ -9,29 +9,19 @@ The two-sample KS test, the one test the CLI runs, needs numpy alone: its
 p-value is the Kolmogorov distribution of Simard & L'Ecuyer (2011), ported
 from scipy.stats (BSD-3-Clause; see `_kolmogorov_sf`). `ks_against_cdf` and
 `chi_square` import scipy.stats when called.
-
-Seeds are fixed by callers for reproducibility; set EXACTPP_FRESH_SEED=1 to
-derive a fresh entropy seed instead (documented fresh-seed mode).
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "TestReport",
-    "base_seed",
     "mean_ci",
-    "empirical_intensity",
     "empirical_laplace",
-    "poisson_laplace",
-    "void_probability",
     "two_sample_ks",
     "ks_against_cdf",
     "chi_square",
@@ -73,11 +63,6 @@ class TestReport:
         }
         return out
 
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
 
 def _jsonable(v):
     """v with numpy scalars and arrays replaced by plain JSON values, recursively."""
@@ -96,13 +81,6 @@ def _jsonable(v):
     return v
 
 
-def base_seed(default):
-    """Fixed seed for CI; EXACTPP_FRESH_SEED=1 swaps in fresh entropy."""
-    if os.environ.get("EXACTPP_FRESH_SEED", "") == "1":
-        return secrets.randbits(63)
-    return int(default)
-
-
 # -- summaries ----------------------------------------------------------------
 
 
@@ -116,30 +94,10 @@ def mean_ci(values, z=3.0):
     return float(values.mean()), float(z * se)
 
 
-def empirical_intensity(counts, window, z=3.0):
-    """Empirical intensity (points per unit volume) with a z-sigma half width."""
-    mean, half = mean_ci(counts, z=z)
-    vol = window.volume()
-    return mean / vol, half / vol
-
-
 def empirical_laplace(counts, c, z=3.0):
     """Estimate of E[exp(-c N(W))] with a z-sigma half width."""
     vals = np.exp(-float(c) * np.asarray(counts, dtype=float))
     return mean_ci(vals, z=z)
-
-
-def poisson_laplace(rate, volume, c):
-    """Exact E[exp(-c N(W))] for a homogeneous Poisson process."""
-    return float(np.exp(rate * volume * (np.exp(-c) - 1.0)))
-
-
-def void_probability(counts, z=3.0):
-    """Empirical P(N(W) = 0) with a z-sigma half width."""
-    hits = (np.asarray(counts) == 0).astype(float)
-    p = float(hits.mean())
-    se = float(np.sqrt(max(p * (1 - p), 1e-300) / hits.size))
-    return p, z * se
 
 
 # -- hypothesis tests ----------------------------------------------------------
@@ -556,14 +514,12 @@ class ReportCollector:
         return corrected, all_ok
 
 
-def replicate_counts(sample_fn, n_reps, stream, window=None):
-    """Counts from n_reps independent replicates, one substream each.
+def replicate_counts(sample_fn, n_reps, stream):
+    """Point counts of n_reps independent replicates, one substream each.
 
-    sample_fn(rng) must return a PointPattern; with a window the count is
-    restricted to it, otherwise the full pattern size is used.
+    sample_fn(rng) must return a PointPattern.
     """
     counts = np.empty(int(n_reps), dtype=np.int64)
     for r in range(int(n_reps)):
-        pat = sample_fn(stream.substream(r).generator())
-        counts[r] = pat.count_in(window) if window is not None else pat.n
+        counts[r] = sample_fn(stream.substream(r).generator()).n
     return counts

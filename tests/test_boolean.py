@@ -91,7 +91,7 @@ def test_fixed_radius_conditioning_draws_no_random_number():
 
 def test_zero_rate_boolean_model_is_empty():
     sample = boolean_exact_sample(0.0, DiskGrains(FixedRadius(0.5)), SQUARE, _gen(31))
-    assert sample.germ_pattern().n == 0
+    assert sample.germs.shape[0] == 0
     probes = SQUARE.sample_uniform(100, _gen(32))
     assert not sample.coverage(probes).any()
 
@@ -180,7 +180,7 @@ def test_germs_live_in_the_reach_buffered_region():
     region = SQUARE.buffered(0.5)
     for _ in range(100):
         sample = boolean_exact_sample(1.0, grains, SQUARE, rng)
-        if sample.germ_pattern().n:
+        if sample.germs.shape[0]:
             assert np.all(region.contains(sample.germs))
 
 

@@ -173,6 +173,23 @@ def test_absurd_rate_exits_3_before_drawing(tmp_path, capsys, sampler, params):
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(POISSON_CFG, **_hawkes(mu=1e20)),
+        dict(POISSON_CFG, sampler="brix_kendall",
+             params={"rate0": 1.0, "cluster_mean": 1e20,
+                     "displacement": {"lo": [-0.5, -0.5], "hi": [0.5, 0.5]}}),
+    ],
+    ids=["hawkes_mr-mu", "brix_kendall-cluster_mean"],
+)
+def test_absurd_mean_per_draw_exits_3_at_build(tmp_path, capsys, cfg):
+    rc, _ = _sample(tmp_path, cfg)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("sampler error:") and "exceeds the limit 1e+09" in err
+
+
 # -- validation rejection exits 1 ---------------------------------------------------
 
 

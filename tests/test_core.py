@@ -1,5 +1,5 @@
-"""Windows, point patterns, serialization round trips, RNG streams, and the
-closed-form intensity identities everything downstream is checked against."""
+"""Windows, point patterns, CSV round trips, RNG streams, and the thinning
+step every sampler is built from."""
 
 import math
 
@@ -10,14 +10,10 @@ from hypothesis import strategies as st
 
 from exactpp import (
     ConfigError,
-    LebesgueIntensity,
     PointPattern,
     RngStream,
     SamplerError,
-    UniformDisplacement,
     Window,
-    branching_total_intensity,
-    cluster_intensity,
 )
 from exactpp.core import thin
 
@@ -96,71 +92,6 @@ def test_thin_rejects_probabilities_outside_the_unit_interval(p):
         thin(np.arange(3), p, RngStream(14, 0).generator())
 
 
-# -- intensity identities ----------------------------------------------------------
-
-
-def test_cluster_intensity_product_form():
-    germ = LebesgueIntensity(1.0, dim=1)
-    assert cluster_intensity(germ, UNIT, mean_cluster_size=2.0) == pytest.approx(2.0)
-    assert cluster_intensity(LebesgueIntensity(0.0, 1), UNIT, mean_cluster_size=7.0) == 0.0
-    assert cluster_intensity(LebesgueIntensity(0.5, 1), UNIT, mean_cluster_size=3.0) == pytest.approx(1.5)
-    square = Window((0.0, 0.0), (2.0, 2.0))
-    assert cluster_intensity(LebesgueIntensity(0.5, 2), square, mean_cluster_size=3.0) == pytest.approx(6.0)
-
-
-def test_cluster_intensity_quadrature_matches_product_form():
-    # translation-invariant kernel: quadrature of K(y, W - y) over the germ
-    # must reproduce rate * mean_size * |W| (Fubini), here 1 * 2 * 10 = 20
-    window = Window((0.0,), (10.0,))
-    disp = UniformDisplacement((-0.5,), (0.5,))
-
-    def kernel_mass(ys, w):
-        return 2.0 * disp.prob_in(np.asarray(ys, dtype=float)[:, None], w)
-
-    got = cluster_intensity(LebesgueIntensity(1.0, 1), window, kernel_mass=kernel_mass)
-    assert got == pytest.approx(20.0, rel=1e-3)
-
-
-def test_cluster_intensity_argument_contract():
-    germ = LebesgueIntensity(1.0, dim=1)
-    with pytest.raises(ConfigError):
-        cluster_intensity(germ, UNIT)
-    # the product shortcut is only licensed for Lebesgue germs
-    from exactpp import DensityIntensity
-
-    bumpy = DensityIntensity(lambda pts: np.ones(pts.shape[0]), bound=1.0, dim=1)
-    with pytest.raises(ConfigError):
-        cluster_intensity(bumpy, UNIT, mean_cluster_size=2.0)
-
-
-def test_branching_total_intensity_examples():
-    assert branching_total_intensity(1.0, 0.5) == pytest.approx(2.0)
-    assert branching_total_intensity(1.0, 0.0) == pytest.approx(1.0)
-    assert branching_total_intensity(2.0, 0.9) == pytest.approx(20.0)
-    assert branching_total_intensity(1.0, 0.5, generation=3) == pytest.approx(0.125)
-    assert branching_total_intensity(2.0, 0.9, generation=0) == pytest.approx(2.0)
-
-
-def test_branching_total_intensity_rejects_bad_mass():
-    with pytest.raises(SamplerError):
-        branching_total_intensity(1.0, 1.0)
-    with pytest.raises(SamplerError):
-        branching_total_intensity(1.0, 1.5)
-    with pytest.raises(ConfigError):
-        branching_total_intensity(1.0, -0.1)
-
-
-def test_branching_total_intensity_monotone_in_both_arguments():
-    rates = [0.5, 1.0, 2.0]
-    masses = [0.0, 0.3, 0.6, 0.9]
-    for m in masses:
-        vals = [branching_total_intensity(r, m) for r in rates]
-        assert vals == sorted(vals)
-    for r in rates:
-        vals = [branching_total_intensity(r, m) for m in masses]
-        assert vals == sorted(vals)
-
-
 # -- RNG streams -------------------------------------------------------------------
 
 
@@ -193,17 +124,6 @@ points_2d = st.lists(
 
 
 @settings(deadline=None, max_examples=60)
-@given(points_2d, points_2d)
-def test_superposition_counts_are_additive(pa, pb):
-    a = PointPattern(np.asarray(pa, dtype=float).reshape(-1, 2), dim=2)
-    b = PointPattern(np.asarray(pb, dtype=float).reshape(-1, 2), dim=2)
-    both = a.superpose(b)
-    assert both.n == a.n + b.n
-    w = Window((0.25, 0.25), (0.75, 0.75))
-    assert both.count_in(w) == a.count_in(w) + b.count_in(w)
-
-
-@settings(deadline=None, max_examples=60)
 @given(
     points_2d,
     st.floats(0.05, 0.45),
@@ -230,19 +150,12 @@ def test_disjoint_split_counts_add_up(xs, cut):
     left = Window((0.0,), (cut,))
     right = Window((cut,), (1.0,))
     whole = Window((0.0,), (1.0,))
-    assert pat.count_in(left) + pat.count_in(right) == pat.count_in(whole)
+    assert pat.restrict(left).n + pat.restrict(right).n == pat.restrict(whole).n
 
 
 def test_pattern_rejects_mismatched_marks():
     with pytest.raises(ValueError):
         PointPattern(np.zeros((3, 1)), marks=np.zeros(2))
-
-
-def test_sorted_gives_canonical_row_order():
-    pat = PointPattern(np.array([[2.0, 0.0], [1.0, 5.0], [1.0, 3.0]]), marks=[10.0, 20.0, 30.0])
-    s = pat.sorted()
-    assert np.array_equal(s.points, np.array([[1.0, 3.0], [1.0, 5.0], [2.0, 0.0]]))
-    assert np.array_equal(s.marks, np.array([30.0, 20.0, 10.0]))
 
 
 # -- serialization -------------------------------------------------------------------
@@ -306,7 +219,7 @@ def test_csv_bytes_match_row_writer(tmp_path):
     odd = np.array([-0.0, 0.0, 1e-310, -2.5e22, 1.0 / 3.0, np.inf, -1e-5])
     patterns = [
         PointPattern.empty(2),
-        PointPattern.empty(1, with_marks=True),
+        PointPattern(np.empty((0, 1)), marks=np.empty(0), dim=1),
         PointPattern(rng.random(9) * 1e4 - 5e3, dim=1),
         PointPattern(rng.normal(size=(13, 2)), dim=2),
         PointPattern(rng.random((11, 3)), marks=rng.random(11) * 6.0, dim=3),
@@ -318,17 +231,6 @@ def test_csv_bytes_match_row_writer(tmp_path):
         pat.to_csv(ours)
         _row_writer_csv(pat, ref)
         assert ours.read_bytes() == ref.read_bytes(), i
-
-
-def test_json_round_trip_preserves_pattern_and_meta(tmp_path):
-    rng = RngStream(6, 0).generator()
-    pat = PointPattern(rng.random((9, 3)), marks=rng.random(9), dim=3)
-    path = tmp_path / "pat.json"
-    pat.to_json(path, meta={"seed": 6, "sampler": "unit-test"})
-    back, meta = PointPattern.from_json(path)
-    assert np.array_equal(back.points, pat.points)
-    assert np.array_equal(back.marks, pat.marks)
-    assert meta == {"seed": 6, "sampler": "unit-test"}
 
 
 def test_negative_zero_is_normalized_in_files(tmp_path):

@@ -1,4 +1,4 @@
-"""Thinned grids (last-site law, enumeration identities, dominated thinning),
+"""Thinned grids (last-site law, enumeration identities),
 renewal thin-first, Matern hard cores, and the regenerative non-linear
 self-exciting germ."""
 
@@ -19,7 +19,6 @@ from exactpp import (
     renewal_candidates,
     renewal_thin_first,
     thin_grid,
-    thin_grid_dominated,
 )
 from exactpp.oracles import grid_thin_after, renewal_thin_after
 from exactpp.validation import chi_square, two_sample_ks
@@ -138,28 +137,6 @@ def test_thin_matches_thin_after_oracle():
     rep_f = chi_square(masks_forward, pmf, alpha=0.005)
     assert rep_b.accepted, rep_b.to_dict()
     assert rep_f.accepted, rep_f.to_dict()
-
-
-def test_dominated_thinning_identity_when_target_equals_dominating():
-    grid = InverseSquareGrid(1.1)
-    rng = _gen(55)
-    last_direct = []
-    last_dominated = []
-    for _ in range(4_000):
-        a = thin_grid(grid, rng)
-        b = thin_grid_dominated(lambda ks: grid.p(ks), grid, rng)
-        last_direct.append(a[-1] if a.size else -1)
-        last_dominated.append(b[-1] if b.size else -1)
-    rep = two_sample_ks(np.asarray(last_direct), np.asarray(last_dominated), alpha=0.01)
-    assert rep.accepted, rep.to_dict()
-
-
-def test_dominated_thinning_rejects_non_dominating_pairs():
-    grid = TableGrid((0.2, 0.2, 0.2, 0.2, 0.2, 0.2))
-    rng = _gen(56)
-    with pytest.raises(SamplerError, match="does not dominate"):
-        for _ in range(200):  # needs at least one retained dominating site
-            thin_grid_dominated(lambda ks: np.full(len(ks), 0.9), grid, rng)
 
 
 def test_thin_returns_sorted_unique_indices():

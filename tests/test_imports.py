@@ -93,7 +93,6 @@ print(json.dumps([code, sorted(m for m in sys.modules if m == "scipy" or m.start
 def _validated_sample(config, tmp_path):
     """(exit code, loaded scipy modules) of a fresh `exactpp sample` with validation on."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), EXACTPP_WORKERS="1")
-    env.pop("EXACTPP_FRESH_SEED", None)
     out = subprocess.run(
         [sys.executable, "-c", CLI_SCRIPT, f"configs/{config}.json", str(tmp_path)],
         cwd=ROOT,

@@ -1,15 +1,19 @@
 """Public names resolve: every `__all__` entry of the package and its modules,
 and every function, method and oracle that the benchmark tracer wraps (a
-deletion there would make each traced benchmark run fail)."""
+deletion there would make each traced benchmark run fail). And every public
+name has a caller outside the unit tests."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import exactpp
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def _module(name):
@@ -51,3 +55,69 @@ def test_every_traced_layer_exists():
         if not callable(getattr(_module("oracles"), attr, None))
     ]
     assert missing == []
+
+
+# Public names that nothing in the package, the benchmark or the acceptance
+# tests calls, kept because unit tests use them as references.
+UNCALLED_ALLOWED = {
+    "ks_against_cdf": "one-sample KS against a closed-form CDF, the reference in law tests",
+    "retained_mass": "closed-form mean of retained germs, the reference for germ-count tests",
+}
+
+
+def _all_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _references(tree, strings=False):
+    """Names a module uses: loads, attributes, imports that are not re-exports,
+    getattr strings and, with `strings`, every identifier-shaped string."""
+    reexports = _all_names(tree)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names if a.name not in reexports)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr":
+            found.update(a.value for a in node.args[1:2] if isinstance(a, ast.Constant))
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                found.add(node.value)
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    """Each name in a module's `__all__` and each public method is used by the
+    package, the benchmark, the acceptance tests or a README example. Unit
+    tests do not count: a name only they call is dead surface."""
+    sources = sorted((ROOT / "src" / "exactpp").glob("*.py"))
+    trees = {p.stem: ast.parse(p.read_text()) for p in sources}
+    used = set().union(*(_references(t) for t in trees.values()))
+    used |= _references(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    # the benchmark names the layers it wraps as strings and resolves them with getattr
+    for path in (ROOT / "perfbench").glob("*.py"):
+        used |= _references(ast.parse(path.read_text()), strings=True)
+    used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+
+    public = []
+    for mod, tree in trees.items():
+        defined = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        public += [f"{mod}.{name}" for name in sorted(_all_names(tree) & defined)]
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            public += [
+                f"{mod}.{cls.name}.{f.name}"
+                for f in cls.body
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not f.name.startswith("_")
+            ]
+    dead = [q for q in public if q.rsplit(".", 1)[1] not in used | UNCALLED_ALLOWED.keys()]
+    assert not dead, "no caller outside the unit tests: " + ", ".join(dead)
+    assert not UNCALLED_ALLOWED.keys() & used, "allowlisted names that now have a caller"
