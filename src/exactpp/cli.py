@@ -223,10 +223,11 @@ def _interval_report(name, value, expect, half):
 
 def _count_checks(sample, mean=None, oracle=None):
     """The count battery as a validate closure: replicate counts, then a mean
-    check for mean=(name, expected count) and a KS test for
-    oracle=(name, oracle_fn), oracle_fn(rng) drawing one reference pattern
-    from substream 10_001. Any oracle set-up belongs inside oracle_fn, so it
-    runs only when validation does."""
+    check for mean=(name, expected count) and a two-sample KS test for
+    oracle=(name, oracle_counts). oracle_counts(n_reps, rng) returns n_reps
+    reference counts, all drawn from the one generator of substream 10_001;
+    _each turns a one-pattern oracle into one. Any oracle set-up belongs inside
+    oracle_counts, so it runs only when validation does."""
 
     def validate(stream, n_reps, collector):
         counts = replicate_counts(sample, n_reps, stream)
@@ -234,10 +235,16 @@ def _count_checks(sample, mean=None, oracle=None):
             value, half = mean_ci(counts)
             collector.add(_interval_report(mean[0], value, mean[1], half))
         if oracle is not None:
-            oracle_counts = replicate_counts(oracle[1], n_reps, stream.substream(10_001))
-            collector.add(two_sample_ks(counts, oracle_counts, name=oracle[0]))
+            ref = oracle[1](n_reps, stream.substream(10_001).generator())
+            collector.add(two_sample_ks(counts, np.asarray(ref), name=oracle[0]))
 
     return validate
+
+
+def _each(draw):
+    """oracle_counts for draw(rng), which returns one reference pattern: n_reps
+    draws in turn from the one generator."""
+    return lambda n_reps, rng: [draw(rng).n for _ in range(n_reps)]
 
 
 # -- sampler registry --------------------------------------------------------------
@@ -274,7 +281,7 @@ def _build_brix_kendall(cfg):
         sampler.sample,
         mean=("cluster-mean-count", rate0 * cmean * window.volume()),
         oracle=("cluster-counts-vs-oracle",
-                lambda rng: oracles.cluster_direct_oracle(rate0, kernel, window, rng)),
+                _each(lambda rng: oracles.cluster_direct_oracle(rate0, kernel, window, rng))),
     )
     return {"sample": sampler.sample, "window": window, "validate": validate,
             "plots": {"points-2d", "counts-histogram"}, "meta": {}}
@@ -418,9 +425,65 @@ def _build_grid_thinning(cfg):
         sites = oracles.grid_thin_after(spec.p, horizon(), rng)
         return PointPattern(np.asarray(sites, dtype=float).reshape(-1, 1), dim=1)
 
-    validate = _count_checks(sample, oracle=("grid-counts-vs-thin-after", oracle))
+    validate = _count_checks(sample, oracle=("grid-counts-vs-thin-after", _each(oracle)))
     return {"sample": sample, "window": None, "validate": validate,
             "plots": {"counts-histogram"}, "meta": {}}
+
+
+_GAMMA_ITERATIONS = 100_000  # far more than either expansion needs below a = 10^6
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min / _EPS  # Lentz's floor for a vanishing denominator
+
+
+def _gamma_q(a, x):
+    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a), a > 0, x > 0.
+
+    Below x = a + 1 it sums the series of P = 1 - Q, beyond it evaluates the
+    continued fraction of Q by Lentz's method (Numerical Recipes, 3rd ed.,
+    6.2), both to double precision. The prefactor x^a e^-x / Gamma(a) loses
+    about a * log(x) ulps, so the relative error grows with a.
+    """
+    log_front = a * math.log(x) - x - math.lgamma(a)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for n in range(1, _GAMMA_ITERATIONS):
+            term *= x / (a + n)
+            total += term
+            if abs(term) < abs(total) * _EPS:
+                return 1.0 - total * math.exp(log_front)
+    else:
+        b = x + 1.0 - a
+        c, d = 1.0 / _TINY, 1.0 / b
+        frac = d
+        for i in range(1, _GAMMA_ITERATIONS):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+            c = b + an / c
+            c = c if abs(c) >= _TINY else _TINY
+            delta = d * c
+            frac *= delta
+            if abs(delta - 1.0) <= _EPS:
+                return frac * math.exp(log_front)
+    raise SamplerError(f"incomplete gamma Q({a:.6g}, {x:.6g}) did not converge")
+
+
+def _gamma_hazard(shape, scale):
+    """Hazard pdf / survival of the gamma(shape >= 1, scale) law, capped at its limit 1 / scale."""
+    bound = 1.0 / scale
+    log_norm = math.lgamma(shape)
+
+    def hazard(t):
+        x = t / scale
+        if x <= 0.0:
+            return bound if shape == 1.0 else 0.0  # the pdf at 0 over a survival of 1
+        sf = _gamma_q(shape, x)
+        if sf <= 0:
+            return bound
+        return min(math.exp((shape - 1.0) * math.log(x) - x - log_norm) / scale / sf, bound)
+
+    return hazard
 
 
 def _build_renewal(cfg):
@@ -444,19 +507,8 @@ def _build_renewal(cfg):
     if thin_rate <= 0:
         raise ConfigError("'params.thin.rate' must be positive")
 
-    from scipy import special
-
     bound = 1.0 / scale  # gamma hazard with shape >= 1 increases toward 1/scale
-    log_norm = special.gammaln(shape)
-    xlogy, gammaincc = special.xlogy, special.gammaincc
-
-    def hazard(t):
-        # the gamma pdf and survival function as scipy.stats.gamma computes them
-        x = t / scale
-        sf = float(gammaincc(shape, x))
-        if sf <= 0:
-            return bound
-        return min(float(np.exp(xlogy(shape - 1.0, x) - x - log_norm)) / scale / sf, bound)
+    hazard = _gamma_hazard(shape, scale)
 
     def thin_p(ts):
         return np.exp(-thin_rate * np.asarray(ts, dtype=float))
@@ -476,7 +528,7 @@ def _build_renewal(cfg):
             lambda r: r.gamma(shape, scale), thin_p, 60.0 / thin_rate, rng
         )
 
-    validate = _count_checks(sample, oracle=("renewal-counts-vs-thin-after", oracle))
+    validate = _count_checks(sample, oracle=("renewal-counts-vs-thin-after", _each(oracle)))
     return {"sample": sample, "window": None, "validate": validate,
             "plots": {"counts-histogram"}, "meta": {}}
 
@@ -499,7 +551,7 @@ def _build_matern(cfg):
 
     validate = _count_checks(sample, oracle=(
         "hardcore-counts-vs-thin-after",
-        lambda rng: oracles.matern_direct_oracle(rate, radius, thin_fn, window, rng),
+        _each(lambda rng: oracles.matern_direct_oracle(rate, radius, thin_fn, window, rng)),
     ))
     return {"sample": sample, "window": window, "validate": validate,
             "plots": {"points-2d", "counts-histogram"}, "meta": {}}
@@ -532,12 +584,21 @@ def _build_nonlinear_hawkes(cfg):
     def h(t):
         return height * max(1.0 - float(t) / support, 0.0)
 
+    # phi and h elementwise on arrays, for the lockstep oracle; the sampler keeps the above
+    def phi_array(drive):
+        return lam * -np.expm1(-(base + drive) / lam)
+
+    def h_array(t):
+        return height * np.maximum(1.0 - t / support, 0.0)
+
     def sample(rng):
         return nonlinear_hawkes_germ(phi, lam, h, support, window, rng)
 
-    def oracle(rng):
+    def oracle(n_reps, rng):
         burn = 20.0 * math.exp(min(lam * support, 30.0)) / lam + 10.0 * support
-        return oracles.nonlinear_hawkes_burn_in(phi, lam, h, support, window, burn, rng)
+        return oracles.nonlinear_hawkes_burn_in_counts(
+            phi_array, lam, h_array, support, window, burn, n_reps, rng
+        )
 
     validate = _count_checks(sample, oracle=("nonlinear-counts-vs-burn-in", oracle))
     return {"sample": sample, "window": window, "validate": validate,
@@ -558,11 +619,11 @@ def _build_hawkes_mr(cfg):
     step = _get(params, "step", float, "params", 1e-4)
     sampler = HawkesSampler(kernel, mu, window.upper[0], tol=tol, step=step)
 
-    def oracle(rng):
-        burn = 60.0 / max(kernel.suggested_decay(), 1e-6)
-        draw = (oracles.hawkes_exp_burn_in if isinstance(kernel, ExponentialFertility)
-                else oracles.hawkes_bounded_burn_in)
-        return draw(kernel, mu, window.upper[0], burn, rng)
+    def oracle(n_reps, rng):
+        a, burn = window.upper[0], 60.0 / max(kernel.suggested_decay(), 1e-6)
+        if isinstance(kernel, ExponentialFertility):
+            return oracles.hawkes_exp_burn_in_counts(kernel, mu, a, burn, n_reps, rng)
+        return [oracles.hawkes_bounded_burn_in(kernel, mu, a, burn, rng).n for _ in range(n_reps)]
 
     validate = _count_checks(
         sampler.sample,

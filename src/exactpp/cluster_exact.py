@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_MEAN_POINTS, DensityIntensity, PointPattern, SamplerError
+from .core import (
+    MAX_MEAN_POINTS,
+    DensityIntensity,
+    PointPattern,
+    SamplerError,
+    sample_homogeneous,
+    thin,
+)
 
 __all__ = [
     "UniformDisplacement",
@@ -116,16 +123,15 @@ class TranslatedPoissonCluster:
         """Concatenated displacements for clusters of the given sizes."""
         return self.displacement.sample(int(np.sum(counts)), rng)
 
-    def sample_conditioned(self, germs, window, rng):
+    def sample_conditioned(self, germs, lam, window, rng):
         """In-window points of clusters at the germ rows (k, dim), each cluster
         conditioned on hitting W, and the germ row owning each point.
 
-        The in-W count at x is Poisson(lam), lam = mass_in(x, W). Given a hit it
-        is 1 + Poisson(lam - T1), with T1 the first arrival of a unit-rate
+        lam holds mass_in(germs, W): the in-W count at x is Poisson(lam). Given a
+        hit it is 1 + Poisson(lam - T1), with T1 the first arrival of a unit-rate
         process given that it falls below lam, drawn by inversion; the points
         are i.i.d. uniform on (x + box) ∩ W. No loop, and no point outside W.
         """
-        lam = self.mass_in(germs, window)
         if not lam.min(initial=1.0) > 0:
             raise SamplerError("cannot condition a cluster that misses the window to hit it")
         first = -np.log1p(rng.random(lam.size) * np.expm1(-lam))
@@ -189,13 +195,22 @@ class BrixKendallSampler:
         return mass
 
     def sample_retained_germs(self, rng):
-        """Thinned germ: Poisson with density p(x) mu(x) on the germ region."""
+        """Thinned germ: Poisson with density p(x) mu(x) on the germ region, as
+        rows (k, dim), and lam = K(x, W - x) at each row, which gave p(x) =
+        1 - exp(-lam)."""
         if self._thinned is None:
-            return np.empty((0, self.window.dim))
-        return self._thinned.sample_on(self.region, rng).points
+            return np.empty((0, self.window.dim)), np.empty(0)
+        bound = self._thinned.bound
+        germs = sample_homogeneous(self.region, bound, rng).points
+        lam = self.kernel.mass_in(germs, self.window)
+        if len(germs):
+            p = -np.expm1(-lam) * self.germ.density_at(germs) / bound
+            keep = thin(np.arange(len(germs)), p, rng)
+            germs, lam = germs[keep], lam[keep]
+        return germs, lam
 
     def sample(self, rng):
         """One exact draw of the cluster process restricted to the window."""
-        germs = self.sample_retained_germs(rng)
-        points, _ = self.kernel.sample_conditioned(germs, self.window, rng)
+        germs, lam = self.sample_retained_germs(rng)
+        points, _ = self.kernel.sample_conditioned(germs, lam, self.window, rng)
         return PointPattern(points, dim=self.window.dim)

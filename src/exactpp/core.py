@@ -314,20 +314,16 @@ class DensityIntensity:
         return vals
 
     def total_on(self, w):
-        """Tensor trapezoid estimate of the mass on a window: 4096 nodes in 1-D,
-        a 65 x 65 grid in 2-D."""
-        if w.dim == 1:
-            xs = np.linspace(w.lower[0], w.upper[0], 4096)
-            return float(np.trapezoid(self.density_at(xs[:, None]), xs))
-        if w.dim == 2:
-            k = 65
-            xs = np.linspace(w.lower[0], w.upper[0], k)
-            ys = np.linspace(w.lower[1], w.upper[1], k)
-            gx, gy = np.meshgrid(xs, ys, indexing="ij")
-            vals = self.density_at(np.column_stack([gx.ravel(), gy.ravel()]))
-            vals = vals.reshape(k, k)
-            return float(np.trapezoid(np.trapezoid(vals, ys, axis=1), xs))
-        raise NotImplementedError("quadrature beyond dim 2 not supported")
+        """Tensor trapezoid estimate of the mass on a 2-D window, on a 65 x 65 grid."""
+        if w.dim != 2:
+            raise NotImplementedError("trapezoid quadrature is only for 2-D windows")
+        k = 65
+        xs = np.linspace(w.lower[0], w.upper[0], k)
+        ys = np.linspace(w.lower[1], w.upper[1], k)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        vals = self.density_at(np.column_stack([gx.ravel(), gy.ravel()]))
+        vals = vals.reshape(k, k)
+        return float(np.trapezoid(np.trapezoid(vals, ys, axis=1), xs))
 
     def bound_on(self, w):
         return self.bound

@@ -9,6 +9,11 @@ Exactness status is part of each contract: the buffered cluster and hard-core
 oracles are exact for bounded displacement/interaction ranges, the burn-in
 self-exciting oracles carry an exponentially small initialization bias that
 the caller sizes far below test resolution.
+
+The *_burn_in_counts routines run the same burn-in simulations for many
+independent chains in lockstep, one numpy step for all chains per proposal,
+and return only each chain's window count.  Their chains share one generator,
+so they draw the same law as the scalar routines but not the same numbers.
 """
 
 from __future__ import annotations
@@ -22,10 +27,14 @@ __all__ = [
     "matern_direct_oracle",
     "renewal_thin_after",
     "hawkes_exp_burn_in",
+    "hawkes_exp_burn_in_counts",
     "hawkes_bounded_burn_in",
     "nonlinear_hawkes_burn_in",
+    "nonlinear_hawkes_burn_in_counts",
     "grid_thin_after",
 ]
+
+_PAIR_BLOCK = 1 << 20  # pair distances held at once by matern_direct_oracle
 
 
 def cluster_direct_oracle(rate0, kernel, window, rng):
@@ -51,18 +60,22 @@ def matern_direct_oracle(rate, radius, thin_p, window, rng):
 
     One full Poisson(rate) candidate set on the radius-buffered window,
     uniform marks, survival by strict mark minimality within the radius,
-    and the independent p-thinning applied last.
+    and the independent p-thinning applied last.  Survival is decided for a
+    block of candidates at a time from their distances to every candidate,
+    with at most _PAIR_BLOCK distances held at once.
     """
     region = window.buffered(radius)
     n = rng.poisson(rate * region.volume())
     pts = region.sample_uniform(n, rng)
     marks = rng.random(n)
-    survive = np.ones(n, dtype=bool)
-    for i in range(n):
-        d = np.sqrt(np.sum((pts - pts[i]) ** 2, axis=1))
-        near = (d <= radius) & (np.arange(n) != i)
-        if np.any(marks[near] < marks[i]):
-            survive[i] = False
+    survive = np.empty(n, dtype=bool)
+    step = max(1, _PAIR_BLOCK // max(n, 1))
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        d = np.sqrt(np.sum((pts[None, :, :] - pts[rows, None, :]) ** 2, axis=2))
+        near = d <= radius
+        near[np.arange(rows.size), rows] = False
+        survive[rows] = ~np.any(near & (marks < marks[rows, None]), axis=1)
     kept = pts[survive]
     if kept.shape[0]:
         p_vals = np.asarray(thin_p(kept), dtype=float)
@@ -126,6 +139,39 @@ def hawkes_exp_burn_in(kernel, mu, a, burn_in, rng):
                 out.append(t)
             s += zs[cdf.searchsorted(uniform(), side="right")] * beta
     return PointPattern(np.asarray(out).reshape(-1, 1), dim=1)
+
+
+def hawkes_exp_burn_in_counts(kernel, mu, a, burn_in, n_reps, rng):
+    """Window counts N([0, a]) of n_reps independent hawkes_exp_burn_in chains.
+
+    Every chain runs the state thinning of hawkes_exp_burn_in; one step draws
+    the next proposal of every chain still before a, so a chain leaves the
+    step arrays once its proposal passes a.  Marks are drawn from
+    kernel.components(), as in the scalar oracle.
+    """
+    if mu < 0:
+        raise SamplerError("immigrant intensity must be nonnegative")
+    counts = np.zeros(int(n_reps), dtype=np.int64)
+    if mu == 0:
+        return counts  # no immigrant ever starts the excitation
+    cdf = np.cumsum([w for w, _ in kernel.components()])
+    cdf /= cdf[-1]
+    jumps = kernel.beta * np.array([z for _, z in kernel.components()])
+    chain = np.arange(counts.size)
+    t = np.full(counts.size, -float(burn_in))
+    s = np.zeros(counts.size)
+    while chain.size:
+        bound = mu + s
+        gap = rng.standard_exponential(chain.size) / bound
+        s *= np.exp(-kernel.gamma * gap)
+        t += gap
+        live = t <= a
+        if not live.all():
+            chain, t, s, bound = chain[live], t[live], s[live], bound[live]
+        accept = rng.random(chain.size) * bound < mu + s
+        counts[chain[accept & (t >= 0.0)]] += 1
+        s[accept] += jumps[cdf.searchsorted(rng.random(np.count_nonzero(accept)), side="right")]
+    return counts
 
 
 def hawkes_bounded_burn_in(kernel, mu, a, burn_in, rng):
@@ -203,6 +249,47 @@ def nonlinear_hawkes_burn_in(phi, phi_bound, h, h_support, window, burn_in, rng)
             retained.append(t)
     pts = np.asarray([s for s in retained if b0 <= s <= b1])
     return PointPattern(pts.reshape(-1, 1), dim=1)
+
+
+def nonlinear_hawkes_burn_in_counts(phi, phi_bound, h, h_support, window, burn_in, n_reps, rng):
+    """Window counts of n_reps independent nonlinear_hawkes_burn_in chains.
+
+    phi and h act elementwise on arrays.  Each chain keeps its retained points
+    in a ring buffer, one row per chain, written in time order; the slot
+    written next holds the chain's oldest point.  When that point is still
+    within h_support of the chain's time, the buffer doubles instead, so the
+    drive always sums h over every retained point within the support.
+    """
+    b0, b1 = float(window.lower[0]), float(window.upper[0])
+    counts = np.zeros(int(n_reps), dtype=np.int64)
+    chain = np.arange(counts.size)
+    t = np.full(counts.size, b0 - float(burn_in))
+    ring = np.full((counts.size, 4), -np.inf)  # -inf: an empty slot, outside any support
+    head = np.zeros(counts.size, dtype=np.int64)  # the slot each chain writes next
+    while chain.size:
+        t += rng.standard_exponential(chain.size) / phi_bound
+        live = t <= b1
+        if not live.all():
+            chain, t, ring, head = chain[live], t[live], ring[live], head[live]
+        lag = t[:, None] - ring
+        near = lag <= h_support
+        drive = np.where(near, h(np.where(near, lag, 0.0)), 0.0).sum(axis=1)
+        rate = phi(drive)
+        if np.any(rate > phi_bound * (1 + 1e-12)):
+            raise SamplerError("phi left its declared bound")
+        accept = np.flatnonzero(rng.random(chain.size) * phi_bound < rate)
+        counts[chain[accept[t[accept] >= b0]]] += 1
+        if np.any(near[accept, head[accept]]):
+            # oldest first from slot 0, the doubled half empty and written next
+            cap = ring.shape[1]
+            order = (head[:, None] + np.arange(cap)) % cap
+            ring = np.concatenate(
+                [np.take_along_axis(ring, order, axis=1), np.full(ring.shape, -np.inf)], axis=1
+            )
+            head[:] = cap
+        ring[accept, head[accept]] = t[accept]
+        head[accept] = (head[accept] + 1) % ring.shape[1]
+    return counts
 
 
 def grid_thin_after(p_fn, n_sites, rng):

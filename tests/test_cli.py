@@ -347,6 +347,22 @@ def test_renewal_candidates_are_built_once_per_build(monkeypatch):
     assert len(builds) == 1
 
 
+@pytest.mark.parametrize("shape", [1.0, 1.5, 2.0, 3.3, 7.5, 20.0, 50.0])
+def test_gamma_hazard_matches_scipy(shape):
+    special = pytest.importorskip("scipy.special")
+    from exactpp.cli import _gamma_hazard, _gamma_q
+
+    xs = np.geomspace(1e-8, 300.0, 500)
+    q = np.array([_gamma_q(shape, x) for x in xs])
+    np.testing.assert_allclose(q, special.gammaincc(shape, xs), rtol=1e-12, atol=0)
+    # the hazard as scipy.stats.gamma's pdf / sf gives it, capped at 1 / scale
+    scale = 2.0
+    pdf = np.exp(special.xlogy(shape - 1.0, xs) - xs - special.gammaln(shape)) / scale
+    expect = np.minimum(pdf / special.gammaincc(shape, xs), 1.0 / scale)
+    hazard = _gamma_hazard(shape, scale)
+    np.testing.assert_allclose([hazard(scale * x) for x in xs], expect, rtol=1e-12, atol=0)
+
+
 def test_sample_writes_validation_report_when_enabled(tmp_path):
     cfg = dict(POISSON_CFG, seed=5,
                validation={"enabled": True, "replicates": 300})

@@ -32,6 +32,10 @@ def _kernel(mean):
     return TranslatedPoissonCluster(total_mean=mean, displacement=DISP)
 
 
+def _conditioned(kernel, germs, window, rng):
+    return kernel.sample_conditioned(germs, kernel.mass_in(germs, window), window, rng)
+
+
 # -- retention probability ------------------------------------------------------
 
 
@@ -68,7 +72,7 @@ def test_retention_monotone_in_cluster_mean():
 
 def _ztp_size_report(kernel, germ, lam, n, seed):
     # chi-square of the in-W sizes at n copies of one germ against ZTP(lam)
-    _, owner = kernel.sample_conditioned(np.tile(germ, (n, 1)), W10, _gen(seed))
+    _, owner = _conditioned(kernel, np.tile(germ, (n, 1)), W10, _gen(seed))
     sizes = np.bincount(owner, minlength=n)
     k_hi = 7
     norm = -math.expm1(-lam)
@@ -91,14 +95,14 @@ def test_conditioned_size_is_zero_truncated_poisson_for_a_half_overlapping_germ(
 
 
 def test_conditioned_positions_are_uniform_on_the_overlap():
-    points, _ = _kernel(3.0).sample_conditioned(np.zeros((20_000, 1)), W10, _gen(23))
+    points, _ = _conditioned(_kernel(3.0), np.zeros((20_000, 1)), W10, _gen(23))
     rep = ks_against_cdf(points[:, 0], lambda t: np.clip(t / 0.5, 0.0, 1.0), alpha=0.01)
     assert rep.accepted, rep.to_dict()
 
 
 def test_conditioned_cluster_always_hits_the_window():
     n = 500
-    points, owner = _kernel(0.5).sample_conditioned(np.zeros((n, 1)), W10, _gen(24))
+    points, owner = _conditioned(_kernel(0.5), np.zeros((n, 1)), W10, _gen(24))
     assert np.all(np.bincount(owner, minlength=n) >= 1)
     assert np.all(W10.contains(points))
 
@@ -106,14 +110,14 @@ def test_conditioned_cluster_always_hits_the_window():
 def test_germ_at_the_edge_of_reach_gets_exactly_one_point():
     # overlap 1e-12: conditioning probability ~2e-12, which has a law to sample
     germs = np.full((1_000, 1), -0.5 + 1e-12)
-    points, owner = _kernel(2.0).sample_conditioned(germs, W10, _gen(25))
+    points, owner = _conditioned(_kernel(2.0), germs, W10, _gen(25))
     assert np.array_equal(owner, np.arange(1_000))
     assert np.all(W10.contains(points))
 
 
 def test_germ_out_of_reach_cannot_be_conditioned():
     with pytest.raises(SamplerError, match="misses the window"):
-        _kernel(2.0).sample_conditioned(np.array([[5.0], [50.0]]), W10, _gen(26))
+        _conditioned(_kernel(2.0), np.array([[5.0], [50.0]]), W10, _gen(26))
 
 
 @pytest.mark.parametrize(
@@ -131,7 +135,7 @@ def test_conditioned_points_never_leave_the_window(window, disp):
     germs = region.sample_uniform(5_000, rng)
     germs = germs[kernel.mass_in(germs, window) > 0]
     edge = np.array(region.lower) + 1e-12
-    points, _ = kernel.sample_conditioned(np.vstack([germs, edge]), window, rng)
+    points, _ = _conditioned(kernel, np.vstack([germs, edge]), window, rng)
     assert points.shape[0] > germs.shape[0]
     assert np.all(window.contains(points))
 
@@ -165,7 +169,7 @@ def test_thinned_germ_count_is_poisson():
     # the dispersion index sits at 1
     sampler = BrixKendallSampler(LebesgueIntensity(1.0, 1), _kernel(2.0), W10)
     rng = _gen(25)
-    counts = np.array([sampler.sample_retained_germs(rng).shape[0] for _ in range(20_000)])
+    counts = np.array([sampler.sample_retained_germs(rng)[0].shape[0] for _ in range(20_000)])
     mean, half = mean_ci(counts, z=4.0)
     assert abs(mean - sampler.retained_mass) < half
     dispersion = counts.var(ddof=1) / counts.mean()
@@ -177,10 +181,19 @@ def test_retained_germs_live_in_the_germ_region():
     sampler = BrixKendallSampler(LebesgueIntensity(1.0, 1), _kernel(2.0), W10)
     rng = _gen(26)
     germs = np.concatenate(
-        [sampler.sample_retained_germs(rng)[:, 0] for _ in range(200)]
+        [sampler.sample_retained_germs(rng)[0][:, 0] for _ in range(200)]
     )
     assert germs.min() >= -0.5 - 1e-12
     assert germs.max() <= 10.5 + 1e-12
+
+
+def test_retained_germs_carry_their_window_mass():
+    # the lam that thinned each germ is the lam its cluster is conditioned with
+    sampler = BrixKendallSampler(LebesgueIntensity(1.0, 1), _kernel(2.0), W10)
+    rng = _gen(30)
+    for _ in range(50):
+        germs, lam = sampler.sample_retained_germs(rng)
+        assert np.array_equal(lam, sampler.kernel.mass_in(germs, W10))
 
 
 def test_mean_window_count_matches_intensity():

@@ -20,7 +20,11 @@ from exactpp import (
     sample_gw_cluster,
 )
 from exactpp.hawkes_mr import EPS_ROUND, _next_fast_len, _reaching_clusters
-from exactpp.oracles import hawkes_bounded_burn_in, hawkes_exp_burn_in
+from exactpp.oracles import (
+    hawkes_bounded_burn_in,
+    hawkes_exp_burn_in,
+    hawkes_exp_burn_in_counts,
+)
 from exactpp.validation import chi_square, mean_ci, two_sample_ks
 
 KERNEL = ExponentialFertility(0.5, 1.0)  # rho = 0.5, nu_inf = 0.5
@@ -600,6 +604,18 @@ def test_burn_in_oracle_draws_its_own_marks(monkeypatch):
         monkeypatch.setattr(kernel, "sample_mark", broken)
         pat = oracle(kernel, 1.0, 5.0, 40.0, _gen(111))
         assert pat.n > 0 and np.array_equal(pat.points, expected.points)
+
+
+def test_lockstep_burn_in_oracle_draws_its_own_marks(monkeypatch):
+    kernel = ExponentialFertility(0.5, 1.0, marks=((0.5, 0.5), (0.5, 1.5)))
+    expected = hawkes_exp_burn_in_counts(kernel, 1.0, 5.0, 40.0, 50, _gen(111))
+
+    def broken(n, rng):
+        raise AssertionError("the oracle called the sampler's mark routine")
+
+    monkeypatch.setattr(kernel, "sample_mark", broken)
+    counts = hawkes_exp_burn_in_counts(kernel, 1.0, 5.0, 40.0, 50, _gen(111))
+    assert counts.sum() > 0 and np.array_equal(counts, expected)
 
 def test_fresh_sampler_draw_is_reproducible():
     def draw():

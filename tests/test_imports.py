@@ -1,13 +1,11 @@
 """Start-up cost: importing the package and the CLI, building the Hawkes,
-Brix-Kendall, Boolean and Poisson-line demo configs and drawing from them
-load no scipy module, and the renewal demo config loads no scipy.stats
-module. `exactpp sample` with validation on loads no scipy module for the
-configs whose validation is a mean check and a two-sample KS test against an
-oracle, since that test's p-value is computed with numpy alone; renewal's run
-loads scipy.special, never scipy.stats. scipy is imported only inside the
-routines that call it (quadrature, the trigamma tail, the gamma hazard
-through scipy.special, and the one-sample KS and chi-square tests), so a
-fresh process shows what a cold run pays."""
+Brix-Kendall, Boolean, Poisson-line and renewal demo configs and drawing from
+them load no scipy module. `exactpp sample` with validation on loads no scipy
+module for the configs whose validation is a mean check and a two-sample KS
+test against an oracle, since that test's p-value is computed with numpy
+alone. scipy is imported only inside the routines that call it (quadrature,
+the trigamma tail, and the one-sample KS and chi-square tests), so a fresh
+process shows what a cold run pays."""
 
 import json
 import os
@@ -35,7 +33,8 @@ print(json.dumps([after_import, scipy_modules()]))
 
 
 @pytest.mark.parametrize(
-    "config", ["hawkes_mr", "brix_kendall", "boolean_disks", "boolean_segments", "poisson_lines"]
+    "config",
+    ["hawkes_mr", "brix_kendall", "boolean_disks", "boolean_segments", "poisson_lines", "renewal"],
 )
 def test_import_and_hawkes_run_load_no_scipy(config):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -51,32 +50,6 @@ def test_import_and_hawkes_run_load_no_scipy(config):
     after_import, after_draws = json.loads(out.stdout.splitlines()[-1])
     assert after_import == []
     assert after_draws == []
-
-
-RENEWAL_SCRIPT = """
-import json, sys
-import exactpp, exactpp.cli
-built = exactpp.cli.build(exactpp.cli.load_config("configs/renewal.json"))
-for r in range(5):
-    built["sample"](exactpp.RngStream(19, r).generator())
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
-"""
-
-
-def test_renewal_run_loads_no_scipy_stats():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run(
-        [sys.executable, "-c", RENEWAL_SCRIPT],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-        check=True,
-    )
-    loaded = json.loads(out.stdout.splitlines()[-1])
-    assert "scipy.special" in loaded
-    assert [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")] == []
 
 
 CLI_SCRIPT = """
@@ -107,15 +80,9 @@ def _validated_sample(config, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config", ["brix_kendall", "grid_thinning", "hawkes_mr", "matern", "nonlinear_hawkes"]
+    "config", ["brix_kendall", "grid_thinning", "hawkes_mr", "matern", "nonlinear_hawkes", "renewal"]
 )
 def test_validated_sample_loads_no_scipy(config, tmp_path):
     code, loaded = _validated_sample(config, tmp_path)
     assert code == 0
     assert loaded == []
-
-
-def test_validated_renewal_sample_loads_no_scipy_stats(tmp_path):
-    code, loaded = _validated_sample("renewal", tmp_path)
-    assert code == 0
-    assert [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")] == []
