@@ -7,7 +7,7 @@ is organized by construction:
 
 - core: windows, point patterns, reproducible RNG streams, intensity measures,
   the homogeneous Poisson draw and the thinning coin
-- poisson: finite-density Poisson sampling on the half-line
+- poisson: finite-density Poisson sampling on the half-line; no sampler uses it
 - cluster_exact: retention thinning, then each kept germ's in-window points
   drawn directly
 - boolean_model: grain processes (disks, segments, lines) with edge correction
@@ -23,10 +23,10 @@ is organized by construction:
 - cli: `exactpp sample | validate | plotdata` driven by JSON configs
 
 scipy is imported inside the few routines that call it (quadrature, the
-trigamma tail, the gamma hazard through scipy.special, the one-sample KS and
-chi-square tests), so importing the package, or building and drawing a
-Hawkes sampler, loads no scipy module. The two-sample KS test computes its
-p-value with numpy alone, so no CLI command loads scipy.stats.
+trigamma tail, the one-sample KS and chi-square tests), so importing the
+package, or building and drawing a Hawkes sampler, loads no scipy module.
+The two-sample KS test computes its p-value with numpy alone, so no CLI
+command loads scipy.stats.
 """
 
 from .boolean_model import (
@@ -66,7 +66,6 @@ from .germ_thinning import (
     TableGrid,
     matern_thin_first,
     nonlinear_hawkes_germ,
-    renewal_candidates,
     renewal_thin_first,
     thin_grid,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "hit_prob_poisson_line",
     "matern_thin_first",
     "nonlinear_hawkes_germ",
-    "renewal_candidates",
     "renewal_thin_first",
     "sample_gw_cluster",
     "sample_poisson_lines",

@@ -61,7 +61,6 @@ from .germ_thinning import (
     TableGrid,
     matern_thin_first,
     nonlinear_hawkes_germ,
-    renewal_candidates,
     renewal_thin_first,
     thin_grid,
 )
@@ -513,15 +512,13 @@ def _build_renewal(cfg):
     def thin_p(ts):
         return np.exp(-thin_rate * np.asarray(ts, dtype=float))
 
-    candidates = renewal_candidates(
-        bound,
-        thin_p,
-        p_tail=lambda t: math.exp(-thin_rate * t) / thin_rate,
-        p_mass=1.0 / thin_rate,
-    )
+    def p_tail(t):
+        return math.exp(-thin_rate * t) / thin_rate
 
     def sample(rng):
-        return renewal_thin_first(hazard, bound, thin_p, rng, candidates=candidates)
+        return renewal_thin_first(
+            hazard, bound, thin_p, rng, p_tail=p_tail, p_mass=1.0 / thin_rate
+        )
 
     def oracle(rng):
         return oracles.renewal_thin_after(

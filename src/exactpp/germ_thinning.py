@@ -5,15 +5,16 @@ and conditionally on T the earlier sites are retained independently, so a
 draw needs only the tail products — computed in closed form per family, in
 log space with compensated summation where truncation is involved.
 
-Renewal germs: thin first, then build the renewal chain inside a dominating
-rate-M strip so only finitely many interarrivals are ever drawn.
+Renewal germs and Matern hard cores: one dominating homogeneous stream split
+by one independent coin per point into candidates and the rest (colouring
+theorem, Kingman 1993, 5.1). Renewal draws its last candidate first, from a
+closed form, and builds the renewal chain inside the rate-M strip only below
+it; a Matern candidate competes only with stream points within the radius.
 
-Matern hard cores and non-linear self-exciting germs follow the same
-pattern: a dominating finite construction whose thinning reproduces the
-restriction of the infinite process exactly. Every independent coin -- the
-grid sites below T, the renewal complement and both
-Matern stages -- is core.thin; only the sequential renewal and non-linear
-chains, whose coins depend on earlier decisions, flip their own.
+Every independent coin -- the grid sites below T and the renewal and Matern
+candidates -- is core.thin; only the sequential renewal chain and the
+non-linear self-exciting germ (regeneration gaps), whose coins depend on
+earlier decisions, flip their own.
 """
 
 from __future__ import annotations
@@ -23,15 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointPattern, SamplerError, Window, sample_homogeneous, thin
-from .poisson import FiniteDensitySampler
+from .core import MAX_MEAN_POINTS, PointPattern, SamplerError, Window, sample_homogeneous, thin
 
 __all__ = [
     "TableGrid",
     "GeometricGrid",
     "InverseSquareGrid",
     "thin_grid",
-    "renewal_candidates",
     "renewal_thin_first",
     "matern_thin_first",
     "nonlinear_hawkes_germ",
@@ -169,53 +168,45 @@ def thin_grid(spec, rng):
 # -- renewal germs ---------------------------------------------------------------
 
 
-def renewal_candidates(bound, thin_p, p_upper=None, p_tail=None, p_mass=None):
-    """Sampler of the candidates of renewal_thin_first: Poisson, density bound*p(t).
-
-    p vanishes beyond its support endpoint p_upper, or has the tail
-    p_tail(t) = int_t^inf p and the total mass p_mass. The sampler draws no
-    random numbers when it is built, so it can be built once and reused.
-    """
-    return FiniteDensitySampler(
-        lambda t: bound * np.asarray(thin_p(t), dtype=float),
-        bound,
-        upper=p_upper,
-        tail_mass=(lambda t: bound * p_tail(t)) if p_tail is not None else None,
-        total_mass=bound * p_mass if p_mass is not None else None,
-    )
-
-
-def renewal_thin_first(
-    hazard, bound, thin_p, rng, p_upper=None, p_tail=None, p_mass=None, candidates=None
-):
+def renewal_thin_first(hazard, bound, thin_p, rng, p_upper=None, p_tail=None, p_mass=None):
     """Thin a stationary-start renewal stream by p without a horizon.
 
-    The retained candidates form a Poisson process with density bound*p(t)
-    (finite mass); the dominating rate-`bound` stream is completed below the
-    last candidate, heights build the renewal chain N0 inside the strip
-    (hazard(t - last renewal) against height*bound), and renewal points
-    flagged as candidates are the output. hazard must be bounded by `bound`.
-
-    `candidates` is renewal_candidates(bound, thin_p, ...) built once by a
-    caller that draws many times; without it, each call builds its own from
-    p_upper, p_tail and p_mass.
+    One rate-`bound` stream dominates the renewal chain N0, and one coin per
+    stream point, p(t), marks the candidates; the candidates are Poisson with
+    density bound*p(t) and only the stream up to the last one matters. p
+    vanishes beyond its support endpoint p_upper, and the stream is drawn on
+    [0, p_upper]; or p has the decreasing tail p_tail(t) = int_t^inf p, and
+    the last candidate T is drawn first, P(T <= t) = exp(-bound * p_tail(t)),
+    with no candidate at all when the exponential E = bound * p_tail(T) is at
+    least bound * p_tail(0); below T the stream and its coins are
+    unconditioned. p_mass, if given, must equal p_tail(0). Heights build N0
+    inside the strip (hazard(t - last renewal) against height*bound), and
+    renewal points that are candidates are the output. hazard must be
+    bounded by `bound`.
     """
-    if candidates is None:
-        candidates = renewal_candidates(bound, thin_p, p_upper, p_tail, p_mass)
-    cand = np.sort(candidates.sample(rng).points[:, 0])
-    if cand.size == 0:
+    if p_upper is not None:
+        upper = float(p_upper)
+    elif p_tail is not None:
+        mass = float(p_tail(0.0))
+        if p_mass is not None and not math.isclose(p_mass, mass, rel_tol=1e-9):
+            raise SamplerError(f"p_mass {p_mass!r} differs from p_tail(0) = {mass!r}")
+        e = rng.standard_exponential()
+        if e >= bound * mass:
+            return PointPattern.empty(1)
+        upper = _last_candidate(p_tail, e / bound, bound)
+    else:
+        raise SamplerError("need a support endpoint p_upper or a tail p_tail")
+
+    times = np.sort(sample_homogeneous(Window((0.0,), (upper,)), bound, rng).points[:, 0])
+    flags = np.zeros(times.size, bool)
+    flags[thin(np.arange(times.size), thin_p(times), rng)] = True
+    if p_upper is None:  # the stream ends at the last candidate
+        times, flags = np.append(times, upper), np.append(flags, True)
+    if not flags.any():
         return PointPattern.empty(1)
-    t_last = cand[-1]
-
-    # complement stream has density bound*(1-p): thin a homogeneous stream by 1-p
-    extra = np.sort(sample_homogeneous(Window((0.0,), (t_last,)), bound, rng).points[:, 0])
-    extra = thin(extra, 1.0 - np.asarray(thin_p(extra), dtype=float), rng)
-
-    times = np.concatenate([cand, extra])
-    flags = np.concatenate([np.ones(cand.size, bool), np.zeros(extra.size, bool)])
-    order = np.argsort(times)
-    times, flags = times[order], flags[order]
-    heights = rng.random(times.size)
+    cut = np.flatnonzero(flags)[-1] + 1
+    times, flags = times[:cut], flags[:cut]
+    heights = rng.random(cut)
 
     retained = []
     last_renewal = 0.0
@@ -230,46 +221,58 @@ def renewal_thin_first(
     return PointPattern(np.asarray(retained, dtype=float).reshape(-1, 1), dim=1)
 
 
+def _last_candidate(p_tail, y, bound):
+    """The t with p_tail(t) = y, for 0 < y < p_tail(0) and p_tail decreasing.
+
+    Doubles a bracket from [0, 1], then bisects it to adjacent floats and
+    returns the upper end, the first float with p_tail(t) <= y. A bracket
+    whose rate-`bound` stream would pass core.MAX_MEAN_POINTS raises
+    SamplerError, so a tail that never falls to y stops.
+    """
+    lo, hi = 0.0, 1.0
+    while p_tail(hi) > y:
+        lo, hi = hi, 2.0 * hi
+        if bound * hi > MAX_MEAN_POINTS:
+            raise SamplerError(f"p_tail stays above {y:.3g} past t = {lo:.3g}: the stream "
+                               f"would exceed {MAX_MEAN_POINTS:.0e} points")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if p_tail(mid) > y:
+            lo = mid
+        else:
+            hi = mid
+
+
 # -- Matern hard core -------------------------------------------------------------
 
 
 def matern_thin_first(rate, radius, thin_p, window, rng):
     """Mark-minimal hard core further thinned by p, restricted to window.
 
-    Thin first: N1 ~ Poisson(rate * p) on the radius-buffered window, then the
-    complement N2 ~ Poisson(rate * (1-p)) only within `radius` of N1 (farther
-    complement points can never compete), uniform marks on N1+N2, and an N1
-    point survives iff its mark beats every neighbor within `radius`.
+    Thin first: one rate-`rate` stream on the radius-buffered window, one
+    coin p per point, then uniform marks on the whole stream. A candidate
+    inside the window survives iff its mark beats every stream point within
+    `radius`; all of those lie in the buffered window.
     """
-    cand = sample_homogeneous(window.buffered(radius), rate, rng).points
-    first = thin(cand, thin_p(cand), rng) if len(cand) else cand
-    if first.shape[0] == 0:
+    pts = sample_homogeneous(window.buffered(radius), rate, rng).points
+    cand = thin(np.arange(len(pts)), thin_p(pts), rng)
+    cand = cand[window.contains(pts[cand])]
+    if cand.size == 0:
         return PointPattern.empty(window.dim)
-
-    lo = first.min(axis=0) - radius
-    hi = first.max(axis=0) + radius
-    comp = sample_homogeneous(Window(tuple(lo), tuple(hi)), rate, rng).points
-    if len(comp):
-        d2 = np.min(
-            np.sum((comp[:, None, :] - first[None, :, :]) ** 2, axis=2), axis=1
-        )
-        comp = comp[d2 <= radius**2]
-        comp = thin(comp, 1.0 - np.asarray(thin_p(comp), dtype=float), rng)
-
-    full = np.vstack([first, comp])
-    marks = rng.random(full.shape[0])
-    out = first[_mark_minimal(full, marks, first.shape[0], radius)]
-    return PointPattern(out, dim=window.dim).restrict(window)
+    marks = rng.random(len(pts))
+    return PointPattern(pts[cand[_mark_minimal(pts, marks, cand, radius)]], dim=window.dim)
 
 
-def _mark_minimal(points, marks, k, radius):
-    """Mask of the first k points whose mark beats every other point within radius.
+def _mark_minimal(points, marks, idx, radius):
+    """Mask of the rows idx whose mark beats every other point within radius.
 
-    One (k x n) distance and mark comparison; a point's own mark is never
-    smaller than itself, so it needs no exclusion.
+    One (len(idx) x n) distance and mark comparison; a point's own mark is
+    never smaller than itself, so it needs no exclusion.
     """
-    d2 = np.sum((points[None, :, :] - points[:k, None, :]) ** 2, axis=2)
-    beaten = (d2 <= radius**2) & (marks[None, :] < marks[:k, None])
+    d2 = np.sum((points[None, :, :] - points[idx, None, :]) ** 2, axis=2)
+    beaten = (d2 <= radius**2) & (marks[None, :] < marks[idx, None])
     return ~np.any(beaten, axis=1)
 
 

@@ -329,24 +329,6 @@ def test_parallel_sample_builds_once_per_process(tmp_path, monkeypatch):
     ]
 
 
-def test_renewal_candidates_are_built_once_per_build(monkeypatch):
-    from exactpp import cli, poisson
-    from exactpp.core import RngStream
-
-    builds = []
-    init = poisson.FiniteDensitySampler.__init__
-
-    def counting_init(self, *args, **kwargs):
-        builds.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(poisson.FiniteDensitySampler, "__init__", counting_init)
-    sample = cli.build(RENEWAL_CFG)["sample"]
-    for r in range(5):
-        sample(RngStream(19, r).generator())
-    assert len(builds) == 1
-
-
 @pytest.mark.parametrize("shape", [1.0, 1.5, 2.0, 3.3, 7.5, 20.0, 50.0])
 def test_gamma_hazard_matches_scipy(shape):
     special = pytest.importorskip("scipy.special")

@@ -16,7 +16,6 @@ from exactpp import (
     Window,
     matern_thin_first,
     nonlinear_hawkes_germ,
-    renewal_candidates,
     renewal_thin_first,
     thin_grid,
 )
@@ -151,32 +150,30 @@ def test_thin_returns_sorted_unique_indices():
 # -- renewal thin-first ------------------------------------------------------------------
 
 
+def _poisson_chi_square(counts, mean, k_hi):
+    probs = [math.exp(-mean) * mean**k / math.factorial(k) for k in range(k_hi)]
+    probs.append(1.0 - sum(probs))
+    observed = np.bincount(np.minimum(counts, k_hi), minlength=k_hi + 1)
+    return chi_square(observed, np.asarray(probs), alpha=0.01)
+
+
 def test_renewal_constant_hazard_full_retention_is_poisson():
     # hazard == bound makes the renewal stream Poisson(bound); retaining
     # everything on [0, T] must give Poisson(bound*T) counts
     M, T = 1.0, 5.0
     rng = _gen(58)
     thin = lambda t: np.asarray(np.asarray(t) <= T, dtype=float)
-    candidates = renewal_candidates(M, thin, p_upper=T)
     counts = np.array(
-        [
-            renewal_thin_first(lambda t: M, M, thin, rng, candidates=candidates).n
-            for _ in range(4_000)
-        ]
+        [renewal_thin_first(lambda t: M, M, thin, rng, p_upper=T).n for _ in range(4_000)]
     )
-    k_hi = 12
-    probs = [math.exp(-M * T) * (M * T) ** k / math.factorial(k) for k in range(k_hi)]
-    probs.append(1.0 - sum(probs))
-    observed = np.bincount(np.minimum(counts, k_hi), minlength=k_hi + 1)
-    rep = chi_square(observed, np.asarray(probs), alpha=0.01)
+    rep = _poisson_chi_square(counts, M * T, 12)
     assert rep.accepted, rep.to_dict()
 
 
 def test_renewal_zero_retention_is_empty():
     rng = _gen(59)
     thin = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    candidates = renewal_candidates(1.0, thin, p_upper=10.0)
-    pat = renewal_thin_first(lambda t: 1.0, 1.0, thin, rng, candidates=candidates)
+    pat = renewal_thin_first(lambda t: 1.0, 1.0, thin, rng, p_upper=10.0)
     assert pat.n == 0
 
 
@@ -197,18 +194,10 @@ def test_renewal_thin_first_matches_thin_after_oracle():
 
     thin_rate = 0.5
     thin = lambda t: np.exp(-thin_rate * np.asarray(t, dtype=float))
-    candidates = renewal_candidates(
-        bound,
-        thin,
-        p_tail=lambda t: math.exp(-thin_rate * t) / thin_rate,
-        p_mass=1.0 / thin_rate,
-    )
+    tail = dict(p_tail=lambda t: math.exp(-thin_rate * t) / thin_rate, p_mass=1.0 / thin_rate)
     rng = _gen(60)
     first = np.array(
-        [
-            renewal_thin_first(hazard, bound, thin, rng, candidates=candidates).n
-            for _ in range(3_000)
-        ]
+        [renewal_thin_first(hazard, bound, thin, rng, **tail).n for _ in range(3_000)]
     )
     rng2 = _gen(61)
     after = np.array(
@@ -229,24 +218,103 @@ def test_renewal_thin_first_matches_thin_after_oracle():
 def test_renewal_hazard_bound_is_enforced():
     rng = _gen(62)
     thin = lambda t: np.asarray(np.asarray(t) <= 30.0, dtype=float)
-    candidates = renewal_candidates(1.0, thin, p_upper=30.0)
     with pytest.raises(SamplerError, match="hazard left its declared bound"):
-        renewal_thin_first(lambda t: 2.0, 1.0, thin, rng, candidates=candidates)
+        renewal_thin_first(lambda t: 2.0, 1.0, thin, rng, p_upper=30.0)
 
 
-def test_renewal_prebuilt_candidates_draw_the_same_bytes():
-    # building the candidate sampler draws nothing, so one built ahead and
-    # reused gives the bytes of one built inside every call
-    hazard = lambda u: 0.0 if u <= 0 else u / (1.0 + u)
+def test_renewal_heavy_tailed_retention_is_poisson():
+    # p(t) = (1+t)^-2 has finite mass 1 but a tail 1/(1+t) that no fixed
+    # horizon truncates below 1e-12; hazard == bound keeps every candidate
+    bound = 1.5
+    thin = lambda t: (1.0 + np.asarray(t, dtype=float)) ** -2
+    tail = dict(p_tail=lambda t: 1.0 / (1.0 + t), p_mass=1.0)
+    rng = _gen(90)
+    counts = np.array(
+        [renewal_thin_first(lambda u: bound, bound, thin, rng, **tail).n for _ in range(3_000)]
+    )
+    rep = _poisson_chi_square(counts, bound * 1.0, 8)
+    assert rep.accepted, rep.to_dict()
+
+
+def test_renewal_last_point_has_the_closed_form_law():
+    # with hazard == bound the last output point is the last candidate T,
+    # P(T <= t) = exp(-bound * p_tail(t)); conditioned on T existing
+    from exactpp.validation import ks_against_cdf
+
+    bound, rate = 1.5, 0.5
+    thin = lambda t: np.exp(-rate * np.asarray(t, dtype=float))
+    p_tail = lambda t: math.exp(-rate * t) / rate
+    rng = _gen(91)
+    last = []
+    for _ in range(3_000):
+        pat = renewal_thin_first(lambda u: bound, bound, thin, rng, p_tail=p_tail)
+        if pat.n:
+            last.append(pat.points[-1, 0])
+    empty = math.exp(-bound / rate)
+    cdf = lambda t: (np.exp(-bound * np.exp(-rate * np.asarray(t)) / rate) - empty) / (1 - empty)
+    rep = ks_against_cdf(last, cdf, alpha=0.01)
+    assert rep.accepted, rep.to_dict()
+
+
+def test_last_candidate_inverts_the_tail_to_the_last_float():
+    from exactpp.germ_thinning import _last_candidate
+
+    for y in np.geomspace(1e-300, 0.5, 400):
+        t = _last_candidate(lambda t: math.exp(-t), y, 1.0)
+        assert abs(t + math.log(y)) <= 2 * np.spacing(-math.log(y))
+
+
+def test_renewal_checks_its_retention_description():
     thin = lambda t: np.exp(-np.asarray(t, dtype=float))
-    tail = dict(p_tail=lambda t: math.exp(-t), p_mass=1.0)
-    candidates = renewal_candidates(1.0, thin, **tail)
-    rng_a, rng_b = _gen(64), _gen(64)
-    for _ in range(200):
-        a = renewal_thin_first(hazard, 1.0, thin, rng_a, **tail)
-        b = renewal_thin_first(hazard, 1.0, thin, rng_b, candidates=candidates)
-        assert a.points.tobytes() == b.points.tobytes()
-    assert rng_a.random() == rng_b.random()  # the streams stay in step
+    with pytest.raises(SamplerError, match="p_upper"):
+        renewal_thin_first(lambda u: 1.0, 1.0, thin, _gen(92))
+    with pytest.raises(SamplerError, match="p_mass"):
+        renewal_thin_first(
+            lambda u: 1.0, 1.0, thin, _gen(92), p_tail=lambda t: math.exp(-t), p_mass=1.001
+        )
+    # a tail that never falls below p_tail(0) would double its bracket forever
+    with pytest.raises(SamplerError, match="exceed"):
+        renewal_thin_first(lambda u: 1.0, 1e3, thin, _gen(92), p_tail=lambda t: 1.0)
+
+
+def _count_streams(monkeypatch):
+    """Count sample_homogeneous calls, whether made directly or through core."""
+    from exactpp import core, germ_thinning
+
+    calls = []
+    draw = core.sample_homogeneous
+
+    def counting(*args):
+        calls.append(1)
+        return draw(*args)
+
+    monkeypatch.setattr(core, "sample_homogeneous", counting)
+    monkeypatch.setattr(germ_thinning, "sample_homogeneous", counting)
+    return calls
+
+
+def test_each_renewal_draw_draws_one_stream(monkeypatch):
+    calls = _count_streams(monkeypatch)
+    hazard = lambda u: 0.0 if u <= 0 else u / (1.0 + u)
+    thin = lambda t: np.exp(-np.asarray(t, dtype=float) / 20.0)
+    # P(no candidate) = exp(-20): every draw has a last candidate and a stream
+    tail = dict(p_tail=lambda t: 20.0 * math.exp(-t / 20.0), p_mass=20.0)
+    rng = _gen(93)
+    for kwargs in (tail, dict(p_upper=30.0)):
+        for _ in range(50):
+            before = len(calls)
+            renewal_thin_first(hazard, 1.0, thin, rng, **kwargs)
+            assert len(calls) == before + 1
+
+
+def test_each_matern_draw_draws_one_stream(monkeypatch):
+    calls = _count_streams(monkeypatch)
+    window = Window((0.0, 0.0), (3.0, 3.0))
+    rng = _gen(94)
+    for _ in range(50):
+        before = len(calls)
+        matern_thin_first(2.0, 0.3, lambda pts: np.full(pts.shape[0], 0.8), window, rng)
+        assert len(calls) == before + 1
 
 
 # -- Matern hard core ----------------------------------------------------------
@@ -274,11 +342,7 @@ def test_matern_tiny_radius_full_retention_reduces_to_poisson():
             for _ in range(3_000)
         ]
     )
-    k_hi = 10
-    probs = [math.exp(-rate) * rate**k / math.factorial(k) for k in range(k_hi)]
-    probs.append(1.0 - sum(probs))
-    observed = np.bincount(np.minimum(counts, k_hi), minlength=k_hi + 1)
-    rep = chi_square(observed, np.asarray(probs), alpha=0.01)
+    rep = _poisson_chi_square(counts, rate, 10)
     assert rep.accepted, rep.to_dict()
 
 
@@ -305,37 +369,23 @@ def test_mark_minimal_survival_matches_per_point_loop():
     for trial in range(60):
         dim = 1 + trial % 3
         n = int(rng.integers(1, 60))
-        k = int(rng.integers(1, n + 1))
+        idx = np.flatnonzero(rng.random(n) < 0.5)
         pts = rng.random((n, dim)) * 2.0
         marks = rng.random(n)
         radius = float(rng.uniform(0.05, 0.8))
-        expected = np.ones(k, dtype=bool)
-        for i in range(k):
+        expected = np.ones(idx.size, dtype=bool)
+        for j, i in enumerate(idx):
             d2 = np.sum((pts - pts[i]) ** 2, axis=1)
             near = (d2 <= radius**2) & (np.arange(n) != i)
             if np.any(marks[near] < marks[i]):
-                expected[i] = False
-        assert np.array_equal(_mark_minimal(pts, marks, k, radius), expected)
+                expected[j] = False
+        assert np.array_equal(_mark_minimal(pts, marks, idx, radius), expected)
 
 
 def test_matern_rejects_invalid_thinning_probabilities():
     window = Window((0.0, 0.0), (2.0, 2.0))
     with pytest.raises(SamplerError, match=r"\[0,1\]"):
         matern_thin_first(5.0, 0.2, lambda pts: np.full(pts.shape[0], 1.5), window, _gen(67))
-
-
-def test_matern_complement_stage_checks_its_thinning_probabilities():
-    # p lies in [0,1] on the buffered window, where the first stage draws, and
-    # is 1.5 beyond it, where only complement points fall
-    window, radius = Window((0.0, 0.0), (2.0, 2.0)), 0.3
-
-    def thin_p(pts):
-        return np.where(pts[:, 0] < -radius, 1.5, 0.9)
-
-    rng = _gen(68)
-    with pytest.raises(SamplerError, match=r"\[0,1\]"):
-        for _ in range(50):
-            matern_thin_first(20.0, radius, thin_p, window, rng)
 
 
 # -- non-linear self-exciting germ ----------------------------------------------
