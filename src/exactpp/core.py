@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,20 +44,28 @@ class SamplerError(RuntimeError):
     """A sampler cannot produce an exact draw under the given configuration."""
 
 
+def _bounds(v):
+    """A window bound as a tuple of floats; plain scalars, tuples and lists skip numpy."""
+    if isinstance(v, (int, float)):
+        return (float(v),)
+    return tuple(map(float, v if isinstance(v, (tuple, list)) else np.atleast_1d(v)))
+
+
 @dataclass(frozen=True)
 class Window:
     """Axis-aligned box [lower_1, upper_1] x ... x [lower_m, upper_m].
 
     Bounds are strict: lower < upper on every axis, so the window always has
-    positive volume.
+    positive volume.  The side lengths (a read-only array `sides`), the volume
+    and the bound arrays are computed once, when the window is made; equality
+    and hashing use lower and upper only.
     """
 
     lower: tuple
     upper: tuple
 
     def __post_init__(self):
-        lo = tuple(float(v) for v in np.atleast_1d(self.lower))
-        hi = tuple(float(v) for v in np.atleast_1d(self.upper))
+        lo, hi = _bounds(self.lower), _bounds(self.upper)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if len(lo) != len(hi):
@@ -65,24 +74,24 @@ class Window:
             raise ConfigError("window needs at least one axis")
         if not all(a < b for a, b in zip(lo, hi)):
             raise ConfigError("window requires lower < upper on every axis")
+        sides = [b - a for a, b in zip(lo, hi)]
+        object.__setattr__(self, "_volume", math.prod(sides))
+        rows = np.array((sides, lo, hi))
+        rows.setflags(write=False)  # its rows are views, read-only too
+        for name, row in zip(("sides", "_lo", "_hi"), rows):
+            object.__setattr__(self, name, row)
 
     @property
     def dim(self):
         return len(self.lower)
 
-    @property
-    def sides(self):
-        return np.asarray(self.upper) - np.asarray(self.lower)
-
     def volume(self):
-        return float(np.prod(self.sides))
+        return self._volume
 
     def contains(self, points):
         """Boolean mask of rows of `points` inside the closed box."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lo = np.asarray(self.lower)
-        hi = np.asarray(self.upper)
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
+        return ((pts >= self._lo) & (pts <= self._hi)).all(axis=1)
 
     def buffered(self, r):
         """Window inflated by r >= 0 on every side (Minkowski sum with a box)."""
@@ -100,8 +109,7 @@ class Window:
 
     def sample_uniform(self, n, rng):
         """n i.i.d. uniform points in the box, shape (n, dim)."""
-        lo = np.asarray(self.lower)
-        return lo + rng.random((int(n), self.dim)) * self.sides
+        return self._lo + rng.random((int(n), self.dim)) * self.sides
 
 
 def _as_points(points, dim=None):

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_MEAN_POINTS, PointPattern, SamplerError, Window, thin
+from .core import MAX_MEAN_POINTS, PointPattern, SamplerError, thin
 
 __all__ = [
     "EPS_ROUND",
@@ -97,6 +97,8 @@ class FertilityKernel:
         base = self._nu0_inf()
         if base < 0 or not np.isfinite(base):
             raise SamplerError("offspring mass must be finite and nonnegative")
+        # the offspring mean of every point when there is one mark, else None
+        self.one_mark_nu = float(self.nu_inf(self._zs[0])) if self._zs.size == 1 else None
         self.mean_mark = float(np.sum(self._weights * self._zs))
         self.rho = float(self.mean_mark * base)
         if self.rho >= 1:
@@ -387,18 +389,30 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
     generation loop, and point_cap bounds the points of the whole call,
     roots included.  The roots draw their marks from the mixture unless
     root_marks gives them.
+
+    A kernel with one mark draws each generation's offspring counts as one
+    Poisson with the scalar rate nu_inf(z), and its mark draws are the same
+    rng.random(n) calls without the lookup: the same generator calls, so the
+    same numbers, as the array of equal rates a mixture passes.
     """
     roots = np.asarray(ancestor, dtype=float)
     batch = roots.ndim > 0  # a scalar ancestor owns every point: no owner bookkeeping
     roots = roots.reshape(-1)
-    if root_marks is None:
+    nu = kernel.one_mark_nu
+    if root_marks is not None:
+        marks = anc_marks = np.asarray(root_marks, dtype=float).reshape(-1)
+    elif nu is None:
         marks = anc_marks = kernel.sample_mark(roots.size, rng)
     else:
-        marks = anc_marks = np.asarray(root_marks, dtype=float).reshape(-1)
-    pts, gens, owners = [roots], [np.zeros(roots.size, dtype=np.int64)], [np.arange(roots.size)]
+        rng.random(roots.size)  # the draw of sample_mark, whose only outcome is the one mark
+        marks = anc_marks = None  # None: every mark is the kernel's one mark
+    pts, sizes, owners = [roots], [roots.size], [np.arange(roots.size)]
     total = roots.size
-    while pts[-1].size:
-        counts = rng.poisson(kernel.nu_inf(marks))
+    while sizes[-1]:
+        if marks is None:
+            counts = rng.poisson(nu, size=sizes[-1])
+        else:
+            counts = rng.poisson(kernel.nu_inf(marks))
         n_next = int(counts.sum())
         total += n_next
         if total > point_cap:
@@ -408,15 +422,23 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
             )
         if n_next == 0:
             break
-        pts.append(np.repeat(pts[-1], counts) + kernel.sample_displacement(n_next, rng))
-        gens.append(np.full(n_next, len(gens), dtype=np.int64))
+        pts.append(pts[-1].repeat(counts) + kernel.sample_displacement(n_next, rng))
+        sizes.append(n_next)
         if batch:
-            owners.append(np.repeat(owners[-1], counts))
-        marks = kernel.sample_mark(n_next, rng)
-    points, generations = np.concatenate(pts), np.concatenate(gens)
+            owners.append(owners[-1].repeat(counts))
+        if nu is None:
+            marks = kernel.sample_mark(n_next, rng)
+        else:
+            rng.random(n_next)  # the mark draw, with no lookup
+            marks = None
+    points = np.concatenate(pts)
+    generations = np.arange(len(sizes)).repeat(sizes)
     if not batch:
         owner, a = np.zeros(points.size, dtype=np.int64), float(ancestor)
-        return GWCluster(points, generations, owner, a, float(anc_marks[0]), float(points.max() - a))
+        z = float((kernel._zs if anc_marks is None else anc_marks)[0])
+        return GWCluster(points, generations, owner, a, z, float(points.max() - a))
+    if anc_marks is None:
+        anc_marks = kernel._zs.repeat(roots.size)
     owner = np.concatenate(owners)
     extinction = np.zeros(roots.size)
     np.maximum.at(extinction, owner, points - roots[owner])
@@ -702,24 +724,28 @@ def _reaching_clusters(kernel, ts, n_plain, rng):
     theta = kernel.theta
     n_spine = ts.size - n_plain
     nodes = rng.geometric(1.0 - kernel.rho_theta, size=n_spine)
-    spine = np.repeat(np.arange(n_plain, ts.size), nodes)  # the candidate of each spine node
-    last = np.cumsum(nodes) - 1
+    spine = np.arange(n_plain, ts.size).repeat(nodes)  # the candidate of each spine node
+    last = nodes.cumsum() - 1
     first = last - nodes + 1
     steps = np.zeros(spine.size)
     later = np.ones(spine.size, dtype=bool)
     later[first] = False
     steps[later] = kernel.sample_tilted_displacement(spine.size - n_spine, rng)
-    pos = np.cumsum(steps)
-    pos -= np.repeat(pos[first], nodes)
-    marks = np.empty(spine.size)
-    before_last = np.ones(spine.size, dtype=bool)
-    before_last[last] = False
-    marks[before_last] = kernel.sample_biased_mark(spine.size - n_spine, rng)
-    marks[last] = kernel.sample_mark(n_spine, rng)
-
+    pos = steps.cumsum()
+    pos -= pos[first].repeat(nodes)
     roots = np.concatenate([np.zeros(n_plain), pos])
     owner = np.concatenate([np.arange(n_plain), spine])  # the candidate of each root
-    marks = np.concatenate([kernel.sample_mark(n_plain, rng), marks])
+    if kernel.one_mark_nu is None:
+        marks = np.empty(spine.size)
+        before_last = np.ones(spine.size, dtype=bool)
+        before_last[last] = False
+        marks[before_last] = kernel.sample_biased_mark(spine.size - n_spine, rng)
+        marks[last] = kernel.sample_mark(n_spine, rng)
+        marks = np.concatenate([kernel.sample_mark(n_plain, rng), marks])
+    else:
+        # a mixture's three mark draws are rng.random calls in a row, so with one
+        # mark sample_gw_cluster's one draw of roots.size uniforms takes the same numbers
+        marks = None
     cl = sample_gw_cluster(kernel, roots, rng, root_marks=marks)
     who = owner[cl.owner]
     reach = np.zeros(ts.size)
@@ -766,7 +792,6 @@ class HawkesSampler:
             raise SamplerError("window length must be positive")
         self.kernel = kernel
         self.a = float(a)
-        self._window = Window((0.0,), (self.a,))
         if callable(mu):
             if mu_bound is None:
                 raise SamplerError("a callable immigrant intensity needs mu_bound")
@@ -816,9 +841,10 @@ class HawkesSampler:
         return _reaching_clusters(kernel, ts, near.size, rng)[0]
 
     def sample(self, rng):
-        """One exact draw on [0, a] as a sorted 1-D pattern."""
+        """One exact draw on the closed window [0, a] as a sorted 1-D pattern."""
         kept = self._conditioned_cluster(rng)
         imm = self._thin_mu(np.sort(rng.random(rng.poisson(self.mu_bound * self.a))) * self.a, rng)
         free = sample_gw_cluster(self.kernel, imm, rng).points
-        pts = np.concatenate([kept, free])
-        return PointPattern(np.sort(pts).reshape(-1, 1), dim=1).restrict(self._window)
+        pts = np.sort(np.concatenate([kept, free]))
+        cut = pts[pts.searchsorted(0.0, side="left") : pts.searchsorted(self.a, side="right")]
+        return PointPattern(cut.reshape(-1, 1), dim=1)

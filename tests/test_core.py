@@ -29,6 +29,19 @@ def test_window_volume_examples():
     assert Window((-1.0,), (1.0,)).volume() == 2.0
 
 
+def test_window_derived_values_are_computed_once_and_read_only():
+    w = Window([-1.5, 0.25, 2.0], (0.5, 3.0, 2.125))
+    assert w.lower == (-1.5, 0.25, 2.0)
+    assert np.array_equal(w.sides, np.asarray(w.upper) - np.asarray(w.lower))
+    assert w.volume() == float(np.prod(w.sides))
+    assert not w.sides.flags.writeable
+    with pytest.raises(ValueError):
+        w.sides[0] = 1.0
+    # scalars, tuples, lists and arrays give equal windows with equal hashes
+    same = (Window(0.0, 2), Window((0,), [2.0]), Window(np.zeros(1), np.float64(2.0)))
+    assert len({*same}) == 1 and same[0].volume() == 2.0
+
+
 def test_window_rejects_degenerate_boxes():
     with pytest.raises(ConfigError):
         Window((0.0,), (0.0,))

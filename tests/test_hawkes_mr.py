@@ -2,6 +2,7 @@
 perfect self-exciting sampler built on them."""
 
 import copy
+import hashlib
 import math
 import tracemalloc
 
@@ -33,6 +34,13 @@ ZERO_KERNEL = PiecewiseConstantFertility((0.0, 1.0), (0.0,))  # h == 0, rho = 0
 
 def _gen(seed, stream=0):
     return RngStream(seed, stream).generator()
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 # -- kernel families ------------------------------------------------------------
@@ -429,6 +437,46 @@ def test_given_root_marks_drive_the_first_generation():
     assert np.all(children[marks == 0.0] == 0)
     mean, half = mean_ci(children[marks == 1.5], z=4.0)
     assert abs(mean - 0.75) < half
+
+
+def test_one_mark_kernels_draw_what_a_mixture_of_equal_marks_draws():
+    # the scalar-rate path for one mark against the array-rate path of two
+    # components with the same mark: the same generator calls, the same clusters
+    twin = ExponentialFertility(0.5, 1.0, marks=((0.5, 1.0), (0.5, 1.0)))
+    assert KERNEL.one_mark_nu == 0.5 and twin.one_mark_nu is None
+    for ancestor in (0.0, np.linspace(-2.0, 2.0, 300)):
+        one = sample_gw_cluster(KERNEL, ancestor, _gen(116))
+        mix = sample_gw_cluster(twin, ancestor, _gen(116))
+        for field in ("points", "generations", "owner", "ancestor_mark", "extinction_time"):
+            assert np.array_equal(getattr(one, field), getattr(mix, field)), field
+    one, mix = HawkesSampler(KERNEL, 1.0, 10.0), HawkesSampler(twin, 1.0, 10.0)
+    for r in range(100):
+        assert np.array_equal(one.sample(_gen(117, r)).points, mix.sample(_gen(117, r)).points)
+
+
+# The digests below were computed before the one-mark scalar-rate path
+# existed: draws must keep their bytes.
+
+
+def test_demo_sampler_draws_keep_their_bytes():
+    sampler = HawkesSampler(KERNEL, mu=1.0, a=10.0)  # configs/hawkes_mr.json
+    pats = [sampler.sample(_gen(31, r)).points[:, 0] for r in range(500)]
+    digest = _sha256(np.array([p.size for p in pats]), np.concatenate(pats))
+    assert digest == "12e623b68796cabc7313f181ee96ee242d3744a7b7874863177e5fdbd593b826"
+
+
+def test_scalar_cluster_extinction_times_keep_their_bytes():
+    rng = _gen(212)  # the kernel and stream of AC-10
+    ext = np.array([sample_gw_cluster(KERNEL, 0.0, rng).extinction_time for _ in range(20_000)])
+    assert _sha256(ext) == "921708119a84f716bafd50703f2f9994808acfbd332f134c261c3a11d36a92bc"
+
+
+def test_two_mark_forest_keeps_its_bytes():
+    kernel = ExponentialFertility(0.5, 1.0, marks=((0.25, 0.5), (0.75, 7 / 6)))
+    cl = sample_gw_cluster(kernel, np.linspace(0.0, 1.0, 2_000), _gen(213))
+    digest = _sha256(cl.points, cl.generations, cl.owner, cl.ancestor_mark, cl.extinction_time)
+    assert digest == "7c234c164f466c86325a2e0a7e1028e8331fa58b80ff5633c7021c6c0a8c817d"
+
 
 # -- the perfect sampler ------------------------------------------------------------
 
