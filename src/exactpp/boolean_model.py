@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, sample_homogeneous, thin
+from .core import ConfigError, _mean_count, sample_homogeneous, thin
 
 __all__ = [
     "DiskWindow",
@@ -146,7 +146,9 @@ class DiskGrains:
     Each pair picks a Steiner term k in {0, 1, 2} with weights
     (A, P E R, pi E R^2), a radius from F reweighted by r^k, and a germ
     uniform on W + B(r) by rejection from the box W buffered by r
-    (acceptance at least pi/4). No radius law needs a truncation.
+    (acceptance at least pi/4). No radius law needs a truncation. A negative
+    rate or a mean count above core.MAX_MEAN_POINTS raises SamplerError
+    before anything is drawn.
     """
 
     radius_law: object
@@ -159,7 +161,7 @@ class DiskGrains:
         perimeter = 2.0 * float(np.sum(window.sides))
         weights = np.array([window.volume(), perimeter * law.moment(1), np.pi * law.moment(2)])
         total = weights.sum()
-        n = rng.poisson(rate * total)
+        n = rng.poisson(_mean_count(rate, total))
         terms = np.searchsorted(np.cumsum(weights)[:-1], rng.random(n) * total, side="right")
         radii = np.empty(n)
         for k in range(3):

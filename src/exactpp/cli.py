@@ -10,11 +10,13 @@ Exit codes: 0 success, 1 validation rejection, 2 config schema error,
 3 sampler error.  Replicate r always uses the stream (seed, stream_id=r), so
 outputs are byte-identical across reruns and independent of EXACTPP_WORKERS.
 
-Config schema errors (unknown, missing, or mistyped keys; out-of-range plain
-values) are reported with the dotted path of the offending field and exit 2.
-Model-level impossibilities raised while constructing or running a sampler
-(supercritical kernels, unbounded buffers, point counts too large to draw)
-exit 3.
+Configs are read by one reader, _Obj, and each sampler's registry entry
+declares its params keys and its window dimension. Every config error about a
+single value (an unknown, missing or mistyped key, or a value out of its
+range) names the value's dotted path and exits 2. Conditions on several
+values together or on the model are the samplers' own checks, made when a
+sampler is built or run; model-level impossibilities (supercritical kernels,
+unbounded buffers, point counts too large to draw) exit 3.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .germ_thinning import (
     GeometricGrid,
     InverseSquareGrid,
     TableGrid,
+    _gamma_hazard,
     matern_thin_first,
     nonlinear_hawkes_germ,
     renewal_thin_first,
@@ -82,23 +85,19 @@ from .validation import (
 
 SCHEMA_VERSION = 1
 
+
+# -- config reader -------------------------------------------------------------------
+
 _MISSING = object()
+_KINDS = {int: "an integer", bool: "true or false", str: "a string", list: "a list",
+          dict: "an object"}
 
-
-# -- config schema -------------------------------------------------------------------
-
-
-def _as_dict(value, path):
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{path}' must be an object")
-    return value
-
-
-def _check_keys(d, allowed, path):
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        prefix = f"{path}." if path else ""
-        raise ConfigError(f"unknown key '{prefix}{unknown[0]}'")
+# (test, phrase) checks for one value
+_NONNEG = (lambda x: x >= 0, "must be nonnegative")
+_POS = (lambda x: x > 0, "must be positive")
+_AT_LEAST_1 = (lambda x: x >= 1, "must be at least 1")
+_UNIT = (lambda x: 0 <= x <= 1, "must lie in [0, 1]")
+_OPEN_UNIT = (lambda x: 0 < x < 1, "must lie strictly between 0 and 1")
 
 
 def _finite(v):
@@ -115,97 +114,102 @@ def _finite(v):
     return x if math.isfinite(x) else None
 
 
-def _get(d, key, kind, path, default=_MISSING):
-    prefix = f"{path}." if path else ""
-    if key not in d:
-        if default is _MISSING:
-            raise ConfigError(f"missing key '{prefix}{key}'")
-        return default
-    v = d[key]
-    if kind is float:
-        x = _finite(v)
-        if x is None:
-            raise ConfigError(f"'{prefix}{key}' must be a finite number")
-        return x
-    if kind is int:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"'{prefix}{key}' must be an integer")
-        return int(v)
-    if kind is bool:
-        if not isinstance(v, bool):
-            raise ConfigError(f"'{prefix}{key}' must be true or false")
+class _Obj:
+    """A config object at a dotted path, with only the given keys (any keys for None).
+
+    Every value it refuses raises ConfigError naming the value's dotted path.
+    """
+
+    def __init__(self, value, path, keys=None):
+        self.value, self.path = value, path
+        if not isinstance(value, dict):
+            raise ConfigError(f"'{path}' must be an object")
+        unknown = sorted(set(value) - set(keys)) if keys is not None else []
+        if unknown:
+            raise ConfigError(f"unknown key '{self._at(unknown[0])}'")
+
+    def _at(self, key):
+        return f"{self.path}.{key}" if self.path else key
+
+    def get(self, key, kind, default=_MISSING, check=None):
+        """The value at key, of the given kind (float: any finite number); a
+        check (test, phrase) refuses a value that fails the test."""
+        if key not in self.value:
+            if default is _MISSING:
+                raise ConfigError(f"missing key '{self._at(key)}'")
+            return default
+        v = self.value[key]
+        if kind is float:
+            v = _finite(v)
+            if v is None:
+                raise ConfigError(f"'{self._at(key)}' must be a finite number")
+        elif not isinstance(v, kind) or (kind is int and isinstance(v, bool)):
+            raise ConfigError(f"'{self._at(key)}' must be {_KINDS[kind]}")
+        if check is not None and not check[0](v):
+            raise ConfigError(f"'{self._at(key)}' {check[1]}")
         return v
-    if kind is str:
-        if not isinstance(v, str):
-            raise ConfigError(f"'{prefix}{key}' must be a string")
-        return v
-    if kind is list:
-        if not isinstance(v, list):
-            raise ConfigError(f"'{prefix}{key}' must be a list")
-        return v
-    if kind is dict:
-        if not isinstance(v, dict):
-            raise ConfigError(f"'{prefix}{key}' must be an object")
-        return v
-    raise AssertionError(kind)
+
+    def floats(self, key, n=None, check=None):
+        """A list of finite numbers as a tuple, of length n if given; check applies to each."""
+        out = tuple(map(_finite, self.get(key, list)))
+        if None in out:
+            raise ConfigError(f"'{self._at(key)}' must be a list of finite numbers")
+        if n is not None and len(out) != n:
+            raise ConfigError(f"'{self._at(key)}' must have {n} entries")
+        if check is not None and not all(map(check[0], out)):
+            raise ConfigError(f"'{self._at(key)}' entries {check[1]}")
+        return out
+
+    def obj(self, key, keys, default=_MISSING):
+        return _Obj(self.get(key, dict, default), self._at(key), keys)
+
+    def variant(self, tag, variants):
+        """(tag, this object) for the tag naming one of variants, a dict from
+        each tag to the keys that variant takes besides the tag."""
+        name = self.get(tag, str)
+        if name not in variants:
+            raise ConfigError(f"'{self._at(tag)}' must be one of: {', '.join(variants)}")
+        return name, _Obj(self.value, self.path, {tag, *variants[name]})
+
+    def tagged(self, key, tag, variants):
+        """The object at key as variant() reads it."""
+        return self.obj(key, None).variant(tag, variants)
+
+    def window(self, key, dim):
+        """The box at key, of dimension dim (any dimension for None)."""
+        w = self.obj(key, ("lower", "upper"))
+        lower, upper = w.floats("lower", dim), w.floats("upper", dim)
+        try:
+            return Window(lower, upper)
+        except ConfigError as exc:
+            raise ConfigError(f"'{self._at(key)}': {exc}") from None
 
 
-def _floats(d, key, path):
-    v = _get(d, key, list, path)
-    out = [_finite(x) for x in v]
-    if None in out:
-        raise ConfigError(f"'{path}.{key}' must be a list of finite numbers")
-    return out
-
-
-def _window(spec, path="window", dim=None):
-    w = _as_dict(spec, path)
-    _check_keys(w, {"lower", "upper"}, path)
-    lower = _floats(w, "lower", path)
-    upper = _floats(w, "upper", path)
-    if dim is not None and len(lower) != dim:
-        raise ConfigError(f"'{path}' must have dimension {dim}")
-    try:
-        return Window(tuple(lower), tuple(upper))
-    except (ConfigError, ValueError) as exc:
-        raise ConfigError(f"'{path}': {exc}") from None
-
-
-def _fertility(spec, path):
-    spec = _as_dict(spec, path)
-    family = _get(spec, "family", str, path)
-    marks = spec.get("marks", [[1.0, 1.0]])
-    if not isinstance(marks, list) or not all(
-        isinstance(m, list) and len(m) == 2 and None not in map(_finite, m) for m in marks
-    ):
+def _fertility(p):
+    family, k = p.tagged("kernel", "family", {
+        "exponential": ("beta", "gamma", "marks"),
+        "polynomial": ("coeffs", "support", "marks"),
+        "table": ("breaks", "values", "marks"),
+    })
+    marks = k.get("marks", list, [[1.0, 1.0]])
+    if not all(isinstance(m, list) and len(m) == 2 and None not in map(_finite, m)
+               for m in marks):
         raise ConfigError(
-            f"'{path}.marks' must be a list of [weight, value] pairs of finite numbers"
+            f"'{k.path}.marks' must be a list of [weight, value] pairs of finite numbers"
         )
     marks = tuple((float(w), float(z)) for w, z in marks)
     if family == "exponential":
-        _check_keys(spec, {"family", "beta", "gamma", "marks"}, path)
         return ExponentialFertility(
-            _get(spec, "beta", float, path), _get(spec, "gamma", float, path), marks
+            k.get("beta", float, check=_NONNEG), k.get("gamma", float, check=_POS), marks
         )
     if family == "polynomial":
-        _check_keys(spec, {"family", "coeffs", "support", "marks"}, path)
-        return PolynomialFertility(
-            _floats(spec, "coeffs", path), _get(spec, "support", float, path), marks
-        )
-    if family == "table":
-        _check_keys(spec, {"family", "breaks", "values", "marks"}, path)
-        return PiecewiseConstantFertility(
-            _floats(spec, "breaks", path), _floats(spec, "values", path), marks
-        )
-    raise ConfigError(f"'{path}.family' must be one of: exponential, polynomial, table")
+        return PolynomialFertility(k.floats("coeffs"), k.get("support", float, check=_POS), marks)
+    return PiecewiseConstantFertility(k.floats("breaks"), k.floats("values"), marks)
 
 
-def _displacement(spec, path):
-    spec = _as_dict(spec, path)
-    _check_keys(spec, {"lo", "hi"}, path)
-    return UniformDisplacement(
-        tuple(_floats(spec, "lo", path)), tuple(_floats(spec, "hi", path))
-    )
+def _displacement(p):
+    d = p.obj("displacement", ("lo", "hi"))
+    return UniformDisplacement(d.floats("lo"), d.floats("hi"))
 
 
 def _interval_report(name, value, expect, half):
@@ -246,34 +250,31 @@ def _each(draw):
     return lambda n_reps, rng: [draw(rng).n for _ in range(n_reps)]
 
 
-# -- sampler registry --------------------------------------------------------------
+def _built(sample, window, validate, plots=("points-2d",), meta=None, **extra):
+    """What build returns: every sampler also plots a counts histogram."""
+    return {"sample": sample, "window": window, "validate": validate,
+            "plots": {"counts-histogram", *plots}, "meta": meta or {}, **extra}
 
 
-def _build_poisson(cfg):
-    params = _as_dict(cfg.get("params", {}), "params")
-    _check_keys(params, {"rate"}, "params")
-    rate = _get(params, "rate", float, "params")
-    if rate < 0:
-        raise ConfigError("'params.rate' must be nonnegative")
-    window = _window(cfg["window"])
+# -- sampler registry ----------------------------------------------------------------
+#
+# Each builder takes the params reader and the window (None for a sampler without one).
+
+
+def _build_poisson(p, window):
+    rate = p.get("rate", float, check=_NONNEG)
 
     def sample(rng):
         return sample_homogeneous(window, rate, rng)
 
-    validate = _count_checks(sample, mean=("poisson-mean-count", rate * window.volume()))
-    return {"sample": sample, "window": window, "validate": validate,
-            "plots": {"points-2d", "counts-histogram"}, "meta": {}}
+    return _built(sample, window,
+                  _count_checks(sample, mean=("poisson-mean-count", rate * window.volume())))
 
 
-def _build_brix_kendall(cfg):
-    params = _as_dict(cfg.get("params", {}), "params")
-    _check_keys(params, {"rate0", "cluster_mean", "displacement"}, "params")
-    rate0 = _get(params, "rate0", float, "params")
-    cmean = _get(params, "cluster_mean", float, "params")
-    kernel = TranslatedPoissonCluster(
-        cmean, _displacement(_get(params, "displacement", dict, "params"), "params.displacement")
-    )
-    window = _window(cfg["window"])
+def _build_brix_kendall(p, window):
+    rate0 = p.get("rate0", float, check=_NONNEG)
+    cmean = p.get("cluster_mean", float, check=_POS)
+    kernel = TranslatedPoissonCluster(cmean, _displacement(p))
     sampler = BrixKendallSampler(LebesgueIntensity(rate0, window.dim), kernel, window)
 
     validate = _count_checks(
@@ -282,31 +283,19 @@ def _build_brix_kendall(cfg):
         oracle=("cluster-counts-vs-oracle",
                 _each(lambda rng: oracles.cluster_direct_oracle(rate0, kernel, window, rng))),
     )
-    return {"sample": sampler.sample, "window": window, "validate": validate,
-            "plots": {"points-2d", "counts-histogram"}, "meta": {}}
+    return _built(sampler.sample, window, validate)
 
 
-def _radius_law(spec, path):
-    spec = _as_dict(spec, path)
-    kind = _get(spec, "kind", str, path)
+def _build_boolean_disks(p, window):
+    rate = p.get("rate", float, check=_NONNEG)
+    kind, r = p.tagged("radius", "kind", {"fixed": ("value",), "uniform": ("lo", "hi"),
+                                          "exp": ("rate",)})
     if kind == "fixed":
-        _check_keys(spec, {"kind", "value"}, path)
-        return FixedRadius(_get(spec, "value", float, path))
-    if kind == "uniform":
-        _check_keys(spec, {"kind", "lo", "hi"}, path)
-        return UniformRadius(_get(spec, "lo", float, path), _get(spec, "hi", float, path))
-    if kind == "exp":
-        _check_keys(spec, {"kind", "rate"}, path)
-        return ExpRadius(_get(spec, "rate", float, path))
-    raise ConfigError(f"'{path}.kind' must be one of: fixed, uniform, exp")
-
-
-def _build_boolean_disks(cfg):
-    params = _as_dict(cfg.get("params", {}), "params")
-    _check_keys(params, {"rate", "radius"}, "params")
-    rate = _get(params, "rate", float, "params")
-    law = _radius_law(_get(params, "radius", dict, "params"), "params.radius")
-    window = _window(cfg["window"], dim=2)
+        law = FixedRadius(r.get("value", float, check=_POS))
+    elif kind == "uniform":
+        law = UniformRadius(r.get("lo", float, check=_NONNEG), r.get("hi", float))
+    else:
+        law = ExpRadius(r.get("rate", float, check=_POS))
     grains = DiskGrains(law)
 
     def draw(rng):
@@ -327,17 +316,12 @@ def _build_boolean_disks(cfg):
         expect = 1.0 - math.exp(-rate * math.pi * law.moment(2))
         collector.add(_interval_report("boolean-coverage", mean, expect, half))
 
-    return {"sample": sample, "window": window, "validate": validate,
-            "plots": {"points-2d", "counts-histogram", "coverage-raster"},
-            "meta": {}, "boolean_draw": draw}
+    return _built(sample, window, validate, ("points-2d", "coverage-raster"), boolean_draw=draw)
 
 
-def _build_boolean_segments(cfg):
-    params = _as_dict(cfg.get("params", {}), "params")
-    _check_keys(params, {"rate", "length"}, "params")
-    rate = _get(params, "rate", float, "params")
-    grains = SegmentGrains(_get(params, "length", float, "params"))
-    window = _window(cfg["window"], dim=2)
+def _build_boolean_segments(p, window):
+    rate = p.get("rate", float, check=_NONNEG)
+    grains = SegmentGrains(p.get("length", float, check=_POS))
 
     def draw(rng):
         return boolean_exact_sample(rate, grains, window, rng)
@@ -349,20 +333,15 @@ def _build_boolean_segments(cfg):
     perimeter = 2.0 * float(np.sum(window.sides))
     expect = rate * (window.volume() + grains.length * perimeter / math.pi)
     validate = _count_checks(sample, mean=("segment-germ-count", expect))
-    return {"sample": sample, "window": window, "validate": validate,
-            "plots": {"points-2d", "counts-histogram"}, "meta": {}, "boolean_draw": draw}
+    return _built(sample, window, validate, boolean_draw=draw)
 
 
-def _build_poisson_lines(cfg):
-    params = _as_dict(cfg.get("params", {}), "params")
-    _check_keys(params, {"rate", "target_center", "target_radius", "germ_region"}, "params")
-    rate = _get(params, "rate", float, "params")
-    center = _floats(params, "target_center", "params")
-    radius = _get(params, "target_radius", float, "params")
-    if len(center) != 2:
-        raise ConfigError("'params.target_center' must have two coordinates")
-    region = _window(_get(params, "germ_region", dict, "params"), "params.germ_region", dim=2)
-    target = DiskWindow((center[0], center[1]), radius)
+def _build_poisson_lines(p, window):
+    rate = p.get("rate", float, check=_NONNEG)
+    center = p.floats("target_center", 2)
+    radius = p.get("target_radius", float, check=_POS)
+    region = p.window("germ_region", 2)
+    target = DiskWindow(center, radius)
 
     def sample(rng):
         ls = sample_poisson_lines(rate, target, region, rng)
@@ -377,27 +356,7 @@ def _build_poisson_lines(cfg):
         mc_half = 3.0 * rate * region.volume() * float(np.std(p)) / math.sqrt(p.size)
         collector.add(_interval_report("line-germ-count", mean, expect, half + mc_half))
 
-    return {"sample": sample, "window": region, "validate": validate,
-            "plots": {"points-2d", "counts-histogram"}, "meta": {}}
-
-
-def _grid_spec(params):
-    family = _get(params, "family", str, "params")
-    if family == "table":
-        _check_keys(params, {"family", "probs"}, "params")
-        probs = _floats(params, "probs", "params")
-        if any(not 0 <= p <= 1 for p in probs):
-            raise ConfigError("'params.probs' entries must lie in [0, 1]")
-        return TableGrid(tuple(probs))
-    if family == "geometric":
-        _check_keys(params, {"family", "c", "ratio"}, "params")
-        return GeometricGrid(
-            _get(params, "c", float, "params"), _get(params, "ratio", float, "params")
-        )
-    if family == "inverse_square":
-        _check_keys(params, {"family", "C"}, "params")
-        return InverseSquareGrid(_get(params, "C", float, "params"))
-    raise ConfigError("'params.family' must be one of: table, geometric, inverse_square")
+    return _built(sample, region, validate)
 
 
 def _grid_horizon(spec, tail=1e-5):
@@ -410,9 +369,16 @@ def _grid_horizon(spec, tail=1e-5):
     return n + 1
 
 
-def _build_grid_thinning(cfg):
-    params = _as_dict(cfg.get("params", {}), "params")
-    spec = _grid_spec(params)
+def _build_grid_thinning(p, window):
+    family, p = p.variant("family", {"table": ("probs",), "geometric": ("c", "ratio"),
+                                     "inverse_square": ("C",)})
+    if family == "table":
+        spec = TableGrid(p.floats("probs", check=_UNIT))
+    elif family == "geometric":
+        spec = GeometricGrid(p.get("c", float, check=_UNIT),
+                             p.get("ratio", float, check=_OPEN_UNIT))
+    else:
+        spec = InverseSquareGrid(p.get("C", float, check=_POS))
 
     def sample(rng):
         sites = thin_grid(spec, rng)
@@ -425,86 +391,15 @@ def _build_grid_thinning(cfg):
         return PointPattern(np.asarray(sites, dtype=float).reshape(-1, 1), dim=1)
 
     validate = _count_checks(sample, oracle=("grid-counts-vs-thin-after", _each(oracle)))
-    return {"sample": sample, "window": None, "validate": validate,
-            "plots": {"counts-histogram"}, "meta": {}}
+    return _built(sample, window, validate, ())
 
 
-_GAMMA_ITERATIONS = 100_000  # far more than either expansion needs below a = 10^6
-_EPS = sys.float_info.epsilon
-_TINY = sys.float_info.min / _EPS  # Lentz's floor for a vanishing denominator
-
-
-def _gamma_q(a, x):
-    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a), a > 0, x > 0.
-
-    Below x = a + 1 it sums the series of P = 1 - Q, beyond it evaluates the
-    continued fraction of Q by Lentz's method (Numerical Recipes, 3rd ed.,
-    6.2), both to double precision. The prefactor x^a e^-x / Gamma(a) loses
-    about a * log(x) ulps, so the relative error grows with a.
-    """
-    log_front = a * math.log(x) - x - math.lgamma(a)
-    if x < a + 1.0:
-        term = total = 1.0 / a
-        for n in range(1, _GAMMA_ITERATIONS):
-            term *= x / (a + n)
-            total += term
-            if abs(term) < abs(total) * _EPS:
-                return 1.0 - total * math.exp(log_front)
-    else:
-        b = x + 1.0 - a
-        c, d = 1.0 / _TINY, 1.0 / b
-        frac = d
-        for i in range(1, _GAMMA_ITERATIONS):
-            an = -i * (i - a)
-            b += 2.0
-            d = an * d + b
-            d = 1.0 / (d if abs(d) >= _TINY else _TINY)
-            c = b + an / c
-            c = c if abs(c) >= _TINY else _TINY
-            delta = d * c
-            frac *= delta
-            if abs(delta - 1.0) <= _EPS:
-                return frac * math.exp(log_front)
-    raise SamplerError(f"incomplete gamma Q({a:.6g}, {x:.6g}) did not converge")
-
-
-def _gamma_hazard(shape, scale):
-    """Hazard pdf / survival of the gamma(shape >= 1, scale) law, capped at its limit 1 / scale."""
-    bound = 1.0 / scale
-    log_norm = math.lgamma(shape)
-
-    def hazard(t):
-        x = t / scale
-        if x <= 0.0:
-            return bound if shape == 1.0 else 0.0  # the pdf at 0 over a survival of 1
-        sf = _gamma_q(shape, x)
-        if sf <= 0:
-            return bound
-        return min(math.exp((shape - 1.0) * math.log(x) - x - log_norm) / scale / sf, bound)
-
-    return hazard
-
-
-def _build_renewal(cfg):
-    params = _as_dict(cfg.get("params", {}), "params")
-    _check_keys(params, {"interarrival", "thin"}, "params")
-    inter = _as_dict(_get(params, "interarrival", dict, "params"), "params.interarrival")
-    _check_keys(inter, {"kind", "shape", "scale"}, "params.interarrival")
-    if _get(inter, "kind", str, "params.interarrival") != "gamma":
-        raise ConfigError("'params.interarrival.kind' must be 'gamma'")
-    shape = _get(inter, "shape", float, "params.interarrival")
-    scale = _get(inter, "scale", float, "params.interarrival", 1.0)
-    if shape < 1 or scale <= 0:
-        raise ConfigError(
-            "'params.interarrival' needs shape >= 1 (bounded hazard) and scale > 0"
-        )
-    thin_spec = _as_dict(_get(params, "thin", dict, "params"), "params.thin")
-    _check_keys(thin_spec, {"kind", "rate"}, "params.thin")
-    if _get(thin_spec, "kind", str, "params.thin") != "exp":
-        raise ConfigError("'params.thin.kind' must be 'exp' (the retained mass must be finite)")
-    thin_rate = _get(thin_spec, "rate", float, "params.thin")
-    if thin_rate <= 0:
-        raise ConfigError("'params.thin.rate' must be positive")
+def _build_renewal(p, window):
+    _, inter = p.tagged("interarrival", "kind", {"gamma": ("shape", "scale")})
+    shape = inter.get("shape", float, check=_AT_LEAST_1)  # a bounded hazard
+    scale = inter.get("scale", float, 1.0, _POS)
+    _, thin = p.tagged("thin", "kind", {"exp": ("rate",)})  # a finite retained mass
+    thin_rate = thin.get("rate", float, check=_POS)
 
     bound = 1.0 / scale  # gamma hazard with shape >= 1 increases toward 1/scale
     hazard = _gamma_hazard(shape, scale)
@@ -526,22 +421,16 @@ def _build_renewal(cfg):
         )
 
     validate = _count_checks(sample, oracle=("renewal-counts-vs-thin-after", _each(oracle)))
-    return {"sample": sample, "window": None, "validate": validate,
-            "plots": {"counts-histogram"}, "meta": {}}
+    return _built(sample, window, validate, ())
 
 
-def _build_matern(cfg):
-    params = _as_dict(cfg.get("params", {}), "params")
-    _check_keys(params, {"rate", "radius", "thin_p"}, "params")
-    rate = _get(params, "rate", float, "params")
-    radius = _get(params, "radius", float, "params")
-    p = _get(params, "thin_p", float, "params", 1.0)
-    if not 0 <= p <= 1:
-        raise ConfigError("'params.thin_p' must lie in [0, 1]")
-    window = _window(cfg["window"])
+def _build_matern(p, window):
+    rate = p.get("rate", float, check=_NONNEG)
+    radius = p.get("radius", float, check=_NONNEG)
+    thin_p = p.get("thin_p", float, 1.0, _UNIT)
 
     def thin_fn(pts):
-        return np.full(np.atleast_2d(pts).shape[0], p)
+        return np.full(np.atleast_2d(pts).shape[0], thin_p)
 
     def sample(rng):
         return matern_thin_first(rate, radius, thin_fn, window, rng)
@@ -550,30 +439,16 @@ def _build_matern(cfg):
         "hardcore-counts-vs-thin-after",
         _each(lambda rng: oracles.matern_direct_oracle(rate, radius, thin_fn, window, rng)),
     ))
-    return {"sample": sample, "window": window, "validate": validate,
-            "plots": {"points-2d", "counts-histogram"}, "meta": {}}
+    return _built(sample, window, validate)
 
 
-def _build_nonlinear_hawkes(cfg):
-    params = _as_dict(cfg.get("params", {}), "params")
-    _check_keys(params, {"phi", "excitation"}, "params")
-    phi_spec = _as_dict(_get(params, "phi", dict, "params"), "params.phi")
-    _check_keys(phi_spec, {"kind", "bound", "base"}, "params.phi")
-    if _get(phi_spec, "kind", str, "params.phi") != "saturating":
-        raise ConfigError("'params.phi.kind' must be 'saturating'")
-    lam = _get(phi_spec, "bound", float, "params.phi")
-    base = _get(phi_spec, "base", float, "params.phi")
-    if lam <= 0 or base <= 0:
-        raise ConfigError("'params.phi' needs positive bound and base")
-    exc_spec = _as_dict(_get(params, "excitation", dict, "params"), "params.excitation")
-    _check_keys(exc_spec, {"kind", "height", "support"}, "params.excitation")
-    if _get(exc_spec, "kind", str, "params.excitation") != "triangular":
-        raise ConfigError("'params.excitation.kind' must be 'triangular'")
-    height = _get(exc_spec, "height", float, "params.excitation")
-    support = _get(exc_spec, "support", float, "params.excitation")
-    if height < 0 or support <= 0:
-        raise ConfigError("'params.excitation' needs height >= 0 and support > 0")
-    window = _window(cfg["window"], dim=1)
+def _build_nonlinear_hawkes(p, window):
+    _, phi_spec = p.tagged("phi", "kind", {"saturating": ("bound", "base")})
+    lam = phi_spec.get("bound", float, check=_POS)
+    base = phi_spec.get("base", float, check=_POS)
+    _, exc = p.tagged("excitation", "kind", {"triangular": ("height", "support")})
+    height = exc.get("height", float, check=_NONNEG)
+    support = exc.get("support", float, check=_POS)
 
     def phi(drive):
         return lam * -math.expm1(-(base + float(drive)) / lam)
@@ -598,23 +473,16 @@ def _build_nonlinear_hawkes(cfg):
         )
 
     validate = _count_checks(sample, oracle=("nonlinear-counts-vs-burn-in", oracle))
-    return {"sample": sample, "window": window, "validate": validate,
-            "plots": {"counts-histogram"}, "meta": {}}
+    return _built(sample, window, validate, ())
 
 
-def _build_hawkes_mr(cfg):
-    params = _as_dict(cfg.get("params", {}), "params")
-    _check_keys(params, {"kernel", "mu", "tol", "step"}, "params")
-    kernel = _fertility(_get(params, "kernel", dict, "params"), "params.kernel")
-    mu = _get(params, "mu", float, "params")
-    if mu < 0:
-        raise ConfigError("'params.mu' must be nonnegative")
-    window = _window(cfg["window"], dim=1)
+def _build_hawkes_mr(p, window):
+    kernel = _fertility(p)
+    mu = p.get("mu", float, check=_NONNEG)
     if abs(window.lower[0]) > 1e-12:
         raise ConfigError("'window.lower' must be [0] for the self-exciting sampler")
-    tol = _get(params, "tol", float, "params", 1e-3)
-    step = _get(params, "step", float, "params", 1e-4)
-    sampler = HawkesSampler(kernel, mu, window.upper[0], tol=tol, step=step)
+    sampler = HawkesSampler(kernel, mu, window.upper[0], tol=p.get("tol", float, 1e-3, _POS),
+                            step=p.get("step", float, 1e-4, _POS))
 
     def oracle(n_reps, rng):
         a, burn = window.upper[0], 60.0 / max(kernel.suggested_decay(), 1e-6)
@@ -628,23 +496,15 @@ def _build_hawkes_mr(cfg):
         oracle=("self-exciting-counts-vs-burn-in", oracle),
     )
     # the certified curve is built only if a plot reads it
-    return {"sample": sampler.sample, "window": window, "validate": validate,
-            "plots": {"points-2d", "counts-histogram", "sandwich-curves"},
-            "meta": dict(sampler.meta), "sampler": sampler, "kernel": kernel}
+    return _built(sampler.sample, window, validate, ("points-2d", "sandwich-curves"),
+                  dict(sampler.meta), sampler=sampler, kernel=kernel)
 
 
-def _build_branching_approx(cfg):
-    params = _as_dict(cfg.get("params", {}), "params")
-    _check_keys(params, {"rate0", "progeny_mean", "displacement", "generations"}, "params")
-    rate0 = _get(params, "rate0", float, "params")
-    pmean = _get(params, "progeny_mean", float, "params")
-    n_gen = _get(params, "generations", int, "params")
-    if n_gen < 0:
-        raise ConfigError("'params.generations' must be nonnegative")
-    progeny = TranslatedPoissonCluster(
-        pmean, _displacement(_get(params, "displacement", dict, "params"), "params.displacement")
-    )
-    window = _window(cfg["window"])
+def _build_branching_approx(p, window):
+    rate0 = p.get("rate0", float, check=_NONNEG)
+    pmean = p.get("progeny_mean", float, check=_POS)
+    n_gen = p.get("generations", int, check=_NONNEG)
+    progeny = TranslatedPoissonCluster(pmean, _displacement(p))
     _, cert = approx_branching_sample(rate0, progeny, window, n_gen, RngStream(0, 0).generator())
 
     def sample(rng):
@@ -654,27 +514,27 @@ def _build_branching_approx(cfg):
     # the build above has refused pmean >= 1
     expect = rate0 * (1.0 - pmean ** (n_gen + 1)) / (1.0 - pmean) * window.volume()
     validate = _count_checks(sample, mean=("branching-mean-count", expect))
-    return {"sample": sample, "window": window, "validate": validate,
-            "plots": {"points-2d", "counts-histogram"},
-            "meta": {"truncation_certificate": cert.to_dict()}}
+    return _built(sample, window, validate, meta={"truncation_certificate": cert.to_dict()})
 
 
+# name -> (builder, its params keys, its window dimension: None for any, 0 for no window)
 _BUILDERS = {
-    "poisson": _build_poisson,
-    "brix_kendall": _build_brix_kendall,
-    "boolean_disks": _build_boolean_disks,
-    "boolean_segments": _build_boolean_segments,
-    "poisson_lines": _build_poisson_lines,
-    "grid_thinning": _build_grid_thinning,
-    "renewal": _build_renewal,
-    "matern": _build_matern,
-    "nonlinear_hawkes": _build_nonlinear_hawkes,
-    "hawkes_mr": _build_hawkes_mr,
-    "branching_approx": _build_branching_approx,
+    "poisson": (_build_poisson, ("rate",), None),
+    "brix_kendall": (_build_brix_kendall, ("rate0", "cluster_mean", "displacement"), None),
+    "boolean_disks": (_build_boolean_disks, ("rate", "radius"), 2),
+    "boolean_segments": (_build_boolean_segments, ("rate", "length"), 2),
+    "poisson_lines": (_build_poisson_lines,
+                      ("rate", "target_center", "target_radius", "germ_region"), 0),
+    "grid_thinning": (_build_grid_thinning, ("family", "probs", "c", "ratio", "C"), 0),
+    "renewal": (_build_renewal, ("interarrival", "thin"), 0),
+    "matern": (_build_matern, ("rate", "radius", "thin_p"), None),
+    "nonlinear_hawkes": (_build_nonlinear_hawkes, ("phi", "excitation"), 1),
+    "hawkes_mr": (_build_hawkes_mr, ("kernel", "mu", "tol", "step"), 1),
+    "branching_approx": (_build_branching_approx,
+                         ("rate0", "progeny_mean", "displacement", "generations"), None),
 }
 
-_TOP_KEYS = {"schema", "sampler", "seed", "replicates", "window", "params", "validation"}
-_WINDOWLESS = {"grid_thinning", "renewal"}
+_TOP_KEYS = ("schema", "sampler", "seed", "replicates", "window", "params", "validation")
 
 
 def load_config(path):
@@ -687,35 +547,34 @@ def load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
-    _check_keys(cfg, _TOP_KEYS, "")
-    if _get(cfg, "schema", int, "", SCHEMA_VERSION) != SCHEMA_VERSION:
+    top = _Obj(cfg, "", _TOP_KEYS)
+    if top.get("schema", int, SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError(f"'schema' must be {SCHEMA_VERSION}")
-    sampler = _get(cfg, "sampler", str, "")
+    sampler = top.get("sampler", str)
     if sampler not in _BUILDERS:
         raise ConfigError(
             f"unknown sampler '{sampler}'; available: {', '.join(sorted(_BUILDERS))}"
         )
-    _get(cfg, "seed", int, "")
-    if _get(cfg, "replicates", int, "", 1) < 1:
-        raise ConfigError("'replicates' must be at least 1")
-    if sampler in _WINDOWLESS:
+    top.get("seed", int)
+    top.get("replicates", int, 1, _AT_LEAST_1)
+    if _BUILDERS[sampler][2] == 0:
         if "window" in cfg:
             raise ConfigError(f"unknown key 'window' ({sampler} runs on its own half-axis)")
     elif "window" not in cfg:
         raise ConfigError("missing key 'window'")
-    val = _as_dict(cfg.get("validation", {}), "validation")
-    _check_keys(val, {"enabled", "replicates", "alpha"}, "validation")
-    _get(val, "enabled", bool, "validation", False)
-    if _get(val, "replicates", int, "validation", 400) < 2:
-        raise ConfigError("'validation.replicates' must be at least 2")
-    alpha = _get(val, "alpha", float, "validation", 0.05)
-    if not 0 < alpha < 1:
-        raise ConfigError("'validation.alpha' must lie strictly between 0 and 1")
+    val = top.obj("validation", ("enabled", "replicates", "alpha"), {})
+    val.get("enabled", bool, False)
+    val.get("replicates", int, 400, (lambda n: n >= 2, "must be at least 2"))
+    val.get("alpha", float, 0.05, _OPEN_UNIT)
     return cfg
 
 
 def build(cfg):
-    return _BUILDERS[cfg["sampler"]](cfg)
+    """The built sampler of a loaded config, as a dict: sample(rng), window,
+    validate(stream, n_reps, collector), plots, meta and sampler-specific extras."""
+    builder, keys, dim = _BUILDERS[cfg["sampler"]]
+    top = _Obj(cfg, "", _TOP_KEYS)
+    return builder(top.obj("params", keys), top.window("window", dim) if dim != 0 else None)
 
 
 # -- commands -------------------------------------------------------------------------

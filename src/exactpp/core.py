@@ -237,23 +237,25 @@ def config_hash(config):
 
 # -- dominating process and thinning ---------------------------------------
 
-MAX_MEAN_POINTS = 1e9  # largest mean count sample_homogeneous draws; more cannot fit in memory
+MAX_MEAN_POINTS = 1e9  # largest mean count of any Poisson draw; more cannot fit in memory
 
 
-def sample_homogeneous(window, rate, rng):
-    """Homogeneous Poisson(rate) restricted to the window.
-
-    A mean count rate * volume above MAX_MEAN_POINTS raises SamplerError
-    before anything is drawn.
-    """
+def _mean_count(rate, volume):
+    """The mean count rate * volume of a Poisson draw; a negative rate or a mean
+    above MAX_MEAN_POINTS raises SamplerError, before anything is drawn."""
     if rate < 0:
         raise SamplerError("rate must be nonnegative")
-    mean = rate * window.volume()
+    mean = rate * volume
     if not mean <= MAX_MEAN_POINTS:
         raise SamplerError(
             f"mean point count {mean:.3g} exceeds the limit {MAX_MEAN_POINTS:.0e}"
         )
-    n = rng.poisson(mean)
+    return mean
+
+
+def sample_homogeneous(window, rate, rng):
+    """Homogeneous Poisson(rate) restricted to the window, refused as _mean_count refuses."""
+    n = rng.poisson(_mean_count(rate, window.volume()))
     return PointPattern(window.sample_uniform(n, rng), dim=window.dim)
 
 

@@ -20,6 +20,7 @@ earlier decisions, flip their own.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 NEGLECTED_TAIL = 1e-14  # allowed truncation residue in sums of p_k
+_MAX_LAST_SITE = 10_000_000  # the largest last retained site a grid draw returns
 
 
 class _GridBase:
@@ -57,16 +59,25 @@ class _GridBase:
         return self.survival(-1)
 
     def sample_last(self, rng):
-        """Index of the last retained site, or None when no site survives."""
+        """Index of the last retained site, or None when no site survives.
+
+        T is the first n with S(n) >= u. S is nondecreasing, so a bracket
+        doubles from [-1, 0] and bisection closes it; T beyond _MAX_LAST_SITE
+        raises SamplerError.
+        """
         u = rng.random()
         if u <= self.survival(-1):
             return None
-        n = 0
-        while self.survival(n) < u:
-            n += 1
-            if n > 10_000_000:
-                raise SamplerError("last-site search runaway; check the retention family")
-        return n
+        lo, hi = -1, 0  # S(lo) < u
+        while self.survival(hi) < u:
+            if hi == _MAX_LAST_SITE:
+                raise SamplerError(f"the last retained site lies beyond {_MAX_LAST_SITE:.0e}; "
+                                   "check the retention family")
+            lo, hi = hi, min(2 * hi + 1, _MAX_LAST_SITE)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if self.survival(mid) < u else (lo, mid)
+        return hi
 
     def thin(self, rng):
         """Sorted retained indices: draw T, then independent coins below it."""
@@ -243,6 +254,62 @@ def _last_candidate(p_tail, y, bound):
             lo = mid
         else:
             hi = mid
+
+
+_GAMMA_ITERATIONS = 100_000  # far more than either expansion needs below a = 10^6
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min / _EPS  # Lentz's floor for a vanishing denominator
+
+
+def _gamma_q(a, x):
+    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a), a > 0, x > 0.
+
+    Below x = a + 1 it sums the series of P = 1 - Q, beyond it evaluates the
+    continued fraction of Q by Lentz's method (Numerical Recipes, 3rd ed.,
+    6.2), both to double precision. The prefactor x^a e^-x / Gamma(a) loses
+    about a * log(x) ulps, so the relative error grows with a.
+    """
+    log_front = a * math.log(x) - x - math.lgamma(a)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for n in range(1, _GAMMA_ITERATIONS):
+            term *= x / (a + n)
+            total += term
+            if abs(term) < abs(total) * _EPS:
+                return 1.0 - total * math.exp(log_front)
+    else:
+        b = x + 1.0 - a
+        c, d = 1.0 / _TINY, 1.0 / b
+        frac = d
+        for i in range(1, _GAMMA_ITERATIONS):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+            c = b + an / c
+            c = c if abs(c) >= _TINY else _TINY
+            delta = d * c
+            frac *= delta
+            if abs(delta - 1.0) <= _EPS:
+                return frac * math.exp(log_front)
+    raise SamplerError(f"incomplete gamma Q({a:.6g}, {x:.6g}) did not converge")
+
+
+def _gamma_hazard(shape, scale):
+    """Hazard pdf / survival of the gamma(shape >= 1, scale) law, capped at its limit 1 / scale."""
+    bound = 1.0 / scale
+    log_norm = math.lgamma(shape)
+
+    def hazard(t):
+        x = t / scale
+        if x <= 0.0:
+            return bound if shape == 1.0 else 0.0  # the pdf at 0 over a survival of 1
+        sf = _gamma_q(shape, x)
+        if sf <= 0:
+            return bound
+        return min(math.exp((shape - 1.0) * math.log(x) - x - log_norm) / scale / sf, bound)
+
+    return hazard
 
 
 # -- Matern hard core -------------------------------------------------------------

@@ -16,6 +16,7 @@ from exactpp import (
     ExpRadius,
     FixedRadius,
     RngStream,
+    SamplerError,
     SegmentGrains,
     UniformRadius,
     Window,
@@ -140,6 +141,16 @@ def test_exp_radius_coverage_at_the_corner():
     ]
     mean, half = mean_ci(np.asarray(hits, dtype=float), z=4.0)
     assert abs(mean - target) < half
+
+
+@pytest.mark.parametrize(
+    "rate,message", [(-1.0, "rate must be nonnegative"), (1e15, "mean point count")]
+)
+def test_disk_grains_refuse_a_bad_rate_before_drawing(rate, message):
+    rng = _gen(57)
+    with pytest.raises(SamplerError, match=message):
+        boolean_exact_sample(rate, DiskGrains(FixedRadius(0.5)), SQUARE, rng)
+    assert rng.random() == _gen(57).random()  # nothing was drawn
 
 
 def test_disk_grains_need_a_planar_window():

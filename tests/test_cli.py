@@ -1,6 +1,7 @@
 """Command-line interface: config validation exit codes, reproducible sample
 output, plot-data CSV shapes, and the validation battery's report plumbing."""
 
+import hashlib
 import json
 import math
 import os
@@ -99,6 +100,29 @@ def _sample(tmp_path, cfg, sub="out", name="config.json"):
             lambda c: c.update(_hawkes(classify_fallback="error")),
             "unknown key 'params.classify_fallback'",
         ),
+        (
+            lambda c: c.update(sampler="boolean_disks",
+                               params={"rate": -1.0, "radius": {"kind": "fixed", "value": 0.5}}),
+            "'params.rate' must be nonnegative",
+        ),
+        (
+            lambda c: c.update(sampler="matern", params={"rate": -1.0, "radius": 0.3}),
+            "'params.rate' must be nonnegative",
+        ),
+        (lambda c: c.update(_hawkes(step=0.0)), "'params.step' must be positive"),
+        (lambda c: c.update(_hawkes(tol=-0.01)), "'params.tol' must be positive"),
+        (
+            lambda c: c.update(sampler="boolean_disks",
+                               params={"rate": 1.0, "radius": {"kind": "fixed", "value": 0}}),
+            "'params.radius.value' must be positive",
+        ),
+        (
+            lambda c: c.update(sampler="poisson_lines", params={
+                "rate": 0.8, "target_center": [2.0, 2.0], "target_radius": 1.0,
+                "germ_region": {"lower": [0.0, 0.0], "upper": [4.0, 4.0]},
+            }),
+            "unknown key 'window' (poisson_lines runs on its own half-axis)",
+        ),
     ],
 )
 def test_bad_config_exits_2_with_dotted_path(tmp_path, capsys, mangle, message):
@@ -158,6 +182,7 @@ def test_supercritical_hawkes_exits_3(tmp_path, capsys):
         ("poisson", {"rate": 1e15}),
         ("brix_kendall", {"rate0": 1e20, "cluster_mean": 2.0,
                           "displacement": {"lo": [-0.5, -0.5], "hi": [0.5, 0.5]}}),
+        ("boolean_disks", {"rate": 1e15, "radius": {"kind": "fixed", "value": 0.5}}),
     ],
 )
 def test_absurd_rate_exits_3_before_drawing(tmp_path, capsys, sampler, params):
@@ -273,6 +298,89 @@ def test_sample_rerun_is_byte_identical(tmp_path):
         assert fa.read_bytes() == (b / fa.name).read_bytes()
 
 
+# sha256 over the pattern files `exactpp sample` writes for each demo config
+# (name, then bytes, in name order); meta.json is left out
+DEMO_PATTERN_SHA256 = {
+    "boolean_disks": "14d857481fcbca656e3495f3f0698f8118b04cb0fa23f65b06af137f1e6de593",
+    "boolean_segments": "3b7698e4846aa2305e0c9a489bb7e581fe91d14c3272b82a5b8e2f3940e6d6ee",
+    "branching_approx": "00adf7c7626448b72711f5d05dd399bcf23b7093f245f51f15512987341f33d0",
+    "brix_kendall": "f184dffaf6882b38eb7f12bde501f4c99e7820ab8b8f96e07b69ec9b6944aeed",
+    "grid_thinning": "f80dae499e94fbcfbcb28981110c5383ccf72bf0627d503f3a8fda63f91675a1",
+    "hawkes_mr": "0f3bb5c00413ba76cd739f46f276d203cd7741c86276b68c73ab86ea2af4ea44",
+    "matern": "d712ee7c1379720d814486f1e3923c2d46daee120728acb2baaa17daaba3cde6",
+    "nonlinear_hawkes": "e0381820be80cf6f0f6a85ce9cdc33d8140743f9d71846d527f4b2a6d8f538f5",
+    "poisson": "fdabfb0707869de0d31a7e1c78a17adf1789a6cf9f5bd2041f2320c149172d3d",
+    "poisson_lines": "87737d8f109eefdbe84facdd3fdad30be0147d2bdd59338c56be755424d8ff42",
+    "renewal": "96998dca9d3c5ad2e45704fd36b0d436577f66b840e6e1aad939f3b771dbfae5",
+}
+DEMO_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_demo_patterns_keep_their_bytes(tmp_path, path):
+    rc, outdir = _sample(tmp_path, json.loads(path.read_text()))
+    assert rc == 0
+    digest = hashlib.sha256()
+    for f in sorted(outdir.glob("pattern-*.csv")):
+        digest.update(f.name.encode())
+        digest.update(f.read_bytes())
+    assert digest.hexdigest() == DEMO_PATTERN_SHA256[path.stem]
+
+
+class _ReadLog(dict):
+    """A config object that adds the dotted path of each key read from it to log."""
+
+    def __init__(self, value, path, log):
+        super().__init__({
+            k: _ReadLog(v, self._at(path, k), log) if isinstance(v, dict) else v
+            for k, v in value.items()
+        })
+        self.path, self.log = path, log
+
+    @staticmethod
+    def _at(path, key):
+        return f"{path}.{key}" if path else key
+
+    def __getitem__(self, key):
+        self.log.add(self._at(self.path, key))
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        if key in self:
+            return self[key]
+        return default
+
+
+def _key_paths(value, path):
+    for k, v in value.items():
+        yield f"{path}.{k}"
+        if isinstance(v, dict):
+            yield from _key_paths(v, f"{path}.{k}")
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_every_demo_config_key_is_read(monkeypatch, path):
+    """Building a demo config and drawing once reads every key under params and
+    window, and the window read is the one the sampler draws on."""
+    from exactpp import cli
+    from exactpp.core import RngStream, Window
+
+    windows = []
+
+    def logged_window(lower, upper):
+        windows.append(Window(lower, upper))
+        return windows[-1]
+
+    monkeypatch.setattr(cli, "Window", logged_window)
+    cfg, read = cli.load_config(str(path)), set()
+    built = cli.build(_ReadLog(cfg, "", read))
+    built["sample"](RngStream(cfg["seed"], 0).generator())
+    keys = {k for part in ("params", "window") if part in cfg for k in _key_paths(cfg[part], part)}
+    assert sorted(keys - read) == []
+    if "window" in cfg:
+        assert built["window"] is windows[0]
+
+
 def test_sample_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
     hawkes = json.loads((CONFIG_DIR / "hawkes_mr.json").read_text())
     for name, cfg in (("poisson", dict(POISSON_CFG, replicates=4)), ("hawkes", hawkes)):
@@ -332,7 +440,7 @@ def test_parallel_sample_builds_once_per_process(tmp_path, monkeypatch):
 @pytest.mark.parametrize("shape", [1.0, 1.5, 2.0, 3.3, 7.5, 20.0, 50.0])
 def test_gamma_hazard_matches_scipy(shape):
     special = pytest.importorskip("scipy.special")
-    from exactpp.cli import _gamma_hazard, _gamma_q
+    from exactpp.germ_thinning import _gamma_hazard, _gamma_q
 
     xs = np.geomspace(1e-8, 300.0, 500)
     q = np.array([_gamma_q(shape, x) for x in xs])
