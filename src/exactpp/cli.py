@@ -176,7 +176,13 @@ class _Obj:
         return self.obj(key, None).variant(tag, variants)
 
     def window(self, key, dim):
-        """The box at key, of dimension dim (any dimension for None)."""
+        """The box at key, of dimension dim (any dimension for None). A string
+        dim says where a sampler without a window draws: the key must be absent,
+        and the result is None."""
+        if isinstance(dim, str):
+            if key in self.value:
+                raise ConfigError(f"unknown key '{self._at(key)}' (this sampler {dim})")
+            return None
         w = self.obj(key, ("lower", "upper"))
         lower, upper = w.floats("lower", dim), w.floats("upper", dim)
         try:
@@ -517,16 +523,20 @@ def _build_branching_approx(p, window):
     return _built(sample, window, validate, meta={"truncation_certificate": cert.to_dict()})
 
 
-# name -> (builder, its params keys, its window dimension: None for any, 0 for no window)
+_HALF_AXIS = "runs on its own half-axis"
+
+# name -> (builder, its params keys (None: the builder's variant checks them),
+#          its window dimension: None for any, or for no window where the sampler draws)
 _BUILDERS = {
     "poisson": (_build_poisson, ("rate",), None),
     "brix_kendall": (_build_brix_kendall, ("rate0", "cluster_mean", "displacement"), None),
     "boolean_disks": (_build_boolean_disks, ("rate", "radius"), 2),
     "boolean_segments": (_build_boolean_segments, ("rate", "length"), 2),
     "poisson_lines": (_build_poisson_lines,
-                      ("rate", "target_center", "target_radius", "germ_region"), 0),
-    "grid_thinning": (_build_grid_thinning, ("family", "probs", "c", "ratio", "C"), 0),
-    "renewal": (_build_renewal, ("interarrival", "thin"), 0),
+                      ("rate", "target_center", "target_radius", "germ_region"),
+                      "draws its germs on params.germ_region"),
+    "grid_thinning": (_build_grid_thinning, None, _HALF_AXIS),
+    "renewal": (_build_renewal, ("interarrival", "thin"), _HALF_AXIS),
     "matern": (_build_matern, ("rate", "radius", "thin_p"), None),
     "nonlinear_hawkes": (_build_nonlinear_hawkes, ("phi", "excitation"), 1),
     "hawkes_mr": (_build_hawkes_mr, ("kernel", "mu", "tol", "step"), 1),
@@ -555,13 +565,8 @@ def load_config(path):
         raise ConfigError(
             f"unknown sampler '{sampler}'; available: {', '.join(sorted(_BUILDERS))}"
         )
-    top.get("seed", int)
+    top.get("seed", int, check=_NONNEG)
     top.get("replicates", int, 1, _AT_LEAST_1)
-    if _BUILDERS[sampler][2] == 0:
-        if "window" in cfg:
-            raise ConfigError(f"unknown key 'window' ({sampler} runs on its own half-axis)")
-    elif "window" not in cfg:
-        raise ConfigError("missing key 'window'")
     val = top.obj("validation", ("enabled", "replicates", "alpha"), {})
     val.get("enabled", bool, False)
     val.get("replicates", int, 400, (lambda n: n >= 2, "must be at least 2"))
@@ -574,7 +579,7 @@ def build(cfg):
     validate(stream, n_reps, collector), plots, meta and sampler-specific extras."""
     builder, keys, dim = _BUILDERS[cfg["sampler"]]
     top = _Obj(cfg, "", _TOP_KEYS)
-    return builder(top.obj("params", keys), top.window("window", dim) if dim != 0 else None)
+    return builder(top.obj("params", keys), top.window("window", dim))
 
 
 # -- commands -------------------------------------------------------------------------

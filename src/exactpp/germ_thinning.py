@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 NEGLECTED_TAIL = 1e-14  # allowed truncation residue in sums of p_k
-_MAX_LAST_SITE = 10_000_000  # the largest last retained site a grid draw returns
 
 
 class _GridBase:
@@ -59,25 +58,16 @@ class _GridBase:
         return self.survival(-1)
 
     def sample_last(self, rng):
-        """Index of the last retained site, or None when no site survives.
-
-        T is the first n with S(n) >= u. S is nondecreasing, so a bracket
-        doubles from [-1, 0] and bisection closes it; T beyond _MAX_LAST_SITE
-        raises SamplerError.
-        """
+        """Index of the last retained site, or None when no site survives."""
         u = rng.random()
         if u <= self.survival(-1):
             return None
-        lo, hi = -1, 0  # S(lo) < u
-        while self.survival(hi) < u:
-            if hi == _MAX_LAST_SITE:
-                raise SamplerError(f"the last retained site lies beyond {_MAX_LAST_SITE:.0e}; "
-                                   "check the retention family")
-            lo, hi = hi, min(2 * hi + 1, _MAX_LAST_SITE)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if self.survival(mid) < u else (lo, mid)
-        return hi
+        n = 0
+        while self.survival(n) < u:
+            n += 1
+            if n > 10_000_000:
+                raise SamplerError("last-site search runaway; check the retention family")
+        return n
 
     def thin(self, rng):
         """Sorted retained indices: draw T, then independent coins below it."""

@@ -121,8 +121,9 @@ def _sample(tmp_path, cfg, sub="out", name="config.json"):
                 "rate": 0.8, "target_center": [2.0, 2.0], "target_radius": 1.0,
                 "germ_region": {"lower": [0.0, 0.0], "upper": [4.0, 4.0]},
             }),
-            "unknown key 'window' (poisson_lines runs on its own half-axis)",
+            "unknown key 'window' (this sampler draws its germs on params.germ_region)",
         ),
+        (lambda c: c.update(seed=-1), "'seed' must be nonnegative"),
     ],
 )
 def test_bad_config_exits_2_with_dotted_path(tmp_path, capsys, mangle, message):

@@ -105,42 +105,6 @@ def test_survival_is_monotone_nondecreasing():
         assert s[-1] <= 1.0 + 1e-15
 
 
-class _FixedUniform:
-    """A generator stand-in whose random() returns u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
-@pytest.mark.parametrize(
-    "grid",
-    [
-        TableGrid((0.3, 0.9, 0.001, 0.25, 0.0, 0.6)),
-        GeometricGrid(0.7, 0.6),
-        InverseSquareGrid(1.0),
-        InverseSquareGrid(30.0),
-    ],
-    ids=["table", "geometric", "inverse-square-1", "inverse-square-30"],
-)
-def test_last_site_search_matches_the_linear_definition(grid):
-    # T is the first n with S(n) >= u, or None for u <= S(-1)
-    survival = np.array([grid.survival(n) for n in range(-1, 3_000)])
-    us = np.concatenate([np.linspace(0.0, survival[-1], 401), _gen(58).random(400) * survival[-1],
-                         survival[1:60]])
-    for u in us:
-        first = int(np.argmax(survival >= u)) - 1
-        assert grid.sample_last(_FixedUniform(u)) == (None if first < 0 else first), u
-
-
-def test_last_site_search_refuses_a_site_beyond_its_bound():
-    grid = InverseSquareGrid(1.0)
-    with pytest.raises(SamplerError, match="beyond 1e\\+07"):
-        grid.sample_last(_FixedUniform(1.0 - 1e-12))
-
-
 def test_inverse_square_survival_closed_form():
     # prod_{k>n} exp(-C/(k+1)^2) = exp(-C * psi_1(n+2)); check against a long
     # explicit partial product
