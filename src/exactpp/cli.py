@@ -526,7 +526,8 @@ def _build_branching_approx(p, window):
 _HALF_AXIS = "runs on its own half-axis"
 
 # name -> (builder, its params keys (None: the builder's variant checks them),
-#          its window dimension: None for any, or for no window where the sampler draws)
+#          its window: a dimension, None for any, or for a sampler without one a
+#          phrase saying where it draws)
 _BUILDERS = {
     "poisson": (_build_poisson, ("rate",), None),
     "brix_kendall": (_build_brix_kendall, ("rate0", "cluster_mean", "displacement"), None),
