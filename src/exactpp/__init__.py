@@ -22,6 +22,12 @@ is organized by construction:
 - oracles: independently-coded reference samplers used only by validation
 - cli: `exactpp sample | validate | plotdata` driven by JSON configs
 
+Importing the package loads none of these modules. Each name in `__all__` is
+imported from its module on first access, and the CLI imports a sampler's
+modules only when it builds that sampler, so a run loads core, validation, cli
+and the modules of the one sampler its config names (with oracles when that
+sampler's validation uses one).
+
 scipy is imported inside the few routines that call it (quadrature, the
 trigamma tail, the one-sample KS and chi-square tests), so importing the
 package, or building and drawing a Hawkes sampler, loads no scipy module.
@@ -29,59 +35,27 @@ The two-sample KS test computes its p-value with numpy alone, so no CLI
 command loads scipy.stats.
 """
 
-from .boolean_model import (
-    BooleanSample,
-    DiskGrains,
-    DiskWindow,
-    ExpRadius,
-    FixedRadius,
-    SegmentGrains,
-    UniformRadius,
-    boolean_exact_sample,
-    hit_prob_poisson_line,
-    sample_poisson_lines,
-)
-from .branching_approx import (
-    TruncationCertificate,
-    approx_branching_sample,
-    certificate_generations_for,
-)
-from .cluster_exact import (
-    BrixKendallSampler,
-    TranslatedPoissonCluster,
-    UniformDisplacement,
-)
-from .core import (
-    ConfigError,
-    DensityIntensity,
-    LebesgueIntensity,
-    PointPattern,
-    RngStream,
-    SamplerError,
-    Window,
-)
-from .germ_thinning import (
-    GeometricGrid,
-    InverseSquareGrid,
-    TableGrid,
-    matern_thin_first,
-    nonlinear_hawkes_germ,
-    renewal_thin_first,
-    thin_grid,
-)
-from .hawkes_mr import (
-    ExponentialFertility,
-    GWCluster,
-    HawkesSampler,
-    PhiOperator,
-    PiecewiseConstantFertility,
-    PolynomialFertility,
-    Sandwich,
-    build_sandwich,
-    sample_gw_cluster,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# the module that defines each exported name
+_HOMES = {
+    "boolean_model": ("BooleanSample", "DiskGrains", "DiskWindow", "ExpRadius", "FixedRadius",
+                      "SegmentGrains", "UniformRadius", "boolean_exact_sample",
+                      "hit_prob_poisson_line", "sample_poisson_lines"),
+    "branching_approx": ("TruncationCertificate", "approx_branching_sample",
+                         "certificate_generations_for"),
+    "cluster_exact": ("BrixKendallSampler", "TranslatedPoissonCluster", "UniformDisplacement"),
+    "core": ("ConfigError", "DensityIntensity", "LebesgueIntensity", "PointPattern", "RngStream",
+             "SamplerError", "Window"),
+    "germ_thinning": ("GeometricGrid", "InverseSquareGrid", "TableGrid", "matern_thin_first",
+                      "nonlinear_hawkes_germ", "renewal_thin_first", "thin_grid"),
+    "hawkes_mr": ("ExponentialFertility", "GWCluster", "HawkesSampler", "PhiOperator",
+                  "PiecewiseConstantFertility", "PolynomialFertility", "Sandwich",
+                  "build_sandwich", "sample_gw_cluster"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __all__ = [
     "BooleanSample",
@@ -124,3 +98,16 @@ __all__ = [
     "sample_poisson_lines",
     "thin_grid",
 ]
+
+
+def __getattr__(name):
+    """An exported name, imported from its module on first access (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups find it without this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -262,8 +262,9 @@ class BooleanSample:
             return np.zeros(pts.shape[0], dtype=bool)
         centers = np.asarray([g["center"] for g in disks], dtype=float)
         radii = np.asarray([g["radius"] for g in disks], dtype=float)
-        d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        return np.any(d2 <= radii**2, axis=1)
+        dx = pts[:, 0, None] - centers[:, 0]
+        dy = pts[:, 1, None] - centers[:, 1]
+        return np.any(dx * dx + dy * dy <= radii * radii, axis=1)
 
 
 def boolean_exact_sample(rate, grains, window, rng):

@@ -15,8 +15,15 @@ declares its params keys and its window dimension. Every config error about a
 single value (an unknown, missing or mistyped key, or a value out of its
 range) names the value's dotted path and exits 2. Conditions on several
 values together or on the model are the samplers' own checks, made when a
-sampler is built or run; model-level impossibilities (supercritical kernels,
-unbounded buffers, point counts too large to draw) exit 3.
+sampler is built or run; a refusal of several values of one config object
+(lo < hi, mark weights that sum to one) names that object's dotted path and
+keeps the sampler's exit code. Model-level impossibilities (supercritical
+kernels, unbounded buffers, point counts too large to draw) exit 3.
+
+Only core and validation are imported with this module. Each builder imports
+its sampler's module, and oracles where its validation uses one, when it
+builds, so a run loads only the modules of the sampler its config names, and
+concurrent.futures only when EXACTPP_WORKERS > 1.
 """
 
 from __future__ import annotations
@@ -27,26 +34,11 @@ import json
 import math
 import os
 import sys
-from concurrent import futures
 from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 
-from . import oracles
-from .boolean_model import (
-    DiskGrains,
-    DiskWindow,
-    ExpRadius,
-    FixedRadius,
-    SegmentGrains,
-    UniformRadius,
-    boolean_exact_sample,
-    hit_prob_poisson_line,
-    sample_poisson_lines,
-)
-from .branching_approx import approx_branching_sample
-from .cluster_exact import BrixKendallSampler, TranslatedPoissonCluster, UniformDisplacement
 from .core import (
     ConfigError,
     LebesgueIntensity,
@@ -56,23 +48,6 @@ from .core import (
     Window,
     config_hash,
     sample_homogeneous,
-)
-from .germ_thinning import (
-    GeometricGrid,
-    InverseSquareGrid,
-    TableGrid,
-    _gamma_hazard,
-    matern_thin_first,
-    nonlinear_hawkes_germ,
-    renewal_thin_first,
-    thin_grid,
-)
-from .hawkes_mr import (
-    ExponentialFertility,
-    HawkesSampler,
-    PiecewiseConstantFertility,
-    PolynomialFertility,
-    sample_gw_cluster,
 )
 from .validation import (
     ReportCollector,
@@ -184,14 +159,21 @@ class _Obj:
                 raise ConfigError(f"unknown key '{self._at(key)}' (this sampler {dim})")
             return None
         w = self.obj(key, ("lower", "upper"))
-        lower, upper = w.floats("lower", dim), w.floats("upper", dim)
-        try:
-            return Window(lower, upper)
-        except ConfigError as exc:
-            raise ConfigError(f"'{self._at(key)}': {exc}") from None
+        return _made(w.path, Window, w.floats("lower", dim), w.floats("upper", dim))
+
+
+def _made(path, make, *args):
+    """make(*args), whose refusal of several values together is prefixed with their
+    object's dotted path; it keeps its exception type, and so its exit code."""
+    try:
+        return make(*args)
+    except (ConfigError, SamplerError) as exc:
+        raise type(exc)(f"'{path}': {exc}") from None
 
 
 def _fertility(p):
+    from .hawkes_mr import ExponentialFertility, PiecewiseConstantFertility, PolynomialFertility
+
     family, k = p.tagged("kernel", "family", {
         "exponential": ("beta", "gamma", "marks"),
         "polynomial": ("coeffs", "support", "marks"),
@@ -205,17 +187,19 @@ def _fertility(p):
         )
     marks = tuple((float(w), float(z)) for w, z in marks)
     if family == "exponential":
-        return ExponentialFertility(
-            k.get("beta", float, check=_NONNEG), k.get("gamma", float, check=_POS), marks
-        )
+        beta, gamma = k.get("beta", float, check=_NONNEG), k.get("gamma", float, check=_POS)
+        return _made(k.path, ExponentialFertility, beta, gamma, marks)
     if family == "polynomial":
-        return PolynomialFertility(k.floats("coeffs"), k.get("support", float, check=_POS), marks)
-    return PiecewiseConstantFertility(k.floats("breaks"), k.floats("values"), marks)
+        return _made(k.path, PolynomialFertility, k.floats("coeffs"),
+                     k.get("support", float, check=_POS), marks)
+    return _made(k.path, PiecewiseConstantFertility, k.floats("breaks"), k.floats("values"), marks)
 
 
 def _displacement(p):
+    from .cluster_exact import UniformDisplacement
+
     d = p.obj("displacement", ("lo", "hi"))
-    return UniformDisplacement(d.floats("lo"), d.floats("hi"))
+    return _made(d.path, UniformDisplacement, d.floats("lo"), d.floats("hi"))
 
 
 def _interval_report(name, value, expect, half):
@@ -278,6 +262,9 @@ def _build_poisson(p, window):
 
 
 def _build_brix_kendall(p, window):
+    from .cluster_exact import BrixKendallSampler, TranslatedPoissonCluster
+    from .oracles import cluster_direct_oracle
+
     rate0 = p.get("rate0", float, check=_NONNEG)
     cmean = p.get("cluster_mean", float, check=_POS)
     kernel = TranslatedPoissonCluster(cmean, _displacement(p))
@@ -287,19 +274,22 @@ def _build_brix_kendall(p, window):
         sampler.sample,
         mean=("cluster-mean-count", rate0 * cmean * window.volume()),
         oracle=("cluster-counts-vs-oracle",
-                _each(lambda rng: oracles.cluster_direct_oracle(rate0, kernel, window, rng))),
+                _each(lambda rng: cluster_direct_oracle(rate0, kernel, window, rng))),
     )
     return _built(sampler.sample, window, validate)
 
 
 def _build_boolean_disks(p, window):
+    from .boolean_model import (DiskGrains, ExpRadius, FixedRadius, UniformRadius,
+                                boolean_exact_sample)
+
     rate = p.get("rate", float, check=_NONNEG)
     kind, r = p.tagged("radius", "kind", {"fixed": ("value",), "uniform": ("lo", "hi"),
                                           "exp": ("rate",)})
     if kind == "fixed":
         law = FixedRadius(r.get("value", float, check=_POS))
     elif kind == "uniform":
-        law = UniformRadius(r.get("lo", float, check=_NONNEG), r.get("hi", float))
+        law = _made(r.path, UniformRadius, r.get("lo", float, check=_NONNEG), r.get("hi", float))
     else:
         law = ExpRadius(r.get("rate", float, check=_POS))
     grains = DiskGrains(law)
@@ -326,6 +316,8 @@ def _build_boolean_disks(p, window):
 
 
 def _build_boolean_segments(p, window):
+    from .boolean_model import SegmentGrains, boolean_exact_sample
+
     rate = p.get("rate", float, check=_NONNEG)
     grains = SegmentGrains(p.get("length", float, check=_POS))
 
@@ -343,6 +335,8 @@ def _build_boolean_segments(p, window):
 
 
 def _build_poisson_lines(p, window):
+    from .boolean_model import DiskWindow, hit_prob_poisson_line, sample_poisson_lines
+
     rate = p.get("rate", float, check=_NONNEG)
     center = p.floats("target_center", 2)
     radius = p.get("target_radius", float, check=_POS)
@@ -376,6 +370,9 @@ def _grid_horizon(spec, tail=1e-5):
 
 
 def _build_grid_thinning(p, window):
+    from .germ_thinning import GeometricGrid, InverseSquareGrid, TableGrid, thin_grid
+    from .oracles import grid_thin_after
+
     family, p = p.variant("family", {"table": ("probs",), "geometric": ("c", "ratio"),
                                      "inverse_square": ("C",)})
     if family == "table":
@@ -393,7 +390,7 @@ def _build_grid_thinning(p, window):
     horizon = functools.cache(lambda: _grid_horizon(spec))  # found at the first oracle draw
 
     def oracle(rng):
-        sites = oracles.grid_thin_after(spec.p, horizon(), rng)
+        sites = grid_thin_after(spec.p, horizon(), rng)
         return PointPattern(np.asarray(sites, dtype=float).reshape(-1, 1), dim=1)
 
     validate = _count_checks(sample, oracle=("grid-counts-vs-thin-after", _each(oracle)))
@@ -401,6 +398,9 @@ def _build_grid_thinning(p, window):
 
 
 def _build_renewal(p, window):
+    from .germ_thinning import _gamma_hazard, renewal_thin_first
+    from .oracles import renewal_thin_after
+
     _, inter = p.tagged("interarrival", "kind", {"gamma": ("shape", "scale")})
     shape = inter.get("shape", float, check=_AT_LEAST_1)  # a bounded hazard
     scale = inter.get("scale", float, 1.0, _POS)
@@ -422,7 +422,7 @@ def _build_renewal(p, window):
         )
 
     def oracle(rng):
-        return oracles.renewal_thin_after(
+        return renewal_thin_after(
             lambda r: r.gamma(shape, scale), thin_p, 60.0 / thin_rate, rng
         )
 
@@ -431,6 +431,9 @@ def _build_renewal(p, window):
 
 
 def _build_matern(p, window):
+    from .germ_thinning import matern_thin_first
+    from .oracles import matern_direct_oracle
+
     rate = p.get("rate", float, check=_NONNEG)
     radius = p.get("radius", float, check=_NONNEG)
     thin_p = p.get("thin_p", float, 1.0, _UNIT)
@@ -443,12 +446,15 @@ def _build_matern(p, window):
 
     validate = _count_checks(sample, oracle=(
         "hardcore-counts-vs-thin-after",
-        _each(lambda rng: oracles.matern_direct_oracle(rate, radius, thin_fn, window, rng)),
+        _each(lambda rng: matern_direct_oracle(rate, radius, thin_fn, window, rng)),
     ))
     return _built(sample, window, validate)
 
 
 def _build_nonlinear_hawkes(p, window):
+    from .germ_thinning import nonlinear_hawkes_germ
+    from .oracles import nonlinear_hawkes_burn_in_counts
+
     _, phi_spec = p.tagged("phi", "kind", {"saturating": ("bound", "base")})
     lam = phi_spec.get("bound", float, check=_POS)
     base = phi_spec.get("base", float, check=_POS)
@@ -474,7 +480,7 @@ def _build_nonlinear_hawkes(p, window):
 
     def oracle(n_reps, rng):
         burn = 20.0 * math.exp(min(lam * support, 30.0)) / lam + 10.0 * support
-        return oracles.nonlinear_hawkes_burn_in_counts(
+        return nonlinear_hawkes_burn_in_counts(
             phi_array, lam, h_array, support, window, burn, n_reps, rng
         )
 
@@ -483,6 +489,9 @@ def _build_nonlinear_hawkes(p, window):
 
 
 def _build_hawkes_mr(p, window):
+    from .hawkes_mr import ExponentialFertility, HawkesSampler
+    from .oracles import hawkes_bounded_burn_in, hawkes_exp_burn_in_counts
+
     kernel = _fertility(p)
     mu = p.get("mu", float, check=_NONNEG)
     if abs(window.lower[0]) > 1e-12:
@@ -493,8 +502,8 @@ def _build_hawkes_mr(p, window):
     def oracle(n_reps, rng):
         a, burn = window.upper[0], 60.0 / max(kernel.suggested_decay(), 1e-6)
         if isinstance(kernel, ExponentialFertility):
-            return oracles.hawkes_exp_burn_in_counts(kernel, mu, a, burn, n_reps, rng)
-        return [oracles.hawkes_bounded_burn_in(kernel, mu, a, burn, rng).n for _ in range(n_reps)]
+            return hawkes_exp_burn_in_counts(kernel, mu, a, burn, n_reps, rng)
+        return [hawkes_bounded_burn_in(kernel, mu, a, burn, rng).n for _ in range(n_reps)]
 
     validate = _count_checks(
         sampler.sample,
@@ -507,6 +516,9 @@ def _build_hawkes_mr(p, window):
 
 
 def _build_branching_approx(p, window):
+    from .branching_approx import approx_branching_sample
+    from .cluster_exact import TranslatedPoissonCluster
+
     rate0 = p.get("rate0", float, check=_NONNEG)
     pmean = p.get("progeny_mean", float, check=_POS)
     n_gen = p.get("generations", int, check=_NONNEG)
@@ -620,19 +632,23 @@ def _write_reports(reports, path):
 
 
 def cmd_sample(cfg, outdir):
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     reps = cfg.get("replicates", 1)
     try:
         workers = min(max(int(os.environ.get("EXACTPP_WORKERS", "1")), 1), reps)
     except ValueError:
         raise ConfigError("EXACTPP_WORKERS must be an integer") from None
+    built = build(cfg)  # a config the build refuses leaves no output directory
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     # replicate r goes to chunk r % workers; the parent writes chunk 0 (all of a serial run)
     chunks = [list(range(i, reps, workers)) for i in range(workers)]
-    pool = futures.ProcessPoolExecutor(workers - 1) if workers > 1 else nullcontext()
+    pool = nullcontext()
+    if workers > 1:
+        from concurrent import futures  # only a parallel run pays for this import
+
+        pool = futures.ProcessPoolExecutor(workers - 1)
     with pool:
         jobs = [pool.submit(_write_range, cfg, outdir, c) for c in chunks[1:]]
-        built = build(cfg)
         _write_patterns(built, cfg["seed"], outdir, chunks[0])
         for job in jobs:
             job.result()
@@ -702,6 +718,8 @@ def cmd_plotdata(cfg, kind, outdir):
         hist = np.bincount(counts)
         _csv_rows(out, "count,frequency", ([str(k), str(int(v))] for k, v in enumerate(hist)))
     elif kind == "sandwich-curves":
+        from .hawkes_mr import sample_gw_cluster
+
         b = built["sampler"].sandwich.bounds()
         stride = max(1, b.taus.size // 2000)
         taus, ell, upp = b.taus[::stride], b.ell[::stride], b.upp[::stride]

@@ -169,6 +169,23 @@ def test_coverage_matches_per_grain_loop():
     assert np.array_equal(sample.coverage(probes), covered)
 
 
+@pytest.mark.parametrize("rate,law", [(0.0, LAWS[0]), *((1.5, law) for law in LAWS)],
+                         ids=["empty", *LAW_IDS])
+def test_coverage_equals_the_broadcast_formula(rate, law):
+    """The mask is bit for bit the summed (probes, disks, 2) broadcast's, also
+    for probes on a disk's rim."""
+    rng = _gen(61)
+    for _ in range(5):
+        sample = boolean_exact_sample(rate, DiskGrains(law), SQUARE, rng)
+        centers = np.asarray([g["center"] for g in sample.grains], dtype=float).reshape(-1, 2)
+        radii = np.asarray([g["radius"] for g in sample.grains], dtype=float)
+        rims = centers + np.stack([radii, np.zeros_like(radii)], axis=1)
+        probes = np.concatenate([SQUARE.buffered(0.5).sample_uniform(400, rng), rims])
+        d2 = np.sum((probes[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        assert np.array_equal(sample.coverage(probes), np.any(d2 <= radii**2, axis=1))
+        assert (len(sample.grains) == 0) == (rate == 0.0)
+
+
 def test_coverage_matches_closed_form():
     # coverage fraction of a stationary Boolean model: 1 - exp(-lambda pi E[R^2])
     rate, radius = 1.0, 0.5

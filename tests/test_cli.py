@@ -134,6 +134,54 @@ def test_bad_config_exits_2_with_dotted_path(tmp_path, capsys, mangle, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mangle,code,message",
+    [
+        (
+            lambda c: c.update(sampler="boolean_disks", params={
+                "rate": 1.0, "radius": {"kind": "uniform", "lo": 0.5, "hi": 0.2}}),
+            2,
+            "'params.radius': need 0 <= lo < hi",
+        ),
+        (
+            lambda c: c.update(sampler="brix_kendall", window={"lower": [0.0], "upper": [5.0]},
+                               params={"rate0": 1.0, "cluster_mean": 2.0,
+                                       "displacement": {"lo": [0.5], "hi": [-0.5]}}),
+            3,
+            "'params.displacement': displacement box needs lo < hi per axis",
+        ),
+        (
+            lambda c: c.update(_hawkes(kernel={"family": "exponential", "beta": 0.5,
+                                               "gamma": 1.0, "marks": [[0.5, 1], [0.4, 1]]})),
+            3,
+            "'params.kernel': mark weights must sum to one",
+        ),
+    ],
+    ids=["radius", "displacement", "marks"],
+)
+def test_refusal_of_several_values_names_their_object(tmp_path, capsys, mangle, code, message):
+    cfg = json.loads(json.dumps(POISSON_CFG))
+    mangle(cfg)
+    rc, _ = _sample(tmp_path, cfg)
+    assert rc == code
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg,code",
+    [
+        (dict(RENEWAL_CFG, window={"lower": [0.0], "upper": [1.0]}), 2),
+        (dict(POISSON_CFG, **_hawkes(kernel={"family": "exponential", "beta": 0.5, "gamma": 1.0,
+                                              "marks": [[0.5, 1], [0.4, 1]]})), 3),
+    ],
+    ids=["window-on-renewal", "hawkes-marks"],
+)
+def test_refused_config_leaves_no_output_directory(tmp_path, cfg, code):
+    rc, outdir = _sample(tmp_path, cfg)
+    assert rc == code
+    assert not outdir.exists()
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     rc, _ = _sample(tmp_path, "{not json")
     assert rc == 2

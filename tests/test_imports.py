@@ -5,8 +5,11 @@ module for the configs whose validation is a mean check and a two-sample KS
 test against an oracle, since that test's p-value is computed with numpy
 alone. scipy is imported only inside the routines that call it (quadrature,
 the trigamma tail, and the one-sample KS and chi-square tests), so a fresh
-process shows what a cold run pays."""
+process shows what a cold run pays. Nor does such a run load the modules of
+samplers other than the one its config names, or concurrent.futures when it
+runs with one worker."""
 
+import functools
 import json
 import os
 import subprocess
@@ -59,30 +62,68 @@ cfg = json.load(open(sys.argv[1]))
 cfg.setdefault("validation", {})["enabled"] = True
 json.dump(cfg, open(sys.argv[2] + "/config.json", "w"))
 code = exactpp.cli.main(["sample", "-c", sys.argv[2] + "/config.json", "-o", sys.argv[2] + "/out"])
-print(json.dumps([code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+print(json.dumps({
+    "code": code,
+    "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "exactpp": sorted(m for m in sys.modules if m.startswith("exactpp.")),
+    "futures": "concurrent.futures" in sys.modules,
+}))
 """
 
 
-def _validated_sample(config, tmp_path):
-    """(exit code, loaded scipy modules) of a fresh `exactpp sample` with validation on."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), EXACTPP_WORKERS="1")
-    out = subprocess.run(
-        [sys.executable, "-c", CLI_SCRIPT, f"configs/{config}.json", str(tmp_path)],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-        check=True,
-    )
-    assert (tmp_path / "out" / "validation_report.json").is_file()
-    return json.loads(out.stdout.splitlines()[-1])
+@pytest.fixture(scope="module")
+def validated_sample(tmp_path_factory):
+    """What a fresh `exactpp sample` with validation on and one worker loaded, per
+    config: its exit code and loaded modules. Each config runs once per module."""
+
+    @functools.cache
+    def run(config):
+        tmp_path = tmp_path_factory.mktemp(config)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), EXACTPP_WORKERS="1")
+        out = subprocess.run(
+            [sys.executable, "-c", CLI_SCRIPT, f"configs/{config}.json", str(tmp_path)],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        assert (tmp_path / "out" / "validation_report.json").is_file()
+        return json.loads(out.stdout.splitlines()[-1])
+
+    return run
 
 
 @pytest.mark.parametrize(
     "config", ["brix_kendall", "grid_thinning", "hawkes_mr", "matern", "nonlinear_hawkes", "renewal"]
 )
-def test_validated_sample_loads_no_scipy(config, tmp_path):
-    code, loaded = _validated_sample(config, tmp_path)
-    assert code == 0
-    assert loaded == []
+def test_validated_sample_loads_no_scipy(config, validated_sample):
+    run = validated_sample(config)
+    assert run["code"] == 0
+    assert run["scipy"] == []
+
+
+# the exactpp modules a validated run loads besides cli, core and validation
+SAMPLER_MODULES = {
+    "boolean_disks": ["boolean_model"],
+    "boolean_segments": ["boolean_model"],
+    "branching_approx": ["branching_approx", "cluster_exact"],
+    "brix_kendall": ["cluster_exact", "oracles"],
+    "grid_thinning": ["germ_thinning", "oracles"],
+    "hawkes_mr": ["hawkes_mr", "oracles"],
+    "matern": ["germ_thinning", "oracles"],
+    "nonlinear_hawkes": ["germ_thinning", "oracles"],
+    "poisson": [],
+    "poisson_lines": ["boolean_model"],
+    "renewal": ["germ_thinning", "oracles"],
+}
+
+
+@pytest.mark.parametrize("config", sorted(p.stem for p in (ROOT / "configs").glob("*.json")))
+def test_validated_sample_loads_only_its_sampler(config, validated_sample):
+    run = validated_sample(config)
+    assert run["code"] == 0
+    expected = ["cli", "core", "validation", *SAMPLER_MODULES[config]]
+    assert run["exactpp"] == sorted(f"exactpp.{m}" for m in expected)
+    assert not run["futures"]

@@ -10,6 +10,8 @@ import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import exactpp
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,6 +37,21 @@ def test_every_exported_name_resolves():
             f"{info.name}.{name}" for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)
         ]
     assert missing == []
+
+
+def test_exported_names_are_their_modules_objects():
+    for name in exactpp.__all__:
+        obj = getattr(exactpp, name)
+        assert obj is getattr(importlib.import_module(obj.__module__), name), name
+
+
+def test_package_dir_and_star_import():
+    assert set(exactpp.__all__) <= set(dir(exactpp))
+    with pytest.raises(AttributeError, match="has no attribute 'not_exported'"):
+        exactpp.not_exported  # noqa: B018
+    namespace = {}
+    exec("from exactpp import *", namespace)
+    assert {k for k in namespace if k != "__builtins__"} == set(exactpp.__all__)
 
 
 def test_every_traced_layer_exists():
