@@ -13,7 +13,7 @@ grains have bounded reach: draw every germ of the reach-buffered window with
 its grain and keep the pairs whose segment hits. Poisson lines are rays from
 germ points, kept by the arcsin rule against a disk target; a kept ray's
 direction is uniform on the arc of directions that meet the disk, drawn in
-closed form.
+closed form. Draws return numpy arrays only.
 """
 
 from __future__ import annotations
@@ -154,15 +154,15 @@ class DiskGrains:
     radius_law: object
 
     def draw(self, rate, window, rng):
-        """Kept germs (n, 2) and their disk grains on the box window."""
-        if window.dim != 2:
-            raise ConfigError("disk grains need a 2-D window")
+        """The kept pairs on a 2-D box window, as arrays: {"germs": (n, 2), "radii": (n,)}."""
+        _need_plane(window, "disk grains need a 2-D window")
         law = self.radius_law
         perimeter = 2.0 * float(np.sum(window.sides))
-        weights = np.array([window.volume(), perimeter * law.moment(1), np.pi * law.moment(2)])
-        total = weights.sum()
+        # the Steiner weights (A, P E R, pi E R^2), their partial sums and total
+        w0, w1 = window.volume(), perimeter * law.moment(1)
+        total = w0 + w1 + math.pi * law.moment(2)
         n = rng.poisson(_mean_count(rate, total))
-        terms = np.searchsorted(np.cumsum(weights)[:-1], rng.random(n) * total, side="right")
+        terms = np.searchsorted((w0, w0 + w1), rng.random(n) * total, side="right")
         radii = np.empty(n)
         for k in range(3):
             at = terms == k
@@ -177,11 +177,7 @@ class DiskGrains:
             ok = box_distance(cand, window) <= r
             germs[todo[ok]] = cand[ok]
             todo = todo[~ok]
-        kept = [
-            {"type": "disk", "center": c, "radius": r}
-            for c, r in zip(germs.tolist(), radii.tolist())
-        ]
-        return germs, kept
+        return {"germs": germs, "radii": radii}
 
 
 @dataclass(frozen=True)
@@ -202,20 +198,20 @@ class SegmentGrains:
         return x - h, x + h
 
     def draw(self, rate, window, rng):
-        """Kept germs and their segments: every germ within reach draws its
-        segment, and the pairs whose segment meets the window are kept."""
+        """The kept pairs on a 2-D box window, as arrays: {"germs": (n, 2), and
+        the segments' end points "p0" and "p1": (n, 2)}. Every germ within
+        reach draws its segment, and the pairs whose segment meets the window
+        are kept."""
+        _need_plane(window, "segment grains need a 2-D window")
         cand = sample_homogeneous(window.buffered(0.5 * self.length), rate, rng).points
-        thetas = rng.random(len(cand)) * np.pi
-        p0, p1 = self.endpoints(cand, thetas)
+        p0, p1 = self.endpoints(cand, rng.random(len(cand)) * np.pi)
         keep = segment_hits_box(p0, p1, window)
-        germs = cand[keep]
-        kept = [
-            {"type": "segment", "center": c, "angle": t, "p0": a, "p1": b}
-            for c, t, a, b in zip(
-                germs.tolist(), thetas[keep].tolist(), p0[keep].tolist(), p1[keep].tolist()
-            )
-        ]
-        return germs, kept
+        return {"germs": cand[keep], "p0": p0[keep], "p1": p1[keep]}
+
+
+def _need_plane(window, message):
+    if window.dim != 2:
+        raise ConfigError(message)
 
 
 def segment_hits_box(p0, p1, window):
@@ -226,20 +222,16 @@ def segment_hits_box(p0, p1, window):
     """
     p0 = np.asarray(p0, dtype=float)
     d = np.asarray(p1, dtype=float) - p0
-    t0 = np.zeros(p0.shape[:-1])
-    t1 = np.ones(p0.shape[:-1])
-    hit = np.ones(p0.shape[:-1], dtype=bool)
-    for ax in range(p0.shape[-1]):
-        lo, hi = window.lower[ax], window.upper[ax]
-        x, dx = p0[..., ax], d[..., ax]
-        flat = np.abs(dx) < 1e-300  # parallel to the slab: inside it or never
-        hit &= ~(flat & ((x < lo) | (x > hi)))
-        step = np.where(flat, 1.0, dx)
-        ta = (lo - x) / step
-        tb = (hi - x) / step
-        t0 = np.where(flat, t0, np.maximum(t0, np.minimum(ta, tb)))
-        t1 = np.where(flat, t1, np.minimum(t1, np.maximum(ta, tb)))
-    hit &= t0 <= t1
+    lo, hi = np.asarray(window.lower), np.asarray(window.upper)
+    flat = np.abs(d) < 1e-300  # parallel to the slab: inside it or never
+    outside = (flat & ((p0 < lo) | (p0 > hi))).any(axis=-1)
+    step = np.where(flat, 1.0, d)
+    ta = (lo - p0) / step
+    tb = (hi - p0) / step
+    # the slabs' entry and exit parameters, over the axes the segment crosses
+    t0 = np.maximum(np.where(flat, 0.0, np.minimum(ta, tb)).max(axis=-1), 0.0)
+    t1 = np.minimum(np.where(flat, 1.0, np.maximum(ta, tb)).min(axis=-1), 1.0)
+    hit = ~outside & (t0 <= t1)
     return bool(hit) if hit.ndim == 0 else hit
 
 
@@ -248,29 +240,33 @@ def segment_hits_box(p0, p1, window):
 
 @dataclass(frozen=True)
 class BooleanSample:
-    """Grains whose union restricted to the window is an exact draw."""
+    """The grains that hit the window, as arrays; their union restricted to
+    the window is an exact draw.
+
+    germs is (n, 2). Disk grains set radii (n,), segment grains the end
+    points p0 and p1 (n, 2); the other fields stay None.
+    """
 
     germs: np.ndarray
-    grains: tuple
     window: object
+    radii: np.ndarray = None
+    p0: np.ndarray = None
+    p1: np.ndarray = None
 
     def coverage(self, points):
-        """Boolean mask: probe point lies in the grain union (disk grains)."""
+        """Boolean mask: probe point lies in the union of the disk grains
+        (none for segment grains, which cover no area)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        disks = [g for g in self.grains if g["type"] == "disk"]
-        if not disks:
+        if self.radii is None:
             return np.zeros(pts.shape[0], dtype=bool)
-        centers = np.asarray([g["center"] for g in disks], dtype=float)
-        radii = np.asarray([g["radius"] for g in disks], dtype=float)
-        dx = pts[:, 0, None] - centers[:, 0]
-        dy = pts[:, 1, None] - centers[:, 1]
-        return np.any(dx * dx + dy * dy <= radii * radii, axis=1)
+        dx = pts[:, 0, None] - self.germs[:, 0]
+        dy = pts[:, 1, None] - self.germs[:, 1]
+        return np.any(dx * dx + dy * dy <= self.radii * self.radii, axis=1)
 
 
 def boolean_exact_sample(rate, grains, window, rng):
-    """Exact Boolean-model draw on a box window: the grains that hit it."""
-    germs, kept = grains.draw(rate, window, rng)
-    return BooleanSample(germs.reshape(-1, window.dim), tuple(kept), window)
+    """Exact Boolean-model draw on a 2-D box window: the grains that hit it."""
+    return BooleanSample(window=window, **grains.draw(rate, window, rng))
 
 
 # -- Poisson lines through germ points ----------------------------------------
@@ -292,11 +288,10 @@ def hit_prob_poisson_line(xs, radius):
 
 @dataclass(frozen=True)
 class LineSample:
-    """Retained germ points with their ray directions and disk chords."""
+    """Retained germ points (n, 2) with their ray directions (n,) in [0, 2 pi)."""
 
     germs: np.ndarray
     angles: np.ndarray
-    chords: tuple
     target: DiskWindow
 
 
@@ -304,27 +299,19 @@ def sample_poisson_lines(rate, target, germ_region, rng):
     """Rays from Poisson germs retained by the arcsin rule.
 
     The retained mass over the whole plane diverges (the rule decays like
-    1/||x||), so a bounded germ region is part of the model; germs are
+    1/||x||), so a bounded 2-D germ region is part of the model; germs are
     Poisson(rate) on it, retained with hit_prob_poisson_line, and retained
     germs get a uniform direction conditioned on the ray meeting the disk,
     drawn in closed form: uniform on the arc of half-width arcsin(R/rho)
     about the direction to the centre for a germ at distance rho > R, and
-    uniform on [0, 2 pi) for a germ inside the disk. A chord is the part of
-    the ray inside the disk, so an inside germ's chord starts at the germ.
+    uniform on [0, 2 pi) for a germ inside the disk. A germ region of
+    another dimension raises ConfigError.
     """
+    _need_plane(germ_region, "poisson lines need a 2-D germ region")
     center = np.asarray(target.center)
     cand = sample_homogeneous(germ_region, rate, rng).points - center  # target-centered frame
     x = thin(cand, hit_prob_poisson_line(cand, target.radius), rng)
-    angles = _line_angles(x, target.radius, rng)
-
-    germs = x + center
-    u = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    t0 = np.sum((center - germs) * u, axis=1)
-    h2 = target.radius**2 - np.sum((germs + t0[:, None] * u - center) ** 2, axis=1)
-    h = np.sqrt(np.maximum(h2, 0.0))
-    ends0 = germs + np.maximum(t0 - h, 0.0)[:, None] * u
-    ends1 = germs + (t0 + h)[:, None] * u
-    return LineSample(germs, angles, tuple(zip(ends0.tolist(), ends1.tolist())), target)
+    return LineSample(x + center, _line_angles(x, target.radius, rng), target)
 
 
 def _line_angles(x, radius, rng):

@@ -111,5 +111,5 @@ def approx_branching_sample(rate0, progeny, window, n, rng, point_cap=POINT_CAP)
         parents = np.repeat(current, counts, axis=0)
         current = parents + progeny.displacement.sample(brood, rng)
         kept.append(current)
-    pts = np.concatenate(kept, axis=0) if kept else np.empty((0, window.dim))
-    return PointPattern(pts, dim=window.dim).restrict(window), cert
+    pts = np.concatenate(kept, axis=0)
+    return PointPattern(pts[window.contains(pts)], dim=window.dim), cert

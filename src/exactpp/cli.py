@@ -299,8 +299,7 @@ def _build_boolean_disks(p, window):
 
     def sample(rng):
         bs = draw(rng)
-        radii = np.asarray([g["radius"] for g in bs.grains], dtype=float)
-        return PointPattern(bs.germs, marks=radii, dim=window.dim)
+        return PointPattern(bs.germs, marks=bs.radii, dim=window.dim)
 
     def validate(stream, n_reps, collector):
         probes = window.sample_uniform(400, stream.substream(10_002).generator())

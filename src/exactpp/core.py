@@ -58,7 +58,8 @@ class Window:
     Bounds are strict: lower < upper on every axis, so the window always has
     positive volume.  The side lengths (a read-only array `sides`), the volume
     and the bound arrays are computed once, when the window is made; equality
-    and hashing use lower and upper only.
+    and hashing use lower and upper only.  The window also keeps the last
+    window `buffered` made from it.
     """
 
     lower: tuple
@@ -80,6 +81,7 @@ class Window:
         rows.setflags(write=False)  # its rows are views, read-only too
         for name, row in zip(("sides", "_lo", "_hi"), rows):
             object.__setattr__(self, name, row)
+        object.__setattr__(self, "_buffer", (None, None))
 
     @property
     def dim(self):
@@ -94,12 +96,20 @@ class Window:
         return ((pts >= self._lo) & (pts <= self._hi)).all(axis=1)
 
     def buffered(self, r):
-        """Window inflated by r >= 0 on every side (Minkowski sum with a box)."""
+        """Window inflated by r >= 0 on every side (Minkowski sum with a box).
+
+        It is made once per r: a second call with the r of the last call
+        returns the same (immutable) window, so a sampler that buffers its
+        window on every draw builds the buffer once.
+        """
+        last, made = self._buffer
+        if r == last:
+            return made
         if r < 0:
             raise ConfigError("buffer radius must be nonnegative")
-        lo = tuple(v - r for v in self.lower)
-        hi = tuple(v + r for v in self.upper)
-        return Window(lo, hi)
+        made = Window(tuple(v - r for v in self.lower), tuple(v + r for v in self.upper))
+        object.__setattr__(self, "_buffer", (r, made))
+        return made
 
     def shifted(self, lo_shift, hi_shift):
         """Window with per-axis bound shifts (germ regions for displaced clusters)."""
@@ -170,17 +180,19 @@ class PointPattern:
         """Write columns x1..xm (and mark) with deterministic float text.
 
         Each value is its shortest round-trip decimal (repr), with -0.0
-        written as 0.0 so that files are stable.
+        written as 0.0 so that files are stable; every line ends in a line
+        feed. The text is encoded once and written in one binary write.
         """
         header = [f"x{i + 1}" for i in range(self.dim)]
         cols = self.points
         if self.marks is not None:
             header.append("mark")
             cols = np.column_stack([cols, self.marks])
+        row = ",".join(["%r"] * len(header)) + "\n"  # %r is repr
         # adding 0.0 turns -0.0 into 0.0 and leaves every other value alone
-        rows = [",".join(map(repr, row)) for row in (cols + 0.0).tolist()]
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join([",".join(header)] + rows) + "\n")
+        body = (row * len(cols)) % tuple((cols + 0.0).ravel().tolist())
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n" + body).encode())
 
     @classmethod
     def from_csv(cls, path):

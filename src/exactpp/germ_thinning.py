@@ -374,8 +374,9 @@ def nonlinear_hawkes_germ(
     forward = np.sort(sample_homogeneous(window, lam, rng).points[:, 0])
     stream = np.concatenate([dominating, forward])
 
+    # nothing else draws in the loop, so one call gives its coins in stream order
     retained = []
-    for t in stream:
+    for t, u in zip(stream.tolist(), rng.random(stream.size).tolist()):
         drive = 0.0
         for s in reversed(retained):
             if t - s > a:
@@ -385,7 +386,7 @@ def nonlinear_hawkes_germ(
         lam_t = float(phi(drive))
         if lam_t < 0 or lam_t > lam * (1 + 1e-12):
             raise SamplerError("phi left its declared bound")
-        if rng.random() * lam < lam_t:
+        if u * lam < lam_t:
             retained.append(t)
     retained = np.asarray(retained)
     inside = retained[(retained >= b0) & (retained <= b1)]

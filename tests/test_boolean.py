@@ -115,8 +115,8 @@ def test_kept_disks_match_the_definition(law):
     counts, ref_counts, radii, ref_radii = [], [], [], []
     for _ in range(1_000):
         sample = boolean_exact_sample(1.0, grains, SQUARE, rng)
-        counts.append(len(sample.grains))
-        radii.extend(g["radius"] for g in sample.grains)
+        counts.append(sample.germs.shape[0])
+        radii.extend(sample.radii.tolist())
         ref = _reference_disks(1.0, law, SQUARE, buffer, ref_rng)
         ref_counts.append(ref.size)
         ref_radii.extend(ref.tolist())
@@ -163,9 +163,9 @@ def test_coverage_matches_per_grain_loop():
     sample = boolean_exact_sample(1.0, DiskGrains(UniformRadius(0.1, 0.6)), SQUARE, rng)
     probes = SQUARE.buffered(0.5).sample_uniform(2_000, rng)
     covered = np.zeros(probes.shape[0], dtype=bool)
-    for g in sample.grains:
-        covered |= np.sum((probes - np.asarray(g["center"])) ** 2, axis=1) <= g["radius"] ** 2
-    assert len(sample.grains) > 5 and covered.any() and not covered.all()
+    for center, radius in zip(sample.germs, sample.radii):
+        covered |= np.sum((probes - center) ** 2, axis=1) <= radius**2
+    assert sample.germs.shape[0] > 5 and covered.any() and not covered.all()
     assert np.array_equal(sample.coverage(probes), covered)
 
 
@@ -177,13 +177,12 @@ def test_coverage_equals_the_broadcast_formula(rate, law):
     rng = _gen(61)
     for _ in range(5):
         sample = boolean_exact_sample(rate, DiskGrains(law), SQUARE, rng)
-        centers = np.asarray([g["center"] for g in sample.grains], dtype=float).reshape(-1, 2)
-        radii = np.asarray([g["radius"] for g in sample.grains], dtype=float)
+        centers, radii = sample.germs, sample.radii
         rims = centers + np.stack([radii, np.zeros_like(radii)], axis=1)
         probes = np.concatenate([SQUARE.buffered(0.5).sample_uniform(400, rng), rims])
         d2 = np.sum((probes[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         assert np.array_equal(sample.coverage(probes), np.any(d2 <= radii**2, axis=1))
-        assert (len(sample.grains) == 0) == (rate == 0.0)
+        assert (sample.germs.shape[0] == 0) == (rate == 0.0)
 
 
 def test_coverage_matches_closed_form():
@@ -218,10 +217,9 @@ def test_every_retained_disk_hits_the_window(law):
     rng = _gen(40)
     for _ in range(100):
         sample = boolean_exact_sample(1.0, grains, SQUARE, rng)
-        for g in sample.grains:
-            c = np.asarray(g["center"])
+        for c, radius in zip(sample.germs, sample.radii):
             d = np.linalg.norm(c - np.clip(c, SQUARE.lower, SQUARE.upper))
-            assert g["radius"] >= d - 1e-12
+            assert radius >= d - 1e-12
 
 
 # -- segment grains ------------------------------------------------------------------
@@ -239,17 +237,29 @@ def test_segment_sampler_keeps_only_window_hitting_segments():
     seen = 0
     for _ in range(50):
         sample = boolean_exact_sample(0.5, grains, SQUARE, rng)
-        for g in sample.grains:
+        for p0, p1 in zip(sample.p0, sample.p1):
             seen += 1
-            assert segment_hits_box(g["p0"], g["p1"], SQUARE)
+            assert segment_hits_box(p0, p1, SQUARE)
     assert seen > 0
+
+
+LINE = Window((0.0,), (4.0,))
+CUBE = Window((0.0, 0.0, 0.0), (4.0, 4.0, 4.0))
+
+
+@pytest.mark.parametrize("window", [LINE, CUBE], ids=["1d", "3d"])
+def test_segment_grains_need_a_planar_window(window):
+    rng = _gen(58)
+    with pytest.raises(ConfigError, match="2-D window"):
+        boolean_exact_sample(1.0, SegmentGrains(1.0), window, rng)
+    assert rng.random() == _gen(58).random()  # nothing was drawn
 
 
 def test_segment_germ_count_matches_steiner():
     # germs whose length-L segment meets the box: mean area A + L P / pi
     grains = SegmentGrains(length=1.0)
     rng = _gen(57)
-    counts = [len(boolean_exact_sample(0.5, grains, SQUARE, rng).grains) for _ in range(4_000)]
+    counts = [boolean_exact_sample(0.5, grains, SQUARE, rng).germs.shape[0] for _ in range(4_000)]
     mean, half = mean_ci(counts, z=4.0)
     assert abs(mean - 0.5 * (16.0 + 16.0 / math.pi)) < half
 
@@ -294,6 +304,55 @@ def _segment_cases(rng):
     return np.vstack([p0, flat0, edge, outer]), np.vstack([p1, flat1, outer, edge])
 
 
+def _per_axis_slab_hits(p0, p1, window):
+    """One batched slab test per axis, in a Python loop over the axes: the
+    reference for the predicate's single broadcast over the last axis."""
+    p0 = np.asarray(p0, dtype=float)
+    d = np.asarray(p1, dtype=float) - p0
+    t0 = np.zeros(p0.shape[:-1])
+    t1 = np.ones(p0.shape[:-1])
+    hit = np.ones(p0.shape[:-1], dtype=bool)
+    for ax in range(p0.shape[-1]):
+        lo, hi = window.lower[ax], window.upper[ax]
+        x, dx = p0[..., ax], d[..., ax]
+        flat = np.abs(dx) < 1e-300
+        hit &= ~(flat & ((x < lo) | (x > hi)))
+        step = np.where(flat, 1.0, dx)
+        ta = (lo - x) / step
+        tb = (hi - x) / step
+        t0 = np.where(flat, t0, np.maximum(t0, np.minimum(ta, tb)))
+        t1 = np.where(flat, t1, np.minimum(t1, np.maximum(ta, tb)))
+    hit &= t0 <= t1
+    return bool(hit) if hit.ndim == 0 else hit
+
+
+def _slab_cases(rng, dim, n=2_000):
+    """Segments against the box [0, 4]^dim: random ones, axis-parallel ones,
+    zero-length ones, and ones between points of a grid through the box's
+    faces and corners, so that many touch a face or a corner exactly."""
+    p0 = rng.uniform(-2.0, 6.0, (n, dim))
+    p1 = p0 + rng.uniform(-3.0, 3.0, (n, dim))
+    flat0 = rng.uniform(-2.0, 6.0, (n, dim))
+    flat1 = flat0.copy()
+    flat1[np.arange(n), rng.integers(0, dim, n)] += rng.uniform(-3.0, 3.0, n)
+    still = rng.choice([-1.0, 0.0, 2.0, 4.0, 5.0], (n, dim))
+    grid = [-1.0, 0.0, 1.0, 3.0, 4.0, 5.0]
+    face0, face1 = rng.choice(grid, (n, dim)), rng.choice(grid, (n, dim))
+    return np.vstack([p0, flat0, still, face0]), np.vstack([p1, flat1, still, face1])
+
+
+@pytest.mark.parametrize("window", [LINE, SQUARE, CUBE], ids=["1d", "2d", "3d"])
+def test_slab_broadcast_matches_per_axis_loop(window):
+    p0, p1 = _slab_cases(_gen(59, window.dim), window.dim)
+    expected = _per_axis_slab_hits(p0, p1, window)
+    assert np.array_equal(segment_hits_box(p0, p1, window), expected)
+    assert 0 < expected.sum() < expected.size
+    # scalar (dim,) end points, from each kind of case
+    for i in range(0, p0.shape[0], 50):
+        hit = segment_hits_box(p0[i], p1[i], window)
+        assert type(hit) is bool and hit == _per_axis_slab_hits(p0[i], p1[i], window)
+
+
 def test_batched_slab_predicate_matches_scalar_loop():
     p0, p1 = _segment_cases(_gen(48))
     batched = segment_hits_box(p0, p1, SQUARE)
@@ -325,6 +384,17 @@ def test_line_hit_prob_monotone_in_distance():
     assert np.all(np.diff(p) <= 1e-15)
 
 
+def _chords(ls):
+    """The part of each sampled ray inside the target disk, as end points
+    (n, 2): an inside germ's chord starts at the germ."""
+    center, germs = np.asarray(ls.target.center), ls.germs
+    u = np.stack([np.cos(ls.angles), np.sin(ls.angles)], axis=1)
+    t0 = np.sum((center - germs) * u, axis=1)
+    h2 = ls.target.radius**2 - np.sum((germs + t0[:, None] * u - center) ** 2, axis=1)
+    h = np.sqrt(np.maximum(h2, 0.0))
+    return germs + np.maximum(t0 - h, 0.0)[:, None] * u, germs + (t0 + h)[:, None] * u
+
+
 def test_sampled_chords_actually_cross_the_disk():
     target = DiskWindow((2.0, 2.0), 1.0)
     center = np.asarray(target.center)
@@ -333,9 +403,9 @@ def test_sampled_chords_actually_cross_the_disk():
     inside = outside = 0
     for _ in range(50):
         ls = sample_poisson_lines(0.8, target, region, rng)
-        assert ls.germs.shape[0] == ls.angles.shape[0] == len(ls.chords)
-        for germ, theta, (p0, p1) in zip(ls.germs, ls.angles, ls.chords):
-            p0, p1 = np.asarray(p0), np.asarray(p1)
+        ends0, ends1 = _chords(ls)
+        assert ls.germs.shape[0] == ls.angles.shape[0] == len(ends0)
+        for germ, theta, p0, p1 in zip(ls.germs, ls.angles, ends0, ends1):
             # a germ inside the disk starts its ray's chord
             if np.linalg.norm(germ - center) < target.radius:
                 inside += 1
@@ -394,6 +464,14 @@ def test_closed_form_line_angle_matches_rejection(rho):
     assert np.all(cross <= radius * (1 + 1e-12))
     rep = two_sample_ks(closed, _rejected_angles(x, radius, 3_000, rng), alpha=0.01)
     assert rep.accepted, rep.to_dict()
+
+
+@pytest.mark.parametrize("region", [LINE, CUBE], ids=["1d", "3d"])
+def test_poisson_lines_need_a_planar_germ_region(region):
+    rng = _gen(60)
+    with pytest.raises(ConfigError, match="2-D germ region"):
+        sample_poisson_lines(50.0, DiskWindow((2.0, 2.0), 1.0), region, rng)
+    assert rng.random() == _gen(60).random()  # nothing was drawn
 
 
 def test_every_sampled_line_meets_the_disk():

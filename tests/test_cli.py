@@ -362,18 +362,37 @@ DEMO_PATTERN_SHA256 = {
     "poisson_lines": "87737d8f109eefdbe84facdd3fdad30be0147d2bdd59338c56be755424d8ff42",
     "renewal": "96998dca9d3c5ad2e45704fd36b0d436577f66b840e6e1aad939f3b771dbfae5",
 }
+# the same digest over 200 replicates, for the demo configs of the samplers
+# whose draws build only arrays and reuse their buffered window
+DEMO_PATTERN_SHA256_200 = {
+    "boolean_disks": "18909177b855fb2c1e7c2cdbeb3bc01b2a1ae3b8b34db8a9d77e50f5e00a1914",
+    "boolean_segments": "cfe555e7d983a8ad40696743f3871134dea426f780bfa92ceaa70e69edd523e8",
+    "branching_approx": "0c9e7a3208ae18a725c8131e905a4fc6d51321357b3fcabbc0389b62dc1db4c4",
+    "matern": "7d728f6c8bc76390abd76a10690c50fac1658bac78829681cc0a85f5ca306503",
+    "nonlinear_hawkes": "a9c9da773f9c26b803cecb737f38089fcc7db85c86107ad3e14213fe5a512e89",
+    "poisson_lines": "52f92a54ecd8cc35b3cff155c57eb6981c3f88182f0506ce7de4da4327b44f05",
+}
 DEMO_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 
-@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
-def test_demo_patterns_keep_their_bytes(tmp_path, path):
-    rc, outdir = _sample(tmp_path, json.loads(path.read_text()))
-    assert rc == 0
+def _pattern_digest(outdir):
     digest = hashlib.sha256()
     for f in sorted(outdir.glob("pattern-*.csv")):
         digest.update(f.name.encode())
         digest.update(f.read_bytes())
-    assert digest.hexdigest() == DEMO_PATTERN_SHA256[path.stem]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_demo_patterns_keep_their_bytes(tmp_path, path):
+    cfg = json.loads(path.read_text())
+    rc, outdir = _sample(tmp_path, cfg)
+    assert rc == 0
+    assert _pattern_digest(outdir) == DEMO_PATTERN_SHA256[path.stem]
+    if path.stem in DEMO_PATTERN_SHA256_200:
+        rc, outdir = _sample(tmp_path, dict(cfg, replicates=200), sub="out200")
+        assert rc == 0
+        assert _pattern_digest(outdir) == DEMO_PATTERN_SHA256_200[path.stem]
 
 
 class _ReadLog(dict):
