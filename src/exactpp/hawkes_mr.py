@@ -79,11 +79,12 @@ class FertilityKernel:
 
     Marks scale the offspring intensity multiplicatively, so offspring counts
     are Poisson(z * nu0_inf) and displacement positions share one law with
-    density h0 / nu0_inf.  Subclasses provide the base shape h0: its exact
-    cumulative _nu0, total mass _nu0_inf and tilted mass _tilted_mass(theta) =
-    int h0(s) e^(theta s) ds, a suggested exponential decay rate for the grid
-    of the certified curve, and exact samplers of one displacement and of one
-    tilted displacement (density proportional to h0(s) e^(theta s)).
+    density h0 / nu0_inf.  Subclasses provide the base shape h0 (_h0): its
+    exact cumulative _nu0, total mass _nu0_inf and tilted mass
+    _tilted_mass(theta) = int h0(s) e^(theta s) ds, and exact samplers of one
+    displacement and of one tilted displacement (density proportional to
+    h0(s) e^(theta s)): sample_displacement and sample_tilted_displacement.
+    A shape of unbounded support also overrides suggested_decay and _tilt.
 
     theta is the tilt of the spine construction (see HawkesSampler), a
     function of the kernel alone: the theta > 0 where rho_theta =
@@ -110,27 +111,9 @@ class FertilityKernel:
             self._biased_cdf = _cdf(self._weights * self._zs)
             self.theta, self.rho_theta = self._tilt()
 
-    # -- base-shape interface ----------------------------------------------
-    def _h0(self, t):
-        raise NotImplementedError
-
-    def _nu0(self, t):
-        raise NotImplementedError
-
-    def _nu0_inf(self):
-        raise NotImplementedError
-
-    def _tilted_mass(self, theta):
-        raise NotImplementedError
-
-    def sample_displacement(self, n, rng):
-        raise NotImplementedError
-
-    def sample_tilted_displacement(self, n, rng):
-        raise NotImplementedError
-
     def suggested_decay(self):
-        raise NotImplementedError
+        """The certified curve's decay rate for a bounded shape: rho^(t / support)."""
+        return -math.log(max(self.rho, 1e-12)) / self.support
 
     def _tilt(self):
         """(theta, rho_theta) with rho_theta = (1 + rho) / 2, by bisection on the closed form.
@@ -286,9 +269,6 @@ class PolynomialFertility(FertilityKernel):
     def sample_tilted_displacement(self, n, rng):
         return self._under_box(n, rng, self.theta)
 
-    def suggested_decay(self):
-        return -math.log(max(self.rho, 1e-12)) / self.support
-
 
 class PiecewiseConstantFertility(FertilityKernel):
     """User-table shape: h0 constant on each cell of a breakpoint grid.
@@ -352,32 +332,47 @@ class PiecewiseConstantFertility(FertilityKernel):
         theta = self.theta
         return self.breaks[idx] + np.log1p(frac * np.expm1(theta * self._widths[idx])) / theta
 
-    def suggested_decay(self):
-        return -math.log(max(self.rho, 1e-12)) / self.support
-
 
 # -- single-ancestor clusters ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GWCluster:
     """All points of one or more single-ancestor clusters, with generation labels.
 
     owner[i] is the root that point i descends from.  ancestor, ancestor_mark
     and extinction_time (last point minus ancestor) are floats for a scalar
-    ancestor and arrays with one entry per root otherwise.
+    ancestor and arrays with one entry per root otherwise.  generations, owner
+    and extinction_time are built from the brood counts when first read: a
+    Hawkes draw reads only points of its immigrants and points and owner of
+    its candidates, so it never pays for the other labels.
     """
 
-    points: np.ndarray
-    generations: np.ndarray
-    owner: np.ndarray
-    ancestor: float | np.ndarray
-    ancestor_mark: float | np.ndarray
-    extinction_time: float | np.ndarray
+    def __init__(self, points, ancestor, ancestor_mark, broods):
+        self.points, self.ancestor, self.ancestor_mark = points, ancestor, ancestor_mark
+        self._broods = broods  # broods[k][j]: the children of point j of generation k
 
     @property
     def n(self):
         return self.points.shape[0]
+
+    @functools.cached_property
+    def generations(self):
+        return np.arange(len(self._broods)).repeat([b.size for b in self._broods])
+
+    @functools.cached_property
+    def owner(self):
+        owners = [np.arange(self._broods[0].size)]
+        for counts in self._broods[:-1]:
+            owners.append(owners[-1].repeat(counts))
+        return np.concatenate(owners)
+
+    @functools.cached_property
+    def extinction_time(self):
+        if isinstance(self.ancestor, float):
+            return float(self.points.max() - self.ancestor)
+        extinction = np.zeros(self.ancestor.size)
+        np.maximum.at(extinction, self.owner, self.points - self.ancestor[self.owner])
+        return extinction
 
 
 def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=None):
@@ -388,7 +383,10 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
     with mean total size 1/(1-rho) per root.  All clusters grow in one
     generation loop, and point_cap bounds the points of the whole call,
     roots included.  The roots draw their marks from the mixture unless
-    root_marks gives them.
+    root_marks gives them, one per root.  Each generation costs its
+    generator calls, one repeat (whose size is the next generation's) and one
+    add; the loop keeps the brood counts, from which GWCluster builds the
+    labels a caller reads.
 
     A kernel with one mark draws each generation's offspring counts as one
     Poisson with the scalar rate nu_inf(z), and its mark draws are the same
@@ -396,53 +394,46 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
     same numbers, as the array of equal rates a mixture passes.
     """
     roots = np.asarray(ancestor, dtype=float)
-    batch = roots.ndim > 0  # a scalar ancestor owns every point: no owner bookkeeping
+    batch = roots.ndim > 0
     roots = roots.reshape(-1)
     nu = kernel.one_mark_nu
+    poisson, uniform, displace = rng.poisson, rng.random, kernel.sample_displacement
     if root_marks is not None:
         marks = anc_marks = np.asarray(root_marks, dtype=float).reshape(-1)
+        if marks.size != roots.size:
+            raise SamplerError(f"root_marks gives {marks.size} marks for {roots.size} ancestors")
     elif nu is None:
         marks = anc_marks = kernel.sample_mark(roots.size, rng)
     else:
-        rng.random(roots.size)  # the draw of sample_mark, whose only outcome is the one mark
+        uniform(roots.size)  # the draw of sample_mark, whose only outcome is the one mark
         marks = anc_marks = None  # None: every mark is the kernel's one mark
-    pts, sizes, owners = [roots], [roots.size], [np.arange(roots.size)]
-    total = roots.size
-    while sizes[-1]:
-        if marks is None:
-            counts = rng.poisson(nu, size=sizes[-1])
-        else:
-            counts = rng.poisson(kernel.nu_inf(marks))
-        n_next = int(counts.sum())
-        total += n_next
+    pts, broods, gen, total = [roots], [], roots, roots.size
+    while True:
+        counts = poisson(nu, gen.size) if marks is None else poisson(kernel.nu_inf(marks))
+        broods.append(counts)
+        gen = gen.repeat(counts)  # each child at its parent: the repeat's size is the count
+        n = gen.size
+        total += n
         if total > point_cap:
             raise SamplerError(
                 f"cluster exceeded {point_cap} points (rho={kernel.rho:.4g}; "
                 "near-critical configurations grow huge clusters)"
             )
-        if n_next == 0:
+        if n == 0:
             break
-        pts.append(pts[-1].repeat(counts) + kernel.sample_displacement(n_next, rng))
-        sizes.append(n_next)
-        if batch:
-            owners.append(owners[-1].repeat(counts))
+        gen += displace(n, rng)
+        pts.append(gen)
         if nu is None:
-            marks = kernel.sample_mark(n_next, rng)
+            marks = kernel.sample_mark(n, rng)
         else:
-            rng.random(n_next)  # the mark draw, with no lookup
+            uniform(n)  # the mark draw, with no lookup
             marks = None
     points = np.concatenate(pts)
-    generations = np.arange(len(sizes)).repeat(sizes)
-    if not batch:
-        owner, a = np.zeros(points.size, dtype=np.int64), float(ancestor)
-        z = float((kernel._zs if anc_marks is None else anc_marks)[0])
-        return GWCluster(points, generations, owner, a, z, float(points.max() - a))
-    if anc_marks is None:
-        anc_marks = kernel._zs.repeat(roots.size)
-    owner = np.concatenate(owners)
-    extinction = np.zeros(roots.size)
-    np.maximum.at(extinction, owner, points - roots[owner])
-    return GWCluster(points, generations, owner, roots, anc_marks, extinction)
+    if batch:
+        marks = kernel._zs.repeat(roots.size) if anc_marks is None else anc_marks
+        return GWCluster(points, roots, marks, broods)
+    z = float((kernel._zs if anc_marks is None else anc_marks)[0])
+    return GWCluster(points, float(ancestor), z, broods)
 
 
 # -- the fixed-point operator on a uniform grid -----------------------------------
@@ -716,7 +707,12 @@ def _reaching_clusters(kernel, ts, n_plain, rng):
     spine) takes steps with density proportional to h0(s) e^(theta s).  The
     spine nodes before the last carry z-size-biased marks, and every spine
     node roots an ordinary cluster with its mark.  All clusters of the call
-    grow in one batched sample_gw_cluster call.
+    grow in one batched sample_gw_cluster call, of which only points and owner
+    are read.  A candidate's reach, its last point, is the largest r + (p - r)
+    over the points p of its clusters, r the root of p: one reduction.  It
+    equals the largest root plus extinction time bit for bit, since fl(r + x)
+    is nondecreasing in x: the largest fl(r + fl(p - r)) over a root's points
+    is fl(r + L), with L = the largest fl(p - r).
 
     Returns the points of the kept clusters (at -t plus their offsets), the
     candidate of each of those points and the kept mask over the candidates.
@@ -747,14 +743,15 @@ def _reaching_clusters(kernel, ts, n_plain, rng):
         # mark sample_gw_cluster's one draw of roots.size uniforms takes the same numbers
         marks = None
     cl = sample_gw_cluster(kernel, roots, rng, root_marks=marks)
-    who = owner[cl.owner]
+    r, who = roots[cl.owner], owner[cl.owner]
     reach = np.zeros(ts.size)
-    np.maximum.at(reach, owner, roots + cl.extinction_time)
+    np.maximum.at(reach, who, r + (cl.points - r))
     z_tilted = np.bincount(who, weights=np.exp(theta * (cl.points - ts[who])), minlength=ts.size)
     kept = reach > ts
     kept[n_plain:] &= rng.random(n_spine) * z_tilted[n_plain:] < 1.0  # u < e^(theta t) / Z
     mine = kept[who]
-    return cl.points[mine] - ts[who[mine]], who[mine], kept
+    who = who[mine]
+    return cl.points[mine] - ts[who], who, kept
 
 
 class HawkesSampler:
@@ -778,7 +775,8 @@ class HawkesSampler:
     mu is thinned at mu_bound.  The zero kernel (rho = 0) keeps no
     pre-window ancestor.  A mean candidate count per draw, mu_bound (a + t0 +
     1/theta), above core.MAX_MEAN_POINTS raises SamplerError when the sampler
-    is built.
+    is built.  A draw reads the points of its clusters and the owner of its
+    candidates' clusters only, so GWCluster builds no other label for it.
 
     tol and step describe only the certified curve of F, the sandwich
     property: it is built from them when first read, and no draw reads it.
@@ -843,8 +841,10 @@ class HawkesSampler:
     def sample(self, rng):
         """One exact draw on the closed window [0, a] as a sorted 1-D pattern."""
         kept = self._conditioned_cluster(rng)
-        imm = self._thin_mu(np.sort(rng.random(rng.poisson(self.mu_bound * self.a))) * self.a, rng)
-        free = sample_gw_cluster(self.kernel, imm, rng).points
-        pts = np.sort(np.concatenate([kept, free]))
+        imm = rng.random(rng.poisson(self.mu_bound * self.a))
+        imm.sort()
+        free = sample_gw_cluster(self.kernel, self._thin_mu(imm * self.a, rng), rng).points
+        pts = np.concatenate([kept, free])
+        pts.sort()
         cut = pts[pts.searchsorted(0.0, side="left") : pts.searchsorted(self.a, side="right")]
         return PointPattern(cut.reshape(-1, 1), dim=1)

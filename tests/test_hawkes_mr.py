@@ -30,6 +30,7 @@ from exactpp.validation import chi_square, mean_ci, two_sample_ks
 
 KERNEL = ExponentialFertility(0.5, 1.0)  # rho = 0.5, nu_inf = 0.5
 ZERO_KERNEL = PiecewiseConstantFertility((0.0, 1.0), (0.0,))  # h == 0, rho = 0
+TWO_MARKS = ((0.25, 0.5), (0.75, 7 / 6))  # mean mark 1, so rho = 0.5 with KERNEL's shape
 
 
 def _gen(seed, stream=0):
@@ -439,6 +440,20 @@ def test_given_root_marks_drive_the_first_generation():
     assert abs(mean - 0.75) < half
 
 
+@pytest.mark.parametrize(
+    "ancestor, n_marks",
+    [(np.zeros(5), 1), (np.zeros(5), 2), (np.zeros(5), 6), (0.0, 2)],
+    ids=["one-for-five", "two-for-five", "six-for-five", "two-for-a-scalar"],
+)
+def test_root_marks_must_match_the_roots(ancestor, n_marks):
+    # one mark per root, refused before any draw: a lone mark is not broadcast
+    kernel = ExponentialFertility(0.5, 1.0, marks=TWO_MARKS)
+    rng = _gen(122)
+    with pytest.raises(SamplerError, match="root_marks gives"):
+        sample_gw_cluster(kernel, ancestor, rng, root_marks=np.ones(n_marks))
+    assert rng.random() == _gen(122).random()  # nothing was drawn
+
+
 def test_one_mark_kernels_draw_what_a_mixture_of_equal_marks_draws():
     # the scalar-rate path for one mark against the array-rate path of two
     # components with the same mark: the same generator calls, the same clusters
@@ -472,10 +487,131 @@ def test_scalar_cluster_extinction_times_keep_their_bytes():
 
 
 def test_two_mark_forest_keeps_its_bytes():
-    kernel = ExponentialFertility(0.5, 1.0, marks=((0.25, 0.5), (0.75, 7 / 6)))
+    kernel = ExponentialFertility(0.5, 1.0, marks=TWO_MARKS)
     cl = sample_gw_cluster(kernel, np.linspace(0.0, 1.0, 2_000), _gen(213))
     digest = _sha256(cl.points, cl.generations, cl.owner, cl.ancestor_mark, cl.extinction_time)
     assert digest == "7c234c164f466c86325a2e0a7e1028e8331fa58b80ff5633c7021c6c0a8c817d"
+
+
+# The digests below were computed before GWCluster built its labels on first
+# read and before the reach of a candidate became one reduction over its points.
+
+
+@pytest.mark.parametrize(
+    "kernel, digest",
+    [
+        (KERNEL, "738508c7851da147f3f068e4dac9b57e2881a852f4343777d2d833765d9adeb0"),
+        (
+            ExponentialFertility(0.5, 1.0, marks=TWO_MARKS),
+            "ab6d2b3b4d16ce8fed3e742aace0c42c9ae9ba4ba7a5341a6204bca46fb35501",
+        ),
+    ],
+    ids=["one-mark", "two-marks"],
+)
+def test_scalar_clusters_keep_their_bytes(kernel, digest):
+    rng = _gen(214)
+    cls = [sample_gw_cluster(kernel, 0.5, rng) for _ in range(3_000)]
+    parts = [np.array([cl.n for cl in cls]), np.array([cl.ancestor_mark for cl in cls])]
+    for field in ("points", "generations", "owner"):
+        parts.append(np.concatenate([getattr(cl, field) for cl in cls]))
+    assert _sha256(*parts) == digest
+
+
+def _wavy_mu(t):
+    return 0.75 + 0.25 * np.cos(t)
+
+
+@pytest.mark.parametrize(
+    "kernel, mu, mu_bound, a, digest",
+    [
+        (
+            ExponentialFertility(0.5, 1.0, marks=TWO_MARKS), 1.0, None, 10.0,
+            "f4740a8135ab3ed8e1f0e7938e881358487752a36b217b574834e8b24e2cd73d",
+        ),
+        (
+            PolynomialFertility((0.45, -0.225), 2.0), 1.0, None, 5.0,
+            "f08704995a15ea3aec8228ef31b23f8bda680d20dc244f1a8fc89587bf1f17e1",
+        ),
+        (
+            PiecewiseConstantFertility((0.0, 0.5, 2.0), (0.6, 0.1)), 1.0, None, 5.0,
+            "7f0aa3e03d64c33f06c7566e77a7c626903482c547eec2f824f20892dfa54cfb",
+        ),
+        (
+            KERNEL, _wavy_mu, 1.0, 10.0,
+            "cd61aa31aa2ae2b1857eb5129ef96b98caca2f5a430151eb3d79fed00d24996c",
+        ),
+    ],
+    ids=["two-marks", "polynomial", "piecewise", "callable-mu"],
+)
+def test_sampler_draws_keep_their_bytes(kernel, mu, mu_bound, a, digest):
+    sampler = HawkesSampler(kernel, mu=mu, a=a, mu_bound=mu_bound)
+    pats = [sampler.sample(_gen(32, r)).points[:, 0] for r in range(400)]
+    assert _sha256(np.array([p.size for p in pats]), np.concatenate(pats)) == digest
+
+
+def _two_step_reaching_clusters(kernel, ts, n_plain, rng):
+    """_reaching_clusters with the reach of each root taken first (root + extinction time)
+    and then the largest per candidate: the two-step form the one reduction replaced."""
+    n_spine = ts.size - n_plain
+    nodes = rng.geometric(1.0 - kernel.rho_theta, size=n_spine)
+    spine = np.arange(n_plain, ts.size).repeat(nodes)
+    last = nodes.cumsum() - 1
+    first = last - nodes + 1
+    steps = np.zeros(spine.size)
+    later = np.ones(spine.size, dtype=bool)
+    later[first] = False
+    steps[later] = kernel.sample_tilted_displacement(spine.size - n_spine, rng)
+    pos = steps.cumsum()
+    pos -= pos[first].repeat(nodes)
+    roots = np.concatenate([np.zeros(n_plain), pos])
+    owner = np.concatenate([np.arange(n_plain), spine])
+    marks = None
+    if kernel.one_mark_nu is None:
+        marks = np.empty(spine.size)
+        before_last = np.ones(spine.size, dtype=bool)
+        before_last[last] = False
+        marks[before_last] = kernel.sample_biased_mark(spine.size - n_spine, rng)
+        marks[last] = kernel.sample_mark(n_spine, rng)
+        marks = np.concatenate([kernel.sample_mark(n_plain, rng), marks])
+    cl = sample_gw_cluster(kernel, roots, rng, root_marks=marks)
+    who = owner[cl.owner]
+    reach = np.zeros(ts.size)
+    np.maximum.at(reach, owner, roots + cl.extinction_time)
+    weights = np.exp(kernel.theta * (cl.points - ts[who]))
+    z_tilted = np.bincount(who, weights=weights, minlength=ts.size)
+    kept = reach > ts
+    kept[n_plain:] &= rng.random(n_spine) * z_tilted[n_plain:] < 1.0
+    mine = kept[who]
+    return cl.points[mine] - ts[who[mine]], who[mine], kept
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        KERNEL,
+        ExponentialFertility(0.5, 1.0, marks=TWO_MARKS),
+        # half the roots carry mark 0 and never have offspring
+        ExponentialFertility(0.5, 1.0, marks=((0.5, 0.0), (0.5, 2.0))),
+        PolynomialFertility((0.45, -0.225), 2.0),
+        PiecewiseConstantFertility((0.0, 0.5, 2.0), (0.6, 0.1), marks=((0.5, 0.5), (0.5, 1.5))),
+    ],
+    ids=["one-mark", "two-marks", "childless-marks", "polynomial", "piecewise"],
+)
+def test_one_reduction_reach_matches_the_two_step_reach(kernel):
+    # random candidate sets on both routes, plus the all-plain, all-spine and empty ones
+    t0 = -math.log1p(-kernel.rho_theta) / kernel.theta
+    cases = []
+    for s in range(40):
+        rng = _gen(120, s)
+        near = rng.random(rng.integers(0, 12)) * t0
+        far = t0 + rng.exponential(1.0 / kernel.theta, size=rng.integers(0, 12))
+        cases.append((np.concatenate([near, far]), near.size))
+    cases += [(np.array([0.1, 2.0]), 2), (np.array([0.1, 2.0, 9.0]), 0), (np.empty(0), 0)]
+    for s, (ts, n_plain) in enumerate(cases):
+        mine = _reaching_clusters(kernel, ts, n_plain, _gen(121, s))
+        theirs = _two_step_reaching_clusters(kernel, ts, n_plain, _gen(121, s))
+        for a, b in zip(mine, theirs):
+            assert a.tobytes() == b.tobytes(), (s, ts, n_plain)
 
 
 # -- the perfect sampler ------------------------------------------------------------

@@ -2,6 +2,7 @@
 the one-chain oracles they batch, the lockstep Hawkes oracle against its closed
 -form mean, and the pairwise Matern oracle against a per-point loop."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -83,6 +84,28 @@ def test_lockstep_hawkes_oracle_matches_scalar():
     scalar = [hawkes_exp_burn_in(kernel, 1.0, a, burn, rng).n for _ in range(N_CHAINS)]
     rep = two_sample_ks(lockstep, np.array(scalar), alpha=0.01)
     assert rep.accepted, rep.to_dict()
+
+
+@pytest.mark.parametrize(
+    "marks, digest",
+    [
+        (((1.0, 1.0),), "882a7969d669c9002ccc8cd2131d0a033174a23c21ce47e96893cfed35d9b743"),
+        (
+            ((0.25, 0.5), (0.75, 7 / 6)),
+            "55f7e309be52213dfe2a19068f550dcdaccae5c73c85e32d40cec89e56fc43a2",
+        ),
+    ],
+    ids=["one-mark", "two-marks"],
+)
+def test_burn_in_oracle_keeps_its_counts(marks, digest):
+    # AC-11's kernel shape, stream and burn-in.  The window counts, which AC-11
+    # compares, were computed while each chain stepped in numpy scalars with
+    # np.exp; math.exp moves some event times by an ulp, never a count here
+    kernel = ExponentialFertility(0.5, 1.0, marks=marks)
+    burn = 60.0 / kernel.suggested_decay()
+    rng = _gen(214)
+    counts = np.array([hawkes_exp_burn_in(kernel, 1.0, 10.0, burn, rng).n for _ in range(500)])
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
 
 
 def test_lockstep_hawkes_oracle_mean_count():
