@@ -95,7 +95,7 @@ class FertilityKernel:
     def __init__(self, marks=((1.0, 1.0),)):
         self.marks, self._weights, self._zs = _validate_marks(marks)
         self._mark_cdf = _cdf(self._weights)  # the CDF Generator.choice(p=) would rebuild per call
-        base = self._nu0_inf()
+        self._base = base = self._nu0_inf()  # the total mass, kept: nu_inf(z) = z * base
         if base < 0 or not np.isfinite(base):
             raise SamplerError("offspring mass must be finite and nonnegative")
         # the offspring mean of every point when there is one mark, else None
@@ -143,7 +143,7 @@ class FertilityKernel:
         return z * self._nu0(np.maximum(t, 0.0))
 
     def nu_inf(self, z):
-        return z * self._nu0_inf()
+        return z * self._base
 
     def components(self):
         """(weight, z) pairs of the mark mixture."""
@@ -212,6 +212,7 @@ class PolynomialFertility(FertilityKernel):
         self.coeffs = tuple(float(c) for c in coeffs)
         self.support = float(support)
         self._poly = np.polynomial.Polynomial(self.coeffs)
+        self._integ = self._poly.integ()  # the antiderivative, built once
         crit = [0.0, self.support]
         for r in self._poly.deriv().roots():
             if abs(r.imag) < 1e-12 and 0 <= r.real <= self.support:
@@ -227,13 +228,11 @@ class PolynomialFertility(FertilityKernel):
         return np.where(t <= self.support, np.maximum(self._poly(t), 0.0), 0.0)
 
     def _nu0(self, t):
-        integ = self._poly.integ()
         t = np.minimum(np.asarray(t, dtype=float), self.support)
-        return integ(t) - integ(0.0)
+        return self._integ(t) - self._integ(0.0)
 
     def _nu0_inf(self):
-        integ = self._poly.integ()
-        return float(integ(self.support) - integ(0.0))
+        return float(self._integ(self.support) - self._integ(0.0))
 
     def _tilted_mass(self, theta):
         # int_0^S p(s) e^(theta s) ds = S sum_m (theta S)^m / m! int_0^1 u^m p(S u) du:
@@ -343,8 +342,8 @@ class GWCluster:
     and extinction_time (last point minus ancestor) are floats for a scalar
     ancestor and arrays with one entry per root otherwise.  generations, owner
     and extinction_time are built from the brood counts when first read: a
-    Hawkes draw reads only points of its immigrants and points and owner of
-    its candidates, so it never pays for the other labels.
+    Hawkes draw reads only points and owner, so it never pays for the other
+    labels.
     """
 
     def __init__(self, points, ancestor, ancestor_mark, broods):
@@ -388,16 +387,16 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
     add; the loop keeps the brood counts, from which GWCluster builds the
     labels a caller reads.
 
-    A kernel with one mark draws each generation's offspring counts as one
-    Poisson with the scalar rate nu_inf(z), and its mark draws are the same
-    rng.random(n) calls without the lookup: the same generator calls, so the
-    same numbers, as the array of equal rates a mixture passes.
+    A kernel with one mark draws no marks: each generation's offspring counts
+    are one Poisson with the scalar rate nu_inf(z), and no random number is
+    spent on a mark whose only outcome is the one mark.  Its clusters have
+    the law, not the bytes, of a mixture of equal marks.
     """
     roots = np.asarray(ancestor, dtype=float)
     batch = roots.ndim > 0
     roots = roots.reshape(-1)
     nu = kernel.one_mark_nu
-    poisson, uniform, displace = rng.poisson, rng.random, kernel.sample_displacement
+    poisson, displace = rng.poisson, kernel.sample_displacement
     if root_marks is not None:
         marks = anc_marks = np.asarray(root_marks, dtype=float).reshape(-1)
         if marks.size != roots.size:
@@ -405,7 +404,6 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
     elif nu is None:
         marks = anc_marks = kernel.sample_mark(roots.size, rng)
     else:
-        uniform(roots.size)  # the draw of sample_mark, whose only outcome is the one mark
         marks = anc_marks = None  # None: every mark is the kernel's one mark
     pts, broods, gen, total = [roots], [], roots, roots.size
     while True:
@@ -423,11 +421,7 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
             break
         gen += displace(n, rng)
         pts.append(gen)
-        if nu is None:
-            marks = kernel.sample_mark(n, rng)
-        else:
-            uniform(n)  # the mark draw, with no lookup
-            marks = None
+        marks = None if nu is not None else kernel.sample_mark(n, rng)
     points = np.concatenate(pts)
     if batch:
         marks = kernel._zs.repeat(roots.size) if anc_marks is None else anc_marks
@@ -693,65 +687,77 @@ def build_sandwich(
 # -- the perfect sampler ---------------------------------------------------------------
 
 
-def _reaching_clusters(kernel, ts, n_plain, rng):
-    """Which candidate ancestors at distances ts before the window reach it, and their clusters.
+def _reaching_clusters(kernel, ts, n_plain, rng, imm):
+    """Which candidate ancestors at distances ts before the window reach it, and all clusters.
 
     The first n_plain candidates draw one ordinary cluster each and are kept
     iff its extinction time L exceeds t.  The others draw one Q-cluster each
     and are kept with probability 1{L > t} e^(theta t) / Z, at most 1 because
     Z = sum_v e^(theta pos_v) >= e^(theta L).  Either way a kept cluster has
-    the law P(. | L > t).
+    the law P(. | L > t).  The immigrants at positions imm (in the window's
+    frame) carry ordinary clusters and belong to one more owner, ts.size,
+    which is always kept.
 
     A Q-cluster is a cluster size-biased by Z.  Under Q, a distinguished node
     lies Geometric(1 - rho_theta) - 1 generations deep, and the path to it (the
     spine) takes steps with density proportional to h0(s) e^(theta s).  The
     spine nodes before the last carry z-size-biased marks, and every spine
-    node roots an ordinary cluster with its mark.  All clusters of the call
-    grow in one batched sample_gw_cluster call, of which only points and owner
-    are read.  A candidate's reach, its last point, is the largest r + (p - r)
-    over the points p of its clusters, r the root of p: one reduction.  It
-    equals the largest root plus extinction time bit for bit, since fl(r + x)
-    is nondecreasing in x: the largest fl(r + fl(p - r)) over a root's points
-    is fl(r + L), with L = the largest fl(p - r).
+    node roots an ordinary cluster with its mark; the plain candidates, the
+    last spine nodes and the immigrants draw ordinary marks.  All clusters of
+    the call, the immigrants' included, grow in one sample_gw_cluster call, of
+    which only points and owner are read, so the call's point cap bounds them
+    together.  A candidate's roots sit in its own frame (the candidate at 0),
+    and its reach, its last point, is the largest r + (p - r) over the
+    points p of its clusters, r the root of p: one reduction.  It equals the
+    largest root plus extinction time bit for bit, since fl(r + x) is
+    nondecreasing in x: the largest fl(r + fl(p - r)) over a root's points is
+    fl(r + L), with L = the largest fl(p - r).
 
-    Returns the points of the kept clusters (at -t plus their offsets), the
-    candidate of each of those points and the kept mask over the candidates.
+    Returns the points of the kept clusters (a candidate's at -t plus their
+    offsets, the immigrants' as drawn), the owner of each of those points and
+    the kept mask over the candidates.
     """
     theta = kernel.theta
-    n_spine = ts.size - n_plain
+    n_cand, n_spine = ts.size, ts.size - n_plain
     nodes = rng.geometric(1.0 - kernel.rho_theta, size=n_spine)
-    spine = np.arange(n_plain, ts.size).repeat(nodes)  # the candidate of each spine node
-    last = nodes.cumsum() - 1
-    first = last - nodes + 1
+    spine = np.arange(n_plain, n_cand).repeat(nodes)  # the candidate of each spine node
+    ends = nodes.cumsum()
+    first = ends - nodes
     steps = np.zeros(spine.size)
-    later = np.ones(spine.size, dtype=bool)
-    later[first] = False
-    steps[later] = kernel.sample_tilted_displacement(spine.size - n_spine, rng)
+    is_first = np.zeros(spine.size, dtype=bool)
+    is_first[first] = True
+    steps[~is_first] = kernel.sample_tilted_displacement(spine.size - n_spine, rng)
     pos = steps.cumsum()
     pos -= pos[first].repeat(nodes)
-    roots = np.concatenate([np.zeros(n_plain), pos])
-    owner = np.concatenate([np.arange(n_plain), spine])  # the candidate of each root
+    roots = np.concatenate([np.zeros(n_plain), pos, imm])
+    owner = np.concatenate([np.arange(n_plain), spine, np.zeros(imm.size, dtype=int) + n_cand])
+    marks = None  # one mark: sample_gw_cluster draws none
     if kernel.one_mark_nu is None:
-        marks = np.empty(spine.size)
-        before_last = np.ones(spine.size, dtype=bool)
-        before_last[last] = False
-        marks[before_last] = kernel.sample_biased_mark(spine.size - n_spine, rng)
-        marks[last] = kernel.sample_mark(n_spine, rng)
-        marks = np.concatenate([kernel.sample_mark(n_plain, rng), marks])
-    else:
-        # a mixture's three mark draws are rng.random calls in a row, so with one
-        # mark sample_gw_cluster's one draw of roots.size uniforms takes the same numbers
-        marks = None
+        biased = np.zeros(roots.size, dtype=bool)
+        biased[n_plain : n_plain + spine.size] = True
+        biased[n_plain - 1 + ends] = False  # the spine nodes before the last
+        n_biased = spine.size - n_spine
+        marks = np.empty(roots.size)
+        marks[biased] = kernel.sample_biased_mark(n_biased, rng)
+        marks[~biased] = kernel.sample_mark(roots.size - n_biased, rng)
     cl = sample_gw_cluster(kernel, roots, rng, root_marks=marks)
     r, who = roots[cl.owner], owner[cl.owner]
-    reach = np.zeros(ts.size)
+    # no reach exceeds the immigrants' limit, and their Z weights are e^-inf = 0
+    limit = np.empty(n_cand + 1)
+    limit[:n_cand] = ts
+    limit[n_cand] = np.inf
+    reach = np.zeros(n_cand + 1)
     np.maximum.at(reach, who, r + (cl.points - r))
-    z_tilted = np.bincount(who, weights=np.exp(theta * (cl.points - ts[who])), minlength=ts.size)
-    kept = reach > ts
-    kept[n_plain:] &= rng.random(n_spine) * z_tilted[n_plain:] < 1.0  # u < e^(theta t) / Z
+    weights = np.exp(theta * (cl.points - limit[who]))
+    z_tilted = np.bincount(who, weights=weights, minlength=n_cand + 1)
+    kept = reach > limit
+    # a Q-cluster's coin: u < e^(theta t) / Z
+    kept[n_plain:n_cand] &= rng.random(n_spine) * z_tilted[n_plain:n_cand] < 1.0
+    kept[n_cand] = True
     mine = kept[who]
     who = who[mine]
-    return cl.points[mine] - ts[who], who, kept
+    limit[n_cand] = 0.0  # now the shift of each owner's points: the immigrants' stay put
+    return cl.points[mine] - limit[who], who, kept[:n_cand]
 
 
 class HawkesSampler:
@@ -775,8 +781,12 @@ class HawkesSampler:
     mu is thinned at mu_bound.  The zero kernel (rho = 0) keeps no
     pre-window ancestor.  A mean candidate count per draw, mu_bound (a + t0 +
     1/theta), above core.MAX_MEAN_POINTS raises SamplerError when the sampler
-    is built.  A draw reads the points of its clusters and the owner of its
-    candidates' clusters only, so GWCluster builds no other label for it.
+    is built.
+
+    A draw grows the clusters of its candidates and of its immigrants in one
+    sample_gw_cluster call, so POINT_CAP bounds all of a draw's points
+    together, and reads only their points and owner, so GWCluster builds no
+    other label for it.
 
     tol and step describe only the certified curve of F, the sandwich
     property: it is built from them when first read, and no draw reads it.
@@ -825,26 +835,29 @@ class HawkesSampler:
             return x
         return thin(x, np.asarray(self.mu(x), dtype=float) / self.mu_bound, rng)
 
+    def _immigrants(self, rng):
+        """Immigrant positions in [0, a], at rate mu, unsorted."""
+        return self._thin_mu(rng.random(rng.poisson(self.mu_bound * self.a)) * self.a, rng)
+
     def _conditioned_cluster(self, rng):
-        """Points of the clusters of the pre-window ancestors that reach the window."""
+        """Points of one draw's clusters: the immigrants' and those of the pre-window
+        ancestors that reach the window, unsorted and uncut."""
         kernel = self.kernel
         if kernel.rho == 0:  # a bare ancestor never outlives a positive distance
-            return np.empty(0)
-        near = -self._t0 * rng.random(rng.poisson(self.mu_bound * self._t0))
-        n_far = rng.poisson(self.mu_bound / kernel.theta)
-        far = -self._t0 - rng.exponential(1.0 / kernel.theta, size=n_far)
-        near, far = self._thin_mu(near, rng), self._thin_mu(far, rng)
+            return sample_gw_cluster(kernel, self._immigrants(rng), rng).points
+        # candidate distances t before the window: (0, t0] at rate mu, then t0 + Exp(theta)
+        t0, theta = self._t0, kernel.theta
+        near = t0 * rng.random(rng.poisson(self.mu_bound * t0))
+        far = t0 + rng.exponential(1.0 / theta, size=rng.poisson(self.mu_bound / theta))
+        if self.mu is not None:  # thinned at their positions -t
+            near, far = -self._thin_mu(-near, rng), -self._thin_mu(-far, rng)
         self.stats["condition_attempts"] += near.size + far.size
-        ts = -np.concatenate([near, far])
-        return _reaching_clusters(kernel, ts, near.size, rng)[0]
+        ts = np.concatenate([near, far])
+        return _reaching_clusters(kernel, ts, near.size, rng, self._immigrants(rng))[0]
 
     def sample(self, rng):
         """One exact draw on the closed window [0, a] as a sorted 1-D pattern."""
-        kept = self._conditioned_cluster(rng)
-        imm = rng.random(rng.poisson(self.mu_bound * self.a))
-        imm.sort()
-        free = sample_gw_cluster(self.kernel, self._thin_mu(imm * self.a, rng), rng).points
-        pts = np.concatenate([kept, free])
+        pts = self._conditioned_cluster(rng)
         pts.sort()
         cut = pts[pts.searchsorted(0.0, side="left") : pts.searchsorted(self.a, side="right")]
         return PointPattern(cut.reshape(-1, 1), dim=1)

@@ -355,7 +355,7 @@ DEMO_PATTERN_SHA256 = {
     "branching_approx": "00adf7c7626448b72711f5d05dd399bcf23b7093f245f51f15512987341f33d0",
     "brix_kendall": "f184dffaf6882b38eb7f12bde501f4c99e7820ab8b8f96e07b69ec9b6944aeed",
     "grid_thinning": "f80dae499e94fbcfbcb28981110c5383ccf72bf0627d503f3a8fda63f91675a1",
-    "hawkes_mr": "0f3bb5c00413ba76cd739f46f276d203cd7741c86276b68c73ab86ea2af4ea44",
+    "hawkes_mr": "558851db065f3145fd27dacd16e6abf910bcaa77b374fa14a9d47a804f47ca9d",
     "matern": "d712ee7c1379720d814486f1e3923c2d46daee120728acb2baaa17daaba3cde6",
     "nonlinear_hawkes": "e0381820be80cf6f0f6a85ce9cdc33d8140743f9d71846d527f4b2a6d8f538f5",
     "poisson": "fdabfb0707869de0d31a7e1c78a17adf1789a6cf9f5bd2041f2320c149172d3d",

@@ -97,6 +97,23 @@ def test_mark_mixture_validation():
     assert k.rho == pytest.approx(0.5 * (0.6 * 0.5 + 0.4 * 1.2))
 
 
+def test_offspring_mass_is_computed_once_per_kernel(monkeypatch):
+    # a two-mark polynomial kernel keeps its total mass: draws, whose mixture
+    # path reads nu_inf once per generation, never integrate the polynomial again
+    kernel = PolynomialFertility((0.45, -0.225), 2.0, marks=((0.5, 0.5), (0.5, 1.5)))
+    zs = np.array([0.5, 1.5])
+    before = kernel.nu_inf(zs)
+    assert np.array_equal(before, zs * kernel._nu0_inf())
+
+    def integrate_again():
+        raise AssertionError("the offspring mass was integrated again")
+
+    monkeypatch.setattr(kernel, "_nu0_inf", integrate_again)
+    sampler = HawkesSampler(kernel, mu=1.0, a=5.0)
+    assert sum(sampler.sample(_gen(123, r)).n for r in range(50)) > 0
+    assert np.array_equal(kernel.nu_inf(zs), before)
+
+
 @pytest.mark.parametrize(
     "marks",
     [((1.0, 1.0),), ((0.3, 0.5), (0.7, 1.0)), ((0.2, 0.1), (0.5, 0.6), (0.3, 1.2))],
@@ -454,36 +471,43 @@ def test_root_marks_must_match_the_roots(ancestor, n_marks):
     assert rng.random() == _gen(122).random()  # nothing was drawn
 
 
-def test_one_mark_kernels_draw_what_a_mixture_of_equal_marks_draws():
-    # the scalar-rate path for one mark against the array-rate path of two
-    # components with the same mark: the same generator calls, the same clusters
+def test_one_mark_kernels_draw_the_law_of_a_mixture_of_equal_marks():
+    # the scalar-rate path for one mark, which draws no marks, against the
+    # array-rate path of two components with the same mark: the same law,
+    # different random numbers
     twin = ExponentialFertility(0.5, 1.0, marks=((0.5, 1.0), (0.5, 1.0)))
     assert KERNEL.one_mark_nu == 0.5 and twin.one_mark_nu is None
-    for ancestor in (0.0, np.linspace(-2.0, 2.0, 300)):
-        one = sample_gw_cluster(KERNEL, ancestor, _gen(116))
-        mix = sample_gw_cluster(twin, ancestor, _gen(116))
-        for field in ("points", "generations", "owner", "ancestor_mark", "extinction_time"):
-            assert np.array_equal(getattr(one, field), getattr(mix, field)), field
-    one, mix = HawkesSampler(KERNEL, 1.0, 10.0), HawkesSampler(twin, 1.0, 10.0)
-    for r in range(100):
-        assert np.array_equal(one.sample(_gen(117, r)).points, mix.sample(_gen(117, r)).points)
+    one = sample_gw_cluster(KERNEL, np.zeros(20_000), _gen(116))
+    mix = sample_gw_cluster(twin, np.zeros(20_000), _gen(116, 1))
+    rep = two_sample_ks(one.extinction_time, mix.extinction_time, alpha=0.01)
+    assert rep.accepted, ("forest extinction times", rep.to_dict())
+    a, n = 10.0, 3_000
+    one, mix = HawkesSampler(KERNEL, 1.0, a), HawkesSampler(twin, 1.0, a)
+    ones = [one.sample(_gen(117, r)) for r in range(n)]
+    mixes = [mix.sample(_gen(117, n + r)) for r in range(n)]
+    for name, stat in (("count", lambda p: p.n), ("first point", lambda p: _first_point(p, a))):
+        rep = two_sample_ks(
+            np.array([stat(p) for p in ones]), np.array([stat(p) for p in mixes]), alpha=0.01
+        )
+        assert rep.accepted, (name, rep.to_dict())
 
 
-# The digests below were computed before the one-mark scalar-rate path
-# existed: draws must keep their bytes.
+# The digests below were computed before the one-mark scalar-rate path existed,
+# and those of one-mark clusters and of Hawkes draws again when one-mark kernels
+# stopped drawing marks and one draw grew all its clusters in one call.
 
 
 def test_demo_sampler_draws_keep_their_bytes():
     sampler = HawkesSampler(KERNEL, mu=1.0, a=10.0)  # configs/hawkes_mr.json
     pats = [sampler.sample(_gen(31, r)).points[:, 0] for r in range(500)]
     digest = _sha256(np.array([p.size for p in pats]), np.concatenate(pats))
-    assert digest == "12e623b68796cabc7313f181ee96ee242d3744a7b7874863177e5fdbd593b826"
+    assert digest == "c402c44950a869706252be200f870ebc473256ce2d397c3d2b4b71aed930e4ef"
 
 
 def test_scalar_cluster_extinction_times_keep_their_bytes():
     rng = _gen(212)  # the kernel and stream of AC-10
     ext = np.array([sample_gw_cluster(KERNEL, 0.0, rng).extinction_time for _ in range(20_000)])
-    assert _sha256(ext) == "921708119a84f716bafd50703f2f9994808acfbd332f134c261c3a11d36a92bc"
+    assert _sha256(ext) == "e8730297a722ca5d886da411833c99d55451ac8cb2e105153144fec2e24e0d5e"
 
 
 def test_two_mark_forest_keeps_its_bytes():
@@ -494,13 +518,15 @@ def test_two_mark_forest_keeps_its_bytes():
 
 
 # The digests below were computed before GWCluster built its labels on first
-# read and before the reach of a candidate became one reduction over its points.
+# read and before the reach of a candidate became one reduction over its points;
+# the one-mark and Hawkes draw digests again when a draw grew all its clusters in
+# one call and one-mark kernels stopped drawing marks.
 
 
 @pytest.mark.parametrize(
     "kernel, digest",
     [
-        (KERNEL, "738508c7851da147f3f068e4dac9b57e2881a852f4343777d2d833765d9adeb0"),
+        (KERNEL, "97a2f888cbee76cd690afa3d36b7be4059fee14cc87b64f113258eee3923a05d"),
         (
             ExponentialFertility(0.5, 1.0, marks=TWO_MARKS),
             "ab6d2b3b4d16ce8fed3e742aace0c42c9ae9ba4ba7a5341a6204bca46fb35501",
@@ -526,19 +552,19 @@ def _wavy_mu(t):
     [
         (
             ExponentialFertility(0.5, 1.0, marks=TWO_MARKS), 1.0, None, 10.0,
-            "f4740a8135ab3ed8e1f0e7938e881358487752a36b217b574834e8b24e2cd73d",
+            "face3763f8acf8443b77d2919879b2f8ec2b171db425623e95edef943b56e579",
         ),
         (
             PolynomialFertility((0.45, -0.225), 2.0), 1.0, None, 5.0,
-            "f08704995a15ea3aec8228ef31b23f8bda680d20dc244f1a8fc89587bf1f17e1",
+            "10fbfab1d4a090a48129604f1574d5b96ab7b6bd1a1740758e5308dce56c1717",
         ),
         (
             PiecewiseConstantFertility((0.0, 0.5, 2.0), (0.6, 0.1)), 1.0, None, 5.0,
-            "7f0aa3e03d64c33f06c7566e77a7c626903482c547eec2f824f20892dfa54cfb",
+            "e9f55478c9f55abe606adfe88cd0cb63b7065bb828339a210773340a2f56183e",
         ),
         (
             KERNEL, _wavy_mu, 1.0, 10.0,
-            "cd61aa31aa2ae2b1857eb5129ef96b98caca2f5a430151eb3d79fed00d24996c",
+            "0ce12ce633e68460cc3901accf59bec93bee5705562c5932d170ac1341259cf2",
         ),
     ],
     ids=["two-marks", "polynomial", "piecewise", "callable-mu"],
@@ -549,12 +575,13 @@ def test_sampler_draws_keep_their_bytes(kernel, mu, mu_bound, a, digest):
     assert _sha256(np.array([p.size for p in pats]), np.concatenate(pats)) == digest
 
 
-def _two_step_reaching_clusters(kernel, ts, n_plain, rng):
-    """_reaching_clusters with the reach of each root taken first (root + extinction time)
-    and then the largest per candidate: the two-step form the one reduction replaced."""
-    n_spine = ts.size - n_plain
+def _two_step_reaching_clusters(kernel, ts, n_plain, rng, imm):
+    """_reaching_clusters with the reach of each candidate root taken first (root +
+    extinction time) and then the largest per candidate: the two-step form the one
+    reduction replaced, with the immigrants' clusters split off by a mask."""
+    n_cand, n_spine = ts.size, ts.size - n_plain
     nodes = rng.geometric(1.0 - kernel.rho_theta, size=n_spine)
-    spine = np.arange(n_plain, ts.size).repeat(nodes)
+    spine = np.arange(n_plain, n_cand).repeat(nodes)
     last = nodes.cumsum() - 1
     first = last - nodes + 1
     steps = np.zeros(spine.size)
@@ -563,26 +590,30 @@ def _two_step_reaching_clusters(kernel, ts, n_plain, rng):
     steps[later] = kernel.sample_tilted_displacement(spine.size - n_spine, rng)
     pos = steps.cumsum()
     pos -= pos[first].repeat(nodes)
-    roots = np.concatenate([np.zeros(n_plain), pos])
-    owner = np.concatenate([np.arange(n_plain), spine])
+    cand_roots = np.concatenate([np.zeros(n_plain), pos])
+    roots = np.concatenate([cand_roots, imm])
+    owner = np.concatenate([np.arange(n_plain), spine, np.full(imm.size, n_cand)])
     marks = None
     if kernel.one_mark_nu is None:
-        marks = np.empty(spine.size)
-        before_last = np.ones(spine.size, dtype=bool)
-        before_last[last] = False
-        marks[before_last] = kernel.sample_biased_mark(spine.size - n_spine, rng)
-        marks[last] = kernel.sample_mark(n_spine, rng)
-        marks = np.concatenate([kernel.sample_mark(n_plain, rng), marks])
+        is_biased = np.zeros(roots.size, dtype=bool)
+        is_biased[n_plain : n_plain + spine.size] = True
+        is_biased[n_plain + last] = False
+        marks = np.empty(roots.size)
+        marks[is_biased] = kernel.sample_biased_mark(int(is_biased.sum()), rng)
+        marks[~is_biased] = kernel.sample_mark(int((~is_biased).sum()), rng)
     cl = sample_gw_cluster(kernel, roots, rng, root_marks=marks)
     who = owner[cl.owner]
-    reach = np.zeros(ts.size)
-    np.maximum.at(reach, owner, roots + cl.extinction_time)
-    weights = np.exp(kernel.theta * (cl.points - ts[who]))
-    z_tilted = np.bincount(who, weights=weights, minlength=ts.size)
+    reach = np.zeros(n_cand)
+    k = cand_roots.size
+    np.maximum.at(reach, owner[:k], cand_roots + cl.extinction_time[:k])
+    cand = who < n_cand
+    weights = np.exp(kernel.theta * (cl.points[cand] - ts[who[cand]]))
+    z_tilted = np.bincount(who[cand], weights=weights, minlength=n_cand)
     kept = reach > ts
     kept[n_plain:] &= rng.random(n_spine) * z_tilted[n_plain:] < 1.0
-    mine = kept[who]
-    return cl.points[mine] - ts[who[mine]], who[mine], kept
+    mine = ~cand | np.append(kept, True)[who]
+    shift = np.where(cand, np.append(ts, 0.0)[who], 0.0)
+    return cl.points[mine] - shift[mine], who[mine], kept
 
 
 @pytest.mark.parametrize(
@@ -608,10 +639,12 @@ def test_one_reduction_reach_matches_the_two_step_reach(kernel):
         cases.append((np.concatenate([near, far]), near.size))
     cases += [(np.array([0.1, 2.0]), 2), (np.array([0.1, 2.0, 9.0]), 0), (np.empty(0), 0)]
     for s, (ts, n_plain) in enumerate(cases):
-        mine = _reaching_clusters(kernel, ts, n_plain, _gen(121, s))
-        theirs = _two_step_reaching_clusters(kernel, ts, n_plain, _gen(121, s))
-        for a, b in zip(mine, theirs):
-            assert a.tobytes() == b.tobytes(), (s, ts, n_plain)
+        # no immigrants, then one to seven on a window [0, 10]
+        for imm in (np.empty(0), _gen(122, s).random(1 + s % 7) * 10.0):
+            mine = _reaching_clusters(kernel, ts, n_plain, _gen(121, s), imm)
+            theirs = _two_step_reaching_clusters(kernel, ts, n_plain, _gen(121, s), imm)
+            for a, b in zip(mine, theirs):
+                assert a.tobytes() == b.tobytes(), (s, ts, n_plain, imm)
 
 
 # -- the perfect sampler ------------------------------------------------------------
@@ -698,7 +731,7 @@ def test_conditioned_clusters_match_single_cluster_rejection():
     rng = _gen(106)
     batched = {t: [] for t in ts}
     while min(len(v) for v in batched.values()) < n:
-        pts, who, kept = _reaching_clusters(KERNEL, np.repeat(ts, 200), 400, rng)
+        pts, who, kept = _reaching_clusters(KERNEL, np.repeat(ts, 200), 400, rng, np.empty(0))
         for c in np.flatnonzero(kept):
             batched[ts[c // 200]].append(pts[who == c])
     forest = sample_gw_cluster(KERNEL, np.zeros(400_000), _gen(107))
@@ -771,6 +804,34 @@ def test_variable_immigrant_intensity_halves_the_rate():
         mean, half = mean_ci(counts, z=4.0)
         assert abs(mean - expect) < half, (kernel, mean, expect)
 
+@pytest.mark.parametrize(
+    "kernel, mu, mu_bound",
+    [
+        (KERNEL, 1.0, None),
+        (ExponentialFertility(0.5, 1.0, marks=TWO_MARKS), 1.0, None),
+        (ZERO_KERNEL, 2.0, None),
+        (KERNEL, _wavy_mu, 1.0),
+    ],
+    ids=["one-mark", "two-marks", "zero-kernel", "callable-mu"],
+)
+def test_each_draw_grows_its_clusters_in_one_call(monkeypatch, kernel, mu, mu_bound):
+    # candidates and immigrants grow together: one sample_gw_cluster call per draw
+    from exactpp import hawkes_mr
+
+    calls = []
+    grow = hawkes_mr.sample_gw_cluster
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return grow(*args, **kwargs)
+
+    monkeypatch.setattr(hawkes_mr, "sample_gw_cluster", counting)
+    sampler = HawkesSampler(kernel, mu=mu, a=10.0, mu_bound=mu_bound)
+    for r in range(30):
+        sampler.sample(_gen(124, r))
+        assert len(calls) == r + 1
+
+
 def test_burn_in_oracle_draws_its_own_marks(monkeypatch):
     marks = ((0.5, 0.5), (0.5, 1.5))
     for kernel, oracle in (
@@ -825,7 +886,7 @@ def test_spine_acceptance_matches_the_sandwich(sandwich):
     n = 40_000
     b = sandwich.bounds()
     for i, t in enumerate((1.0, 5.0, 15.0, 30.0)):
-        _, _, kept = _reaching_clusters(KERNEL, np.full(n, t), 0, _gen(117, i))
+        _, _, kept = _reaching_clusters(KERNEL, np.full(n, t), 0, _gen(117, i), np.empty(0))
         u = math.exp(-KERNEL.theta * t) / (1.0 - KERNEL.rho_theta)
         p = kept.mean()
         band = 4.0 * u * math.sqrt(max(p, 1.0 / n) * (1.0 - p) / n)
