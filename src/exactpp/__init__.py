@@ -28,9 +28,9 @@ modules only when it builds that sampler, so a run loads core, validation, cli
 and the modules of the one sampler its config names (with oracles when that
 sampler's validation uses one).
 
-scipy is imported inside the few routines that call it (quadrature, the
-trigamma tail, the one-sample KS and chi-square tests), so importing the
-package, or building and drawing a Hawkes sampler, loads no scipy module.
+scipy is imported inside the few routines that call it (quadrature and the
+one-sample KS and chi-square tests), so importing the package, or building
+and drawing a Hawkes sampler, loads no scipy module.
 The two-sample KS test computes its p-value with numpy alone, so no CLI
 command loads scipy.stats.
 """

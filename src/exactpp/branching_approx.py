@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointPattern, SamplerError, sample_homogeneous
+from .core import PointPattern, SamplerError, _mean_count, sample_homogeneous
 
 __all__ = [
     "TruncationCertificate",
@@ -75,14 +75,11 @@ def certificate_generations_for(eps, rate0, progeny_mass, vol_w):
     return max(int(math.ceil(ratio - 1e-12)), 0)
 
 
-def approx_branching_sample(rate0, progeny, window, n, rng, point_cap=POINT_CAP):
-    """Generations 0..n of the branching process restricted to the window.
-
-    progeny supplies the per-point brood: total_mean (the progeny mass rho)
-    and a displacement with a finite Euclidean support_radius.  The germ is
-    drawn on the n*R-buffered window, so the returned restriction is exactly
-    distributed; the certificate bounds only the dropped generations.
-    """
+def _checked(rate0, progeny, window, n):
+    """The progeny mass, the certificate and the germ region of a draw of
+    generations 0..n, after every refusal that comes before its first random
+    number: n < 0, an unbounded displacement, rho >= 1, and a germ region whose
+    mean count exceeds MAX_MEAN_POINTS."""
     if n < 0:
         raise SamplerError("generation count must be nonnegative")
     radius = getattr(progeny.displacement, "support_radius", None)
@@ -91,6 +88,19 @@ def approx_branching_sample(rate0, progeny, window, n, rng, point_cap=POINT_CAP)
     rho = float(progeny.total_mean)
     cert = _certificate(rate0, rho, window.volume(), n)
     region = window.buffered(n * float(radius))
+    _mean_count(rate0, region.volume())
+    return rho, cert, region
+
+
+def approx_branching_sample(rate0, progeny, window, n, rng, point_cap=POINT_CAP):
+    """Generations 0..n of the branching process restricted to the window.
+
+    progeny supplies the per-point brood: total_mean (the progeny mass rho)
+    and a displacement with a finite Euclidean support_radius.  The germ is
+    drawn on the n*R-buffered window, so the returned restriction is exactly
+    distributed; the certificate bounds only the dropped generations.
+    """
+    rho, cert, region = _checked(rate0, progeny, window, n)
     current = sample_homogeneous(region, rate0, rng).points
     kept = [current]
     total = current.shape[0]

@@ -515,20 +515,20 @@ def _build_hawkes_mr(p, window):
 
 
 def _build_branching_approx(p, window):
-    from .branching_approx import approx_branching_sample
+    from .branching_approx import _checked, approx_branching_sample
     from .cluster_exact import TranslatedPoissonCluster
 
     rate0 = p.get("rate0", float, check=_NONNEG)
     pmean = p.get("progeny_mean", float, check=_POS)
     n_gen = p.get("generations", int, check=_NONNEG)
     progeny = TranslatedPoissonCluster(pmean, _displacement(p))
-    _, cert = approx_branching_sample(rate0, progeny, window, n_gen, RngStream(0, 0).generator())
+    _, cert, _ = _checked(rate0, progeny, window, n_gen)  # refuses as a draw would
 
     def sample(rng):
         pattern, _ = approx_branching_sample(rate0, progeny, window, n_gen, rng)
         return pattern
 
-    # the build above has refused pmean >= 1
+    # _checked has refused pmean >= 1
     expect = rate0 * (1.0 - pmean ** (n_gen + 1)) / (1.0 - pmean) * window.volume()
     validate = _count_checks(sample, mean=("branching-mean-count", expect))
     return _built(sample, window, validate, meta={"truncation_certificate": cert.to_dict()})

@@ -6,6 +6,15 @@ point patterns copy their arrays on construction, and samplers receive an
 RngStream rather than a live generator so that a (seed, stream_id) pair
 pins down the output bit-for-bit.
 
+RngStream(seed, stream_id, lineage).generator() is numpy's
+Generator(Philox(SeedSequence(seed, spawn_key=(stream_id, *lineage)))), bit
+for bit, so numpy alone re-derives any stream. The Philox key is computed here
+in Python (SeedSequence's hashing, with its pool cached per seed) and handed
+to Philox through a seed object that holds only the key, so no SeedSequence
+is built, Philox reads no OS entropy, and rng.spawn() is not supported.
+numpy.random itself is imported on the first generator() call, not with this
+module.
+
 sample_homogeneous draws the dominating homogeneous Poisson process on a box
 and thin is the one coin step: one uniform per row, kept iff it is below the
 row's retention probability (Lewis & Shedler 1979). Every sampler that thins
@@ -15,7 +24,7 @@ a dominating process goes through these two routines.
 from __future__ import annotations
 
 import csv
-import hashlib
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -214,14 +223,157 @@ class PointPattern:
         )
 
 
+# -- replicate streams --------------------------------------------------------
+#
+# RngStream keys its Philox generator exactly as numpy's SeedSequence (pool
+# size 4, numpy/random/bit_generator.pyx) keys it, in Python ints with uint32
+# wrap-around: the constants below carry that file's names.
+
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n):
+    """The little-endian 32-bit words of an integer n >= 0, as SeedSequence
+    reads it ([0] for 0); a negative n raises ValueError."""
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _hashmix(value, h):
+    """SeedSequence's hashmix of a word: the hashed word and the next hash constant."""
+    nh = h * _MULT_A & _M32
+    value = (value ^ h) * nh & _M32
+    return value ^ value >> 16, nh
+
+
+def _mix_in(pool, h, ints):
+    """The 4-word pool and hash constant after mixing every 32-bit word of each
+    integer into every pool word, as SeedSequence mixes the entropy words past
+    its pool (the spawn key, and the run entropy beyond 128 bits)."""
+    p0, p1, p2, p3 = pool
+    for n in ints:
+        for w in (n,) if 0 <= n <= _M32 else _words(n):
+            # hashmix(w) then mix(p_i, .) into each pool word, unrolled: this
+            # is the per-replicate cost of a generator
+            a, h = h, h * _MULT_A & _M32
+            v = (w ^ a) * h & _M32
+            p0 = _MIX_MULT_L * p0 - _MIX_MULT_R * (v ^ v >> 16) & _M32
+            p0 ^= p0 >> 16
+            a, h = h, h * _MULT_A & _M32
+            v = (w ^ a) * h & _M32
+            p1 = _MIX_MULT_L * p1 - _MIX_MULT_R * (v ^ v >> 16) & _M32
+            p1 ^= p1 >> 16
+            a, h = h, h * _MULT_A & _M32
+            v = (w ^ a) * h & _M32
+            p2 = _MIX_MULT_L * p2 - _MIX_MULT_R * (v ^ v >> 16) & _M32
+            p2 ^= p2 >> 16
+            a, h = h, h * _MULT_A & _M32
+            v = (w ^ a) * h & _M32
+            p3 = _MIX_MULT_L * p3 - _MIX_MULT_R * (v ^ v >> 16) & _M32
+            p3 ^= p3 >> 16
+    return (p0, p1, p2, p3), h
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_pool(seed):
+    """The pool and hash constant of SeedSequence(entropy=seed, spawn_key=k)
+    once its run entropy is hashed in, for any non-empty spawn key k: the
+    entropy words, zero-padded to the pool size, hashed into the pool, mixed
+    all to all, then the words past the pool mixed in. Cached per seed."""
+    words = _words(seed)
+    words += [0] * (4 - len(words))
+    h = _INIT_A
+    pool = []
+    for w in words[:4]:
+        v, h = _hashmix(w, h)
+        pool.append(v)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                r = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * v) & _M32
+                pool[dst] = r ^ r >> 16
+    return _mix_in(pool, h, words[4:])
+
+
+# generate_state's hash constant before each of its four output words, and after the last
+_OUT_HASH = tuple(_INIT_B * pow(_MULT_B, k, 1 << 32) & _M32 for k in range(5))
+
+
+def _philox_key(seed, spawn_key):
+    """The Philox key of a stream: the two words of
+    SeedSequence(entropy=seed, spawn_key=spawn_key).generate_state(2, np.uint64),
+    as Python ints. spawn_key is a non-empty tuple of integers >= 0."""
+    pool, h = _seed_pool(seed)
+    (p0, p1, p2, p3), _ = _mix_in(pool, h, spawn_key)
+    h0, h1, h2, h3, h4 = _OUT_HASH
+    p0 = (p0 ^ h0) * h1 & _M32
+    p1 = (p1 ^ h1) * h2 & _M32
+    p2 = (p2 ^ h2) * h3 & _M32
+    p3 = (p3 ^ h3) * h4 & _M32
+    return p0 ^ p0 >> 16 | (p1 ^ p1 >> 16) << 32, p2 ^ p2 >> 16 | (p3 ^ p3 >> 16) << 32
+
+
+# Philox's first counter, which it copies; it reads an array faster than the int 0
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.setflags(write=False)
+
+
+def _philox_seed(key):
+    """The seed object that hands Philox `key`; unpickling rebuilds it here."""
+    return _numpy_random()[2](key)
+
+
+@functools.cache
+def _numpy_random():
+    """numpy.random's Generator and Philox, and the seed class of an RngStream's
+    Philox, made on the first generator() call: importing numpy.random costs
+    about 14 ms that an import or a build should not pay."""
+    from numpy.random import Generator, Philox
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        """generate_state(2, np.uint64) returns the stream's key, so Philox
+        neither builds a SeedSequence nor reads OS entropy. It cannot spawn:
+        Generator.spawn raises TypeError."""
+
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
+                raise ValueError("a Philox key is generate_state(2, np.uint64)")
+            return np.array(self.key, dtype=np.uint64)
+
+        def __reduce__(self):
+            return _philox_seed, (self.key,)
+
+    return Generator, Philox, PhiloxKey
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Reproducible, splittable random stream keyed by (seed, stream_id).
 
-    Identical (seed, stream_id, lineage) always yields an identical generator
-    (counter-based Philox under a SeedSequence), so replicate r of a run can
-    be redrawn in isolation. substream(i) derives an independent child used
-    for per-germ or per-replicate randomness.
+    The stream's generator is, bit for bit, numpy's
+
+        Generator(Philox(SeedSequence(seed, spawn_key=(stream_id, *lineage))))
+
+    so any replicate's stream can be re-derived with numpy alone, and
+    replicate r of a run can be redrawn in isolation. The Philox key is
+    computed here in Python, with SeedSequence's pool for each seed cached,
+    which halves the cost of a generator; seed, stream_id and the lineage
+    entries must be integers >= 0 (else generator() raises ValueError). The
+    generator's seed object holds only the key, so rng.spawn() is not
+    supported: substream(i) derives an independent child stream, used for
+    per-germ or per-replicate randomness.
     """
 
     seed: int
@@ -229,13 +381,13 @@ class RngStream:
     lineage: tuple = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "lineage", tuple(int(v) for v in self.lineage))
+        if type(self.lineage) is not tuple or self.lineage:  # the default () needs no work
+            object.__setattr__(self, "lineage", tuple(int(v) for v in self.lineage))
 
     def generator(self):
-        key = np.random.SeedSequence(
-            entropy=int(self.seed), spawn_key=(int(self.stream_id),) + self.lineage
-        )
-        return np.random.Generator(np.random.Philox(key))
+        generator, philox, seed = _numpy_random()
+        key = _philox_key(int(self.seed), (int(self.stream_id),) + self.lineage)
+        return generator(philox(seed(key), counter=_ZERO_COUNTER))
 
     def substream(self, i):
         return RngStream(self.seed, self.stream_id, self.lineage + (int(i),))
@@ -243,6 +395,8 @@ class RngStream:
 
 def config_hash(config):
     """Stable short hash of a JSON-serializable config (meta provenance)."""
+    import hashlib  # about 3 ms to import, which a build or a draw does not need
+
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 

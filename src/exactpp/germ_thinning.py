@@ -156,9 +156,29 @@ class InverseSquareGrid(_GridBase):
         return -np.expm1(-self.C / (ks + 1.0) ** 2)
 
     def survival(self, n):
-        from scipy import special
+        return math.exp(-self.C * _trigamma(n + 2))
 
-        return float(np.exp(-self.C * special.polygamma(1, n + 2)))
+
+# Bernoulli numbers B_2, B_4, ..., B_18: the trigamma series' coefficients
+_TRIGAMMA_SERIES = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                    -3617 / 510, 43867 / 798)
+
+
+def _trigamma(x):
+    """psi_1(x) = sum_{k>=0} 1/(x+k)^2 for x > 0: the recurrence
+    psi_1(x) = 1/x^2 + psi_1(x+1) up to x >= 6, then the asymptotic series
+    1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1), whose first omitted term is about
+    1e-13 relative there."""
+    head = 0.0
+    while x < 6:
+        head += 1.0 / (x * x)
+        x += 1
+    t = 1.0 / x
+    t2 = t * t
+    tail = 0.0
+    for b in reversed(_TRIGAMMA_SERIES):
+        tail = (tail + b) * t2
+    return head + t + 0.5 * t2 + t * tail
 
 
 def thin_grid(spec, rng):

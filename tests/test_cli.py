@@ -264,6 +264,40 @@ def test_absurd_mean_per_draw_exits_3_at_build(tmp_path, capsys, cfg):
     assert err.startswith("sampler error:") and "exceeds the limit 1e+09" in err
 
 
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        ({"progeny_mean": 1.0},
+         "sampler error: truncation certificate requires subcritical progeny (mass < 1)"),
+        ({"rate0": 1e20}, "sampler error: mean point count 2.5e+20 exceeds the limit 1e+09"),
+    ],
+    ids=["supercritical", "absurd-rate"],
+)
+def test_branching_approx_refusals_exit_3_at_build(tmp_path, capsys, params, message):
+    cfg = json.loads((CONFIG_DIR / "branching_approx.json").read_text())
+    cfg["params"].update(params)
+    rc, outdir = _sample(tmp_path, cfg)
+    assert rc == 3
+    assert capsys.readouterr().err.strip() == message
+    assert not outdir.exists()
+
+
+def test_branching_approx_build_draws_nothing(monkeypatch):
+    from exactpp import branching_approx, cli
+    from exactpp.core import RngStream
+
+    cfg = cli.load_config(str(CONFIG_DIR / "branching_approx.json"))
+    cert = cli.build(cfg)["meta"]["truncation_certificate"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the build drew a sample")
+
+    monkeypatch.setattr(branching_approx, "approx_branching_sample", refuse)
+    monkeypatch.setattr(RngStream, "generator", refuse)
+    built = cli.build(cfg)
+    assert built["meta"]["truncation_certificate"] == cert == {"n": 3, "gamma": 2.0, "bound": 0.25}
+
+
 # -- validation rejection exits 1 ---------------------------------------------------
 
 

@@ -1,7 +1,9 @@
 """Windows, point patterns, CSV round trips, RNG streams, and the thinning
 step every sampler is built from."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from exactpp import (
     SamplerError,
     Window,
 )
+from exactpp import core
 from exactpp.core import thin
 
 UNIT = Window((0.0,), (1.0,))
@@ -122,6 +125,84 @@ def test_rng_stream_reproducible_and_splittable():
     assert np.array_equal(sub1, sub1_again)
     assert not np.array_equal(sub1, sub2)
     assert not np.array_equal(sub1, a)
+
+
+SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1]
+STREAM_IDS = [0, 20_000, 30_000, 2**33]
+LINEAGES = [(), (10_001,), (10_002, 2**40 + 3), (7, 2**64 + 9, 10_001)]
+
+
+def _numpy_generator(seed, spawn_key):
+    """The generator numpy's own SeedSequence path gives: the oracle."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
+    return np.random.Generator(np.random.Philox(seq))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stream_key_and_words_match_numpy_seed_sequence(seed):
+    for stream_id in STREAM_IDS:
+        for lineage in LINEAGES:
+            spawn_key = (stream_id, *lineage)
+            want = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
+            key = core._philox_key(seed, spawn_key)
+            assert key == tuple(int(v) for v in want.generate_state(2, np.uint64))
+            rng = RngStream(seed, stream_id, lineage).generator()
+            assert rng.bit_generator.state["state"]["key"].tolist() == list(key)
+            ref = _numpy_generator(seed, spawn_key)
+            assert np.array_equal(rng.bit_generator.random_raw(16),
+                                  ref.bit_generator.random_raw(16))
+
+
+def test_substream_is_the_stream_with_a_longer_lineage():
+    stream = RngStream(5, 30_000).substream(10_001).substream(2**40)
+    assert stream == RngStream(5, 30_000, [10_001, np.int64(2**40)])
+    assert stream.lineage == (10_001, 2**40) and RngStream(5).lineage == ()
+    rng = stream.generator()
+    assert np.array_equal(rng.random(16), _numpy_generator(5, (30_000, 10_001, 2**40)).random(16))
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [RngStream(-1), RngStream(3, -2), RngStream(3, 0, (4, -1)), RngStream(3).substream(-5)],
+    ids=["seed", "stream-id", "lineage", "substream"],
+)
+def test_negative_stream_words_raise_value_error(stream):
+    with pytest.raises(ValueError):
+        stream.generator()
+
+
+@pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_generator_survives_pickling_and_copying(clone):
+    rng = RngStream(17, 2, (9,)).generator()
+    head = rng.random(5)
+    twin = clone(rng)
+    assert np.array_equal(twin.random(40), rng.random(40))
+    assert np.array_equal(head, _numpy_generator(17, (2, 9)).random(5))
+
+
+def test_live_generators_of_one_stream_share_no_state():
+    a, b = RngStream(8, 3).generator(), RngStream(8, 3).generator()
+    a.random(1000)
+    assert np.array_equal(b.random(10), _numpy_generator(8, (3,)).random(10))
+    assert a.bit_generator.seed_seq is not b.bit_generator.seed_seq
+
+
+def test_stream_generator_cannot_spawn():
+    rng = RngStream(8, 3).generator()
+    assert not isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence)
+    with pytest.raises(TypeError):
+        rng.spawn(1)
+    with pytest.raises(ValueError):
+        rng.bit_generator.seed_seq.generate_state(4, np.uint32)
+
+
+def test_seed_cache_stays_bounded():
+    for seed in range(10_000, 20_000):
+        RngStream(seed, 1).generator()
+    info = core._seed_pool.cache_info()
+    assert info.maxsize == 64
+    assert info.currsize <= 64
 
 
 # -- point-pattern algebra ----------------------------------------------------------

@@ -114,6 +114,16 @@ def test_inverse_square_survival_closed_form():
     assert grid.survival(n) == pytest.approx(direct, rel=1e-4)
 
 
+@pytest.mark.parametrize("ns", [range(201), [10**k for k in range(3, 8)]], ids=["0-200", "1e3-1e7"])
+def test_trigamma_matches_scipy(ns):
+    from scipy import special
+
+    from exactpp.germ_thinning import _trigamma
+
+    for n in ns:
+        assert _trigamma(n + 2) == pytest.approx(float(special.polygamma(1, n + 2)), rel=1e-12, abs=0)
+
+
 def test_thin_matches_thin_after_oracle():
     # the backward last-site construction must agree with forward independent
     # coins on a finite table

@@ -3,8 +3,8 @@ Brix-Kendall, Boolean, Poisson-line and renewal demo configs and drawing from
 them load no scipy module. `exactpp sample` with validation on loads no scipy
 module for the configs whose validation is a mean check and a two-sample KS
 test against an oracle, since that test's p-value is computed with numpy
-alone. scipy is imported only inside the routines that call it (quadrature,
-the trigamma tail, and the one-sample KS and chi-square tests), so a fresh
+alone. scipy is imported only inside the routines that call it (quadrature
+and the one-sample KS and chi-square tests), so a fresh
 process shows what a cold run pays. Nor does such a run load the modules of
 samplers other than the one its config names, or concurrent.futures when it
 runs with one worker."""
@@ -127,3 +127,29 @@ def test_validated_sample_loads_only_its_sampler(config, validated_sample):
     expected = ["cli", "core", "validation", *SAMPLER_MODULES[config]]
     assert run["exactpp"] == sorted(f"exactpp.{m}" for m in expected)
     assert not run["futures"]
+
+
+BUILD_SCRIPT = """
+import json, sys
+from pathlib import Path
+import exactpp.cli as cli
+after_import = "numpy.random" in sys.modules
+for path in sorted(Path("configs").glob("*.json")):
+    cli.build(cli.load_config(str(path)))
+print(json.dumps([after_import, "numpy.random" in sys.modules]))
+"""
+
+
+def test_import_and_demo_builds_load_no_numpy_random():
+    """numpy.random costs about 14 ms to import; only drawing should pay it."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", BUILD_SCRIPT],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == [False, False]
