@@ -18,6 +18,7 @@ closed form. Draws return numpy arrays only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,6 +53,7 @@ class DiskWindow:
     def __post_init__(self):
         c = tuple(float(v) for v in np.atleast_1d(self.center))
         object.__setattr__(self, "center", c)
+        object.__setattr__(self, "_center", np.array(c))  # the centre as an array, made once
         if len(c) != 2:
             raise ConfigError("disk window lives in the plane")
         if not self.radius > 0:
@@ -59,12 +61,9 @@ class DiskWindow:
 
 
 def box_distance(points, window):
-    """Euclidean distance from each point to the closed box (0 inside)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    lo = np.asarray(window.lower)
-    hi = np.asarray(window.upper)
-    gap = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
-    return np.sqrt(np.sum(gap**2, axis=1))
+    """Euclidean distance from each row of an (n, dim) array to the closed box (0 inside)."""
+    gap = np.maximum(np.maximum(window.lo - points, points - window.hi), 0.0)
+    return np.sqrt(np.add.reduce(gap * gap, axis=1))
 
 
 # -- radius laws --------------------------------------------------------------
@@ -148,7 +147,8 @@ class DiskGrains:
     uniform on W + B(r) by rejection from the box W buffered by r
     (acceptance at least pi/4). No radius law needs a truncation. A negative
     rate or a mean count above core.MAX_MEAN_POINTS raises SamplerError
-    before anything is drawn.
+    before anything is drawn. The Steiner weights are computed once per
+    radius law and window, at the first draw.
     """
 
     radius_law: object
@@ -157,27 +157,31 @@ class DiskGrains:
         """The kept pairs on a 2-D box window, as arrays: {"germs": (n, 2), "radii": (n,)}."""
         _need_plane(window, "disk grains need a 2-D window")
         law = self.radius_law
-        perimeter = 2.0 * float(np.sum(window.sides))
-        # the Steiner weights (A, P E R, pi E R^2), their partial sums and total
-        w0, w1 = window.volume(), perimeter * law.moment(1)
-        total = w0 + w1 + math.pi * law.moment(2)
+        partial, total = _steiner(law, window)
         n = rng.poisson(_mean_count(rate, total))
-        terms = np.searchsorted((w0, w0 + w1), rng.random(n) * total, side="right")
+        terms = np.searchsorted(partial, rng.random(n) * total, side="right")
         radii = np.empty(n)
         for k in range(3):
             at = terms == k
             radii[at] = law.sample_biased(k, np.count_nonzero(at), rng)
 
-        lo, hi = np.asarray(window.lower), np.asarray(window.upper)
         germs = np.empty((n, 2))
         todo = np.arange(n)
         while todo.size:
             r = radii[todo]
-            cand = lo - r[:, None] + rng.random((todo.size, 2)) * (hi - lo + 2.0 * r[:, None])
+            cand = window.lo - r[:, None] + rng.random((todo.size, 2)) * (
+                window.sides + 2.0 * r[:, None])
             ok = box_distance(cand, window) <= r
             germs[todo[ok]] = cand[ok]
             todo = todo[~ok]
         return {"germs": germs, "radii": radii}
+
+
+@functools.lru_cache(maxsize=16)
+def _steiner(law, window):
+    """Partial sums and total of the Steiner weights (A, P E R, pi E R^2) on a 2-D box."""
+    w0, w1 = window.volume(), 2.0 * float(np.sum(window.sides)) * law.moment(1)
+    return (w0, w0 + w1), w0 + w1 + math.pi * law.moment(2)
 
 
 @dataclass(frozen=True)
@@ -192,9 +196,9 @@ class SegmentGrains:
 
     def endpoints(self, x, theta):
         """End points of the segments at germs x (..., 2) with angles theta (...)."""
-        theta = np.asarray(theta, dtype=float)
-        h = 0.5 * self.length * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        x = np.asarray(x, dtype=float)
+        h = np.empty(np.shape(theta) + (2,))
+        h[..., 0], h[..., 1] = np.cos(theta), np.sin(theta)
+        h *= 0.5 * self.length
         return x - h, x + h
 
     def draw(self, rate, window, rng):
@@ -221,8 +225,8 @@ def segment_hits_box(p0, p1, window):
     bool, or a boolean array over the leading axes.
     """
     p0 = np.asarray(p0, dtype=float)
-    d = np.asarray(p1, dtype=float) - p0
-    lo, hi = np.asarray(window.lower), np.asarray(window.upper)
+    d = p1 - p0
+    lo, hi = window.lo, window.hi
     flat = np.abs(d) < 1e-300  # parallel to the slab: inside it or never
     outside = (flat & ((p0 < lo) | (p0 > hi))).any(axis=-1)
     step = np.where(flat, 1.0, d)
@@ -278,12 +282,8 @@ def hit_prob_poisson_line(xs, radius):
     (1/pi) * arcsin(radius / ||x||), the fraction of directions whose ray
     meets the disk.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    d = np.linalg.norm(xs, axis=1)
-    p = np.ones(d.shape[0])
-    far = d >= radius
-    p[far] = np.arcsin(radius / d[far]) / np.pi
-    return p
+    d = np.sqrt(np.add.reduce(xs * xs, axis=1))  # np.linalg.norm's sum, without its wrapping
+    return np.where(d >= radius, np.arcsin(radius / np.maximum(d, radius)) / np.pi, 1.0)
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,7 @@ def sample_poisson_lines(rate, target, germ_region, rng):
     another dimension raises ConfigError.
     """
     _need_plane(germ_region, "poisson lines need a 2-D germ region")
-    center = np.asarray(target.center)
+    center = target._center
     cand = sample_homogeneous(germ_region, rate, rng).points - center  # target-centered frame
     x = thin(cand, hit_prob_poisson_line(cand, target.radius), rng)
     return LineSample(x + center, _line_angles(x, target.radius, rng), target)

@@ -75,11 +75,18 @@ def certificate_generations_for(eps, rate0, progeny_mass, vol_w):
     return max(int(math.ceil(ratio - 1e-12)), 0)
 
 
+_last_check = ((None,) * 4, None)  # the arguments and result of the last _checked call
+
+
 def _checked(rate0, progeny, window, n):
     """The progeny mass, the certificate and the germ region of a draw of
     generations 0..n, after every refusal that comes before its first random
     number: n < 0, an unbounded displacement, rho >= 1, and a germ region whose
-    mean count exceeds MAX_MEAN_POINTS."""
+    mean count exceeds MAX_MEAN_POINTS. A call with the very (frozen) objects
+    of the last call returns its result: one built sampler checks once."""
+    global _last_check
+    if all(a is b for a, b in zip(_last_check[0], (rate0, progeny, window, n))):
+        return _last_check[1]
     if n < 0:
         raise SamplerError("generation count must be nonnegative")
     radius = getattr(progeny.displacement, "support_radius", None)
@@ -89,6 +96,7 @@ def _checked(rate0, progeny, window, n):
     cert = _certificate(rate0, rho, window.volume(), n)
     region = window.buffered(n * float(radius))
     _mean_count(rate0, region.volume())
+    _last_check = (rate0, progeny, window, n), (rho, cert, region)
     return rho, cert, region
 
 
@@ -98,7 +106,8 @@ def approx_branching_sample(rate0, progeny, window, n, rng, point_cap=POINT_CAP)
     progeny supplies the per-point brood: total_mean (the progeny mass rho)
     and a displacement with a finite Euclidean support_radius.  The germ is
     drawn on the n*R-buffered window, so the returned restriction is exactly
-    distributed; the certificate bounds only the dropped generations.
+    distributed; the certificate bounds only the dropped generations. Draws
+    with the objects of the last call reuse its checks, certificate and buffer.
     """
     rho, cert, region = _checked(rate0, progeny, window, n)
     current = sample_homogeneous(region, rate0, rng).points

@@ -410,7 +410,7 @@ def _build_renewal(p, window):
     hazard = _gamma_hazard(shape, scale)
 
     def thin_p(ts):
-        return np.exp(-thin_rate * np.asarray(ts, dtype=float))
+        return np.exp(-thin_rate * ts)
 
     def p_tail(t):
         return math.exp(-thin_rate * t) / thin_rate
@@ -438,7 +438,7 @@ def _build_matern(p, window):
     thin_p = p.get("thin_p", float, 1.0, _UNIT)
 
     def thin_fn(pts):
-        return np.full(np.atleast_2d(pts).shape[0], thin_p)
+        return thin_p  # one retention probability for every point; it broadcasts
 
     def sample(rng):
         return matern_thin_first(rate, radius, thin_fn, window, rng)

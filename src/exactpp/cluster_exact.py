@@ -36,9 +36,11 @@ __all__ = [
     "BrixKendallSampler",
 ]
 
+
 @dataclass(frozen=True)
 class UniformDisplacement:
-    """Cluster-point displacement uniform on a box [lo_1,hi_1]x...x[lo_m,hi_m]."""
+    """Cluster-point displacement uniform on a box [lo_1,hi_1]x...x[lo_m,hi_m];
+    its corners and side lengths are also kept as read-only arrays, made once."""
 
     lo: tuple
     hi: tuple
@@ -50,6 +52,10 @@ class UniformDisplacement:
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi) or not all(a < b for a, b in zip(lo, hi)):
             raise SamplerError("displacement box needs lo < hi per axis")
+        box = np.array((lo, hi, np.subtract(hi, lo)))
+        box.setflags(write=False)  # its rows are views, read-only too
+        for name, row in zip(("_lo", "_hi", "_width"), box):
+            object.__setattr__(self, name, row)
 
     @property
     def dim(self):
@@ -62,23 +68,22 @@ class UniformDisplacement:
         return float(np.sqrt(np.sum(corner**2)))
 
     def sample(self, n, rng):
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return lo + rng.random((int(n), self.dim)) * (hi - lo)
+        return self._lo + rng.random((int(n), self.dim)) * self._width
 
-    def _overlap(self, xs, window):
-        """Corners (lo, hi) of (x + box) ∩ W for each germ row x; empty where lo >= hi."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.maximum(xs + self.lo, window.lower), np.minimum(xs + self.hi, window.upper)
+    def overlap(self, xs, window):
+        """Corners (lo, hi) of (x + box) ∩ W for each row x of the (k, dim) array
+        xs; the overlap is empty where lo >= hi."""
+        return np.maximum(xs + self._lo, window.lo), np.minimum(xs + self._hi, window.hi)
 
-    def prob_in(self, xs, window):
-        """P(x + D in W) for each germ row x (closed form, product of overlaps)."""
-        lo, hi = self._overlap(xs, window)
-        return np.prod(np.clip(hi - lo, 0.0, None) / np.subtract(self.hi, self.lo), axis=1)
+    def prob_in(self, corners):
+        """P(x + D in W) for each germ row x from the corners of its overlap
+        (closed form, product of overlaps)."""
+        lo, hi = corners
+        return np.multiply.reduce(np.maximum(hi - lo, 0.0) / self._width, axis=1)
 
-    def sample_in(self, xs, counts, window, rng):
-        """counts[i] points uniform on (xs[i] + box) ∩ W for each germ row, concatenated."""
-        lo, hi = (np.repeat(c, counts, axis=0) for c in self._overlap(xs, window))
+    def sample_in(self, corners, counts, rng):
+        """counts[i] points uniform on the i-th overlap (corners from overlap), concatenated."""
+        lo, hi = (np.repeat(c, counts, axis=0) for c in corners)
         return lo + rng.random(lo.shape) * (hi - lo)
 
 
@@ -108,7 +113,8 @@ class TranslatedPoissonCluster:
         return self.displacement.dim
 
     def mass_in(self, xs, window):
-        return self.total_mean * self.displacement.prob_in(xs, window)
+        d = self.displacement
+        return self.total_mean * d.prob_in(d.overlap(xs, window))
 
     def retention(self, xs, window):
         return -np.expm1(-self.mass_in(xs, window))
@@ -119,13 +125,10 @@ class TranslatedPoissonCluster:
             [-h for h in self.displacement.hi], [-l for l in self.displacement.lo]
         )
 
-    def sample_offsets(self, counts, rng):
-        """Concatenated displacements for clusters of the given sizes."""
-        return self.displacement.sample(int(np.sum(counts)), rng)
-
-    def sample_conditioned(self, germs, lam, window, rng):
-        """In-window points of clusters at the germ rows (k, dim), each cluster
-        conditioned on hitting W, and the germ row owning each point.
+    def sample_conditioned(self, corners, lam, rng):
+        """In-window points of clusters at k germs, each cluster conditioned on
+        hitting W, and the k cluster sizes; corners are the germs' overlaps
+        (x + box) ∩ W, from displacement.overlap.
 
         lam holds mass_in(germs, W): the in-W count at x is Poisson(lam). Given a
         hit it is 1 + Poisson(lam - T1), with T1 the first arrival of a unit-rate
@@ -137,8 +140,7 @@ class TranslatedPoissonCluster:
         first = -np.log1p(rng.random(lam.size) * np.expm1(-lam))
         # log1p and expm1 round independently, so T1 <= lam is not guaranteed to the ulp
         counts = 1 + rng.poisson(np.maximum(lam - first, 0.0))
-        owner = np.repeat(np.arange(lam.size), counts)
-        return self.displacement.sample_in(germs, counts, window, rng), owner
+        return self.displacement.sample_in(corners, counts, rng), counts
 
 
 class BrixKendallSampler:
@@ -152,11 +154,13 @@ class BrixKendallSampler:
 
     The displacement is bounded, so the germ region (every germ whose
     cluster can reach the window) is a box and no germ is truncated away.
+    The germ region and the germ's bound are fixed when the sampler is built;
+    a draw computes each germ's overlap with the window once.
     """
 
     def __init__(self, germ, kernel, window):
-        if kernel.dim != window.dim:
-            raise SamplerError("kernel and window dimension mismatch")
+        if not kernel.dim == window.dim == getattr(germ, "dim", window.dim):
+            raise SamplerError("germ, kernel and window dimension mismatch")
         self.germ = germ
         self.kernel = kernel
         self.window = window
@@ -196,21 +200,23 @@ class BrixKendallSampler:
 
     def sample_retained_germs(self, rng):
         """Thinned germ: Poisson with density p(x) mu(x) on the germ region, as
-        rows (k, dim), and lam = K(x, W - x) at each row, which gave p(x) =
-        1 - exp(-lam)."""
+        rows (k, dim); lam = K(x, W - x) at each row, which gave p(x) =
+        1 - exp(-lam); and the corners of each row's overlap (x + box) ∩ W."""
         if self._thinned is None:
-            return np.empty((0, self.window.dim)), np.empty(0)
+            return (empty := np.empty((0, self.window.dim))), np.empty(0), (empty, empty)
         bound = self._thinned.bound
         germs = sample_homogeneous(self.region, bound, rng).points
-        lam = self.kernel.mass_in(germs, self.window)
+        disp = self.kernel.displacement
+        corners = disp.overlap(germs, self.window)
+        lam = self.kernel.total_mean * disp.prob_in(corners)  # mass_in, from the corners
         if len(germs):
             p = -np.expm1(-lam) * self.germ.density_at(germs) / bound
             keep = thin(np.arange(len(germs)), p, rng)
-            germs, lam = germs[keep], lam[keep]
-        return germs, lam
+            germs, lam, corners = germs[keep], lam[keep], (corners[0][keep], corners[1][keep])
+        return germs, lam, corners
 
     def sample(self, rng):
         """One exact draw of the cluster process restricted to the window."""
-        germs, lam = self.sample_retained_germs(rng)
-        points, _ = self.kernel.sample_conditioned(germs, lam, self.window, rng)
+        _, lam, corners = self.sample_retained_germs(rng)
+        points, _ = self.kernel.sample_conditioned(corners, lam, rng)
         return PointPattern(points, dim=self.window.dim)

@@ -27,6 +27,7 @@ import csv
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,10 +66,10 @@ class Window:
     """Axis-aligned box [lower_1, upper_1] x ... x [lower_m, upper_m].
 
     Bounds are strict: lower < upper on every axis, so the window always has
-    positive volume.  The side lengths (a read-only array `sides`), the volume
-    and the bound arrays are computed once, when the window is made; equality
-    and hashing use lower and upper only.  The window also keeps the last
-    window `buffered` made from it.
+    positive volume.  The side lengths and the bounds as read-only arrays
+    (`sides`, `lo`, `hi`) and the volume are computed once, when the window is
+    made; equality and hashing use lower and upper only.  The window also
+    keeps the last window `buffered` made from it.
     """
 
     lower: tuple
@@ -88,7 +89,7 @@ class Window:
         object.__setattr__(self, "_volume", math.prod(sides))
         rows = np.array((sides, lo, hi))
         rows.setflags(write=False)  # its rows are views, read-only too
-        for name, row in zip(("sides", "_lo", "_hi"), rows):
+        for name, row in zip(("sides", "lo", "hi"), rows):
             object.__setattr__(self, name, row)
         object.__setattr__(self, "_buffer", (None, None))
 
@@ -100,9 +101,8 @@ class Window:
         return self._volume
 
     def contains(self, points):
-        """Boolean mask of rows of `points` inside the closed box."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return ((pts >= self._lo) & (pts <= self._hi)).all(axis=1)
+        """Boolean mask of the rows of `points`, an (n, dim) array, inside the closed box."""
+        return ((points >= self.lo) & (points <= self.hi)).all(axis=1)
 
     def buffered(self, r):
         """Window inflated by r >= 0 on every side (Minkowski sum with a box).
@@ -128,7 +128,7 @@ class Window:
 
     def sample_uniform(self, n, rng):
         """n i.i.d. uniform points in the box, shape (n, dim)."""
-        return self._lo + rng.random((int(n), self.dim)) * self.sides
+        return self.lo + rng.random((int(n), self.dim)) * self.sides
 
 
 def _as_points(points, dim=None):
@@ -190,18 +190,24 @@ class PointPattern:
 
         Each value is its shortest round-trip decimal (repr), with -0.0
         written as 0.0 so that files are stable; every line ends in a line
-        feed. The text is encoded once and written in one binary write.
+        feed. The text is encoded once and handed to os.write on a descriptor
+        from os.open, with open()'s file mode and no file object, until every
+        byte is written; the descriptor is closed on any error.
         """
-        header = [f"x{i + 1}" for i in range(self.dim)]
+        header, row = _csv_layout(self.dim, self.marks is not None)
         cols = self.points
         if self.marks is not None:
-            header.append("mark")
-            cols = np.column_stack([cols, self.marks])
-        row = ",".join(["%r"] * len(header)) + "\n"  # %r is repr
+            cols = np.empty((self.n, self.dim + 1))
+            cols[:, :-1], cols[:, -1] = self.points, self.marks
         # adding 0.0 turns -0.0 into 0.0 and leaves every other value alone
-        body = (row * len(cols)) % tuple((cols + 0.0).ravel().tolist())
-        with open(path, "wb") as fh:
-            fh.write((",".join(header) + "\n" + body).encode())
+        data = memoryview((header + row * self.n % tuple((cols + 0.0).ravel().tolist())).encode())
+        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)  # open()'s "wb"
+        fd = os.open(path, flags, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
 
     @classmethod
     def from_csv(cls, path):
@@ -221,6 +227,13 @@ class PointPattern:
             marks=np.asarray(marks) if has_marks else None,
             dim=dim,
         )
+
+
+@functools.cache
+def _csv_layout(dim, marks):
+    """The header line and the row format (%r is repr) of a pattern's CSV."""
+    names = [f"x{i + 1}" for i in range(dim)] + ["mark"] * marks
+    return ",".join(names) + "\n", ",".join(["%r"] * len(names)) + "\n"
 
 
 # -- replicate streams --------------------------------------------------------
@@ -459,8 +472,8 @@ class LebesgueIntensity:
         return self.rate
 
     def density_at(self, points):
-        pts = _as_points(points, self.dim)
-        return np.full(pts.shape[0], float(self.rate))
+        """The density at every row of points: the rate, a scalar that broadcasts."""
+        return float(self.rate)
 
 
 @dataclass(frozen=True)

@@ -221,13 +221,11 @@ def renewal_thin_first(hazard, bound, thin_p, rng, p_upper=None, p_tail=None, p_
     times = np.sort(sample_homogeneous(Window((0.0,), (upper,)), bound, rng).points[:, 0])
     flags = np.zeros(times.size, bool)
     flags[thin(np.arange(times.size), thin_p(times), rng)] = True
-    if p_upper is None:  # the stream ends at the last candidate
-        times, flags = np.append(times, upper), np.append(flags, True)
-    if not flags.any():
+    end = [upper] if p_upper is None else []  # the stream ends at the last candidate
+    times, flags = times.tolist() + end, flags.tolist() + [True] * len(end)  # for the loop
+    if True not in flags:
         return PointPattern.empty(1)
-    cut = np.flatnonzero(flags)[-1] + 1
-    times, flags = times[:cut], flags[:cut]
-    heights = rng.random(cut)
+    heights = rng.random(len(flags) - flags[::-1].index(True)).tolist()  # up to the last one
 
     retained = []
     last_renewal = 0.0
@@ -245,25 +243,38 @@ def renewal_thin_first(hazard, bound, thin_p, rng, p_upper=None, p_tail=None, p_
 def _last_candidate(p_tail, y, bound):
     """The t with p_tail(t) = y, for 0 < y < p_tail(0) and p_tail decreasing.
 
-    Doubles a bracket from [0, 1], then bisects it to adjacent floats and
-    returns the upper end, the first float with p_tail(t) <= y. A bracket
+    Doubles a bracket from [0, 1], then narrows it to adjacent floats with
+    p_tail(lo) > y >= p_tail(hi) and returns hi, the first float with
+    p_tail(t) <= y for a tail that does not increase in floats. The steps are
+    secant steps on log p_tail through the last two evaluations, moved toward
+    the midpoint by 2^k ulps after k moves of one end so that they cross the
+    root, and a bisection whenever two steps leave more than half the bracket:
+    a handful of tail evaluations where bisection takes about 55. A bracket
     whose rate-`bound` stream would pass core.MAX_MEAN_POINTS raises
     SamplerError, so a tail that never falls to y stops.
     """
-    lo, hi = 0.0, 1.0
-    while p_tail(hi) > y:
-        lo, hi = hi, 2.0 * hi
+    def g(p):  # log(p / y), the secant's value; only p > y decides a side
+        return math.log(p / y) if p / y > 0 else -math.inf
+
+    lo, hi, g_lo = 0.0, 1.0, math.inf  # p_tail(0) is not evaluated
+    while (p := p_tail(hi)) > y:
+        lo, hi, g_lo = hi, 2.0 * hi, g(p)
         if bound * hi > MAX_MEAN_POINTS:
             raise SamplerError(f"p_tail stays above {y:.3g} past t = {lo:.3g}: the stream "
                                f"would exceed {MAX_MEAN_POINTS:.0e} points")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return hi
-        if p_tail(mid) > y:
-            lo = mid
+    a, g_a, b, g_b = lo, g_lo, hi, g(p)  # the last two evaluations, b the latest
+    streak, limit, last = 0, math.inf, math.inf
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        t = b - g_b * (b - a) / (g_b - g_a) if hi - lo <= limit and g_a != g_b else mid
+        nudge = math.ulp(hi) * 2.0 ** min(abs(streak), 60)
+        t = t + math.copysign(nudge, mid - t) if lo < t < hi and abs(mid - t) > nudge else mid
+        limit, last = 0.5 * last, hi - lo
+        if (p := p_tail(t)) > y:
+            lo, streak = t, max(streak, 0) + 1
         else:
-            hi = mid
+            hi, streak = t, min(streak, 0) - 1
+        a, g_a, b, g_b = b, g_b, t, g(p)
+    return hi
 
 
 _GAMMA_ITERATIONS = 100_000  # far more than either expansion needs below a = 10^6
@@ -348,9 +359,9 @@ def _mark_minimal(points, marks, idx, radius):
     One (len(idx) x n) distance and mark comparison; a point's own mark is
     never smaller than itself, so it needs no exclusion.
     """
-    d2 = np.sum((points[None, :, :] - points[idx, None, :]) ** 2, axis=2)
+    d2 = np.add.reduce((points[None, :, :] - points[idx, None, :]) ** 2, axis=2)  # np.sum's sum
     beaten = (d2 <= radius**2) & (marks[None, :] < marks[idx, None])
-    return ~np.any(beaten, axis=1)
+    return ~beaten.any(axis=1)
 
 
 # -- non-linear self-exciting germ -------------------------------------------------
@@ -371,7 +382,7 @@ def nonlinear_hawkes_germ(
     b0, b1 = float(window.lower[0]), float(window.upper[0])
     lam = float(phi_bound)
     a = float(h_support)
-    expected_reach = float(np.exp(min(lam * a, 700.0)) / lam)
+    expected_reach = math.exp(min(lam * a, 700.0)) / lam
     if search_horizon is None:
         search_horizon = 60.0 * expected_reach + 10.0 * a
 

@@ -54,7 +54,7 @@ def cluster_direct_oracle(rate0, kernel, window, rng):
     if counts.sum() == 0:
         return PointPattern.empty(window.dim)
     parents = np.repeat(germs.points, counts, axis=0)
-    pts = parents + kernel.sample_offsets(counts, rng)
+    pts = parents + kernel.displacement.sample(int(counts.sum()), rng)
     return PointPattern(pts, dim=window.dim).restrict(window)
 
 

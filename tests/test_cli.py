@@ -2,6 +2,7 @@
 output, plot-data CSV shapes, and the validation battery's report plumbing."""
 
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -514,6 +515,50 @@ def test_hawkes_build_leaves_the_certified_curve_unbuilt(monkeypatch):
         built["sample"](RngStream(31, r).generator())
     assert calls == []
     assert set(built["meta"]) == {"theta", "rho_theta", "t0"}
+
+
+def _count_calls(monkeypatch, owner, name):
+    """A list that grows by one at each call of owner.name (a function, a
+    method or a property) until the test ends."""
+    calls = []
+    original = inspect.getattr_static(owner, name)
+    is_property = isinstance(original, property)
+    fn = original.fget if is_property else original
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, property(counting) if is_property else counting)
+    return calls
+
+
+@pytest.mark.parametrize("sampler, owner, name, per_draw", [
+    # one overlap (x + box) ∩ W per germ array serves both lam and the cluster points
+    ("brix_kendall", "cluster_exact.UniformDisplacement", "overlap", 1),
+    # the Steiner weights depend on the radius law and the window only
+    ("boolean_disks", "boolean_model.FixedRadius", "moment", 0),
+    # the build checks the branching config; its draws reuse the result
+    ("branching_approx", "cluster_exact.UniformDisplacement", "support_radius", 0),
+    ("branching_approx", "branching_approx", "_certificate", 0),
+])
+def test_draws_redo_no_build_time_work(monkeypatch, sampler, owner, name, per_draw):
+    """50 draws of a built sampler, after its first, call a helper whose result
+    the config fixes per_draw times each."""
+    import importlib
+
+    from exactpp import cli
+    from exactpp.core import RngStream
+
+    module, _, attr = owner.partition(".")
+    target = importlib.import_module(f"exactpp.{module}")
+    target = getattr(target, attr) if attr else target
+    built = cli.build(cli.load_config(str(CONFIG_DIR / f"{sampler}.json")))
+    built["sample"](RngStream(5, 0).generator())
+    calls = _count_calls(monkeypatch, target, name)
+    for r in range(1, 51):
+        built["sample"](RngStream(5, r).generator())
+    assert len(calls) == 50 * per_draw
 
 
 def test_parallel_sample_builds_once_per_process(tmp_path, monkeypatch):

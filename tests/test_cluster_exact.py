@@ -33,7 +33,8 @@ def _kernel(mean):
 
 
 def _conditioned(kernel, germs, window, rng):
-    return kernel.sample_conditioned(germs, kernel.mass_in(germs, window), window, rng)
+    corners = kernel.displacement.overlap(germs, window)
+    return kernel.sample_conditioned(corners, kernel.mass_in(germs, window), rng)
 
 
 # -- retention probability ------------------------------------------------------
@@ -72,8 +73,7 @@ def test_retention_monotone_in_cluster_mean():
 
 def _ztp_size_report(kernel, germ, lam, n, seed):
     # chi-square of the in-W sizes at n copies of one germ against ZTP(lam)
-    _, owner = _conditioned(kernel, np.tile(germ, (n, 1)), W10, _gen(seed))
-    sizes = np.bincount(owner, minlength=n)
+    _, sizes = _conditioned(kernel, np.tile(germ, (n, 1)), W10, _gen(seed))
     k_hi = 7
     norm = -math.expm1(-lam)
     probs = np.array([math.exp(-lam) * lam**k / math.factorial(k) / norm for k in range(1, k_hi)])
@@ -102,16 +102,16 @@ def test_conditioned_positions_are_uniform_on_the_overlap():
 
 def test_conditioned_cluster_always_hits_the_window():
     n = 500
-    points, owner = _conditioned(_kernel(0.5), np.zeros((n, 1)), W10, _gen(24))
-    assert np.all(np.bincount(owner, minlength=n) >= 1)
+    points, sizes = _conditioned(_kernel(0.5), np.zeros((n, 1)), W10, _gen(24))
+    assert sizes.shape == (n,) and np.all(sizes >= 1) and sizes.sum() == len(points)
     assert np.all(W10.contains(points))
 
 
 def test_germ_at_the_edge_of_reach_gets_exactly_one_point():
     # overlap 1e-12: conditioning probability ~2e-12, which has a law to sample
     germs = np.full((1_000, 1), -0.5 + 1e-12)
-    points, owner = _conditioned(_kernel(2.0), germs, W10, _gen(25))
-    assert np.array_equal(owner, np.arange(1_000))
+    points, sizes = _conditioned(_kernel(2.0), germs, W10, _gen(25))
+    assert np.array_equal(sizes, np.ones(1_000))
     assert np.all(W10.contains(points))
 
 
@@ -192,8 +192,10 @@ def test_retained_germs_carry_their_window_mass():
     sampler = BrixKendallSampler(LebesgueIntensity(1.0, 1), _kernel(2.0), W10)
     rng = _gen(30)
     for _ in range(50):
-        germs, lam = sampler.sample_retained_germs(rng)
+        germs, lam, (lo, hi) = sampler.sample_retained_germs(rng)
         assert np.array_equal(lam, sampler.kernel.mass_in(germs, W10))
+        assert np.array_equal(lo, np.maximum(germs - 0.5, 0.0))
+        assert np.array_equal(hi, np.minimum(germs + 0.5, 10.0))
 
 
 def test_mean_window_count_matches_intensity():
@@ -227,4 +229,6 @@ def test_two_dimensional_mean_window_count_matches_intensity():
 def test_dimension_mismatch_rejected():
     with pytest.raises(SamplerError, match="dimension mismatch"):
         BrixKendallSampler(LebesgueIntensity(1.0, 1), _kernel(2.0), Window((0.0, 0.0), (1.0, 1.0)))
+    with pytest.raises(SamplerError, match="dimension mismatch"):  # the germ's, at build
+        BrixKendallSampler(LebesgueIntensity(1.0, 2), _kernel(2.0), W10)
 

@@ -3,6 +3,7 @@ step every sampler is built from."""
 
 import copy
 import math
+import os
 import pickle
 
 import numpy as np
@@ -308,23 +309,79 @@ def _row_writer_csv(pattern, path):
             writer.writerow(row)
 
 
+def _mixed_values(rng, shape):
+    """Floats of every magnitude and sign, with some zeros of either sign."""
+    vals = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    return np.where(rng.random(shape) < 0.05, rng.choice([-0.0, 0.0], size=shape), vals)
+
+
 def test_csv_bytes_match_row_writer(tmp_path):
     rng = RngStream(7, 0).generator()
     odd = np.array([-0.0, 0.0, 1e-310, -2.5e22, 1.0 / 3.0, np.inf, -1e-5])
     patterns = [
-        PointPattern.empty(2),
-        PointPattern(np.empty((0, 1)), marks=np.empty(0), dim=1),
         PointPattern(rng.random(9) * 1e4 - 5e3, dim=1),
         PointPattern(rng.normal(size=(13, 2)), dim=2),
         PointPattern(rng.random((11, 3)), marks=rng.random(11) * 6.0, dim=3),
         PointPattern(np.column_stack([odd, odd[::-1]]), marks=-odd, dim=2),
         PointPattern(np.array([[-0.0]]), marks=np.array([-0.0]), dim=1),
     ]
+    # every layout: dims 1-3, with and without marks, at 0, 1 and 10^4 rows
+    for dim in (1, 2, 3):
+        for n in (0, 1, 10_000):
+            points = _mixed_values(rng, (n, dim))
+            patterns.append(PointPattern(points, dim=dim))
+            patterns.append(PointPattern(points, marks=_mixed_values(rng, n), dim=dim))
     for i, pat in enumerate(patterns):
         ours, ref = tmp_path / f"ours{i}.csv", tmp_path / f"ref{i}.csv"
         pat.to_csv(ours)
         _row_writer_csv(pat, ref)
         assert ours.read_bytes() == ref.read_bytes(), i
+        # the file mode is open()'s: 0o666 under the umask
+        assert os.stat(ours).st_mode == os.stat(ref).st_mode, i
+
+
+def test_csv_write_finishes_short_writes(tmp_path, monkeypatch):
+    rng = RngStream(8, 0).generator()
+    pat = PointPattern(_mixed_values(rng, (300, 2)), marks=rng.random(300), dim=2)
+    pat.to_csv(tmp_path / "whole.csv")
+    whole = (tmp_path / "whole.csv").read_bytes()
+    write, sizes = os.write, []
+
+    def short_write(fd, data):  # at most 7 bytes per call, as a slow device may take
+        sizes.append(write(fd, bytes(data[:7])))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", short_write)
+    pat.to_csv(tmp_path / "short.csv")
+    monkeypatch.undo()
+    assert (tmp_path / "short.csv").read_bytes() == whole
+    assert sum(sizes) == len(whole) and len(sizes) == -(-len(whole) // 7)
+
+
+def test_csv_write_error_closes_the_descriptor(tmp_path, monkeypatch):
+    opened, closed = [], []
+    real_open, real_close = os.open, os.close
+
+    def recording_open(*args):
+        opened.append(real_open(*args))
+        return opened[-1]
+
+    def full_disk(fd, data):
+        raise OSError(28, "No space left on device")
+
+    def recording_close(fd):
+        closed.append(fd)
+        real_close(fd)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(os, "write", full_disk)
+    monkeypatch.setattr(os, "close", recording_close)
+    with pytest.raises(OSError, match="No space left"):
+        PointPattern(np.ones((5, 2)), dim=2).to_csv(tmp_path / "full.csv")
+    monkeypatch.undo()
+    assert len(opened) == 1 and closed == opened
+    with pytest.raises(OSError):  # closed, not merely recorded
+        os.fstat(opened[0])
 
 
 def test_negative_zero_is_normalized_in_files(tmp_path):

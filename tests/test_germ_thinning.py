@@ -274,6 +274,47 @@ def test_last_candidate_inverts_the_tail_to_the_last_float():
         assert abs(t + math.log(y)) <= 2 * np.spacing(-math.log(y))
 
 
+def _bisected_last_candidate(p_tail, y):
+    """The reference search: doubling, then bisection to adjacent floats.
+    Returns the last candidate and the number of tail evaluations."""
+    calls = []
+
+    def tail(t):
+        calls.append(t)
+        return p_tail(t)
+
+    lo, hi = 0.0, 1.0
+    while tail(hi) > y:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if tail(mid) > y:
+            lo = mid
+        else:
+            hi = mid
+    return hi, len(calls)
+
+
+@pytest.mark.parametrize("name, p_tail, y_min", [
+    ("exp", lambda t: math.exp(-t), 1e-300),
+    ("exp-2.5", lambda t: math.exp(-2.5 * t) / 2.5, 1e-300),
+    ("harmonic", lambda t: 1.0 / (1.0 + t), 1e-8),  # the doubling stops at t = 1e9
+])
+def test_last_candidate_matches_bisection_in_a_few_evaluations(name, p_tail, y_min):
+    from exactpp.germ_thinning import _last_candidate
+
+    top = p_tail(0.0)
+    uniform = _gen(95).uniform(0.0, top, 5_000)  # about the law of a renewal draw's y
+    counts = []
+    for y in np.concatenate([uniform, np.geomspace(y_min, top, 5_000, endpoint=False)]).tolist():
+        calls = []
+        t = _last_candidate(lambda t: calls.append(t) or p_tail(t), y, 1.0)
+        ref, ref_calls = _bisected_last_candidate(p_tail, y)
+        assert t == ref, (name, y)
+        assert len(calls) <= 2 * ref_calls, (name, y)
+        counts.append(len(calls))
+    assert np.mean(counts[:uniform.size]) <= 15.0
+
+
 def test_renewal_checks_its_retention_description():
     thin = lambda t: np.exp(-np.asarray(t, dtype=float))
     with pytest.raises(SamplerError, match="p_upper"):
