@@ -16,8 +16,9 @@ is organized by construction:
 - hawkes_mr: perfect sampling of linear Hawkes processes by thinning under
   a closed-form tilted envelope with spine clusters, and certified
   fixed-point sandwich bounds on the cluster-length distribution
-- branching_approx: generation-truncated branching with variation-distance
-  certificates
+- branching_approx: the Galton-Watson engine that grows every iterated
+  cluster (Hawkes and spatial branching), and generation-truncated branching
+  with variation-distance certificates
 - validation: statistical acceptance harness (KS, chi-square, Laplace, Holm)
 - oracles: independently-coded reference samplers used only by validation
 - cli: `exactpp sample | validate | plotdata` driven by JSON configs
@@ -44,16 +45,16 @@ _HOMES = {
     "boolean_model": ("BooleanSample", "DiskGrains", "DiskWindow", "ExpRadius", "FixedRadius",
                       "SegmentGrains", "UniformRadius", "boolean_exact_sample",
                       "hit_prob_poisson_line", "sample_poisson_lines"),
-    "branching_approx": ("TruncationCertificate", "approx_branching_sample",
-                         "certificate_generations_for"),
+    "branching_approx": ("GWCluster", "TruncationCertificate", "approx_branching_sample",
+                         "certificate_generations_for", "sample_gw_cluster"),
     "cluster_exact": ("BrixKendallSampler", "TranslatedPoissonCluster", "UniformDisplacement"),
     "core": ("ConfigError", "DensityIntensity", "LebesgueIntensity", "PointPattern", "RngStream",
              "SamplerError", "Window"),
     "germ_thinning": ("GeometricGrid", "InverseSquareGrid", "TableGrid", "matern_thin_first",
                       "nonlinear_hawkes_germ", "renewal_thin_first", "thin_grid"),
-    "hawkes_mr": ("ExponentialFertility", "GWCluster", "HawkesSampler", "PhiOperator",
+    "hawkes_mr": ("ExponentialFertility", "HawkesSampler", "PhiOperator",
                   "PiecewiseConstantFertility", "PolynomialFertility", "Sandwich",
-                  "build_sandwich", "sample_gw_cluster"),
+                  "build_sandwich"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -1,4 +1,5 @@
-"""Generation-truncated branching sampler with a total-variation certificate.
+"""Generation-truncated branching sampler with a total-variation certificate,
+and the Galton-Watson engine that grows its generations and hawkes_mr's clusters.
 
 A spatial branching process starts from a Poisson germ (generation 0) and
 lets every point spawn an independent Poisson(progeny mass) brood of
@@ -17,6 +18,8 @@ only the dropped generations, never the geometry.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,12 +28,117 @@ import numpy as np
 from .core import PointPattern, SamplerError, _mean_count, sample_homogeneous
 
 __all__ = [
+    "GWCluster",
     "TruncationCertificate",
     "approx_branching_sample",
     "certificate_generations_for",
+    "sample_gw_cluster",
 ]
 
 POINT_CAP = 5_000_000
+
+
+class GWCluster:
+    """All points of one or more single-ancestor clusters, with generation labels.
+
+    owner[i] is the root that point i descends from.  ancestor, ancestor_mark
+    and extinction_time (last point minus ancestor, on the line) are floats for
+    a scalar ancestor and have one entry per root otherwise.  generations,
+    owner and extinction_time are built from the brood counts when first read:
+    a Hawkes draw reads only points and owner, and a branching draw only
+    points, so neither pays for the other labels.
+    """
+
+    def __init__(self, points, ancestor, ancestor_mark, broods):
+        self.points, self.ancestor, self.ancestor_mark = points, ancestor, ancestor_mark
+        self._broods = broods  # broods[k][j]: the children of point j of generation k
+
+    @property
+    def n(self):
+        return self.points.shape[0]
+
+    @functools.cached_property
+    def generations(self):
+        return np.arange(len(self._broods)).repeat([b.size for b in self._broods])
+
+    @functools.cached_property
+    def owner(self):
+        owners = [np.arange(self._broods[0].size)]
+        for counts in self._broods[:-1]:
+            owners.append(owners[-1].repeat(counts))
+        return np.concatenate(owners)
+
+    @functools.cached_property
+    def extinction_time(self):
+        if isinstance(self.ancestor, float):
+            return float(self.points.max() - self.ancestor)
+        extinction = np.zeros(self.ancestor.size)
+        np.maximum.at(extinction, self.owner, self.points - self.ancestor[self.owner])
+        return extinction
+
+
+def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=None,
+                      generations=None):
+    """Generation-by-generation draw of the clusters of a scalar ancestor, a 1-D
+    array of them, or a (k, d) array of k roots in R^d.
+
+    Each point with mark z spawns Poisson(nu_inf(z)) children displaced by
+    kernel.sample_displacement, (n,) or (n, d); the recursion terminates a.s.
+    (mean brood < 1).  All clusters grow in one generation loop, and point_cap
+    bounds the points of the whole call, roots included.  generations, if
+    given, keeps generations 0..generations: the last one's points get an
+    all-zero brood and draw nothing.  The roots draw their marks from the
+    mixture unless root_marks gives them, one per root.  Each generation costs
+    its generator calls, one repeat (whose size is the next generation's) and
+    one add; the loop keeps the brood counts, from which GWCluster builds the
+    labels a caller reads.
+
+    A kernel with one mark (one_mark and one_mark_nu, the offspring mean of
+    every point, are not None) draws no marks: each generation's offspring
+    counts are one Poisson with the scalar rate one_mark_nu, and no random
+    number is spent on a mark whose only outcome is the one mark.  Its
+    clusters have the law, not the bytes, of a mixture of equal marks.
+    """
+    roots = np.asarray(ancestor, dtype=float)
+    batch = roots.ndim > 0
+    roots = roots if batch else roots.reshape(1)
+    nu = kernel.one_mark_nu
+    poisson, displace = rng.poisson, kernel.sample_displacement
+    if root_marks is not None:
+        marks = anc_marks = np.asarray(root_marks, dtype=float).reshape(-1)
+        if marks.size != len(roots):
+            raise SamplerError(f"root_marks gives {marks.size} marks for {len(roots)} ancestors")
+    elif nu is None:
+        marks = anc_marks = kernel.sample_mark(len(roots), rng)
+    else:
+        marks = anc_marks = None  # None: every mark is the kernel's one mark
+    pts, broods, gen, total = [roots], [], roots, len(roots)
+    for _ in itertools.repeat(None) if generations is None else range(generations):
+        counts = poisson(nu, len(gen)) if marks is None else poisson(kernel.nu_inf(marks))
+        broods.append(counts)
+        gen = gen.repeat(counts, 0)  # each child at its parent (axis 0): the size is the count
+        n = len(gen)
+        total += n
+        if total > point_cap:
+            raise SamplerError(
+                f"cluster exceeded {point_cap} points: near-critical progeny grows huge "
+                "clusters; lower the progeny mass, the generations or the root count"
+            )
+        if n == 0:
+            break
+        gen += displace(n, rng)
+        pts.append(gen)
+        marks = None if nu is not None else kernel.sample_mark(n, rng)
+    else:  # the generation cap: the last generation's points have no children
+        broods.append(np.zeros(len(gen), dtype=int))
+    points = np.concatenate(pts)
+    if batch:
+        if anc_marks is None:  # the one mark, filled in at half the cost of np.full
+            anc_marks = np.empty(len(roots))
+            anc_marks.fill(kernel.one_mark)
+        return GWCluster(points, roots, anc_marks, broods)
+    z = kernel.one_mark if anc_marks is None else float(anc_marks[0])
+    return GWCluster(points, float(ancestor), z, broods)
 
 
 @dataclass(frozen=True)
@@ -79,11 +187,11 @@ _last_check = ((None,) * 4, None)  # the arguments and result of the last _check
 
 
 def _checked(rate0, progeny, window, n):
-    """The progeny mass, the certificate and the germ region of a draw of
-    generations 0..n, after every refusal that comes before its first random
-    number: n < 0, an unbounded displacement, rho >= 1, and a germ region whose
-    mean count exceeds MAX_MEAN_POINTS. A call with the very (frozen) objects
-    of the last call returns its result: one built sampler checks once."""
+    """The certificate and the germ region of a draw of generations 0..n,
+    after every refusal that comes before its first random number: n < 0, an
+    unbounded displacement, rho >= 1, and a germ region whose mean count
+    exceeds MAX_MEAN_POINTS. A call with the very (frozen) objects of the last
+    call returns its result: one built sampler checks once."""
     global _last_check
     if all(a is b for a, b in zip(_last_check[0], (rate0, progeny, window, n))):
         return _last_check[1]
@@ -92,12 +200,11 @@ def _checked(rate0, progeny, window, n):
     radius = getattr(progeny.displacement, "support_radius", None)
     if radius is None or not np.isfinite(radius):
         raise SamplerError("buffer radius undefined; use exact sampler")
-    rho = float(progeny.total_mean)
-    cert = _certificate(rate0, rho, window.volume(), n)
+    cert = _certificate(rate0, float(progeny.total_mean), window.volume(), n)
     region = window.buffered(n * float(radius))
     _mean_count(rate0, region.volume())
-    _last_check = (rate0, progeny, window, n), (rho, cert, region)
-    return rho, cert, region
+    _last_check = (rate0, progeny, window, n), (cert, region)
+    return cert, region
 
 
 def approx_branching_sample(rate0, progeny, window, n, rng, point_cap=POINT_CAP):
@@ -105,30 +212,12 @@ def approx_branching_sample(rate0, progeny, window, n, rng, point_cap=POINT_CAP)
 
     progeny supplies the per-point brood: total_mean (the progeny mass rho)
     and a displacement with a finite Euclidean support_radius.  The germ is
-    drawn on the n*R-buffered window, so the returned restriction is exactly
-    distributed; the certificate bounds only the dropped generations. Draws
-    with the objects of the last call reuse its checks, certificate and buffer.
+    drawn on the n*R-buffered window and grown by one sample_gw_cluster call,
+    so the returned restriction is exactly distributed; the certificate bounds
+    only the dropped generations. Draws with the objects of the last call
+    reuse its checks, certificate and buffer.
     """
-    rho, cert, region = _checked(rate0, progeny, window, n)
-    current = sample_homogeneous(region, rate0, rng).points
-    kept = [current]
-    total = current.shape[0]
-    for _ in range(int(n)):
-        if current.shape[0] == 0:
-            break
-        counts = rng.poisson(rho, size=current.shape[0])
-        brood = int(counts.sum())
-        total += brood
-        if total > point_cap:
-            raise SamplerError(
-                f"branching population exceeded {point_cap} points before "
-                f"generation {n}; lower n or the germ rate"
-            )
-        if brood == 0:
-            current = np.empty((0, window.dim))
-            continue
-        parents = np.repeat(current, counts, axis=0)
-        current = parents + progeny.displacement.sample(brood, rng)
-        kept.append(current)
-    pts = np.concatenate(kept, axis=0)
+    cert, region = _checked(rate0, progeny, window, n)
+    germ = sample_homogeneous(region, rate0, rng).points
+    pts = sample_gw_cluster(progeny, germ, rng, point_cap, generations=int(n)).points
     return PointPattern(pts[window.contains(pts)], dim=window.dim), cert

@@ -522,7 +522,7 @@ def _build_branching_approx(p, window):
     pmean = p.get("progeny_mean", float, check=_POS)
     n_gen = p.get("generations", int, check=_NONNEG)
     progeny = TranslatedPoissonCluster(pmean, _displacement(p))
-    _, cert, _ = _checked(rate0, progeny, window, n_gen)  # refuses as a draw would
+    cert, _ = _checked(rate0, progeny, window, n_gen)  # refuses as a draw would
 
     def sample(rng):
         pattern, _ = approx_branching_sample(rate0, progeny, window, n_gen, rng)
@@ -717,14 +717,15 @@ def cmd_plotdata(cfg, kind, outdir):
         hist = np.bincount(counts)
         _csv_rows(out, "count,frequency", ([str(k), str(int(v))] for k, v in enumerate(hist)))
     elif kind == "sandwich-curves":
-        from .hawkes_mr import sample_gw_cluster
+        from .hawkes_mr import POINT_CAP, sample_gw_cluster
 
         b = built["sampler"].sandwich.bounds()
         stride = max(1, b.taus.size // 2000)
         taus, ell, upp = b.taus[::stride], b.ell[::stride], b.upp[::stride]
         n_clusters = 20_000
         lengths = np.sort(sample_gw_cluster(
-            built["kernel"], np.zeros(n_clusters), RngStream(seed, stream_id=30_000).generator()
+            built["kernel"], np.zeros(n_clusters), RngStream(seed, stream_id=30_000).generator(),
+            POINT_CAP,
         ).extinction_time)
         oracle = 1.0 - np.searchsorted(lengths, taus, side="right") / n_clusters
         _csv_rows(out, "t,lower,upper,oracle_tail",

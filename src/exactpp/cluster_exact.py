@@ -112,6 +112,11 @@ class TranslatedPoissonCluster:
     def dim(self):
         return self.displacement.dim
 
+    # a branching_approx.sample_gw_cluster kernel: one mark, 1, and total_mean children a point
+    one_mark = 1.0
+    one_mark_nu = property(lambda self: self.total_mean)
+    sample_displacement = property(lambda self: self.displacement.sample)
+
     def mass_in(self, xs, window):
         d = self.displacement
         return self.total_mean * d.prob_in(d.overlap(xs, window))

@@ -156,10 +156,10 @@ class PointPattern:
 
     def __post_init__(self):
         pts = _as_points(self.points, self.dim)
-        object.__setattr__(self, "points", np.ascontiguousarray(pts))
+        object.__setattr__(self, "points", np.array(pts, order="C"))  # a copy
         object.__setattr__(self, "dim", pts.shape[1])
         if self.marks is not None:
-            m = np.ascontiguousarray(np.asarray(self.marks, dtype=float).reshape(-1))
+            m = np.array(self.marks, dtype=float, order="C").reshape(-1)  # a copy
             if m.shape[0] != pts.shape[0]:
                 raise ValueError("marks length must match point count")
             object.__setattr__(self, "marks", m)

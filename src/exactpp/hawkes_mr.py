@@ -7,7 +7,9 @@ An ancestor a distance t before the window reaches it iff L > t, an event of
 probability F(t) = P(L > t).  HawkesSampler keeps exactly those ancestors
 without evaluating F: it thins candidates under the closed-form envelope
 U(t) = e^(-theta t) / (1 - rho_theta) of an exponentially tilted cluster law,
-and draws the tilted clusters through their spine.
+and draws the tilted clusters through their spine.  Every cluster grows
+through branching_approx.sample_gw_cluster, the Galton-Watson engine that
+spatial branching draws share.
 
 The CDF E = 1 - F is also the unique fixed point of
 
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .branching_approx import sample_gw_cluster
 from .core import MAX_MEAN_POINTS, PointPattern, SamplerError, thin
 
 __all__ = [
@@ -45,8 +48,6 @@ __all__ = [
     "ExponentialFertility",
     "PolynomialFertility",
     "PiecewiseConstantFertility",
-    "GWCluster",
-    "sample_gw_cluster",
     "PhiOperator",
     "BoundPair",
     "Sandwich",
@@ -98,8 +99,9 @@ class FertilityKernel:
         self._base = base = self._nu0_inf()  # the total mass, kept: nu_inf(z) = z * base
         if base < 0 or not np.isfinite(base):
             raise SamplerError("offspring mass must be finite and nonnegative")
-        # the offspring mean of every point when there is one mark, else None
-        self.one_mark_nu = float(self.nu_inf(self._zs[0])) if self._zs.size == 1 else None
+        # the one mark, and the offspring mean of every point, when there is one mark, else None
+        self.one_mark = float(self._zs[0]) if self._zs.size == 1 else None
+        self.one_mark_nu = None if self.one_mark is None else float(self.nu_inf(self.one_mark))
         self.mean_mark = float(np.sum(self._weights * self._zs))
         self.rho = float(self.mean_mark * base)
         if self.rho >= 1:
@@ -330,104 +332,6 @@ class PiecewiseConstantFertility(FertilityKernel):
         # inverse CDF of the density e^(theta s) on the cell
         theta = self.theta
         return self.breaks[idx] + np.log1p(frac * np.expm1(theta * self._widths[idx])) / theta
-
-
-# -- single-ancestor clusters ----------------------------------------------------
-
-
-class GWCluster:
-    """All points of one or more single-ancestor clusters, with generation labels.
-
-    owner[i] is the root that point i descends from.  ancestor, ancestor_mark
-    and extinction_time (last point minus ancestor) are floats for a scalar
-    ancestor and arrays with one entry per root otherwise.  generations, owner
-    and extinction_time are built from the brood counts when first read: a
-    Hawkes draw reads only points and owner, so it never pays for the other
-    labels.
-    """
-
-    def __init__(self, points, ancestor, ancestor_mark, broods):
-        self.points, self.ancestor, self.ancestor_mark = points, ancestor, ancestor_mark
-        self._broods = broods  # broods[k][j]: the children of point j of generation k
-
-    @property
-    def n(self):
-        return self.points.shape[0]
-
-    @functools.cached_property
-    def generations(self):
-        return np.arange(len(self._broods)).repeat([b.size for b in self._broods])
-
-    @functools.cached_property
-    def owner(self):
-        owners = [np.arange(self._broods[0].size)]
-        for counts in self._broods[:-1]:
-            owners.append(owners[-1].repeat(counts))
-        return np.concatenate(owners)
-
-    @functools.cached_property
-    def extinction_time(self):
-        if isinstance(self.ancestor, float):
-            return float(self.points.max() - self.ancestor)
-        extinction = np.zeros(self.ancestor.size)
-        np.maximum.at(extinction, self.owner, self.points - self.ancestor[self.owner])
-        return extinction
-
-
-def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=None):
-    """Generation-by-generation draw of the clusters of a scalar or 1-D array of ancestors.
-
-    Each point with mark z spawns Poisson(nu_inf(z)) children displaced by
-    the kernel's normalized shape; the recursion terminates a.s. (rho < 1)
-    with mean total size 1/(1-rho) per root.  All clusters grow in one
-    generation loop, and point_cap bounds the points of the whole call,
-    roots included.  The roots draw their marks from the mixture unless
-    root_marks gives them, one per root.  Each generation costs its
-    generator calls, one repeat (whose size is the next generation's) and one
-    add; the loop keeps the brood counts, from which GWCluster builds the
-    labels a caller reads.
-
-    A kernel with one mark draws no marks: each generation's offspring counts
-    are one Poisson with the scalar rate nu_inf(z), and no random number is
-    spent on a mark whose only outcome is the one mark.  Its clusters have
-    the law, not the bytes, of a mixture of equal marks.
-    """
-    roots = np.asarray(ancestor, dtype=float)
-    batch = roots.ndim > 0
-    roots = roots.reshape(-1)
-    nu = kernel.one_mark_nu
-    poisson, displace = rng.poisson, kernel.sample_displacement
-    if root_marks is not None:
-        marks = anc_marks = np.asarray(root_marks, dtype=float).reshape(-1)
-        if marks.size != roots.size:
-            raise SamplerError(f"root_marks gives {marks.size} marks for {roots.size} ancestors")
-    elif nu is None:
-        marks = anc_marks = kernel.sample_mark(roots.size, rng)
-    else:
-        marks = anc_marks = None  # None: every mark is the kernel's one mark
-    pts, broods, gen, total = [roots], [], roots, roots.size
-    while True:
-        counts = poisson(nu, gen.size) if marks is None else poisson(kernel.nu_inf(marks))
-        broods.append(counts)
-        gen = gen.repeat(counts)  # each child at its parent: the repeat's size is the count
-        n = gen.size
-        total += n
-        if total > point_cap:
-            raise SamplerError(
-                f"cluster exceeded {point_cap} points (rho={kernel.rho:.4g}; "
-                "near-critical configurations grow huge clusters)"
-            )
-        if n == 0:
-            break
-        gen += displace(n, rng)
-        pts.append(gen)
-        marks = None if nu is not None else kernel.sample_mark(n, rng)
-    points = np.concatenate(pts)
-    if batch:
-        marks = kernel._zs.repeat(roots.size) if anc_marks is None else anc_marks
-        return GWCluster(points, roots, marks, broods)
-    z = float((kernel._zs if anc_marks is None else anc_marks)[0])
-    return GWCluster(points, float(ancestor), z, broods)
 
 
 # -- the fixed-point operator on a uniform grid -----------------------------------
@@ -740,7 +644,7 @@ def _reaching_clusters(kernel, ts, n_plain, rng, imm):
         marks = np.empty(roots.size)
         marks[biased] = kernel.sample_biased_mark(n_biased, rng)
         marks[~biased] = kernel.sample_mark(roots.size - n_biased, rng)
-    cl = sample_gw_cluster(kernel, roots, rng, root_marks=marks)
+    cl = sample_gw_cluster(kernel, roots, rng, POINT_CAP, root_marks=marks)
     r, who = roots[cl.owner], owner[cl.owner]
     # no reach exceeds the immigrants' limit, and their Z weights are e^-inf = 0
     limit = np.empty(n_cand + 1)
@@ -844,7 +748,7 @@ class HawkesSampler:
         ancestors that reach the window, unsorted and uncut."""
         kernel = self.kernel
         if kernel.rho == 0:  # a bare ancestor never outlives a positive distance
-            return sample_gw_cluster(kernel, self._immigrants(rng), rng).points
+            return sample_gw_cluster(kernel, self._immigrants(rng), rng, POINT_CAP).points
         # candidate distances t before the window: (0, t0] at rate mu, then t0 + Exp(theta)
         t0, theta = self._t0, kernel.theta
         near = t0 * rng.random(rng.poisson(self.mu_bound * t0))

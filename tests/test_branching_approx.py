@@ -1,7 +1,9 @@
 """Generation-truncated branching sampler: certificate algebra, the smallest
-sufficient generation count, buffered-germ restriction moments, and the
-collapse/overflow guard rails."""
+sufficient generation count, buffered-germ restriction moments, the
+collapse/overflow guard rails, and the Galton-Watson engine it shares with
+the Hawkes sampler."""
 
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -11,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactpp import (
+    ExponentialFertility,
+    HawkesSampler,
     PointPattern,
     RngStream,
     SamplerError,
@@ -20,6 +24,7 @@ from exactpp import (
     Window,
     approx_branching_sample,
     certificate_generations_for,
+    sample_gw_cluster,
 )
 from exactpp.validation import chi_square, mean_ci
 
@@ -191,5 +196,93 @@ def test_point_cap_overflow_raises():
     progeny = TranslatedPoissonCluster(
         total_mean=0.9, displacement=UniformDisplacement((-0.25,), (0.25,))
     )
-    with pytest.raises(SamplerError, match="branching population exceeded"):
+    with pytest.raises(SamplerError, match="cluster exceeded 20 points"):
         approx_branching_sample(30.0, progeny, W1, 3, _gen(114), point_cap=20)
+
+
+# -- the Galton-Watson engine ------------------------------------------------------
+
+BOX2 = UniformDisplacement((-0.1, -0.2), (0.15, 0.1))
+PROGENY2 = TranslatedPoissonCluster(total_mean=0.9, displacement=BOX2)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+def test_engine_stops_at_the_generation_cap(k):
+    roots = np.zeros((50, 2))
+    for r in range(20):
+        cl = sample_gw_cluster(PROGENY2, roots, _gen(120, r), generations=k)
+        assert cl.generations.max() <= k
+        assert cl.generations.size == cl.owner.size == cl.n
+
+
+def test_engine_at_zero_generations_returns_the_roots_and_draws_nothing():
+    rng = _gen(121)
+    roots = np.arange(12.0).reshape(6, 2)
+    cl = sample_gw_cluster(PROGENY2, roots, rng, generations=0)
+    assert np.array_equal(cl.points, roots)
+    assert cl.generations.tolist() == [0] * 6 and cl.owner.tolist() == list(range(6))
+    assert rng.random(4).tolist() == _gen(121).random(4).tolist()  # the stream is untouched
+
+
+def test_engine_keeps_row_roots_aligned_with_their_labels():
+    roots = _gen(122).random((300, 2)) * 4.0
+    cl = sample_gw_cluster(PROGENY2, roots, _gen(123), generations=6)
+    assert cl.points.shape == (cl.n, 2) and cl.owner.shape == cl.generations.shape == (cl.n,)
+    assert cl.generations.max() > 1
+    gen0 = cl.generations == 0
+    assert np.array_equal(cl.points[gen0], roots)
+    assert np.array_equal(cl.owner[gen0], np.arange(300))
+    # g displacements from the box [lo, hi] leave each point within g * box of its root
+    offsets = cl.points - roots[cl.owner]
+    g = cl.generations[:, None]
+    tol = 1e-12
+    assert np.all(offsets >= g * np.array(BOX2.lo) - tol)
+    assert np.all(offsets <= g * np.array(BOX2.hi) + tol)
+
+
+def test_each_draw_grows_its_generations_in_one_engine_call(monkeypatch):
+    # branching draws call branching_approx's engine; Hawkes draws call it through
+    # hawkes_mr's own name, the one the benchmark tracer wraps
+    from exactpp import branching_approx, hawkes_mr
+
+    calls = []
+    for name, mod in (("branching", branching_approx), ("hawkes", hawkes_mr)):
+        def counting(*args, _name=name, _grow=mod.sample_gw_cluster, **kwargs):
+            calls.append(_name)
+            return _grow(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "sample_gw_cluster", counting)
+    for r in range(10):
+        approx_branching_sample(2.0, PROGENY, W1, 3, _gen(124, r))
+    assert calls == ["branching"] * 10
+    sampler = HawkesSampler(ExponentialFertility(0.5, 1.0), mu=1.0, a=10.0)
+    for r in range(10):
+        sampler.sample(_gen(125, r))
+    assert calls == ["branching"] * 10 + ["hawkes"] * 10
+
+
+def _digest(rate0, progeny, window, n):
+    h, sizes = hashlib.sha256(), []
+    for r in range(200):
+        pat, _ = approx_branching_sample(rate0, progeny, window, n, RngStream(41, r).generator())
+        sizes.append(pat.n)
+        h.update(np.ascontiguousarray(pat.points).tobytes())
+    h.update(np.array(sizes).tobytes())
+    return sum(sizes), h.hexdigest()
+
+
+# Pinned before branching draws moved onto sample_gw_cluster: the same generator
+# calls in the same order give the same bytes in every dimension.
+def test_branching_bytes_in_two_and_three_dimensions():
+    assert _digest(
+        20.0,
+        TranslatedPoissonCluster(0.6, UniformDisplacement((-0.1, -0.1), (0.1, 0.15))),
+        Window((0.0, 0.0), (1.0, 1.0)),
+        4,
+    ) == (8924, "31ceff06c9de6bda8e1770605f37adb3af58266ed35183ff551890ec4b5acb91")
+    assert _digest(
+        15.0,
+        TranslatedPoissonCluster(0.7, UniformDisplacement((-0.1, -0.2, -0.05), (0.1, 0.1, 0.15))),
+        Window((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+        8,
+    ) == (9704, "69088a66ce17b0476f724b9f53d5d22422f0d32608ddf644a3e79c4be8b32b60")

@@ -253,6 +253,16 @@ def test_pattern_rejects_mismatched_marks():
         PointPattern(np.zeros((3, 1)), marks=np.zeros(2))
 
 
+def test_pattern_copies_the_arrays_it_is_given():
+    # a caller that reuses its buffers must not change a built pattern
+    points, marks = np.zeros((2, 1)), np.zeros(2)
+    pat = PointPattern(points, marks=marks, dim=1)
+    points[0, 0], marks[1] = 5.0, 7.0
+    assert pat.points.tolist() == [[0.0], [0.0]]
+    assert pat.marks.tolist() == [0.0, 0.0]
+    assert pat.points.flags.c_contiguous and pat.marks.flags.c_contiguous
+
+
 # -- serialization -------------------------------------------------------------------
 
 

@@ -111,7 +111,7 @@ SAMPLER_MODULES = {
     "branching_approx": ["branching_approx", "cluster_exact"],
     "brix_kendall": ["cluster_exact", "oracles"],
     "grid_thinning": ["germ_thinning", "oracles"],
-    "hawkes_mr": ["hawkes_mr", "oracles"],
+    "hawkes_mr": ["branching_approx", "hawkes_mr", "oracles"],  # the Galton-Watson engine
     "matern": ["germ_thinning", "oracles"],
     "nonlinear_hawkes": ["germ_thinning", "oracles"],
     "poisson": [],

@@ -1,13 +1,18 @@
 """Public names resolve: every `__all__` entry of the package and its modules,
 and every function, method and oracle that the benchmark tracer wraps (a
-deletion there would make each traced benchmark run fail). And every public
+deletion there would make each traced benchmark run fail), and Hawkes draws
+still call the engine through the name the tracer wraps. And every public
 name has a caller outside the unit tests."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,6 +77,42 @@ def test_every_traced_layer_exists():
         if not callable(getattr(_module("oracles"), attr, None))
     ]
     assert missing == []
+
+
+TRACED_DRAWS = """
+import importlib.util, json, sys
+import exactpp.cli as cli
+from exactpp import RngStream
+
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+t = tracer.Tracer()
+tracer.install(t)
+for config in ("hawkes_mr", "branching_approx"):
+    built = cli.build(cli.load_config(f"configs/{config}.json"))
+    for r in range(5):
+        built["sample"](RngStream(7, r).generator())
+print(json.dumps({name: v[0] for name, v in t.summary()["spans"].items()}))
+"""
+
+
+def test_traced_draws_pass_through_the_wrapped_engine():
+    """The tracer's Galton-Watson wrapper sees every Hawkes draw and no branching
+    draw: a name that resolves but is no longer called would read 0 spans."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", TRACED_DRAWS, str(TRACER_PATH)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    spans = json.loads(out.stdout.splitlines()[-1])
+    assert spans["hawkes_mr.gw_cluster"] == 5
+    assert spans["hawkes_mr.sample"] == spans["branching_approx.sample"] == 5
 
 
 # Public names that nothing in the package, the benchmark or the acceptance
