@@ -21,15 +21,15 @@ keeps the sampler's exit code. Model-level impossibilities (supercritical
 kernels, unbounded buffers, point counts too large to draw) exit 3.
 
 Only core and validation are imported with this module. Each builder imports
-its sampler's module, and oracles where its validation uses one, when it
-builds, so a run loads only the modules of the sampler its config names, and
-concurrent.futures only when EXACTPP_WORKERS > 1.
+its sampler's module when it builds, and each oracle imports oracles when it
+runs, so a run loads only the modules of the sampler its config names
+(oracles only when validation runs), and concurrent.futures only when
+EXACTPP_WORKERS > 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -217,10 +217,11 @@ def _interval_report(name, value, expect, half):
 def _count_checks(sample, mean=None, oracle=None):
     """The count battery as a validate closure: replicate counts, then a mean
     check for mean=(name, expected count) and a two-sample KS test for
-    oracle=(name, oracle_counts). oracle_counts(n_reps, rng) returns n_reps
-    reference counts, all drawn from the one generator of substream 10_001;
-    _each turns a one-pattern oracle into one. Any oracle set-up belongs inside
-    oracle_counts, so it runs only when validation does."""
+    oracle=(name, oracle_chains). oracle_chains(n_reps, rng) returns the
+    (points, offsets) of n_reps reference chains, all drawn in lockstep from
+    the one generator of substream 10_001, and the test compares their window
+    counts. Any oracle set-up belongs inside oracle_chains, so it runs only
+    when validation does."""
 
     def validate(stream, n_reps, collector):
         counts = replicate_counts(sample, n_reps, stream)
@@ -228,16 +229,10 @@ def _count_checks(sample, mean=None, oracle=None):
             value, half = mean_ci(counts)
             collector.add(_interval_report(mean[0], value, mean[1], half))
         if oracle is not None:
-            ref = oracle[1](n_reps, stream.substream(10_001).generator())
-            collector.add(two_sample_ks(counts, np.asarray(ref), name=oracle[0]))
+            _, offsets = oracle[1](n_reps, stream.substream(10_001).generator())
+            collector.add(two_sample_ks(counts, np.diff(offsets), name=oracle[0]))
 
     return validate
-
-
-def _each(draw):
-    """oracle_counts for draw(rng), which returns one reference pattern: n_reps
-    draws in turn from the one generator."""
-    return lambda n_reps, rng: [draw(rng).n for _ in range(n_reps)]
 
 
 def _built(sample, window, validate, plots=("points-2d",), meta=None, **extra):
@@ -263,18 +258,21 @@ def _build_poisson(p, window):
 
 def _build_brix_kendall(p, window):
     from .cluster_exact import BrixKendallSampler, TranslatedPoissonCluster
-    from .oracles import cluster_direct_oracle
 
     rate0 = p.get("rate0", float, check=_NONNEG)
     cmean = p.get("cluster_mean", float, check=_POS)
     kernel = TranslatedPoissonCluster(cmean, _displacement(p))
     sampler = BrixKendallSampler(LebesgueIntensity(rate0, window.dim), kernel, window)
 
+    def oracle(n_reps, rng):
+        from .oracles import cluster_direct_chains
+
+        return cluster_direct_chains(rate0, kernel, window, n_reps, rng)
+
     validate = _count_checks(
         sampler.sample,
         mean=("cluster-mean-count", rate0 * cmean * window.volume()),
-        oracle=("cluster-counts-vs-oracle",
-                _each(lambda rng: cluster_direct_oracle(rate0, kernel, window, rng))),
+        oracle=("cluster-counts-vs-oracle", oracle),
     )
     return _built(sampler.sample, window, validate)
 
@@ -304,9 +302,8 @@ def _build_boolean_disks(p, window):
     def validate(stream, n_reps, collector):
         probes = window.sample_uniform(400, stream.substream(10_002).generator())
         fracs = np.empty(n_reps)
-        for r in range(n_reps):
-            bs = draw(stream.substream(r).generator())
-            fracs[r] = float(np.mean(bs.coverage(probes)))
+        for r, rng in enumerate(stream.substream_generators(n_reps)):
+            fracs[r] = float(np.mean(draw(rng).coverage(probes)))
         mean, half = mean_ci(fracs)
         expect = 1.0 - math.exp(-rate * math.pi * law.moment(2))
         collector.add(_interval_report("boolean-coverage", mean, expect, half))
@@ -370,7 +367,6 @@ def _grid_horizon(spec, tail=1e-5):
 
 def _build_grid_thinning(p, window):
     from .germ_thinning import GeometricGrid, InverseSquareGrid, TableGrid, thin_grid
-    from .oracles import grid_thin_after
 
     family, p = p.variant("family", {"table": ("probs",), "geometric": ("c", "ratio"),
                                      "inverse_square": ("C",)})
@@ -386,19 +382,17 @@ def _build_grid_thinning(p, window):
         sites = thin_grid(spec, rng)
         return PointPattern(np.asarray(sites, dtype=float).reshape(-1, 1), dim=1)
 
-    horizon = functools.cache(lambda: _grid_horizon(spec))  # found at the first oracle draw
+    def oracle(n_reps, rng):
+        from .oracles import grid_thin_after_chains
 
-    def oracle(rng):
-        sites = grid_thin_after(spec.p, horizon(), rng)
-        return PointPattern(np.asarray(sites, dtype=float).reshape(-1, 1), dim=1)
+        return grid_thin_after_chains(spec.p, _grid_horizon(spec), n_reps, rng)
 
-    validate = _count_checks(sample, oracle=("grid-counts-vs-thin-after", _each(oracle)))
+    validate = _count_checks(sample, oracle=("grid-counts-vs-thin-after", oracle))
     return _built(sample, window, validate, ())
 
 
 def _build_renewal(p, window):
     from .germ_thinning import _gamma_hazard, renewal_thin_first
-    from .oracles import renewal_thin_after
 
     _, inter = p.tagged("interarrival", "kind", {"gamma": ("shape", "scale")})
     shape = inter.get("shape", float, check=_AT_LEAST_1)  # a bounded hazard
@@ -420,18 +414,19 @@ def _build_renewal(p, window):
             hazard, bound, thin_p, rng, p_tail=p_tail, p_mass=1.0 / thin_rate
         )
 
-    def oracle(rng):
-        return renewal_thin_after(
-            lambda r: r.gamma(shape, scale), thin_p, 60.0 / thin_rate, rng
+    def oracle(n_reps, rng):
+        from .oracles import renewal_thin_after_chains
+
+        return renewal_thin_after_chains(
+            lambda r, size: r.gamma(shape, scale, size), thin_p, 60.0 / thin_rate, n_reps, rng
         )
 
-    validate = _count_checks(sample, oracle=("renewal-counts-vs-thin-after", _each(oracle)))
+    validate = _count_checks(sample, oracle=("renewal-counts-vs-thin-after", oracle))
     return _built(sample, window, validate, ())
 
 
 def _build_matern(p, window):
     from .germ_thinning import matern_thin_first
-    from .oracles import matern_direct_oracle
 
     rate = p.get("rate", float, check=_NONNEG)
     radius = p.get("radius", float, check=_NONNEG)
@@ -443,16 +438,17 @@ def _build_matern(p, window):
     def sample(rng):
         return matern_thin_first(rate, radius, thin_fn, window, rng)
 
-    validate = _count_checks(sample, oracle=(
-        "hardcore-counts-vs-thin-after",
-        _each(lambda rng: matern_direct_oracle(rate, radius, thin_fn, window, rng)),
-    ))
+    def oracle(n_reps, rng):
+        from .oracles import matern_direct_chains
+
+        return matern_direct_chains(rate, radius, thin_fn, window, n_reps, rng)
+
+    validate = _count_checks(sample, oracle=("hardcore-counts-vs-thin-after", oracle))
     return _built(sample, window, validate)
 
 
 def _build_nonlinear_hawkes(p, window):
     from .germ_thinning import nonlinear_hawkes_germ
-    from .oracles import nonlinear_hawkes_burn_in_counts
 
     _, phi_spec = p.tagged("phi", "kind", {"saturating": ("bound", "base")})
     lam = phi_spec.get("bound", float, check=_POS)
@@ -478,8 +474,10 @@ def _build_nonlinear_hawkes(p, window):
         return nonlinear_hawkes_germ(phi, lam, h, support, window, rng)
 
     def oracle(n_reps, rng):
+        from .oracles import nonlinear_hawkes_burn_in_chains
+
         burn = 20.0 * math.exp(min(lam * support, 30.0)) / lam + 10.0 * support
-        return nonlinear_hawkes_burn_in_counts(
+        return nonlinear_hawkes_burn_in_chains(
             phi_array, lam, h_array, support, window, burn, n_reps, rng
         )
 
@@ -489,7 +487,6 @@ def _build_nonlinear_hawkes(p, window):
 
 def _build_hawkes_mr(p, window):
     from .hawkes_mr import ExponentialFertility, HawkesSampler
-    from .oracles import hawkes_bounded_burn_in, hawkes_exp_burn_in_counts
 
     kernel = _fertility(p)
     mu = p.get("mu", float, check=_NONNEG)
@@ -499,10 +496,12 @@ def _build_hawkes_mr(p, window):
                             step=p.get("step", float, 1e-4, _POS))
 
     def oracle(n_reps, rng):
+        from .oracles import hawkes_bounded_burn_in_chains, hawkes_exp_burn_in_chains
+
         a, burn = window.upper[0], 60.0 / max(kernel.suggested_decay(), 1e-6)
-        if isinstance(kernel, ExponentialFertility):
-            return hawkes_exp_burn_in_counts(kernel, mu, a, burn, n_reps, rng)
-        return [hawkes_bounded_burn_in(kernel, mu, a, burn, rng).n for _ in range(n_reps)]
+        chains = (hawkes_exp_burn_in_chains if isinstance(kernel, ExponentialFertility)
+                  else hawkes_bounded_burn_in_chains)
+        return chains(kernel, mu, a, burn, n_reps, rng)
 
     validate = _count_checks(
         sampler.sample,

@@ -23,7 +23,6 @@ a dominating process goes through these two routines.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -175,14 +174,6 @@ class PointPattern:
     def __len__(self):
         return self.n
 
-    def restrict(self, w):
-        """Sub-pattern inside the window (marks carried along)."""
-        if self.n == 0:
-            return self
-        keep = w.contains(self.points)
-        marks = self.marks[keep] if self.marks is not None else None
-        return PointPattern(self.points[keep], marks=marks, dim=self.dim)
-
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path):
@@ -211,6 +202,8 @@ class PointPattern:
 
     @classmethod
     def from_csv(cls, path):
+        import csv  # about 1 ms to import, which only reading a pattern back needs
+
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
@@ -324,8 +317,12 @@ def _philox_key(seed, spawn_key):
     """The Philox key of a stream: the two words of
     SeedSequence(entropy=seed, spawn_key=spawn_key).generate_state(2, np.uint64),
     as Python ints. spawn_key is a non-empty tuple of integers >= 0."""
-    pool, h = _seed_pool(seed)
-    (p0, p1, p2, p3), _ = _mix_in(pool, h, spawn_key)
+    return _pool_key(_mix_in(*_seed_pool(seed), spawn_key)[0])
+
+
+def _pool_key(pool):
+    """The Philox key that SeedSequence's generate_state(2, np.uint64) makes of a pool."""
+    p0, p1, p2, p3 = pool
     h0, h1, h2, h3, h4 = _OUT_HASH
     p0 = (p0 ^ h0) * h1 & _M32
     p1 = (p1 ^ h1) * h2 & _M32
@@ -404,6 +401,15 @@ class RngStream:
 
     def substream(self, i):
         return RngStream(self.seed, self.stream_id, self.lineage + (int(i),))
+
+    def substream_generators(self, n):
+        """substream(r).generator() for r = 0..n-1, in turn: the pool of this
+        stream's key is mixed once, and only r for each generator."""
+        generator, philox, seed = _numpy_random()
+        pool, h = _mix_in(*_seed_pool(int(self.seed)), (int(self.stream_id),) + self.lineage)
+        for r in range(int(n)):
+            yield generator(philox(seed(_pool_key(_mix_in(pool, h, (r,))[0])),
+                                   counter=_ZERO_COUNTER))
 
 
 def config_hash(config):

@@ -25,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_MEAN_POINTS, PointPattern, SamplerError, Window, sample_homogeneous, thin
+from .core import (
+    MAX_MEAN_POINTS,
+    PointPattern,
+    SamplerError,
+    _mean_count,
+    sample_homogeneous,
+    thin,
+)
 
 __all__ = [
     "TableGrid",
@@ -207,6 +214,8 @@ def renewal_thin_first(hazard, bound, thin_p, rng, p_upper=None, p_tail=None, p_
     """
     if p_upper is not None:
         upper = float(p_upper)
+        if not upper > 0:
+            raise SamplerError("p_upper must be positive")
     elif p_tail is not None:
         mass = float(p_tail(0.0))
         if p_mass is not None and not math.isclose(p_mass, mass, rel_tol=1e-9):
@@ -218,7 +227,8 @@ def renewal_thin_first(hazard, bound, thin_p, rng, p_upper=None, p_tail=None, p_
     else:
         raise SamplerError("need a support endpoint p_upper or a tail p_tail")
 
-    times = np.sort(sample_homogeneous(Window((0.0,), (upper,)), bound, rng).points[:, 0])
+    # the dominating stream on [0, upper], drawn as sample_homogeneous draws it
+    times = np.sort(rng.random(rng.poisson(_mean_count(bound, upper))) * upper)
     flags = np.zeros(times.size, bool)
     flags[thin(np.arange(times.size), thin_p(times), rng)] = True
     end = [upper] if p_upper is None else []  # the stream ends at the last candidate

@@ -10,10 +10,19 @@ oracles are exact for bounded displacement/interaction ranges, the burn-in
 self-exciting oracles carry an exponentially small initialization bias that
 the caller sizes far below test resolution.
 
-The *_burn_in_counts routines run the same burn-in simulations for many
-independent chains in lockstep, one numpy step for all chains per proposal,
-and return only each chain's window count.  Their chains share one generator,
-so they draw the same law as the scalar routines but not the same numbers.
+Every oracle also has a lockstep form, named *_chains, that draws n_chains
+independent chains from one generator with a fixed number of numpy calls per
+step rather than per chain, and returns (points, offsets): chain i's window
+points are points[offsets[i]:offsets[i + 1]], an (n, dim) array for the
+windowed oracles, event times for the half-line ones and site indices for
+the grid.  Chains that share one generator draw the same law as the scalar
+routines but in general not the same numbers as scalar calls one after
+another; the grid's chains, whose coins are drawn chain after chain, do.  The
+one-chain case of cluster_direct_chains, matern_direct_chains and
+grid_thin_after_chains calls the generator exactly as the scalar routine
+does, so those scalar routines are one-chain calls.  Memory grows with the
+points drawn; the pairs compared at once by the hard-core sweep and the coins
+drawn at once by the grid are held to blocks (_PAIR_BLOCK, _COIN_BLOCK).
 """
 
 from __future__ import annotations
@@ -23,21 +32,40 @@ import math
 
 import numpy as np
 
-from .core import PointPattern, SamplerError, sample_homogeneous
+from .core import PointPattern, SamplerError, _mean_count
 
 __all__ = [
     "cluster_direct_oracle",
+    "cluster_direct_chains",
     "matern_direct_oracle",
+    "matern_direct_chains",
     "renewal_thin_after",
+    "renewal_thin_after_chains",
     "hawkes_exp_burn_in",
-    "hawkes_exp_burn_in_counts",
+    "hawkes_exp_burn_in_chains",
     "hawkes_bounded_burn_in",
+    "hawkes_bounded_burn_in_chains",
     "nonlinear_hawkes_burn_in",
-    "nonlinear_hawkes_burn_in_counts",
+    "nonlinear_hawkes_burn_in_chains",
     "grid_thin_after",
+    "grid_thin_after_chains",
 ]
 
-_PAIR_BLOCK = 1 << 20  # pair distances held at once by matern_direct_oracle
+_PAIR_BLOCK = 1 << 20  # point pairs compared at once by the hard-core sweep
+_COIN_BLOCK = 1 << 20  # site coins held at once by grid_thin_after_chains
+
+
+def _offsets(chain, n_chains):
+    """Offsets of points listed chain by chain, from each point's chain index."""
+    return np.concatenate(([0], np.cumsum(np.bincount(chain, minlength=n_chains))))
+
+
+def _chain_order(chains, values):
+    """The per-step arrays of chain indices and their values, concatenated and
+    ordered chain by chain, each chain's values in step order."""
+    chain = np.concatenate([np.empty(0, dtype=np.int64), *chains])
+    order = np.argsort(chain, kind="stable")
+    return chain[order], np.concatenate([np.empty(0), *values])[order]
 
 
 def cluster_direct_oracle(rate0, kernel, window, rng):
@@ -46,16 +74,27 @@ def cluster_direct_oracle(rate0, kernel, window, rng):
     Germs are homogeneous Poisson on the kernel's germ region - the set of
     locations whose cluster can reach the window at all - with full
     unconditioned clusters attached and the superposition restricted.  No
-    germ thinning, no conditioned clusters.
+    germ thinning, no conditioned clusters.  One chain of
+    cluster_direct_chains.
+    """
+    points, _ = cluster_direct_chains(rate0, kernel, window, 1, rng)
+    return PointPattern(points, dim=window.dim)
+
+
+def cluster_direct_chains(rate0, kernel, window, n_chains, rng):
+    """(points, offsets) of n_chains cluster_direct_oracle chains.
+
+    The germ counts of every chain are drawn first, then all germs, all
+    cluster sizes and all displacements, each in one call, chain by chain.
     """
     region = kernel.germ_region(window)
-    germs = sample_homogeneous(region, rate0, rng)
-    counts = rng.poisson(kernel.total_mean, size=germs.n)
-    if counts.sum() == 0:
-        return PointPattern.empty(window.dim)
-    parents = np.repeat(germs.points, counts, axis=0)
-    pts = parents + kernel.displacement.sample(int(counts.sum()), rng)
-    return PointPattern(pts, dim=window.dim).restrict(window)
+    n = rng.poisson(_mean_count(rate0, region.volume()), size=int(n_chains))
+    germs = region.sample_uniform(n.sum(), rng)
+    sizes = rng.poisson(kernel.total_mean, size=len(germs))
+    pts = np.repeat(germs, sizes, axis=0) + kernel.displacement.sample(int(sizes.sum()), rng)
+    chain = np.repeat(np.repeat(np.arange(n.size), n), sizes)
+    inside = window.contains(pts)
+    return pts[inside], _offsets(chain[inside], n.size)
 
 
 def matern_direct_oracle(rate, radius, thin_p, window, rng):
@@ -63,27 +102,67 @@ def matern_direct_oracle(rate, radius, thin_p, window, rng):
 
     One full Poisson(rate) candidate set on the radius-buffered window,
     uniform marks, survival by strict mark minimality within the radius,
-    and the independent p-thinning applied last.  Survival is decided for a
-    block of candidates at a time from their distances to every candidate,
-    with at most _PAIR_BLOCK distances held at once.
+    and the independent p-thinning applied last.  One chain of
+    matern_direct_chains.
+    """
+    points, _ = matern_direct_chains(rate, radius, thin_p, window, 1, rng)
+    return PointPattern(points, dim=window.dim)
+
+
+def matern_direct_chains(rate, radius, thin_p, window, n_chains, rng):
+    """(points, offsets) of n_chains matern_direct_oracle chains.
+
+    The candidate counts of every chain are drawn first, then all candidates,
+    all marks and, for the survivors, all thinning coins, each in one call,
+    chain by chain; thin_p is called once, on every chain's survivors.
     """
     region = window.buffered(radius)
-    n = rng.poisson(rate * region.volume())
-    pts = region.sample_uniform(n, rng)
-    marks = rng.random(n)
-    survive = np.empty(n, dtype=bool)
-    step = max(1, _PAIR_BLOCK // max(n, 1))
-    for lo in range(0, n, step):
-        rows = np.arange(lo, min(lo + step, n))
-        d = np.sqrt(np.sum((pts[None, :, :] - pts[rows, None, :]) ** 2, axis=2))
-        near = d <= radius
-        near[np.arange(rows.size), rows] = False
-        survive[rows] = ~np.any(near & (marks < marks[rows, None]), axis=1)
-    kept = pts[survive]
-    if kept.shape[0]:
-        p_vals = np.asarray(thin_p(kept), dtype=float)
-        kept = kept[rng.random(kept.shape[0]) < p_vals]
-    return PointPattern(kept, dim=window.dim).restrict(window)
+    n = rng.poisson(rate * region.volume(), size=int(n_chains))
+    pts = region.sample_uniform(n.sum(), rng)
+    marks = rng.random(len(pts))
+    chain = np.repeat(np.arange(n.size), n)
+    survive = _mark_minimal(pts, marks, chain, radius)
+    pts, chain = pts[survive], chain[survive]
+    if len(pts):
+        keep = rng.random(len(pts)) < np.asarray(thin_p(pts), dtype=float)
+        pts, chain = pts[keep], chain[keep]
+    inside = window.contains(pts)
+    return pts[inside], _offsets(chain[inside], n.size)
+
+
+def _mark_minimal(pts, marks, chain, radius):
+    """Mask of the points with no point of their own chain within radius
+    (Euclidean, closed) whose mark is smaller.
+
+    With the points sorted by chain, then by first coordinate, each point is
+    compared with the successors that lie at most radius beyond it along the
+    first coordinate, found by one search on a key that puts the chains apart;
+    the reach carries a slack above radius for the key's rounding, and the
+    distances decide.  At most _PAIR_BLOCK pairs are compared at once.
+    """
+    order = np.lexsort((pts[:, 0], chain))
+    pts, marks, chain = pts[order], marks[order], chain[order]
+    beaten = np.zeros(len(pts), dtype=bool)
+    if len(pts):
+        x = pts[:, 0] - pts[:, 0].min()
+        key = x + chain * (2.0 * (x.max() + radius) + 1.0)
+        reach = radius + 1e-9 * (radius + key[-1] + abs(pts[:, 0]).max())
+        width = np.searchsorted(key, key + reach, side="right") - np.arange(1, len(key) + 1)
+        ends = np.cumsum(width)
+        lo = 0
+        while lo < len(pts):  # the pairs of points lo..hi-1: at most _PAIR_BLOCK, or one point's
+            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - width[lo] + _PAIR_BLOCK, "right")))
+            w = width[lo:hi]
+            a = np.repeat(np.arange(lo, hi), w)
+            b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(w) - w, w)  # a's w successors
+            near = np.sqrt(np.sum((pts[b] - pts[a]) ** 2, axis=1)) <= radius
+            near &= chain[a] == chain[b]
+            beaten[a[near & (marks[b] < marks[a])]] = True
+            beaten[b[near & (marks[a] < marks[b])]] = True
+            lo = hi
+    survive = np.empty(len(pts), dtype=bool)
+    survive[order] = ~beaten
+    return survive
 
 
 def renewal_thin_after(interarrival, thin_p, t_end, rng):
@@ -102,6 +181,31 @@ def renewal_thin_after(interarrival, thin_p, t_end, rng):
         keep = rng.random(times.size) < np.asarray(thin_p(times), dtype=float)
         times = times[keep]
     return PointPattern(times.reshape(-1, 1), dim=1)
+
+
+def renewal_thin_after_chains(interarrival, thin_p, t_end, n_chains, rng):
+    """(points, offsets) of n_chains renewal_thin_after chains, points their times.
+
+    interarrival(rng, size) draws size gaps.  One step draws the next gap of
+    every chain still at or before t_end; the thinning coins of all chains are
+    drawn last, in one call, chain by chain.
+    """
+    chain = np.arange(int(n_chains))
+    t = interarrival(rng, chain.size)
+    chains, times = [], []
+    while True:
+        live = t <= t_end
+        chain, t = chain[live], t[live]
+        if not chain.size:
+            break
+        chains.append(chain)
+        times.append(t)
+        t = t + interarrival(rng, chain.size)
+    chain, times = _chain_order(chains, times)
+    if times.size:
+        keep = rng.random(times.size) < np.asarray(thin_p(times), dtype=float)
+        chain, times = chain[keep], times[keep]
+    return times, _offsets(chain, int(n_chains))
 
 
 def hawkes_exp_burn_in(kernel, mu, a, burn_in, rng):
@@ -145,8 +249,8 @@ def hawkes_exp_burn_in(kernel, mu, a, burn_in, rng):
     return PointPattern(np.asarray(out).reshape(-1, 1), dim=1)
 
 
-def hawkes_exp_burn_in_counts(kernel, mu, a, burn_in, n_reps, rng):
-    """Window counts N([0, a]) of n_reps independent hawkes_exp_burn_in chains.
+def hawkes_exp_burn_in_chains(kernel, mu, a, burn_in, n_chains, rng):
+    """(points, offsets) of n_chains hawkes_exp_burn_in chains, points their times in [0, a].
 
     Every chain runs the state thinning of hawkes_exp_burn_in; one step draws
     the next proposal of every chain still before a, so a chain leaves the
@@ -155,15 +259,13 @@ def hawkes_exp_burn_in_counts(kernel, mu, a, burn_in, n_reps, rng):
     """
     if mu < 0:
         raise SamplerError("immigrant intensity must be nonnegative")
-    counts = np.zeros(int(n_reps), dtype=np.int64)
-    if mu == 0:
-        return counts  # no immigrant ever starts the excitation
     cdf = np.cumsum([w for w, _ in kernel.components()])
     cdf /= cdf[-1]
     jumps = kernel.beta * np.array([z for _, z in kernel.components()])
-    chain = np.arange(counts.size)
-    t = np.full(counts.size, -float(burn_in))
-    s = np.zeros(counts.size)
+    chain = np.arange(int(n_chains) if mu > 0 else 0)  # no immigrant, no event: no chain steps
+    t = np.full(chain.size, -float(burn_in))
+    s = np.zeros(chain.size)
+    chains, times = [], []
     while chain.size:
         bound = mu + s
         gap = rng.standard_exponential(chain.size) / bound
@@ -173,9 +275,12 @@ def hawkes_exp_burn_in_counts(kernel, mu, a, burn_in, n_reps, rng):
         if not live.all():
             chain, t, s, bound = chain[live], t[live], s[live], bound[live]
         accept = rng.random(chain.size) * bound < mu + s
-        counts[chain[accept & (t >= 0.0)]] += 1
+        kept = accept & (t >= 0.0)
+        chains.append(chain[kept])
+        times.append(t[kept])
         s[accept] += jumps[cdf.searchsorted(rng.random(np.count_nonzero(accept)), side="right")]
-    return counts
+    chain, times = _chain_order(chains, times)
+    return times, _offsets(chain, int(n_chains))
 
 
 def hawkes_bounded_burn_in(kernel, mu, a, burn_in, rng):
@@ -225,6 +330,66 @@ def hawkes_bounded_burn_in(kernel, mu, a, burn_in, rng):
     return PointPattern(np.asarray(out).reshape(-1, 1), dim=1)
 
 
+def hawkes_bounded_burn_in_chains(kernel, mu, a, burn_in, n_chains, rng):
+    """(points, offsets) of n_chains hawkes_bounded_burn_in chains, points their times in [0, a].
+
+    Each chain keeps its events, and their marks beside them, in a ring
+    buffer as nonlinear_hawkes_burn_in_chains does, and the sum z of the marks
+    of its events within the support of its time; one step draws the next
+    proposal of every chain still before a against its bound mu + h_max * z,
+    and evaluates h only at the events within the support of the proposal.
+    Marks are drawn from kernel.components(), as in the scalar oracle.
+    """
+    if mu < 0:
+        raise SamplerError("immigrant intensity must be nonnegative")
+    cdf = np.cumsum([w for w, _ in kernel.components()])
+    cdf /= cdf[-1]
+    zs = np.array([z for _, z in kernel.components()], dtype=float)
+    support, h_max = kernel.support, kernel.h_max
+    chain = np.arange(int(n_chains) if mu > 0 else 0)  # no immigrant, no event: no chain steps
+    t = np.full(chain.size, -float(burn_in))
+    z = np.zeros(chain.size)
+    ring = np.full((chain.size, 4), -np.inf)  # -inf: an empty slot, outside any support
+    mark = np.zeros(ring.shape)
+    head = np.zeros(chain.size, dtype=np.int64)  # the slot each chain writes next
+    chains, times = [], []
+    while chain.size:
+        bound = mu + h_max * z
+        t = t + rng.standard_exponential(chain.size) / bound
+        live = t <= a
+        if not live.all():
+            chain, t, bound, ring, mark, head = (
+                chain[live], t[live], bound[live], ring[live], mark[live], head[live]
+            )
+        lag = t[:, None] - ring
+        near = lag <= support
+        slots = np.flatnonzero(near)
+        rows, marks = slots // ring.shape[1], mark.ravel()[slots]
+        excite = np.bincount(rows, kernel.h(lag.ravel()[slots], marks), chain.size)
+        z = np.bincount(rows, marks, chain.size).astype(float)  # int if rows is empty
+        accept = np.flatnonzero(rng.random(chain.size) * bound < mu + excite)
+        kept = accept[t[accept] >= 0.0]
+        chains.append(chain[kept])
+        times.append(t[kept])
+        if np.any(near[accept, head[accept]]):
+            # oldest first from slot 0, the doubled half empty and written next
+            cap = ring.shape[1]
+            order = (head[:, None] + np.arange(cap)) % cap
+            ring = np.concatenate(
+                [np.take_along_axis(ring, order, axis=1), np.full(ring.shape, -np.inf)], axis=1
+            )
+            mark = np.concatenate([np.take_along_axis(mark, order, axis=1), np.zeros(mark.shape)],
+                                  axis=1)
+            head[:] = cap
+        new = zs[cdf.searchsorted(rng.random(accept.size), side="right")]
+        ring[accept, head[accept]] = t[accept]
+        mark[accept, head[accept]] = new
+        z[accept] += new
+        head[accept] = (head[accept] + 1) % ring.shape[1]
+    chain, times = _chain_order(chains, times)
+    return times, _offsets(chain, int(n_chains))
+
+
 def nonlinear_hawkes_burn_in(phi, phi_bound, h, h_support, window, burn_in, rng):
     """Bounded-rate self-exciting germ by burn-in thinning.
 
@@ -255,8 +420,9 @@ def nonlinear_hawkes_burn_in(phi, phi_bound, h, h_support, window, burn_in, rng)
     return PointPattern(pts.reshape(-1, 1), dim=1)
 
 
-def nonlinear_hawkes_burn_in_counts(phi, phi_bound, h, h_support, window, burn_in, n_reps, rng):
-    """Window counts of n_reps independent nonlinear_hawkes_burn_in chains.
+def nonlinear_hawkes_burn_in_chains(phi, phi_bound, h, h_support, window, burn_in, n_chains,
+                                    rng):
+    """(points, offsets) of n_chains nonlinear_hawkes_burn_in chains, points their window times.
 
     phi and h act elementwise on arrays.  Each chain keeps its retained points
     in a ring buffer, one row per chain, written in time order; the slot
@@ -265,11 +431,11 @@ def nonlinear_hawkes_burn_in_counts(phi, phi_bound, h, h_support, window, burn_i
     drive always sums h over every retained point within the support.
     """
     b0, b1 = float(window.lower[0]), float(window.upper[0])
-    counts = np.zeros(int(n_reps), dtype=np.int64)
-    chain = np.arange(counts.size)
-    t = np.full(counts.size, b0 - float(burn_in))
-    ring = np.full((counts.size, 4), -np.inf)  # -inf: an empty slot, outside any support
-    head = np.zeros(counts.size, dtype=np.int64)  # the slot each chain writes next
+    chain = np.arange(int(n_chains))
+    t = np.full(chain.size, b0 - float(burn_in))
+    ring = np.full((chain.size, 4), -np.inf)  # -inf: an empty slot, outside any support
+    head = np.zeros(chain.size, dtype=np.int64)  # the slot each chain writes next
+    chains, times = [], []
     while chain.size:
         t += rng.standard_exponential(chain.size) / phi_bound
         live = t <= b1
@@ -282,7 +448,9 @@ def nonlinear_hawkes_burn_in_counts(phi, phi_bound, h, h_support, window, burn_i
         if np.any(rate > phi_bound * (1 + 1e-12)):
             raise SamplerError("phi left its declared bound")
         accept = np.flatnonzero(rng.random(chain.size) * phi_bound < rate)
-        counts[chain[accept[t[accept] >= b0]]] += 1
+        kept = accept[t[accept] >= b0]
+        chains.append(chain[kept])
+        times.append(t[kept])
         if np.any(near[accept, head[accept]]):
             # oldest first from slot 0, the doubled half empty and written next
             cap = ring.shape[1]
@@ -293,13 +461,32 @@ def nonlinear_hawkes_burn_in_counts(phi, phi_bound, h, h_support, window, burn_i
             head[:] = cap
         ring[accept, head[accept]] = t[accept]
         head[accept] = (head[accept] + 1) % ring.shape[1]
-    return counts
+    chain, times = _chain_order(chains, times)
+    return times, _offsets(chain, int(n_chains))
 
 
 def grid_thin_after(p_fn, n_sites, rng):
-    """Independent coin at every site 0..n_sites-1; returns retained indices."""
+    """Independent coin at every site 0..n_sites-1; returns retained indices.
+
+    One chain of grid_thin_after_chains.
+    """
+    return grid_thin_after_chains(p_fn, n_sites, 1, rng)[0]
+
+
+def grid_thin_after_chains(p_fn, n_sites, n_chains, rng):
+    """(points, offsets) of n_chains grid_thin_after chains, points their retained sites.
+
+    The coins are drawn chain by chain, site by site, for as many whole
+    chains at a time as _COIN_BLOCK coins allow (at least one).
+    """
     sites = np.arange(int(n_sites))
     p = np.asarray(p_fn(sites), dtype=float)
     if np.any((p < 0) | (p > 1)):
         raise SamplerError("site retention probabilities must lie in [0, 1]")
-    return sites[rng.random(sites.size) < p]
+    rows = max(1, _COIN_BLOCK // max(sites.size, 1))
+    chains, kept = [np.empty(0, dtype=np.int64)], [sites[:0]]
+    for lo in range(0, int(n_chains), rows):
+        c, k = np.nonzero(rng.random((min(rows, int(n_chains) - lo), sites.size)) < p)
+        chains.append(c + lo)
+        kept.append(sites[k])
+    return np.concatenate(kept), _offsets(np.concatenate(chains), int(n_chains))

@@ -520,6 +520,6 @@ def replicate_counts(sample_fn, n_reps, stream):
     sample_fn(rng) must return a PointPattern.
     """
     counts = np.empty(int(n_reps), dtype=np.int64)
-    for r in range(int(n_reps)):
-        counts[r] = sample_fn(stream.substream(r).generator()).n
+    for r, rng in enumerate(stream.substream_generators(n_reps)):
+        counts[r] = sample_fn(rng).n
     return counts

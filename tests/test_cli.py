@@ -407,6 +407,21 @@ DEMO_PATTERN_SHA256_200 = {
     "nonlinear_hawkes": "a9c9da773f9c26b803cecb737f38089fcc7db85c86107ad3e14213fe5a512e89",
     "poisson_lines": "52f92a54ecd8cc35b3cff155c57eb6981c3f88182f0506ce7de4da4327b44f05",
 }
+# validation_report.json of each demo config sampled with validation on: the
+# reports of a change that draws other reference or replicate numbers show here
+DEMO_REPORT_SHA256 = {
+    "boolean_disks": "ebb71348c0fed453b543f77c34b6cd01625f9a0ff085b3c68e1116dc933b0afd",
+    "boolean_segments": "3bf7e8b5327c5740031dd5fc41e2bdbcb10acd473d92c2ff3a9a2308f3c5f32a",
+    "branching_approx": "40370052745bf6dd6509bf8349f19c1a2986f3bcad269e6ed998fe474e0d426d",
+    "brix_kendall": "be26d85eebfa36ad163c348e02f44f9dac41ea964faf108a2e282b3dee530f43",
+    "grid_thinning": "09624284b17ebc44ca0185a548fd111b0cc9a2e3f386540ab2bbfe0f510fd2cc",
+    "hawkes_mr": "133db3705bd896790e8c4abd989b82a50773b8d69d1c49bdd6886ad27a3eab22",
+    "matern": "eb1834b2a7328046a941f826cd57695420f6193df7741f4464bd09c431a06198",
+    "nonlinear_hawkes": "b7527e3322a96bf29723d0aef1f8a003718a8496cd96725613a16bd3e288f64c",
+    "poisson": "7a6487b09e6dbd5c79b3199e6c8fff10a0364f9e039c02ceab7fe613fd187453",
+    "poisson_lines": "a035f4357cb043da13eae102550b5ef67c61868d2748e00e67e4e8761ba3c9d6",
+    "renewal": "c251e713a7d35b1bd3ef1b882a17af0af0d0043b4fd896403168c6fbda5cea80",
+}
 DEMO_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 
@@ -428,6 +443,15 @@ def test_demo_patterns_keep_their_bytes(tmp_path, path):
         rc, outdir = _sample(tmp_path, dict(cfg, replicates=200), sub="out200")
         assert rc == 0
         assert _pattern_digest(outdir) == DEMO_PATTERN_SHA256_200[path.stem]
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_demo_validation_reports_keep_their_bytes(tmp_path, path):
+    cfg = json.loads(path.read_text())
+    rc, outdir = _sample(tmp_path, dict(cfg, validation=dict(cfg["validation"], enabled=True)))
+    assert rc == 0
+    report = (outdir / "validation_report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == DEMO_REPORT_SHA256[path.stem]
 
 
 class _ReadLog(dict):

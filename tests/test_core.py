@@ -163,6 +163,19 @@ def test_substream_is_the_stream_with_a_longer_lineage():
 
 
 @pytest.mark.parametrize(
+    "stream", [RngStream(20260817, 20_000), RngStream(2**64 + 5, 2**33, (10_002, 2**40 + 3))],
+    ids=["plain", "lineage"],
+)
+def test_substream_generators_are_the_substreams_generators(stream):
+    n = 0
+    for r, rng in enumerate(stream.substream_generators(2_000)):
+        ref = stream.substream(r).generator()
+        assert np.array_equal(rng.bit_generator.random_raw(2), ref.bit_generator.random_raw(2))
+        n += 1
+    assert n == 2_000 and list(stream.substream_generators(0)) == []
+
+
+@pytest.mark.parametrize(
     "stream",
     [RngStream(-1), RngStream(3, -2), RngStream(3, 0, (4, -1)), RngStream(3).substream(-5)],
     ids=["seed", "stream-id", "lineage", "substream"],
@@ -225,13 +238,12 @@ points_2d = st.lists(
     st.floats(0.55, 0.95),
 )
 def test_restriction_is_monotone_in_the_window(pts, lo, hi):
-    pat = PointPattern(np.asarray(pts, dtype=float).reshape(-1, 2), dim=2)
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     small = Window((lo, lo), (hi, hi))
     big = Window((0.0, 0.0), (1.0, 1.0))
-    inner = pat.restrict(small)
-    outer = pat.restrict(big)
-    assert inner.n <= outer.n
-    assert inner.restrict(small).n == inner.n  # idempotent
+    inner = pts[small.contains(pts)]
+    assert np.all(big.contains(inner))
+    assert np.all(small.contains(inner))  # idempotent
 
 
 @settings(deadline=None, max_examples=60)
@@ -241,11 +253,11 @@ def test_restriction_is_monotone_in_the_window(pts, lo, hi):
 )
 def test_disjoint_split_counts_add_up(xs, cut):
     assume(all(x != cut for x in xs))
-    pat = PointPattern(np.asarray(xs, dtype=float).reshape(-1, 1), dim=1)
+    pts = np.asarray(xs, dtype=float).reshape(-1, 1)
     left = Window((0.0,), (cut,))
     right = Window((cut,), (1.0,))
     whole = Window((0.0,), (1.0,))
-    assert pat.restrict(left).n + pat.restrict(right).n == pat.restrict(whole).n
+    assert left.contains(pts).sum() + right.contains(pts).sum() == whole.contains(pts).sum()
 
 
 def test_pattern_rejects_mismatched_marks():

@@ -345,7 +345,12 @@ def _count_streams(monkeypatch):
 
 
 def test_each_renewal_draw_draws_one_stream(monkeypatch):
-    calls = _count_streams(monkeypatch)
+    # a renewal draw draws its stream inline: each stream's mean count is checked once
+    from exactpp import germ_thinning
+
+    calls = []
+    mean_count = germ_thinning._mean_count
+    monkeypatch.setattr(germ_thinning, "_mean_count", lambda *a: calls.append(1) or mean_count(*a))
     hazard = lambda u: 0.0 if u <= 0 else u / (1.0 + u)
     thin = lambda t: np.exp(-np.asarray(t, dtype=float) / 20.0)
     # P(no candidate) = exp(-20): every draw has a last candidate and a stream

@@ -23,8 +23,9 @@ from exactpp import (
 from exactpp.hawkes_mr import EPS_ROUND, _next_fast_len, _reaching_clusters
 from exactpp.oracles import (
     hawkes_bounded_burn_in,
+    hawkes_bounded_burn_in_chains,
     hawkes_exp_burn_in,
-    hawkes_exp_burn_in_counts,
+    hawkes_exp_burn_in_chains,
 )
 from exactpp.validation import chi_square, mean_ci, two_sample_ks
 
@@ -853,14 +854,15 @@ def test_burn_in_oracle_draws_its_own_marks(monkeypatch):
 
 def test_lockstep_burn_in_oracle_draws_its_own_marks(monkeypatch):
     kernel = ExponentialFertility(0.5, 1.0, marks=((0.5, 0.5), (0.5, 1.5)))
-    expected = hawkes_exp_burn_in_counts(kernel, 1.0, 5.0, 40.0, 50, _gen(111))
+    expected = hawkes_exp_burn_in_chains(kernel, 1.0, 5.0, 40.0, 50, _gen(111))
 
     def broken(n, rng):
         raise AssertionError("the oracle called the sampler's mark routine")
 
     monkeypatch.setattr(kernel, "sample_mark", broken)
-    counts = hawkes_exp_burn_in_counts(kernel, 1.0, 5.0, 40.0, 50, _gen(111))
-    assert counts.sum() > 0 and np.array_equal(counts, expected)
+    points, offsets = hawkes_exp_burn_in_chains(kernel, 1.0, 5.0, 40.0, 50, _gen(111))
+    assert points.size > 0 and np.array_equal(points, expected[0])
+    assert np.array_equal(offsets, expected[1])
 
 def test_fresh_sampler_draw_is_reproducible():
     def draw():
@@ -900,6 +902,15 @@ def _first_point(pattern, a):
     return pattern.points[0, 0] if pattern.n else a
 
 
+def _counts_and_first_points(points, offsets, a):
+    """Each chain's window count and first point (a for an empty chain) from a
+    lockstep oracle's (points, offsets)."""
+    counts = np.diff(offsets)
+    firsts = np.full(counts.size, a)
+    firsts[counts > 0] = points[offsets[:-1][counts > 0]]
+    return counts, firsts
+
+
 @pytest.mark.parametrize(
     "kernel",
     [
@@ -914,13 +925,16 @@ def test_sampler_matches_burn_in_oracle_per_family(kernel):
     # burn-in leaves a bias below e^-15 relative to the pre-window mass
     a, n = 3.0, 1_500
     s = HawkesSampler(kernel, mu=1.0, a=a)
-    exponential = isinstance(kernel, ExponentialFertility)
-    oracle = hawkes_exp_burn_in if exponential else hawkes_bounded_burn_in
     burn = 15.0 / kernel.suggested_decay()
     exact = [s.sample(_gen(118, r)) for r in range(n)]
-    ref = [oracle(kernel, 1.0, a, burn, _gen(119, r)) for r in range(n)]
-    for name, stat in (("count", lambda p: p.n), ("first point", lambda p: _first_point(p, a))):
-        rep = two_sample_ks(
-            np.array([stat(p) for p in exact]), np.array([stat(p) for p in ref]), alpha=0.01
+    exact = (np.array([p.n for p in exact]), np.array([_first_point(p, a) for p in exact]))
+    if isinstance(kernel, ExponentialFertility):
+        ref = [hawkes_exp_burn_in(kernel, 1.0, a, burn, _gen(119, r)) for r in range(n)]
+        ref = (np.array([p.n for p in ref]), np.array([_first_point(p, a) for p in ref]))
+    else:  # the lockstep oracle: about 4 ms a chain for the one-chain oracle here
+        ref = _counts_and_first_points(
+            *hawkes_bounded_burn_in_chains(kernel, 1.0, a, burn, n, _gen(119)), a
         )
+    for name, x, y in zip(("count", "first point"), exact, ref):
+        rep = two_sample_ks(x, y, alpha=0.01)
         assert rep.accepted, (name, rep.to_dict())

@@ -3,7 +3,9 @@ Brix-Kendall, Boolean, Poisson-line and renewal demo configs and drawing from
 them load no scipy module. `exactpp sample` with validation on loads no scipy
 module for the configs whose validation is a mean check and a two-sample KS
 test against an oracle, since that test's p-value is computed with numpy
-alone. scipy is imported only inside the routines that call it (quadrature
+alone. Building and drawing from every demo config loads neither
+the oracles nor csv: only validation needs the one, and only reading a
+pattern back the other. scipy is imported only inside the routines that call it (quadrature
 and the one-sample KS and chi-square tests), so a fresh
 process shows what a cold run pays. Nor does such a run load the modules of
 samplers other than the one its config names, or concurrent.futures when it
@@ -153,3 +155,29 @@ def test_import_and_demo_builds_load_no_numpy_random():
         check=True,
     )
     assert json.loads(out.stdout.splitlines()[-1]) == [False, False]
+
+
+DRAW_SCRIPT = """
+import json, sys
+from pathlib import Path
+import exactpp, exactpp.cli as cli
+for path in sorted(Path("configs").glob("*.json")):
+    built = cli.build(cli.load_config(str(path)))
+    for r in range(2):
+        built["sample"](exactpp.RngStream(31, r).generator())
+print(json.dumps(sorted(m for m in ("exactpp.oracles", "csv") if m in sys.modules)))
+"""
+
+
+def test_demo_builds_and_draws_load_no_oracles_or_csv():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", DRAW_SCRIPT],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == []

@@ -1,6 +1,8 @@
-"""Reference samplers against each other: the lockstep burn-in oracles against
-the one-chain oracles they batch, the lockstep Hawkes oracle against its closed
--form mean, and the pairwise Matern oracle against a per-point loop."""
+"""Reference samplers against each other: every lockstep oracle against the
+one-chain oracle it batches, in law, and in bytes where the one-chain case
+calls the generator as the scalar oracle does; the lockstep Hawkes oracle
+against its closed-form mean, and the hard-core sweep against a per-point
+loop."""
 
 import hashlib
 import math
@@ -8,13 +10,34 @@ import math
 import numpy as np
 import pytest
 
-from exactpp import ExponentialFertility, PointPattern, RngStream, SamplerError, Window, oracles
+from exactpp import (
+    ExponentialFertility,
+    GeometricGrid,
+    PiecewiseConstantFertility,
+    PointPattern,
+    PolynomialFertility,
+    RngStream,
+    SamplerError,
+    TranslatedPoissonCluster,
+    UniformDisplacement,
+    Window,
+    oracles,
+)
 from exactpp.oracles import (
+    cluster_direct_chains,
+    cluster_direct_oracle,
+    grid_thin_after,
+    grid_thin_after_chains,
+    hawkes_bounded_burn_in,
+    hawkes_bounded_burn_in_chains,
     hawkes_exp_burn_in,
-    hawkes_exp_burn_in_counts,
+    hawkes_exp_burn_in_chains,
+    matern_direct_chains,
     matern_direct_oracle,
     nonlinear_hawkes_burn_in,
-    nonlinear_hawkes_burn_in_counts,
+    nonlinear_hawkes_burn_in_chains,
+    renewal_thin_after,
+    renewal_thin_after_chains,
 )
 from exactpp.validation import mean_ci, two_sample_ks
 
@@ -23,6 +46,13 @@ N_CHAINS = 2_000
 
 def _gen(seed, stream=0):
     return RngStream(seed, stream).generator()
+
+
+def _counts(chains):
+    """The window count of each chain of a lockstep oracle's (points, offsets)."""
+    points, offsets = chains
+    assert offsets[0] == 0 and offsets[-1] == len(points) and np.all(np.diff(offsets) >= 0)
+    return np.diff(offsets)
 
 
 def _saturating(bound, base, height, support):
@@ -54,9 +84,9 @@ def test_lockstep_nonlinear_oracle_matches_scalar(bound, base, height, support, 
         widths.append(t.shape[1])
         return h_array(t)
 
-    lockstep = nonlinear_hawkes_burn_in_counts(
+    lockstep = _counts(nonlinear_hawkes_burn_in_chains(
         phi_array, bound, h_recorded, support, window, burn, N_CHAINS, _gen(301)
-    )
+    ))
     rng = _gen(302)
     scalar = [
         nonlinear_hawkes_burn_in(phi, bound, h, support, window, burn, rng).n
@@ -71,7 +101,7 @@ def test_lockstep_nonlinear_oracle_matches_scalar(bound, base, height, support, 
 def test_lockstep_nonlinear_oracle_enforces_the_phi_bound():
     window = Window((0.0,), (2.0,))
     with pytest.raises(SamplerError, match="phi left its declared bound"):
-        nonlinear_hawkes_burn_in_counts(
+        nonlinear_hawkes_burn_in_chains(
             lambda d: np.full(d.shape, 3.0), 1.0, np.zeros_like, 1.0, window, 5.0, 10, _gen(303)
         )
 
@@ -79,7 +109,7 @@ def test_lockstep_nonlinear_oracle_enforces_the_phi_bound():
 def test_lockstep_hawkes_oracle_matches_scalar():
     kernel = ExponentialFertility(0.5, 1.0, marks=((0.5, 0.4), (0.5, 1.4)))
     a, burn = 5.0, 40.0
-    lockstep = hawkes_exp_burn_in_counts(kernel, 1.0, a, burn, N_CHAINS, _gen(304))
+    lockstep = _counts(hawkes_exp_burn_in_chains(kernel, 1.0, a, burn, N_CHAINS, _gen(304)))
     rng = _gen(305)
     scalar = [hawkes_exp_burn_in(kernel, 1.0, a, burn, rng).n for _ in range(N_CHAINS)]
     rep = two_sample_ks(lockstep, np.array(scalar), alpha=0.01)
@@ -112,15 +142,15 @@ def test_lockstep_hawkes_oracle_mean_count():
     # E N([0, a]) = mu a / (1 - rho) = 20 for the stationary process
     kernel = ExponentialFertility(0.5, 1.0)
     burn = 60.0 / kernel.suggested_decay()
-    counts = hawkes_exp_burn_in_counts(kernel, 1.0, 10.0, burn, 20_000, _gen(306))
+    counts = _counts(hawkes_exp_burn_in_chains(kernel, 1.0, 10.0, burn, 20_000, _gen(306)))
     mean, half = mean_ci(counts, z=4.0)
     assert abs(mean - 1.0 * 10.0 / (1.0 - kernel.rho)) < half
 
 
 def test_lockstep_hawkes_oracle_without_immigrants_is_empty():
     kernel = ExponentialFertility(0.5, 1.0)
-    counts = hawkes_exp_burn_in_counts(kernel, 0.0, 5.0, 40.0, 7, _gen(307))
-    assert counts.tolist() == [0] * 7
+    points, offsets = hawkes_exp_burn_in_chains(kernel, 0.0, 5.0, 40.0, 7, _gen(307))
+    assert points.size == 0 and offsets.tolist() == [0] * 8
 
 
 def _matern_loop(rate, radius, thin_p, window, rng):
@@ -137,7 +167,7 @@ def _matern_loop(rate, radius, thin_p, window, rng):
     kept = pts[survive]
     if kept.shape[0]:
         kept = kept[rng.random(kept.shape[0]) < np.asarray(thin_p(kept), dtype=float)]
-    return PointPattern(kept, dim=window.dim).restrict(window)
+    return PointPattern(kept[window.contains(kept)], dim=window.dim)
 
 
 @pytest.mark.parametrize("block", [None, 1, 200], ids=["one-block", "row-by-row", "small-blocks"])
@@ -163,3 +193,164 @@ def test_matern_oracle_equals_the_per_point_loop(window, rate, radius, block, mo
         want = _matern_loop(rate, radius, thin_p, window, ref_rng)
         assert got.points.tobytes() == want.points.tobytes()
     assert rng.random() == ref_rng.random()
+
+
+# -- lockstep forms of the one-chain oracles -----------------------------------------
+
+BK_1D = TranslatedPoissonCluster(2.0, UniformDisplacement((-0.5,), (0.5,)))
+BK_2D = TranslatedPoissonCluster(1.5, UniformDisplacement((-0.3, -0.2), (0.4, 0.3)))
+W_1D = Window((0.0,), (10.0,))
+W_2D = Window((0.0, 0.0), (3.0, 2.0))
+W_MATERN = Window((0.0, 0.0), (3.0, 3.0))
+GRID = GeometricGrid(0.7, 0.6)
+
+
+def _thin_08(pts):
+    return np.full(pts.shape[0], 0.8)
+
+
+def _renewal_gap(rng, size=None):
+    return rng.gamma(2.0, 1.0, size)
+
+
+def _renewal_thin(t):
+    return np.exp(-0.5 * np.asarray(t, dtype=float))
+
+
+# name -> (one chain of the scalar oracle as an array, the lockstep form of n chains)
+ONE_CHAIN_CASES = {
+    "brix-kendall-1d": (
+        lambda rng: cluster_direct_oracle(1.0, BK_1D, W_1D, rng).points,
+        lambda n, rng: cluster_direct_chains(1.0, BK_1D, W_1D, n, rng),
+    ),
+    "brix-kendall-2d": (
+        lambda rng: cluster_direct_oracle(2.0, BK_2D, W_2D, rng).points,
+        lambda n, rng: cluster_direct_chains(2.0, BK_2D, W_2D, n, rng),
+    ),
+    "matern-1d": (
+        lambda rng: matern_direct_oracle(3.0, 0.25, _thin_08, W_1D, rng).points,
+        lambda n, rng: matern_direct_chains(3.0, 0.25, _thin_08, W_1D, n, rng),
+    ),
+    "matern-2d": (
+        lambda rng: matern_direct_oracle(2.0, 0.3, _thin_08, W_MATERN, rng).points,
+        lambda n, rng: matern_direct_chains(2.0, 0.3, _thin_08, W_MATERN, n, rng),
+    ),
+    "grid": (
+        lambda rng: grid_thin_after(GRID.p, 40, rng),
+        lambda n, rng: grid_thin_after_chains(GRID.p, 40, n, rng),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("brix-kendall-1d", "3f10e172f3197b96e3e36c65c124897bd467fda09dc40f32adb09eaa3ecb9128"),
+        ("brix-kendall-2d", "9312c9acfe0650b6e6580e6e12d4ca0b8b0f30ff21f15d2eafb01dbab747ecb2"),
+        ("matern-1d", "4b91d715792d121d434599dd606cbf2a029d2c1b8315aab9d48f35fa659cda84"),
+        ("matern-2d", "b908f241203c979f69288bfa9717dddae37602b1409cd6929c59576c60d12a03"),
+        ("grid", "de8f6694766333c1b72b502cb0ecd6d4b91764729db9b685df13452841f3d9b6"),
+    ],
+)
+def test_one_chain_lockstep_keeps_the_scalar_oracles_bytes(case, digest):
+    # digests of the scalar oracles as written before their lockstep forms
+    # existed: 200 chains, then the generator's next numbers
+    scalar, chains = ONE_CHAIN_CASES[case]
+    for draw in (scalar, lambda rng: chains(1, rng)[0]):
+        rng = _gen(310)
+        h = hashlib.sha256()
+        for _ in range(200):
+            h.update(draw(rng).tobytes())
+        h.update(rng.random(4).tobytes())
+        assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", sorted(ONE_CHAIN_CASES))
+def test_lockstep_oracle_matches_its_scalar_in_law(case):
+    scalar, chains = ONE_CHAIN_CASES[case]
+    lockstep = _counts(chains(N_CHAINS, _gen(311)))
+    rng = _gen(312)
+    one_by_one = np.array([len(scalar(rng)) for _ in range(N_CHAINS)])
+    rep = two_sample_ks(lockstep, one_by_one, alpha=0.01)
+    assert rep.accepted, rep.to_dict()
+
+
+def test_lockstep_renewal_oracle_matches_scalar():
+    lockstep = _counts(
+        renewal_thin_after_chains(_renewal_gap, _renewal_thin, 30.0, N_CHAINS, _gen(313))
+    )
+    rng = _gen(314)
+    scalar = [renewal_thin_after(_renewal_gap, _renewal_thin, 30.0, rng).n for _ in range(N_CHAINS)]
+    rep = two_sample_ks(lockstep, np.array(scalar), alpha=0.01)
+    assert rep.accepted, rep.to_dict()
+
+
+def test_lockstep_renewal_points_are_each_chains_thinned_stream():
+    points, offsets = renewal_thin_after_chains(
+        _renewal_gap, _renewal_thin, 30.0, 50, _gen(315)
+    )
+    assert offsets.size == 51 and offsets[-1] == points.size > 0
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        chain = points[lo:hi]
+        assert np.all(np.diff(chain) > 0) and np.all((chain > 0) & (chain <= 30.0))
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        PolynomialFertility((0.45, -0.225), 2.0),
+        PiecewiseConstantFertility((0.0, 0.5, 2.0), (0.6, 0.1), marks=((0.5, 0.5), (0.5, 1.5))),
+    ],
+    ids=["polynomial", "piecewise"],
+)
+def test_lockstep_bounded_hawkes_oracle_matches_scalar(kernel):
+    # the scalar oracle steps about 4 ms a chain here, so its side stays small
+    a, burn = 3.0, 15.0 / kernel.suggested_decay()
+    points, offsets = hawkes_bounded_burn_in_chains(kernel, 1.0, a, burn, N_CHAINS, _gen(316))
+    assert np.all((points >= 0.0) & (points <= a))
+    rng = _gen(317)
+    scalar = [hawkes_bounded_burn_in(kernel, 1.0, a, burn, rng) for _ in range(300)]
+    rep = two_sample_ks(_counts((points, offsets)), np.array([p.n for p in scalar]), alpha=0.01)
+    assert rep.accepted, rep.to_dict()
+    # E N([0, a]) = mu a / (1 - rho) for the stationary process
+    mean, half = mean_ci(np.diff(offsets), z=4.0)
+    assert abs(mean - a / (1.0 - kernel.rho)) < half
+
+
+def test_lockstep_bounded_hawkes_oracle_grows_its_ring_and_draws_its_own_marks(monkeypatch):
+    # dense: one support of 2 holds more than four events of a chain, so the
+    # four-slot ring must double, or excitation would be lost and the mean fall
+    kernel = PiecewiseConstantFertility((0.0, 2.0), (0.4,), marks=((0.5, 0.5), (0.5, 1.5)))
+
+    def broken(n, rng):
+        raise AssertionError("the oracle called the sampler's mark routine")
+
+    monkeypatch.setattr(kernel, "sample_mark", broken)
+    points, offsets = hawkes_bounded_burn_in_chains(kernel, 2.0, 5.0, 60.0, 200, _gen(318))
+    crowded = [
+        np.max(np.searchsorted(chain, chain + kernel.support, "right") - np.arange(chain.size))
+        for chain in np.split(points, offsets[1:-1])
+        if chain.size
+    ]
+    assert max(crowded) > 4
+    mean, half = mean_ci(np.diff(offsets), z=4.0)
+    assert abs(mean - 2.0 * 5.0 / (1.0 - kernel.rho)) < half
+
+
+def test_lockstep_bounded_hawkes_oracle_without_immigrants_is_empty():
+    kernel = PolynomialFertility((0.45, -0.225), 2.0)
+    points, offsets = hawkes_bounded_burn_in_chains(kernel, 0.0, 5.0, 40.0, 7, _gen(319))
+    assert points.size == 0 and offsets.tolist() == [0] * 8
+
+
+@pytest.mark.parametrize(
+    "case, block",
+    [("matern-1d", "_PAIR_BLOCK"), ("matern-2d", "_PAIR_BLOCK"), ("grid", "_COIN_BLOCK")],
+)
+def test_lockstep_blocks_do_not_change_the_output(case, block, monkeypatch):
+    _, chains = ONE_CHAIN_CASES[case]
+    want = chains(300, _gen(320))
+    monkeypatch.setattr(oracles, block, 1)
+    got = chains(300, _gen(320))
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])
