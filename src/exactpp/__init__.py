@@ -25,9 +25,10 @@ is organized by construction:
 
 Importing the package loads none of these modules. Each name in `__all__` is
 imported from its module on first access, and the CLI imports a sampler's
-modules only when it builds that sampler, so a run loads core, validation, cli
-and the modules of the one sampler its config names (with oracles when its
-validation runs one).
+modules only when it builds that sampler and validation only when a run
+validates or writes meta.json, so a run loads core, validation, cli and the
+modules of the one sampler its config names (with oracles when its
+validation runs one), and a build alone loads no validation.
 
 scipy is imported inside the few routines that call it (quadrature and the
 one-sample KS and chi-square tests), so importing the package, or building

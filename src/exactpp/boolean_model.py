@@ -14,6 +14,11 @@ its grain and keep the pairs whose segment hits. Poisson lines are rays from
 germ points, kept by the arcsin rule against a disk target; a kept ray's
 direction is uniform on the arc of directions that meet the disk, drawn in
 closed form. Draws return numpy arrays only.
+
+Each draw has a lockstep form, boolean_exact_chains and poisson_lines_chains,
+that draws n independent replicates from one generator and returns their
+sample with every replicate's grains listed in turn, and the offsets of each
+replicate's rows; the single draws are these forms at n = 1.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, _mean_count, sample_homogeneous, thin
+from .core import (ConfigError, _mean_count, chain_offsets, homogeneous_chains, kept_rows,
+                   pair_blocks, poisson_counts, thin_chains)
 
 __all__ = [
     "DiskWindow",
@@ -35,9 +41,11 @@ __all__ = [
     "SegmentGrains",
     "BooleanSample",
     "boolean_exact_sample",
+    "boolean_exact_chains",
     "hit_prob_poisson_line",
     "LineSample",
     "sample_poisson_lines",
+    "poisson_lines_chains",
     "box_distance",
     "segment_hits_box",
 ]
@@ -153,12 +161,15 @@ class DiskGrains:
 
     radius_law: object
 
-    def draw(self, rate, window, rng):
-        """The kept pairs on a 2-D box window, as arrays: {"germs": (n, 2), "radii": (n,)}."""
+    def draw(self, rate, window, n_chains, rng):
+        """The kept pairs of n_chains replicates on a 2-D box window, as arrays
+        {"germs": (n, 2), "radii": (n,)}, and each replicate's offsets. Every
+        replicate's pair count is drawn first, then every step for all pairs."""
         _need_plane(window, "disk grains need a 2-D window")
         law = self.radius_law
         partial, total = _steiner(law, window)
-        n = rng.poisson(_mean_count(rate, total))
+        offsets = chain_offsets(poisson_counts(_mean_count(rate, total), n_chains, rng))
+        n = int(offsets[-1])
         terms = np.searchsorted(partial, rng.random(n) * total, side="right")
         radii = np.empty(n)
         for k in range(3):
@@ -174,7 +185,7 @@ class DiskGrains:
             ok = box_distance(cand, window) <= r
             germs[todo[ok]] = cand[ok]
             todo = todo[~ok]
-        return {"germs": germs, "radii": radii}
+        return {"germs": germs, "radii": radii}, offsets
 
 
 @functools.lru_cache(maxsize=16)
@@ -201,16 +212,16 @@ class SegmentGrains:
         h *= 0.5 * self.length
         return x - h, x + h
 
-    def draw(self, rate, window, rng):
-        """The kept pairs on a 2-D box window, as arrays: {"germs": (n, 2), and
-        the segments' end points "p0" and "p1": (n, 2)}. Every germ within
-        reach draws its segment, and the pairs whose segment meets the window
-        are kept."""
+    def draw(self, rate, window, n_chains, rng):
+        """The kept pairs of n_chains replicates on a 2-D box window, as arrays
+        {"germs": (n, 2), and the segments' end points "p0" and "p1": (n, 2)},
+        and each replicate's offsets. Every germ within reach draws its
+        segment, and the pairs whose segment meets the window are kept."""
         _need_plane(window, "segment grains need a 2-D window")
-        cand = sample_homogeneous(window.buffered(0.5 * self.length), rate, rng).points
+        cand, offsets = homogeneous_chains(window.buffered(0.5 * self.length), rate, n_chains, rng)
         p0, p1 = self.endpoints(cand, rng.random(len(cand)) * np.pi)
-        keep = segment_hits_box(p0, p1, window)
-        return {"germs": cand[keep], "p0": p0[keep], "p1": p1[keep]}
+        keep, offsets = kept_rows(segment_hits_box(p0, p1, window), offsets)
+        return {"germs": cand[keep], "p0": p0[keep], "p1": p1[keep]}, offsets
 
 
 def _need_plane(window, message):
@@ -257,20 +268,49 @@ class BooleanSample:
     p0: np.ndarray = None
     p1: np.ndarray = None
 
-    def coverage(self, points):
+    def coverage(self, points, offsets=None):
         """Boolean mask: probe point lies in the union of the disk grains
-        (none for segment grains, which cover no area)."""
+        (none for segment grains, which cover no area). With the offsets of
+        replicates listed in turn, one row per replicate: (n_chains, n_probes).
+
+        Each grain is compared with the probes within its radius along the
+        first coordinate (a relative slack of 1e-9 covers rounding), at most
+        core.PAIR_BLOCK pairs at once, and the distances decide.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.radii is None:
-            return np.zeros(pts.shape[0], dtype=bool)
-        dx = pts[:, 0, None] - self.germs[:, 0]
-        dy = pts[:, 1, None] - self.germs[:, 1]
-        return np.any(dx * dx + dy * dy <= self.radii * self.radii, axis=1)
+        n_chains = 1 if offsets is None else len(offsets) - 1
+        covered = np.zeros((n_chains, pts.shape[0]), dtype=bool)
+        if self.radii is not None and len(self.germs):
+            order = pts[:, 0].argsort(kind="stable")
+            xs, ys = pts[order, 0], pts[order, 1]
+            gx, gy = self.germs[:, 0], self.germs[:, 1]
+            reach = self.radii * (1.0 + 1e-9)
+            first = xs.searchsorted(gx - reach)
+            width = xs.searchsorted(gx + reach, side="right") - first
+            chain = (np.zeros(len(gx), dtype=np.int64) if offsets is None
+                     else np.arange(n_chains).repeat(np.diff(offsets)))
+            for rows in pair_blocks(width):
+                w = width[rows]
+                ends = w.cumsum()
+                probe = np.arange(ends[-1]) + (first[rows] - ends + w).repeat(w)
+                dx = xs[probe] - gx[rows].repeat(w)
+                dy = ys[probe] - gy[rows].repeat(w)
+                hit = dx * dx + dy * dy <= (self.radii[rows] * self.radii[rows]).repeat(w)
+                covered[chain[rows].repeat(w)[hit], order[probe[hit]]] = True
+        return covered if offsets is not None else covered[0]
 
 
 def boolean_exact_sample(rate, grains, window, rng):
-    """Exact Boolean-model draw on a 2-D box window: the grains that hit it."""
-    return BooleanSample(window=window, **grains.draw(rate, window, rng))
+    """Exact Boolean-model draw on a 2-D box window: the grains that hit it.
+    One replicate of boolean_exact_chains."""
+    return boolean_exact_chains(rate, grains, window, 1, rng)[0]
+
+
+def boolean_exact_chains(rate, grains, window, n_chains, rng):
+    """(sample, offsets) of n_chains independent boolean_exact_sample draws,
+    in lockstep: the sample holds every replicate's grains in turn."""
+    fields, offsets = grains.draw(rate, window, n_chains, rng)
+    return BooleanSample(window=window, **fields), offsets
 
 
 # -- Poisson lines through germ points ----------------------------------------
@@ -296,7 +336,8 @@ class LineSample:
 
 
 def sample_poisson_lines(rate, target, germ_region, rng):
-    """Rays from Poisson germs retained by the arcsin rule.
+    """Rays from Poisson germs retained by the arcsin rule; one replicate of
+    poisson_lines_chains.
 
     The retained mass over the whole plane diverges (the rule decays like
     1/||x||), so a bounded 2-D germ region is part of the model; germs are
@@ -307,11 +348,19 @@ def sample_poisson_lines(rate, target, germ_region, rng):
     uniform on [0, 2 pi) for a germ inside the disk. A germ region of
     another dimension raises ConfigError.
     """
+    return poisson_lines_chains(rate, target, germ_region, 1, rng)[0]
+
+
+def poisson_lines_chains(rate, target, germ_region, n_chains, rng):
+    """(sample, offsets) of n_chains independent sample_poisson_lines draws, in
+    lockstep: every replicate's germs, then all coins, then all directions."""
     _need_plane(germ_region, "poisson lines need a 2-D germ region")
     center = target._center
-    cand = sample_homogeneous(germ_region, rate, rng).points - center  # target-centered frame
-    x = thin(cand, hit_prob_poisson_line(cand, target.radius), rng)
-    return LineSample(x + center, _line_angles(x, target.radius, rng), target)
+    cand, offsets = homogeneous_chains(germ_region, rate, n_chains, rng)
+    cand = cand - center  # target-centered frame
+    keep, offsets = thin_chains(offsets, hit_prob_poisson_line(cand, target.radius), rng)
+    x = cand[keep]
+    return LineSample(x + center, _line_angles(x, target.radius, rng), target), offsets
 
 
 def _line_angles(x, radius, rng):

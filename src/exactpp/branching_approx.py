@@ -25,12 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointPattern, SamplerError, _mean_count, sample_homogeneous
+from .core import PointPattern, SamplerError, _mean_count, chain_offsets, homogeneous_chains
 
 __all__ = [
     "GWCluster",
     "TruncationCertificate",
     "approx_branching_sample",
+    "approx_branching_chains",
     "certificate_generations_for",
     "sample_gw_cluster",
 ]
@@ -215,9 +216,29 @@ def approx_branching_sample(rate0, progeny, window, n, rng, point_cap=POINT_CAP)
     drawn on the n*R-buffered window and grown by one sample_gw_cluster call,
     so the returned restriction is exactly distributed; the certificate bounds
     only the dropped generations. Draws with the objects of the last call
-    reuse its checks, certificate and buffer.
+    reuse its checks, certificate and buffer. One replicate of
+    approx_branching_chains.
+    """
+    points, _, cert = approx_branching_chains(rate0, progeny, window, n, 1, rng, point_cap)
+    return PointPattern(points, dim=window.dim), cert
+
+
+def approx_branching_chains(rate0, progeny, window, n, n_chains, rng, point_cap=POINT_CAP):
+    """(points, offsets, certificate) of n_chains independent draws of
+    approx_branching_sample, in lockstep.
+
+    The germs of every replicate are drawn first, then all of them grow in one
+    sample_gw_cluster call, so point_cap bounds the points of all n_chains
+    replicates together. Past one replicate, the window points are grouped by
+    replicate, each in the engine's order.
     """
     cert, region = _checked(rate0, progeny, window, n)
-    germ = sample_homogeneous(region, rate0, rng).points
-    pts = sample_gw_cluster(progeny, germ, rng, point_cap, generations=int(n)).points
-    return PointPattern(pts[window.contains(pts)], dim=window.dim), cert
+    germs, offsets = homogeneous_chains(region, rate0, n_chains, rng)
+    cluster = sample_gw_cluster(progeny, germs, rng, point_cap, generations=int(n))
+    inside = window.contains(cluster.points)
+    points = cluster.points[inside]
+    if n_chains == 1:
+        return points, np.array([0, len(points)]), cert
+    chain = np.repeat(np.arange(int(n_chains)), np.diff(offsets))[cluster.owner[inside]]
+    order = np.argsort(chain, kind="stable")
+    return points[order], chain_offsets(np.bincount(chain, minlength=int(n_chains))), cert

@@ -20,11 +20,12 @@ sampler is built or run; a refusal of several values of one config object
 keeps the sampler's exit code. Model-level impossibilities (supercritical
 kernels, unbounded buffers, point counts too large to draw) exit 3.
 
-Only core and validation are imported with this module. Each builder imports
-its sampler's module when it builds, and each oracle imports oracles when it
-runs, so a run loads only the modules of the sampler its config names
-(oracles only when validation runs), and concurrent.futures only when
-EXACTPP_WORKERS > 1.
+Only core is imported with this module. Each builder imports its sampler's
+module when it builds, each validation imports validation and each oracle
+imports oracles when it runs, and a sample run imports validation for its
+meta.json; so a run loads only the modules of the sampler its config names
+(oracles only when validation runs), a build alone loads no validation, and
+concurrent.futures is loaded only when EXACTPP_WORKERS > 1.
 """
 
 from __future__ import annotations
@@ -47,15 +48,8 @@ from .core import (
     SamplerError,
     Window,
     config_hash,
+    homogeneous_chains,
     sample_homogeneous,
-)
-from .validation import (
-    ReportCollector,
-    TestReport,
-    _jsonable,
-    mean_ci,
-    replicate_counts,
-    two_sample_ks,
 )
 
 SCHEMA_VERSION = 1
@@ -203,6 +197,8 @@ def _displacement(p):
 
 
 def _interval_report(name, value, expect, half):
+    from .validation import TestReport
+
     err = abs(value - expect)
     return TestReport(
         name=name,
@@ -214,22 +210,26 @@ def _interval_report(name, value, expect, half):
     )
 
 
-def _count_checks(sample, mean=None, oracle=None):
-    """The count battery as a validate closure: replicate counts, then a mean
-    check for mean=(name, expected count) and a two-sample KS test for
-    oracle=(name, oracle_chains). oracle_chains(n_reps, rng) returns the
-    (points, offsets) of n_reps reference chains, all drawn in lockstep from
-    the one generator of substream 10_001, and the test compares their window
-    counts. Any oracle set-up belongs inside oracle_chains, so it runs only
-    when validation does."""
+def _count_checks(chains=None, sample=None, mean=None, oracle=None):
+    """The count battery as a validate closure: the replicates' points drawn
+    by validation.replicate_counts, from the lockstep form chains(n_reps, rng)
+    or, replicate by replicate, from sample(rng); then a mean check of their
+    counts for mean=(name, expected count), and a two-sample KS test of their
+    counts for oracle=(name, oracle_chains). oracle_chains(n_reps, rng)
+    returns the (points, offsets) of n_reps reference chains, all drawn in
+    lockstep from the one generator of the ORACLE substream. Both sides'
+    counts are np.diff(offsets). Any oracle set-up belongs inside
+    oracle_chains, so it runs only when validation does."""
 
     def validate(stream, n_reps, collector):
-        counts = replicate_counts(sample, n_reps, stream)
+        from .validation import ORACLE, mean_ci, replicate_counts, two_sample_ks
+
+        counts = np.diff(replicate_counts(n_reps, stream, chains=chains, sample=sample)[1])
         if mean is not None:
             value, half = mean_ci(counts)
             collector.add(_interval_report(mean[0], value, mean[1], half))
         if oracle is not None:
-            _, offsets = oracle[1](n_reps, stream.substream(10_001).generator())
+            _, offsets = oracle[1](n_reps, stream.substream(ORACLE).generator())
             collector.add(two_sample_ks(counts, np.diff(offsets), name=oracle[0]))
 
     return validate
@@ -252,8 +252,11 @@ def _build_poisson(p, window):
     def sample(rng):
         return sample_homogeneous(window, rate, rng)
 
+    def chains(n_reps, rng):
+        return homogeneous_chains(window, rate, n_reps, rng)
+
     return _built(sample, window,
-                  _count_checks(sample, mean=("poisson-mean-count", rate * window.volume())))
+                  _count_checks(chains, mean=("poisson-mean-count", rate * window.volume())))
 
 
 def _build_brix_kendall(p, window):
@@ -270,7 +273,7 @@ def _build_brix_kendall(p, window):
         return cluster_direct_chains(rate0, kernel, window, n_reps, rng)
 
     validate = _count_checks(
-        sampler.sample,
+        sampler.sample_chains,
         mean=("cluster-mean-count", rate0 * cmean * window.volume()),
         oracle=("cluster-counts-vs-oracle", oracle),
     )
@@ -279,7 +282,7 @@ def _build_brix_kendall(p, window):
 
 def _build_boolean_disks(p, window):
     from .boolean_model import (DiskGrains, ExpRadius, FixedRadius, UniformRadius,
-                                boolean_exact_sample)
+                                boolean_exact_chains, boolean_exact_sample)
 
     rate = p.get("rate", float, check=_NONNEG)
     kind, r = p.tagged("radius", "kind", {"fixed": ("value",), "uniform": ("lo", "hi"),
@@ -299,12 +302,15 @@ def _build_boolean_disks(p, window):
         bs = draw(rng)
         return PointPattern(bs.germs, marks=bs.radii, dim=window.dim)
 
+    def chains(n_reps, rng):
+        return boolean_exact_chains(rate, grains, window, n_reps, rng)
+
     def validate(stream, n_reps, collector):
-        probes = window.sample_uniform(400, stream.substream(10_002).generator())
-        fracs = np.empty(n_reps)
-        for r, rng in enumerate(stream.substream_generators(n_reps)):
-            fracs[r] = float(np.mean(draw(rng).coverage(probes)))
-        mean, half = mean_ci(fracs)
+        from .validation import PROBES, mean_ci, replicate_counts
+
+        probes = window.sample_uniform(400, stream.substream(PROBES).generator())
+        grains_drawn, offsets = replicate_counts(n_reps, stream, chains=chains)
+        mean, half = mean_ci(grains_drawn.coverage(probes, offsets).mean(axis=1))
         expect = 1.0 - math.exp(-rate * math.pi * law.moment(2))
         collector.add(_interval_report("boolean-coverage", mean, expect, half))
 
@@ -312,7 +318,7 @@ def _build_boolean_disks(p, window):
 
 
 def _build_boolean_segments(p, window):
-    from .boolean_model import SegmentGrains, boolean_exact_sample
+    from .boolean_model import SegmentGrains, boolean_exact_chains, boolean_exact_sample
 
     rate = p.get("rate", float, check=_NONNEG)
     grains = SegmentGrains(p.get("length", float, check=_POS))
@@ -323,15 +329,20 @@ def _build_boolean_segments(p, window):
     def sample(rng):
         return PointPattern(draw(rng).germs, dim=window.dim)
 
+    def chains(n_reps, rng):
+        drawn, offsets = boolean_exact_chains(rate, grains, window, n_reps, rng)
+        return drawn.germs, offsets
+
     # mean area of the germs whose segment meets the box: A + L P / pi
     perimeter = 2.0 * float(np.sum(window.sides))
     expect = rate * (window.volume() + grains.length * perimeter / math.pi)
-    validate = _count_checks(sample, mean=("segment-germ-count", expect))
+    validate = _count_checks(chains, mean=("segment-germ-count", expect))
     return _built(sample, window, validate, boolean_draw=draw)
 
 
 def _build_poisson_lines(p, window):
-    from .boolean_model import DiskWindow, hit_prob_poisson_line, sample_poisson_lines
+    from .boolean_model import (DiskWindow, hit_prob_poisson_line, poisson_lines_chains,
+                                sample_poisson_lines)
 
     rate = p.get("rate", float, check=_NONNEG)
     center = p.floats("target_center", 2)
@@ -343,10 +354,15 @@ def _build_poisson_lines(p, window):
         ls = sample_poisson_lines(rate, target, region, rng)
         return PointPattern(ls.germs, marks=ls.angles, dim=2)
 
+    def chains(n_reps, rng):
+        drawn, offsets = poisson_lines_chains(rate, target, region, n_reps, rng)
+        return drawn.germs, offsets
+
     def validate(stream, n_reps, collector):
-        counts = replicate_counts(sample, n_reps, stream)
-        mean, half = mean_ci(counts)
-        probes = region.sample_uniform(20_000, stream.substream(10_002).generator())
+        from .validation import PROBES, mean_ci, replicate_counts
+
+        mean, half = mean_ci(np.diff(replicate_counts(n_reps, stream, chains=chains)[1]))
+        probes = region.sample_uniform(20_000, stream.substream(PROBES).generator())
         p = hit_prob_poisson_line(probes - np.asarray(center), radius)
         expect = rate * region.volume() * float(np.mean(p))
         mc_half = 3.0 * rate * region.volume() * float(np.std(p)) / math.sqrt(p.size)
@@ -382,17 +398,21 @@ def _build_grid_thinning(p, window):
         sites = thin_grid(spec, rng)
         return PointPattern(np.asarray(sites, dtype=float).reshape(-1, 1), dim=1)
 
+    def chains(n_reps, rng):
+        sites, offsets = spec.sample_chains(n_reps, rng)
+        return sites.astype(float).reshape(-1, 1), offsets
+
     def oracle(n_reps, rng):
         from .oracles import grid_thin_after_chains
 
         return grid_thin_after_chains(spec.p, _grid_horizon(spec), n_reps, rng)
 
-    validate = _count_checks(sample, oracle=("grid-counts-vs-thin-after", oracle))
+    validate = _count_checks(chains, oracle=("grid-counts-vs-thin-after", oracle))
     return _built(sample, window, validate, ())
 
 
 def _build_renewal(p, window):
-    from .germ_thinning import _gamma_hazard, renewal_thin_first
+    from .germ_thinning import _gamma_hazard, renewal_thin_first, renewal_thin_first_chains
 
     _, inter = p.tagged("interarrival", "kind", {"gamma": ("shape", "scale")})
     shape = inter.get("shape", float, check=_AT_LEAST_1)  # a bounded hazard
@@ -414,6 +434,11 @@ def _build_renewal(p, window):
             hazard, bound, thin_p, rng, p_tail=p_tail, p_mass=1.0 / thin_rate
         )
 
+    def chains(n_reps, rng):
+        return renewal_thin_first_chains(
+            hazard, bound, thin_p, n_reps, rng, p_tail=p_tail, p_mass=1.0 / thin_rate
+        )
+
     def oracle(n_reps, rng):
         from .oracles import renewal_thin_after_chains
 
@@ -421,12 +446,12 @@ def _build_renewal(p, window):
             lambda r, size: r.gamma(shape, scale, size), thin_p, 60.0 / thin_rate, n_reps, rng
         )
 
-    validate = _count_checks(sample, oracle=("renewal-counts-vs-thin-after", oracle))
+    validate = _count_checks(chains, oracle=("renewal-counts-vs-thin-after", oracle))
     return _built(sample, window, validate, ())
 
 
 def _build_matern(p, window):
-    from .germ_thinning import matern_thin_first
+    from .germ_thinning import matern_thin_first, matern_thin_first_chains
 
     rate = p.get("rate", float, check=_NONNEG)
     radius = p.get("radius", float, check=_NONNEG)
@@ -438,12 +463,15 @@ def _build_matern(p, window):
     def sample(rng):
         return matern_thin_first(rate, radius, thin_fn, window, rng)
 
+    def chains(n_reps, rng):
+        return matern_thin_first_chains(rate, radius, thin_fn, window, n_reps, rng)
+
     def oracle(n_reps, rng):
         from .oracles import matern_direct_chains
 
         return matern_direct_chains(rate, radius, thin_fn, window, n_reps, rng)
 
-    validate = _count_checks(sample, oracle=("hardcore-counts-vs-thin-after", oracle))
+    validate = _count_checks(chains, oracle=("hardcore-counts-vs-thin-after", oracle))
     return _built(sample, window, validate)
 
 
@@ -481,7 +509,7 @@ def _build_nonlinear_hawkes(p, window):
             phi_array, lam, h_array, support, window, burn, n_reps, rng
         )
 
-    validate = _count_checks(sample, oracle=("nonlinear-counts-vs-burn-in", oracle))
+    validate = _count_checks(sample=sample, oracle=("nonlinear-counts-vs-burn-in", oracle))
     return _built(sample, window, validate, ())
 
 
@@ -504,7 +532,7 @@ def _build_hawkes_mr(p, window):
         return chains(kernel, mu, a, burn, n_reps, rng)
 
     validate = _count_checks(
-        sampler.sample,
+        sample=sampler.sample,
         mean=("self-exciting-mean-count", mu * window.upper[0] / (1.0 - kernel.rho)),
         oracle=("self-exciting-counts-vs-burn-in", oracle),
     )
@@ -514,7 +542,7 @@ def _build_hawkes_mr(p, window):
 
 
 def _build_branching_approx(p, window):
-    from .branching_approx import _checked, approx_branching_sample
+    from .branching_approx import _checked, approx_branching_chains, approx_branching_sample
     from .cluster_exact import TranslatedPoissonCluster
 
     rate0 = p.get("rate0", float, check=_NONNEG)
@@ -527,9 +555,13 @@ def _build_branching_approx(p, window):
         pattern, _ = approx_branching_sample(rate0, progeny, window, n_gen, rng)
         return pattern
 
+    def chains(n_reps, rng):
+        points, offsets, _ = approx_branching_chains(rate0, progeny, window, n_gen, n_reps, rng)
+        return points, offsets
+
     # _checked has refused pmean >= 1
     expect = rate0 * (1.0 - pmean ** (n_gen + 1)) / (1.0 - pmean) * window.volume()
-    validate = _count_checks(sample, mean=("branching-mean-count", expect))
+    validate = _count_checks(chains, mean=("branching-mean-count", expect))
     return _built(sample, window, validate, meta={"truncation_certificate": cert.to_dict()})
 
 
@@ -608,6 +640,8 @@ def _write_range(cfg, outdir, indices):
 
 
 def _run_validation(cfg, built):
+    from .validation import ReportCollector
+
     val = cfg.get("validation", {})
     collector = ReportCollector(alpha=val.get("alpha", 0.05))
     built["validate"](
@@ -635,6 +669,8 @@ def cmd_sample(cfg, outdir):
         workers = min(max(int(os.environ.get("EXACTPP_WORKERS", "1")), 1), reps)
     except ValueError:
         raise ConfigError("EXACTPP_WORKERS must be an integer") from None
+    from .validation import _jsonable
+
     built = build(cfg)  # a config the build refuses leaves no output directory
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -657,6 +693,9 @@ def cmd_sample(cfg, outdir):
         "replicates": reps,
         "config_hash": config_hash(cfg),
         "meta": _jsonable(built["meta"]),
+        # pattern bytes also depend on numpy's distribution algorithms
+        "numpy": np.__version__,
+        "python": "%d.%d.%d" % sys.version_info[:3],
     }
     with open(outdir / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)

@@ -26,8 +26,9 @@ from .core import (
     DensityIntensity,
     PointPattern,
     SamplerError,
-    sample_homogeneous,
-    thin,
+    chain_offsets,
+    homogeneous_chains,
+    thin_chains,
 )
 
 __all__ = [
@@ -203,25 +204,36 @@ class BrixKendallSampler:
         )
         return mass
 
-    def sample_retained_germs(self, rng):
-        """Thinned germ: Poisson with density p(x) mu(x) on the germ region, as
-        rows (k, dim); lam = K(x, W - x) at each row, which gave p(x) =
-        1 - exp(-lam); and the corners of each row's overlap (x + box) ∩ W."""
+    def sample_retained_germs(self, rng, n_chains=1):
+        """Thinned germ of n_chains independent replicates: Poisson with density
+        p(x) mu(x) on the germ region, as rows (k, dim); lam = K(x, W - x) at
+        each row, which gave p(x) = 1 - exp(-lam); the corners of each row's
+        overlap (x + box) ∩ W; and the offsets of each replicate's rows."""
         if self._thinned is None:
-            return (empty := np.empty((0, self.window.dim))), np.empty(0), (empty, empty)
+            empty = np.empty((0, self.window.dim))
+            return empty, np.empty(0), (empty, empty), np.zeros(int(n_chains) + 1, dtype=np.int64)
         bound = self._thinned.bound
-        germs = sample_homogeneous(self.region, bound, rng).points
+        germs, offsets = homogeneous_chains(self.region, bound, n_chains, rng)
         disp = self.kernel.displacement
         corners = disp.overlap(germs, self.window)
         lam = self.kernel.total_mean * disp.prob_in(corners)  # mass_in, from the corners
         if len(germs):
             p = -np.expm1(-lam) * self.germ.density_at(germs) / bound
-            keep = thin(np.arange(len(germs)), p, rng)
+            keep, offsets = thin_chains(offsets, p, rng)
             germs, lam, corners = germs[keep], lam[keep], (corners[0][keep], corners[1][keep])
-        return germs, lam, corners
+        return germs, lam, corners, offsets
+
+    def sample_chains(self, n_chains, rng):
+        """(points, offsets) of n_chains independent draws of sample, in
+        lockstep: every replicate's germ counts, then all germs, all coins, all
+        hit times, all cluster sizes and all cluster points, each one generator
+        call. One replicate draws what sample draws."""
+        _, lam, corners, offsets = self.sample_retained_germs(rng, n_chains)
+        points, counts = self.kernel.sample_conditioned(corners, lam, rng)
+        if n_chains == 1:
+            return points, np.array((0, len(points)), dtype=np.int64)
+        return points, chain_offsets(counts)[offsets]
 
     def sample(self, rng):
         """One exact draw of the cluster process restricted to the window."""
-        _, lam, corners = self.sample_retained_germs(rng)
-        points, _ = self.kernel.sample_conditioned(corners, lam, rng)
-        return PointPattern(points, dim=self.window.dim)
+        return PointPattern(self.sample_chains(1, rng)[0], dim=self.window.dim)

@@ -19,6 +19,13 @@ sample_homogeneous draws the dominating homogeneous Poisson process on a box
 and thin is the one coin step: one uniform per row, kept iff it is below the
 row's retention probability (Lewis & Shedler 1979). Every sampler that thins
 a dominating process goes through these two routines.
+
+Many replicates drawn in lockstep from one generator are listed as
+(points, offsets): replicate i's points are points[offsets[i]:offsets[i + 1]].
+homogeneous_chains draws n such replicates, kept_rows carries the offsets
+through a filter of the rows, and thin_chains is thin over every replicate's
+rows at once. sample_homogeneous is homogeneous_chains at n = 1, and a form
+at n = 1 makes the generator calls of the single draw.
 """
 
 from __future__ import annotations
@@ -36,7 +43,13 @@ __all__ = [
     "SamplerError",
     "Window",
     "sample_homogeneous",
+    "homogeneous_chains",
     "thin",
+    "thin_chains",
+    "kept_rows",
+    "chain_offsets",
+    "poisson_counts",
+    "pair_blocks",
     "PointPattern",
     "RngStream",
     "LebesgueIntensity",
@@ -440,8 +453,30 @@ def _mean_count(rate, volume):
 
 def sample_homogeneous(window, rate, rng):
     """Homogeneous Poisson(rate) restricted to the window, refused as _mean_count refuses."""
-    n = rng.poisson(_mean_count(rate, window.volume()))
-    return PointPattern(window.sample_uniform(n, rng), dim=window.dim)
+    return PointPattern(homogeneous_chains(window, rate, 1, rng)[0], dim=window.dim)
+
+
+def chain_offsets(counts):
+    """The offsets [0, c_0, c_0 + c_1, ...] of replicates with the given point counts."""
+    if len(counts) == 1:  # a single draw's offsets, at a fifth of the cost
+        return np.array((0, counts[0]), dtype=np.int64)
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def poisson_counts(mean, n_chains, rng):
+    """n_chains independent Poisson(mean) counts from one call. One replicate's
+    is a scalar call, which draws the variate of the size-1 call at less cost."""
+    return [rng.poisson(mean)] if n_chains == 1 else rng.poisson(mean, int(n_chains))
+
+
+def homogeneous_chains(window, rate, n_chains, rng):
+    """(points, offsets) of n_chains independent draws of sample_homogeneous:
+    every replicate's count first, then all points in one call, so one
+    replicate draws what sample_homogeneous draws."""
+    offsets = chain_offsets(poisson_counts(_mean_count(rate, window.volume()), n_chains, rng))
+    return window.sample_uniform(offsets[-1], rng), offsets
 
 
 def thin(points, p, rng):
@@ -458,6 +493,46 @@ def thin(points, p, rng):
     if not (p.min(initial=0.5) >= 0.0 and p.max(initial=0.5) <= 1.0 + 1e-12):
         raise SamplerError("retention probabilities must lie in [0,1]")
     return points[u < p]
+
+
+def kept_rows(keep, offsets):
+    """The rows a boolean mask keeps, and the offsets of the kept rows of the
+    replicates listed by offsets; no row needs a label. The rows are their
+    indices, or for one replicate the mask itself: either indexes the rows."""
+    if len(offsets) == 2:
+        return keep, np.array((0, np.count_nonzero(keep)), dtype=np.int64)
+    return _rows_and_offsets(np.flatnonzero(keep), offsets)
+
+
+def thin_chains(offsets, p, rng):
+    """thin over the rows of every replicate listed by offsets, in row order:
+    the indices of the kept rows, and their offsets."""
+    return _rows_and_offsets(thin(np.arange(offsets[-1]), p, rng), offsets)
+
+
+PAIR_BLOCK = 1 << 18  # pairs compared at once by the range sweeps of the lockstep forms
+
+
+def pair_blocks(width):
+    """Slices of consecutive rows whose widths (pair counts) sum to at most
+    PAIR_BLOCK, or of one row; all rows in one slice when they fit."""
+    ends = np.cumsum(width)
+    if len(ends) and ends[-1] <= PAIR_BLOCK:  # the usual case: one slice
+        yield slice(0, len(ends))
+        return
+    first = 0
+    while first < len(ends):
+        done = ends[first - 1] if first else 0
+        last = max(first + 1, int(ends.searchsorted(done + PAIR_BLOCK, side="right")))
+        yield slice(first, last)
+        first = last
+
+
+def _rows_and_offsets(rows, offsets):
+    """Sorted kept rows and their offsets: the kept rows before each replicate's first row."""
+    if len(offsets) == 2:
+        return rows, np.array((0, len(rows)), dtype=np.int64)
+    return rows, np.searchsorted(rows, offsets)
 
 
 # -- intensity measures -----------------------------------------------------

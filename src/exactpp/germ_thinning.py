@@ -15,6 +15,11 @@ Every independent coin -- the grid sites below T and the renewal and Matern
 candidates -- is core.thin; only the sequential renewal chain and the
 non-linear self-exciting germ (regeneration gaps), whose coins depend on
 earlier decisions, flip their own.
+
+The grid, renewal and Matern draws each have a lockstep form (*_chains) that
+draws n independent replicates from one generator, each step one call for
+every replicate, and returns (points, offsets): replicate i's points are
+points[offsets[i]:offsets[i + 1]]. The single draws are these forms at n = 1.
 """
 
 from __future__ import annotations
@@ -30,8 +35,13 @@ from .core import (
     PointPattern,
     SamplerError,
     _mean_count,
+    chain_offsets,
+    homogeneous_chains,
+    kept_rows,
+    pair_blocks,
     sample_homogeneous,
     thin,
+    thin_chains,
 )
 
 __all__ = [
@@ -40,7 +50,9 @@ __all__ = [
     "InverseSquareGrid",
     "thin_grid",
     "renewal_thin_first",
+    "renewal_thin_first_chains",
     "matern_thin_first",
+    "matern_thin_first_chains",
     "nonlinear_hawkes_germ",
 ]
 
@@ -66,7 +78,11 @@ class _GridBase:
 
     def sample_last(self, rng):
         """Index of the last retained site, or None when no site survives."""
-        u = rng.random()
+        return self._last_site(rng.random())
+
+    def _last_site(self, u):
+        """The last retained site for the uniform u: None when u <= S(-1), else
+        the first n with S(n) >= u."""
         if u <= self.survival(-1):
             return None
         n = 0
@@ -76,13 +92,29 @@ class _GridBase:
                 raise SamplerError("last-site search runaway; check the retention family")
         return n
 
-    def thin(self, rng):
-        """Sorted retained indices: draw T, then independent coins below it."""
-        t = self.sample_last(rng)
-        if t is None:
-            return np.empty(0, dtype=np.int64)
-        ks = np.arange(t)
-        return np.append(thin(ks, self.p(ks), rng), t)
+    def sample_chains(self, n_chains, rng):
+        """(sites, offsets) of n_chains independent draws of the retained sites,
+        each sorted: every replicate's last site T from one call of n_chains
+        uniforms, then the independent coins below every T from one call."""
+        n_chains = int(n_chains)
+        us = [rng.random()] if n_chains == 1 else rng.random(n_chains).tolist()  # same variates
+        lasts = [self._last_site(u) for u in us]
+        last = [t for t in lasts if t is not None]
+        if not last:  # every replicate is empty
+            return np.empty(0, dtype=np.int64), np.zeros(n_chains + 1, dtype=np.int64)
+        # the coin sites 0..T-1 of every replicate with a last site, in turn
+        ks = np.arange(sum(last))
+        last = np.array(last, dtype=np.int64)
+        if n_chains == 1:  # its kept coin sites, then its last site
+            sites = np.append(thin(ks, self.p(ks), rng), last)
+            return sites, np.array((0, sites.size), dtype=np.int64)
+        starts = chain_offsets(last)
+        ks -= np.repeat(starts[:-1], last)
+        rows = thin(np.arange(ks.size), self.p(ks), rng)
+        ends = np.searchsorted(rows, starts[1:])  # where each replicate's kept coin sites end
+        counts = np.zeros(n_chains, dtype=np.int64)
+        counts[[t is not None for t in lasts]] = np.diff(ends, prepend=0) + 1
+        return np.insert(ks[rows], ends, last), chain_offsets(counts)
 
 
 @dataclass(frozen=True)
@@ -129,8 +161,10 @@ class GeometricGrid(_GridBase):
         k_max = 1
         while self.c * self.ratio**k_max / (1 - self.ratio) >= NEGLECTED_TAIL:
             k_max += 1
-        ks = np.arange(k_max + 1)
-        logs = np.log1p(-np.minimum(self.c * self.ratio**ks, 1 - 1e-300))
+        ps = self.c * self.ratio ** np.arange(k_max + 1)
+        logs = np.full(ps.size, -np.inf)  # log(1 - p) is -inf where p = 1 (c = 1 at k = 0)
+        below = ps < 1.0
+        logs[below] = np.log1p(-ps[below])
         tail = np.zeros(k_max + 2)
         # compensated reverse accumulation
         for i in range(k_max, -1, -1):
@@ -189,8 +223,9 @@ def _trigamma(x):
 
 
 def thin_grid(spec, rng):
-    """Exact draw of the retained sites of a thinned grid on N."""
-    return spec.thin(rng)
+    """Exact draw of the retained sites of a thinned grid on N; one replicate
+    of spec.sample_chains."""
+    return spec.sample_chains(1, rng)[0]
 
 
 # -- renewal germs ---------------------------------------------------------------
@@ -210,44 +245,77 @@ def renewal_thin_first(hazard, bound, thin_p, rng, p_upper=None, p_tail=None, p_
     unconditioned. p_mass, if given, must equal p_tail(0). Heights build N0
     inside the strip (hazard(t - last renewal) against height*bound), and
     renewal points that are candidates are the output. hazard must be
-    bounded by `bound`.
+    bounded by `bound`. One replicate of renewal_thin_first_chains.
     """
+    points, _ = renewal_thin_first_chains(hazard, bound, thin_p, 1, rng, p_upper, p_tail, p_mass)
+    return PointPattern(points, dim=1)
+
+
+def renewal_thin_first_chains(hazard, bound, thin_p, n_chains, rng, p_upper=None, p_tail=None,
+                              p_mass=None):
+    """(points, offsets) of n_chains independent renewal_thin_first draws, in
+    lockstep: every replicate's exponential E, then every stream's count, all
+    stream points, all coins and all heights, each one generator call; the
+    last candidates and the renewal chains are Python loops over the
+    replicates."""
+    n_chains = int(n_chains)
     if p_upper is not None:
         upper = float(p_upper)
         if not upper > 0:
             raise SamplerError("p_upper must be positive")
+        live, uppers = range(n_chains), [upper] * n_chains
     elif p_tail is not None:
         mass = float(p_tail(0.0))
         if p_mass is not None and not math.isclose(p_mass, mass, rel_tol=1e-9):
             raise SamplerError(f"p_mass {p_mass!r} differs from p_tail(0) = {mass!r}")
-        e = rng.standard_exponential()
-        if e >= bound * mass:
-            return PointPattern.empty(1)
-        upper = _last_candidate(p_tail, e / bound, bound)
+        e = [rng.standard_exponential()] if n_chains == 1 else (
+            rng.standard_exponential(n_chains).tolist())  # the same variates
+        live = [c for c, x in enumerate(e) if x < bound * mass]  # the others have no candidate
+        if not live:
+            return np.empty((0, 1)), np.zeros(n_chains + 1, dtype=np.int64)
+        uppers = [_last_candidate(p_tail, e[c] / bound, bound) for c in live]
     else:
         raise SamplerError("need a support endpoint p_upper or a tail p_tail")
 
-    # the dominating stream on [0, upper], drawn as sample_homogeneous draws it
-    times = np.sort(rng.random(rng.poisson(_mean_count(bound, upper))) * upper)
+    # the dominating streams on [0, upper], each drawn as sample_homogeneous draws it; a
+    # scalar Poisson call draws its size-1 call's variate at a tenth of the cost
+    means = [_mean_count(bound, u) for u in uppers]
+    counts = [rng.poisson(means[0])] if len(means) == 1 else rng.poisson(means).tolist()
+    if len(uppers) == 1:
+        times = rng.random(counts[0]) * uppers[0]
+        times.sort()
+    else:
+        times = rng.random(sum(counts)) * np.repeat(uppers, counts)
+        times = times[np.lexsort((times, np.repeat(np.arange(len(counts)), counts)))]
     flags = np.zeros(times.size, bool)
     flags[thin(np.arange(times.size), thin_p(times), rng)] = True
-    end = [upper] if p_upper is None else []  # the stream ends at the last candidate
-    times, flags = times.tolist() + end, flags.tolist() + [True] * len(end)  # for the loop
-    if True not in flags:
-        return PointPattern.empty(1)
-    heights = rng.random(len(flags) - flags[::-1].index(True)).tolist()  # up to the last one
+    times, flags = times.tolist(), flags.tolist()  # for the loops
+    end = [True] if p_upper is None else []  # each stream ends at its last candidate
+    streams = []  # each stream's times, flags and the number of heights up to its last flag
+    b = 0
+    for k, up in zip(counts, uppers):
+        a, b = b, b + k
+        fs = flags[a:b] + end
+        streams.append((times[a:b] + [up] * len(end), fs,
+                        len(fs) - fs[::-1].index(True) if True in fs else 0))
+    heights = rng.random(sum(h for _, _, h in streams)).tolist()
 
+    kept = [0] * n_chains
     retained = []
-    last_renewal = 0.0
-    for t, flag, u in zip(times, flags, heights):
-        haz = float(hazard(t - last_renewal))
-        if haz < 0 or haz > bound * (1 + 1e-12):
-            raise SamplerError("hazard left its declared bound")
-        if u * bound < haz:
-            last_renewal = t
-            if flag:
-                retained.append(t)
-    return PointPattern(np.asarray(retained, dtype=float).reshape(-1, 1), dim=1)
+    h0 = 0
+    for c, (ts, fs, h) in zip(live, streams):
+        last_renewal = 0.0
+        for t, flag, u in zip(ts, fs, heights[h0:h0 + h]):
+            haz = float(hazard(t - last_renewal))
+            if haz < 0 or haz > bound * (1 + 1e-12):
+                raise SamplerError("hazard left its declared bound")
+            if u * bound < haz:
+                last_renewal = t
+                if flag:
+                    retained.append(t)
+                    kept[c] += 1
+        h0 += h
+    return np.asarray(retained, dtype=float).reshape(-1, 1), chain_offsets(kept)
 
 
 def _last_candidate(p_tail, y, bound):
@@ -352,26 +420,71 @@ def matern_thin_first(rate, radius, thin_p, window, rng):
     Thin first: one rate-`rate` stream on the radius-buffered window, one
     coin p per point, then uniform marks on the whole stream. A candidate
     inside the window survives iff its mark beats every stream point within
-    `radius`; all of those lie in the buffered window.
+    `radius`; all of those lie in the buffered window. One replicate of
+    matern_thin_first_chains.
     """
-    pts = sample_homogeneous(window.buffered(radius), rate, rng).points
-    cand = thin(np.arange(len(pts)), thin_p(pts), rng)
-    cand = cand[window.contains(pts[cand])]
-    if cand.size == 0:
-        return PointPattern.empty(window.dim)
-    marks = rng.random(len(pts))
-    return PointPattern(pts[cand[_mark_minimal(pts, marks, cand, radius)]], dim=window.dim)
+    points, _ = matern_thin_first_chains(rate, radius, thin_p, window, 1, rng)
+    return PointPattern(points, dim=window.dim)
 
 
-def _mark_minimal(points, marks, idx, radius):
-    """Mask of the rows idx whose mark beats every other point within radius.
-
-    One (len(idx) x n) distance and mark comparison; a point's own mark is
-    never smaller than itself, so it needs no exclusion.
+def matern_thin_first_chains(rate, radius, thin_p, window, n_chains, rng):
+    """(points, offsets) of n_chains independent matern_thin_first draws, in
+    lockstep: every replicate's stream count, then all stream points, all
+    coins and all marks, each one generator call; thin_p is called once, on
+    every stream. A candidate competes only with its own replicate's stream.
     """
-    d2 = np.add.reduce((points[None, :, :] - points[idx, None, :]) ** 2, axis=2)  # np.sum's sum
-    beaten = (d2 <= radius**2) & (marks[None, :] < marks[idx, None])
-    return ~beaten.any(axis=1)
+    pts, offsets = homogeneous_chains(window.buffered(radius), rate, n_chains, rng)
+    cand, cand_off = thin_chains(offsets, thin_p(pts), rng)
+    inside, cand_off = kept_rows(window.contains(pts[cand]), cand_off)
+    cand = cand[inside]
+    marks = rng.random(len(pts))  # also drawn when no candidate reads them: a draw's last numbers
+    rows, offsets = kept_rows(_mark_minimal(pts, marks, cand, radius, offsets), cand_off)
+    return pts[cand[rows]], offsets
+
+
+def _mark_minimal(points, marks, idx, radius, offsets=None):
+    """Mask of the rows idx whose mark beats every other point of their
+    replicate (rows listed by offsets; one replicate by default) within radius.
+
+    One replicate compares every row of idx with every point in one
+    (len(idx) x n) block. Many replicates are swept instead: the points are
+    sorted by replicate, then by first coordinate, through one key that keeps
+    replicates apart, and each row of idx is compared with the points whose
+    key lies within radius of its own, with a relative slack of 1e-9 for the
+    key's rounding, at most core.PAIR_BLOCK pairs at once. Either way the
+    distances decide, with the same arithmetic. A point's own mark is never
+    smaller than itself, so it needs no exclusion.
+    """
+    if offsets is None or len(offsets) <= 2:
+        d2 = np.add.reduce((points[None, :, :] - points[idx, None, :]) ** 2, axis=2)  # np.sum's
+        beaten = (d2 <= radius**2) & (marks[None, :] < marks[idx, None])
+        return ~beaten.any(axis=1)
+    if idx.size == 0:
+        return np.ones(0, dtype=bool)
+    key = points[:, 0]
+    chain = np.arange(len(offsets) - 1).repeat(np.diff(offsets))
+    low = key.min()
+    key = key - low + chain * (2.0 * (key.max() - low + radius) + 1.0)
+    order = key.argsort(kind="stable")
+    sorted_key = key[order]
+    reach = radius + 1e-9 * (radius + max(-sorted_key[0], sorted_key[-1]))
+    at = key[idx]
+    first = sorted_key.searchsorted(at - reach)
+    width = sorted_key.searchsorted(at + reach, side="right") - first  # each is >= 1
+    survive = np.empty(idx.size, dtype=bool)
+    for rows in pair_blocks(width):
+        w = width[rows]
+        ends = w.cumsum()
+        starts = ends - w  # each candidate's first pair
+        a = idx[rows].repeat(w)
+        b = order[np.arange(ends[-1]) + (first[rows] - starts).repeat(w)]
+        d = points[b] - points[a]
+        d *= d
+        d2 = d[:, 0]
+        for k in range(1, d.shape[1]):  # summed in coordinate order, as np.sum sums a row
+            d2 = d2 + d[:, k]
+        survive[rows] = ~np.logical_or.reduceat((d2 <= radius**2) & (marks[b] < marks[a]), starts)
+    return survive
 
 
 # -- non-linear self-exciting germ -------------------------------------------------

@@ -3,7 +3,9 @@
 Every check returns a TestReport carrying the statistic, its threshold at the
 stated level, the p-value when the test has one, and an accept/reject
 decision. Multiple checks in one run are combined with Holm's step-down
-correction so the familywise level is the stated alpha.
+correction so the familywise level is the stated alpha. replicate_counts
+draws a battery's replicates, from the substreams named by REPLICATES,
+LOCKSTEP, ORACLE and PROBES.
 
 The two-sample KS test, the one test the CLI runs, needs numpy alone: its
 p-value is the Kolmogorov distribution of Simard & L'Ecuyer (2011), ported
@@ -17,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .core import chain_offsets
 
 __all__ = [
     "TestReport",
@@ -514,12 +518,33 @@ class ReportCollector:
         return corrected, all_ok
 
 
-def replicate_counts(sample_fn, n_reps, stream):
-    """Point counts of n_reps independent replicates, one substream each.
+# The battery's streams under a run's validation stream. Each key is the
+# first lineage word of its substream: replicate r of a per-replicate draw is
+# substream(REPLICATES).substream(r), and the lockstep replicates, the oracle
+# chains and the probes each draw from one substream. No two roles share a
+# first word, so no two of their spawn keys coincide, for any replicate count.
+REPLICATES, LOCKSTEP, ORACLE, PROBES = 0, 1, 2, 3
 
-    sample_fn(rng) must return a PointPattern.
+
+def replicate_counts(n_reps, stream, chains=None, sample=None):
+    """(points, offsets) of n_reps independent replicates of a sampler:
+    replicate r's points are points[offsets[r]:offsets[r + 1]], and its count
+    N(W) is np.diff(offsets)[r].
+
+    Exactly one of the two draws is given. chains(n_reps, rng), a sampler's
+    lockstep form, draws every replicate from the one generator of
+    stream.substream(LOCKSTEP), with a fixed number of generator calls per
+    step; its points are what the form returns as points (the Boolean disk
+    form returns its BooleanSample, whose coverage the check reads).
+    sample(rng), a single draw that returns a PointPattern, draws replicate r
+    from its own generator, stream.substream(REPLICATES).substream(r): this
+    costs a generator and a draw call per replicate, and serves the samplers
+    with no lockstep form.
     """
-    counts = np.empty(int(n_reps), dtype=np.int64)
-    for r, rng in enumerate(stream.substream_generators(n_reps)):
-        counts[r] = sample_fn(rng).n
-    return counts
+    if (chains is None) == (sample is None):
+        raise ValueError("replicate_counts needs exactly one of chains and sample")
+    if chains is not None:
+        return chains(int(n_reps), stream.substream(LOCKSTEP).generator())
+    patterns = [sample(rng).points
+                for rng in stream.substream(REPLICATES).substream_generators(n_reps)]
+    return np.concatenate(patterns), chain_offsets([len(p) for p in patterns])

@@ -192,7 +192,7 @@ def test_retained_germs_carry_their_window_mass():
     sampler = BrixKendallSampler(LebesgueIntensity(1.0, 1), _kernel(2.0), W10)
     rng = _gen(30)
     for _ in range(50):
-        germs, lam, (lo, hi) = sampler.sample_retained_germs(rng)
+        germs, lam, (lo, hi), _ = sampler.sample_retained_germs(rng)
         assert np.array_equal(lam, sampler.kernel.mass_in(germs, W10))
         assert np.array_equal(lo, np.maximum(germs - 0.5, 0.0))
         assert np.array_equal(hi, np.minimum(germs + 0.5, 10.0))

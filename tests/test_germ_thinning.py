@@ -329,18 +329,19 @@ def test_renewal_checks_its_retention_description():
 
 
 def _count_streams(monkeypatch):
-    """Count sample_homogeneous calls, whether made directly or through core."""
+    """Count homogeneous_chains calls, which draw every homogeneous stream
+    (sample_homogeneous is its one-replicate call), made directly or through core."""
     from exactpp import core, germ_thinning
 
     calls = []
-    draw = core.sample_homogeneous
+    draw = core.homogeneous_chains
 
     def counting(*args):
         calls.append(1)
         return draw(*args)
 
-    monkeypatch.setattr(core, "sample_homogeneous", counting)
-    monkeypatch.setattr(germ_thinning, "sample_homogeneous", counting)
+    monkeypatch.setattr(core, "homogeneous_chains", counting)
+    monkeypatch.setattr(germ_thinning, "homogeneous_chains", counting)
     return calls
 
 

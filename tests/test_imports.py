@@ -157,6 +157,31 @@ def test_import_and_demo_builds_load_no_numpy_random():
     assert json.loads(out.stdout.splitlines()[-1]) == [False, False]
 
 
+VALIDATION_SCRIPT = """
+import json, sys
+from pathlib import Path
+import exactpp.cli as cli
+for path in sorted(Path("configs").glob("*.json")):
+    cli.build(cli.load_config(str(path)))
+print(json.dumps("exactpp.validation" in sys.modules))
+"""
+
+
+def test_import_and_demo_builds_load_no_validation():
+    """Only a run that validates or writes meta.json loads the validation module."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", VALIDATION_SCRIPT],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) is False
+
+
 DRAW_SCRIPT = """
 import json, sys
 from pathlib import Path

@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 
 from exactpp import RngStream, Window
-from exactpp.core import sample_homogeneous
+from exactpp.core import homogeneous_chains, sample_homogeneous
 from exactpp.validation import (
     ReportCollector,
     TestReport,
@@ -275,10 +275,11 @@ def test_report_collector_flags_a_joint_failure():
 def test_replicate_counts_deterministic_per_stream():
     w = Window((0.0,), (4.0,))
     fn = lambda rng: sample_homogeneous(w, 3.0, rng)
-    a = replicate_counts(fn, 50, RngStream(128))
-    b = replicate_counts(fn, 50, RngStream(128))
-    assert np.array_equal(a, b)
-    assert a.dtype == np.int64
+    for draw in (dict(sample=fn), dict(chains=lambda n, rng: homogeneous_chains(w, 3.0, n, rng))):
+        a_points, a = replicate_counts(50, RngStream(128), **draw)
+        b_points, b = replicate_counts(50, RngStream(128), **draw)
+        assert np.array_equal(a, b) and np.array_equal(a_points, b_points)
+        assert a.dtype == np.int64 and a.shape == (51,) and a[-1] == len(a_points)
 
 
 def test_report_to_json_round_trip():
