@@ -466,9 +466,12 @@ def chain_offsets(counts):
 
 
 def poisson_counts(mean, n_chains, rng):
-    """n_chains independent Poisson(mean) counts from one call. One replicate's
-    is a scalar call, which draws the variate of the size-1 call at less cost."""
-    return [rng.poisson(mean)] if n_chains == 1 else rng.poisson(mean, int(n_chains))
+    """n_chains independent Poisson counts from one call, of one mean or of a
+    list of one mean per replicate. One replicate's count is a scalar call,
+    which draws the variate of the size-1 call at less cost."""
+    if n_chains == 1:
+        return [rng.poisson(mean[0] if isinstance(mean, list) else mean)]
+    return rng.poisson(mean, int(n_chains))
 
 
 def homogeneous_chains(window, rate, n_chains, rng):

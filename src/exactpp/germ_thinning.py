@@ -39,6 +39,7 @@ from .core import (
     homogeneous_chains,
     kept_rows,
     pair_blocks,
+    poisson_counts,
     sample_homogeneous,
     thin,
     thin_chains,
@@ -277,10 +278,8 @@ def renewal_thin_first_chains(hazard, bound, thin_p, n_chains, rng, p_upper=None
     else:
         raise SamplerError("need a support endpoint p_upper or a tail p_tail")
 
-    # the dominating streams on [0, upper], each drawn as sample_homogeneous draws it; a
-    # scalar Poisson call draws its size-1 call's variate at a tenth of the cost
-    means = [_mean_count(bound, u) for u in uppers]
-    counts = [rng.poisson(means[0])] if len(means) == 1 else rng.poisson(means).tolist()
+    # the dominating streams on [0, upper], each drawn as sample_homogeneous draws it
+    counts = poisson_counts([_mean_count(bound, u) for u in uppers], len(uppers), rng)
     if len(uppers) == 1:
         times = rng.random(counts[0]) * uppers[0]
         times.sort()
