@@ -229,7 +229,9 @@ def approx_branching_chains(rate0, progeny, window, n, n_chains, rng, point_cap=
 
     The germs of every replicate are drawn first, then all of them grow in one
     sample_gw_cluster call, so point_cap bounds the points of all n_chains
-    replicates together. Past one replicate, the window points are grouped by
+    replicates together (the CLI's battery asks for blocks of replicates that
+    hold about validation.BATTERY_POINTS points, well within the default cap).
+    Past one replicate, the window points are grouped by
     replicate, each in the engine's order.
     """
     cert, region = _checked(rate0, progeny, window, n)
@@ -237,8 +239,8 @@ def approx_branching_chains(rate0, progeny, window, n, n_chains, rng, point_cap=
     cluster = sample_gw_cluster(progeny, germs, rng, point_cap, generations=int(n))
     inside = window.contains(cluster.points)
     points = cluster.points[inside]
-    if n_chains == 1:
-        return points, np.array([0, len(points)]), cert
+    if n_chains == 1:  # no need to label the points with their replicates
+        return points, chain_offsets([len(points)]), cert
     chain = np.repeat(np.arange(int(n_chains)), np.diff(offsets))[cluster.owner[inside]]
     order = np.argsort(chain, kind="stable")
     return points[order], chain_offsets(np.bincount(chain, minlength=int(n_chains))), cert

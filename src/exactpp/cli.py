@@ -210,12 +210,13 @@ def _interval_report(name, value, expect, half):
     )
 
 
-def _count_checks(chains=None, sample=None, mean=None, oracle=None):
-    """The count battery as a validate closure: the replicates' points drawn
-    by validation.replicate_counts, from the lockstep form chains(n_reps, rng)
-    or, replicate by replicate, from sample(rng); then a mean check of their
-    counts for mean=(name, expected count), and a two-sample KS test of their
-    counts for oracle=(name, oracle_chains). oracle_chains(n_reps, rng)
+def _count_checks(chains=None, sample=None, mean=None, oracle=None, per_rep=0.0):
+    """The count battery as a validate closure: the replicates' counts drawn
+    by validation.replicate_counts, from the lockstep form chains(k, rng) in
+    blocks of replicates that hold about per_rep points each, or, replicate by
+    replicate, from sample(rng); then a mean check of the counts for
+    mean=(name, expected count), and a two-sample KS test of the counts for
+    oracle=(name, oracle_chains). oracle_chains(n_reps, rng)
     returns the (points, offsets) of n_reps reference chains, all drawn in
     lockstep from the one generator of the ORACLE substream. Both sides'
     counts are np.diff(offsets). Any oracle set-up belongs inside
@@ -224,7 +225,7 @@ def _count_checks(chains=None, sample=None, mean=None, oracle=None):
     def validate(stream, n_reps, collector):
         from .validation import ORACLE, mean_ci, replicate_counts, two_sample_ks
 
-        counts = np.diff(replicate_counts(n_reps, stream, chains=chains, sample=sample)[1])
+        counts = replicate_counts(n_reps, stream, chains=chains, sample=sample, per_rep=per_rep)
         if mean is not None:
             value, half = mean_ci(counts)
             collector.add(_interval_report(mean[0], value, mean[1], half))
@@ -255,8 +256,9 @@ def _build_poisson(p, window):
     def chains(n_reps, rng):
         return homogeneous_chains(window, rate, n_reps, rng)
 
-    return _built(sample, window,
-                  _count_checks(chains, mean=("poisson-mean-count", rate * window.volume())))
+    mean = rate * window.volume()
+    return _built(sample, window, _count_checks(chains, mean=("poisson-mean-count", mean),
+                                                per_rep=mean))
 
 
 def _build_brix_kendall(p, window):
@@ -276,6 +278,7 @@ def _build_brix_kendall(p, window):
         sampler.sample_chains,
         mean=("cluster-mean-count", rate0 * cmean * window.volume()),
         oracle=("cluster-counts-vs-oracle", oracle),
+        per_rep=rate0 * (sampler.region.volume() + cmean * window.volume()),  # germs, points
     )
     return _built(sampler.sample, window, validate)
 
@@ -305,12 +308,17 @@ def _build_boolean_disks(p, window):
     def chains(n_reps, rng):
         return boolean_exact_chains(rate, grains, window, n_reps, rng)
 
+    # the kept pairs' mean count, rate (A + P E R + pi E R^2)
+    per_rep = rate * (window.volume() + 2.0 * float(np.sum(window.sides)) * law.moment(1)
+                      + math.pi * law.moment(2))
+
     def validate(stream, n_reps, collector):
         from .validation import PROBES, mean_ci, replicate_counts
 
         probes = window.sample_uniform(400, stream.substream(PROBES).generator())
-        grains_drawn, offsets = replicate_counts(n_reps, stream, chains=chains)
-        mean, half = mean_ci(grains_drawn.coverage(probes, offsets).mean(axis=1))
+        mean, half = mean_ci(replicate_counts(
+            n_reps, stream, chains=chains, per_rep=per_rep,
+            reduce=lambda drawn, offsets: drawn.coverage(probes, offsets).mean(axis=1)))
         expect = 1.0 - math.exp(-rate * math.pi * law.moment(2))
         collector.add(_interval_report("boolean-coverage", mean, expect, half))
 
@@ -336,7 +344,8 @@ def _build_boolean_segments(p, window):
     # mean area of the germs whose segment meets the box: A + L P / pi
     perimeter = 2.0 * float(np.sum(window.sides))
     expect = rate * (window.volume() + grains.length * perimeter / math.pi)
-    validate = _count_checks(chains, mean=("segment-germ-count", expect))
+    validate = _count_checks(chains, mean=("segment-germ-count", expect),
+                             per_rep=rate * window.buffered(0.5 * grains.length).volume())
     return _built(sample, window, validate, boolean_draw=draw)
 
 
@@ -361,7 +370,8 @@ def _build_poisson_lines(p, window):
     def validate(stream, n_reps, collector):
         from .validation import PROBES, mean_ci, replicate_counts
 
-        mean, half = mean_ci(np.diff(replicate_counts(n_reps, stream, chains=chains)[1]))
+        mean, half = mean_ci(replicate_counts(n_reps, stream, chains=chains,
+                                              per_rep=rate * region.volume()))
         probes = region.sample_uniform(20_000, stream.substream(PROBES).generator())
         p = hit_prob_poisson_line(probes - np.asarray(center), radius)
         expect = rate * region.volume() * float(np.mean(p))
@@ -407,6 +417,8 @@ def _build_grid_thinning(p, window):
 
         return grid_thin_after_chains(spec.p, _grid_horizon(spec), n_reps, rng)
 
+    # a replicate draws a coin per site below its last one, few in any grid
+    # whose tail the oracle's horizon covers: the battery is one block
     validate = _count_checks(chains, oracle=("grid-counts-vs-thin-after", oracle))
     return _built(sample, window, validate, ())
 
@@ -446,7 +458,8 @@ def _build_renewal(p, window):
             lambda r, size: r.gamma(shape, scale, size), thin_p, 60.0 / thin_rate, n_reps, rng
         )
 
-    validate = _count_checks(chains, oracle=("renewal-counts-vs-thin-after", oracle))
+    validate = _count_checks(chains, oracle=("renewal-counts-vs-thin-after", oracle),
+                             per_rep=bound / thin_rate)  # the mean candidate count
     return _built(sample, window, validate, ())
 
 
@@ -471,7 +484,8 @@ def _build_matern(p, window):
 
         return matern_direct_chains(rate, radius, thin_fn, window, n_reps, rng)
 
-    validate = _count_checks(chains, oracle=("hardcore-counts-vs-thin-after", oracle))
+    validate = _count_checks(chains, oracle=("hardcore-counts-vs-thin-after", oracle),
+                             per_rep=rate * window.buffered(radius).volume())
     return _built(sample, window, validate)
 
 
@@ -549,7 +563,7 @@ def _build_branching_approx(p, window):
     pmean = p.get("progeny_mean", float, check=_POS)
     n_gen = p.get("generations", int, check=_NONNEG)
     progeny = TranslatedPoissonCluster(pmean, _displacement(p))
-    cert, _ = _checked(rate0, progeny, window, n_gen)  # refuses as a draw would
+    cert, region = _checked(rate0, progeny, window, n_gen)  # refuses as a draw would
 
     def sample(rng):
         pattern, _ = approx_branching_sample(rate0, progeny, window, n_gen, rng)
@@ -559,9 +573,10 @@ def _build_branching_approx(p, window):
         points, offsets, _ = approx_branching_chains(rate0, progeny, window, n_gen, n_reps, rng)
         return points, offsets
 
-    # _checked has refused pmean >= 1
-    expect = rate0 * (1.0 - pmean ** (n_gen + 1)) / (1.0 - pmean) * window.volume()
-    validate = _count_checks(chains, mean=("branching-mean-count", expect))
+    # the mean density of generations 0..n_gen; _checked has refused pmean >= 1
+    density = rate0 * (1.0 - pmean ** (n_gen + 1)) / (1.0 - pmean)
+    validate = _count_checks(chains, mean=("branching-mean-count", density * window.volume()),
+                             per_rep=density * region.volume())  # the germs fill the region
     return _built(sample, window, validate, meta={"truncation_certificate": cert.to_dict()})
 
 

@@ -204,7 +204,7 @@ class BrixKendallSampler:
         )
         return mass
 
-    def sample_retained_germs(self, rng, n_chains=1):
+    def _retained_germs(self, rng, n_chains=1):
         """Thinned germ of n_chains independent replicates: Poisson with density
         p(x) mu(x) on the germ region, as rows (k, dim); lam = K(x, W - x) at
         each row, which gave p(x) = 1 - exp(-lam); the corners of each row's
@@ -228,10 +228,10 @@ class BrixKendallSampler:
         lockstep: every replicate's germ counts, then all germs, all coins, all
         hit times, all cluster sizes and all cluster points, each one generator
         call. One replicate draws what sample draws."""
-        _, lam, corners, offsets = self.sample_retained_germs(rng, n_chains)
+        _, lam, corners, offsets = self._retained_germs(rng, n_chains)
         points, counts = self.kernel.sample_conditioned(corners, lam, rng)
-        if n_chains == 1:
-            return points, np.array((0, len(points)), dtype=np.int64)
+        if n_chains == 1:  # no need to sum the cluster sizes
+            return points, chain_offsets([len(points)])
         return points, chain_offsets(counts)[offsets]
 
     def sample(self, rng):

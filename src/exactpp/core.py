@@ -503,14 +503,16 @@ def kept_rows(keep, offsets):
     replicates listed by offsets; no row needs a label. The rows are their
     indices, or for one replicate the mask itself: either indexes the rows."""
     if len(offsets) == 2:
-        return keep, np.array((0, np.count_nonzero(keep)), dtype=np.int64)
-    return _rows_and_offsets(np.flatnonzero(keep), offsets)
+        return keep, chain_offsets([np.count_nonzero(keep)])
+    rows = np.flatnonzero(keep)
+    return rows, np.searchsorted(rows, offsets)  # the kept rows before each replicate's first
 
 
 def thin_chains(offsets, p, rng):
     """thin over the rows of every replicate listed by offsets, in row order:
     the indices of the kept rows, and their offsets."""
-    return _rows_and_offsets(thin(np.arange(offsets[-1]), p, rng), offsets)
+    rows = thin(np.arange(offsets[-1]), p, rng)
+    return rows, np.searchsorted(rows, offsets)
 
 
 PAIR_BLOCK = 1 << 18  # pairs compared at once by the range sweeps of the lockstep forms
@@ -529,13 +531,6 @@ def pair_blocks(width):
         last = max(first + 1, int(ends.searchsorted(done + PAIR_BLOCK, side="right")))
         yield slice(first, last)
         first = last
-
-
-def _rows_and_offsets(rows, offsets):
-    """Sorted kept rows and their offsets: the kept rows before each replicate's first row."""
-    if len(offsets) == 2:
-        return rows, np.array((0, len(rows)), dtype=np.int64)
-    return rows, np.searchsorted(rows, offsets)
 
 
 # -- intensity measures -----------------------------------------------------

@@ -93,13 +93,17 @@ class _GridBase:
                 raise SamplerError("last-site search runaway; check the retention family")
         return n
 
+    def thin(self, rng):
+        """Sorted retained indices: draw T, then independent coins below it; one
+        replicate of sample_chains."""
+        return self.sample_chains(1, rng)[0]
+
     def sample_chains(self, n_chains, rng):
         """(sites, offsets) of n_chains independent draws of the retained sites,
         each sorted: every replicate's last site T from one call of n_chains
         uniforms, then the independent coins below every T from one call."""
         n_chains = int(n_chains)
-        us = [rng.random()] if n_chains == 1 else rng.random(n_chains).tolist()  # same variates
-        lasts = [self._last_site(u) for u in us]
+        lasts = [self._last_site(u) for u in rng.random(n_chains).tolist()]
         last = [t for t in lasts if t is not None]
         if not last:  # every replicate is empty
             return np.empty(0, dtype=np.int64), np.zeros(n_chains + 1, dtype=np.int64)
@@ -108,7 +112,7 @@ class _GridBase:
         last = np.array(last, dtype=np.int64)
         if n_chains == 1:  # its kept coin sites, then its last site
             sites = np.append(thin(ks, self.p(ks), rng), last)
-            return sites, np.array((0, sites.size), dtype=np.int64)
+            return sites, chain_offsets([sites.size])
         starts = chain_offsets(last)
         ks -= np.repeat(starts[:-1], last)
         rows = thin(np.arange(ks.size), self.p(ks), rng)
@@ -224,9 +228,8 @@ def _trigamma(x):
 
 
 def thin_grid(spec, rng):
-    """Exact draw of the retained sites of a thinned grid on N; one replicate
-    of spec.sample_chains."""
-    return spec.sample_chains(1, rng)[0]
+    """Exact draw of the retained sites of a thinned grid on N."""
+    return spec.thin(rng)
 
 
 # -- renewal germs ---------------------------------------------------------------
@@ -269,8 +272,7 @@ def renewal_thin_first_chains(hazard, bound, thin_p, n_chains, rng, p_upper=None
         mass = float(p_tail(0.0))
         if p_mass is not None and not math.isclose(p_mass, mass, rel_tol=1e-9):
             raise SamplerError(f"p_mass {p_mass!r} differs from p_tail(0) = {mass!r}")
-        e = [rng.standard_exponential()] if n_chains == 1 else (
-            rng.standard_exponential(n_chains).tolist())  # the same variates
+        e = rng.standard_exponential(n_chains).tolist()
         live = [c for c, x in enumerate(e) if x < bound * mass]  # the others have no candidate
         if not live:
             return np.empty((0, 1)), np.zeros(n_chains + 1, dtype=np.int64)

@@ -4,7 +4,8 @@ Every check returns a TestReport carrying the statistic, its threshold at the
 stated level, the p-value when the test has one, and an accept/reject
 decision. Multiple checks in one run are combined with Holm's step-down
 correction so the familywise level is the stated alpha. replicate_counts
-draws a battery's replicates, from the substreams named by REPLICATES,
+draws a battery's replicates, in blocks of bounded size, and reduces each
+replicate to a value; the battery's substreams are named by REPLICATES,
 LOCKSTEP, ORACLE and PROBES.
 
 The two-sample KS test, the one test the CLI runs, needs numpy alone: its
@@ -526,25 +527,48 @@ class ReportCollector:
 REPLICATES, LOCKSTEP, ORACLE, PROBES = 0, 1, 2, 3
 
 
-def replicate_counts(n_reps, stream, chains=None, sample=None):
-    """(points, offsets) of n_reps independent replicates of a sampler:
-    replicate r's points are points[offsets[r]:offsets[r + 1]], and its count
-    N(W) is np.diff(offsets)[r].
+BATTERY_POINTS = 1 << 20  # mean points one lockstep call of a battery draws, at most
 
-    Exactly one of the two draws is given. chains(n_reps, rng), a sampler's
-    lockstep form, draws every replicate from the one generator of
-    stream.substream(LOCKSTEP), with a fixed number of generator calls per
-    step; its points are what the form returns as points (the Boolean disk
-    form returns its BooleanSample, whose coverage the check reads).
-    sample(rng), a single draw that returns a PointPattern, draws replicate r
-    from its own generator, stream.substream(REPLICATES).substream(r): this
-    costs a generator and a draw call per replicate, and serves the samplers
-    with no lockstep form.
+
+def _counts(points, offsets):
+    return np.diff(offsets)
+
+
+def replicate_counts(n_reps, stream, chains=None, sample=None, per_rep=0.0, reduce=_counts):
+    """One value per replicate, reduce(points, offsets), of n_reps independent
+    replicates of a sampler: by default each replicate's count N(W),
+    np.diff(offsets).
+
+    Exactly one of the two draws is given. chains(k, rng), a sampler's
+    lockstep form, returns the (points, offsets) of k replicates, replicate
+    i's points being points[offsets[i]:offsets[i + 1]]; every call draws from
+    the one generator of stream.substream(LOCKSTEP). sample(rng), a single
+    draw that returns a PointPattern, draws replicate r from its own
+    generator, stream.substream(REPLICATES).substream(r): this costs a
+    generator and a draw call per replicate, and serves the samplers with no
+    lockstep form.
+
+    per_rep is the mean count of the points one replicate draws, candidates
+    included. The replicates are drawn in blocks of at most
+    BATTERY_POINTS / per_rep of them (at least one), each reduced before the
+    next is drawn, so the battery never holds much more than BATTERY_POINTS
+    points, or one replicate's; a battery within that bound is one block.
     """
     if (chains is None) == (sample is None):
         raise ValueError("replicate_counts needs exactly one of chains and sample")
-    if chains is not None:
-        return chains(int(n_reps), stream.substream(LOCKSTEP).generator())
-    patterns = [sample(rng).points
-                for rng in stream.substream(REPLICATES).substream_generators(n_reps)]
-    return np.concatenate(patterns), chain_offsets([len(p) for p in patterns])
+    n_reps = int(n_reps)
+    if n_reps < 1:
+        raise ValueError("replicate_counts needs at least one replicate")
+    block = n_reps if per_rep * n_reps <= BATTERY_POINTS else max(1, int(BATTERY_POINTS // per_rep))
+    if chains is None:
+        rngs = stream.substream(REPLICATES).substream_generators(n_reps)
+
+        def chains(k, _):
+            patterns = [sample(next(rngs)).points for _ in range(k)]
+            return np.concatenate(patterns), chain_offsets([len(p) for p in patterns])
+
+        rng = None
+    else:
+        rng = stream.substream(LOCKSTEP).generator()
+    return np.concatenate([reduce(*chains(min(block, n_reps - a), rng))
+                           for a in range(0, n_reps, block)])

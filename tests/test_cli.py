@@ -299,6 +299,19 @@ def test_branching_approx_build_draws_nothing(monkeypatch):
     assert built["meta"]["truncation_certificate"] == cert == {"n": 3, "gamma": 2.0, "bound": 0.25}
 
 
+def test_heavy_branching_battery_stays_within_the_point_cap(tmp_path, capsys):
+    # about 26k points a replicate: the 400 replicates' 1e7 points, drawn in
+    # one call, would pass the engine's 5e6-point cap; drawn in blocks of
+    # about BATTERY_POINTS, the battery runs and accepts
+    cfg = json.loads((CONFIG_DIR / "branching_approx.json").read_text())
+    cfg["params"]["rate0"] = 2500.0
+    cfg["window"] = {"lower": [0.0], "upper": [4.0]}
+    cfg["validation"] = {"enabled": True, "replicates": 400}
+    rc = main(["validate", "-c", _cfg_file(tmp_path, cfg)])
+    assert rc == 0, capsys.readouterr().err
+    assert "PASS branching-mean-count" in capsys.readouterr().out
+
+
 # -- validation rejection exits 1 ---------------------------------------------------
 
 
@@ -326,6 +339,25 @@ def test_validation_rejection_exits_1(tmp_path, capsys, monkeypatch):
     assert "validation rejected" in captured.err
     assert captured.out.startswith("FAIL grid-counts-vs-thin-after")
     assert "statistic=" in captured.out
+
+
+@pytest.mark.parametrize("alpha,expected", [(0.05, 0), (0.5, 0), (0.999, 1)])
+def test_configured_alpha_decides_the_verdict(tmp_path, capsys, alpha, expected):
+    # the grid's one KS test reads p = 0.9953 on this seed: the run accepts at
+    # alpha 0.05 and 0.5 and rejects at 0.999, so only the configured alpha
+    # tells the runs apart; every report records the alpha it was judged at
+    cfg = {
+        "schema": 1, "sampler": "grid_thinning", "seed": 2, "replicates": 2,
+        "params": {"family": "geometric", "c": 0.7, "ratio": 0.6},
+        "validation": {"enabled": True, "replicates": 200, "alpha": alpha},
+    }
+    rc, outdir = _sample(tmp_path, cfg)
+    assert rc == expected
+    reports = json.loads((outdir / "validation_report.json").read_text())
+    assert [r["name"] for r in reports] == ["grid-counts-vs-thin-after"]
+    assert reports[0]["pvalue"] == pytest.approx(0.9953, abs=5e-5)
+    assert all(r["alpha"] == alpha for r in reports)
+    assert ("validation rejected" in capsys.readouterr().err) == (expected == 1)
 
 
 def test_validate_accepts_and_prints_reports(tmp_path, capsys):

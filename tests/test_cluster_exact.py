@@ -169,7 +169,7 @@ def test_thinned_germ_count_is_poisson():
     # the dispersion index sits at 1
     sampler = BrixKendallSampler(LebesgueIntensity(1.0, 1), _kernel(2.0), W10)
     rng = _gen(25)
-    counts = np.array([sampler.sample_retained_germs(rng)[0].shape[0] for _ in range(20_000)])
+    counts = np.array([sampler._retained_germs(rng)[0].shape[0] for _ in range(20_000)])
     mean, half = mean_ci(counts, z=4.0)
     assert abs(mean - sampler.retained_mass) < half
     dispersion = counts.var(ddof=1) / counts.mean()
@@ -181,7 +181,7 @@ def test_retained_germs_live_in_the_germ_region():
     sampler = BrixKendallSampler(LebesgueIntensity(1.0, 1), _kernel(2.0), W10)
     rng = _gen(26)
     germs = np.concatenate(
-        [sampler.sample_retained_germs(rng)[0][:, 0] for _ in range(200)]
+        [sampler._retained_germs(rng)[0][:, 0] for _ in range(200)]
     )
     assert germs.min() >= -0.5 - 1e-12
     assert germs.max() <= 10.5 + 1e-12
@@ -192,7 +192,7 @@ def test_retained_germs_carry_their_window_mass():
     sampler = BrixKendallSampler(LebesgueIntensity(1.0, 1), _kernel(2.0), W10)
     rng = _gen(30)
     for _ in range(50):
-        germs, lam, (lo, hi), _ = sampler.sample_retained_germs(rng)
+        germs, lam, (lo, hi), _ = sampler._retained_germs(rng)
         assert np.array_equal(lam, sampler.kernel.mass_in(germs, W10))
         assert np.array_equal(lo, np.maximum(germs - 0.5, 0.0))
         assert np.array_equal(hi, np.minimum(germs + 0.5, 10.0))

@@ -323,20 +323,70 @@ def test_battery_stream_keys_cannot_coincide():
     assert len({_spawn_words(s) for s in roles.values()}) == 3
 
 
+def _keeping(seen):
+    """A reduce that keeps every block it is handed and returns its counts."""
+    def reduce(points, offsets):
+        seen.append((points, offsets))
+        return np.diff(offsets)
+    return reduce
+
+
 def test_replicate_counts_draw_from_the_battery_streams():
     stream = RngStream(7, 20_000)
     w = Window((0.0,), (3.0,))
-    points, offsets = replicate_counts(
-        5, stream, chains=lambda n, rng: homogeneous_chains(w, 2.0, n, rng)
-    )
+    seen = []
+    counts = replicate_counts(5, stream, chains=lambda n, rng: homogeneous_chains(w, 2.0, n, rng),
+                              reduce=_keeping(seen))
     ref = homogeneous_chains(w, 2.0, 5, stream.substream(validation.LOCKSTEP).generator())
-    assert np.array_equal(points, ref[0]) and np.array_equal(offsets, ref[1])
-    points, offsets = replicate_counts(5, stream, sample=lambda rng: sample_homogeneous(w, 2.0, rng))
+    assert len(seen) == 1  # within BATTERY_POINTS: one block
+    assert np.array_equal(seen[0][0], ref[0]) and np.array_equal(seen[0][1], ref[1])
+    assert np.array_equal(counts, np.diff(ref[1]))
+    seen = []
+    counts = replicate_counts(5, stream, sample=lambda rng: sample_homogeneous(w, 2.0, rng),
+                              reduce=_keeping(seen))
+    (points, offsets), = seen
     for r in range(5):
         rng = stream.substream(validation.REPLICATES).substream(r).generator()
         assert np.array_equal(points[offsets[r]:offsets[r + 1]], sample_homogeneous(w, 2.0, rng).points)
+    assert np.array_equal(counts, np.diff(offsets))
     with pytest.raises(ValueError, match="exactly one"):
         replicate_counts(5, stream)
+
+
+def test_replicate_counts_draw_blocks_of_bounded_points(monkeypatch):
+    # 6 points a replicate against a bound of 20: blocks of 3, 3 and 2
+    # replicates, drawn in turn from the one lockstep generator and each
+    # reduced before the next is drawn
+    monkeypatch.setattr(validation, "BATTERY_POINTS", 20)
+    stream = RngStream(8, 20_000)
+    w = Window((0.0,), (3.0,))
+    asked, seen = [], []
+
+    def chains(n, rng):
+        asked.append(n)
+        assert len(seen) == len(asked) - 1  # the block before was reduced already
+        return homogeneous_chains(w, 2.0, n, rng)
+
+    counts = replicate_counts(8, stream, chains=chains, per_rep=6.0, reduce=_keeping(seen))
+    assert asked == [3, 3, 2]
+    rng = stream.substream(validation.LOCKSTEP).generator()
+    for n, (points, offsets) in zip(asked, seen):
+        ref = homogeneous_chains(w, 2.0, n, rng)
+        assert np.array_equal(points, ref[0]) and np.array_equal(offsets, ref[1])
+    assert np.array_equal(counts, np.concatenate([np.diff(o) for _, o in seen]))
+    # a replicate above the bound is a block of its own; a battery within it, one block
+    for per_rep, blocks in ((50.0, [1, 1, 1]), (6.0, [3])):
+        del asked[:], seen[:]
+        replicate_counts(3, stream, chains=chains, per_rep=per_rep, reduce=_keeping(seen))
+        assert asked == blocks
+    # the per-replicate draws take the same blocks, each replicate on its own stream
+    seen = []
+    counts = replicate_counts(8, stream, sample=lambda rng: sample_homogeneous(w, 2.0, rng),
+                              per_rep=6.0, reduce=_keeping(seen))
+    assert [len(o) - 1 for _, o in seen] == [3, 3, 2]
+    ref = [len(sample_homogeneous(w, 2.0, rng).points)
+           for rng in stream.substream(validation.REPLICATES).substream_generators(8)]
+    assert counts.tolist() == ref
 
 
 LOCKSTEP_CONFIGS = ("boolean_disks", "boolean_segments", "branching_approx", "brix_kendall",
@@ -371,6 +421,36 @@ def test_validated_run_builds_generators_independent_of_replicates(monkeypatch, 
     else:
         # one generator per replicate, and the oracle's
         assert made == [51, 121]
+
+
+@pytest.mark.parametrize("name", LOCKSTEP_CONFIGS)
+def test_validated_run_draws_its_battery_in_bounded_blocks(monkeypatch, tmp_path, name, capsys):
+    # a bound of 7.5 replicates' mean points: blocks of 7 replicates, but one
+    # block for the grid, whose replicates declare no points
+    from exactpp.cli import main
+
+    draw = validation.replicate_counts
+    asked = []
+
+    def bounded(n_reps, stream, chains=None, per_rep=0.0, **kw):
+        monkeypatch.setattr(validation, "BATTERY_POINTS", 7.5 * per_rep)
+
+        def counting(k, rng):
+            asked.append(k)
+            return chains(k, rng)
+
+        return draw(n_reps, stream, chains=counting, per_rep=per_rep, **kw)
+
+    monkeypatch.setattr(validation, "replicate_counts", bounded)
+    cfg = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    n_reps = cfg["validation"]["replicates"]
+    # other blocks draw other numbers; whether they accept is not this test's question
+    assert main(["validate", "-c", str(path)]) in (0, 1), capsys.readouterr()
+    assert sum(asked) == n_reps
+    assert asked == ([n_reps] if name == "grid_thinning" else
+                     [7] * (n_reps // 7) + [n_reps % 7] * (n_reps % 7 > 0))
 
 
 # -- the geometric grid at c = 1 ---------------------------------------------------------
