@@ -26,9 +26,11 @@ is organized by construction:
 Importing the package loads none of these modules. Each name in `__all__` is
 imported from its module on first access, and the CLI imports a sampler's
 modules only when it builds that sampler and validation only when a run
-validates or writes meta.json, so a run loads core, validation, cli and the
-modules of the one sampler its config names (with oracles when its
-validation runs one), and a build alone loads no validation.
+validates, so a run loads core, cli and the modules of the one sampler its
+config names (with validation, and oracles when its validation runs one,
+only when it validates), and a build alone loads no validation. No module
+imports dataclasses: the value classes are plain classes on a read-only
+base in core, so an import runs no generated code.
 
 scipy is imported inside the few routines that call it (quadrature and the
 one-sample KS and chi-square tests), so importing the package, or building

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigError, _mean_count, chain_offsets, homogeneous_chains, kept_rows,
+from .core import (ConfigError, _Frozen, _mean_count, chain_offsets, homogeneous_chains, kept_rows,
                    pair_blocks, poisson_counts, thin_chains)
 
 __all__ = [
@@ -51,21 +50,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiskWindow:
+class DiskWindow(_Frozen):
     """Circular window: closed disk of given radius about a center."""
 
-    center: tuple
-    radius: float
+    _fields = ("center", "radius")
 
-    def __post_init__(self):
-        c = tuple(float(v) for v in np.atleast_1d(self.center))
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "_center", np.array(c))  # the centre as an array, made once
+    def __init__(self, center, radius):
+        c = tuple(float(v) for v in np.atleast_1d(center))
         if len(c) != 2:
             raise ConfigError("disk window lives in the plane")
-        if not self.radius > 0:
+        if not radius > 0:
             raise ConfigError("disk radius must be positive")
+        # the centre also as an array, made once
+        self.__dict__.update(center=c, radius=radius, _center=np.array(c))
 
 
 def box_distance(points, window):
@@ -80,13 +77,13 @@ def box_distance(points, window):
 # the law of the radius of a kept disk given the Steiner term k it came from.
 
 
-@dataclass(frozen=True)
-class FixedRadius:
-    value: float
+class FixedRadius(_Frozen):
+    _fields = ("value",)
 
-    def __post_init__(self):
-        if not self.value > 0:
+    def __init__(self, value):
+        if not value > 0:
             raise ConfigError("radius must be positive")
+        self.__dict__["value"] = value
 
     def sample(self, n, rng):
         return np.full(int(n), float(self.value))
@@ -99,14 +96,13 @@ class FixedRadius:
         return self.sample(n, rng)
 
 
-@dataclass(frozen=True)
-class UniformRadius:
-    lo: float
-    hi: float
+class UniformRadius(_Frozen):
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if not 0 <= self.lo < self.hi:
+    def __init__(self, lo, hi):
+        if not 0 <= lo < hi:
             raise ConfigError("need 0 <= lo < hi")
+        self.__dict__.update(lo=lo, hi=hi)
 
     def sample(self, n, rng):
         return self.lo + rng.random(int(n)) * (self.hi - self.lo)
@@ -120,15 +116,15 @@ class UniformRadius:
         return (a + rng.random(int(n)) * (b - a)) ** (1.0 / (k + 1))
 
 
-@dataclass(frozen=True)
-class ExpRadius:
+class ExpRadius(_Frozen):
     """Exponential radius law: unbounded support, drawn with no truncation."""
 
-    rate: float
+    _fields = ("rate",)
 
-    def __post_init__(self):
-        if not self.rate > 0:
+    def __init__(self, rate):
+        if not rate > 0:
             raise ConfigError("rate must be positive")
+        self.__dict__["rate"] = rate
 
     def sample(self, n, rng):
         return rng.exponential(1.0 / self.rate, int(n))
@@ -144,8 +140,7 @@ class ExpRadius:
 # -- grain distributions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiskGrains:
+class DiskGrains(_Frozen):
     """I.i.d. disk grains, drawn exactly on a 2-D box by the Steiner formula.
 
     The kept (germ, radius) pairs are Poisson with intensity
@@ -159,7 +154,10 @@ class DiskGrains:
     radius law and window, at the first draw.
     """
 
-    radius_law: object
+    _fields = ("radius_law",)
+
+    def __init__(self, radius_law):
+        self.__dict__["radius_law"] = radius_law
 
     def draw(self, rate, window, n_chains, rng):
         """The kept pairs of n_chains replicates on a 2-D box window, as arrays
@@ -195,15 +193,15 @@ def _steiner(law, window):
     return (w0, w0 + w1), w0 + w1 + math.pi * law.moment(2)
 
 
-@dataclass(frozen=True)
-class SegmentGrains:
+class SegmentGrains(_Frozen):
     """Segments of fixed length centered at the germ, uniform orientation."""
 
-    length: float
+    _fields = ("length",)
 
-    def __post_init__(self):
-        if not self.length > 0:
+    def __init__(self, length):
+        if not length > 0:
             raise ConfigError("segment length must be positive")
+        self.__dict__["length"] = length
 
     def endpoints(self, x, theta):
         """End points of the segments at germs x (..., 2) with angles theta (...)."""
@@ -253,8 +251,7 @@ def segment_hits_box(p0, p1, window):
 # -- Boolean sampler -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BooleanSample:
+class BooleanSample(_Frozen):
     """The grains that hit the window, as arrays; their union restricted to
     the window is an exact draw.
 
@@ -262,11 +259,10 @@ class BooleanSample:
     points p0 and p1 (n, 2); the other fields stay None.
     """
 
-    germs: np.ndarray
-    window: object
-    radii: np.ndarray = None
-    p0: np.ndarray = None
-    p1: np.ndarray = None
+    _fields = ("germs", "window", "radii", "p0", "p1")
+
+    def __init__(self, germs, window, radii=None, p0=None, p1=None):
+        self.__dict__.update(germs=germs, window=window, radii=radii, p0=p0, p1=p1)
 
     def coverage(self, points, offsets=None):
         """Boolean mask: probe point lies in the union of the disk grains
@@ -326,13 +322,13 @@ def hit_prob_poisson_line(xs, radius):
     return np.where(d >= radius, np.arcsin(radius / np.maximum(d, radius)) / np.pi, 1.0)
 
 
-@dataclass(frozen=True)
-class LineSample:
+class LineSample(_Frozen):
     """Retained germ points (n, 2) with their ray directions (n,) in [0, 2 pi)."""
 
-    germs: np.ndarray
-    angles: np.ndarray
-    target: DiskWindow
+    _fields = ("germs", "angles", "target")
+
+    def __init__(self, germs, angles, target):
+        self.__dict__.update(germs=germs, angles=angles, target=target)
 
 
 def sample_poisson_lines(rate, target, germ_region, rng):

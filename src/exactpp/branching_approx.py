@@ -21,11 +21,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointPattern, SamplerError, _mean_count, chain_offsets, homogeneous_chains
+from .core import (PointPattern, SamplerError, _Frozen, _mean_count, chain_offsets,
+                   homogeneous_chains)
 
 __all__ = [
     "GWCluster",
@@ -142,8 +142,7 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
     return GWCluster(points, float(ancestor), z, broods)
 
 
-@dataclass(frozen=True)
-class TruncationCertificate:
+class TruncationCertificate(_Frozen):
     """Certified bound on what dropping generations beyond n can cost.
 
     gamma is the window's expected total population per unit of progeny
@@ -152,9 +151,10 @@ class TruncationCertificate:
     gamma * rho^(n+1) <= bound), hence the total-variation error.
     """
 
-    n: int
-    gamma: float
-    bound: float
+    _fields = ("n", "gamma", "bound")
+
+    def __init__(self, n, gamma, bound):
+        self.__dict__.update(n=n, gamma=gamma, bound=bound)
 
     def to_dict(self):
         return {"n": self.n, "gamma": self.gamma, "bound": self.bound}

@@ -20,17 +20,17 @@ sampler is built or run; a refusal of several values of one config object
 keeps the sampler's exit code. Model-level impossibilities (supercritical
 kernels, unbounded buffers, point counts too large to draw) exit 3.
 
-Only core is imported with this module. Each builder imports its sampler's
-module when it builds, each validation imports validation and each oracle
-imports oracles when it runs, and a sample run imports validation for its
-meta.json; so a run loads only the modules of the sampler its config names
-(oracles only when validation runs), a build alone loads no validation, and
-concurrent.futures is loaded only when EXACTPP_WORKERS > 1.
+Only core is imported with this module, and argparse only when main() runs.
+Each builder imports its sampler's module when it builds, and each validation
+imports validation and each oracle imports oracles when it runs; so a run
+loads only the modules of the sampler its config names (validation and
+oracles only when validation runs), a build or a sample run with validation
+off loads no validation, and concurrent.futures is loaded only when
+EXACTPP_WORKERS > 1.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -47,6 +47,7 @@ from .core import (
     RngStream,
     SamplerError,
     Window,
+    _jsonable,
     config_hash,
     homogeneous_chains,
     sample_homogeneous,
@@ -216,22 +217,24 @@ def _count_checks(chains=None, sample=None, mean=None, oracle=None, per_rep=0.0)
     blocks of replicates that hold about per_rep points each, or, replicate by
     replicate, from sample(rng); then a mean check of the counts for
     mean=(name, expected count), and a two-sample KS test of the counts for
-    oracle=(name, oracle_chains). oracle_chains(n_reps, rng)
-    returns the (points, offsets) of n_reps reference chains, all drawn in
-    lockstep from the one generator of the ORACLE substream. Both sides'
-    counts are np.diff(offsets). Any oracle set-up belongs inside
+    oracle=(name, oracle_chains). oracle_chains(k, rng) returns the
+    (points, offsets) of k reference chains drawn in lockstep; the n_reps
+    chains are drawn in the battery's blocks, one call after another on the
+    one generator of the ORACLE substream, and only their counts are kept.
+    Both sides' counts are np.diff(offsets). Any oracle set-up belongs inside
     oracle_chains, so it runs only when validation does."""
 
     def validate(stream, n_reps, collector):
-        from .validation import ORACLE, mean_ci, replicate_counts, two_sample_ks
+        from .validation import ORACLE, battery_blocks, mean_ci, replicate_counts, two_sample_ks
 
         counts = replicate_counts(n_reps, stream, chains=chains, sample=sample, per_rep=per_rep)
         if mean is not None:
             value, half = mean_ci(counts)
             collector.add(_interval_report(mean[0], value, mean[1], half))
         if oracle is not None:
-            _, offsets = oracle[1](n_reps, stream.substream(ORACLE).generator())
-            collector.add(two_sample_ks(counts, np.diff(offsets), name=oracle[0]))
+            rng = stream.substream(ORACLE).generator()
+            reference = [np.diff(oracle[1](k, rng)[1]) for k in battery_blocks(n_reps, per_rep)]
+            collector.add(two_sample_ks(counts, np.concatenate(reference), name=oracle[0]))
 
     return validate
 
@@ -684,8 +687,6 @@ def cmd_sample(cfg, outdir):
         workers = min(max(int(os.environ.get("EXACTPP_WORKERS", "1")), 1), reps)
     except ValueError:
         raise ConfigError("EXACTPP_WORKERS must be an integer") from None
-    from .validation import _jsonable
-
     built = build(cfg)  # a config the build refuses leaves no output directory
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -798,6 +799,8 @@ def cmd_plotdata(cfg, kind, outdir):
 
 
 def main(argv=None):
+    import argparse  # with gettext and locale about 1.3 ms, which load_config and build skip
+
     parser = argparse.ArgumentParser(
         prog="exactpp", description="Exact point-process sampling from JSON configs."
     )

@@ -17,7 +17,6 @@ diverge.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .core import (
     DensityIntensity,
     PointPattern,
     SamplerError,
+    _Frozen,
     chain_offsets,
     homogeneous_chains,
     thin_chains,
@@ -38,25 +38,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UniformDisplacement:
+class UniformDisplacement(_Frozen):
     """Cluster-point displacement uniform on a box [lo_1,hi_1]x...x[lo_m,hi_m];
     its corners and side lengths are also kept as read-only arrays, made once."""
 
-    lo: tuple
-    hi: tuple
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        lo = tuple(float(v) for v in np.atleast_1d(self.lo))
-        hi = tuple(float(v) for v in np.atleast_1d(self.hi))
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def __init__(self, lo, hi):
+        lo = tuple(float(v) for v in np.atleast_1d(lo))
+        hi = tuple(float(v) for v in np.atleast_1d(hi))
         if len(lo) != len(hi) or not all(a < b for a, b in zip(lo, hi)):
             raise SamplerError("displacement box needs lo < hi per axis")
         box = np.array((lo, hi, np.subtract(hi, lo)))
         box.setflags(write=False)  # its rows are views, read-only too
-        for name, row in zip(("_lo", "_hi", "_width"), box):
-            object.__setattr__(self, name, row)
+        self.__dict__.update(lo=lo, hi=hi, _lo=box[0], _hi=box[1], _width=box[2])
 
     @property
     def dim(self):
@@ -88,8 +83,7 @@ class UniformDisplacement:
         return lo + rng.random(lo.shape) * (hi - lo)
 
 
-@dataclass(frozen=True)
-class TranslatedPoissonCluster:
+class TranslatedPoissonCluster(_Frozen):
     """Cluster kernel: Poisson(total_mean) points displaced i.i.d. from the germ.
 
     K(x, W-x) = total_mean * P(x + D in W) is available in closed form when
@@ -98,16 +92,16 @@ class TranslatedPoissonCluster:
     (0, core.MAX_MEAN_POINTS].
     """
 
-    total_mean: float
-    displacement: UniformDisplacement
+    _fields = ("total_mean", "displacement")
 
-    def __post_init__(self):
-        if not self.total_mean > 0:
+    def __init__(self, total_mean, displacement):
+        if not total_mean > 0:
             raise SamplerError("cluster mean must be positive")
-        if not self.total_mean <= MAX_MEAN_POINTS:
+        if not total_mean <= MAX_MEAN_POINTS:
             raise SamplerError(
-                f"cluster mean {self.total_mean:.3g} exceeds the limit {MAX_MEAN_POINTS:.0e}"
+                f"cluster mean {total_mean:.3g} exceeds the limit {MAX_MEAN_POINTS:.0e}"
             )
+        self.__dict__.update(total_mean=total_mean, displacement=displacement)
 
     @property
     def dim(self):

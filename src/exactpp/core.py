@@ -33,8 +33,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +66,39 @@ class SamplerError(RuntimeError):
     """A sampler cannot produce an exact draw under the given configuration."""
 
 
+class _Frozen:
+    """Base of the read-only value classes. An instance refuses the assignment
+    and deletion of any attribute with AttributeError, and compares, hashes and
+    prints as the tuple of its class's _fields; an instance of another class is
+    never equal. Constructors fill __dict__ directly, as pickle, deepcopy and
+    functools.cached_property do."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = operator.attrgetter(*cls._fields)  # a tuple for two or more fields
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        values = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({values})"
+
+
 def _bounds(v):
     """A window bound as a tuple of floats; plain scalars, tuples and lists skip numpy."""
     if isinstance(v, (int, float)):
@@ -73,8 +106,7 @@ def _bounds(v):
     return tuple(map(float, v if isinstance(v, (tuple, list)) else np.atleast_1d(v)))
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(_Frozen):
     """Axis-aligned box [lower_1, upper_1] x ... x [lower_m, upper_m].
 
     Bounds are strict: lower < upper on every axis, so the window always has
@@ -84,13 +116,10 @@ class Window:
     keeps the last window `buffered` made from it.
     """
 
-    lower: tuple
-    upper: tuple
+    _fields = ("lower", "upper")
 
-    def __post_init__(self):
-        lo, hi = _bounds(self.lower), _bounds(self.upper)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+    def __init__(self, lower, upper):
+        lo, hi = _bounds(lower), _bounds(upper)
         if len(lo) != len(hi):
             raise ConfigError("window lower/upper dimension mismatch")
         if len(lo) == 0:
@@ -98,12 +127,10 @@ class Window:
         if not all(a < b for a, b in zip(lo, hi)):
             raise ConfigError("window requires lower < upper on every axis")
         sides = [b - a for a, b in zip(lo, hi)]
-        object.__setattr__(self, "_volume", math.prod(sides))
         rows = np.array((sides, lo, hi))
         rows.setflags(write=False)  # its rows are views, read-only too
-        for name, row in zip(("sides", "lo", "hi"), rows):
-            object.__setattr__(self, name, row)
-        object.__setattr__(self, "_buffer", (None, None))
+        self.__dict__.update(lower=lo, upper=hi, _volume=math.prod(sides), sides=rows[0],
+                             lo=rows[1], hi=rows[2], _buffer=(None, None))
 
     @property
     def dim(self):
@@ -129,7 +156,7 @@ class Window:
         if r < 0:
             raise ConfigError("buffer radius must be nonnegative")
         made = Window(tuple(v - r for v in self.lower), tuple(v + r for v in self.upper))
-        object.__setattr__(self, "_buffer", (r, made))
+        self.__dict__["_buffer"] = (r, made)
         return made
 
     def shifted(self, lo_shift, hi_shift):
@@ -158,23 +185,18 @@ def _as_points(points, dim=None):
     return pts
 
 
-@dataclass(frozen=True)
-class PointPattern:
+class PointPattern(_Frozen):
     """A finite point pattern: points shape (n, dim), optional scalar marks (n,)."""
 
-    points: np.ndarray
-    marks: np.ndarray = None
-    dim: int = None
+    _fields = ("points", "marks", "dim")
 
-    def __post_init__(self):
-        pts = _as_points(self.points, self.dim)
-        object.__setattr__(self, "points", np.array(pts, order="C"))  # a copy
-        object.__setattr__(self, "dim", pts.shape[1])
-        if self.marks is not None:
-            m = np.array(self.marks, dtype=float, order="C").reshape(-1)  # a copy
-            if m.shape[0] != pts.shape[0]:
+    def __init__(self, points, marks=None, dim=None):
+        pts = _as_points(points, dim)
+        if marks is not None:
+            marks = np.array(marks, dtype=float, order="C").reshape(-1)  # a copy
+            if marks.shape[0] != pts.shape[0]:
                 raise ValueError("marks length must match point count")
-            object.__setattr__(self, "marks", m)
+        self.__dict__.update(points=np.array(pts, order="C"), marks=marks, dim=pts.shape[1])
 
     @classmethod
     def empty(cls, dim):
@@ -381,8 +403,7 @@ def _numpy_random():
     return Generator, Philox, PhiloxKey
 
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(_Frozen):
     """Reproducible, splittable random stream keyed by (seed, stream_id).
 
     The stream's generator is, bit for bit, numpy's
@@ -399,13 +420,12 @@ class RngStream:
     per-germ or per-replicate randomness.
     """
 
-    seed: int
-    stream_id: int = 0
-    lineage: tuple = field(default=())
+    _fields = ("seed", "stream_id", "lineage")
 
-    def __post_init__(self):
-        if type(self.lineage) is not tuple or self.lineage:  # the default () needs no work
-            object.__setattr__(self, "lineage", tuple(int(v) for v in self.lineage))
+    def __init__(self, seed, stream_id=0, lineage=()):
+        if type(lineage) is not tuple or lineage:  # the default () needs no work
+            lineage = tuple(int(v) for v in lineage)
+        self.__dict__.update(seed=seed, stream_id=stream_id, lineage=lineage)
 
     def generator(self):
         generator, philox, seed = _numpy_random()
@@ -431,6 +451,23 @@ def config_hash(config):
 
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _jsonable(v):
+    """v with numpy scalars and arrays replaced by plain JSON values, recursively."""
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    if isinstance(v, np.ndarray):
+        return [_jsonable(x) for x in v.tolist()]
+    if isinstance(v, (np.bool_, bool)):
+        return bool(v)
+    if isinstance(v, (np.integer, int)):
+        return int(v)
+    if isinstance(v, (np.floating, float)):
+        return float(v)
+    return v
 
 
 # -- dominating process and thinning ---------------------------------------
@@ -536,16 +573,15 @@ def pair_blocks(width):
 # -- intensity measures -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LebesgueIntensity:
+class LebesgueIntensity(_Frozen):
     """Constant multiple of Lebesgue measure: rate * dx on R^dim."""
 
-    rate: float
-    dim: int = 1
+    _fields = ("rate", "dim")
 
-    def __post_init__(self):
-        if self.rate < 0:
+    def __init__(self, rate, dim=1):
+        if rate < 0:
             raise ConfigError("intensity rate must be nonnegative")
+        self.__dict__.update(rate=rate, dim=dim)
 
     def bound_on(self, w):
         return self.rate
@@ -555,21 +591,19 @@ class LebesgueIntensity:
         return float(self.rate)
 
 
-@dataclass(frozen=True)
-class DensityIntensity:
+class DensityIntensity(_Frozen):
     """Intensity with a Lebesgue density and a declared sup bound.
 
     The bound is a contract: sampling thins a homogeneous process at the
     bound, and any evaluation above it raises SamplerError.
     """
 
-    density: object
-    bound: float
-    dim: int = 1
+    _fields = ("density", "bound", "dim")
 
-    def __post_init__(self):
-        if not self.bound > 0:
+    def __init__(self, density, bound, dim=1):
+        if not bound > 0:
             raise ConfigError("density bound must be positive")
+        self.__dict__.update(density=density, bound=bound, dim=dim)
 
     def density_at(self, points):
         pts = _as_points(points, self.dim)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .core import (
     MAX_MEAN_POINTS,
     PointPattern,
     SamplerError,
+    _Frozen,
     _mean_count,
     chain_offsets,
     homogeneous_chains,
@@ -122,22 +122,20 @@ class _GridBase:
         return np.insert(ks[rows], ends, last), chain_offsets(counts)
 
 
-@dataclass(frozen=True)
-class TableGrid(_GridBase):
+class TableGrid(_GridBase, _Frozen):
     """Finite explicit retention table; p_k = 0 beyond the table."""
 
-    probs: tuple
+    _fields = ("probs",)
 
-    def __post_init__(self):
-        probs = tuple(float(v) for v in self.probs)
-        object.__setattr__(self, "probs", probs)
+    def __init__(self, probs):
+        probs = tuple(float(v) for v in probs)
         if any(not 0 <= v <= 1 for v in probs):
             raise SamplerError("retention probabilities must lie in [0,1]")
         logs = [math.log1p(-v) if v < 1 else -math.inf for v in probs]
         tail = [0.0] * (len(probs) + 1)
         for i in range(len(probs) - 1, -1, -1):
             tail[i] = tail[i + 1] + logs[i]
-        object.__setattr__(self, "_tail_logs", tuple(tail))
+        self.__dict__.update(probs=probs, _tail_logs=tuple(tail))
 
     def p(self, ks):
         ks = np.asarray(ks, dtype=np.int64)
@@ -152,21 +150,19 @@ class TableGrid(_GridBase):
         return math.exp(self._tail_logs[idx])
 
 
-@dataclass(frozen=True)
-class GeometricGrid(_GridBase):
+class GeometricGrid(_GridBase, _Frozen):
     """p_n = c * ratio^n; tail products truncated with a certified residue."""
 
-    c: float
-    ratio: float
+    _fields = ("c", "ratio")
 
-    def __post_init__(self):
-        if not (0 <= self.c <= 1 and 0 < self.ratio < 1):
+    def __init__(self, c, ratio):
+        if not (0 <= c <= 1 and 0 < ratio < 1):
             raise SamplerError("need c in [0,1] and ratio in (0,1)")
         # truncate where the neglected sum of p_k is provably < NEGLECTED_TAIL
         k_max = 1
-        while self.c * self.ratio**k_max / (1 - self.ratio) >= NEGLECTED_TAIL:
+        while c * ratio**k_max / (1 - ratio) >= NEGLECTED_TAIL:
             k_max += 1
-        ps = self.c * self.ratio ** np.arange(k_max + 1)
+        ps = c * ratio ** np.arange(k_max + 1)
         logs = np.full(ps.size, -np.inf)  # log(1 - p) is -inf where p = 1 (c = 1 at k = 0)
         below = ps < 1.0
         logs[below] = np.log1p(-ps[below])
@@ -174,8 +170,7 @@ class GeometricGrid(_GridBase):
         # compensated reverse accumulation
         for i in range(k_max, -1, -1):
             tail[i] = math.fsum([tail[i + 1], logs[i]])
-        object.__setattr__(self, "_tail_logs", tail)
-        object.__setattr__(self, "_k_max", k_max)
+        self.__dict__.update(c=c, ratio=ratio, _tail_logs=tail, _k_max=k_max)
 
     def p(self, ks):
         ks = np.asarray(ks, dtype=np.int64)
@@ -186,16 +181,16 @@ class GeometricGrid(_GridBase):
         return math.exp(self._tail_logs[idx])
 
 
-@dataclass(frozen=True)
-class InverseSquareGrid(_GridBase):
+class InverseSquareGrid(_GridBase, _Frozen):
     """p_n = 1 - exp(-C/(n+1)^2); tail products are exact via the trigamma:
     prod_{k>n}(1-p_k) = exp(-C * psi_1(n+2))."""
 
-    C: float
+    _fields = ("C",)
 
-    def __post_init__(self):
-        if not self.C > 0:
+    def __init__(self, C):
+        if not C > 0:
             raise SamplerError("C must be positive")
+        self.__dict__["C"] = C
 
     def p(self, ks):
         ks = np.asarray(ks, dtype=np.int64).astype(float)

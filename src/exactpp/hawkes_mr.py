@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .branching_approx import sample_gw_cluster
-from .core import MAX_MEAN_POINTS, PointPattern, SamplerError, thin
+from .core import MAX_MEAN_POINTS, PointPattern, SamplerError, _Frozen, thin
 
 __all__ = [
     "EPS_ROUND",
@@ -436,8 +435,7 @@ class PhiOperator:
 # -- sandwich bounds ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundPair:
+class BoundPair(_Frozen):
     """Rigorous node bounds ell <= F <= upp on the survival tail F = 1 - E.
 
     A Sandwich builds one pair per iterate and hands the same pair to every
@@ -445,22 +443,19 @@ class BoundPair:
     sampler) shares the pair instead of copying it into writable arrays.
     """
 
-    taus: np.ndarray
-    ell: np.ndarray
-    upp: np.ndarray
-    n: int
+    _fields = ("taus", "ell", "upp", "n")
 
-    def __post_init__(self):
-        if np.any(self.ell > self.upp + 1e-15):
+    def __init__(self, taus, ell, upp, n):
+        if np.any(ell > upp + 1e-15):
             raise SamplerError("lower bound exceeded upper bound: rigor leak")
-        self.ell.flags.writeable = False
-        self.upp.flags.writeable = False
+        ell.flags.writeable = False
+        upp.flags.writeable = False
+        self.__dict__.update(taus=taus, ell=ell, upp=upp, n=n)
 
     def __deepcopy__(self, memo):
         return self
 
 
-@dataclass
 class Sandwich:
     """Monotone sandwich state: CDF-side iterates e_lo <= E <= e_hi on the grid.
 
@@ -470,21 +465,18 @@ class Sandwich:
     monotone in t, so every BoundPair invariant holds by construction.
     advance() is the only code that moves the iterates; the read-only
     BoundPair of the current iterate is built there and at construction, and
-    bounds() returns it without copying.
+    bounds() returns it without copying. A sandwich is mutable, so it has no hash.
     """
 
-    kernel: object
-    phi: PhiOperator
-    e_lo: np.ndarray
-    e_hi: np.ndarray
-    n: int = 0
-    gap0: float = 1.0
-    gaps: list = field(default_factory=list)
-    cert_ok: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-    _bounds: BoundPair = field(init=False, repr=False)
+    __hash__ = None
 
-    def __post_init__(self):
+    def __init__(self, kernel, phi, e_lo, e_hi, n=0, gap0=1.0, gaps=None, cert_ok=None,
+                 meta=None):
+        self.kernel, self.phi, self.e_lo, self.e_hi, self.n, self.gap0 = (
+            kernel, phi, e_lo, e_hi, n, gap0)
+        self.gaps = [] if gaps is None else gaps
+        self.cert_ok = [] if cert_ok is None else cert_ok
+        self.meta = {} if meta is None else meta
         self._set_bounds()
 
     def _set_bounds(self):

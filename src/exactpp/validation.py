@@ -17,11 +17,10 @@ from scipy.stats (BSD-3-Clause; see `_kolmogorov_sf`). `ks_against_cdf` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import chain_offsets
+from .core import _Frozen, _jsonable, chain_offsets
 
 __all__ = [
     "TestReport",
@@ -36,20 +35,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(_Frozen):
     """Outcome of one statistical check."""
 
     __test__ = False  # not a pytest collection target despite the name
 
-    name: str
-    statistic: float
-    threshold: float
-    alpha: float
-    decision: str
-    pvalue: float = None
-    n: int = None
-    details: dict = field(default_factory=dict)
+    _fields = ("name", "statistic", "threshold", "alpha", "decision", "pvalue", "n", "details")
+
+    def __init__(self, name, statistic, threshold, alpha, decision, pvalue=None, n=None,
+                 details=None):
+        self.__dict__.update(name=name, statistic=statistic, threshold=threshold, alpha=alpha,
+                             decision=decision, pvalue=pvalue, n=n,
+                             details={} if details is None else details)
 
     @property
     def accepted(self):
@@ -67,23 +64,6 @@ class TestReport:
             "details": _jsonable(self.details),
         }
         return out
-
-
-def _jsonable(v):
-    """v with numpy scalars and arrays replaced by plain JSON values, recursively."""
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
-    if isinstance(v, (np.bool_, bool)):
-        return bool(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    return v
 
 
 # -- summaries ----------------------------------------------------------------
@@ -534,6 +514,15 @@ def _counts(points, offsets):
     return np.diff(offsets)
 
 
+def battery_blocks(n_reps, per_rep):
+    """The replicate counts of the blocks, in turn, of a battery of n_reps
+    replicates of per_rep mean points each: at most BATTERY_POINTS / per_rep
+    replicates a block (at least one), and one block for a battery within
+    BATTERY_POINTS."""
+    block = n_reps if per_rep * n_reps <= BATTERY_POINTS else max(1, int(BATTERY_POINTS // per_rep))
+    return [min(block, n_reps - a) for a in range(0, n_reps, block)]
+
+
 def replicate_counts(n_reps, stream, chains=None, sample=None, per_rep=0.0, reduce=_counts):
     """One value per replicate, reduce(points, offsets), of n_reps independent
     replicates of a sampler: by default each replicate's count N(W),
@@ -549,17 +538,15 @@ def replicate_counts(n_reps, stream, chains=None, sample=None, per_rep=0.0, redu
     lockstep form.
 
     per_rep is the mean count of the points one replicate draws, candidates
-    included. The replicates are drawn in blocks of at most
-    BATTERY_POINTS / per_rep of them (at least one), each reduced before the
-    next is drawn, so the battery never holds much more than BATTERY_POINTS
-    points, or one replicate's; a battery within that bound is one block.
+    included. The replicates are drawn in the blocks of battery_blocks, each
+    reduced before the next is drawn, so the battery never holds much more
+    than BATTERY_POINTS points, or one replicate's.
     """
     if (chains is None) == (sample is None):
         raise ValueError("replicate_counts needs exactly one of chains and sample")
     n_reps = int(n_reps)
     if n_reps < 1:
         raise ValueError("replicate_counts needs at least one replicate")
-    block = n_reps if per_rep * n_reps <= BATTERY_POINTS else max(1, int(BATTERY_POINTS // per_rep))
     if chains is None:
         rngs = stream.substream(REPLICATES).substream_generators(n_reps)
 
@@ -570,5 +557,4 @@ def replicate_counts(n_reps, stream, chains=None, sample=None, per_rep=0.0, redu
         rng = None
     else:
         rng = stream.substream(LOCKSTEP).generator()
-    return np.concatenate([reduce(*chains(min(block, n_reps - a), rng))
-                           for a in range(0, n_reps, block)])
+    return np.concatenate([reduce(*chains(k, rng)) for k in battery_blocks(n_reps, per_rep)])

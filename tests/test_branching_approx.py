@@ -27,6 +27,7 @@ from exactpp import (
     sample_gw_cluster,
 )
 from exactpp.validation import chi_square, mean_ci
+from pins import pin_message
 
 W1 = Window((0.0,), (1.0,))
 PROGENY = TranslatedPoissonCluster(
@@ -279,10 +280,12 @@ def test_branching_bytes_in_two_and_three_dimensions():
         TranslatedPoissonCluster(0.6, UniformDisplacement((-0.1, -0.1), (0.1, 0.15))),
         Window((0.0, 0.0), (1.0, 1.0)),
         4,
-    ) == (8924, "31ceff06c9de6bda8e1770605f37adb3af58266ed35183ff551890ec4b5acb91")
+    ) == (8924, "31ceff06c9de6bda8e1770605f37adb3af58266ed35183ff551890ec4b5acb91"), (
+        pin_message("2-D branching draws"))
     assert _digest(
         15.0,
         TranslatedPoissonCluster(0.7, UniformDisplacement((-0.1, -0.2, -0.05), (0.1, 0.1, 0.15))),
         Window((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
         8,
-    ) == (9704, "69088a66ce17b0476f724b9f53d5d22422f0d32608ddf644a3e79c4be8b32b60")
+    ) == (9704, "69088a66ce17b0476f724b9f53d5d22422f0d32608ddf644a3e79c4be8b32b60"), (
+        pin_message("3-D branching draws"))

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from exactpp.cli import main
+from pins import pin_message
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -312,6 +313,35 @@ def test_heavy_branching_battery_stays_within_the_point_cap(tmp_path, capsys):
     assert "PASS branching-mean-count" in capsys.readouterr().out
 
 
+def test_heavy_oracle_draws_its_chains_in_the_battery_blocks(tmp_path, capsys, monkeypatch):
+    # clusters of 1,000 points on [0, 10]: 600 oracle chains drawn in one call
+    # peaked near 200 MiB; drawn in the battery's blocks of 104 chains, one
+    # after another on the one ORACLE generator, the run stays below 64 MiB
+    from exactpp import oracles, validation
+
+    draw, asked = oracles.cluster_direct_chains, []
+
+    def recording(rate0, kernel, window, n_chains, rng):
+        asked.append((n_chains, rng))
+        return draw(rate0, kernel, window, n_chains, rng)
+
+    monkeypatch.setattr(oracles, "cluster_direct_chains", recording)
+    cfg = json.loads((CONFIG_DIR / "brix_kendall.json").read_text())
+    cfg["params"]["cluster_mean"] = 1000.0
+    path = _cfg_file(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        rc = main(["validate", "-c", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, capsys.readouterr().err
+    per_rep = 1.0 * (11.0 + 1000.0 * 10.0)  # the battery's germs and points a replicate
+    assert [k for k, _ in asked] == validation.battery_blocks(600, per_rep) == [104] * 5 + [80]
+    assert len({id(rng) for _, rng in asked}) == 1
+    assert peak < 64 * 2**20
+
+
 # -- validation rejection exits 1 ---------------------------------------------------
 
 
@@ -427,16 +457,8 @@ def test_sample_rerun_is_byte_identical(tmp_path):
         assert fa.read_bytes() == (b / fa.name).read_bytes()
 
 
-# The byte pins below were taken with numpy 2.4.6 on Python 3.11.7. Pattern
-# bytes also depend on numpy's distribution algorithms, which numpy does not
-# promise to keep (NEP 19), so on another numpy a pin can fail while every
-# law-level check (exactpp validate, the acceptance battery) still holds.
-PINNED_ON = "numpy 2.4.6, Python 3.11.7"
-
-
-def _pin_message(what):
-    return (f"{what} differ from the digest taken on {PINNED_ON}; this run has numpy "
-            f"{np.__version__}, Python {'%d.%d.%d' % sys.version_info[:3]}")
+# The byte pins below were taken on pins.PINNED_ON; pins.py says why a pin
+# can fail on another numpy while every law-level check still holds.
 
 
 # sha256 over the pattern files `exactpp sample` writes for each demo config
@@ -495,12 +517,12 @@ def test_demo_patterns_keep_their_bytes(tmp_path, path):
     cfg = json.loads(path.read_text())
     rc, outdir = _sample(tmp_path, cfg)
     assert rc == 0
-    assert _pattern_digest(outdir) == DEMO_PATTERN_SHA256[path.stem], _pin_message("patterns")
+    assert _pattern_digest(outdir) == DEMO_PATTERN_SHA256[path.stem], pin_message("patterns")
     if path.stem in DEMO_PATTERN_SHA256_200:
         rc, outdir = _sample(tmp_path, dict(cfg, replicates=200), sub="out200")
         assert rc == 0
         assert (_pattern_digest(outdir) == DEMO_PATTERN_SHA256_200[path.stem]
-                ), _pin_message("patterns of 200 replicates")
+                ), pin_message("patterns of 200 replicates")
 
 
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
@@ -510,7 +532,7 @@ def test_demo_validation_reports_keep_their_bytes(tmp_path, path):
     assert rc == 0
     report = (outdir / "validation_report.json").read_bytes()
     assert (hashlib.sha256(report).hexdigest() == DEMO_REPORT_SHA256[path.stem]
-            ), _pin_message("validation report bytes")
+            ), pin_message("validation report bytes")
 
 
 class _ReadLog(dict):

@@ -2,6 +2,7 @@
 step every sampler is built from."""
 
 import copy
+import inspect
 import math
 import os
 import pickle
@@ -12,14 +13,34 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exactpp import (
+    BooleanSample,
     ConfigError,
+    DensityIntensity,
+    DiskGrains,
+    DiskWindow,
+    ExpRadius,
+    ExponentialFertility,
+    FixedRadius,
+    GeometricGrid,
+    InverseSquareGrid,
+    LebesgueIntensity,
     PointPattern,
     RngStream,
     SamplerError,
+    SegmentGrains,
+    TableGrid,
+    TranslatedPoissonCluster,
+    TruncationCertificate,
+    UniformDisplacement,
+    UniformRadius,
     Window,
+    build_sandwich,
 )
 from exactpp import core
+from exactpp.boolean_model import LineSample, _steiner
 from exactpp.core import thin
+from exactpp.hawkes_mr import BoundPair
+from exactpp.validation import TestReport
 
 UNIT = Window((0.0,), (1.0,))
 
@@ -410,3 +431,77 @@ def test_negative_zero_is_normalized_in_files(tmp_path):
     path = tmp_path / "z.csv"
     PointPattern(np.array([[-0.0]]), dim=1).to_csv(path)
     assert "-0.0" not in path.read_text()
+
+
+# -- read-only value classes --------------------------------------------------------
+
+# (make, hashable): a fresh instance of each read-only class; the classes that
+# hold arrays or a dict compare equal only to themselves and have no hash
+VALUE_CLASSES = [
+    (lambda: Window((0.0, 0.0), (1.0, 2.0)), True),
+    (lambda: PointPattern([[0.0, 1.0], [2.0, 3.0]], marks=[1.0, 2.0]), False),
+    (lambda: RngStream(5, 3, (1, 2)), True),
+    (lambda: LebesgueIntensity(2.0, 2), True),
+    (lambda: DensityIntensity(np.ones_like, 1.5, 2), True),
+    (lambda: DiskWindow((0.5, 0.5), 1.0), True),
+    (lambda: FixedRadius(0.3), True),
+    (lambda: UniformRadius(0.1, 0.4), True),
+    (lambda: ExpRadius(2.0), True),
+    (lambda: DiskGrains(UniformRadius(0.1, 0.4)), True),
+    (lambda: SegmentGrains(0.5), True),
+    (lambda: BooleanSample(np.zeros((2, 2)), UNIT, radii=np.ones(2)), False),
+    (lambda: LineSample(np.zeros((1, 2)), np.zeros(1), DiskWindow((0.0, 0.0), 1.0)), False),
+    (lambda: TruncationCertificate(3, 2.0, 0.25), True),
+    (lambda: UniformDisplacement((-0.5,), (0.5,)), True),
+    (lambda: TranslatedPoissonCluster(2.0, UniformDisplacement((-0.5,), (0.5,))), True),
+    (lambda: TableGrid((0.5, 0.25)), True),
+    (lambda: GeometricGrid(0.5, 0.5), True),
+    (lambda: InverseSquareGrid(1.0), True),
+    (lambda: BoundPair(np.arange(3.0), np.zeros(3), np.ones(3), 0), False),
+    (lambda: TestReport("t", 0.1, 0.2, 0.05, "accept", details={"a": 1}), False),
+]
+
+
+@pytest.mark.parametrize("make, hashable", VALUE_CLASSES,
+                         ids=[type(make()).__name__ for make, _ in VALUE_CLASSES])
+def test_value_classes_are_read_only_values(make, hashable):
+    obj = make()
+    fields = list(inspect.signature(type(obj)).parameters)  # the constructor's, in order
+    for name in fields + ["unknown"]:
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(obj, name)
+    assert repr(obj).startswith(f"{type(obj).__name__}({fields[0]}=")
+    assert obj == obj and obj != object()
+    clones = [copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))]
+    for clone in clones:
+        assert type(clone) is type(obj) and repr(clone) == repr(obj)
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(clone, fields[0], None)
+    if hashable:
+        for other in (make(), *clones):
+            assert other == obj and hash(other) == hash(obj)
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)
+
+
+def test_equal_windows_and_radius_laws_share_one_steiner_entry():
+    _steiner.cache_clear()
+    for lower in ([0, 0], (0.0, np.float64(0.0))):
+        _steiner(UniformRadius(0.1, 0.4), Window(lower, (1.0, 2.0)))
+    info = _steiner.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_sandwich_stays_mutable_and_unhashable():
+    sandwich = build_sandwich(ExponentialFertility(0.5, 1.0), step=1e-2)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(sandwich)
+    n = sandwich.n
+    sandwich.advance(1)
+    assert sandwich.n == sandwich.bounds().n == n + 1
+    for clone in (copy.deepcopy(sandwich), pickle.loads(pickle.dumps(sandwich))):
+        assert clone.n == n + 1 and clone.gaps == sandwich.gaps
+        assert np.array_equal(clone.bounds().ell, sandwich.bounds().ell)

@@ -28,6 +28,7 @@ from exactpp.oracles import (
     hawkes_exp_burn_in_chains,
 )
 from exactpp.validation import chi_square, mean_ci, two_sample_ks
+from pins import pin_message
 
 KERNEL = ExponentialFertility(0.5, 1.0)  # rho = 0.5, nu_inf = 0.5
 ZERO_KERNEL = PiecewiseConstantFertility((0.0, 1.0), (0.0,))  # h == 0, rho = 0
@@ -502,20 +503,23 @@ def test_demo_sampler_draws_keep_their_bytes():
     sampler = HawkesSampler(KERNEL, mu=1.0, a=10.0)  # configs/hawkes_mr.json
     pats = [sampler.sample(_gen(31, r)).points[:, 0] for r in range(500)]
     digest = _sha256(np.array([p.size for p in pats]), np.concatenate(pats))
-    assert digest == "c402c44950a869706252be200f870ebc473256ce2d397c3d2b4b71aed930e4ef"
+    assert digest == "c402c44950a869706252be200f870ebc473256ce2d397c3d2b4b71aed930e4ef", (
+        pin_message("the demo sampler's draws"))
 
 
 def test_scalar_cluster_extinction_times_keep_their_bytes():
     rng = _gen(212)  # the kernel and stream of AC-10
     ext = np.array([sample_gw_cluster(KERNEL, 0.0, rng).extinction_time for _ in range(20_000)])
-    assert _sha256(ext) == "e8730297a722ca5d886da411833c99d55451ac8cb2e105153144fec2e24e0d5e"
+    assert _sha256(ext) == "e8730297a722ca5d886da411833c99d55451ac8cb2e105153144fec2e24e0d5e", (
+        pin_message("scalar clusters' extinction times"))
 
 
 def test_two_mark_forest_keeps_its_bytes():
     kernel = ExponentialFertility(0.5, 1.0, marks=TWO_MARKS)
     cl = sample_gw_cluster(kernel, np.linspace(0.0, 1.0, 2_000), _gen(213))
     digest = _sha256(cl.points, cl.generations, cl.owner, cl.ancestor_mark, cl.extinction_time)
-    assert digest == "7c234c164f466c86325a2e0a7e1028e8331fa58b80ff5633c7021c6c0a8c817d"
+    assert digest == "7c234c164f466c86325a2e0a7e1028e8331fa58b80ff5633c7021c6c0a8c817d", (
+        pin_message("the two-mark forest's bytes"))
 
 
 # The digests below were computed before GWCluster built its labels on first
@@ -541,7 +545,7 @@ def test_scalar_clusters_keep_their_bytes(kernel, digest):
     parts = [np.array([cl.n for cl in cls]), np.array([cl.ancestor_mark for cl in cls])]
     for field in ("points", "generations", "owner"):
         parts.append(np.concatenate([getattr(cl, field) for cl in cls]))
-    assert _sha256(*parts) == digest
+    assert _sha256(*parts) == digest, pin_message("scalar clusters' bytes")
 
 
 def _wavy_mu(t):
@@ -573,7 +577,8 @@ def _wavy_mu(t):
 def test_sampler_draws_keep_their_bytes(kernel, mu, mu_bound, a, digest):
     sampler = HawkesSampler(kernel, mu=mu, a=a, mu_bound=mu_bound)
     pats = [sampler.sample(_gen(32, r)).points[:, 0] for r in range(400)]
-    assert _sha256(np.array([p.size for p in pats]), np.concatenate(pats)) == digest
+    assert _sha256(np.array([p.size for p in pats]), np.concatenate(pats)) == digest, (
+        pin_message("the sampler's draws"))
 
 
 def _two_step_reaching_clusters(kernel, ts, n_plain, rng, imm):

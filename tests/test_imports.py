@@ -9,7 +9,8 @@ pattern back the other. scipy is imported only inside the routines that call it 
 and the one-sample KS and chi-square tests), so a fresh
 process shows what a cold run pays. Nor does such a run load the modules of
 samplers other than the one its config names, or concurrent.futures when it
-runs with one worker."""
+runs with one worker. Neither an import nor a build loads dataclasses or
+argparse, and a sample run with validation off loads no validation module."""
 
 import functools
 import json
@@ -180,6 +181,59 @@ def test_import_and_demo_builds_load_no_validation():
         check=True,
     )
     assert json.loads(out.stdout.splitlines()[-1]) is False
+
+
+NO_CODEGEN_SCRIPT = """
+import json, sys
+from pathlib import Path
+import exactpp, exactpp.cli as cli
+for path in sorted(Path("configs").glob("*.json")):
+    cli.build(cli.load_config(str(path)))
+import exactpp.validation, exactpp.oracles
+print(json.dumps(sorted(m for m in ("dataclasses", "argparse") if m in sys.modules)))
+"""
+
+
+def test_import_builds_and_validation_modules_load_no_dataclasses_or_argparse():
+    """The value classes are plain classes, so no import compiles generated
+    methods with exec; and argparse (with gettext and locale) waits for main()."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", NO_CODEGEN_SCRIPT],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == []
+
+
+SAMPLE_SCRIPT = """
+import json, sys
+from pathlib import Path
+import exactpp.cli as cli
+codes = [cli.main(["sample", "-c", str(path), "-o", str(Path(sys.argv[1]) / path.stem)])
+         for path in sorted(Path("configs").glob("*.json"))]
+print(json.dumps([codes, "exactpp.validation" in sys.modules]))
+"""
+
+
+def test_sample_runs_without_validation_load_no_validation(tmp_path):
+    """meta.json's values are made plain by core, so only validating loads validation."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), EXACTPP_WORKERS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", SAMPLE_SCRIPT, str(tmp_path)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    codes, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0] * 11 and loaded is False
 
 
 DRAW_SCRIPT = """

@@ -40,6 +40,7 @@ from exactpp.oracles import (
     renewal_thin_after_chains,
 )
 from exactpp.validation import mean_ci, two_sample_ks
+from pins import pin_message
 
 N_CHAINS = 2_000
 
@@ -135,7 +136,8 @@ def test_burn_in_oracle_keeps_its_counts(marks, digest):
     burn = 60.0 / kernel.suggested_decay()
     rng = _gen(214)
     counts = np.array([hawkes_exp_burn_in(kernel, 1.0, 10.0, burn, rng).n for _ in range(500)])
-    assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == digest, (
+        pin_message("the burn-in oracle's counts"))
 
 
 def test_lockstep_hawkes_oracle_mean_count():
@@ -262,7 +264,7 @@ def test_one_chain_lockstep_keeps_the_scalar_oracles_bytes(case, digest):
         for _ in range(200):
             h.update(draw(rng).tobytes())
         h.update(rng.random(4).tobytes())
-        assert h.hexdigest() == digest
+        assert h.hexdigest() == digest, pin_message(f"{case}: one-chain oracle draws")
 
 
 @pytest.mark.parametrize("case", sorted(ONE_CHAIN_CASES))
