@@ -28,9 +28,9 @@ imported from its module on first access, and the CLI imports a sampler's
 modules only when it builds that sampler and validation only when a run
 validates, so a run loads core, cli and the modules of the one sampler its
 config names (with validation, and oracles when its validation runs one,
-only when it validates), and a build alone loads no validation. No module
-imports dataclasses: the value classes are plain classes on a read-only
-base in core, so an import runs no generated code.
+only when it validates), and a build alone loads no validation. The value
+classes are plain classes on one read-only base in core, so an import
+compiles no generated methods.
 
 scipy is imported inside the few routines that call it (quadrature and the
 one-sample KS and chi-square tests), so importing the package, or building
