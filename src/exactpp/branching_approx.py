@@ -208,7 +208,7 @@ def _checked(rate0, progeny, window, n):
     return cert, region
 
 
-def approx_branching_sample(rate0, progeny, window, n, rng, point_cap=POINT_CAP):
+def approx_branching_sample(rate0, progeny, window, n, rng):
     """Generations 0..n of the branching process restricted to the window.
 
     progeny supplies the per-point brood: total_mean (the progeny mass rho)
@@ -219,24 +219,25 @@ def approx_branching_sample(rate0, progeny, window, n, rng, point_cap=POINT_CAP)
     reuse its checks, certificate and buffer. One replicate of
     approx_branching_chains.
     """
-    points, _, cert = approx_branching_chains(rate0, progeny, window, n, 1, rng, point_cap)
+    points, _, cert = approx_branching_chains(rate0, progeny, window, n, 1, rng)
     return PointPattern(points, dim=window.dim), cert
 
 
-def approx_branching_chains(rate0, progeny, window, n, n_chains, rng, point_cap=POINT_CAP):
+def approx_branching_chains(rate0, progeny, window, n, n_chains, rng):
     """(points, offsets, certificate) of n_chains independent draws of
     approx_branching_sample, in lockstep.
 
     The germs of every replicate are drawn first, then all of them grow in one
-    sample_gw_cluster call, so point_cap bounds the points of all n_chains
-    replicates together (the CLI's battery asks for blocks of replicates that
-    hold about validation.BATTERY_POINTS points, well within the default cap).
+    sample_gw_cluster call, so POINT_CAP, read at each call, bounds the points
+    of all n_chains replicates together (the CLI's battery asks for blocks of
+    replicates that hold about validation.BATTERY_POINTS points, well within
+    it).
     Past one replicate, the window points are grouped by
     replicate, each in the engine's order.
     """
     cert, region = _checked(rate0, progeny, window, n)
     germs, offsets = homogeneous_chains(region, rate0, n_chains, rng)
-    cluster = sample_gw_cluster(progeny, germs, rng, point_cap, generations=int(n))
+    cluster = sample_gw_cluster(progeny, germs, rng, POINT_CAP, generations=int(n))
     inside = window.contains(cluster.points)
     points = cluster.points[inside]
     if n_chains == 1:  # no need to label the points with their replicates

@@ -8,10 +8,10 @@ colouring theorem (Kingman 1993, Poisson Processes, 5.1) the points of a
 Poisson cluster that fall in W are independent of those outside, so given a
 hit they are a zero-truncated Poisson(K(x, W-x)) number of i.i.d. points on
 the cluster's support intersected with W; the points outside W are never
-drawn. The thinned germ has finite mass integral p(x) mu(dx), at most the
-germ's bound times the volume of the bounded germ region; the construction
-refuses a germ whose bound is not finite, the only way that integral can
-diverge.
+drawn. The germ is homogeneous Poisson at a constant rate, so the thinned
+germ has finite mass, the integral of rate * p(x) over the bounded germ
+region, at most the rate times its volume; the construction refuses a rate
+that is not finite, the only way that integral can diverge.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from .core import (
     MAX_MEAN_POINTS,
-    DensityIntensity,
     PointPattern,
     SamplerError,
     _Frozen,
@@ -146,74 +145,61 @@ class TranslatedPoissonCluster(_Frozen):
 class BrixKendallSampler:
     """Exact cluster-process sampler on a window (build once, sample repeatedly).
 
-    Each sample() draws the retained germs by thinning a homogeneous process
-    at the germ's bound on the germ region by p(x) mu(x) / bound, then draws
-    each retained germ's in-window points directly
-    (TranslatedPoissonCluster.sample_conditioned). The same path serves every
-    dimension.
+    The germ is a LebesgueIntensity, homogeneous Poisson at germ.rate. Each
+    sample() draws the retained germs by thinning a homogeneous process at
+    that rate on the germ region by p(x), then draws each retained germ's
+    in-window points directly (TranslatedPoissonCluster.sample_conditioned).
+    The same path serves every dimension.
 
     The displacement is bounded, so the germ region (every germ whose
     cluster can reach the window) is a box and no germ is truncated away.
-    The germ region and the germ's bound are fixed when the sampler is built;
-    a draw computes each germ's overlap with the window once.
+    The germ region and the rate are fixed when the sampler is built; a draw
+    computes each germ's overlap with the window once.
     """
 
     def __init__(self, germ, kernel, window):
-        if not kernel.dim == window.dim == getattr(germ, "dim", window.dim):
+        if not kernel.dim == window.dim == germ.dim:
             raise SamplerError("germ, kernel and window dimension mismatch")
         self.germ = germ
         self.kernel = kernel
         self.window = window
-        self.region = region = kernel.germ_region(window)
-
-        def thinned_density(pts):
-            # DensityIntensity passes a flat array of positions in dim 1
-            xs = np.reshape(pts, (-1, window.dim))
-            return kernel.retention(xs, window) * germ.density_at(xs)
-
-        bound = float(germ.bound_on(region))
-        if not np.isfinite(bound):
-            # the retained mass is at most bound * |region|, finite for a finite bound
-            raise SamplerError("germ bound is not finite: exact sampling impossible")
-        # DensityIntensity refuses a zero bound; the germ is then void
-        self._thinned = (
-            DensityIntensity(thinned_density, bound=bound, dim=window.dim) if bound > 0 else None
-        )
+        self.region = kernel.germ_region(window)
+        self.rate = float(germ.rate)
+        if not np.isfinite(self.rate):
+            # the retained mass is at most rate * |region|, finite for a finite rate
+            raise SamplerError("germ rate is not finite: exact sampling impossible")
 
     @functools.cached_property
     def retained_mass(self):
-        """Mean retained-germ count (diagnostics and tests): tensor trapezoid in
-        2-D, adaptive quadrature in 1-D."""
-        if self._thinned is None:
-            return 0.0
+        """Mean retained-germ count (diagnostics and tests), the integral of
+        rate * p(x) over the germ region: adaptive quadrature in 1-D, a tensor
+        trapezoid on a 65 x 65 grid in 2-D."""
+        def density(xs):
+            return self.rate * self.kernel.retention(xs, self.window)
+
+        lo, hi = self.region.lower, self.region.upper
         if self.window.dim > 1:
-            return self._thinned.total_on(self.region)
+            xs, ys = np.linspace(lo[0], hi[0], 65), np.linspace(lo[1], hi[1], 65)
+            gx, gy = np.meshgrid(xs, ys, indexing="ij")
+            vals = density(np.column_stack([gx.ravel(), gy.ravel()])).reshape(65, 65)
+            return float(np.trapezoid(np.trapezoid(vals, ys, axis=1), xs))
         from scipy import integrate
 
-        mass, _ = integrate.quad(
-            lambda t: float(self._thinned.density_at([[t]])[0]),
-            self.region.lower[0],
-            self.region.upper[0],
-            limit=400,
-        )
+        mass, _ = integrate.quad(lambda t: float(density(np.array([[t]]))[0]), lo[0], hi[0],
+                                 limit=400)
         return mass
 
     def _retained_germs(self, rng, n_chains=1):
         """Thinned germ of n_chains independent replicates: Poisson with density
-        p(x) mu(x) on the germ region, as rows (k, dim); lam = K(x, W - x) at
+        rate * p(x) on the germ region, as rows (k, dim); lam = K(x, W - x) at
         each row, which gave p(x) = 1 - exp(-lam); the corners of each row's
         overlap (x + box) ∩ W; and the offsets of each replicate's rows."""
-        if self._thinned is None:
-            empty = np.empty((0, self.window.dim))
-            return empty, np.empty(0), (empty, empty), np.zeros(int(n_chains) + 1, dtype=np.int64)
-        bound = self._thinned.bound
-        germs, offsets = homogeneous_chains(self.region, bound, n_chains, rng)
+        germs, offsets = homogeneous_chains(self.region, self.rate, n_chains, rng)
         disp = self.kernel.displacement
         corners = disp.overlap(germs, self.window)
         lam = self.kernel.total_mean * disp.prob_in(corners)  # mass_in, from the corners
         if len(germs):
-            p = -np.expm1(-lam) * self.germ.density_at(germs) / bound
-            keep, offsets = thin_chains(offsets, p, rng)
+            keep, offsets = thin_chains(offsets, -np.expm1(-lam), rng)
             germs, lam, corners = germs[keep], lam[keep], (corners[0][keep], corners[1][keep])
         return germs, lam, corners, offsets
 

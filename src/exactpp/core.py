@@ -574,7 +574,8 @@ def pair_blocks(width):
 
 
 class LebesgueIntensity(_Frozen):
-    """Constant multiple of Lebesgue measure: rate * dx on R^dim."""
+    """Constant multiple of Lebesgue measure, rate * dx on R^dim: the germ of
+    cluster_exact.BrixKendallSampler, which reads its rate and dim."""
 
     _fields = ("rate", "dim")
 
@@ -583,52 +584,31 @@ class LebesgueIntensity(_Frozen):
             raise ConfigError("intensity rate must be nonnegative")
         self.__dict__.update(rate=rate, dim=dim)
 
-    def bound_on(self, w):
-        return self.rate
-
-    def density_at(self, points):
-        """The density at every row of points: the rate, a scalar that broadcasts."""
-        return float(self.rate)
-
 
 class DensityIntensity(_Frozen):
-    """Intensity with a Lebesgue density and a declared sup bound.
+    """Intensity on the line with a Lebesgue density and a declared sup bound,
+    drawn by sample_on (poisson.FiniteDensitySampler's draw).
 
     The bound is a contract: sampling thins a homogeneous process at the
-    bound, and any evaluation above it raises SamplerError.
+    bound, and any evaluation above it raises SamplerError. The density is
+    called with a flat array of positions.
     """
 
-    _fields = ("density", "bound", "dim")
+    _fields = ("density", "bound")
 
-    def __init__(self, density, bound, dim=1):
+    def __init__(self, density, bound):
         if not bound > 0:
             raise ConfigError("density bound must be positive")
-        self.__dict__.update(density=density, bound=bound, dim=dim)
+        self.__dict__.update(density=density, bound=bound)
 
     def density_at(self, points):
-        pts = _as_points(points, self.dim)
-        vals = np.asarray(self.density(pts if self.dim > 1 else pts[:, 0]), dtype=float)
+        vals = np.asarray(self.density(_as_points(points, 1)[:, 0]), dtype=float)
         vals = np.atleast_1d(vals)
         if np.any(vals < 0):
             raise SamplerError("intensity density returned a negative value")
         if np.any(vals > self.bound * (1 + 1e-12)):
             raise SamplerError("intensity density exceeds its declared bound")
         return vals
-
-    def total_on(self, w):
-        """Tensor trapezoid estimate of the mass on a 2-D window, on a 65 x 65 grid."""
-        if w.dim != 2:
-            raise NotImplementedError("trapezoid quadrature is only for 2-D windows")
-        k = 65
-        xs = np.linspace(w.lower[0], w.upper[0], k)
-        ys = np.linspace(w.lower[1], w.upper[1], k)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        vals = self.density_at(np.column_stack([gx.ravel(), gy.ravel()]))
-        vals = vals.reshape(k, k)
-        return float(np.trapezoid(np.trapezoid(vals, ys, axis=1), xs))
-
-    def bound_on(self, w):
-        return self.bound
 
     def sample_on(self, w, rng):
         """Exact draw: the homogeneous process at the bound, thinned by density/bound."""

@@ -31,6 +31,7 @@ import numpy as np
 
 from .core import (
     MAX_MEAN_POINTS,
+    PAIR_BLOCK,
     PointPattern,
     SamplerError,
     _Frozen,
@@ -230,50 +231,43 @@ def thin_grid(spec, rng):
 # -- renewal germs ---------------------------------------------------------------
 
 
-def renewal_thin_first(hazard, bound, thin_p, rng, p_upper=None, p_tail=None, p_mass=None):
+def renewal_thin_first(hazard, bound, thin_p, rng, *, p_tail, p_mass=None):
     """Thin a stationary-start renewal stream by p without a horizon.
 
     One rate-`bound` stream dominates the renewal chain N0, and one coin per
     stream point, p(t), marks the candidates; the candidates are Poisson with
-    density bound*p(t) and only the stream up to the last one matters. p
-    vanishes beyond its support endpoint p_upper, and the stream is drawn on
-    [0, p_upper]; or p has the decreasing tail p_tail(t) = int_t^inf p, and
-    the last candidate T is drawn first, P(T <= t) = exp(-bound * p_tail(t)),
-    with no candidate at all when the exponential E = bound * p_tail(T) is at
-    least bound * p_tail(0); below T the stream and its coins are
-    unconditioned. p_mass, if given, must equal p_tail(0). Heights build N0
-    inside the strip (hazard(t - last renewal) against height*bound), and
-    renewal points that are candidates are the output. hazard must be
-    bounded by `bound`. One replicate of renewal_thin_first_chains.
+    density bound*p(t) and only the stream up to the last one matters. p is
+    described by its decreasing tail p_tail(t) = int_t^inf p (a p that
+    vanishes beyond T has the tail of p times the indicator of [0, T], such
+    as max(T - t, 0) for the indicator itself). The last candidate T is drawn
+    first, P(T <= t) = exp(-bound * p_tail(t)), with no candidate at all when
+    the exponential E = bound * p_tail(T) is at least bound * p_tail(0);
+    below T the stream and its coins are unconditioned. p_mass, if given,
+    must equal p_tail(0). Heights build N0 inside the strip (hazard(t - last
+    renewal) against height*bound), and renewal points that are candidates
+    are the output. hazard must be bounded by `bound`. One replicate of
+    renewal_thin_first_chains.
     """
-    points, _ = renewal_thin_first_chains(hazard, bound, thin_p, 1, rng, p_upper, p_tail, p_mass)
+    points, _ = renewal_thin_first_chains(hazard, bound, thin_p, 1, rng, p_tail=p_tail,
+                                          p_mass=p_mass)
     return PointPattern(points, dim=1)
 
 
-def renewal_thin_first_chains(hazard, bound, thin_p, n_chains, rng, p_upper=None, p_tail=None,
-                              p_mass=None):
+def renewal_thin_first_chains(hazard, bound, thin_p, n_chains, rng, *, p_tail, p_mass=None):
     """(points, offsets) of n_chains independent renewal_thin_first draws, in
     lockstep: every replicate's exponential E, then every stream's count, all
     stream points, all coins and all heights, each one generator call; the
     last candidates and the renewal chains are Python loops over the
     replicates."""
     n_chains = int(n_chains)
-    if p_upper is not None:
-        upper = float(p_upper)
-        if not upper > 0:
-            raise SamplerError("p_upper must be positive")
-        live, uppers = range(n_chains), [upper] * n_chains
-    elif p_tail is not None:
-        mass = float(p_tail(0.0))
-        if p_mass is not None and not math.isclose(p_mass, mass, rel_tol=1e-9):
-            raise SamplerError(f"p_mass {p_mass!r} differs from p_tail(0) = {mass!r}")
-        e = rng.standard_exponential(n_chains).tolist()
-        live = [c for c, x in enumerate(e) if x < bound * mass]  # the others have no candidate
-        if not live:
-            return np.empty((0, 1)), np.zeros(n_chains + 1, dtype=np.int64)
-        uppers = [_last_candidate(p_tail, e[c] / bound, bound) for c in live]
-    else:
-        raise SamplerError("need a support endpoint p_upper or a tail p_tail")
+    mass = float(p_tail(0.0))
+    if p_mass is not None and not math.isclose(p_mass, mass, rel_tol=1e-9):
+        raise SamplerError(f"p_mass {p_mass!r} differs from p_tail(0) = {mass!r}")
+    e = rng.standard_exponential(n_chains).tolist()
+    live = [c for c, x in enumerate(e) if x < bound * mass]  # the others have no candidate
+    if not live:
+        return np.empty((0, 1)), np.zeros(n_chains + 1, dtype=np.int64)
+    uppers = [_last_candidate(p_tail, e[c] / bound, bound) for c in live]
 
     # the dominating streams on [0, upper], each drawn as sample_homogeneous draws it
     counts = poisson_counts([_mean_count(bound, u) for u in uppers], len(uppers), rng)
@@ -286,22 +280,16 @@ def renewal_thin_first_chains(hazard, bound, thin_p, n_chains, rng, p_upper=None
     flags = np.zeros(times.size, bool)
     flags[thin(np.arange(times.size), thin_p(times), rng)] = True
     times, flags = times.tolist(), flags.tolist()  # for the loops
-    end = [True] if p_upper is None else []  # each stream ends at its last candidate
-    streams = []  # each stream's times, flags and the number of heights up to its last flag
-    b = 0
-    for k, up in zip(counts, uppers):
-        a, b = b, b + k
-        fs = flags[a:b] + end
-        streams.append((times[a:b] + [up] * len(end), fs,
-                        len(fs) - fs[::-1].index(True) if True in fs else 0))
-    heights = rng.random(sum(h for _, _, h in streams)).tolist()
+    # each stream ends at its last candidate: its points and that end each take a height
+    heights = rng.random(sum(counts) + len(uppers)).tolist()
 
     kept = [0] * n_chains
     retained = []
-    h0 = 0
-    for c, (ts, fs, h) in zip(live, streams):
+    b = 0
+    for j, (c, k, up) in enumerate(zip(live, counts, uppers)):
+        a, b = b, b + k  # stream j's points; its heights follow those of j earlier ends
         last_renewal = 0.0
-        for t, flag, u in zip(ts, fs, heights[h0:h0 + h]):
+        for t, flag, u in zip(times[a:b] + [up], flags[a:b] + [True], heights[a + j:b + j + 1]):
             haz = float(hazard(t - last_renewal))
             if haz < 0 or haz > bound * (1 + 1e-12):
                 raise SamplerError("hazard left its declared bound")
@@ -310,7 +298,6 @@ def renewal_thin_first_chains(hazard, bound, thin_p, n_chains, rng, p_upper=None
                 if flag:
                     retained.append(t)
                     kept[c] += 1
-        h0 += h
     return np.asarray(retained, dtype=float).reshape(-1, 1), chain_offsets(kept)
 
 
@@ -442,19 +429,22 @@ def _mark_minimal(points, marks, idx, radius, offsets=None):
     """Mask of the rows idx whose mark beats every other point of their
     replicate (rows listed by offsets; one replicate by default) within radius.
 
-    One replicate compares every row of idx with every point in one
-    (len(idx) x n) block. Many replicates are swept instead: the points are
-    sorted by replicate, then by first coordinate, through one key that keeps
-    replicates apart, and each row of idx is compared with the points whose
-    key lies within radius of its own, with a relative slack of 1e-9 for the
-    key's rounding, at most core.PAIR_BLOCK pairs at once. Either way the
-    distances decide, with the same arithmetic. A point's own mark is never
-    smaller than itself, so it needs no exclusion.
+    One replicate whose (len(idx) x n) block holds at most core.PAIR_BLOCK
+    pairs compares every row of idx with every point in that block. Larger
+    replicates, and many replicates, are swept instead, so memory stays
+    bounded: the points are sorted by replicate, then by first coordinate,
+    through one key that keeps replicates apart, and each row of idx is
+    compared with the points whose key lies within radius of its own, with a
+    relative slack of 1e-9 for the key's rounding, at most core.PAIR_BLOCK
+    pairs at once. Either way the distances decide, with the same arithmetic.
+    A point's own mark is never smaller than itself, so it needs no exclusion.
     """
     if offsets is None or len(offsets) <= 2:
-        d2 = np.add.reduce((points[None, :, :] - points[idx, None, :]) ** 2, axis=2)  # np.sum's
-        beaten = (d2 <= radius**2) & (marks[None, :] < marks[idx, None])
-        return ~beaten.any(axis=1)
+        if idx.size * len(points) <= PAIR_BLOCK:
+            d2 = np.add.reduce((points[None, :, :] - points[idx, None, :]) ** 2, axis=2)  # np.sum's
+            beaten = (d2 <= radius**2) & (marks[None, :] < marks[idx, None])
+            return ~beaten.any(axis=1)
+        offsets = (0, len(points))
     if idx.size == 0:
         return np.ones(0, dtype=bool)
     key = points[:, 0]
@@ -486,9 +476,10 @@ def _mark_minimal(points, marks, idx, radius, offsets=None):
 # -- non-linear self-exciting germ -------------------------------------------------
 
 
-def nonlinear_hawkes_germ(
-    phi, phi_bound, h, h_support, window, rng, search_horizon=None
-):
+SEARCH_REACHES = 60.0  # the backward scan gives up this many expected reaches past the window
+
+
+def nonlinear_hawkes_germ(phi, phi_bound, h, h_support, window, rng):
     """Stationary non-linear self-exciting process on a bounded interval.
 
     Intensity phi(sum h(t - s) over past points), phi <= phi_bound, h
@@ -497,13 +488,25 @@ def nonlinear_hawkes_germ(
     points. Scan backward from the window for the first such gap, then thin
     the same dominating stream forward (the point opening the gap included,
     with phi(0) intensity).
+
+    The scan draws about e^(phi_bound * h_support) points, so a pair whose
+    e^(phi_bound * h_support) exceeds core.MAX_MEAN_POINTS raises
+    SamplerError before any random number is drawn. A scan that passes
+    SEARCH_REACHES expected reaches (e^(phi_bound * h_support) / phi_bound)
+    plus 10 supports before the window without finding a gap raises
+    SamplerError too.
     """
     b0, b1 = float(window.lower[0]), float(window.upper[0])
     lam = float(phi_bound)
     a = float(h_support)
-    expected_reach = math.exp(min(lam * a, 700.0)) / lam
-    if search_horizon is None:
-        search_horizon = 60.0 * expected_reach + 10.0 * a
+    scan = math.exp(min(lam * a, 700.0))  # about the points the backward scan draws
+    if not scan <= MAX_MEAN_POINTS:
+        raise SamplerError(
+            f"regeneration-gap scan of about e^(bound * support) = {scan:.3g} points "
+            f"exceeds the limit {MAX_MEAN_POINTS:.0e}"
+        )
+    expected_reach = scan / lam
+    search_horizon = SEARCH_REACHES * expected_reach + 10.0 * a
 
     # backward scan: dominating points below b0 until a gap > a opens before one
     back = []

@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .branching_approx import sample_gw_cluster
-from .core import MAX_MEAN_POINTS, PointPattern, SamplerError, _Frozen, thin
+from .core import MAX_MEAN_POINTS, PointPattern, SamplerError, _Frozen
 
 __all__ = [
     "EPS_ROUND",
@@ -465,19 +465,19 @@ class Sandwich:
     monotone in t, so every BoundPair invariant holds by construction.
     advance() is the only code that moves the iterates; the read-only
     BoundPair of the current iterate is built there and at construction, and
-    bounds() returns it without copying. A sandwich is mutable, so it has no hash.
+    bounds() returns it without copying. The iterate count n starts at 0 and
+    gap0, the residual of the certificate, is the initial gap; gaps and
+    cert_ok record each iterate's gap and whether the certificate held. A
+    sandwich is mutable, so it has no hash.
     """
 
     __hash__ = None
 
-    def __init__(self, kernel, phi, e_lo, e_hi, n=0, gap0=1.0, gaps=None, cert_ok=None,
-                 meta=None):
-        self.kernel, self.phi, self.e_lo, self.e_hi, self.n, self.gap0 = (
-            kernel, phi, e_lo, e_hi, n, gap0)
-        self.gaps = [] if gaps is None else gaps
-        self.cert_ok = [] if cert_ok is None else cert_ok
-        self.meta = {} if meta is None else meta
+    def __init__(self, kernel, phi, e_lo, e_hi, *, meta):
+        self.kernel, self.phi, self.e_lo, self.e_hi, self.meta = kernel, phi, e_lo, e_hi, meta
+        self.n, self.gaps, self.cert_ok = 0, [], []
         self._set_bounds()
+        self.gap0 = self.gap
 
     def _set_bounds(self):
         self._bounds = BoundPair(self.taus, 1.0 - self.e_hi, 1.0 - self.e_lo, self.n)
@@ -573,7 +573,6 @@ def build_sandwich(
         e_hi=np.ones(n_nodes),
         meta={"t_max": float(t_max), "step": float(step), "cert_iterations": cert_iters},
     )
-    sw.gap0 = sw.gap
     sw.drive(tol, n_max)
     sw.meta["n_at_tol"] = sw.n
     sw.meta["gap_at_tol"] = sw.gap
@@ -673,9 +672,9 @@ class HawkesSampler:
     U(t0) = 1 at t0 = -ln(1 - rho_theta)/theta.  Candidates arrive at rate mu
     on (0, t0], where U >= 1, and Poisson(mu/theta) of them at t0 + Exp(theta),
     rate mu U(t), beyond; _reaching_clusters keeps exactly the ancestors that
-    reach the window, each with its cluster of law P(. | L > t).  A callable
-    mu is thinned at mu_bound.  The zero kernel (rho = 0) keeps no
-    pre-window ancestor.  A mean candidate count per draw, mu_bound (a + t0 +
+    reach the window, each with its cluster of law P(. | L > t).  mu is a
+    constant nonnegative rate.  The zero kernel (rho = 0) keeps no
+    pre-window ancestor.  A mean candidate count per draw, mu (a + t0 +
     1/theta), above core.MAX_MEAN_POINTS raises SamplerError when the sampler
     is built.
 
@@ -691,18 +690,13 @@ class HawkesSampler:
     for the counters that perfbench reports.
     """
 
-    def __init__(self, kernel, mu, a, mu_bound=None, tol=1e-3, step=1e-4):
+    def __init__(self, kernel, mu, a, *, tol=1e-3, step=1e-4):
         if a <= 0:
             raise SamplerError("window length must be positive")
         self.kernel = kernel
         self.a = float(a)
-        if callable(mu):
-            if mu_bound is None:
-                raise SamplerError("a callable immigrant intensity needs mu_bound")
-            self.mu, self.mu_bound = mu, float(mu_bound)
-        else:
-            self.mu, self.mu_bound = None, float(mu)
-        if self.mu_bound < 0:
+        self.mu = float(mu)
+        if self.mu < 0:
             raise SamplerError("immigrant intensity must be nonnegative")
         self.tol = float(tol)
         self.step = float(step)
@@ -710,7 +704,7 @@ class HawkesSampler:
         self._t0 = -math.log1p(-kernel.rho_theta) / kernel.theta if kernel.rho > 0 else 0.0
         # immigrants on [0, a], then pre-window candidates on (0, t0] and beyond t0
         pre_window = self._t0 + 1.0 / kernel.theta if kernel.rho > 0 else 0.0
-        mean = self.mu_bound * (self.a + pre_window)
+        mean = self.mu * (self.a + pre_window)
         if not mean <= MAX_MEAN_POINTS:
             raise SamplerError(
                 f"mean candidate count {mean:.3g} per draw exceeds the limit {MAX_MEAN_POINTS:.0e}"
@@ -722,18 +716,9 @@ class HawkesSampler:
         """The certified curve of F: a Sandwich driven to tol on a grid of the given step."""
         return build_sandwich(self.kernel, tol=self.tol, step=self.step)
 
-    def _thin_mu(self, x, rng):
-        """Positions x of candidates at rate mu_bound, thinned to rate mu(x) when mu varies.
-
-        A mu(x) above mu_bound or below 0 raises SamplerError.
-        """
-        if self.mu is None or x.size == 0:
-            return x
-        return thin(x, np.asarray(self.mu(x), dtype=float) / self.mu_bound, rng)
-
     def _immigrants(self, rng):
         """Immigrant positions in [0, a], at rate mu, unsorted."""
-        return self._thin_mu(rng.random(rng.poisson(self.mu_bound * self.a)) * self.a, rng)
+        return rng.random(rng.poisson(self.mu * self.a)) * self.a
 
     def _conditioned_cluster(self, rng):
         """Points of one draw's clusters: the immigrants' and those of the pre-window
@@ -743,10 +728,8 @@ class HawkesSampler:
             return sample_gw_cluster(kernel, self._immigrants(rng), rng, POINT_CAP).points
         # candidate distances t before the window: (0, t0] at rate mu, then t0 + Exp(theta)
         t0, theta = self._t0, kernel.theta
-        near = t0 * rng.random(rng.poisson(self.mu_bound * t0))
-        far = t0 + rng.exponential(1.0 / theta, size=rng.poisson(self.mu_bound / theta))
-        if self.mu is not None:  # thinned at their positions -t
-            near, far = -self._thin_mu(-near, rng), -self._thin_mu(-far, rng)
+        near = t0 * rng.random(rng.poisson(self.mu * t0))
+        far = t0 + rng.exponential(1.0 / theta, size=rng.poisson(self.mu / theta))
         self.stats["condition_attempts"] += near.size + far.size
         ts = np.concatenate([near, far])
         return _reaching_clusters(kernel, ts, near.size, rng, self._immigrants(rng))[0]

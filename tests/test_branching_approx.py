@@ -193,11 +193,17 @@ def test_unbounded_displacement_rejected():
         approx_branching_sample(1.0, infinite, W1, 2, _gen(113))
 
 
-def test_point_cap_overflow_raises():
+def test_point_cap_overflow_raises(monkeypatch):
+    # the cap is read when a draw is made, not when the module is loaded
+    from exactpp import branching_approx
+
     progeny = TranslatedPoissonCluster(
         total_mean=0.9, displacement=UniformDisplacement((-0.25,), (0.25,))
     )
+    monkeypatch.setattr(branching_approx, "POINT_CAP", 20)
     with pytest.raises(SamplerError, match="cluster exceeded 20 points"):
+        approx_branching_sample(30.0, progeny, W1, 3, _gen(114))
+    with pytest.raises(TypeError, match="point_cap"):
         approx_branching_sample(30.0, progeny, W1, 3, _gen(114), point_cap=20)
 
 

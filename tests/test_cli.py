@@ -266,6 +266,16 @@ def test_absurd_mean_per_draw_exits_3_at_build(tmp_path, capsys, cfg):
     assert err.startswith("sampler error:") and "exceeds the limit 1e+09" in err
 
 
+def test_hopeless_regeneration_scan_exits_3(tmp_path, capsys):
+    # bound * support = 50: the scan for a regeneration gap would never end
+    cfg = json.loads((CONFIG_DIR / "nonlinear_hawkes.json").read_text())
+    cfg["params"]["excitation"]["support"] = 25.0
+    rc, _ = _sample(tmp_path, cfg)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("sampler error: regeneration-gap scan") and "exceeds the limit" in err
+
+
 @pytest.mark.parametrize(
     "params,message",
     [

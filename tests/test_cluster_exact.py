@@ -152,7 +152,7 @@ def test_retained_mass_closed_form():
 
 
 def test_unbounded_germ_is_refused():
-    with pytest.raises(SamplerError, match="germ bound is not finite"):
+    with pytest.raises(SamplerError, match="germ rate is not finite"):
         BrixKendallSampler(LebesgueIntensity(math.inf, 1), _kernel(2.0), W10)
 
 

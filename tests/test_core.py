@@ -442,7 +442,7 @@ VALUE_CLASSES = [
     (lambda: PointPattern([[0.0, 1.0], [2.0, 3.0]], marks=[1.0, 2.0]), False),
     (lambda: RngStream(5, 3, (1, 2)), True),
     (lambda: LebesgueIntensity(2.0, 2), True),
-    (lambda: DensityIntensity(np.ones_like, 1.5, 2), True),
+    (lambda: DensityIntensity(np.ones_like, 1.5), True),
     (lambda: DiskWindow((0.5, 0.5), 1.0), True),
     (lambda: FixedRadius(0.3), True),
     (lambda: UniformRadius(0.1, 0.4), True),

@@ -173,8 +173,9 @@ def test_renewal_constant_hazard_full_retention_is_poisson():
     M, T = 1.0, 5.0
     rng = _gen(58)
     thin = lambda t: np.asarray(np.asarray(t) <= T, dtype=float)
+    p_tail = lambda t: max(T - t, 0.0)  # the tail of the indicator of [0, T]
     counts = np.array(
-        [renewal_thin_first(lambda t: M, M, thin, rng, p_upper=T).n for _ in range(4_000)]
+        [renewal_thin_first(lambda t: M, M, thin, rng, p_tail=p_tail).n for _ in range(4_000)]
     )
     rep = _poisson_chi_square(counts, M * T, 12)
     assert rep.accepted, rep.to_dict()
@@ -183,7 +184,7 @@ def test_renewal_constant_hazard_full_retention_is_poisson():
 def test_renewal_zero_retention_is_empty():
     rng = _gen(59)
     thin = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    pat = renewal_thin_first(lambda t: 1.0, 1.0, thin, rng, p_upper=10.0)
+    pat = renewal_thin_first(lambda t: 1.0, 1.0, thin, rng, p_tail=lambda t: 0.0)
     assert pat.n == 0
 
 
@@ -229,7 +230,7 @@ def test_renewal_hazard_bound_is_enforced():
     rng = _gen(62)
     thin = lambda t: np.asarray(np.asarray(t) <= 30.0, dtype=float)
     with pytest.raises(SamplerError, match="hazard left its declared bound"):
-        renewal_thin_first(lambda t: 2.0, 1.0, thin, rng, p_upper=30.0)
+        renewal_thin_first(lambda t: 2.0, 1.0, thin, rng, p_tail=lambda t: max(30.0 - t, 0.0))
 
 
 def test_renewal_heavy_tailed_retention_is_poisson():
@@ -317,8 +318,11 @@ def test_last_candidate_matches_bisection_in_a_few_evaluations(name, p_tail, y_m
 
 def test_renewal_checks_its_retention_description():
     thin = lambda t: np.exp(-np.asarray(t, dtype=float))
-    with pytest.raises(SamplerError, match="p_upper"):
+    # the tail is the one description of p: a support endpoint is refused
+    with pytest.raises(TypeError, match="p_tail"):
         renewal_thin_first(lambda u: 1.0, 1.0, thin, _gen(92))
+    with pytest.raises(TypeError, match="p_upper"):
+        renewal_thin_first(lambda u: 1.0, 1.0, thin, _gen(92), p_upper=30.0)
     with pytest.raises(SamplerError, match="p_mass"):
         renewal_thin_first(
             lambda u: 1.0, 1.0, thin, _gen(92), p_tail=lambda t: math.exp(-t), p_mass=1.001
@@ -355,13 +359,12 @@ def test_each_renewal_draw_draws_one_stream(monkeypatch):
     hazard = lambda u: 0.0 if u <= 0 else u / (1.0 + u)
     thin = lambda t: np.exp(-np.asarray(t, dtype=float) / 20.0)
     # P(no candidate) = exp(-20): every draw has a last candidate and a stream
-    tail = dict(p_tail=lambda t: 20.0 * math.exp(-t / 20.0), p_mass=20.0)
+    p_tail = lambda t: 20.0 * math.exp(-t / 20.0)
     rng = _gen(93)
-    for kwargs in (tail, dict(p_upper=30.0)):
-        for _ in range(50):
-            before = len(calls)
-            renewal_thin_first(hazard, 1.0, thin, rng, **kwargs)
-            assert len(calls) == before + 1
+    for _ in range(50):
+        before = len(calls)
+        renewal_thin_first(hazard, 1.0, thin, rng, p_tail=p_tail, p_mass=20.0)
+        assert len(calls) == before + 1
 
 
 def test_each_matern_draw_draws_one_stream(monkeypatch):
@@ -419,7 +422,10 @@ def test_matern_thin_first_matches_direct_oracle():
     assert rep.accepted, rep.to_dict()
 
 
-def test_mark_minimal_survival_matches_per_point_loop():
+def test_mark_minimal_survival_matches_per_point_loop(monkeypatch):
+    # one replicate takes the dense block only while it holds PAIR_BLOCK pairs,
+    # and the sweep past that: both match the loop
+    from exactpp import germ_thinning
     from exactpp.germ_thinning import _mark_minimal
 
     rng = _gen(68)
@@ -437,6 +443,25 @@ def test_mark_minimal_survival_matches_per_point_loop():
             if np.any(marks[near] < marks[i]):
                 expected[j] = False
         assert np.array_equal(_mark_minimal(pts, marks, idx, radius), expected)
+        with monkeypatch.context() as m:
+            m.setattr(germ_thinning, "PAIR_BLOCK", 0)
+            assert np.array_equal(_mark_minimal(pts, marks, idx, radius), expected)
+
+
+def test_large_matern_draw_stays_in_bounded_memory():
+    # about 6,000 stream points and as many candidates: one dense block of all
+    # pairs would take about 0.8 GiB
+    import tracemalloc
+
+    window = Window((0.0, 0.0), (10.0, 10.0))
+    tracemalloc.start()
+    try:
+        pat = matern_thin_first(60.0, 0.05, lambda pts: 1.0, window, _gen(69))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pat.n > 1_000
+    assert peak < 64 * 2**20
 
 
 def test_matern_rejects_invalid_thinning_probabilities():
@@ -531,15 +556,27 @@ def test_nonlinear_phi_bound_is_enforced():
         nonlinear_hawkes_germ(lambda d: 3.0, 1.0, lambda t: 0.0, 1.0, window, _gen(73))
 
 
+class _NoDraws:
+    """A generator stand-in that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} was reached")
+
+
 def test_nonlinear_missing_regeneration_gap_raises():
+    # at bound * support = 50 the backward scan would draw about e^50 points
+    # before its first gap: refused before any random number
     window = Window((0.0,), (1.0,))
-    with pytest.raises(SamplerError, match="no regeneration gap"):
-        nonlinear_hawkes_germ(
-            lambda d: 5.0,
-            5.0,
-            lambda t: 0.0,
-            10.0,  # gaps longer than 10 at rate 5 are essentially impossible
-            window,
-            _gen(74),
-            search_horizon=50.0,
-        )
+    with pytest.raises(SamplerError, match=r"scan of about .* 5.18e\+21 points exceeds"):
+        nonlinear_hawkes_germ(lambda d: 5.0, 5.0, lambda t: 0.0, 10.0, window, _NoDraws())
+
+
+def test_nonlinear_scan_past_its_horizon_raises(monkeypatch):
+    # with no reach allowed the scan stops 10 supports before the window; at
+    # bound * support = 10 a gap within that is rare
+    from exactpp import germ_thinning
+
+    monkeypatch.setattr(germ_thinning, "SEARCH_REACHES", 0.0)
+    window = Window((0.0,), (1.0,))
+    with pytest.raises(SamplerError, match="no regeneration gap within 20"):
+        nonlinear_hawkes_germ(lambda d: 5.0, 5.0, lambda t: 0.0, 2.0, window, _gen(74))

@@ -548,34 +548,26 @@ def test_scalar_clusters_keep_their_bytes(kernel, digest):
     assert _sha256(*parts) == digest, pin_message("scalar clusters' bytes")
 
 
-def _wavy_mu(t):
-    return 0.75 + 0.25 * np.cos(t)
-
-
 @pytest.mark.parametrize(
-    "kernel, mu, mu_bound, a, digest",
+    "kernel, mu, a, digest",
     [
         (
-            ExponentialFertility(0.5, 1.0, marks=TWO_MARKS), 1.0, None, 10.0,
+            ExponentialFertility(0.5, 1.0, marks=TWO_MARKS), 1.0, 10.0,
             "face3763f8acf8443b77d2919879b2f8ec2b171db425623e95edef943b56e579",
         ),
         (
-            PolynomialFertility((0.45, -0.225), 2.0), 1.0, None, 5.0,
+            PolynomialFertility((0.45, -0.225), 2.0), 1.0, 5.0,
             "10fbfab1d4a090a48129604f1574d5b96ab7b6bd1a1740758e5308dce56c1717",
         ),
         (
-            PiecewiseConstantFertility((0.0, 0.5, 2.0), (0.6, 0.1)), 1.0, None, 5.0,
+            PiecewiseConstantFertility((0.0, 0.5, 2.0), (0.6, 0.1)), 1.0, 5.0,
             "e9f55478c9f55abe606adfe88cd0cb63b7065bb828339a210773340a2f56183e",
         ),
-        (
-            KERNEL, _wavy_mu, 1.0, 10.0,
-            "0ce12ce633e68460cc3901accf59bec93bee5705562c5932d170ac1341259cf2",
-        ),
     ],
-    ids=["two-marks", "polynomial", "piecewise", "callable-mu"],
+    ids=["two-marks", "polynomial", "piecewise"],
 )
-def test_sampler_draws_keep_their_bytes(kernel, mu, mu_bound, a, digest):
-    sampler = HawkesSampler(kernel, mu=mu, a=a, mu_bound=mu_bound)
+def test_sampler_draws_keep_their_bytes(kernel, mu, a, digest):
+    sampler = HawkesSampler(kernel, mu=mu, a=a)
     pats = [sampler.sample(_gen(32, r)).points[:, 0] for r in range(400)]
     assert _sha256(np.array([p.size for p in pats]), np.concatenate(pats)) == digest, (
         pin_message("the sampler's draws"))
@@ -781,46 +773,24 @@ def test_zero_excitation_sampler_is_poisson():
     assert rep.accepted, rep.to_dict()
 
 
-def test_variable_immigrant_intensity_needs_a_bound():
-    with pytest.raises(SamplerError, match="needs mu_bound"):
-        HawkesSampler(KERNEL, mu=lambda t: 1.0, a=5.0)
+def test_sampler_refuses_an_empty_window_or_a_negative_rate():
     with pytest.raises(SamplerError, match="window length"):
         HawkesSampler(KERNEL, mu=1.0, a=0.0)
+    with pytest.raises(SamplerError, match="immigrant intensity must be nonnegative"):
+        HawkesSampler(KERNEL, mu=-0.5, a=5.0)
+    # the immigrant rate is one number: a rate function or its bound is refused
+    with pytest.raises(TypeError):
+        HawkesSampler(KERNEL, mu=lambda t: 1.0, a=5.0)
+    with pytest.raises(TypeError, match="mu_bound"):
+        HawkesSampler(KERNEL, mu=1.0, a=5.0, mu_bound=1.0)
 
 
 @pytest.mark.parametrize(
-    "mu", [lambda t: 2.0, lambda t: np.full(np.shape(t), -0.5)], ids=["above", "negative"]
+    "kernel, mu",
+    [(KERNEL, 1.0), (ExponentialFertility(0.5, 1.0, marks=TWO_MARKS), 1.0), (ZERO_KERNEL, 2.0)],
+    ids=["one-mark", "two-marks", "zero-kernel"],
 )
-def test_variable_immigrant_intensity_outside_its_bound_raises(mu):
-    # an immigrant intensity above mu_bound or below 0 has no thinning; it
-    # must raise rather than draw a process of the wrong rate
-    s = HawkesSampler(ExponentialFertility(0.0, 1.0), mu=mu, a=10.0, mu_bound=1.0)
-    with pytest.raises(SamplerError, match=r"\[0,1\]"):
-        s.sample(_gen(97))
-
-
-def test_variable_immigrant_intensity_halves_the_rate():
-    # mu(t) = 0.5 everywhere, by thinning against bound 1: the immigrants in
-    # the window and the pre-window candidates are both halved
-    half_mu = lambda t: np.full(np.asarray(t).shape, 0.5)  # noqa: E731
-    for kernel, expect in ((ZERO_KERNEL, 2.0), (KERNEL, 4.0)):
-        s = HawkesSampler(kernel, mu=half_mu, a=4.0, mu_bound=1.0, tol=1e-3, step=0.01)
-        rng = _gen(96)
-        counts = np.array([s.sample(rng).n for _ in range(2_000)])
-        mean, half = mean_ci(counts, z=4.0)
-        assert abs(mean - expect) < half, (kernel, mean, expect)
-
-@pytest.mark.parametrize(
-    "kernel, mu, mu_bound",
-    [
-        (KERNEL, 1.0, None),
-        (ExponentialFertility(0.5, 1.0, marks=TWO_MARKS), 1.0, None),
-        (ZERO_KERNEL, 2.0, None),
-        (KERNEL, _wavy_mu, 1.0),
-    ],
-    ids=["one-mark", "two-marks", "zero-kernel", "callable-mu"],
-)
-def test_each_draw_grows_its_clusters_in_one_call(monkeypatch, kernel, mu, mu_bound):
+def test_each_draw_grows_its_clusters_in_one_call(monkeypatch, kernel, mu):
     # candidates and immigrants grow together: one sample_gw_cluster call per draw
     from exactpp import hawkes_mr
 
@@ -832,7 +802,7 @@ def test_each_draw_grows_its_clusters_in_one_call(monkeypatch, kernel, mu, mu_bo
         return grow(*args, **kwargs)
 
     monkeypatch.setattr(hawkes_mr, "sample_gw_cluster", counting)
-    sampler = HawkesSampler(kernel, mu=mu, a=10.0, mu_bound=mu_bound)
+    sampler = HawkesSampler(kernel, mu=mu, a=10.0)
     for r in range(30):
         sampler.sample(_gen(124, r))
         assert len(calls) == r + 1

@@ -63,10 +63,15 @@ TARGET = DiskWindow((2.0, 2.0), 1.0)
 GRID = GeometricGrid(0.7, 0.6)
 HAZARD = _gamma_hazard(2.0, 1.0)
 RENEWAL = dict(p_tail=lambda t: math.exp(-t), p_mass=1.0)
+UPPER = dict(p_tail=lambda t: max(2.0 - t, 0.0))  # the tail of the indicator of [0, 2]
 
 
 def _thin_p(t):
     return np.exp(-np.asarray(t, dtype=float))
+
+
+def _upper_p(t):
+    return (np.asarray(t) <= 2.0).astype(float)
 
 
 def _rows(*columns):
@@ -132,9 +137,9 @@ CASES = {
         lambda rng: renewal_thin_first(HAZARD, 1.0, _thin_p, rng, **RENEWAL).points,
         lambda n, rng: renewal_thin_first_chains(HAZARD, 1.0, _thin_p, n, rng, **RENEWAL),
     ),
-    "renewal_upper": (
-        lambda rng: renewal_thin_first(HAZARD, 1.0, _thin_p, rng, p_upper=2.0).points,
-        lambda n, rng: renewal_thin_first_chains(HAZARD, 1.0, _thin_p, n, rng, p_upper=2.0),
+    "renewal_upper": (  # a retention that vanishes beyond 2
+        lambda rng: renewal_thin_first(HAZARD, 1.0, _upper_p, rng, **UPPER).points,
+        lambda n, rng: renewal_thin_first_chains(HAZARD, 1.0, _upper_p, n, rng, **UPPER),
     ),
 }
 

@@ -8,6 +8,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import math
 import os
 import pkgutil
 import re
@@ -180,3 +181,103 @@ def test_every_public_name_has_a_caller():
     dead = [q for q in public if q.rsplit(".", 1)[1] not in used | UNCALLED_ALLOWED.keys()]
     assert not dead, "no caller outside the unit tests: " + ", ".join(dead)
     assert not UNCALLED_ALLOWED.keys() & used, "allowlisted names that now have a caller"
+
+
+# Defaulted parameters that nothing in the package, the benchmark, the
+# acceptance tests or a README example passes, kept because unit tests pass them.
+UNPASSED_ALLOWED = {
+    "hawkes_mr.build_sandwich.t_max": "a short grid builds the sandwich tests' small curves",
+    "hawkes_mr.build_sandwich.quad_tol": "the refusal of a too coarse grid is tested with it",
+    "poisson.FiniteDensitySampler.__init__.upper": "the finite-density sampler is a tested "
+    "reference that no sampler uses; its tests give a support endpoint",
+    "poisson.FiniteDensitySampler.__init__.total_mass": "its tests give the mass in closed form",
+    "poisson.FiniteDensitySampler.__init__.tail_mass": "its tests give a tail to certify",
+    "validation.chi_square.name": "the chi-square test runs only in tests, under its own name",
+    "validation.chi_square.min_expected": "tests check the pooling of sparse cells with it",
+}
+
+
+def _code_trees():
+    """The syntax trees whose calls count: the package, the benchmark, the
+    acceptance tests and the README's Python examples."""
+    paths = [*sorted((ROOT / "src" / "exactpp").glob("*.py")), *sorted(
+        (ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    trees = [ast.parse(p.read_text()) for p in paths]
+    readme = (ROOT / "README.md").read_text()
+    return trees + [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+
+
+def _passes(call):
+    """The callee's name, how many leading positions the call fills (all of them
+    after a *args), and the keywords it passes (None after a **kwargs). A call
+    of cli._made(path, make, *args) is the call make(*args)."""
+    func, args = call.func, call.args
+    name = getattr(func, "id", getattr(func, "attr", None))
+    if name == "_made" and len(args) >= 2:
+        name, args = getattr(args[1], "id", getattr(args[1], "attr", None)), args[2:]
+    starred = [i for i, a in enumerate(args) if isinstance(a, ast.Starred)]
+    positions = starred[0] + math.inf if starred else len(args)
+    keywords = {k.arg for k in call.keywords}
+    return name, positions, None if None in keywords else keywords
+
+
+def _defaulted_parameters(trees):
+    """(qualified name, callee names, position or None, name) of each defaulted
+    parameter of a public function, public method or constructor, but not of a
+    function that only unit tests call (UNCALLED_ALLOWED); a method's positions
+    skip self, and a constructor is called by its class's name or through
+    super().__init__."""
+    for mod, tree in trees.items():
+        defs = [(f"{mod}.{n.name}", {n.name}, n, 0) for n in tree.body
+                if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
+                and n.name not in UNCALLED_ALLOWED]
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            if cls.name.startswith("_"):
+                continue
+            for f in cls.body:
+                if not isinstance(f, ast.FunctionDef):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+                if f.name == "__init__":
+                    defs.append((f"{mod}.{cls.name}.__init__", {cls.name, "__init__"}, f, 1))
+                elif not f.name.startswith("_"):
+                    defs.append((f"{mod}.{cls.name}.{f.name}", {f.name}, f, 0 if static else 1))
+        for qual, callees, f, skip in defs:
+            a = f.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            for i, p in enumerate(positional[first:], first):
+                yield f"{qual}.{p.arg}", callees, i - skip, p.arg
+            for p, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield f"{qual}.{p.arg}", callees, None, p.arg
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    """Each defaulted parameter of a public function, method or constructor is
+    passed, by position, by keyword or through *args or **kwargs, by some call
+    in the package, the benchmark, the acceptance tests or a README example.
+    A default that only unit tests override is a parameter that cannot change
+    what a user gets."""
+    sources = sorted((ROOT / "src" / "exactpp").glob("*.py"))
+    package = {p.stem: ast.parse(p.read_text()) for p in sources}
+    calls = {}
+    for tree in _code_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name, positions, keywords = _passes(node)
+                calls.setdefault(name, []).append((positions, keywords))
+
+    def passed(callees, position, name):
+        return any(
+            (position is not None and position < positions) or keywords is None
+            or name in keywords
+            for callee in callees for positions, keywords in calls.get(callee, ())
+        )
+
+    unpassed = {qual for qual, callees, position, name in _defaulted_parameters(package)
+                if not passed(callees, position, name)}
+    assert not unpassed - UNPASSED_ALLOWED.keys(), (
+        "defaulted parameters that no call outside the unit tests passes: "
+        + ", ".join(sorted(unpassed - UNPASSED_ALLOWED.keys())))
+    assert not UNPASSED_ALLOWED.keys() - unpassed, "allowlisted parameters that are passed or gone"
