@@ -160,7 +160,6 @@ class BrixKendallSampler:
     def __init__(self, germ, kernel, window):
         if not kernel.dim == window.dim == germ.dim:
             raise SamplerError("germ, kernel and window dimension mismatch")
-        self.germ = germ
         self.kernel = kernel
         self.window = window
         self.region = kernel.germ_region(window)
