@@ -211,11 +211,11 @@ def _interval_report(name, value, expect, half):
     )
 
 
-def _count_checks(chains=None, sample=None, mean=None, oracle=None, per_rep=0.0):
+def _count_checks(chains, mean=None, oracle=None, per_rep=0.0):
     """The count battery as a validate closure: the replicates' counts drawn
-    by validation.replicate_counts, from the lockstep form chains(k, rng) in
-    blocks of replicates that hold about per_rep points each, or, replicate by
-    replicate, from sample(rng); then a mean check of the counts for
+    by validation.replicate_counts, from the sampler's lockstep form
+    chains(k, rng) in blocks of replicates that hold about per_rep points
+    each; then a mean check of the counts for
     mean=(name, expected count), and a two-sample KS test of the counts for
     oracle=(name, oracle_chains). oracle_chains(k, rng) returns the
     (points, offsets) of k reference chains drawn in lockstep; the n_reps
@@ -227,7 +227,7 @@ def _count_checks(chains=None, sample=None, mean=None, oracle=None, per_rep=0.0)
     def validate(stream, n_reps, collector):
         from .validation import ORACLE, battery_blocks, mean_ci, replicate_counts, two_sample_ks
 
-        counts = replicate_counts(n_reps, stream, chains=chains, sample=sample, per_rep=per_rep)
+        counts = replicate_counts(n_reps, stream, chains, per_rep=per_rep)
         if mean is not None:
             value, half = mean_ci(counts)
             collector.add(_interval_report(mean[0], value, mean[1], half))
@@ -493,7 +493,7 @@ def _build_matern(p, window):
 
 
 def _build_nonlinear_hawkes(p, window):
-    from .germ_thinning import nonlinear_hawkes_germ
+    from .germ_thinning import nonlinear_hawkes_germ, nonlinear_hawkes_germ_chains
 
     _, phi_spec = p.tagged("phi", "kind", {"saturating": ("bound", "base")})
     lam = phi_spec.get("bound", float, check=_POS)
@@ -518,6 +518,9 @@ def _build_nonlinear_hawkes(p, window):
     def sample(rng):
         return nonlinear_hawkes_germ(phi, lam, h, support, window, rng)
 
+    def chains(n_reps, rng):
+        return nonlinear_hawkes_germ_chains(phi, lam, h, support, window, n_reps, rng)
+
     def oracle(n_reps, rng):
         from .oracles import nonlinear_hawkes_burn_in_chains
 
@@ -526,7 +529,10 @@ def _build_nonlinear_hawkes(p, window):
             phi_array, lam, h_array, support, window, burn, n_reps, rng
         )
 
-    validate = _count_checks(sample=sample, oracle=("nonlinear-counts-vs-burn-in", oracle))
+    # the backward scan's e^(bound * support) points and the forward stream's
+    per_rep = math.exp(min(lam * support, 700.0)) + lam * window.volume()
+    validate = _count_checks(chains, oracle=("nonlinear-counts-vs-burn-in", oracle),
+                             per_rep=per_rep)
     return _built(sample, window, validate, ())
 
 
@@ -548,10 +554,15 @@ def _build_hawkes_mr(p, window):
                   else hawkes_bounded_burn_in_chains)
         return chains(kernel, mu, a, burn, n_reps, rng)
 
+    # a replicate's points: the clusters of its mu a immigrants, mu t0 near candidates
+    # and mu / theta far ones, whose Q-clusters root 1 / (1 - rho_theta) clusters each
+    far = 1.0 / (kernel.theta * (1.0 - kernel.rho_theta)) if kernel.rho > 0 else 0.0
+    per_rep = mu * (window.upper[0] + sampler.meta["t0"] + far) / (1.0 - kernel.rho)
     validate = _count_checks(
-        sample=sampler.sample,
+        sampler.sample_chains,
         mean=("self-exciting-mean-count", mu * window.upper[0] / (1.0 - kernel.rho)),
         oracle=("self-exciting-counts-vs-burn-in", oracle),
+        per_rep=per_rep,
     )
     # the certified curve is built only if a plot reads it
     return _built(sampler.sample, window, validate, ("points-2d", "sandwich-curves"),

@@ -435,15 +435,6 @@ class RngStream(_Frozen):
     def substream(self, i):
         return RngStream(self.seed, self.stream_id, self.lineage + (int(i),))
 
-    def substream_generators(self, n):
-        """substream(r).generator() for r = 0..n-1, in turn: the pool of this
-        stream's key is mixed once, and only r for each generator."""
-        generator, philox, seed = _numpy_random()
-        pool, h = _mix_in(*_seed_pool(int(self.seed)), (int(self.stream_id),) + self.lineage)
-        for r in range(int(n)):
-            yield generator(philox(seed(_pool_key(_mix_in(pool, h, (r,))[0])),
-                                   counter=_ZERO_COUNTER))
-
 
 def config_hash(config):
     """Stable short hash of a JSON-serializable config (meta provenance)."""

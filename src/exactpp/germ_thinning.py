@@ -16,10 +16,11 @@ candidates -- is core.thin; only the sequential renewal chain and the
 non-linear self-exciting germ (regeneration gaps), whose coins depend on
 earlier decisions, flip their own.
 
-The grid, renewal and Matern draws each have a lockstep form (*_chains) that
-draws n independent replicates from one generator, each step one call for
-every replicate, and returns (points, offsets): replicate i's points are
-points[offsets[i]:offsets[i + 1]]. The single draws are these forms at n = 1.
+The grid, renewal, Matern and non-linear draws each have a lockstep form
+(*_chains) that draws n independent replicates from one generator, each step
+one call for every replicate, and returns (points, offsets): replicate i's
+points are points[offsets[i]:offsets[i + 1]]. The single draws are these
+forms at n = 1.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .core import (
     kept_rows,
     pair_blocks,
     poisson_counts,
-    sample_homogeneous,
     thin,
     thin_chains,
 )
@@ -56,6 +56,7 @@ __all__ = [
     "matern_thin_first",
     "matern_thin_first_chains",
     "nonlinear_hawkes_germ",
+    "nonlinear_hawkes_germ_chains",
 ]
 
 NEGLECTED_TAIL = 1e-14  # allowed truncation residue in sums of p_k
@@ -494,8 +495,18 @@ def nonlinear_hawkes_germ(phi, phi_bound, h, h_support, window, rng):
     SamplerError before any random number is drawn. A scan that passes
     SEARCH_REACHES expected reaches (e^(phi_bound * h_support) / phi_bound)
     plus 10 supports before the window without finding a gap raises
-    SamplerError too.
+    SamplerError too. One replicate of nonlinear_hawkes_germ_chains.
     """
+    points, _ = nonlinear_hawkes_germ_chains(phi, phi_bound, h, h_support, window, 1, rng)
+    return PointPattern(points, dim=1)
+
+
+def nonlinear_hawkes_germ_chains(phi, phi_bound, h, h_support, window, n_chains, rng):
+    """(points, offsets) of n_chains independent nonlinear_hawkes_germ draws, in
+    lockstep: every replicate's backward scan in turn, one scalar exponential
+    per step, then all forward streams in one homogeneous_chains call and all
+    coins in one call; the thinning is a Python loop over the replicates."""
+    n_chains = int(n_chains)
     b0, b1 = float(window.lower[0]), float(window.upper[0])
     lam = float(phi_bound)
     a = float(h_support)
@@ -508,39 +519,48 @@ def nonlinear_hawkes_germ(phi, phi_bound, h, h_support, window, rng):
     expected_reach = scan / lam
     search_horizon = SEARCH_REACHES * expected_reach + 10.0 * a
 
-    # backward scan: dominating points below b0 until a gap > a opens before one
-    back = []
-    pos = b0
-    while True:
-        nxt = pos - rng.exponential(1.0 / lam)
-        if back and (pos - nxt) > a:
-            break  # pos is a dominating point whose predecessor gap exceeds a
-        if (b0 - nxt) > search_horizon:
-            raise SamplerError(
-                f"no regeneration gap within {search_horizon:.3g} "
-                f"(expected distance about {expected_reach:.3g})"
-            )
-        back.append(nxt)
-        pos = nxt
+    # backward scans: dominating points below b0 until a gap > a opens before one
+    scans = []
+    for _ in range(n_chains):
+        back = []
+        pos = b0
+        while True:
+            nxt = pos - rng.exponential(1.0 / lam)
+            if back and (pos - nxt) > a:
+                break  # pos is a dominating point whose predecessor gap exceeds a
+            if (b0 - nxt) > search_horizon:
+                raise SamplerError(
+                    f"no regeneration gap within {search_horizon:.3g} "
+                    f"(expected distance about {expected_reach:.3g})"
+                )
+            back.append(nxt)
+            pos = nxt
+        scans.append(back)
 
-    dominating = np.sort(np.asarray(back))
-    forward = np.sort(sample_homogeneous(window, lam, rng).points[:, 0])
-    stream = np.concatenate([dominating, forward])
-
-    # nothing else draws in the loop, so one call gives its coins in stream order
-    retained = []
-    for t, u in zip(stream.tolist(), rng.random(stream.size).tolist()):
-        drive = 0.0
-        for s in reversed(retained):
-            if t - s > a:
-                break
-            if t > s:
-                drive += float(h(t - s))
-        lam_t = float(phi(drive))
-        if lam_t < 0 or lam_t > lam * (1 + 1e-12):
-            raise SamplerError("phi left its declared bound")
-        if u * lam < lam_t:
-            retained.append(t)
-    retained = np.asarray(retained)
-    inside = retained[(retained >= b0) & (retained <= b1)]
-    return PointPattern(inside.reshape(-1, 1), dim=1)
+    forward, offsets = homogeneous_chains(window, lam, n_chains, rng)
+    forward = forward[:, 0]
+    # nothing else draws in the loops, so one call gives every stream's coins in stream order
+    coins = rng.random(sum(map(len, scans)) + int(offsets[-1])).tolist()
+    inside, kept = [], [0] * n_chains
+    at = 0
+    for c, back in enumerate(scans):
+        # each scan falls, so reversed it is sorted
+        stream = back[::-1] + np.sort(forward[offsets[c]:offsets[c + 1]]).tolist()
+        retained = []
+        for t, u in zip(stream, coins[at:at + len(stream)]):
+            drive = 0.0
+            for s in reversed(retained):
+                if t - s > a:
+                    break
+                if t > s:
+                    drive += float(h(t - s))
+            lam_t = float(phi(drive))
+            if lam_t < 0 or lam_t > lam * (1 + 1e-12):
+                raise SamplerError("phi left its declared bound")
+            if u * lam < lam_t:
+                retained.append(t)
+        at += len(stream)
+        mine = [t for t in retained if b0 <= t <= b1]
+        inside += mine
+        kept[c] = len(mine)
+    return np.asarray(inside, dtype=float).reshape(-1, 1), chain_offsets(kept)

@@ -39,7 +39,14 @@ import math
 import numpy as np
 
 from .branching_approx import sample_gw_cluster
-from .core import MAX_MEAN_POINTS, PointPattern, SamplerError, _Frozen
+from .core import (
+    MAX_MEAN_POINTS,
+    PointPattern,
+    SamplerError,
+    _Frozen,
+    chain_offsets,
+    poisson_counts,
+)
 
 __all__ = [
     "EPS_ROUND",
@@ -582,7 +589,7 @@ def build_sandwich(
 # -- the perfect sampler ---------------------------------------------------------------
 
 
-def _reaching_clusters(kernel, ts, n_plain, rng, imm):
+def _reaching_clusters(kernel, ts, n_plain, rng, imm, imm_rep=None, n_reps=1):
     """Which candidate ancestors at distances ts before the window reach it, and all clusters.
 
     The first n_plain candidates draw one ordinary cluster each and are kept
@@ -591,7 +598,10 @@ def _reaching_clusters(kernel, ts, n_plain, rng, imm):
     Z = sum_v e^(theta pos_v) >= e^(theta L).  Either way a kept cluster has
     the law P(. | L > t).  The immigrants at positions imm (in the window's
     frame) carry ordinary clusters and belong to one more owner, ts.size,
-    which is always kept.
+    which is always kept.  A lockstep call draws n_reps replicates at once:
+    imm_rep gives each immigrant's replicate r, and replicate r's immigrants
+    belong to owner ts.size + r; the candidates of every replicate are listed
+    together, the plain ones first.
 
     A Q-cluster is a cluster size-biased by Z.  Under Q, a distinguished node
     lies Geometric(1 - rho_theta) - 1 generations deep, and the path to it (the
@@ -600,13 +610,13 @@ def _reaching_clusters(kernel, ts, n_plain, rng, imm):
     node roots an ordinary cluster with its mark; the plain candidates, the
     last spine nodes and the immigrants draw ordinary marks.  All clusters of
     the call, the immigrants' included, grow in one sample_gw_cluster call, of
-    which only points and owner are read, so the call's point cap bounds them
-    together.  A candidate's roots sit in its own frame (the candidate at 0),
-    and its reach, its last point, is the largest r + (p - r) over the
-    points p of its clusters, r the root of p: one reduction.  It equals the
-    largest root plus extinction time bit for bit, since fl(r + x) is
-    nondecreasing in x: the largest fl(r + fl(p - r)) over a root's points is
-    fl(r + L), with L = the largest fl(p - r).
+    which only points and owner are read, so the call's point cap, POINT_CAP
+    a replicate, bounds them together.  A candidate's roots sit in its own
+    frame (the candidate at 0), and its reach, its last point, is the largest
+    r + (p - r) over the points p of its clusters, r the root of p: one
+    reduction.  It equals the largest root plus extinction time bit for bit,
+    since fl(r + x) is nondecreasing in x: the largest fl(r + fl(p - r)) over
+    a root's points is fl(r + L), with L = the largest fl(p - r).
 
     Returns the points of the kept clusters (a candidate's at -t plus their
     offsets, the immigrants' as drawn), the owner of each of those points and
@@ -614,6 +624,10 @@ def _reaching_clusters(kernel, ts, n_plain, rng, imm):
     """
     theta = kernel.theta
     n_cand, n_spine = ts.size, ts.size - n_plain
+    if imm_rep is None:  # one replicate: its immigrants' one owner, indexed as a scalar
+        imm_at, imm_owner = n_cand, np.zeros(imm.size, dtype=int) + n_cand
+    else:
+        imm_at, imm_owner = slice(n_cand, None), imm_rep + n_cand
     nodes = rng.geometric(1.0 - kernel.rho_theta, size=n_spine)
     spine = np.arange(n_plain, n_cand).repeat(nodes)  # the candidate of each spine node
     ends = nodes.cumsum()
@@ -625,7 +639,7 @@ def _reaching_clusters(kernel, ts, n_plain, rng, imm):
     pos = steps.cumsum()
     pos -= pos[first].repeat(nodes)
     roots = np.concatenate([np.zeros(n_plain), pos, imm])
-    owner = np.concatenate([np.arange(n_plain), spine, np.zeros(imm.size, dtype=int) + n_cand])
+    owner = np.concatenate([np.arange(n_plain), spine, imm_owner])
     marks = None  # one mark: sample_gw_cluster draws none
     if kernel.one_mark_nu is None:
         biased = np.zeros(roots.size, dtype=bool)
@@ -635,24 +649,30 @@ def _reaching_clusters(kernel, ts, n_plain, rng, imm):
         marks = np.empty(roots.size)
         marks[biased] = kernel.sample_biased_mark(n_biased, rng)
         marks[~biased] = kernel.sample_mark(roots.size - n_biased, rng)
-    cl = sample_gw_cluster(kernel, roots, rng, POINT_CAP, root_marks=marks)
+    cl = sample_gw_cluster(kernel, roots, rng, POINT_CAP * n_reps, root_marks=marks)
     r, who = roots[cl.owner], owner[cl.owner]
     # no reach exceeds the immigrants' limit, and their Z weights are e^-inf = 0
-    limit = np.empty(n_cand + 1)
+    n_owners = n_cand + n_reps
+    limit = np.empty(n_owners)
     limit[:n_cand] = ts
-    limit[n_cand] = np.inf
-    reach = np.zeros(n_cand + 1)
+    limit[imm_at] = np.inf
+    reach = np.zeros(n_owners)
     np.maximum.at(reach, who, r + (cl.points - r))
     weights = np.exp(theta * (cl.points - limit[who]))
-    z_tilted = np.bincount(who, weights=weights, minlength=n_cand + 1)
+    z_tilted = np.bincount(who, weights=weights, minlength=n_owners)
     kept = reach > limit
     # a Q-cluster's coin: u < e^(theta t) / Z
     kept[n_plain:n_cand] &= rng.random(n_spine) * z_tilted[n_plain:n_cand] < 1.0
-    kept[n_cand] = True
+    kept[imm_at] = True
     mine = kept[who]
     who = who[mine]
-    limit[n_cand] = 0.0  # now the shift of each owner's points: the immigrants' stay put
+    limit[imm_at] = 0.0  # now the shift of each owner's points: the immigrants' stay put
     return cl.points[mine] - limit[who], who, kept[:n_cand]
+
+
+def _replicate_labels(mean, n_chains, rng):
+    """The replicate of each point of n_chains Poisson(mean) counts, drawn in one call."""
+    return np.arange(n_chains).repeat(poisson_counts(mean, n_chains, rng))
 
 
 class HawkesSampler:
@@ -679,13 +699,18 @@ class HawkesSampler:
     is built.
 
     A draw grows the clusters of its candidates and of its immigrants in one
-    sample_gw_cluster call, so POINT_CAP bounds all of a draw's points
-    together, and reads only their points and owner, so GWCluster builds no
-    other label for it.
+    sample_gw_cluster call, and reads only their points and owner, so
+    GWCluster builds no other label for it.  sample_chains, the lockstep form,
+    draws n replicates from one generator with one such call for all of them.
+    POINT_CAP bounds the points a call grows, per replicate: at most POINT_CAP
+    for a draw, n * POINT_CAP for n replicates together.  A battery's blocks
+    bound a call's mean points (validation.BATTERY_POINTS), and the cap stops
+    a runaway near-critical call.
 
     tol and step describe only the certified curve of F, the sandwich
     property: it is built from them when first read, and no draw reads it.
-    stats["condition_attempts"] counts the pre-window clusters proposed;
+    stats["condition_attempts"] counts the pre-window clusters that sample
+    proposes (sample_chains counts none);
     stats["fallback_coins"] and stats["grid_levels_built"] stay 0 and are kept
     for the counters that perfbench reports.
     """
@@ -740,3 +765,36 @@ class HawkesSampler:
         pts.sort()
         cut = pts[pts.searchsorted(0.0, side="left") : pts.searchsorted(self.a, side="right")]
         return PointPattern(cut.reshape(-1, 1), dim=1)
+
+    def sample_chains(self, n_chains, rng):
+        """(points, offsets) of n_chains independent draws of sample, in lockstep.
+
+        Every replicate's near candidates, then its far candidates, then its
+        immigrants are drawn as sample draws them, each count and each position
+        one generator call for all replicates; then the clusters of all of them
+        grow in one _reaching_clusters call.  Replicate i's points, cut to
+        [0, a] and sorted, are points[offsets[i]:offsets[i + 1]], one row each.
+        At one replicate the generator calls are sample's, so the form draws
+        what sample draws.
+        """
+        n = int(n_chains)
+        kernel, a = self.kernel, self.a
+        if kernel.rho == 0:  # the immigrants alone, as _conditioned_cluster draws them
+            imm_rep = _replicate_labels(self.mu * a, n, rng)
+            cl = sample_gw_cluster(kernel, rng.random(imm_rep.size) * a, rng, POINT_CAP * n)
+            pts, rep = cl.points, imm_rep[cl.owner]
+        else:
+            t0, theta = self._t0, kernel.theta
+            near_rep = _replicate_labels(self.mu * t0, n, rng)
+            near = t0 * rng.random(near_rep.size)
+            far_rep = _replicate_labels(self.mu / theta, n, rng)
+            far = t0 + rng.exponential(1.0 / theta, size=far_rep.size)
+            imm_rep = _replicate_labels(self.mu * a, n, rng)
+            imm = rng.random(imm_rep.size) * a
+            pts, who, _ = _reaching_clusters(kernel, np.concatenate([near, far]), near.size, rng,
+                                             imm, imm_rep, n)
+            rep = np.concatenate([near_rep, far_rep, np.arange(n)])[who]
+        inside = (pts >= 0.0) & (pts <= a)
+        pts, rep = pts[inside], rep[inside]
+        order = np.lexsort((pts, rep))
+        return pts[order].reshape(-1, 1), chain_offsets(np.bincount(rep, minlength=n))

@@ -4,9 +4,9 @@ Every check returns a TestReport carrying the statistic, its threshold at the
 stated level, the p-value when the test has one, and an accept/reject
 decision. Multiple checks in one run are combined with Holm's step-down
 correction so the familywise level is the stated alpha. replicate_counts
-draws a battery's replicates, in blocks of bounded size, and reduces each
-replicate to a value; the battery's substreams are named by REPLICATES,
-LOCKSTEP, ORACLE and PROBES.
+draws a battery's replicates from a sampler's lockstep form, in blocks of
+bounded size, and reduces each replicate to a value; the battery's
+substreams are named by LOCKSTEP, ORACLE and PROBES.
 
 The two-sample KS test, the one test the CLI runs, needs numpy alone: its
 p-value is the Kolmogorov distribution of Simard & L'Ecuyer (2011), ported
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .core import _Frozen, _jsonable, chain_offsets
+from .core import _Frozen, _jsonable
 
 __all__ = [
     "TestReport",
@@ -500,11 +500,10 @@ class ReportCollector:
 
 
 # The battery's streams under a run's validation stream. Each key is the
-# first lineage word of its substream: replicate r of a per-replicate draw is
-# substream(REPLICATES).substream(r), and the lockstep replicates, the oracle
-# chains and the probes each draw from one substream. No two roles share a
-# first word, so no two of their spawn keys coincide, for any replicate count.
-REPLICATES, LOCKSTEP, ORACLE, PROBES = 0, 1, 2, 3
+# lineage word of its substream: the lockstep replicates, the oracle chains
+# and the probes each draw from one substream, and no two share a word. The
+# words are those the roles have always had, so their reports keep their bytes.
+LOCKSTEP, ORACLE, PROBES = 1, 2, 3
 
 
 BATTERY_POINTS = 1 << 20  # mean points one lockstep call of a battery draws, at most
@@ -523,38 +522,23 @@ def battery_blocks(n_reps, per_rep):
     return [min(block, n_reps - a) for a in range(0, n_reps, block)]
 
 
-def replicate_counts(n_reps, stream, chains=None, sample=None, per_rep=0.0, reduce=_counts):
+def replicate_counts(n_reps, stream, chains, per_rep=0.0, reduce=_counts):
     """One value per replicate, reduce(points, offsets), of n_reps independent
     replicates of a sampler: by default each replicate's count N(W),
     np.diff(offsets).
 
-    Exactly one of the two draws is given. chains(k, rng), a sampler's
-    lockstep form, returns the (points, offsets) of k replicates, replicate
-    i's points being points[offsets[i]:offsets[i + 1]]; every call draws from
-    the one generator of stream.substream(LOCKSTEP). sample(rng), a single
-    draw that returns a PointPattern, draws replicate r from its own
-    generator, stream.substream(REPLICATES).substream(r): this costs a
-    generator and a draw call per replicate, and serves the samplers with no
-    lockstep form.
+    chains(k, rng), a sampler's lockstep form, returns the (points, offsets)
+    of k replicates, replicate i's points being
+    points[offsets[i]:offsets[i + 1]]; every call draws from the one
+    generator of stream.substream(LOCKSTEP).
 
     per_rep is the mean count of the points one replicate draws, candidates
     included. The replicates are drawn in the blocks of battery_blocks, each
     reduced before the next is drawn, so the battery never holds much more
     than BATTERY_POINTS points, or one replicate's.
     """
-    if (chains is None) == (sample is None):
-        raise ValueError("replicate_counts needs exactly one of chains and sample")
     n_reps = int(n_reps)
     if n_reps < 1:
         raise ValueError("replicate_counts needs at least one replicate")
-    if chains is None:
-        rngs = stream.substream(REPLICATES).substream_generators(n_reps)
-
-        def chains(k, _):
-            patterns = [sample(next(rngs)).points for _ in range(k)]
-            return np.concatenate(patterns), chain_offsets([len(p) for p in patterns])
-
-        rng = None
-    else:
-        rng = stream.substream(LOCKSTEP).generator()
+    rng = stream.substream(LOCKSTEP).generator()
     return np.concatenate([reduce(*chains(k, rng)) for k in battery_blocks(n_reps, per_rep)])

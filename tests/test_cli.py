@@ -323,6 +323,38 @@ def test_heavy_branching_battery_stays_within_the_point_cap(tmp_path, capsys):
     assert "PASS branching-mean-count" in capsys.readouterr().out
 
 
+def test_heavy_hawkes_battery_stays_within_the_point_cap(tmp_path, capsys, monkeypatch):
+    # about 3,000 points a replicate: a block of about BATTERY_POINTS mean points
+    # grows more than POINT_CAP points in one call, which stays within that
+    # call's cap of POINT_CAP a replicate; the battery's blocks bound its memory
+    from exactpp import hawkes_mr
+
+    grow, grown = hawkes_mr.sample_gw_cluster, []
+
+    def recording(kernel, roots, rng, point_cap, **kwargs):
+        cl = grow(kernel, roots, rng, point_cap, **kwargs)
+        grown.append((cl.n, point_cap))
+        return cl
+
+    monkeypatch.setattr(hawkes_mr, "sample_gw_cluster", recording)
+    cfg = json.loads((CONFIG_DIR / "hawkes_mr.json").read_text())
+    cfg["params"]["kernel"] = {"family": "exponential", "beta": 5.0, "gamma": 10.0}
+    cfg["params"]["mu"] = 29.0
+    cfg["window"] = {"lower": [0.0], "upper": [50.0]}
+    path = _cfg_file(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        rc = main(["validate", "-c", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, capsys.readouterr().err
+    assert "PASS self-exciting-mean-count" in capsys.readouterr().out
+    assert [cap for _, cap in grown] == [350 * hawkes_mr.POINT_CAP, 50 * hawkes_mr.POINT_CAP]
+    assert grown[0][0] > hawkes_mr.POINT_CAP
+    assert peak < 128 * 2**20  # about 90 MiB, most of it the first block
+
+
 def test_heavy_oracle_draws_its_chains_in_the_battery_blocks(tmp_path, capsys, monkeypatch):
     # clusters of 1,000 points on [0, 10]: 600 oracle chains drawn in one call
     # peaked near 200 MiB; drawn in the battery's blocks of 104 chains, one
@@ -504,9 +536,9 @@ DEMO_REPORT_SHA256 = {
     "branching_approx": "cfb3edb3458ca3e78c175f71fcfa55415f36cf1c059eb8f759d488802e7b1bd3",
     "brix_kendall": "39a3cfc432e446b086a42da209b89f8271ae47c0f5fd7db79592dfdc817055f0",
     "grid_thinning": "2ca44e6f64a6a6ae8efec3f11a2b21682f38a2a972f286b50a7f00f06f5fd230",
-    "hawkes_mr": "3693851f65b00cb7ecc4348c2c170b497a08cdd36ead92633fd78655687f9389",
+    "hawkes_mr": "95b2195664308b4a8add7651c8948b46785e58651e9f38b972b0ae8c4e4332bf",
     "matern": "a16c5a444fabc6d0f68c934dacb29c3230129fde5bcb5542d75c578c2a197105",
-    "nonlinear_hawkes": "d4ac98c39184fc55f991ffdf0390af2815e7b60ef9ad73d2bd8d98b9ed62a5f7",
+    "nonlinear_hawkes": "74b7f107a2fecda9ea9353a6d528e235afb505c15be9c5bd1854b7774a118f5d",
     "poisson": "d71c57fa1c6cab791bea9bc3ee17f339e8a4c858deb63e3881ed9c1e95d781a0",
     "poisson_lines": "f7f3171845f7f135c8ed58996a10c16fe9d24180544e0dcd0e74ea6ca343bef2",
     "renewal": "cd3dfb9b30eab18ae93ec11bb931946761a5707ee3dcd1e7984bb79e726d8697",

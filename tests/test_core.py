@@ -184,19 +184,6 @@ def test_substream_is_the_stream_with_a_longer_lineage():
 
 
 @pytest.mark.parametrize(
-    "stream", [RngStream(20260817, 20_000), RngStream(2**64 + 5, 2**33, (10_002, 2**40 + 3))],
-    ids=["plain", "lineage"],
-)
-def test_substream_generators_are_the_substreams_generators(stream):
-    n = 0
-    for r, rng in enumerate(stream.substream_generators(2_000)):
-        ref = stream.substream(r).generator()
-        assert np.array_equal(rng.bit_generator.random_raw(2), ref.bit_generator.random_raw(2))
-        n += 1
-    assert n == 2_000 and list(stream.substream_generators(0)) == []
-
-
-@pytest.mark.parametrize(
     "stream",
     [RngStream(-1), RngStream(3, -2), RngStream(3, 0, (4, -1)), RngStream(3).substream(-5)],
     ids=["seed", "stream-id", "lineage", "substream"],

@@ -808,6 +808,32 @@ def test_each_draw_grows_its_clusters_in_one_call(monkeypatch, kernel, mu):
         assert len(calls) == r + 1
 
 
+@pytest.mark.parametrize(
+    "kernel, mu",
+    [(KERNEL, 1.0), (ExponentialFertility(0.5, 1.0, marks=TWO_MARKS), 1.0), (ZERO_KERNEL, 2.0)],
+    ids=["one-mark", "two-marks", "zero-kernel"],
+)
+def test_lockstep_form_grows_every_replicate_in_one_call(monkeypatch, kernel, mu):
+    # one sample_gw_cluster call for all replicates, capped at POINT_CAP a replicate;
+    # stats count only what sample proposes
+    from exactpp import hawkes_mr
+
+    caps = []
+    grow = hawkes_mr.sample_gw_cluster
+
+    def recording(kernel, roots, rng, point_cap, **kwargs):
+        caps.append(point_cap)
+        return grow(kernel, roots, rng, point_cap, **kwargs)
+
+    monkeypatch.setattr(hawkes_mr, "sample_gw_cluster", recording)
+    sampler = HawkesSampler(kernel, mu=mu, a=10.0)
+    for n in (1, 7, 60):
+        points, offsets = sampler.sample_chains(n, _gen(125, n))
+        assert caps == [n * hawkes_mr.POINT_CAP] and offsets.size == n + 1
+        del caps[:]
+    assert sampler.stats["condition_attempts"] == 0
+
+
 def test_burn_in_oracle_draws_its_own_marks(monkeypatch):
     marks = ((0.5, 0.5), (0.5, 1.5))
     for kernel, oracle in (

@@ -2,10 +2,11 @@
 returned as (points, offsets).
 
 Each public single draw is its form at n = 1 and keeps its bytes; at large n
-the forms' window counts have the law of one-by-one draws; the offsets are
-well formed and group each replicate's points; a validated run builds a fixed
-number of generators whatever its replicate count; and the battery's streams
-have keys that cannot coincide."""
+the forms' window counts (and the self-exciting forms' first points) have the
+law of one-by-one draws; the offsets are well formed and group each
+replicate's points; a validated run builds a fixed number of generators
+whatever its replicate count; and the battery's streams have keys that
+cannot coincide."""
 
 import hashlib
 import json
@@ -19,8 +20,12 @@ import pytest
 from exactpp import (
     BrixKendallSampler,
     DiskGrains,
+    ExponentialFertility,
     GeometricGrid,
+    HawkesSampler,
     LebesgueIntensity,
+    PiecewiseConstantFertility,
+    PolynomialFertility,
     RngStream,
     SegmentGrains,
     TranslatedPoissonCluster,
@@ -38,7 +43,13 @@ from exactpp import core, validation
 from exactpp.boolean_model import DiskWindow, boolean_exact_chains, poisson_lines_chains
 from exactpp.branching_approx import approx_branching_chains
 from exactpp.core import homogeneous_chains, sample_homogeneous
-from exactpp.germ_thinning import _gamma_hazard, matern_thin_first_chains, renewal_thin_first_chains
+from exactpp.germ_thinning import (
+    _gamma_hazard,
+    matern_thin_first_chains,
+    nonlinear_hawkes_germ,
+    nonlinear_hawkes_germ_chains,
+    renewal_thin_first_chains,
+)
 from exactpp.validation import replicate_counts, two_sample_ks
 from pins import pin_message
 
@@ -64,6 +75,23 @@ GRID = GeometricGrid(0.7, 0.6)
 HAZARD = _gamma_hazard(2.0, 1.0)
 RENEWAL = dict(p_tail=lambda t: math.exp(-t), p_mass=1.0)
 UPPER = dict(p_tail=lambda t: max(2.0 - t, 0.0))  # the tail of the indicator of [0, 2]
+# self-exciting samplers on [0, 3] at a low immigrant rate, so that some replicates are empty
+HAWKES = {
+    "hawkes_one_mark": HawkesSampler(ExponentialFertility(0.5, 1.0), 0.25, 3.0),
+    "hawkes_two_marks": HawkesSampler(
+        ExponentialFertility(0.5, 1.0, marks=((0.25, 0.5), (0.75, 7 / 6))), 0.25, 3.0),
+    "hawkes_polynomial": HawkesSampler(PolynomialFertility((0.45, -0.225), 2.0), 0.25, 3.0),
+    "hawkes_piecewise": HawkesSampler(
+        PiecewiseConstantFertility((0.0, 0.5, 2.0), (0.6, 0.1)), 0.25, 3.0),
+    "hawkes_zero": HawkesSampler(PiecewiseConstantFertility((0.0, 1.0), (0.0,)), 0.5, 3.0),
+}
+NONLINEAR = (  # the demo config's phi, h, bound and support on [0, 3]
+    lambda drive: 2.0 * -math.expm1(-(0.5 + drive) / 2.0),
+    2.0,
+    lambda t: 0.8 * max(1.0 - t, 0.0),
+    1.0,
+    Window((0.0,), (3.0,)),
+)
 
 
 def _thin_p(t):
@@ -141,6 +169,12 @@ CASES = {
         lambda rng: renewal_thin_first(HAZARD, 1.0, _upper_p, rng, **UPPER).points,
         lambda n, rng: renewal_thin_first_chains(HAZARD, 1.0, _upper_p, n, rng, **UPPER),
     ),
+    **{name: (lambda rng, s=sampler: s.sample(rng).points, sampler.sample_chains)
+       for name, sampler in HAWKES.items()},
+    "nonlinear_hawkes": (
+        lambda rng: nonlinear_hawkes_germ(*NONLINEAR, rng).points,
+        lambda n, rng: nonlinear_hawkes_germ_chains(*NONLINEAR, n, rng),
+    ),
 }
 
 
@@ -159,8 +193,19 @@ def test_lockstep_counts_have_the_law_of_single_draws(case):
     single, chains = CASES[case]
     n = 2_000
     _, offsets = chains(n, _gen(402))
-    one_by_one = [len(single(rng)) for rng in RngStream(403).substream_generators(n)]
+    one_by_one = [len(single(RngStream(403).substream(r).generator())) for r in range(n)]
     rep = two_sample_ks(np.diff(offsets), np.array(one_by_one), alpha=0.01)
+    assert rep.accepted, rep.to_dict()
+
+
+@pytest.mark.parametrize("case", sorted(HAWKES))
+def test_lockstep_hawkes_first_points_have_the_law_of_single_draws(case):
+    single, chains = CASES[case]
+    n = 2_000
+    points, offsets = chains(n, _gen(402))
+    first = points[offsets[:-1][np.diff(offsets) > 0], 0]
+    one_by_one = [single(RngStream(403).substream(r).generator()) for r in range(n)]
+    rep = two_sample_ks(first, np.array([p[0, 0] for p in one_by_one if len(p)]), alpha=0.01)
     assert rep.accepted, rep.to_dict()
 
 
@@ -192,6 +237,11 @@ def test_offsets_are_well_formed_and_group_each_replicate(case):
         assert _pairwise_min(points) <= 0.3
     if case in ("poisson", "brix_kendall", "branching_approx", "matern"):
         assert np.all((points >= 0.0) & (points <= (4.0 if points.shape[1] == 2 else 2.0)))
+    if case in HAWKES or case == "nonlinear_hawkes":
+        # each replicate's times are sorted and lie in the window [0, 3]
+        assert all(np.all(np.diff(g[:, 0]) >= 0) for g in groups)
+        assert np.any(np.diff(points[:, 0]) < 0)
+        assert points.shape[1] == 1 and np.all((points >= 0.0) & (points <= 3.0))
 
 
 def test_form_at_zero_replicates_is_empty():
@@ -309,21 +359,12 @@ def _spawn_words(stream):
 
 
 def test_battery_stream_keys_cannot_coincide():
-    keys = (validation.REPLICATES, validation.LOCKSTEP, validation.ORACLE, validation.PROBES)
-    assert len(set(keys)) == 4 and all(0 <= k <= 0xFFFFFFFF for k in keys)  # one word each
+    keys = (validation.LOCKSTEP, validation.ORACLE, validation.PROBES)
+    assert keys == (1, 2, 3)  # the words the battery's streams have always had
     stream = RngStream(5, 20_000)
-    roles = {k: stream.substream(k) for k in keys[1:]}
-    # replicate r's key starts with REPLICATES and the others' with their own word,
-    # so no replicate index, however large, reaches them (the old layout put
-    # replicate 10,001 on the oracle's stream)
-    for r in (0, 1, 2, 3, 10_001, 10_002, 2**32 - 1, 2**32, 2**32 + 2, 2**64 + 1):
-        replicate = stream.substream(validation.REPLICATES).substream(r)
-        words = _spawn_words(replicate)
-        assert words[1] == validation.REPLICATES and len(words) >= 3
-        for role in roles.values():
-            assert words != _spawn_words(role)
-            assert core._philox_key(5, words) != core._philox_key(5, _spawn_words(role))
-    assert len({_spawn_words(s) for s in roles.values()}) == 3
+    words = {_spawn_words(stream.substream(k)) for k in keys}
+    assert len(words) == 3
+    assert len({core._philox_key(5, w) for w in words}) == 3
 
 
 def _keeping(seen):
@@ -344,16 +385,6 @@ def test_replicate_counts_draw_from_the_battery_streams():
     assert len(seen) == 1  # within BATTERY_POINTS: one block
     assert np.array_equal(seen[0][0], ref[0]) and np.array_equal(seen[0][1], ref[1])
     assert np.array_equal(counts, np.diff(ref[1]))
-    seen = []
-    counts = replicate_counts(5, stream, sample=lambda rng: sample_homogeneous(w, 2.0, rng),
-                              reduce=_keeping(seen))
-    (points, offsets), = seen
-    for r in range(5):
-        rng = stream.substream(validation.REPLICATES).substream(r).generator()
-        assert np.array_equal(points[offsets[r]:offsets[r + 1]], sample_homogeneous(w, 2.0, rng).points)
-    assert np.array_equal(counts, np.diff(offsets))
-    with pytest.raises(ValueError, match="exactly one"):
-        replicate_counts(5, stream)
 
 
 def test_replicate_counts_draw_blocks_of_bounded_points(monkeypatch):
@@ -382,21 +413,14 @@ def test_replicate_counts_draw_blocks_of_bounded_points(monkeypatch):
         del asked[:], seen[:]
         replicate_counts(3, stream, chains=chains, per_rep=per_rep, reduce=_keeping(seen))
         assert asked == blocks
-    # the per-replicate draws take the same blocks, each replicate on its own stream
-    seen = []
-    counts = replicate_counts(8, stream, sample=lambda rng: sample_homogeneous(w, 2.0, rng),
-                              per_rep=6.0, reduce=_keeping(seen))
-    assert [len(o) - 1 for _, o in seen] == [3, 3, 2]
-    ref = [len(sample_homogeneous(w, 2.0, rng).points)
-           for rng in stream.substream(validation.REPLICATES).substream_generators(8)]
-    assert counts.tolist() == ref
 
 
 LOCKSTEP_CONFIGS = ("boolean_disks", "boolean_segments", "branching_approx", "brix_kendall",
-                    "grid_thinning", "matern", "poisson", "poisson_lines", "renewal")
+                    "grid_thinning", "hawkes_mr", "matern", "nonlinear_hawkes", "poisson",
+                    "poisson_lines", "renewal")
 
 
-@pytest.mark.parametrize("name", LOCKSTEP_CONFIGS + ("hawkes_mr", "nonlinear_hawkes"))
+@pytest.mark.parametrize("name", LOCKSTEP_CONFIGS)
 def test_validated_run_builds_generators_independent_of_replicates(monkeypatch, tmp_path, name,
                                                                     capsys):
     from exactpp.cli import main
@@ -418,12 +442,8 @@ def test_validated_run_builds_generators_independent_of_replicates(monkeypatch, 
         # the run completes; whether this replicate count accepts is not this test's question
         assert main(["validate", "-c", str(path)]) in (0, 1), capsys.readouterr()
         made.append(len(built))
-    if name in LOCKSTEP_CONFIGS:
-        # the lockstep replicates, and the oracle's chains or the probes
-        assert made[0] == made[1] <= 2
-    else:
-        # one generator per replicate, and the oracle's
-        assert made == [51, 121]
+    # the lockstep replicates, and the oracle's chains or the probes
+    assert made[0] == made[1] <= 2
 
 
 @pytest.mark.parametrize("name", LOCKSTEP_CONFIGS)

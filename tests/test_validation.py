@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 
 from exactpp import RngStream, Window
-from exactpp.core import homogeneous_chains, sample_homogeneous
+from exactpp.core import homogeneous_chains
 from exactpp.validation import (
     ReportCollector,
     TestReport,
@@ -274,13 +274,15 @@ def test_report_collector_flags_a_joint_failure():
 
 def test_replicate_counts_deterministic_per_stream():
     w = Window((0.0,), (4.0,))
-    fn = lambda rng: sample_homogeneous(w, 3.0, rng)
-    for draw in (dict(sample=fn), dict(chains=lambda n, rng: homogeneous_chains(w, 3.0, n, rng))):
-        a = replicate_counts(50, RngStream(128), **draw)
-        b = replicate_counts(50, RngStream(128), **draw)
-        assert np.array_equal(a, b)
-        assert a.dtype == np.int64 and a.shape == (50,) and a.min() >= 0
-        assert not np.array_equal(a, replicate_counts(50, RngStream(129), **draw))
+
+    def chains(n, rng):
+        return homogeneous_chains(w, 3.0, n, rng)
+
+    a = replicate_counts(50, RngStream(128), chains)
+    b = replicate_counts(50, RngStream(128), chains)
+    assert np.array_equal(a, b)
+    assert a.dtype == np.int64 and a.shape == (50,) and a.min() >= 0
+    assert not np.array_equal(a, replicate_counts(50, RngStream(129), chains))
 
 
 def test_report_to_json_round_trip():
