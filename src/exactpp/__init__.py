@@ -61,47 +61,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "BooleanSample",
-    "BrixKendallSampler",
-    "ConfigError",
-    "DensityIntensity",
-    "DiskGrains",
-    "DiskWindow",
-    "ExpRadius",
-    "ExponentialFertility",
-    "FixedRadius",
-    "GWCluster",
-    "GeometricGrid",
-    "HawkesSampler",
-    "InverseSquareGrid",
-    "LebesgueIntensity",
-    "PhiOperator",
-    "PiecewiseConstantFertility",
-    "PointPattern",
-    "PolynomialFertility",
-    "RngStream",
-    "SamplerError",
-    "Sandwich",
-    "SegmentGrains",
-    "TableGrid",
-    "TranslatedPoissonCluster",
-    "TruncationCertificate",
-    "UniformDisplacement",
-    "UniformRadius",
-    "Window",
-    "approx_branching_sample",
-    "boolean_exact_sample",
-    "build_sandwich",
-    "certificate_generations_for",
-    "hit_prob_poisson_line",
-    "matern_thin_first",
-    "nonlinear_hawkes_germ",
-    "renewal_thin_first",
-    "sample_gw_cluster",
-    "sample_poisson_lines",
-    "thin_grid",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):

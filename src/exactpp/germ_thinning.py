@@ -95,11 +95,6 @@ class _GridBase:
                 raise SamplerError("last-site search runaway; check the retention family")
         return n
 
-    def thin(self, rng):
-        """Sorted retained indices: draw T, then independent coins below it; one
-        replicate of sample_chains."""
-        return self.sample_chains(1, rng)[0]
-
     def sample_chains(self, n_chains, rng):
         """(sites, offsets) of n_chains independent draws of the retained sites,
         each sorted: every replicate's last site T from one call of n_chains
@@ -225,8 +220,9 @@ def _trigamma(x):
 
 
 def thin_grid(spec, rng):
-    """Exact draw of the retained sites of a thinned grid on N."""
-    return spec.thin(rng)
+    """Exact draw of the retained sites of a thinned grid on N, sorted: the last
+    site T, then independent coins below it; one replicate of spec.sample_chains."""
+    return spec.sample_chains(1, rng)[0]
 
 
 # -- renewal germs ---------------------------------------------------------------

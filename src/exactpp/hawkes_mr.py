@@ -589,25 +589,31 @@ def build_sandwich(
 # -- the perfect sampler ---------------------------------------------------------------
 
 
-def _reaching_clusters(kernel, ts, n_plain, rng, imm, imm_rep=None, n_reps=1):
-    """Which candidate ancestors at distances ts before the window reach it, and all clusters.
+def _total(counts):
+    """The sum of poisson_counts' counts; one replicate's is its one count."""
+    return counts[0] if len(counts) == 1 else int(counts.sum())
 
-    The first n_plain candidates draw one ordinary cluster each and are kept
-    iff its extinction time L exceeds t.  The others draw one Q-cluster each
+
+def _reaching_clusters(kernel, near, far, rng, imm, imm_counts):
+    """Which candidate ancestors at distances near and far before the window
+    reach it, and all clusters.
+
+    The near candidates draw one ordinary cluster each and are kept iff its
+    extinction time L exceeds t.  The far ones draw one Q-cluster each
     and are kept with probability 1{L > t} e^(theta t) / Z, at most 1 because
     Z = sum_v e^(theta pos_v) >= e^(theta L).  Either way a kept cluster has
     the law P(. | L > t).  The immigrants at positions imm (in the window's
-    frame) carry ordinary clusters and belong to one more owner, ts.size,
-    which is always kept.  A lockstep call draws n_reps replicates at once:
-    imm_rep gives each immigrant's replicate r, and replicate r's immigrants
-    belong to owner ts.size + r; the candidates of every replicate are listed
-    together, the plain ones first.
+    frame) carry ordinary clusters.  They come from len(imm_counts)
+    replicates, imm_counts[r] of replicate r listed in turn, and replicate r's
+    immigrants belong to one more owner, which is always kept: its limit is
+    -inf, so every reach exceeds it.  The owners are the near candidates, the
+    far ones, then the replicates' immigrants.
 
     A Q-cluster is a cluster size-biased by Z.  Under Q, a distinguished node
     lies Geometric(1 - rho_theta) - 1 generations deep, and the path to it (the
     spine) takes steps with density proportional to h0(s) e^(theta s).  The
     spine nodes before the last carry z-size-biased marks, and every spine
-    node roots an ordinary cluster with its mark; the plain candidates, the
+    node roots an ordinary cluster with its mark; the near candidates, the
     last spine nodes and the immigrants draw ordinary marks.  All clusters of
     the call, the immigrants' included, grow in one sample_gw_cluster call, of
     which only points and owner are read, so the call's point cap, POINT_CAP
@@ -619,15 +625,13 @@ def _reaching_clusters(kernel, ts, n_plain, rng, imm, imm_rep=None, n_reps=1):
     a root's points is fl(r + L), with L = the largest fl(p - r).
 
     Returns the points of the kept clusters (a candidate's at -t plus their
-    offsets, the immigrants' as drawn), the owner of each of those points and
-    the kept mask over the candidates.
+    offsets, the immigrants' as drawn) and the owner of each of those points;
+    a kept candidate owns at least its own root.
     """
     theta = kernel.theta
-    n_cand, n_spine = ts.size, ts.size - n_plain
-    if imm_rep is None:  # one replicate: its immigrants' one owner, indexed as a scalar
-        imm_at, imm_owner = n_cand, np.zeros(imm.size, dtype=int) + n_cand
-    else:
-        imm_at, imm_owner = slice(n_cand, None), imm_rep + n_cand
+    n_plain, n_spine, n_reps = near.size, far.size, len(imm_counts)
+    n_cand = n_plain + n_spine
+    imm_at = n_cand if n_reps == 1 else slice(n_cand, None)  # a scalar index costs less
     nodes = rng.geometric(1.0 - kernel.rho_theta, size=n_spine)
     spine = np.arange(n_plain, n_cand).repeat(nodes)  # the candidate of each spine node
     ends = nodes.cumsum()
@@ -639,7 +643,8 @@ def _reaching_clusters(kernel, ts, n_plain, rng, imm, imm_rep=None, n_reps=1):
     pos = steps.cumsum()
     pos -= pos[first].repeat(nodes)
     roots = np.concatenate([np.zeros(n_plain), pos, imm])
-    owner = np.concatenate([np.arange(n_plain), spine, imm_owner])
+    owner = np.concatenate([np.arange(n_plain), spine,
+                            np.arange(n_cand, n_cand + n_reps).repeat(imm_counts)])
     marks = None  # one mark: sample_gw_cluster draws none
     if kernel.one_mark_nu is None:
         biased = np.zeros(roots.size, dtype=bool)
@@ -651,28 +656,22 @@ def _reaching_clusters(kernel, ts, n_plain, rng, imm, imm_rep=None, n_reps=1):
         marks[~biased] = kernel.sample_mark(roots.size - n_biased, rng)
     cl = sample_gw_cluster(kernel, roots, rng, POINT_CAP * n_reps, root_marks=marks)
     r, who = roots[cl.owner], owner[cl.owner]
-    # no reach exceeds the immigrants' limit, and their Z weights are e^-inf = 0
     n_owners = n_cand + n_reps
     limit = np.empty(n_owners)
-    limit[:n_cand] = ts
-    limit[imm_at] = np.inf
+    limit[:n_plain] = near
+    limit[n_plain:n_cand] = far
+    limit[imm_at] = -np.inf
     reach = np.zeros(n_owners)
     np.maximum.at(reach, who, r + (cl.points - r))
-    weights = np.exp(theta * (cl.points - limit[who]))
+    weights = np.exp(theta * (cl.points - limit[who]))  # the immigrants' are inf, never read
     z_tilted = np.bincount(who, weights=weights, minlength=n_owners)
     kept = reach > limit
     # a Q-cluster's coin: u < e^(theta t) / Z
     kept[n_plain:n_cand] &= rng.random(n_spine) * z_tilted[n_plain:n_cand] < 1.0
-    kept[imm_at] = True
     mine = kept[who]
     who = who[mine]
     limit[imm_at] = 0.0  # now the shift of each owner's points: the immigrants' stay put
-    return cl.points[mine] - limit[who], who, kept[:n_cand]
-
-
-def _replicate_labels(mean, n_chains, rng):
-    """The replicate of each point of n_chains Poisson(mean) counts, drawn in one call."""
-    return np.arange(n_chains).repeat(poisson_counts(mean, n_chains, rng))
+    return cl.points[mine] - limit[who], who
 
 
 class HawkesSampler:
@@ -698,10 +697,11 @@ class HawkesSampler:
     1/theta), above core.MAX_MEAN_POINTS raises SamplerError when the sampler
     is built.
 
-    A draw grows the clusters of its candidates and of its immigrants in one
-    sample_gw_cluster call, and reads only their points and owner, so
-    GWCluster builds no other label for it.  sample_chains, the lockstep form,
-    draws n replicates from one generator with one such call for all of them.
+    One body, _conditioned_cluster, draws n replicates from one generator and
+    grows the clusters of all their candidates and immigrants in one
+    sample_gw_cluster call, reading only their points and owner, so GWCluster
+    builds no other label for it.  sample is its one-replicate case and
+    sample_chains, the lockstep form, cuts and sorts its n replicates.
     POINT_CAP bounds the points a call grows, per replicate: at most POINT_CAP
     for a draw, n * POINT_CAP for n replicates together.  A battery's blocks
     bound a call's mean points (validation.BATTERY_POINTS), and the cap stops
@@ -709,10 +709,9 @@ class HawkesSampler:
 
     tol and step describe only the certified curve of F, the sandwich
     property: it is built from them when first read, and no draw reads it.
-    stats["condition_attempts"] counts the pre-window clusters that sample
-    proposes (sample_chains counts none);
-    stats["fallback_coins"] and stats["grid_levels_built"] stay 0 and are kept
-    for the counters that perfbench reports.
+    stats["condition_attempts"] counts the pre-window clusters that either
+    form proposes; stats["fallback_coins"] and stats["grid_levels_built"]
+    stay 0 and are kept for the counters that perfbench reports.
     """
 
     def __init__(self, kernel, mu, a, *, tol=1e-3, step=1e-4):
@@ -741,23 +740,36 @@ class HawkesSampler:
         """The certified curve of F: a Sandwich driven to tol on a grid of the given step."""
         return build_sandwich(self.kernel, tol=self.tol, step=self.step)
 
-    def _immigrants(self, rng):
-        """Immigrant positions in [0, a], at rate mu, unsorted."""
-        return rng.random(rng.poisson(self.mu * self.a)) * self.a
+    def _conditioned_cluster(self, rng, n=1):
+        """Points of n independent draws' clusters, unsorted and uncut: the
+        immigrants' and those of the pre-window ancestors that reach the window.
 
-    def _conditioned_cluster(self, rng):
-        """Points of one draw's clusters: the immigrants' and those of the pre-window
-        ancestors that reach the window, unsorted and uncut."""
-        kernel = self.kernel
+        Every replicate's near candidates, then its far candidates, then its
+        immigrants are drawn, each count and each position one generator call
+        for all replicates; then the clusters of all of them grow in one
+        _reaching_clusters call.  Past one replicate, each point's replicate
+        is returned too.
+        """
+        kernel, mu, a = self.kernel, self.mu, self.a
         if kernel.rho == 0:  # a bare ancestor never outlives a positive distance
-            return sample_gw_cluster(kernel, self._immigrants(rng), rng, POINT_CAP).points
+            imm_n = poisson_counts(mu * a, n, rng)
+            cl = sample_gw_cluster(kernel, rng.random(_total(imm_n)) * a, rng, POINT_CAP * n)
+            return cl.points if n == 1 else (cl.points, np.arange(n).repeat(imm_n)[cl.owner])
         # candidate distances t before the window: (0, t0] at rate mu, then t0 + Exp(theta)
         t0, theta = self._t0, kernel.theta
-        near = t0 * rng.random(rng.poisson(self.mu * t0))
-        far = t0 + rng.exponential(1.0 / theta, size=rng.poisson(self.mu / theta))
+        near_n = poisson_counts(mu * t0, n, rng)
+        near = t0 * rng.random(_total(near_n))
+        far_n = poisson_counts(mu / theta, n, rng)
+        far = t0 + rng.exponential(1.0 / theta, size=_total(far_n))
+        imm_n = poisson_counts(mu * a, n, rng)
+        imm = rng.random(_total(imm_n)) * a
         self.stats["condition_attempts"] += near.size + far.size
-        ts = np.concatenate([near, far])
-        return _reaching_clusters(kernel, ts, near.size, rng, self._immigrants(rng))[0]
+        pts, who = _reaching_clusters(kernel, near, far, rng, imm, imm_n)
+        if n == 1:
+            return pts
+        reps = np.arange(n)
+        owner_rep = np.concatenate([reps.repeat(near_n), reps.repeat(far_n), reps])
+        return pts, owner_rep.take(who, out=who)  # each point's replicate, in who's memory
 
     def sample(self, rng):
         """One exact draw on the closed window [0, a] as a sorted 1-D pattern."""
@@ -769,32 +781,14 @@ class HawkesSampler:
     def sample_chains(self, n_chains, rng):
         """(points, offsets) of n_chains independent draws of sample, in lockstep.
 
-        Every replicate's near candidates, then its far candidates, then its
-        immigrants are drawn as sample draws them, each count and each position
-        one generator call for all replicates; then the clusters of all of them
-        grow in one _reaching_clusters call.  Replicate i's points, cut to
-        [0, a] and sorted, are points[offsets[i]:offsets[i + 1]], one row each.
-        At one replicate the generator calls are sample's, so the form draws
-        what sample draws.
+        Replicate i's points, cut to [0, a] and sorted, are
+        points[offsets[i]:offsets[i + 1]], one row each.  _conditioned_cluster
+        draws them all, and at one replicate it is sample's own draw.
         """
         n = int(n_chains)
-        kernel, a = self.kernel, self.a
-        if kernel.rho == 0:  # the immigrants alone, as _conditioned_cluster draws them
-            imm_rep = _replicate_labels(self.mu * a, n, rng)
-            cl = sample_gw_cluster(kernel, rng.random(imm_rep.size) * a, rng, POINT_CAP * n)
-            pts, rep = cl.points, imm_rep[cl.owner]
-        else:
-            t0, theta = self._t0, kernel.theta
-            near_rep = _replicate_labels(self.mu * t0, n, rng)
-            near = t0 * rng.random(near_rep.size)
-            far_rep = _replicate_labels(self.mu / theta, n, rng)
-            far = t0 + rng.exponential(1.0 / theta, size=far_rep.size)
-            imm_rep = _replicate_labels(self.mu * a, n, rng)
-            imm = rng.random(imm_rep.size) * a
-            pts, who, _ = _reaching_clusters(kernel, np.concatenate([near, far]), near.size, rng,
-                                             imm, imm_rep, n)
-            rep = np.concatenate([near_rep, far_rep, np.arange(n)])[who]
-        inside = (pts >= 0.0) & (pts <= a)
-        pts, rep = pts[inside], rep[inside]
-        order = np.lexsort((pts, rep))
-        return pts[order].reshape(-1, 1), chain_offsets(np.bincount(rep, minlength=n))
+        drawn = self._conditioned_cluster(rng, n)  # at one replicate, the points alone
+        pts, rep = drawn if n != 1 else (drawn, np.zeros(drawn.size, dtype=int))
+        inside = (pts >= 0.0) & (pts <= self.a)
+        cut, cut_rep = pts[inside], rep[inside]
+        order = np.lexsort((cut, cut_rep))
+        return cut[order].reshape(-1, 1), chain_offsets(np.bincount(cut_rep, minlength=n))

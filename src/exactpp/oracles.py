@@ -68,6 +68,25 @@ def _chain_order(chains, values):
     return chain[order], np.concatenate([np.empty(0), *values])[order]
 
 
+def _ring_push(rings, head, near, accept, values):
+    """Write values[k] at slot head of the accepted rows of rings[k], then
+    advance their head; the rings of the lockstep burn-in oracles, one row per
+    chain, an empty slot -inf.  When a slot to be written still holds a point
+    within the support (near), every ring first doubles: oldest first from
+    slot 0, the doubled half empty and written next.  Returns the rings."""
+    if np.any(near[accept, head[accept]]):
+        cap = rings[0].shape[1]
+        order = (head[:, None] + np.arange(cap)) % cap
+        rings = [np.concatenate([np.take_along_axis(r, order, axis=1), np.full(r.shape, -np.inf)],
+                                axis=1) for r in rings]
+        head[:] = cap
+    at = head[accept]
+    for ring, value in zip(rings, values):
+        ring[accept, at] = value
+    head[accept] = (at + 1) % rings[0].shape[1]
+    return rings
+
+
 def cluster_direct_oracle(rate0, kernel, window, rng):
     """Cluster process by direct buffered simulation (exact for box offsets).
 
@@ -350,7 +369,7 @@ def hawkes_bounded_burn_in_chains(kernel, mu, a, burn_in, n_chains, rng):
     t = np.full(chain.size, -float(burn_in))
     z = np.zeros(chain.size)
     ring = np.full((chain.size, 4), -np.inf)  # -inf: an empty slot, outside any support
-    mark = np.zeros(ring.shape)
+    mark = np.full(ring.shape, -np.inf)  # an empty slot's mark, never read
     head = np.zeros(chain.size, dtype=np.int64)  # the slot each chain writes next
     chains, times = [], []
     while chain.size:
@@ -371,21 +390,9 @@ def hawkes_bounded_burn_in_chains(kernel, mu, a, burn_in, n_chains, rng):
         kept = accept[t[accept] >= 0.0]
         chains.append(chain[kept])
         times.append(t[kept])
-        if np.any(near[accept, head[accept]]):
-            # oldest first from slot 0, the doubled half empty and written next
-            cap = ring.shape[1]
-            order = (head[:, None] + np.arange(cap)) % cap
-            ring = np.concatenate(
-                [np.take_along_axis(ring, order, axis=1), np.full(ring.shape, -np.inf)], axis=1
-            )
-            mark = np.concatenate([np.take_along_axis(mark, order, axis=1), np.zeros(mark.shape)],
-                                  axis=1)
-            head[:] = cap
         new = zs[cdf.searchsorted(rng.random(accept.size), side="right")]
-        ring[accept, head[accept]] = t[accept]
-        mark[accept, head[accept]] = new
+        ring, mark = _ring_push((ring, mark), head, near, accept, (t[accept], new))
         z[accept] += new
-        head[accept] = (head[accept] + 1) % ring.shape[1]
     chain, times = _chain_order(chains, times)
     return times, _offsets(chain, int(n_chains))
 
@@ -451,16 +458,7 @@ def nonlinear_hawkes_burn_in_chains(phi, phi_bound, h, h_support, window, burn_i
         kept = accept[t[accept] >= b0]
         chains.append(chain[kept])
         times.append(t[kept])
-        if np.any(near[accept, head[accept]]):
-            # oldest first from slot 0, the doubled half empty and written next
-            cap = ring.shape[1]
-            order = (head[:, None] + np.arange(cap)) % cap
-            ring = np.concatenate(
-                [np.take_along_axis(ring, order, axis=1), np.full(ring.shape, -np.inf)], axis=1
-            )
-            head[:] = cap
-        ring[accept, head[accept]] = t[accept]
-        head[accept] = (head[accept] + 1) % ring.shape[1]
+        (ring,) = _ring_push((ring,), head, near, accept, (t[accept],))
     chain, times = _chain_order(chains, times)
     return times, _offsets(chain, int(n_chains))
 

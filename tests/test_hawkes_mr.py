@@ -611,7 +611,7 @@ def _two_step_reaching_clusters(kernel, ts, n_plain, rng, imm):
     kept[n_plain:] &= rng.random(n_spine) * z_tilted[n_plain:] < 1.0
     mine = ~cand | np.append(kept, True)[who]
     shift = np.where(cand, np.append(ts, 0.0)[who], 0.0)
-    return cl.points[mine] - shift[mine], who[mine], kept
+    return cl.points[mine] - shift[mine], who[mine]
 
 
 @pytest.mark.parametrize(
@@ -639,7 +639,8 @@ def test_one_reduction_reach_matches_the_two_step_reach(kernel):
     for s, (ts, n_plain) in enumerate(cases):
         # no immigrants, then one to seven on a window [0, 10]
         for imm in (np.empty(0), _gen(122, s).random(1 + s % 7) * 10.0):
-            mine = _reaching_clusters(kernel, ts, n_plain, _gen(121, s), imm)
+            mine = _reaching_clusters(kernel, ts[:n_plain], ts[n_plain:], _gen(121, s), imm,
+                                      [imm.size])
             theirs = _two_step_reaching_clusters(kernel, ts, n_plain, _gen(121, s), imm)
             for a, b in zip(mine, theirs):
                 assert a.tobytes() == b.tobytes(), (s, ts, n_plain, imm)
@@ -729,8 +730,9 @@ def test_conditioned_clusters_match_single_cluster_rejection():
     rng = _gen(106)
     batched = {t: [] for t in ts}
     while min(len(v) for v in batched.values()) < n:
-        pts, who, kept = _reaching_clusters(KERNEL, np.repeat(ts, 200), 400, rng, np.empty(0))
-        for c in np.flatnonzero(kept):
+        pts, who = _reaching_clusters(KERNEL, np.repeat(ts[:2], 200), np.repeat(ts[2:], 200), rng,
+                                      np.empty(0), [0])
+        for c in np.unique(who):
             batched[ts[c // 200]].append(pts[who == c])
     forest = sample_gw_cluster(KERNEL, np.zeros(400_000), _gen(107))
     for t in ts:
@@ -815,23 +817,30 @@ def test_each_draw_grows_its_clusters_in_one_call(monkeypatch, kernel, mu):
 )
 def test_lockstep_form_grows_every_replicate_in_one_call(monkeypatch, kernel, mu):
     # one sample_gw_cluster call for all replicates, capped at POINT_CAP a replicate;
-    # stats count only what sample proposes
+    # stats count every candidate that _reaching_clusters receives
     from exactpp import hawkes_mr
 
-    caps = []
-    grow = hawkes_mr.sample_gw_cluster
+    caps, candidates = [], []
+    grow, reach = hawkes_mr.sample_gw_cluster, hawkes_mr._reaching_clusters
 
     def recording(kernel, roots, rng, point_cap, **kwargs):
         caps.append(point_cap)
         return grow(kernel, roots, rng, point_cap, **kwargs)
 
+    def counting(kernel, near, far, *args):
+        candidates.append(near.size + far.size)
+        return reach(kernel, near, far, *args)
+
     monkeypatch.setattr(hawkes_mr, "sample_gw_cluster", recording)
+    monkeypatch.setattr(hawkes_mr, "_reaching_clusters", counting)
     sampler = HawkesSampler(kernel, mu=mu, a=10.0)
     for n in (1, 7, 60):
+        before = sampler.stats["condition_attempts"]
         points, offsets = sampler.sample_chains(n, _gen(125, n))
         assert caps == [n * hawkes_mr.POINT_CAP] and offsets.size == n + 1
-        del caps[:]
-    assert sampler.stats["condition_attempts"] == 0
+        assert sampler.stats["condition_attempts"] - before == sum(candidates)
+        assert len(candidates) == (kernel.rho > 0)
+        del caps[:], candidates[:]
 
 
 def test_burn_in_oracle_draws_its_own_marks(monkeypatch):
@@ -889,9 +898,10 @@ def test_spine_acceptance_matches_the_sandwich(sandwich):
     n = 40_000
     b = sandwich.bounds()
     for i, t in enumerate((1.0, 5.0, 15.0, 30.0)):
-        _, _, kept = _reaching_clusters(KERNEL, np.full(n, t), 0, _gen(117, i), np.empty(0))
+        _, who = _reaching_clusters(KERNEL, np.empty(0), np.full(n, t), _gen(117, i), np.empty(0),
+                                    [0])
         u = math.exp(-KERNEL.theta * t) / (1.0 - KERNEL.rho_theta)
-        p = kept.mean()
+        p = np.unique(who).size / n
         band = 4.0 * u * math.sqrt(max(p, 1.0 / n) * (1.0 - p) / n)
         # F is nonincreasing: the node at or after t bounds it below, the one at or before above
         lo = b.ell[np.searchsorted(b.taus, t, side="left")]
