@@ -21,7 +21,9 @@ is organized by construction:
   with variation-distance certificates
 - validation: statistical acceptance harness (KS, chi-square, Laplace, Holm)
 - oracles: independently-coded reference samplers used only by validation
-- cli: `exactpp sample | validate | plotdata` driven by JSON configs
+- cli: `exactpp sample | validate | plotdata` driven by JSON configs; each
+  sampler module ends with its config builders
+- plotdata: the plot-ready CSV of `exactpp plotdata`, loaded only by that command
 
 Importing the package loads none of these modules. Each name in `__all__` is
 imported from its module on first access, and the CLI imports a sampler's

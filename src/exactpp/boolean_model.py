@@ -28,8 +28,9 @@ import math
 
 import numpy as np
 
-from .core import (ConfigError, _Frozen, _mean_count, chain_offsets, homogeneous_chains, kept_rows,
-                   pair_blocks, poisson_counts, thin_chains)
+from .core import (_NONNEG, _POS, ConfigError, PointPattern, _built, _count_checks, _Frozen,
+                   _interval_report, _made, _mean_count, chain_offsets, homogeneous_chains,
+                   kept_rows, pair_blocks, poisson_counts, thin_chains)
 
 __all__ = [
     "DiskWindow",
@@ -368,3 +369,96 @@ def _line_angles(x, radius, rng):
     half = np.arcsin(radius / np.where(far, rho, radius))
     toward = np.arctan2(-x[:, 1], -x[:, 0])
     return np.where(far, np.mod(toward + (2.0 * u - 1.0) * half, 2.0 * np.pi), 2.0 * np.pi * u)
+
+
+# -- config builders, which cli.build calls -----------------------------------
+
+
+def _build_boolean_disks(p, window):
+    rate = p.get("rate", float, check=_NONNEG)
+    kind, r = p.tagged("radius", "kind", {"fixed": ("value",), "uniform": ("lo", "hi"),
+                                          "exp": ("rate",)})
+    if kind == "fixed":
+        law = FixedRadius(r.get("value", float, check=_POS))
+    elif kind == "uniform":
+        law = _made(r.path, UniformRadius, r.get("lo", float, check=_NONNEG), r.get("hi", float))
+    else:
+        law = ExpRadius(r.get("rate", float, check=_POS))
+    grains = DiskGrains(law)
+
+    def draw(rng):
+        return boolean_exact_sample(rate, grains, window, rng)
+
+    def sample(rng):
+        bs = draw(rng)
+        return PointPattern(bs.germs, marks=bs.radii, dim=window.dim)
+
+    def chains(n_reps, rng):
+        return boolean_exact_chains(rate, grains, window, n_reps, rng)
+
+    # the kept pairs' mean count, rate (A + P E R + pi E R^2)
+    per_rep = rate * (window.volume() + 2.0 * float(np.sum(window.sides)) * law.moment(1)
+                      + math.pi * law.moment(2))
+
+    def validate(stream, n_reps, collector):
+        from .validation import PROBES, mean_ci, replicate_counts
+
+        probes = window.sample_uniform(400, stream.substream(PROBES).generator())
+        mean, half = mean_ci(replicate_counts(
+            n_reps, stream, chains=chains, per_rep=per_rep,
+            reduce=lambda drawn, offsets: drawn.coverage(probes, offsets).mean(axis=1)))
+        expect = 1.0 - math.exp(-rate * math.pi * law.moment(2))
+        collector.add(_interval_report("boolean-coverage", mean, expect, half))
+
+    return _built(sample, window, validate, ("points-2d", "coverage-raster"), boolean_draw=draw)
+
+
+def _build_boolean_segments(p, window):
+    rate = p.get("rate", float, check=_NONNEG)
+    grains = SegmentGrains(p.get("length", float, check=_POS))
+
+    def draw(rng):
+        return boolean_exact_sample(rate, grains, window, rng)
+
+    def sample(rng):
+        return PointPattern(draw(rng).germs, dim=window.dim)
+
+    def chains(n_reps, rng):
+        drawn, offsets = boolean_exact_chains(rate, grains, window, n_reps, rng)
+        return drawn.germs, offsets
+
+    # mean area of the germs whose segment meets the box: A + L P / pi
+    perimeter = 2.0 * float(np.sum(window.sides))
+    expect = rate * (window.volume() + grains.length * perimeter / math.pi)
+    validate = _count_checks(chains, mean=("segment-germ-count", expect),
+                             per_rep=rate * window.buffered(0.5 * grains.length).volume())
+    return _built(sample, window, validate, boolean_draw=draw)
+
+
+def _build_poisson_lines(p, window):
+    rate = p.get("rate", float, check=_NONNEG)
+    center = p.floats("target_center", 2)
+    radius = p.get("target_radius", float, check=_POS)
+    region = p.window("germ_region", 2)
+    target = DiskWindow(center, radius)
+
+    def sample(rng):
+        ls = sample_poisson_lines(rate, target, region, rng)
+        return PointPattern(ls.germs, marks=ls.angles, dim=2)
+
+    def chains(n_reps, rng):
+        drawn, offsets = poisson_lines_chains(rate, target, region, n_reps, rng)
+        return drawn.germs, offsets
+
+    def validate(stream, n_reps, collector):
+        from .validation import PROBES, mean_ci, replicate_counts
+
+        mean, half = mean_ci(replicate_counts(n_reps, stream, chains=chains,
+                                              per_rep=rate * region.volume()))
+        probes = region.sample_uniform(20_000, stream.substream(PROBES).generator())
+        p = hit_prob_poisson_line(probes - np.asarray(center), radius)
+        expect = rate * region.volume() * float(np.mean(p))
+        mc_half = 3.0 * rate * region.volume() * float(np.std(p)) / math.sqrt(p.size)
+        collector.add(_interval_report("line-germ-count", mean, expect, half + mc_half))
+
+    return _built(sample, region, validate)

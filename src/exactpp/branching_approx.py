@@ -24,8 +24,8 @@ import math
 
 import numpy as np
 
-from .core import (PointPattern, SamplerError, _Frozen, _mean_count, chain_offsets,
-                   homogeneous_chains)
+from .core import (_NONNEG, _POS, PointPattern, SamplerError, _built, _count_checks, _Frozen,
+                   _mean_count, chain_offsets, homogeneous_chains)
 
 __all__ = [
     "GWCluster",
@@ -245,3 +245,30 @@ def approx_branching_chains(rate0, progeny, window, n, n_chains, rng):
     chain = np.repeat(np.arange(int(n_chains)), np.diff(offsets))[cluster.owner[inside]]
     order = np.argsort(chain, kind="stable")
     return points[order], chain_offsets(np.bincount(chain, minlength=int(n_chains))), cert
+
+
+# -- config builder, which cli.build calls ---------------------------------
+
+
+def _build_branching_approx(p, window):
+    from .cluster_exact import TranslatedPoissonCluster, _displacement
+
+    rate0 = p.get("rate0", float, check=_NONNEG)
+    pmean = p.get("progeny_mean", float, check=_POS)
+    n_gen = p.get("generations", int, check=_NONNEG)
+    progeny = TranslatedPoissonCluster(pmean, _displacement(p))
+    cert, region = _checked(rate0, progeny, window, n_gen)  # refuses as a draw would
+
+    def sample(rng):
+        pattern, _ = approx_branching_sample(rate0, progeny, window, n_gen, rng)
+        return pattern
+
+    def chains(n_reps, rng):
+        points, offsets, _ = approx_branching_chains(rate0, progeny, window, n_gen, n_reps, rng)
+        return points, offsets
+
+    # the mean density of generations 0..n_gen; _checked has refused pmean >= 1
+    density = rate0 * (1.0 - pmean ** (n_gen + 1)) / (1.0 - pmean)
+    validate = _count_checks(chains, mean=("branching-mean-count", density * window.volume()),
+                             per_rep=density * region.volume())  # the germs fill the region
+    return _built(sample, window, validate, meta={"truncation_certificate": cert.to_dict()})

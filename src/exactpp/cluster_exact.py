@@ -20,15 +20,9 @@ import functools
 
 import numpy as np
 
-from .core import (
-    MAX_MEAN_POINTS,
-    PointPattern,
-    SamplerError,
-    _Frozen,
-    chain_offsets,
-    homogeneous_chains,
-    thin_chains,
-)
+from .core import (MAX_MEAN_POINTS, _NONNEG, _POS, LebesgueIntensity, PointPattern, SamplerError,
+                   _built, _count_checks, _Frozen, _made, chain_offsets, homogeneous_chains,
+                   thin_chains)
 
 __all__ = [
     "UniformDisplacement",
@@ -216,3 +210,31 @@ class BrixKendallSampler:
     def sample(self, rng):
         """One exact draw of the cluster process restricted to the window."""
         return PointPattern(self.sample_chains(1, rng)[0], dim=self.window.dim)
+
+
+# -- config builder, which cli.build calls ---------------------------------
+
+
+def _displacement(p):
+    d = p.obj("displacement", ("lo", "hi"))
+    return _made(d.path, UniformDisplacement, d.floats("lo"), d.floats("hi"))
+
+
+def _build_brix_kendall(p, window):
+    rate0 = p.get("rate0", float, check=_NONNEG)
+    cmean = p.get("cluster_mean", float, check=_POS)
+    kernel = TranslatedPoissonCluster(cmean, _displacement(p))
+    sampler = BrixKendallSampler(LebesgueIntensity(rate0, window.dim), kernel, window)
+
+    def oracle(n_reps, rng):
+        from .oracles import cluster_direct_chains
+
+        return cluster_direct_chains(rate0, kernel, window, n_reps, rng)
+
+    validate = _count_checks(
+        sampler.sample_chains,
+        mean=("cluster-mean-count", rate0 * cmean * window.volume()),
+        oracle=("cluster-counts-vs-oracle", oracle),
+        per_rep=rate0 * (sampler.region.volume() + cmean * window.volume()),  # germs, points
+    )
+    return _built(sampler.sample, window, validate)

@@ -25,7 +25,8 @@ Many replicates drawn in lockstep from one generator are listed as
 homogeneous_chains draws n such replicates, kept_rows carries the offsets
 through a filter of the rows, and thin_chains is thin over every replicate's
 rows at once. sample_homogeneous is homogeneous_chains at n = 1, and a form
-at n = 1 makes the generator calls of the single draw.
+at n = 1 makes the generator calls of the single draw. order_by_label sorts
+rows by replicate, then by value. The config builders' shared parts end the module.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "thin_chains",
     "kept_rows",
     "chain_offsets",
+    "order_by_label",
     "poisson_counts",
     "pair_blocks",
     "PointPattern",
@@ -493,6 +495,18 @@ def chain_offsets(counts):
     return offsets
 
 
+def order_by_label(values, labels):
+    """The order np.lexsort((values, labels)) gives: by label, by value within
+    a label, and ties in input order. A stable sort of the values, then a
+    stable sort of the labels (nonnegative integers) in the narrowest unsigned
+    type that holds them, which numpy radix-sorts at 16 bits or fewer."""
+    order = np.argsort(values, kind="stable")
+    if not order.size:
+        return order
+    labels = labels[order].astype(np.min_scalar_type(int(labels.max())), copy=False)
+    return order[np.argsort(labels, kind="stable")]
+
+
 def poisson_counts(mean, n_chains, rng):
     """n_chains independent Poisson counts from one call, of one mean or of a
     list of one mean per replicate. One replicate's count is a scalar call,
@@ -607,3 +621,87 @@ class DensityIntensity(_Frozen):
         if len(pts):
             pts = thin(pts, self.density_at(pts) / self.bound, rng)
         return PointPattern(pts, dim=w.dim)
+
+
+# -- what every config builder uses ------------------------------------------
+#
+# Here, not in cli, since no sampler module may import cli: run as `python -m
+# exactpp.cli`, cli is __main__, and importing exactpp.cli would compile it again.
+
+# (test, phrase) checks of one value
+_NONNEG = (lambda x: x >= 0, "must be nonnegative")
+_POS = (lambda x: x > 0, "must be positive")
+_AT_LEAST_1 = (lambda x: x >= 1, "must be at least 1")
+_UNIT = (lambda x: 0 <= x <= 1, "must lie in [0, 1]")
+_OPEN_UNIT = (lambda x: 0 < x < 1, "must lie strictly between 0 and 1")
+
+
+def _finite(v):
+    """float(v) for a finite JSON number, None for anything else (bools included).
+
+    Python's json module reads NaN, Infinity and integers too large for a float.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        x = float(v)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _made(path, make, *args):
+    """make(*args), whose refusal of several values together is prefixed with their
+    object's dotted path; it keeps its exception type, and so its exit code."""
+    try:
+        return make(*args)
+    except (ConfigError, SamplerError) as exc:
+        raise type(exc)(f"'{path}': {exc}") from None
+
+
+def _interval_report(name, value, expect, half):
+    from .validation import TestReport
+
+    err = abs(value - expect)
+    return TestReport(
+        name=name,
+        statistic=err,
+        threshold=half,
+        alpha=0.0,
+        decision="accept" if err <= half else "reject",
+        details={"value": value, "expected": expect},
+    )
+
+
+def _count_checks(chains, mean=None, oracle=None, per_rep=0.0):
+    """The count battery as a validate closure: the replicates' counts drawn
+    by validation.replicate_counts, from the sampler's lockstep form
+    chains(k, rng) in blocks of replicates that hold about per_rep points
+    each; then a mean check of the counts for
+    mean=(name, expected count), and a two-sample KS test of the counts for
+    oracle=(name, oracle_chains). oracle_chains(k, rng) returns the
+    (points, offsets) of k reference chains drawn in lockstep; the n_reps
+    chains are drawn in the battery's blocks, one call after another on the
+    one generator of the ORACLE substream, and only their counts are kept.
+    Both sides' counts are np.diff(offsets). Any oracle set-up belongs inside
+    oracle_chains, so it runs only when validation does."""
+
+    def validate(stream, n_reps, collector):
+        from .validation import ORACLE, battery_blocks, mean_ci, replicate_counts, two_sample_ks
+
+        counts = replicate_counts(n_reps, stream, chains, per_rep=per_rep)
+        if mean is not None:
+            value, half = mean_ci(counts)
+            collector.add(_interval_report(mean[0], value, mean[1], half))
+        if oracle is not None:
+            rng = stream.substream(ORACLE).generator()
+            reference = [np.diff(oracle[1](k, rng)[1]) for k in battery_blocks(n_reps, per_rep)]
+            collector.add(two_sample_ks(counts, np.concatenate(reference), name=oracle[0]))
+
+    return validate
+
+
+def _built(sample, window, validate, plots=("points-2d",), meta=None, **extra):
+    """What build returns: every sampler also plots a counts histogram."""
+    return {"sample": sample, "window": window, "validate": validate,
+            "plots": {"counts-histogram", *plots}, "meta": meta or {}, **extra}

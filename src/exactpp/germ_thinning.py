@@ -30,21 +30,10 @@ import sys
 
 import numpy as np
 
-from .core import (
-    MAX_MEAN_POINTS,
-    PAIR_BLOCK,
-    PointPattern,
-    SamplerError,
-    _Frozen,
-    _mean_count,
-    chain_offsets,
-    homogeneous_chains,
-    kept_rows,
-    pair_blocks,
-    poisson_counts,
-    thin,
-    thin_chains,
-)
+from .core import (MAX_MEAN_POINTS, PAIR_BLOCK, _AT_LEAST_1, _NONNEG, _OPEN_UNIT, _POS, _UNIT,
+                   PointPattern, SamplerError, _built, _count_checks, _Frozen, _mean_count,
+                   chain_offsets, homogeneous_chains, kept_rows, order_by_label, pair_blocks,
+                   poisson_counts, thin, thin_chains)
 
 __all__ = [
     "TableGrid",
@@ -273,7 +262,7 @@ def renewal_thin_first_chains(hazard, bound, thin_p, n_chains, rng, *, p_tail, p
         times.sort()
     else:
         times = rng.random(sum(counts)) * np.repeat(uppers, counts)
-        times = times[np.lexsort((times, np.repeat(np.arange(len(counts)), counts)))]
+        times = times[order_by_label(times, np.repeat(np.arange(len(counts)), counts))]
     flags = np.zeros(times.size, bool)
     flags[thin(np.arange(times.size), thin_p(times), rng)] = True
     times, flags = times.tolist(), flags.tolist()  # for the loops
@@ -560,3 +549,150 @@ def nonlinear_hawkes_germ_chains(phi, phi_bound, h, h_support, window, n_chains,
         inside += mine
         kept[c] = len(mine)
     return np.asarray(inside, dtype=float).reshape(-1, 1), chain_offsets(kept)
+
+
+# -- config builders, which cli.build calls --------------------------------------
+
+
+def _grid_horizon(spec, tail=1e-5):
+    """A site index beyond which any retained site has probability <= tail."""
+    n = 4
+    while 1.0 - spec.survival(n) > tail:
+        n *= 2
+        if n > 50_000_000:
+            raise SamplerError("retention tail too heavy for a finite-horizon oracle")
+    return n + 1
+
+
+def _build_grid_thinning(p, window):
+    family, p = p.variant("family", {"table": ("probs",), "geometric": ("c", "ratio"),
+                                     "inverse_square": ("C",)})
+    if family == "table":
+        spec = TableGrid(p.floats("probs", check=_UNIT))
+    elif family == "geometric":
+        spec = GeometricGrid(p.get("c", float, check=_UNIT),
+                             p.get("ratio", float, check=_OPEN_UNIT))
+    else:
+        spec = InverseSquareGrid(p.get("C", float, check=_POS))
+
+    def sample(rng):
+        sites = thin_grid(spec, rng)
+        return PointPattern(np.asarray(sites, dtype=float).reshape(-1, 1), dim=1)
+
+    def chains(n_reps, rng):
+        sites, offsets = spec.sample_chains(n_reps, rng)
+        return sites.astype(float).reshape(-1, 1), offsets
+
+    def oracle(n_reps, rng):
+        from .oracles import grid_thin_after_chains
+
+        return grid_thin_after_chains(spec.p, _grid_horizon(spec), n_reps, rng)
+
+    # a replicate draws a coin per site below its last one, few in any grid
+    # whose tail the oracle's horizon covers: the battery is one block
+    validate = _count_checks(chains, oracle=("grid-counts-vs-thin-after", oracle))
+    return _built(sample, window, validate, ())
+
+
+def _build_renewal(p, window):
+    _, inter = p.tagged("interarrival", "kind", {"gamma": ("shape", "scale")})
+    shape = inter.get("shape", float, check=_AT_LEAST_1)  # a bounded hazard
+    scale = inter.get("scale", float, 1.0, _POS)
+    _, retention = p.tagged("thin", "kind", {"exp": ("rate",)})  # a finite retained mass
+    thin_rate = retention.get("rate", float, check=_POS)
+
+    bound = 1.0 / scale  # gamma hazard with shape >= 1 increases toward 1/scale
+    hazard = _gamma_hazard(shape, scale)
+
+    def thin_p(ts):
+        return np.exp(-thin_rate * ts)
+
+    def p_tail(t):
+        return math.exp(-thin_rate * t) / thin_rate
+
+    def sample(rng):
+        return renewal_thin_first(
+            hazard, bound, thin_p, rng, p_tail=p_tail, p_mass=1.0 / thin_rate
+        )
+
+    def chains(n_reps, rng):
+        return renewal_thin_first_chains(
+            hazard, bound, thin_p, n_reps, rng, p_tail=p_tail, p_mass=1.0 / thin_rate
+        )
+
+    def oracle(n_reps, rng):
+        from .oracles import renewal_thin_after_chains
+
+        return renewal_thin_after_chains(
+            lambda r, size: r.gamma(shape, scale, size), thin_p, 60.0 / thin_rate, n_reps, rng
+        )
+
+    validate = _count_checks(chains, oracle=("renewal-counts-vs-thin-after", oracle),
+                             per_rep=bound / thin_rate)  # the mean candidate count
+    return _built(sample, window, validate, ())
+
+
+def _build_matern(p, window):
+    rate = p.get("rate", float, check=_NONNEG)
+    radius = p.get("radius", float, check=_NONNEG)
+    thin_p = p.get("thin_p", float, 1.0, _UNIT)
+
+    def thin_fn(pts):
+        return thin_p  # one retention probability for every point; it broadcasts
+
+    def sample(rng):
+        return matern_thin_first(rate, radius, thin_fn, window, rng)
+
+    def chains(n_reps, rng):
+        return matern_thin_first_chains(rate, radius, thin_fn, window, n_reps, rng)
+
+    def oracle(n_reps, rng):
+        from .oracles import matern_direct_chains
+
+        return matern_direct_chains(rate, radius, thin_fn, window, n_reps, rng)
+
+    validate = _count_checks(chains, oracle=("hardcore-counts-vs-thin-after", oracle),
+                             per_rep=rate * window.buffered(radius).volume())
+    return _built(sample, window, validate)
+
+
+def _build_nonlinear_hawkes(p, window):
+    _, phi_spec = p.tagged("phi", "kind", {"saturating": ("bound", "base")})
+    lam = phi_spec.get("bound", float, check=_POS)
+    base = phi_spec.get("base", float, check=_POS)
+    _, exc = p.tagged("excitation", "kind", {"triangular": ("height", "support")})
+    height = exc.get("height", float, check=_NONNEG)
+    support = exc.get("support", float, check=_POS)
+
+    def phi(drive):
+        return lam * -math.expm1(-(base + float(drive)) / lam)
+
+    def h(t):
+        return height * max(1.0 - float(t) / support, 0.0)
+
+    # phi and h elementwise on arrays, for the lockstep oracle; the sampler keeps the above
+    def phi_array(drive):
+        return lam * -np.expm1(-(base + drive) / lam)
+
+    def h_array(t):
+        return height * np.maximum(1.0 - t / support, 0.0)
+
+    def sample(rng):
+        return nonlinear_hawkes_germ(phi, lam, h, support, window, rng)
+
+    def chains(n_reps, rng):
+        return nonlinear_hawkes_germ_chains(phi, lam, h, support, window, n_reps, rng)
+
+    def oracle(n_reps, rng):
+        from .oracles import nonlinear_hawkes_burn_in_chains
+
+        burn = 20.0 * math.exp(min(lam * support, 30.0)) / lam + 10.0 * support
+        return nonlinear_hawkes_burn_in_chains(
+            phi_array, lam, h_array, support, window, burn, n_reps, rng
+        )
+
+    # the backward scan's e^(bound * support) points and the forward stream's
+    per_rep = math.exp(min(lam * support, 700.0)) + lam * window.volume()
+    validate = _count_checks(chains, oracle=("nonlinear-counts-vs-burn-in", oracle),
+                             per_rep=per_rep)
+    return _built(sample, window, validate, ())

@@ -39,14 +39,9 @@ import math
 import numpy as np
 
 from .branching_approx import sample_gw_cluster
-from .core import (
-    MAX_MEAN_POINTS,
-    PointPattern,
-    SamplerError,
-    _Frozen,
-    chain_offsets,
-    poisson_counts,
-)
+from .core import (MAX_MEAN_POINTS, _NONNEG, _POS, ConfigError, PointPattern, SamplerError, _built,
+                   _count_checks, _finite, _Frozen, _made, chain_offsets, order_by_label,
+                   poisson_counts)
 
 __all__ = [
     "EPS_ROUND",
@@ -790,5 +785,61 @@ class HawkesSampler:
         pts, rep = drawn if n != 1 else (drawn, np.zeros(drawn.size, dtype=int))
         inside = (pts >= 0.0) & (pts <= self.a)
         cut, cut_rep = pts[inside], rep[inside]
-        order = np.lexsort((cut, cut_rep))
+        order = order_by_label(cut, cut_rep)
         return cut[order].reshape(-1, 1), chain_offsets(np.bincount(cut_rep, minlength=n))
+
+
+# -- config builder, which cli.build calls ----------------------------------------
+
+
+def _fertility(p):
+    family, k = p.tagged("kernel", "family", {
+        "exponential": ("beta", "gamma", "marks"),
+        "polynomial": ("coeffs", "support", "marks"),
+        "table": ("breaks", "values", "marks"),
+    })
+    marks = k.get("marks", list, [[1.0, 1.0]])
+    if not all(isinstance(m, list) and len(m) == 2 and None not in map(_finite, m)
+               for m in marks):
+        raise ConfigError(
+            f"'{k.path}.marks' must be a list of [weight, value] pairs of finite numbers"
+        )
+    marks = tuple((float(w), float(z)) for w, z in marks)
+    if family == "exponential":
+        beta, gamma = k.get("beta", float, check=_NONNEG), k.get("gamma", float, check=_POS)
+        return _made(k.path, ExponentialFertility, beta, gamma, marks)
+    if family == "polynomial":
+        return _made(k.path, PolynomialFertility, k.floats("coeffs"),
+                     k.get("support", float, check=_POS), marks)
+    return _made(k.path, PiecewiseConstantFertility, k.floats("breaks"), k.floats("values"), marks)
+
+
+def _build_hawkes_mr(p, window):
+    kernel = _fertility(p)
+    mu = p.get("mu", float, check=_NONNEG)
+    if abs(window.lower[0]) > 1e-12:
+        raise ConfigError("'window.lower' must be [0] for the self-exciting sampler")
+    sampler = HawkesSampler(kernel, mu, window.upper[0], tol=p.get("tol", float, 1e-3, _POS),
+                            step=p.get("step", float, 1e-4, _POS))
+
+    def oracle(n_reps, rng):
+        from .oracles import hawkes_bounded_burn_in_chains, hawkes_exp_burn_in_chains
+
+        a, burn = window.upper[0], 60.0 / max(kernel.suggested_decay(), 1e-6)
+        chains = (hawkes_exp_burn_in_chains if isinstance(kernel, ExponentialFertility)
+                  else hawkes_bounded_burn_in_chains)
+        return chains(kernel, mu, a, burn, n_reps, rng)
+
+    # a replicate's points: the clusters of its mu a immigrants, mu t0 near candidates
+    # and mu / theta far ones, whose Q-clusters root 1 / (1 - rho_theta) clusters each
+    far = 1.0 / (kernel.theta * (1.0 - kernel.rho_theta)) if kernel.rho > 0 else 0.0
+    per_rep = mu * (window.upper[0] + sampler.meta["t0"] + far) / (1.0 - kernel.rho)
+    validate = _count_checks(
+        sampler.sample_chains,
+        mean=("self-exciting-mean-count", mu * window.upper[0] / (1.0 - kernel.rho)),
+        oracle=("self-exciting-counts-vs-burn-in", oracle),
+        per_rep=per_rep,
+    )
+    # the certified curve is built only if a plot reads it
+    return _built(sampler.sample, window, validate, ("points-2d", "sandwich-curves"),
+                  dict(sampler.meta), sampler=sampler, kernel=kernel)

@@ -759,12 +759,29 @@ def test_sample_writes_validation_report_when_enabled(tmp_path):
 
 # -- plotdata -----------------------------------------------------------------------
 
+# sha256 of each plot kind's CSV for the configs below
+PLOTDATA_SHA256 = {
+    "points-2d": "3ab20d93fc80ba40d205fdcf9888b485971be392ded5058e29d153bd5f43570c",
+    "counts-histogram": "799e4e4f56b51169abba558641ce1d24a4fe28d080ac982986e60d449cd191d6",
+    "sandwich-curves": "3d49ebee91631eb60f25c454cdcb543c527c2f6ed11f4d8d9f3d1a71e96a0d2b",
+    "coverage-raster": "691d470f3b25f394ffbfef55c35d9d14a130901f7bdbc7c4d6f571d894496824",
+}
+
+
+def _plot_lines(tmp_path, kind):
+    """The lines of a plotdata CSV, after checking its bytes against the pin."""
+    data = (tmp_path / "pd" / f"{kind}.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PLOTDATA_SHA256[kind], pin_message(
+        f"{kind} plot data")
+    return data.decode().splitlines()
+
+
 
 def test_plotdata_points_2d(tmp_path):
     rc = main(["plotdata", "-c", _cfg_file(tmp_path, POISSON_CFG),
                "--kind", "points-2d", "-o", str(tmp_path / "pd")])
     assert rc == 0
-    lines = (tmp_path / "pd" / "points-2d.csv").read_text().splitlines()
+    lines = _plot_lines(tmp_path, "points-2d")
     assert lines[0] == "x,y"
     assert len(lines) > 1
     xs, ys = zip(*(map(float, ln.split(",")) for ln in lines[1:]))
@@ -787,7 +804,7 @@ def test_plotdata_counts_histogram(tmp_path):
     rc = main(["plotdata", "-c", _cfg_file(tmp_path, cfg),
                "--kind", "counts-histogram", "-o", str(tmp_path / "pd")])
     assert rc == 0
-    lines = (tmp_path / "pd" / "counts-histogram.csv").read_text().splitlines()
+    lines = _plot_lines(tmp_path, "counts-histogram")
     assert lines[0] == "count,frequency"
     rows = [ln.split(",") for ln in lines[1:]]
     assert [int(k) for k, _ in rows] == list(range(len(rows)))
@@ -804,7 +821,7 @@ def test_plotdata_sandwich_curves(tmp_path):
     rc = main(["plotdata", "-c", _cfg_file(tmp_path, cfg),
                "--kind", "sandwich-curves", "-o", str(tmp_path / "pd")])
     assert rc == 0
-    lines = (tmp_path / "pd" / "sandwich-curves.csv").read_text().splitlines()
+    lines = _plot_lines(tmp_path, "sandwich-curves")
     assert lines[0] == "t,lower,upper,oracle_tail"
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     t, lo, hi, oracle = data.T
@@ -825,7 +842,7 @@ def test_plotdata_coverage_raster(tmp_path):
     rc = main(["plotdata", "-c", _cfg_file(tmp_path, cfg),
                "--kind", "coverage-raster", "-o", str(tmp_path / "pd")])
     assert rc == 0
-    lines = (tmp_path / "pd" / "coverage-raster.csv").read_text().splitlines()
+    lines = _plot_lines(tmp_path, "coverage-raster")
     assert lines[0] == "x,y,covered"
     assert len(lines) == 1 + 200 * 200
     flags = {ln.rsplit(",", 1)[1] for ln in lines[1:]}

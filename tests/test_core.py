@@ -130,6 +130,20 @@ def test_thin_rejects_probabilities_outside_the_unit_interval(p):
         thin(np.arange(3), p, RngStream(14, 0).generator())
 
 
+
+@pytest.mark.parametrize("n, n_labels", [(5_000, 300), (5_000, 70_000), (400, 1), (0, 1)])
+def test_order_by_label_is_lexsort(n, n_labels):
+    """Values with ties (two decimals), labels in one byte, two bytes, beyond
+    two bytes, one label and empty input: the order is np.lexsort's."""
+    rng = np.random.default_rng(n + n_labels)
+    values = np.round(rng.random(n), 2)
+    labels = rng.integers(0, n_labels, n)
+    order = core.order_by_label(values, labels)
+    expect = np.lexsort((values, labels))
+    assert np.array_equal(order, expect)
+    assert values[order].tobytes() == values[expect].tobytes()
+    assert labels[order].tobytes() == labels[expect].tobytes()
+
 # -- RNG streams -------------------------------------------------------------------
 
 

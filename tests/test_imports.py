@@ -13,6 +13,7 @@ runs with one worker. Neither an import nor a build loads dataclasses or
 argparse, and a sample run with validation off loads no validation module."""
 
 import functools
+import importlib
 import json
 import os
 import subprocess
@@ -260,3 +261,75 @@ def test_demo_builds_and_draws_load_no_oracles_or_csv():
         check=True,
     )
     assert json.loads(out.stdout.splitlines()[-1]) == []
+
+
+RUN_AS_MAIN_SCRIPT = """
+import json, runpy, sys
+from pathlib import Path
+root, codes = Path(sys.argv[1]), []
+for path in sorted(Path("configs").glob("*.json")):
+    cfg = json.loads(path.read_text())
+    cfg.setdefault("validation", {})["enabled"] = True
+    out = root / path.stem
+    out.mkdir()
+    (out / "config.json").write_text(json.dumps(cfg))
+    sys.argv = ["exactpp", "sample", "-c", str(out / "config.json"), "-o", str(out / "o")]
+    try:  # as `python -m exactpp.cli sample ...` runs it
+        runpy.run_module("exactpp.cli", run_name="__main__")
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps([codes, "exactpp.cli" in sys.modules]))
+"""
+
+
+def test_cli_run_as_main_is_not_imported_again(tmp_path):
+    """Under `python -m exactpp.cli` the CLI is __main__; a builder that
+    imported exactpp.cli would compile and run the CLI module a second time.
+    Validated runs of every demo config import no exactpp.cli."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), EXACTPP_WORKERS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", RUN_AS_MAIN_SCRIPT, str(tmp_path)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    codes, imported = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0] * 11 and imported is False
+
+
+def test_each_builder_is_defined_in_the_module_its_entry_names():
+    from exactpp import cli
+
+    for sampler, (home, _, _) in cli._BUILDERS.items():
+        module = importlib.import_module(f"exactpp.{home or 'cli'}")
+        assert getattr(module, f"_build_{sampler}").__module__ == module.__name__, sampler
+
+
+PLOT_MODULE_SCRIPT = """
+import json, sys
+import exactpp.cli as cli
+cfg, out = "configs/boolean_disks.json", sys.argv[1]
+loaded = []
+for argv in (["sample", "-c", cfg, "-o", out], ["validate", "-c", cfg],
+             ["plotdata", "-c", cfg, "--kind", "coverage-raster", "-o", out]):
+    assert cli.main(argv) == 0
+    loaded.append("exactpp.plotdata" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_plotdata_loads_the_plot_module(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), EXACTPP_WORKERS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", PLOT_MODULE_SCRIPT, str(tmp_path)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == [False, False, True]

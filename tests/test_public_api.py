@@ -214,7 +214,7 @@ def _code_trees():
 def _passes(call):
     """The callee's name, how many leading positions the call fills (all of them
     after a *args), and the keywords it passes (None after a **kwargs). A call
-    of cli._made(path, make, *args) is the call make(*args)."""
+    of core._made(path, make, *args) is the call make(*args)."""
     func, args = call.func, call.args
     name = getattr(func, "id", getattr(func, "attr", None))
     if name == "_made" and len(args) >= 2:
