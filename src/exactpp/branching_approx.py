@@ -42,17 +42,17 @@ POINT_CAP = 5_000_000
 class GWCluster:
     """All points of one or more single-ancestor clusters, with generation labels.
 
-    owner[i] is the root that point i descends from.  ancestor, ancestor_mark
-    and extinction_time (last point minus ancestor, on the line) are floats for
-    a scalar ancestor and have one entry per root otherwise.  generations,
-    owner and extinction_time are built from the brood counts when first read:
-    a Hawkes draw reads only points and owner, and a branching draw only
-    points, so neither pays for the other labels.
+    owner[i] is the root that point i descends from, grown in the generation
+    loop beside the points.  ancestor, ancestor_mark and extinction_time (last
+    point minus ancestor, on the line) are floats for a scalar ancestor and
+    have one entry per root otherwise.  generations and extinction_time are
+    built when first read, generations from the size of each generation: a
+    Hawkes draw reads only points and owner, and a branching draw only points.
     """
 
-    def __init__(self, points, ancestor, ancestor_mark, broods):
+    def __init__(self, points, ancestor, ancestor_mark, owner, sizes):
         self.points, self.ancestor, self.ancestor_mark = points, ancestor, ancestor_mark
-        self._broods = broods  # broods[k][j]: the children of point j of generation k
+        self.owner, self._sizes = owner, sizes  # sizes[k]: the points of generation k
 
     @property
     def n(self):
@@ -60,14 +60,7 @@ class GWCluster:
 
     @functools.cached_property
     def generations(self):
-        return np.arange(len(self._broods)).repeat([b.size for b in self._broods])
-
-    @functools.cached_property
-    def owner(self):
-        owners = [np.arange(self._broods[0].size)]
-        for counts in self._broods[:-1]:
-            owners.append(owners[-1].repeat(counts))
-        return np.concatenate(owners)
+        return np.arange(len(self._sizes)).repeat(self._sizes)
 
     @functools.cached_property
     def extinction_time(self):
@@ -87,12 +80,12 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
     kernel.sample_displacement, (n,) or (n, d); the recursion terminates a.s.
     (mean brood < 1).  All clusters grow in one generation loop, and point_cap
     bounds the points of the whole call, roots included.  generations, if
-    given, keeps generations 0..generations: the last one's points get an
-    all-zero brood and draw nothing.  The roots draw their marks from the
-    mixture unless root_marks gives them, one per root.  Each generation costs
-    its generator calls, one repeat (whose size is the next generation's) and
-    one add; the loop keeps the brood counts, from which GWCluster builds the
-    labels a caller reads.
+    given, keeps generations 0..generations: the last one's points get no
+    children.  The roots draw their marks from the mixture unless root_marks
+    gives them, one per root.  Each generation costs its generator calls, two
+    repeats by the same counts (of the parents' positions and of their owner
+    labels) and one add; the loop keeps each generation's size, from which
+    GWCluster builds the generation labels if they are read.
 
     A kernel with one mark (one_mark and one_mark_nu, the offspring mean of
     every point, are not None) draws no marks: each generation's offspring
@@ -113,10 +106,10 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
         marks = anc_marks = kernel.sample_mark(len(roots), rng)
     else:
         marks = anc_marks = None  # None: every mark is the kernel's one mark
-    pts, broods, gen, total = [roots], [], roots, len(roots)
+    gen, own, total = roots, np.arange(len(roots)), len(roots)
+    pts, owners, sizes = [gen], [own], [total]
     for _ in itertools.repeat(None) if generations is None else range(generations):
         counts = poisson(nu, len(gen)) if marks is None else poisson(kernel.nu_inf(marks))
-        broods.append(counts)
         gen = gen.repeat(counts, 0)  # each child at its parent (axis 0): the size is the count
         n = len(gen)
         total += n
@@ -128,18 +121,19 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
         if n == 0:
             break
         gen += displace(n, rng)
+        own = own.repeat(counts)
         pts.append(gen)
+        owners.append(own)
+        sizes.append(n)
         marks = None if nu is not None else kernel.sample_mark(n, rng)
-    else:  # the generation cap: the last generation's points have no children
-        broods.append(np.zeros(len(gen), dtype=int))
-    points = np.concatenate(pts)
+    points, owner = np.concatenate(pts), np.concatenate(owners)
     if batch:
         if anc_marks is None:  # the one mark, filled in at half the cost of np.full
             anc_marks = np.empty(len(roots))
             anc_marks.fill(kernel.one_mark)
-        return GWCluster(points, roots, anc_marks, broods)
+        return GWCluster(points, roots, anc_marks, owner, sizes)
     z = kernel.one_mark if anc_marks is None else float(anc_marks[0])
-    return GWCluster(points, float(ancestor), z, broods)
+    return GWCluster(points, float(ancestor), z, owner, sizes)
 
 
 class TruncationCertificate(_Frozen):

@@ -610,13 +610,14 @@ def _reaching_clusters(kernel, near, far, rng, imm, imm_counts):
     spine nodes before the last carry z-size-biased marks, and every spine
     node roots an ordinary cluster with its mark; the near candidates, the
     last spine nodes and the immigrants draw ordinary marks.  All clusters of
-    the call, the immigrants' included, grow in one sample_gw_cluster call, of
-    which only points and owner are read, so the call's point cap, POINT_CAP
-    a replicate, bounds them together.  A candidate's roots sit in its own
-    frame (the candidate at 0), and its reach, its last point, is the largest
-    r + (p - r) over the points p of its clusters, r the root of p: one
-    reduction.  It equals the largest root plus extinction time bit for bit,
-    since fl(r + x) is nondecreasing in x: the largest fl(r + fl(p - r)) over
+    the call, the immigrants' included, grow in one sample_gw_cluster call,
+    whose point cap, POINT_CAP a replicate, bounds them together; only its
+    points and the owner labels grown beside them are read, and the cluster
+    is dropped once they are.  A candidate's roots sit in its own frame (the
+    candidate at 0), and its reach, its last point, is the largest r + (p - r)
+    over the points p of its clusters, r the root of p: one reduction.  It
+    equals the largest root plus extinction time bit for bit, since
+    fl(r + x) is nondecreasing in x: the largest fl(r + fl(p - r)) over
     a root's points is fl(r + L), with L = the largest fl(p - r).
 
     Returns the points of the kept clusters (a candidate's at -t plus their
@@ -628,37 +629,41 @@ def _reaching_clusters(kernel, near, far, rng, imm, imm_counts):
     n_cand = n_plain + n_spine
     imm_at = n_cand if n_reps == 1 else slice(n_cand, None)  # a scalar index costs less
     nodes = rng.geometric(1.0 - kernel.rho_theta, size=n_spine)
-    spine = np.arange(n_plain, n_cand).repeat(nodes)  # the candidate of each spine node
+    n_owners = n_cand + n_reps
+    roots_of = np.ones(n_owners, dtype=int)  # a far candidate's roots are its spine nodes
+    roots_of[n_plain:n_cand] = nodes
+    roots_of[n_cand:] = imm_counts
+    owner = np.arange(n_owners).repeat(roots_of)  # the owner of each root
+    n_nodes = owner.size - n_plain - imm.size  # the spine nodes
     ends = nodes.cumsum()
     first = ends - nodes
-    steps = np.zeros(spine.size)
-    is_first = np.zeros(spine.size, dtype=bool)
+    steps = np.zeros(n_nodes)
+    is_first = np.zeros(n_nodes, dtype=bool)
     is_first[first] = True
-    steps[~is_first] = kernel.sample_tilted_displacement(spine.size - n_spine, rng)
+    steps[~is_first] = kernel.sample_tilted_displacement(n_nodes - n_spine, rng)
     pos = steps.cumsum()
     pos -= pos[first].repeat(nodes)
     roots = np.concatenate([np.zeros(n_plain), pos, imm])
-    owner = np.concatenate([np.arange(n_plain), spine,
-                            np.arange(n_cand, n_cand + n_reps).repeat(imm_counts)])
     marks = None  # one mark: sample_gw_cluster draws none
     if kernel.one_mark_nu is None:
         biased = np.zeros(roots.size, dtype=bool)
-        biased[n_plain : n_plain + spine.size] = True
+        biased[n_plain : n_plain + n_nodes] = True
         biased[n_plain - 1 + ends] = False  # the spine nodes before the last
-        n_biased = spine.size - n_spine
+        n_biased = n_nodes - n_spine
         marks = np.empty(roots.size)
         marks[biased] = kernel.sample_biased_mark(n_biased, rng)
         marks[~biased] = kernel.sample_mark(roots.size - n_biased, rng)
     cl = sample_gw_cluster(kernel, roots, rng, POINT_CAP * n_reps, root_marks=marks)
-    r, who = roots[cl.owner], owner[cl.owner]
-    n_owners = n_cand + n_reps
+    points, r, who = cl.points, roots[cl.owner], owner[cl.owner]
+    del cl  # its owner labels, one per grown point, are read no more
     limit = np.empty(n_owners)
     limit[:n_plain] = near
     limit[n_plain:n_cand] = far
     limit[imm_at] = -np.inf
     reach = np.zeros(n_owners)
-    np.maximum.at(reach, who, r + (cl.points - r))
-    weights = np.exp(theta * (cl.points - limit[who]))  # the immigrants' are inf, never read
+    np.maximum.at(reach, who, r + (points - r))
+    del r
+    weights = np.exp(theta * (points - limit[who]))  # the immigrants' are inf, never read
     z_tilted = np.bincount(who, weights=weights, minlength=n_owners)
     kept = reach > limit
     # a Q-cluster's coin: u < e^(theta t) / Z
@@ -666,7 +671,7 @@ def _reaching_clusters(kernel, near, far, rng, imm, imm_counts):
     mine = kept[who]
     who = who[mine]
     limit[imm_at] = 0.0  # now the shift of each owner's points: the immigrants' stay put
-    return cl.points[mine] - limit[who], who
+    return points[mine] - limit[who], who
 
 
 class HawkesSampler:
@@ -694,8 +699,8 @@ class HawkesSampler:
 
     One body, _conditioned_cluster, draws n replicates from one generator and
     grows the clusters of all their candidates and immigrants in one
-    sample_gw_cluster call, reading only their points and owner, so GWCluster
-    builds no other label for it.  sample is its one-replicate case and
+    sample_gw_cluster call, reading only their points and the owner labels
+    that the engine grows beside them.  sample is its one-replicate case and
     sample_chains, the lockstep form, cuts and sorts its n replicates.
     POINT_CAP bounds the points a call grows, per replicate: at most POINT_CAP
     for a draw, n * POINT_CAP for n replicates together.  A battery's blocks

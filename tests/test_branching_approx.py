@@ -4,6 +4,7 @@ collapse/overflow guard rails, and the Galton-Watson engine it shares with
 the Hawkes sampler."""
 
 import hashlib
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -245,6 +246,77 @@ def test_engine_keeps_row_roots_aligned_with_their_labels():
     tol = 1e-12
     assert np.all(offsets >= g * np.array(BOX2.lo) - tol)
     assert np.all(offsets <= g * np.array(BOX2.hi) + tol)
+
+
+def _brood_engine(kernel, ancestor, rng, root_marks=None, generations=None):
+    """The engine's draws with its labels derived as the reference: the loop keeps
+    broods[k][j], the children of point j of generation k, and owner and
+    generations are rebuilt from them after the loop."""
+    roots = np.asarray(ancestor, dtype=float)
+    roots = roots if roots.ndim else roots.reshape(1)
+    nu = kernel.one_mark_nu
+    if root_marks is not None:
+        marks = np.asarray(root_marks, dtype=float).reshape(-1)
+    else:
+        marks = None if nu is not None else kernel.sample_mark(len(roots), rng)
+    anc_marks = np.full(len(roots), kernel.one_mark) if marks is None else marks
+    pts, broods, gen = [roots], [], roots
+    for _ in itertools.count() if generations is None else range(generations):
+        counts = rng.poisson(nu, len(gen)) if marks is None else rng.poisson(kernel.nu_inf(marks))
+        broods.append(counts)
+        gen = gen.repeat(counts, 0)
+        if len(gen) == 0:
+            break
+        gen += kernel.sample_displacement(len(gen), rng)
+        pts.append(gen)
+        marks = None if nu is not None else kernel.sample_mark(len(gen), rng)
+    else:  # the generation cap: the last generation has no children
+        broods.append(np.zeros(len(gen), dtype=int))
+    owners = [np.arange(len(roots))]
+    for counts in broods[:-1]:
+        owners.append(owners[-1].repeat(counts))
+    points, owner = np.concatenate(pts), np.concatenate(owners)
+    labels = {"points": points, "owner": owner,
+              "generations": np.arange(len(broods)).repeat([b.size for b in broods])}
+    if np.ndim(ancestor) == 0:
+        labels["ancestor_mark"] = float(anc_marks[0])
+        labels["extinction_time"] = float(points.max() - float(ancestor))
+    else:
+        labels["ancestor_mark"] = anc_marks
+        if roots.ndim == 1:
+            labels["extinction_time"] = np.zeros(roots.size)
+            np.maximum.at(labels["extinction_time"], owner, points - roots[owner])
+    return labels
+
+
+TWO_MARK_KERNEL = ExponentialFertility(0.5, 1.0, marks=((0.25, 0.5), (0.75, 7 / 6)))
+
+
+@pytest.mark.parametrize(
+    "kernel, ancestor, kwargs",
+    [
+        (ExponentialFertility(0.5, 1.0), 0.5, {}),
+        (TWO_MARK_KERNEL, 0.5, {}),
+        (ExponentialFertility(0.5, 1.0), np.linspace(0.0, 1.0, 40), {}),
+        (TWO_MARK_KERNEL, np.linspace(0.0, 1.0, 40), {}),
+        (TWO_MARK_KERNEL, np.linspace(0.0, 1.0, 40), {"root_marks": np.tile([0.5, 7 / 6], 20)}),
+        (PROGENY2, np.arange(24.0).reshape(12, 2), {"generations": 0}),
+        (PROGENY2, np.arange(24.0).reshape(12, 2), {"generations": 6}),
+    ],
+    ids=["scalar", "scalar-two-marks", "forest", "forest-two-marks", "root-marks",
+         "rows-generations-0", "rows-generations-6"],
+)
+def test_engine_labels_equal_the_brood_count_reference(kernel, ancestor, kwargs):
+    rng, ref_rng = _gen(126), _gen(126)
+    for _ in range(200):
+        cl = sample_gw_cluster(kernel, ancestor, rng, **kwargs)
+        ref = _brood_engine(kernel, ancestor, ref_rng, **kwargs)
+        for field, want in ref.items():
+            got = getattr(cl, field)
+            assert type(got) is type(want), field
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field
+            assert np.asarray(got).dtype == np.asarray(want).dtype, field
+    assert rng.random(4).tolist() == ref_rng.random(4).tolist()
 
 
 def test_each_draw_grows_its_generations_in_one_engine_call(monkeypatch):

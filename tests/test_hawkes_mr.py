@@ -525,7 +525,9 @@ def test_two_mark_forest_keeps_its_bytes():
 # The digests below were computed before GWCluster built its labels on first
 # read and before the reach of a candidate became one reduction over its points;
 # the one-mark and Hawkes draw digests again when a draw grew all its clusters in
-# one call and one-mark kernels stopped drawing marks.
+# one call and one-mark kernels stopped drawing marks. They keep their bytes now
+# that the engine grows the owner labels in its generation loop and derives the
+# generation labels from each generation's size.
 
 
 @pytest.mark.parametrize(
@@ -761,6 +763,25 @@ def test_draws_allocate_nothing_the_size_of_the_grid():
     assert "sandwich" not in vars(s)
     grid_bytes = s.sandwich.phi.n_nodes * 8
     assert peak < grid_bytes / 4, (peak, grid_bytes)
+
+
+def test_a_heavy_lockstep_block_stays_under_60_mib():
+    # about 1.05M grown points. With the owner labels grown in the engine's
+    # loop, and the cluster and each point's root dropped once read, the block
+    # peaks at 52.7-53.0 MiB (tracemalloc, seeds 126-131); building the labels
+    # after the loop from kept brood counts peaked at 79.5-79.9 MiB. The bound
+    # leaves about 13%.
+    s = HawkesSampler(KERNEL, mu=60.0, a=10.0)
+    rng = _gen(126)
+    tracemalloc.start()
+    try:
+        _, offsets = s.sample_chains(333, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert offsets[-1] > 350_000  # points in the window; the block grows about 2.6 times as many
+    assert peak < 60 * 2**20, peak / 2**20
+
 
 def test_zero_excitation_sampler_is_poisson():
     s = HawkesSampler(ZERO_KERNEL, mu=2.0, a=3.0, tol=1e-3, step=0.01)
