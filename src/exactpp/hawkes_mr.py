@@ -590,19 +590,21 @@ def _total(counts):
 
 
 def _reaching_clusters(kernel, near, far, rng, imm, imm_counts):
-    """Which candidate ancestors at distances near and far before the window
-    reach it, and all clusters.
+    """The clusters of candidate ancestors at distances near and far before
+    the window, and of the immigrants.
 
-    The near candidates draw one ordinary cluster each and are kept iff its
-    extinction time L exceeds t.  The far ones draw one Q-cluster each
-    and are kept with probability 1{L > t} e^(theta t) / Z, at most 1 because
-    Z = sum_v e^(theta pos_v) >= e^(theta L).  Either way a kept cluster has
-    the law P(. | L > t).  The immigrants at positions imm (in the window's
+    The near candidates draw one ordinary cluster each and are all kept: one
+    whose extinction time L is at most t puts no point in the window, and the
+    cut to [0, a] drops its points.  The far ones draw one Q-cluster each and
+    are kept iff u Z < e^(theta t), u uniform and Z = sum_v e^(theta pos_v).
+    A kept far cluster with L <= t has every point at p - t <= 0; for L > t,
+    Z >= e^(theta L) > e^(theta t), so the coin keeps it with probability
+    e^(theta t) / Z, and the kept clusters that reach the window have the
+    law P(. | L > t).  The immigrants at positions imm (in the window's
     frame) carry ordinary clusters.  They come from len(imm_counts)
     replicates, imm_counts[r] of replicate r listed in turn, and replicate r's
-    immigrants belong to one more owner, which is always kept: its limit is
-    -inf, so every reach exceeds it.  The owners are the near candidates, the
-    far ones, then the replicates' immigrants.
+    immigrants belong to one more owner, which is always kept.  The owners
+    are the near candidates, the far ones, then the replicates' immigrants.
 
     A Q-cluster is a cluster size-biased by Z.  Under Q, a distinguished node
     lies Geometric(1 - rho_theta) - 1 generations deep, and the path to it (the
@@ -614,11 +616,7 @@ def _reaching_clusters(kernel, near, far, rng, imm, imm_counts):
     whose point cap, POINT_CAP a replicate, bounds them together; only its
     points and the owner labels grown beside them are read, and the cluster
     is dropped once they are.  A candidate's roots sit in its own frame (the
-    candidate at 0), and its reach, its last point, is the largest r + (p - r)
-    over the points p of its clusters, r the root of p: one reduction.  It
-    equals the largest root plus extinction time bit for bit, since
-    fl(r + x) is nondecreasing in x: the largest fl(r + fl(p - r)) over
-    a root's points is fl(r + L), with L = the largest fl(p - r).
+    candidate at 0).
 
     Returns the points of the kept clusters (a candidate's at -t plus their
     offsets, the immigrants' as drawn) and the owner of each of those points;
@@ -654,20 +652,17 @@ def _reaching_clusters(kernel, near, far, rng, imm, imm_counts):
         marks[biased] = kernel.sample_biased_mark(n_biased, rng)
         marks[~biased] = kernel.sample_mark(roots.size - n_biased, rng)
     cl = sample_gw_cluster(kernel, roots, rng, POINT_CAP * n_reps, root_marks=marks)
-    points, r, who = cl.points, roots[cl.owner], owner[cl.owner]
+    points, who = cl.points, owner[cl.owner]
     del cl  # its owner labels, one per grown point, are read no more
     limit = np.empty(n_owners)
     limit[:n_plain] = near
     limit[n_plain:n_cand] = far
     limit[imm_at] = -np.inf
-    reach = np.zeros(n_owners)
-    np.maximum.at(reach, who, r + (points - r))
-    del r
     weights = np.exp(theta * (points - limit[who]))  # the immigrants' are inf, never read
     z_tilted = np.bincount(who, weights=weights, minlength=n_owners)
-    kept = reach > limit
+    kept = np.ones(n_owners, dtype=bool)
     # a Q-cluster's coin: u < e^(theta t) / Z
-    kept[n_plain:n_cand] &= rng.random(n_spine) * z_tilted[n_plain:n_cand] < 1.0
+    kept[n_plain:n_cand] = rng.random(n_spine) * z_tilted[n_plain:n_cand] < 1.0
     mine = kept[who]
     who = who[mine]
     limit[imm_at] = 0.0  # now the shift of each owner's points: the immigrants' stay put
