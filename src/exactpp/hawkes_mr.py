@@ -4,12 +4,15 @@ A single-ancestor cluster rooted at 0 (offspring arrive as a Poisson process
 with intensity h(., z) scaled by the parent's mark, each offspring spawning
 its own independent subtree) has extinction time L = last point - ancestor.
 An ancestor a distance t before the window reaches it iff L > t, an event of
-probability F(t) = P(L > t).  HawkesSampler keeps exactly those ancestors
-without evaluating F: it thins candidates under the closed-form envelope
-U(t) = e^(-theta t) / (1 - rho_theta) of an exponentially tilted cluster law,
-and draws the tilted clusters through their spine.  Every cluster grows
-through branching_approx.sample_gw_cluster, the Galton-Watson engine that
-spatial branching draws share.
+probability F(t) = P(L > t).  HawkesSampler draws the ancestors that reach
+the window without evaluating F.  Up to t0, where the closed-form envelope
+U(t) = e^(-theta t) / (1 - rho_theta) of an exponentially tilted cluster law
+is at least 1, ancestors arrive at rate mu with ordinary clusters, and the
+cut to the window drops the points of those that do not reach it; beyond t0
+it thins candidates under U with a coin on their tilted clusters, drawn
+through their spine.  Every cluster grows through
+branching_approx.sample_gw_cluster, the Galton-Watson engine that spatial
+branching draws share.
 
 The CDF E = 1 - F is also the unique fixed point of
 
@@ -589,111 +592,103 @@ def _total(counts):
     return counts[0] if len(counts) == 1 else int(counts.sum())
 
 
-def _reaching_clusters(kernel, near, far, rng, imm, imm_counts):
-    """The clusters of candidate ancestors at distances near and far before
-    the window, and of the immigrants.
+def _kept_clusters(kernel, far, rng, roots, root_counts):
+    """The clusters of the plain roots and of the far ancestors that the tilted coin keeps.
 
-    The near candidates draw one ordinary cluster each and are all kept: one
-    whose extinction time L is at most t puts no point in the window, and the
-    cut to [0, a] drops its points.  The far ones draw one Q-cluster each and
-    are kept iff u Z < e^(theta t), u uniform and Z = sum_v e^(theta pos_v).
-    A kept far cluster with L <= t has every point at p - t <= 0; for L > t,
-    Z >= e^(theta L) > e^(theta t), so the coin keeps it with probability
-    e^(theta t) / Z, and the kept clusters that reach the window have the
-    law P(. | L > t).  The immigrants at positions imm (in the window's
-    frame) carry ordinary clusters.  They come from len(imm_counts)
-    replicates, imm_counts[r] of replicate r listed in turn, and replicate r's
-    immigrants belong to one more owner, which is always kept.  The owners
-    are the near candidates, the far ones, then the replicates' immigrants.
+    The plain roots, at positions roots in the window's frame, carry one
+    ordinary cluster each and are all kept.  They come from len(root_counts)
+    replicates, root_counts[r] of replicate r listed in turn.  A far ancestor
+    at -t, t in far, draws one Q-cluster, grown in the window's frame, and is
+    kept iff u Z < 1, u uniform and Z = sum_p e^(theta p) over its points p:
+    with probability min(1, e^(theta t) / Z_0), Z_0 = e^(theta t) Z the sum
+    over the cluster rooted at 0.  A coin-kept cluster whose extinction time
+    L is at most t has every point at p <= 0, and for L > t,
+    Z_0 >= e^(theta L) > e^(theta t), so the coin keeps it with probability
+    e^(theta t) / Z_0.
 
-    A Q-cluster is a cluster size-biased by Z.  Under Q, a distinguished node
+    A Q-cluster is a cluster size-biased by Z_0.  Under Q, a distinguished node
     lies Geometric(1 - rho_theta) - 1 generations deep, and the path to it (the
     spine) takes steps with density proportional to h0(s) e^(theta s).  The
     spine nodes before the last carry z-size-biased marks, and every spine
-    node roots an ordinary cluster with its mark; the near candidates, the
-    last spine nodes and the immigrants draw ordinary marks.  All clusters of
-    the call, the immigrants' included, grow in one sample_gw_cluster call,
-    whose point cap, POINT_CAP a replicate, bounds them together; only its
-    points and the owner labels grown beside them are read, and the cluster
-    is dropped once they are.  A candidate's roots sit in its own frame (the
-    candidate at 0).
+    node roots an ordinary cluster with its mark; the last spine nodes and
+    the plain roots draw ordinary marks.  All clusters of the call grow in
+    one sample_gw_cluster call, whose point cap, POINT_CAP a replicate,
+    bounds them together; only its points and the owner labels grown beside
+    them are read, and the cluster is dropped once they are.
 
-    Returns the points of the kept clusters (a candidate's at -t plus their
-    offsets, the immigrants' as drawn) and the owner of each of those points;
-    a kept candidate owns at least its own root.
+    Returns the points of the kept clusters and the owner of each: the far
+    ancestors are owners 0 to far.size - 1, and replicate r's plain roots
+    owner far.size + r.
     """
-    theta = kernel.theta
-    n_plain, n_spine, n_reps = near.size, far.size, len(imm_counts)
-    n_cand = n_plain + n_spine
-    imm_at = n_cand if n_reps == 1 else slice(n_cand, None)  # a scalar index costs less
-    nodes = rng.geometric(1.0 - kernel.rho_theta, size=n_spine)
-    n_owners = n_cand + n_reps
-    roots_of = np.ones(n_owners, dtype=int)  # a far candidate's roots are its spine nodes
-    roots_of[n_plain:n_cand] = nodes
-    roots_of[n_cand:] = imm_counts
-    owner = np.arange(n_owners).repeat(roots_of)  # the owner of each root
-    n_nodes = owner.size - n_plain - imm.size  # the spine nodes
+    n_far, n_reps = far.size, len(root_counts)
+    nodes = rng.geometric(1.0 - kernel.rho_theta, size=n_far)
+    roots_of = np.concatenate((nodes, root_counts))  # a far ancestor's roots are its spine nodes
+    owner = np.arange(n_far + n_reps).repeat(roots_of)  # the owner of each root
+    n_nodes = owner.size - roots.size  # the spine nodes
     ends = nodes.cumsum()
-    first = ends - nodes
-    steps = np.zeros(n_nodes)
-    is_first = np.zeros(n_nodes, dtype=bool)
-    is_first[first] = True
-    steps[~is_first] = kernel.sample_tilted_displacement(n_nodes - n_spine, rng)
-    pos = steps.cumsum()
-    pos -= pos[first].repeat(nodes)
-    roots = np.concatenate([np.zeros(n_plain), pos, imm])
+    # one tilted step a node, summed over all spines; taking away the running sum at each
+    # spine's first node puts that node at its ancestor, -t, and every later node at -t
+    # plus its depth
+    pos = kernel.sample_tilted_displacement(n_nodes, rng).cumsum()
+    pos -= (pos[ends - nodes] + far).repeat(nodes)
+    roots = np.concatenate((pos, roots))
     marks = None  # one mark: sample_gw_cluster draws none
     if kernel.one_mark_nu is None:
         biased = np.zeros(roots.size, dtype=bool)
-        biased[n_plain : n_plain + n_nodes] = True
-        biased[n_plain - 1 + ends] = False  # the spine nodes before the last
-        n_biased = n_nodes - n_spine
+        biased[:n_nodes] = True
+        biased[ends - 1] = False  # the spine nodes before the last
+        n_biased = n_nodes - n_far
         marks = np.empty(roots.size)
         marks[biased] = kernel.sample_biased_mark(n_biased, rng)
         marks[~biased] = kernel.sample_mark(roots.size - n_biased, rng)
+        del biased
+    del roots_of, pos, ends, nodes  # not held through the engine
     cl = sample_gw_cluster(kernel, roots, rng, POINT_CAP * n_reps, root_marks=marks)
+    del roots, marks
     points, who = cl.points, owner[cl.owner]
-    del cl  # its owner labels, one per grown point, are read no more
-    limit = np.empty(n_owners)
-    limit[:n_plain] = near
-    limit[n_plain:n_cand] = far
-    limit[imm_at] = -np.inf
-    weights = np.exp(theta * (points - limit[who]))  # the immigrants' are inf, never read
-    z_tilted = np.bincount(who, weights=weights, minlength=n_owners)
-    kept = np.ones(n_owners, dtype=bool)
-    # a Q-cluster's coin: u < e^(theta t) / Z
-    kept[n_plain:n_cand] = rng.random(n_spine) * z_tilted[n_plain:n_cand] < 1.0
+    del cl, owner  # the labels, one per grown point and one per root, are read no more
+    # e^(theta p), capped at e^709 < the largest double: a capped far point already makes
+    # u Z >= 1 at every nonzero u (u >= 2^-53), and the plain roots' weights are never read
+    weights = kernel.theta * points
+    np.exp(np.minimum(weights, 709.0, out=weights), out=weights)
+    z_tilted = np.bincount(who, weights=weights, minlength=n_far)
+    del weights
+    kept = np.ones(n_far + n_reps, dtype=bool)
+    kept[:n_far] = rng.random(n_far) * z_tilted[:n_far] < 1.0  # the tilted coin: u Z < 1
     mine = kept[who]
-    who = who[mine]
-    limit[imm_at] = 0.0  # now the shift of each owner's points: the immigrants' stay put
-    return points[mine] - limit[who], who
+    return points[mine], who[mine]
 
 
 class HawkesSampler:
     """Exact draws of a self-exciting process on [0, a], with no grid and no state between draws.
 
-    Immigrants inside the window carry ordinary clusters.  An ancestor at
-    distance t before the window contributes iff its cluster's extinction
-    time L exceeds t, which has probability F(t).  With the kernel's tilt
-    theta (rho_theta = E[z] int h0(s) e^(theta s) ds < 1) and Z = sum_v
-    e^(theta pos_v) over a cluster rooted at 0, E[Z] = 1/(1 - rho_theta) and
-    Z >= e^(theta L), so
+    An ancestor at distance t before the window contributes iff its
+    cluster's extinction time L exceeds t, which has probability F(t).  With
+    the kernel's tilt theta (rho_theta = E[z] int h0(s) e^(theta s) ds < 1)
+    and Z = sum_v e^(theta pos_v) over a cluster rooted at 0,
+    E[Z] = 1/(1 - rho_theta) and Z >= e^(theta L), so
 
         F(t) = U(t) E_Q[1{L > t} e^(theta t) / Z],   U(t) = e^(-theta t) / (1 - rho_theta),
 
     with Q the Z-size-biased cluster law (Chen & Wang 2020 tilt the Hawkes
     cluster this way; Lyons, Pemantle & Peres 1995 give the spine form of Q).
-    U(t0) = 1 at t0 = -ln(1 - rho_theta)/theta.  Candidates arrive at rate mu
-    on (0, t0], where U >= 1, and Poisson(mu/theta) of them at t0 + Exp(theta),
-    rate mu U(t), beyond; _reaching_clusters keeps exactly the ancestors that
-    reach the window, each with its cluster of law P(. | L > t).  mu is a
-    constant nonnegative rate.  The zero kernel (rho = 0) keeps no
-    pre-window ancestor.  A mean candidate count per draw, mu (a + t0 +
-    1/theta), above core.MAX_MEAN_POINTS raises SamplerError when the sampler
-    is built.
+    U(t0) = 1 at t0 = -ln(1 - rho_theta)/theta.  Roots arrive at rate mu on
+    [-t0, a), the immigrants and the near ancestors in one process, and each
+    carries an ordinary cluster: a root before the window whose cluster dies
+    out before 0 puts no point in it, and the cut to [0, a] drops its points.
+    Beyond t0, Poisson(mu/theta) far ancestors arrive at t0 + Exp(theta), rate
+    mu U(t), each with a Q-cluster that _kept_clusters keeps with probability
+    min(1, e^(theta t) / Z).  A kept far cluster with L <= t has every point
+    at or before 0, and for L > t, Z >= e^(theta L) > e^(theta t), so the kept
+    clusters that reach the window have intensity
+    mu U(t) Q(dc) e^(theta t) / Z = mu P(dc) 1{L > t}: those of the ancestors
+    at distance t that reach it.  mu is a constant nonnegative rate.  The zero
+    kernel (rho = 0) keeps no pre-window ancestor.  A mean candidate count
+    per draw, mu (a + t0 + 1/theta), above core.MAX_MEAN_POINTS raises
+    SamplerError when the sampler is built.
 
     One body, _conditioned_cluster, draws n replicates from one generator and
-    grows the clusters of all their candidates and immigrants in one
+    grows the clusters of all their roots and far ancestors in one
     sample_gw_cluster call, reading only their points and the owner labels
     that the engine grows beside them.  sample is its one-replicate case and
     sample_chains, the lockstep form, cuts and sorts its n replicates.
@@ -704,9 +699,10 @@ class HawkesSampler:
 
     tol and step describe only the certified curve of F, the sandwich
     property: it is built from them when first read, and no draw reads it.
-    stats["condition_attempts"] counts the pre-window clusters that either
-    form proposes; stats["fallback_coins"] and stats["grid_levels_built"]
-    stay 0 and are kept for the counters that perfbench reports.
+    stats["condition_attempts"] counts the far ancestors that either form
+    proposes, the only clusters that a coin decides; stats["fallback_coins"]
+    and stats["grid_levels_built"] stay 0 and are kept for the counters that
+    perfbench reports.
     """
 
     def __init__(self, kernel, mu, a, *, tol=1e-3, step=1e-4):
@@ -721,7 +717,7 @@ class HawkesSampler:
         self.step = float(step)
         self.stats = {"condition_attempts": 0, "fallback_coins": 0, "grid_levels_built": 0}
         self._t0 = -math.log1p(-kernel.rho_theta) / kernel.theta if kernel.rho > 0 else 0.0
-        # immigrants on [0, a], then pre-window candidates on (0, t0] and beyond t0
+        # roots on [-t0, a), then far ancestors beyond t0
         pre_window = self._t0 + 1.0 / kernel.theta if kernel.rho > 0 else 0.0
         mean = self.mu * (self.a + pre_window)
         if not mean <= MAX_MEAN_POINTS:
@@ -736,34 +732,31 @@ class HawkesSampler:
         return build_sandwich(self.kernel, tol=self.tol, step=self.step)
 
     def _conditioned_cluster(self, rng, n=1):
-        """Points of n independent draws' clusters, unsorted and uncut: the
-        immigrants' and those of the pre-window ancestors that reach the window.
+        """Points of n independent draws' clusters, unsorted and uncut: those of
+        the roots on [-t0, a) and of the far ancestors that the coin keeps.
 
-        Every replicate's near candidates, then its far candidates, then its
-        immigrants are drawn, each count and each position one generator call
-        for all replicates; then the clusters of all of them grow in one
-        _reaching_clusters call.  Past one replicate, each point's replicate
-        is returned too.
+        Every replicate's roots, then its far ancestors are drawn, each count
+        and each position one generator call for all replicates; then the
+        clusters of all of them grow in one _kept_clusters call.  Past one
+        replicate, each point's replicate is returned too.
         """
         kernel, mu, a = self.kernel, self.mu, self.a
         if kernel.rho == 0:  # a bare ancestor never outlives a positive distance
             imm_n = poisson_counts(mu * a, n, rng)
             cl = sample_gw_cluster(kernel, rng.random(_total(imm_n)) * a, rng, POINT_CAP * n)
             return cl.points if n == 1 else (cl.points, np.arange(n).repeat(imm_n)[cl.owner])
-        # candidate distances t before the window: (0, t0] at rate mu, then t0 + Exp(theta)
+        # roots at rate mu on [-t0, a), then far ancestors at distance t0 + Exp(theta)
         t0, theta = self._t0, kernel.theta
-        near_n = poisson_counts(mu * t0, n, rng)
-        near = t0 * rng.random(_total(near_n))
+        roots_n = poisson_counts(mu * (t0 + a), n, rng)
+        roots = rng.random(_total(roots_n)) * (t0 + a) - t0
         far_n = poisson_counts(mu / theta, n, rng)
         far = t0 + rng.exponential(1.0 / theta, size=_total(far_n))
-        imm_n = poisson_counts(mu * a, n, rng)
-        imm = rng.random(_total(imm_n)) * a
-        self.stats["condition_attempts"] += near.size + far.size
-        pts, who = _reaching_clusters(kernel, near, far, rng, imm, imm_n)
+        self.stats["condition_attempts"] += far.size
+        pts, who = _kept_clusters(kernel, far, rng, roots, roots_n)
         if n == 1:
             return pts
         reps = np.arange(n)
-        owner_rep = np.concatenate([reps.repeat(near_n), reps.repeat(far_n), reps])
+        owner_rep = np.concatenate((reps.repeat(far_n), reps))
         return pts, owner_rep.take(who, out=who)  # each point's replicate, in who's memory
 
     def sample(self, rng):
@@ -830,8 +823,8 @@ def _build_hawkes_mr(p, window):
                   else hawkes_bounded_burn_in_chains)
         return chains(kernel, mu, a, burn, n_reps, rng)
 
-    # a replicate's points: the clusters of its mu a immigrants, mu t0 near candidates
-    # and mu / theta far ones, whose Q-clusters root 1 / (1 - rho_theta) clusters each
+    # a replicate's points: the clusters of its mu (t0 + a) roots on [-t0, a) and its
+    # mu / theta far ancestors, whose Q-clusters root 1 / (1 - rho_theta) clusters each
     far = 1.0 / (kernel.theta * (1.0 - kernel.rho_theta)) if kernel.rho > 0 else 0.0
     per_rep = mu * (window.upper[0] + sampler.meta["t0"] + far) / (1.0 - kernel.rho)
     validate = _count_checks(

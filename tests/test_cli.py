@@ -511,7 +511,7 @@ DEMO_PATTERN_SHA256 = {
     "branching_approx": "00adf7c7626448b72711f5d05dd399bcf23b7093f245f51f15512987341f33d0",
     "brix_kendall": "f184dffaf6882b38eb7f12bde501f4c99e7820ab8b8f96e07b69ec9b6944aeed",
     "grid_thinning": "f80dae499e94fbcfbcb28981110c5383ccf72bf0627d503f3a8fda63f91675a1",
-    "hawkes_mr": "558851db065f3145fd27dacd16e6abf910bcaa77b374fa14a9d47a804f47ca9d",
+    "hawkes_mr": "a02096579b00b616c6157a240e18628f0f43c10b227f30ce9aea95c183136b14",
     "matern": "d712ee7c1379720d814486f1e3923c2d46daee120728acb2baaa17daaba3cde6",
     "nonlinear_hawkes": "e0381820be80cf6f0f6a85ce9cdc33d8140743f9d71846d527f4b2a6d8f538f5",
     "poisson": "fdabfb0707869de0d31a7e1c78a17adf1789a6cf9f5bd2041f2320c149172d3d",
@@ -536,7 +536,7 @@ DEMO_REPORT_SHA256 = {
     "branching_approx": "cfb3edb3458ca3e78c175f71fcfa55415f36cf1c059eb8f759d488802e7b1bd3",
     "brix_kendall": "39a3cfc432e446b086a42da209b89f8271ae47c0f5fd7db79592dfdc817055f0",
     "grid_thinning": "2ca44e6f64a6a6ae8efec3f11a2b21682f38a2a972f286b50a7f00f06f5fd230",
-    "hawkes_mr": "95b2195664308b4a8add7651c8948b46785e58651e9f38b972b0ae8c4e4332bf",
+    "hawkes_mr": "92ee7afdb3e2657a67ae1fcef944c34f4256722a71c7823db3d547544da308aa",
     "matern": "a16c5a444fabc6d0f68c934dacb29c3230129fde5bcb5542d75c578c2a197105",
     "nonlinear_hawkes": "74b7f107a2fecda9ea9353a6d528e235afb505c15be9c5bd1854b7774a118f5d",
     "poisson": "d71c57fa1c6cab791bea9bc3ee17f339e8a4c858deb63e3881ed9c1e95d781a0",

@@ -5,6 +5,7 @@ import copy
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from exactpp import (
     build_sandwich,
     sample_gw_cluster,
 )
-from exactpp.hawkes_mr import EPS_ROUND, _next_fast_len, _reaching_clusters
+from exactpp.hawkes_mr import EPS_ROUND, _kept_clusters, _next_fast_len
 from exactpp.oracles import (
     hawkes_bounded_burn_in,
     hawkes_bounded_burn_in_chains,
@@ -503,7 +504,7 @@ def test_demo_sampler_draws_keep_their_bytes():
     sampler = HawkesSampler(KERNEL, mu=1.0, a=10.0)  # configs/hawkes_mr.json
     pats = [sampler.sample(_gen(31, r)).points[:, 0] for r in range(500)]
     digest = _sha256(np.array([p.size for p in pats]), np.concatenate(pats))
-    assert digest == "c402c44950a869706252be200f870ebc473256ce2d397c3d2b4b71aed930e4ef", (
+    assert digest == "bed0ddb7b1c7f82a8213186297e1a388bd6668a0cfa2896adb0abcb2e1be9f05", (
         pin_message("the demo sampler's draws"))
 
 
@@ -522,12 +523,17 @@ def test_two_mark_forest_keeps_its_bytes():
         pin_message("the two-mark forest's bytes"))
 
 
-# The digests below were computed before GWCluster built its labels on first
-# read and before the reach of a candidate became one reduction over its points;
-# the one-mark and Hawkes draw digests again when a draw grew all its clusters in
-# one call and one-mark kernels stopped drawing marks. They keep their bytes now
-# that the engine grows the owner labels in its generation loop and derives the
-# generation labels from each generation's size.
+# The engine digests below were computed before GWCluster built its labels on
+# first read, the one-mark ones again when one-mark kernels stopped drawing
+# marks; they keep their bytes now that the engine grows the owner labels in its
+# generation loop and derives the generation labels from each generation's size.
+# The Hawkes draw digests (here and in test_demo_sampler_draws_keep_their_bytes)
+# were taken again when the roots before the window came to be drawn with the
+# immigrants, as one process on [-t0, a), and the far ancestors' clusters to
+# grow in the window's frame: that changed the order of the random numbers and
+# the rounding of a position, and two-sample KS tests against the earlier code
+# (window counts and pooled positions, 20,000 lockstep draws per kernel) found
+# no difference in law.
 
 
 @pytest.mark.parametrize(
@@ -555,15 +561,15 @@ def test_scalar_clusters_keep_their_bytes(kernel, digest):
     [
         (
             ExponentialFertility(0.5, 1.0, marks=TWO_MARKS), 1.0, 10.0,
-            "face3763f8acf8443b77d2919879b2f8ec2b171db425623e95edef943b56e579",
+            "6e13434620fb3eb6b6e8ff0b7237cfbdc113970b429c7b0b7139981e7e133cb2",
         ),
         (
             PolynomialFertility((0.45, -0.225), 2.0), 1.0, 5.0,
-            "10fbfab1d4a090a48129604f1574d5b96ab7b6bd1a1740758e5308dce56c1717",
+            "e679702729f74cad0ef5c55b61500a39d7074cc986a93530d57db8c3b5b4ceb5",
         ),
         (
             PiecewiseConstantFertility((0.0, 0.5, 2.0), (0.6, 0.1)), 1.0, 5.0,
-            "e9f55478c9f55abe606adfe88cd0cb63b7065bb828339a210773340a2f56183e",
+            "8315155c980de3575220388c051a298830ca2a46abdd6355360a3924f658057e",
         ),
     ],
     ids=["two-marks", "polynomial", "piecewise"],
@@ -573,32 +579,6 @@ def test_sampler_draws_keep_their_bytes(kernel, mu, a, digest):
     pats = [sampler.sample(_gen(32, r)).points[:, 0] for r in range(400)]
     assert _sha256(np.array([p.size for p in pats]), np.concatenate(pats)) == digest, (
         pin_message("the sampler's draws"))
-
-
-EDGE_KERNELS = [
-    KERNEL,
-    ExponentialFertility(0.5, 1.0, marks=TWO_MARKS),
-    PolynomialFertility((0.45, -0.225), 2.0),
-    PiecewiseConstantFertility((0.0, 0.5, 2.0), (0.6, 0.1)),
-]
-EDGE_IDS = ["demo", "two-marks", "polynomial", "piecewise"]
-
-
-def _edge_strip_mean(kernel):
-    """(mean, 4-sigma half width) of the count on [0, 1] in 20,000 lockstep
-    draws on [0, 10] at mu = 1: the strip that the pre-window ancestors feed most."""
-    n = 20_000
-    points, offsets = HawkesSampler(kernel, mu=1.0, a=10.0).sample_chains(n, _gen(127))
-    rep = np.arange(n).repeat(np.diff(offsets))
-    return mean_ci(np.bincount(rep[points[:, 0] <= 1.0], minlength=n), z=4.0)
-
-
-@pytest.mark.parametrize("kernel", EDGE_KERNELS, ids=EDGE_IDS)
-def test_edge_strip_count_is_stationary(kernel):
-    # the stationary rate mu / (1 - rho) holds at the window's left edge only if
-    # the ancestors before the window, near and far, carry the right clusters
-    mean, half = _edge_strip_mean(kernel)
-    assert abs(mean - 1.0 / (1.0 - kernel.rho)) < half, (mean, half)
 
 
 # -- the perfect sampler ------------------------------------------------------------
@@ -628,12 +608,74 @@ def test_sampler_draws_live_in_the_window(sampler):
             assert np.all(np.diff(pat.points[:, 0]) >= 0.0)
 
 
+def test_a_long_window_draws_without_overflow():
+    # theta a = 1000: e^(theta p) at a point late in the window would overflow
+    # a double; the coin's weights are capped, and only the far ancestors' read
+    s = HawkesSampler(KERNEL, mu=0.05, a=3_000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points, offsets = s.sample_chains(20, _gen(128))
+    assert offsets[-1] > 1_000 and points.max() <= 3_000.0
+
+
 def test_sampler_mean_count(sampler):
     # stationary rate mu/(1-rho) = 2, window length 10
     rng = _gen(90)
     counts = np.array([sampler.sample(rng).n for _ in range(2_000)])
     mean, half = mean_ci(counts, z=4.0)
     assert abs(mean - 20.0) < half
+
+
+EDGE_KERNELS = [
+    KERNEL,
+    ExponentialFertility(0.5, 1.0, marks=TWO_MARKS),
+    PolynomialFertility((0.45, -0.225), 2.0),
+    PiecewiseConstantFertility((0.0, 0.5, 2.0), (0.6, 0.1)),
+]
+EDGE_IDS = ["demo", "two-marks", "polynomial", "piecewise"]
+
+
+def _edge_strip_mean(kernel):
+    """(mean, 4-sigma half width) of the count on [0, 1] in 20,000 lockstep
+    draws on [0, 10] at mu = 1: the strip that the pre-window ancestors feed most."""
+    n = 20_000
+    points, offsets = HawkesSampler(kernel, mu=1.0, a=10.0).sample_chains(n, _gen(127))
+    rep = np.arange(n).repeat(np.diff(offsets))
+    return mean_ci(np.bincount(rep[points[:, 0] <= 1.0], minlength=n), z=4.0)
+
+
+@pytest.mark.parametrize("kernel", EDGE_KERNELS, ids=EDGE_IDS)
+def test_edge_strip_count_is_stationary(kernel):
+    # the stationary rate mu / (1 - rho) holds at the window's left edge only if
+    # the ancestors before the window, near and far, carry the right clusters
+    mean, half = _edge_strip_mean(kernel)
+    assert abs(mean - 1.0 / (1.0 - kernel.rho)) < half, (mean, half)
+
+
+def _no_far_ancestors(kernel, far, rng, roots, root_counts):
+    """_kept_clusters that drops every far ancestor, with the owners it would give."""
+    pts, who = _kept_clusters(kernel, far[:0], rng, roots, root_counts)
+    return pts, who + far.size
+
+
+def _no_roots_before_the_window(kernel, far, rng, roots, root_counts):
+    """_kept_clusters that drops every root on [-t0, 0)."""
+    inside = roots >= 0.0
+    reps = np.arange(len(root_counts)).repeat(root_counts)[inside]
+    return _kept_clusters(kernel, far, rng, roots[inside],
+                          np.bincount(reps, minlength=len(root_counts)))
+
+
+@pytest.mark.parametrize("mutant", [_no_far_ancestors, _no_roots_before_the_window],
+                         ids=["no-far-ancestors", "no-roots-before-the-window"])
+def test_edge_strip_count_fails_without_a_pre_window_part(monkeypatch, mutant):
+    # either part of the pre-window process, missing, leaves the strip short by
+    # more than 4 standard errors (the whole window's mean moves far less)
+    from exactpp import hawkes_mr
+
+    monkeypatch.setattr(hawkes_mr, "_kept_clusters", mutant)
+    mean, half = _edge_strip_mean(KERNEL)
+    assert mean < 1.0 / (1.0 - KERNEL.rho) - half, (mean, half)
 
 
 def test_sampler_matches_burn_in_oracle(sampler):
@@ -686,8 +728,7 @@ def test_conditioned_clusters_match_single_cluster_rejection():
     rng = _gen(106)
     batched = {t: [] for t in ts}
     while min(len(v) for v in batched.values()) < n:
-        pts, who = _reaching_clusters(KERNEL, np.empty(0), np.repeat(ts, 200), rng, np.empty(0),
-                                      [0])
+        pts, who = _kept_clusters(KERNEL, np.repeat(ts, 200), rng, np.empty(0), [0])
         order = np.argsort(who, kind="stable")
         who, pts = who[order], pts[order]
         starts = np.flatnonzero(np.diff(who, prepend=-1))
@@ -724,11 +765,12 @@ def test_draws_allocate_nothing_the_size_of_the_grid():
 
 
 def test_a_heavy_lockstep_block_stays_under_60_mib():
-    # about 1.05M grown points. With the owner labels grown in the engine's
-    # loop, and the cluster and each point's root dropped once read, the block
-    # peaks at 52.7-53.0 MiB (tracemalloc, seeds 126-131); building the labels
-    # after the loop from kept brood counts peaked at 79.5-79.9 MiB. The bound
-    # leaves about 13%.
+    # about 1.05M grown points. With the roots before the window drawn with the
+    # immigrants, no reach or shift per point, and the spine's arrays and the
+    # root labels freed once read, the block peaks at 42.4-42.5 MiB
+    # (tracemalloc, seeds 126-131); with a reach per candidate it peaked at
+    # 52.7-53.0 MiB, and with owner labels built after the loop from kept brood
+    # counts at 79.5-79.9 MiB. The bound, 48 MiB, leaves about 13%.
     s = HawkesSampler(KERNEL, mu=60.0, a=10.0)
     rng = _gen(126)
     tracemalloc.start()
@@ -738,7 +780,7 @@ def test_a_heavy_lockstep_block_stays_under_60_mib():
     finally:
         tracemalloc.stop()
     assert offsets[-1] > 350_000  # points in the window; the block grows about 2.6 times as many
-    assert peak < 60 * 2**20, peak / 2**20
+    assert peak < 48 * 2**20, peak / 2**20
 
 
 def test_zero_excitation_sampler_is_poisson():
@@ -796,22 +838,23 @@ def test_each_draw_grows_its_clusters_in_one_call(monkeypatch, kernel, mu):
 )
 def test_lockstep_form_grows_every_replicate_in_one_call(monkeypatch, kernel, mu):
     # one sample_gw_cluster call for all replicates, capped at POINT_CAP a replicate;
-    # stats count every candidate that _reaching_clusters receives
+    # stats count the far ancestors that _kept_clusters receives, the only
+    # clusters that a coin decides
     from exactpp import hawkes_mr
 
     caps, candidates = [], []
-    grow, reach = hawkes_mr.sample_gw_cluster, hawkes_mr._reaching_clusters
+    grow, keep = hawkes_mr.sample_gw_cluster, hawkes_mr._kept_clusters
 
     def recording(kernel, roots, rng, point_cap, **kwargs):
         caps.append(point_cap)
         return grow(kernel, roots, rng, point_cap, **kwargs)
 
-    def counting(kernel, near, far, *args):
-        candidates.append(near.size + far.size)
-        return reach(kernel, near, far, *args)
+    def counting(kernel, far, *args):
+        candidates.append(far.size)
+        return keep(kernel, far, *args)
 
     monkeypatch.setattr(hawkes_mr, "sample_gw_cluster", recording)
-    monkeypatch.setattr(hawkes_mr, "_reaching_clusters", counting)
+    monkeypatch.setattr(hawkes_mr, "_kept_clusters", counting)
     sampler = HawkesSampler(kernel, mu=mu, a=10.0)
     for n in (1, 7, 60):
         before = sampler.stats["condition_attempts"]
@@ -878,8 +921,7 @@ def test_spine_acceptance_matches_the_sandwich(sandwich):
     n = 40_000
     b = sandwich.bounds()
     for i, t in enumerate((1.0, 5.0, 15.0, 30.0)):
-        pts, who = _reaching_clusters(KERNEL, np.empty(0), np.full(n, t), _gen(117, i),
-                                      np.empty(0), [0])
+        pts, who = _kept_clusters(KERNEL, np.full(n, t), _gen(117, i), np.empty(0), [0])
         u = math.exp(-KERNEL.theta * t) / (1.0 - KERNEL.rho_theta)
         p = np.unique(who[pts > 0.0]).size / n
         band = 4.0 * u * math.sqrt(max(p, 1.0 / n) * (1.0 - p) / n)
