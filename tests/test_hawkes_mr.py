@@ -719,10 +719,10 @@ def test_tolerance_band_never_needs_the_fallback(sampler):
 
 
 def test_conditioned_clusters_match_single_cluster_rejection():
-    # a far candidate's Q-cluster that the coin keeps and that has a point in
-    # the window (p - t > 0) has the law of an ordinary cluster that outlives
-    # t, at any t > 0, since Z > e^(theta t) whenever L > t: plain rejection
-    # from a forest of ordinary clusters
+    # a far candidate's Q-cluster that the coin keeps and that has a point
+    # after 0, in the window's frame, has the law of an ordinary cluster that
+    # outlives t, at any t > 0, since Z > e^(theta t) whenever L > t: plain
+    # rejection from a forest of ordinary clusters
     ts = np.array([0.3, 1.0, 2.5, 6.0])
     n = 3_000
     rng = _gen(106)
@@ -765,12 +765,10 @@ def test_draws_allocate_nothing_the_size_of_the_grid():
 
 
 def test_a_heavy_lockstep_block_stays_under_60_mib():
-    # about 1.05M grown points. With the roots before the window drawn with the
-    # immigrants, no reach or shift per point, and the spine's arrays and the
-    # root labels freed once read, the block peaks at 42.4-42.5 MiB
-    # (tracemalloc, seeds 126-131); with a reach per candidate it peaked at
-    # 52.7-53.0 MiB, and with owner labels built after the loop from kept brood
-    # counts at 79.5-79.9 MiB. The bound, 48 MiB, leaves about 13%.
+    # about 1.05M grown points. With the spine's arrays freed before the engine
+    # call and the roots and root labels once read, the block peaks at
+    # 42.4-42.5 MiB (tracemalloc, seeds 126-131); a reach and a shift per
+    # point took it to 52.7-53.0 MiB. The bound, 48 MiB, leaves about 13%.
     s = HawkesSampler(KERNEL, mu=60.0, a=10.0)
     rng = _gen(126)
     tracemalloc.start()
