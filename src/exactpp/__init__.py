@@ -34,11 +34,10 @@ only when it validates), and a build alone loads no validation. The value
 classes are plain classes on one read-only base in core, so an import
 compiles no generated methods.
 
-scipy is imported inside the few routines that call it (quadrature and the
-one-sample KS and chi-square tests), so importing the package, or building
-and drawing a Hawkes sampler, loads no scipy module.
-The two-sample KS test computes its p-value with numpy alone, so no CLI
-command loads scipy.stats.
+numpy is the only runtime dependency: no module imports scipy. The
+two-sample KS test computes its p-value with a numpy port of scipy's
+Kolmogorov distribution, and the chi-square test with the incomplete gamma
+function of germ_thinning.
 """
 
 import importlib

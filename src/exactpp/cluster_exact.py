@@ -16,8 +16,6 @@ that is not finite, the only way that integral can diverge.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .core import (MAX_MEAN_POINTS, _NONNEG, _POS, LebesgueIntensity, PointPattern, SamplerError,
@@ -161,26 +159,6 @@ class BrixKendallSampler:
         if not np.isfinite(self.rate):
             # the retained mass is at most rate * |region|, finite for a finite rate
             raise SamplerError("germ rate is not finite: exact sampling impossible")
-
-    @functools.cached_property
-    def retained_mass(self):
-        """Mean retained-germ count (diagnostics and tests), the integral of
-        rate * p(x) over the germ region: adaptive quadrature in 1-D, a tensor
-        trapezoid on a 65 x 65 grid in 2-D."""
-        def density(xs):
-            return self.rate * self.kernel.retention(xs, self.window)
-
-        lo, hi = self.region.lower, self.region.upper
-        if self.window.dim > 1:
-            xs, ys = np.linspace(lo[0], hi[0], 65), np.linspace(lo[1], hi[1], 65)
-            gx, gy = np.meshgrid(xs, ys, indexing="ij")
-            vals = density(np.column_stack([gx.ravel(), gy.ravel()])).reshape(65, 65)
-            return float(np.trapezoid(np.trapezoid(vals, ys, axis=1), xs))
-        from scipy import integrate
-
-        mass, _ = integrate.quad(lambda t: float(density(np.array([[t]]))[0]), lo[0], hi[0],
-                                 limit=400)
-        return mass
 
     def _retained_germs(self, rng, n_chains=1):
         """Thinned germ of n_chains independent replicates: Poisson with density

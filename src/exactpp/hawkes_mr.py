@@ -299,6 +299,9 @@ class PiecewiseConstantFertility(FertilityKernel):
         self._cell_mass = values * self._widths
         self._cum = np.concatenate([[0.0], np.cumsum(self._cell_mass)])
         super().__init__(marks)
+        if self.rho > 0:  # the tilted cell masses and their running sum, for every tilted draw
+            self._tilted_cell_mass = self._tilted_cells(self.theta)
+            self._tilted_cum = np.concatenate([[0.0], np.cumsum(self._tilted_cell_mass)])
 
     def _h0(self, t):
         t = np.asarray(t, dtype=float)
@@ -331,8 +334,7 @@ class PiecewiseConstantFertility(FertilityKernel):
         return self.breaks[idx] + frac * (self.breaks[idx + 1] - self.breaks[idx])
 
     def sample_tilted_displacement(self, n, rng):
-        mass = self._tilted_cells(self.theta)
-        idx, frac = self._pick_cells(np.concatenate([[0.0], np.cumsum(mass)]), mass, n, rng)
+        idx, frac = self._pick_cells(self._tilted_cum, self._tilted_cell_mass, n, rng)
         # inverse CDF of the density e^(theta s) on the cell
         theta = self.theta
         return self.breaks[idx] + np.log1p(frac * np.expm1(theta * self._widths[idx])) / theta
@@ -778,6 +780,7 @@ class HawkesSampler:
         pts, rep = drawn if n != 1 else (drawn, np.zeros(drawn.size, dtype=int))
         inside = (pts >= 0.0) & (pts <= self.a)
         cut, cut_rep = pts[inside], rep[inside]
+        del drawn, pts, rep, inside  # the uncut arrays, freed before the sort
         order = order_by_label(cut, cut_rep)
         return cut[order].reshape(-1, 1), chain_offsets(np.bincount(cut_rep, minlength=n))
 

@@ -31,8 +31,11 @@ class FiniteDensitySampler:
     tail is below TAIL_TOL of the total mass, or `upper` is taken as the
     exact support endpoint.
 
-    The truncation point is certified once so replicate loops can reuse the
-    sampler.
+    total_mass is the mass as given; with a tail_mass and no given mass it is
+    tail_mass(0.0), the tail beyond 0. With only `upper` and no given mass it
+    stays None: the mass is at most bound * upper, finite, and nothing needs
+    it. The truncation point is certified once so replicate loops can reuse
+    the sampler.
     """
 
     def __init__(
@@ -45,16 +48,14 @@ class FiniteDensitySampler:
     ):
         if upper is None and tail_mass is None:
             raise SamplerError("need a support endpoint or a computable tail mass")
-        if total_mass is None:
-            from scipy import integrate
-
-            hi = upper if upper is not None else np.inf
-            total_mass, _ = integrate.quad(density, 0.0, hi, limit=200)
-        total_mass = float(total_mass)
-        if not np.isfinite(total_mass):
-            raise SamplerError("density mass diverges: exact sampling impossible")
-        if total_mass < 0:
-            raise SamplerError("density mass must be nonnegative")
+        if total_mass is None and tail_mass is not None:
+            total_mass = tail_mass(0.0)
+        if total_mass is not None:
+            total_mass = float(total_mass)
+            if not np.isfinite(total_mass):
+                raise SamplerError("density mass diverges: exact sampling impossible")
+            if total_mass < 0:
+                raise SamplerError("density mass must be nonnegative")
         self.total_mass = total_mass
 
         if upper is None:

@@ -10,8 +10,9 @@ substreams are named by LOCKSTEP, ORACLE and PROBES.
 
 The two-sample KS test, the one test the CLI runs, needs numpy alone: its
 p-value is the Kolmogorov distribution of Simard & L'Ecuyer (2011), ported
-from scipy.stats (BSD-3-Clause; see `_kolmogorov_sf`). `ks_against_cdf` and
-`chi_square` import scipy.stats when called.
+from scipy.stats (BSD-3-Clause; see `_kolmogorov_sf`). The chi-square test
+takes its p-value from the incomplete gamma function of germ_thinning, so no
+routine here imports scipy.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "mean_ci",
     "empirical_laplace",
     "two_sample_ks",
-    "ks_against_cdf",
     "chi_square",
     "holm_correct",
     "ReportCollector",
@@ -391,33 +391,20 @@ def _smirnov(n, x):
     return math.exp(math.log(x) + top + math.log(np.exp(logs - top).sum()))
 
 
-def ks_against_cdf(samples, cdf, alpha=0.05, name="ks-vs-cdf"):
-    """One-sample KS against a callable CDF; threshold K_alpha / sqrt(n)."""
-    from scipy import stats
-
-    samples = np.asarray(samples, dtype=float)
-    res = stats.kstest(samples, cdf)
-    k_alpha = stats.kstwobign.isf(alpha)
-    threshold = k_alpha / np.sqrt(samples.size)
-    decision = "accept" if res.pvalue >= alpha else "reject"
-    return TestReport(
-        name=name,
-        statistic=float(res.statistic),
-        threshold=float(threshold),
-        alpha=alpha,
-        decision=decision,
-        pvalue=float(res.pvalue),
-        n=samples.size,
-    )
-
-
 def chi_square(observed, expected_probs, alpha=0.05, name="chi-square", min_expected=5.0):
     """Pearson chi-square of category counts against expected probabilities.
 
     Trailing categories are pooled until every expected count reaches
-    min_expected; expected_probs must sum to 1 over the given categories.
+    min_expected; expected_probs must sum to 1 over the given categories, and
+    at least two cells must remain. The statistic is sum (obs - exp)^2 / exp,
+    the arithmetic of scipy.stats.chisquare. With df = cells - 1, the p-value
+    is the chi-square survival function Q(df/2, stat/2) of
+    germ_thinning._gamma_q (1 at stat = 0, 0 at stat = inf), and the
+    threshold is the statistic where that p-value falls to alpha, bisected to
+    adjacent floats.
     """
-    from scipy import stats
+    # imported here: a validated run of another sampler compiles no germ_thinning
+    from .germ_thinning import _gamma_q
 
     obs = np.asarray(observed, dtype=float)
     probs = np.asarray(expected_probs, dtype=float)
@@ -431,17 +418,28 @@ def chi_square(observed, expected_probs, alpha=0.05, name="chi-square", min_expe
     while exp.size > 1 and exp[-1] < min_expected:
         exp = np.concatenate([exp[:-2], [exp[-2] + exp[-1]]])
         obs = np.concatenate([obs[:-2], [obs[-2] + obs[-1]]])
-    stat, pvalue = stats.chisquare(obs, exp)
+    if obs.size < 2:
+        raise ValueError(f"chi-square needs two cells after pooling, {obs.size} remain")
     df = obs.size - 1
-    threshold = stats.chi2.isf(alpha, df) if df > 0 else np.inf
+
+    def sf(x):  # Q(df/2, x/2), with its limits at 0 and at infinity
+        return 1.0 if x == 0 else 0.0 if x == math.inf else _gamma_q(df / 2.0, x / 2.0)
+
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    pvalue = sf(stat)
+    lo, hi = 0.0, float(df)
+    while sf(hi) >= alpha:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if sf(mid) >= alpha else (lo, mid)
     decision = "accept" if pvalue >= alpha else "reject"
     return TestReport(
         name=name,
-        statistic=float(stat),
-        threshold=float(threshold),
+        statistic=stat,
+        threshold=hi,
         alpha=alpha,
         decision=decision,
-        pvalue=float(pvalue),
+        pvalue=pvalue,
         n=int(total),
         details={"df": df},
     )

@@ -352,7 +352,7 @@ def test_heavy_hawkes_battery_stays_within_the_point_cap(tmp_path, capsys, monke
     assert "PASS self-exciting-mean-count" in capsys.readouterr().out
     assert [cap for _, cap in grown] == [350 * hawkes_mr.POINT_CAP, 50 * hawkes_mr.POINT_CAP]
     assert grown[0][0] > hawkes_mr.POINT_CAP
-    assert peak < 128 * 2**20  # about 59 MiB, most of it the first block
+    assert peak < 128 * 2**20  # about 57 MiB, at the oracle's first block
 
 
 def test_heavy_oracle_draws_its_chains_in_the_battery_blocks(tmp_path, capsys, monkeypatch):

@@ -1,21 +1,21 @@
-"""Start-up cost: importing the package and the CLI, building the Hawkes,
-Brix-Kendall, Boolean, Poisson-line and renewal demo configs and drawing from
-them load no scipy module. `exactpp sample` with validation on loads no scipy
-module for the configs whose validation is a mean check and a two-sample KS
-test against an oracle, since that test's p-value is computed with numpy
-alone. Building and drawing from every demo config loads neither
-the oracles nor csv: only validation needs the one, and only reading a
-pattern back the other. scipy is imported only inside the routines that call it (quadrature
-and the one-sample KS and chi-square tests), so a fresh
-process shows what a cold run pays. Nor does such a run load the modules of
-samplers other than the one its config names, or concurrent.futures when it
-runs with one worker. Neither an import nor a build loads dataclasses or
-argparse, and a sample run with validation off loads no validation module."""
+"""Start-up cost and dependencies: numpy is the only runtime dependency, so
+with scipy hidden, importing the package and every module and running every
+CLI command on the demo configs still succeed. Importing the package and
+the CLI, building the Hawkes, Brix-Kendall, Boolean, Poisson-line and
+renewal demo configs and drawing from them load no scipy module, and neither
+does `exactpp sample` with validation on. Building and drawing from every
+demo config loads neither the oracles nor csv: only validation needs the
+one, and only reading a pattern back the other, so a fresh process shows
+what a cold run pays. Nor does such a run load the modules of samplers other
+than the one its config names, or concurrent.futures when it runs with one
+worker. Neither an import nor a build loads dataclasses or argparse, and a
+sample run with validation off loads no validation module."""
 
 import functools
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -333,3 +333,77 @@ def test_only_plotdata_loads_the_plot_module(tmp_path):
         check=True,
     )
     assert json.loads(out.stdout.splitlines()[-1]) == [False, False, True]
+
+
+HIDDEN_SCIPY_SCRIPT = """
+import importlib, json, pkgutil, sys
+from pathlib import Path
+sys.modules["scipy"] = None  # every import of scipy or a submodule now fails
+import numpy as np
+import exactpp
+modules = sorted(m.name for m in pkgutil.iter_modules(exactpp.__path__))
+for name in modules:
+    importlib.import_module(f"exactpp.{name}")
+for name in exactpp.__all__:
+    getattr(exactpp, name)
+import exactpp.cli as cli
+root, codes = Path(sys.argv[1]), {}
+for path in sorted(Path("configs").glob("*.json")):
+    cfg = json.loads(path.read_text())
+    cfg.setdefault("validation", {})["enabled"] = True
+    (root / path.name).write_text(json.dumps(cfg))
+    config = str(root / path.name)
+    codes[path.stem] = [cli.main(["sample", "-c", config, "-o", str(root / path.stem)]),
+                        cli.main(["validate", "-c", config])]
+for config, kind in [("poisson", "points-2d"), ("poisson", "counts-histogram"),
+                     ("hawkes_mr", "sandwich-curves"), ("boolean_disks", "coverage-raster")]:
+    codes[kind] = cli.main(["plotdata", "-c", f"configs/{config}.json", "--kind", kind,
+                            "-o", str(root / "plots")])
+from exactpp.poisson import FiniteDensitySampler
+from exactpp.validation import chi_square
+chi = chi_square([48, 52, 100], [0.25, 0.25, 0.5]).to_dict()
+density = lambda t: np.exp(-np.asarray(t, dtype=float))
+tailed = FiniteDensitySampler(density, 1.0, tail_mass=lambda t: float(np.exp(-t)))
+ended = FiniteDensitySampler(density, 1.0, upper=30.0)
+loaded = sorted(m for m, v in sys.modules.items() if m.split(".")[0] == "scipy" and v is not None)
+print(json.dumps({"modules": modules, "codes": codes, "chi": chi,
+                  "masses": [tailed.total_mass, ended.total_mass], "scipy": loaded}))
+"""
+
+
+def test_every_module_and_command_runs_with_scipy_hidden(tmp_path):
+    """One process with scipy blocked in sys.modules imports every module,
+    runs `sample` with validation on and `validate` for every demo config and
+    `plotdata` for each kind, and calls chi_square and both
+    FiniteDensitySampler forms; each must succeed without scipy."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), EXACTPP_WORKERS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", HIDDEN_SCIPY_SCRIPT, str(tmp_path)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    run = json.loads(out.stdout.splitlines()[-1])
+    configs = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
+    assert len(configs) == 11
+    assert run["modules"] == sorted(p.stem for p in (ROOT / "src" / "exactpp").glob("*.py")
+                                    if p.stem != "__init__")
+    assert run["codes"] == {**{c: [0, 0] for c in configs}, "points-2d": 0,
+                            "counts-histogram": 0, "sandwich-curves": 0, "coverage-raster": 0}
+    assert run["chi"]["decision"] == "accept" and run["chi"]["details"]["df"] == 2
+    assert run["masses"] == [1.0, None]
+    assert run["scipy"] == []
+
+
+def _requirement_names(requirements):
+    return [re.match(r"[A-Za-z0-9_.-]+", r).group(0).lower() for r in requirements]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert _requirement_names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in _requirement_names(project["optional-dependencies"]["test"])

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from exactpp import DensityIntensity, RngStream, SamplerError, Window
 from exactpp.core import sample_homogeneous
-from exactpp.poisson import FiniteDensitySampler
-from exactpp.validation import chi_square, ks_against_cdf, two_sample_ks
+from exactpp.poisson import TAIL_TOL, FiniteDensitySampler
+from exactpp.validation import chi_square, two_sample_ks
 
 UNIT_SQUARE = Window((0.0, 0.0), (1.0, 1.0))
 LINE = Window((0.0,), (10.0,))
@@ -40,8 +41,7 @@ def test_homogeneous_count_moments():
 def test_homogeneous_points_are_uniform():
     rng = _gen(3)
     pat = sample_homogeneous(Window((0.0,), (1.0,)), 20_000.0, rng)
-    rep = ks_against_cdf(pat.points[:, 0], lambda t: np.clip(t, 0.0, 1.0), alpha=0.01)
-    assert rep.accepted
+    assert stats.kstest(pat.points[:, 0], lambda t: np.clip(t, 0.0, 1.0)).pvalue >= 0.01
 
 
 # -- thinning under a bound ----------------------------------------------------------
@@ -154,8 +154,18 @@ def test_finite_density_exponential_mean_and_positions():
     assert abs(counts.mean() - 1.0) < 4.0 / math.sqrt(counts.size)
     pos = np.concatenate(draws)
     # exact thinning: positions are Exp(1) with no discretisation allowance
-    rep = ks_against_cdf(pos, lambda t: -np.expm1(-np.clip(t, 0.0, None)), alpha=0.01)
-    assert rep.accepted, rep.to_dict()
+    p = stats.kstest(pos, lambda t: -np.expm1(-np.clip(t, 0.0, None))).pvalue
+    assert p >= 0.01, p
+
+
+def test_finite_density_mass_is_the_tail_at_zero_or_not_computed():
+    # a tail gives the mass, tail_mass(0); a support endpoint alone leaves it
+    # unknown, finite (at most bound * upper) and unneeded
+    tail = lambda t: 3.0 * math.exp(-2.0 * t)
+    tailed = FiniteDensitySampler(lambda t: 3.0 * _exp_density(2.0)(t), 6.0, tail_mass=tail)
+    assert tailed.total_mass == 3.0
+    assert tail(tailed.upper) <= TAIL_TOL * 3.0
+    assert FiniteDensitySampler(_exp_density(), 1.0, upper=5.0).total_mass is None
 
 
 def test_finite_density_one_shot_draw_matches_mass():

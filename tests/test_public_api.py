@@ -119,8 +119,6 @@ def test_traced_draws_pass_through_the_wrapped_engine():
 # Public names that nothing in the package, the benchmark or the acceptance
 # tests calls, kept because unit tests use them as references.
 UNCALLED_ALLOWED = {
-    "ks_against_cdf": "one-sample KS against a closed-form CDF, the reference in law tests",
-    "retained_mass": "closed-form mean of retained germs, the reference for germ-count tests",
     "hawkes_bounded_burn_in": "one-chain Ogata thinning, the reference for its lockstep form",
 }
 

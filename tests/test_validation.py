@@ -19,7 +19,6 @@ from exactpp.validation import (
     chi_square,
     empirical_laplace,
     holm_correct,
-    ks_against_cdf,
     mean_ci,
     replicate_counts,
     two_sample_ks,
@@ -161,15 +160,6 @@ def test_two_sample_ks_matches_scipy_on_tied_counts(sizes, shift):
     assert rep.accepted == (ref.pvalue >= rep.alpha)
 
 
-def test_ks_against_cdf_uniform_accepts_and_shifted_rejects():
-    u = _gen(126).random(2000)
-    uniform_cdf = lambda x: np.clip(x, 0.0, 1.0)
-    assert ks_against_cdf(u, uniform_cdf, alpha=0.01).accepted
-    rep = ks_against_cdf(u + 0.2, uniform_cdf, alpha=0.01)
-    assert not rep.accepted
-    assert rep.statistic > rep.threshold
-
-
 # -- chi-square ------------------------------------------------------------------
 
 
@@ -177,8 +167,7 @@ def test_chi_square_exact_proportions_accept():
     probs = np.array([0.2, 0.3, 0.5])
     rep = chi_square(probs * 1000, probs, alpha=0.05)
     assert rep.accepted
-    assert rep.statistic == pytest.approx(0.0, abs=1e-12)
-    assert rep.pvalue == pytest.approx(1.0)
+    assert rep.statistic == 0.0 and rep.pvalue == 1.0
 
 
 def test_chi_square_pools_sparse_tail():
@@ -195,6 +184,46 @@ def test_chi_square_input_validation():
         chi_square([1, 2, 3], [0.5, 0.5])
     with pytest.raises(ValueError, match="sum to 1"):
         chi_square([10, 10], [0.5, 0.6])
+
+
+def test_chi_square_refuses_a_table_that_pools_to_one_cell():
+    # expected counts 2, 1, 1: the tail pools into one cell, which has no test
+    with pytest.raises(ValueError, match="two cells after pooling, 1 remain"):
+        chi_square([2, 1, 1], [0.5, 0.25, 0.25])
+    with pytest.raises(ValueError, match="two cells after pooling, 1 remain"):
+        chi_square([7], [1.0])
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["plain", "pooled"])
+@pytest.mark.parametrize("df", [1, 2, 3, 4, 7, 12, 25, 40])
+def test_chi_square_matches_scipy_chi2(df, pooled):
+    # equal cells of 1,000 expected counts, pushed apart so that the statistic
+    # runs from 1e-3 to 400; pooled, three tail cells of 1 expected count each
+    # pool into the last cell, which leaves df the same
+    k = df + 1
+    expected = np.full(k, 1000.0)
+    shape = np.resize([1.0, -1.0], k)
+    shape[-1] -= shape.sum()  # the deviations sum to 0
+    for target in np.geomspace(1e-3, 400.0, 13):
+        obs = expected + shape * math.sqrt(target * 1000.0 / (shape**2).sum())
+        table, probs = obs, expected / expected.sum()
+        if pooled:
+            table = np.concatenate([obs[:-1], [obs[-1] - 3.0], [1.0, 1.0, 1.0]])
+            probs = np.concatenate([expected[:-1], [997.0, 1.0, 1.0, 1.0]]) / expected.sum()
+        for alpha in (0.05, 0.01, 0.005, 1e-4):
+            rep = chi_square(table, probs, alpha=alpha)
+            assert rep.details["df"] == df
+            ref = stats.chisquare(obs, expected)
+            assert rep.statistic == pytest.approx(ref.statistic, rel=1e-12)
+            assert rep.pvalue == pytest.approx(stats.chi2.sf(rep.statistic, df), rel=1e-10)
+            assert rep.threshold == pytest.approx(stats.chi2.isf(alpha, df), rel=1e-10)
+            assert rep.accepted == (rep.statistic <= rep.threshold)
+
+
+def test_chi_square_rejects_a_count_in_a_cell_of_probability_zero():
+    with np.errstate(divide="ignore"):
+        rep = chi_square([250, 10, 500], [0.5, 0.0, 0.5])
+    assert rep.statistic == math.inf and rep.pvalue == 0.0 and not rep.accepted
 
 
 def test_chi_square_detects_wrong_proportions():
