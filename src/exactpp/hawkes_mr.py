@@ -5,14 +5,15 @@ with intensity h(., z) scaled by the parent's mark, each offspring spawning
 its own independent subtree) has extinction time L = last point - ancestor.
 An ancestor a distance t before the window reaches it iff L > t, an event of
 probability F(t) = P(L > t).  HawkesSampler draws the ancestors that reach
-the window without evaluating F.  Up to t0, where the closed-form envelope
-U(t) = e^(-theta t) / (1 - rho_theta) of an exponentially tilted cluster law
-is at least 1, ancestors arrive at rate mu with ordinary clusters, and the
-cut to the window drops the points of those that do not reach it; beyond t0
-it thins candidates under U with a coin on their tilted clusters, drawn
-through their spine.  Every cluster grows through
-branching_approx.sample_gw_cluster, the Galton-Watson engine that spatial
-branching draws share.
+the window without evaluating F.  Up to t1 = 2 t0, twice the distance where
+the closed-form envelope U(t) = e^(-theta t) / (1 - rho_theta) of an
+exponentially tilted cluster law falls to 1, ancestors arrive at rate mu with
+ordinary clusters, and the cut to the window drops the points of those that
+do not reach it; beyond t1 it thins candidates under U with a coin on their
+tilted clusters, drawn through their spine.  The coin is exact at any
+distance, and t1 is the split at which a draw grows the fewest points.
+Every cluster grows through branching_approx.sample_gw_cluster, the
+Galton-Watson engine that spatial branching draws share.
 
 The CDF E = 1 - F is also the unique fixed point of
 
@@ -618,11 +619,17 @@ def _kept_clusters(kernel, far, rng, roots, root_counts):
     bounds them together; only its points and the owner labels grown beside
     them are read, and the cluster is dropped once they are.
 
+    With no far ancestor the plain roots' clusters grow alone: no spine,
+    tilted step, weight or coin.
+
     Returns the points of the kept clusters and the owner of each: the far
     ancestors are owners 0 to far.size - 1, and replicate r's plain roots
     owner far.size + r.
     """
     n_far, n_reps = far.size, len(root_counts)
+    if n_far == 0:  # no spine, tilted step, weight or coin: the roots' clusters alone
+        cl = sample_gw_cluster(kernel, roots, rng, POINT_CAP * n_reps)
+        return cl.points, np.arange(n_reps).repeat(root_counts)[cl.owner]
     nodes = rng.geometric(1.0 - kernel.rho_theta, size=n_far)
     roots_of = np.concatenate((nodes, root_counts))  # a far ancestor's roots are its spine nodes
     owner = np.arange(n_far + n_reps).repeat(roots_of)  # the owner of each root
@@ -675,19 +682,24 @@ class HawkesSampler:
     with Q the Z-size-biased cluster law (Chen & Wang 2020 tilt the Hawkes
     cluster this way; Lyons, Pemantle & Peres 1995 give the spine form of Q).
     U(t0) = 1 at t0 = -ln(1 - rho_theta)/theta.  Roots arrive at rate mu on
-    [-t0, a), the immigrants and the near ancestors in one process, and each
-    carries an ordinary cluster: a root before the window whose cluster dies
-    out before 0 puts no point in it, and the cut to [0, a] drops its points.
-    Beyond t0, Poisson(mu/theta) far ancestors arrive at t0 + Exp(theta), rate
-    mu U(t), each with a Q-cluster that _kept_clusters keeps with probability
-    min(1, e^(theta t) / Z).  A kept far cluster with L <= t has every point
-    at or before 0, and for L > t, Z >= e^(theta L) > e^(theta t), so the kept
-    clusters that reach the window have intensity
-    mu U(t) Q(dc) e^(theta t) / Z = mu P(dc) 1{L > t}: those of the ancestors
-    at distance t that reach it.  mu is a constant nonnegative rate.  The zero
-    kernel (rho = 0) keeps no pre-window ancestor.  A mean candidate count
-    per draw, mu (a + t0 + 1/theta), above core.MAX_MEAN_POINTS raises
-    SamplerError when the sampler is built.
+    [-t1, a), t1 = 2 t0, the immigrants and the near ancestors in one process,
+    and each carries an ordinary cluster: a root before the window whose
+    cluster dies out before 0 puts no point in it, and the cut to [0, a] drops
+    its points.  Beyond t1, Poisson(mu (1 - rho_theta)/theta) far ancestors
+    arrive at t1 + Exp(theta), rate mu U(t), each with a Q-cluster that
+    _kept_clusters keeps with probability min(1, e^(theta t) / Z).  A kept far
+    cluster with L <= t has every point at or before 0, and for L > t,
+    Z >= e^(theta L) > e^(theta t), so the kept clusters that reach the window
+    have intensity mu U(t) Q(dc) e^(theta t) / Z = mu P(dc) 1{L > t}: those of
+    the ancestors at distance t that reach it.  That holds at every t, so the
+    split is a cost choice, not a law choice: a split at s grows
+    G(s) = mu (a + s)/(1 - rho) + mu e^(-theta s)/(theta (1 - rho_theta)^2 (1 - rho))
+    points a draw, least where e^(-theta s) = (1 - rho_theta)^2, at s = t1.
+    A draw with no far ancestor (e^(-3/4), 47% of the demo's) grows its roots'
+    clusters with no spine, weight or coin; the zero kernel (rho = 0) has
+    t1 = 0 and no far ancestor.  mu is a constant nonnegative rate.  A mean
+    candidate count per draw, mu (a + t1 + (1 - rho_theta)/theta), above
+    core.MAX_MEAN_POINTS raises SamplerError when the sampler is built.
 
     One body, _conditioned_cluster, draws n replicates from one generator and
     grows the clusters of all their roots and far ancestors in one
@@ -719,9 +731,11 @@ class HawkesSampler:
         self.step = float(step)
         self.stats = {"condition_attempts": 0, "fallback_coins": 0, "grid_levels_built": 0}
         self._t0 = -math.log1p(-kernel.rho_theta) / kernel.theta if kernel.rho > 0 else 0.0
-        # roots on [-t0, a), then far ancestors beyond t0
-        pre_window = self._t0 + 1.0 / kernel.theta if kernel.rho > 0 else 0.0
-        mean = self.mu * (self.a + pre_window)
+        # roots on [-t1, a), then Poisson(mu (1 - rho_theta) / theta) far ancestors beyond t1
+        self._t1 = 2.0 * self._t0
+        self._far_mean = (self.mu * (1.0 - kernel.rho_theta) / kernel.theta
+                          if kernel.rho > 0 else 0.0)
+        mean = self.mu * (self.a + self._t1) + self._far_mean
         if not mean <= MAX_MEAN_POINTS:
             raise SamplerError(
                 f"mean candidate count {mean:.3g} per draw exceeds the limit {MAX_MEAN_POINTS:.0e}"
@@ -735,26 +749,22 @@ class HawkesSampler:
 
     def _conditioned_cluster(self, rng, n=1):
         """Points of n independent draws' clusters, unsorted and uncut: those of
-        the roots on [-t0, a) and of the far ancestors that the coin keeps.
+        the roots on [-t1, a) and of the far ancestors that the coin keeps.
 
         Every replicate's roots, then its far ancestors are drawn, each count
         and each position one generator call for all replicates; then the
         clusters of all of them grow in one _kept_clusters call.  Past one
         replicate, each point's replicate is returned too.
         """
-        kernel, mu, a = self.kernel, self.mu, self.a
-        if kernel.rho == 0:  # a bare ancestor never outlives a positive distance
-            imm_n = poisson_counts(mu * a, n, rng)
-            cl = sample_gw_cluster(kernel, rng.random(_total(imm_n)) * a, rng, POINT_CAP * n)
-            return cl.points if n == 1 else (cl.points, np.arange(n).repeat(imm_n)[cl.owner])
-        # roots at rate mu on [-t0, a), then far ancestors at distance t0 + Exp(theta)
-        t0, theta = self._t0, kernel.theta
-        roots_n = poisson_counts(mu * (t0 + a), n, rng)
-        roots = rng.random(_total(roots_n)) * (t0 + a) - t0
-        far_n = poisson_counts(mu / theta, n, rng)
-        far = t0 + rng.exponential(1.0 / theta, size=_total(far_n))
+        mu, a, t1 = self.mu, self.a, self._t1
+        # roots at rate mu on [-t1, a), then far ancestors at distance t1 + Exp(theta)
+        roots_n = poisson_counts(mu * (t1 + a), n, rng)
+        roots = rng.random(_total(roots_n)) * (t1 + a) - t1
+        far_n = poisson_counts(self._far_mean, n, rng)
+        n_far = _total(far_n)
+        far = t1 + rng.exponential(1.0 / self.kernel.theta, size=n_far) if n_far else np.empty(0)
         self.stats["condition_attempts"] += far.size
-        pts, who = _kept_clusters(kernel, far, rng, roots, roots_n)
+        pts, who = _kept_clusters(self.kernel, far, rng, roots, roots_n)
         if n == 1:
             return pts
         reps = np.arange(n)
@@ -826,10 +836,10 @@ def _build_hawkes_mr(p, window):
                   else hawkes_bounded_burn_in_chains)
         return chains(kernel, mu, a, burn, n_reps, rng)
 
-    # a replicate's points: the clusters of its mu (t0 + a) roots on [-t0, a) and its
-    # mu / theta far ancestors, whose Q-clusters root 1 / (1 - rho_theta) clusters each
-    far = 1.0 / (kernel.theta * (1.0 - kernel.rho_theta)) if kernel.rho > 0 else 0.0
-    per_rep = mu * (window.upper[0] + sampler.meta["t0"] + far) / (1.0 - kernel.rho)
+    # a replicate's points: the clusters of its mu (t1 + a) roots on [-t1, a) and of its
+    # mu (1 - rho_theta) / theta far ancestors, with 1 / (1 - rho_theta) spine nodes each
+    far = 1.0 / kernel.theta if kernel.rho > 0 else 0.0
+    per_rep = mu * (window.upper[0] + sampler._t1 + far) / (1.0 - kernel.rho)
     validate = _count_checks(
         sampler.sample_chains,
         mean=("self-exciting-mean-count", mu * window.upper[0] / (1.0 - kernel.rho)),

@@ -324,7 +324,7 @@ def test_heavy_branching_battery_stays_within_the_point_cap(tmp_path, capsys):
 
 
 def test_heavy_hawkes_battery_stays_within_the_point_cap(tmp_path, capsys, monkeypatch):
-    # about 3,000 points a replicate: a block of about BATTERY_POINTS mean points
+    # about 2,970 points a replicate: a block of about BATTERY_POINTS mean points
     # grows more than POINT_CAP points in one call, which stays within that
     # call's cap of POINT_CAP a replicate; the battery's blocks bound its memory
     from exactpp import hawkes_mr
@@ -350,9 +350,39 @@ def test_heavy_hawkes_battery_stays_within_the_point_cap(tmp_path, capsys, monke
         tracemalloc.stop()
     assert rc == 0, capsys.readouterr().err
     assert "PASS self-exciting-mean-count" in capsys.readouterr().out
-    assert [cap for _, cap in grown] == [350 * hawkes_mr.POINT_CAP, 50 * hawkes_mr.POINT_CAP]
+    assert [cap for _, cap in grown] == [353 * hawkes_mr.POINT_CAP, 47 * hawkes_mr.POINT_CAP]
     assert grown[0][0] > hawkes_mr.POINT_CAP
     assert peak < 128 * 2**20  # about 57 MiB, at the oracle's first block
+
+
+def test_hawkes_battery_blocks_are_sized_by_the_points_a_draw_grows(tmp_path, monkeypatch):
+    # the build's per_rep, mu (a + 2 t0 + 1/theta) / (1 - rho), is the mean
+    # count of the points that the engine grows a replicate: 2,558 at mu = 60,
+    # against a standard error of about 2.7 at 2,000 draws
+    from exactpp import RngStream, cli, hawkes_mr
+
+    count_checks, grow, seen, grown = hawkes_mr._count_checks, hawkes_mr.sample_gw_cluster, {}, []
+
+    def recording_checks(chains, **kwargs):
+        seen.update(kwargs)
+        return count_checks(chains, **kwargs)
+
+    def recording_growth(*args, **kwargs):
+        cl = grow(*args, **kwargs)
+        grown.append(cl.n)
+        return cl
+
+    monkeypatch.setattr(hawkes_mr, "_count_checks", recording_checks)
+    monkeypatch.setattr(hawkes_mr, "sample_gw_cluster", recording_growth)
+    cfg = json.loads((CONFIG_DIR / "hawkes_mr.json").read_text())
+    cfg["params"]["mu"] = 60.0
+    sampler = cli.build(cli.load_config(_cfg_file(tmp_path, cfg)))["sampler"]
+    for r in range(2_000):
+        sampler.sample(RngStream(133, r).generator())
+    assert len(grown) == 2_000  # one engine call a draw
+    assert seen["per_rep"] == pytest.approx(2_558.13, abs=0.01)
+    mean, se = np.mean(grown), np.std(grown) / math.sqrt(len(grown))
+    assert abs(mean - seen["per_rep"]) < 3.0 * se, (mean, se, seen["per_rep"])
 
 
 def test_heavy_oracle_draws_its_chains_in_the_battery_blocks(tmp_path, capsys, monkeypatch):
@@ -511,7 +541,7 @@ DEMO_PATTERN_SHA256 = {
     "branching_approx": "00adf7c7626448b72711f5d05dd399bcf23b7093f245f51f15512987341f33d0",
     "brix_kendall": "f184dffaf6882b38eb7f12bde501f4c99e7820ab8b8f96e07b69ec9b6944aeed",
     "grid_thinning": "f80dae499e94fbcfbcb28981110c5383ccf72bf0627d503f3a8fda63f91675a1",
-    "hawkes_mr": "a02096579b00b616c6157a240e18628f0f43c10b227f30ce9aea95c183136b14",
+    "hawkes_mr": "1e763c8297ec47dcb0863a5bbb4730cf34eecb48b5dd4d259eb0549920863b0b",
     "matern": "d712ee7c1379720d814486f1e3923c2d46daee120728acb2baaa17daaba3cde6",
     "nonlinear_hawkes": "e0381820be80cf6f0f6a85ce9cdc33d8140743f9d71846d527f4b2a6d8f538f5",
     "poisson": "fdabfb0707869de0d31a7e1c78a17adf1789a6cf9f5bd2041f2320c149172d3d",
@@ -536,7 +566,7 @@ DEMO_REPORT_SHA256 = {
     "branching_approx": "cfb3edb3458ca3e78c175f71fcfa55415f36cf1c059eb8f759d488802e7b1bd3",
     "brix_kendall": "39a3cfc432e446b086a42da209b89f8271ae47c0f5fd7db79592dfdc817055f0",
     "grid_thinning": "2ca44e6f64a6a6ae8efec3f11a2b21682f38a2a972f286b50a7f00f06f5fd230",
-    "hawkes_mr": "92ee7afdb3e2657a67ae1fcef944c34f4256722a71c7823db3d547544da308aa",
+    "hawkes_mr": "7f7033768fa479e14fe8e1f08354a1c567eee7437cff4fe4f7d5d88007940eb5",
     "matern": "a16c5a444fabc6d0f68c934dacb29c3230129fde5bcb5542d75c578c2a197105",
     "nonlinear_hawkes": "74b7f107a2fecda9ea9353a6d528e235afb505c15be9c5bd1854b7774a118f5d",
     "poisson": "d71c57fa1c6cab791bea9bc3ee17f339e8a4c858deb63e3881ed9c1e95d781a0",

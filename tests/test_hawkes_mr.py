@@ -504,7 +504,7 @@ def test_demo_sampler_draws_keep_their_bytes():
     sampler = HawkesSampler(KERNEL, mu=1.0, a=10.0)  # configs/hawkes_mr.json
     pats = [sampler.sample(_gen(31, r)).points[:, 0] for r in range(500)]
     digest = _sha256(np.array([p.size for p in pats]), np.concatenate(pats))
-    assert digest == "bed0ddb7b1c7f82a8213186297e1a388bd6668a0cfa2896adb0abcb2e1be9f05", (
+    assert digest == "f1eb9402d9a808b1f8a5c350648584fad9156ae2f6e22a4a75f0c504405e2583", (
         pin_message("the demo sampler's draws"))
 
 
@@ -533,7 +533,10 @@ def test_two_mark_forest_keeps_its_bytes():
 # grow in the window's frame: that changed the order of the random numbers and
 # the rounding of a position, and two-sample KS tests against the earlier code
 # (window counts and pooled positions, 20,000 lockstep draws per kernel) found
-# no difference in law.
+# no difference in law. They were taken again when the split between the plain
+# roots and the thinned far ancestors moved from t0 to 2 t0: fewer far
+# ancestors draw other random numbers, and the same checks, with the mean count
+# on [0, 1], found no difference in law against the split at t0.
 
 
 @pytest.mark.parametrize(
@@ -561,15 +564,15 @@ def test_scalar_clusters_keep_their_bytes(kernel, digest):
     [
         (
             ExponentialFertility(0.5, 1.0, marks=TWO_MARKS), 1.0, 10.0,
-            "6e13434620fb3eb6b6e8ff0b7237cfbdc113970b429c7b0b7139981e7e133cb2",
+            "ecfc60a5a59a7b16e7c7ba19986a2cca82b368c0a15c1b876249bd7d0a851e56",
         ),
         (
             PolynomialFertility((0.45, -0.225), 2.0), 1.0, 5.0,
-            "e679702729f74cad0ef5c55b61500a39d7074cc986a93530d57db8c3b5b4ceb5",
+            "79cb0bfa6521153a95125706a1340dd685653a6ba27ceca763ea49e6f5c146f6",
         ),
         (
             PiecewiseConstantFertility((0.0, 0.5, 2.0), (0.6, 0.1)), 1.0, 5.0,
-            "8315155c980de3575220388c051a298830ca2a46abdd6355360a3924f658057e",
+            "3ff69898fb4a75875981254419d0708fc5ab54fc5a44b8739765693177722830",
         ),
     ],
     ids=["two-marks", "polynomial", "piecewise"],
@@ -579,6 +582,49 @@ def test_sampler_draws_keep_their_bytes(kernel, mu, a, digest):
     pats = [sampler.sample(_gen(32, r)).points[:, 0] for r in range(400)]
     assert _sha256(np.array([p.size for p in pats]), np.concatenate(pats)) == digest, (
         pin_message("the sampler's draws"))
+
+
+# The digests below were taken before the split between the plain roots and the
+# far ancestors moved from t0 to 2 t0, and hold since: the zero kernel has no
+# far ancestor at any split, and a call with no far ancestor grows the roots'
+# clusters alone, drawing the random numbers that the spine path drew with none.
+
+
+def test_zero_kernel_draws_keep_their_bytes():
+    s = HawkesSampler(ZERO_KERNEL, mu=2.0, a=3.0)
+    pats = [s.sample(_gen(35, r)).points[:, 0] for r in range(400)]
+    assert _sha256(np.array([p.size for p in pats]), np.concatenate(pats)) == (
+        "352220be842e533d7044b85b396fd4908ab31d18f66941951b106ecbd0c5afff"
+    ), pin_message("the zero kernel's draws")
+    points, offsets = s.sample_chains(400, _gen(36))
+    assert _sha256(points, offsets) == (
+        "32f87aa73182d6eebd2cde4203de580912b590ac63611a9d219194d77af152c8"
+    ), pin_message("the zero kernel's lockstep draws")
+
+
+@pytest.mark.parametrize(
+    "kernel, digest",
+    [
+        (KERNEL, "5325105ac156ca4f9a53871e3e777c328e09f028e664742dd2ceedda53683e5a"),
+        (
+            ExponentialFertility(0.5, 1.0, marks=TWO_MARKS),
+            "5989dfcd875aa061b2f5646b90dc5ed38896b21363afeddeb0f31f6b4dbff4ec",
+        ),
+        (
+            PolynomialFertility((0.45, -0.225), 2.0),
+            "d3a2f699cb4acd2a0e72ea486bb97719aae9e020a5458c389815aa34a7e2f8cb",
+        ),
+        (
+            PiecewiseConstantFertility((0.0, 0.5, 2.0), (0.6, 0.1), marks=((0.5, 0.5), (0.5, 1.5))),
+            "16fb27194330778ee643c9168ddcf2bde56c5c5ea4af79d9902eb18845b3d00b",
+        ),
+    ],
+    ids=["one-mark", "two-marks", "polynomial", "piecewise"],
+)
+def test_kept_clusters_without_far_ancestors_keep_their_bytes(kernel, digest):
+    roots = np.linspace(-8.0, 10.0, 600)
+    pts, who = _kept_clusters(kernel, np.empty(0), _gen(37), roots, np.array([250, 150, 200]))
+    assert _sha256(pts, who) == digest, pin_message("the roots' clusters without far ancestors")
 
 
 # -- the perfect sampler ------------------------------------------------------------
@@ -635,13 +681,22 @@ EDGE_KERNELS = [
 EDGE_IDS = ["demo", "two-marks", "polynomial", "piecewise"]
 
 
+def _window_and_strip_counts(sampler, rng, n=20_000, block=5_000):
+    """Each of n lockstep draws' counts on the window and on [0, 1], drawn in blocks."""
+    counts, strips = [], []
+    for _ in range(n // block):
+        points, offsets = sampler.sample_chains(block, rng)
+        rep = np.arange(block).repeat(np.diff(offsets))
+        counts.append(np.diff(offsets))
+        strips.append(np.bincount(rep[points[:, 0] <= 1.0], minlength=block))
+    return np.concatenate(counts), np.concatenate(strips)
+
+
 def _edge_strip_mean(kernel):
     """(mean, 4-sigma half width) of the count on [0, 1] in 20,000 lockstep
     draws on [0, 10] at mu = 1: the strip that the pre-window ancestors feed most."""
-    n = 20_000
-    points, offsets = HawkesSampler(kernel, mu=1.0, a=10.0).sample_chains(n, _gen(127))
-    rep = np.arange(n).repeat(np.diff(offsets))
-    return mean_ci(np.bincount(rep[points[:, 0] <= 1.0], minlength=n), z=4.0)
+    sampler = HawkesSampler(kernel, mu=1.0, a=10.0)
+    return mean_ci(_window_and_strip_counts(sampler, _gen(127), block=20_000)[1], z=4.0)
 
 
 @pytest.mark.parametrize("kernel", EDGE_KERNELS, ids=EDGE_IDS)
@@ -659,23 +714,77 @@ def _no_far_ancestors(kernel, far, rng, roots, root_counts):
 
 
 def _no_roots_before_the_window(kernel, far, rng, roots, root_counts):
-    """_kept_clusters that drops every root on [-t0, 0)."""
+    """_kept_clusters that drops every root on [-t1, 0)."""
     inside = roots >= 0.0
     reps = np.arange(len(root_counts)).repeat(root_counts)[inside]
     return _kept_clusters(kernel, far, rng, roots[inside],
                           np.bincount(reps, minlength=len(root_counts)))
 
 
-@pytest.mark.parametrize("mutant", [_no_far_ancestors, _no_roots_before_the_window],
-                         ids=["no-far-ancestors", "no-roots-before-the-window"])
+@pytest.mark.parametrize("mutant", [_no_roots_before_the_window],
+                         ids=["no-roots-before-the-window"])
 def test_edge_strip_count_fails_without_a_pre_window_part(monkeypatch, mutant):
-    # either part of the pre-window process, missing, leaves the strip short by
-    # more than 4 standard errors (the whole window's mean moves far less)
+    # the roots before the window, missing, leave the strip short by more than
+    # 4 standard errors (the whole window's mean moves far less). The far
+    # ancestors, beyond 2 t0, feed the strip too little for this test to see
+    # them (0.0123 mu, an eighth of what those beyond t0 fed): the next test
+    # counts them alone
     from exactpp import hawkes_mr
 
     monkeypatch.setattr(hawkes_mr, "_kept_clusters", mutant)
     mean, half = _edge_strip_mean(KERNEL)
     assert mean < 1.0 / (1.0 - KERNEL.rho) - half, (mean, half)
+
+
+@pytest.mark.parametrize("keep, fits", [(_kept_clusters, True), (_no_far_ancestors, False)],
+                         ids=["sampler", "no-far-ancestors"])
+def test_far_clusters_feed_the_edge_strip_as_the_closed_form_says(monkeypatch, keep, fits):
+    # with h = beta e^(-gamma s) a cluster's descendants arrive at rate
+    # beta e^(-(gamma - beta) s) after its root, so the ancestors beyond t1 put
+    # mu beta (1 - e^(-(gamma - beta))) e^(-(gamma - beta) t1) / (gamma - beta)^2
+    # points on [0, 1] a draw: 0.74 at mu = 60, with a standard error of about
+    # 1.6% at 10,000 draws; with no far ancestor kept, none
+    from exactpp import hawkes_mr
+
+    far_flags = []
+
+    def recording(kernel, far, rng, roots, root_counts):
+        pts, who = keep(kernel, far, rng, roots, root_counts)
+        far_flags.append(who < far.size)  # the far ancestors own 0 to far.size - 1
+        return pts, who
+
+    monkeypatch.setattr(hawkes_mr, "_kept_clusters", recording)
+    mu, block = 60.0, 500
+    s = HawkesSampler(KERNEL, mu=mu, a=1.0)
+    rng = _gen(129)
+    counts = []
+    for _ in range(20):
+        pts, rep = s._conditioned_cluster(rng, block)
+        in_strip = far_flags.pop() & (pts >= 0.0) & (pts <= 1.0)
+        counts.append(np.bincount(rep[in_strip], minlength=block))
+    g, t1 = KERNEL.gamma - KERNEL.beta, 2.0 * s.meta["t0"]
+    expected = mu * KERNEL.beta * -math.expm1(-g) * math.exp(-g * t1) / g**2
+    mean, half = mean_ci(np.concatenate(counts), z=4.0)
+    assert (abs(mean - expected) < half) == fits, (mean, half, expected)
+
+
+@pytest.mark.parametrize("split", ["t0", "zero"])
+def test_the_split_is_a_cost_choice_not_a_law_choice(monkeypatch, split):
+    # the coin keeps a far cluster that reaches the window with probability
+    # e^(theta t) / Z_0 at every distance t, so a split at t0 or at 0, with
+    # mu U(t) far ancestors beyond it, draws the law of the split at 2 t0
+    default, moved = HawkesSampler(KERNEL, mu=1.0, a=10.0), HawkesSampler(KERNEL, mu=1.0, a=10.0)
+    at = moved.meta["t0"] if split == "t0" else 0.0
+    theta, rho_theta = KERNEL.theta, KERNEL.rho_theta
+    monkeypatch.setattr(moved, "_t1", at)
+    monkeypatch.setattr(moved, "_far_mean",
+                        moved.mu * math.exp(-theta * at) / (theta * (1.0 - rho_theta)))
+    (c0, s0), (c1, s1) = (_window_and_strip_counts(x, _gen(132, i))
+                          for i, x in enumerate((default, moved)))
+    rep = two_sample_ks(c0, c1, alpha=0.01)
+    assert rep.accepted, ("window counts", rep.to_dict())
+    (m0, h0), (m1, h1) = mean_ci(s0, z=4.0), mean_ci(s1, z=4.0)
+    assert abs(m1 - m0) < math.hypot(h0, h1), (m0, m1, h0, h1)
 
 
 def test_sampler_matches_burn_in_oracle(sampler):
@@ -765,10 +874,10 @@ def test_draws_allocate_nothing_the_size_of_the_grid():
 
 
 def test_a_heavy_lockstep_block_stays_under_60_mib():
-    # about 1.05M grown points. With the spine's arrays freed before the engine
-    # call and the roots and root labels once read, the block peaks at
-    # 42.4-42.5 MiB (tracemalloc, seeds 126-131); a reach and a shift per
-    # point took it to 52.7-53.0 MiB. The bound, 48 MiB, leaves about 13%.
+    # about 850k grown points. With the split at 2 t0, the block peaks at
+    # 35.3-35.5 MiB (tracemalloc, seeds 126-131); at t0 it grew about 1.05M
+    # points and peaked at 42.4-42.5 MiB, and a reach and a shift per point
+    # took that to 52.7-53.0 MiB. The bound, 40 MiB, leaves about 13%.
     s = HawkesSampler(KERNEL, mu=60.0, a=10.0)
     rng = _gen(126)
     tracemalloc.start()
@@ -777,8 +886,8 @@ def test_a_heavy_lockstep_block_stays_under_60_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert offsets[-1] > 350_000  # points in the window; the block grows about 2.6 times as many
-    assert peak < 48 * 2**20, peak / 2**20
+    assert offsets[-1] > 350_000  # points in the window; the block grows about 2.1 times as many
+    assert peak < 40 * 2**20, peak / 2**20
 
 
 def test_a_block_with_its_points_in_the_window_sorts_within_the_draw_peak():
@@ -878,7 +987,7 @@ def test_lockstep_form_grows_every_replicate_in_one_call(monkeypatch, kernel, mu
         points, offsets = sampler.sample_chains(n, _gen(125, n))
         assert caps == [n * hawkes_mr.POINT_CAP] and offsets.size == n + 1
         assert sampler.stats["condition_attempts"] - before == sum(candidates)
-        assert len(candidates) == (kernel.rho > 0)
+        assert len(candidates) == 1  # the zero kernel's too, with no far ancestor
         del caps[:], candidates[:]
 
 
