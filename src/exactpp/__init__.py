@@ -22,7 +22,7 @@ is organized by construction:
 - validation: statistical acceptance harness (KS, chi-square, Laplace, Holm)
 - oracles: independently-coded reference samplers used only by validation
 - cli: `exactpp sample | validate | plotdata` driven by JSON configs; each
-  sampler module ends with its config builders
+  sampler module ends with its config builders, and core holds Poisson's
 - plotdata: the plot-ready CSV of `exactpp plotdata`, loaded only by that command
 
 Importing the package loads none of these modules. Each name in `__all__` is

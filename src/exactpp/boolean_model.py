@@ -396,9 +396,7 @@ def _build_boolean_disks(p, window):
     def chains(n_reps, rng):
         return boolean_exact_chains(rate, grains, window, n_reps, rng)
 
-    # the kept pairs' mean count, rate (A + P E R + pi E R^2)
-    per_rep = rate * (window.volume() + 2.0 * float(np.sum(window.sides)) * law.moment(1)
-                      + math.pi * law.moment(2))
+    per_rep = rate * _steiner(law, window)[1]  # the kept pairs' mean count
 
     def validate(stream, n_reps, collector):
         from .validation import PROBES, mean_ci, replicate_counts

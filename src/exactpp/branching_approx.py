@@ -40,27 +40,18 @@ POINT_CAP = 5_000_000
 
 
 class GWCluster:
-    """All points of one or more single-ancestor clusters, with generation labels.
+    """All points of one or more single-ancestor clusters, with their owners.
 
     owner[i] is the root that point i descends from, grown in the generation
-    loop beside the points.  ancestor, ancestor_mark and extinction_time (last
-    point minus ancestor, on the line) are floats for a scalar ancestor and
-    have one entry per root otherwise.  generations and extinction_time are
-    built when first read, generations from the size of each generation: a
-    Hawkes draw reads only points and owner, and a branching draw only points.
+    loop beside the points; the roots come first, in order.  ancestor and
+    extinction_time (last point minus ancestor, on the line) are floats for a
+    scalar ancestor and have one entry per root otherwise.  extinction_time is
+    built when first read: a Hawkes draw reads only points and owner, and a
+    branching draw only points.
     """
 
-    def __init__(self, points, ancestor, ancestor_mark, owner, sizes):
-        self.points, self.ancestor, self.ancestor_mark = points, ancestor, ancestor_mark
-        self.owner, self._sizes = owner, sizes  # sizes[k]: the points of generation k
-
-    @property
-    def n(self):
-        return self.points.shape[0]
-
-    @functools.cached_property
-    def generations(self):
-        return np.arange(len(self._sizes)).repeat(self._sizes)
+    def __init__(self, points, ancestor, owner):
+        self.points, self.ancestor, self.owner = points, ancestor, owner
 
     @functools.cached_property
     def extinction_time(self):
@@ -84,14 +75,14 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
     children.  The roots draw their marks from the mixture unless root_marks
     gives them, one per root.  Each generation costs its generator calls, two
     repeats by the same counts (of the parents' positions and of their owner
-    labels) and one add; the loop keeps each generation's size, from which
-    GWCluster builds the generation labels if they are read.
+    labels) and one add; the points and owners of every generation are
+    concatenated once, after the loop.
 
-    A kernel with one mark (one_mark and one_mark_nu, the offspring mean of
-    every point, are not None) draws no marks: each generation's offspring
-    counts are one Poisson with the scalar rate one_mark_nu, and no random
-    number is spent on a mark whose only outcome is the one mark.  Its
-    clusters have the law, not the bytes, of a mixture of equal marks.
+    A kernel with one mark (one_mark_nu, the offspring mean of every point,
+    is not None) draws no marks: each generation's offspring counts are one
+    Poisson with the scalar rate one_mark_nu, and no random number is spent on
+    a mark whose only outcome is the one mark.  Its clusters have the law, not
+    the bytes, of a mixture of equal marks.
     """
     roots = np.asarray(ancestor, dtype=float)
     batch = roots.ndim > 0
@@ -99,15 +90,15 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
     nu = kernel.one_mark_nu
     poisson, displace = rng.poisson, kernel.sample_displacement
     if root_marks is not None:
-        marks = anc_marks = np.asarray(root_marks, dtype=float).reshape(-1)
+        marks = np.asarray(root_marks, dtype=float).reshape(-1)
         if marks.size != len(roots):
             raise SamplerError(f"root_marks gives {marks.size} marks for {len(roots)} ancestors")
     elif nu is None:
-        marks = anc_marks = kernel.sample_mark(len(roots), rng)
+        marks = kernel.sample_mark(len(roots), rng)
     else:
-        marks = anc_marks = None  # None: every mark is the kernel's one mark
+        marks = None  # None: every mark is the kernel's one mark
     gen, own, total = roots, np.arange(len(roots)), len(roots)
-    pts, owners, sizes = [gen], [own], [total]
+    pts, owners = [gen], [own]
     for _ in itertools.repeat(None) if generations is None else range(generations):
         counts = poisson(nu, len(gen)) if marks is None else poisson(kernel.nu_inf(marks))
         gen = gen.repeat(counts, 0)  # each child at its parent (axis 0): the size is the count
@@ -124,16 +115,9 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
         own = own.repeat(counts)
         pts.append(gen)
         owners.append(own)
-        sizes.append(n)
         marks = None if nu is not None else kernel.sample_mark(n, rng)
-    points, owner = np.concatenate(pts), np.concatenate(owners)
-    if batch:
-        if anc_marks is None:  # the one mark, filled in at half the cost of np.full
-            anc_marks = np.empty(len(roots))
-            anc_marks.fill(kernel.one_mark)
-        return GWCluster(points, roots, anc_marks, owner, sizes)
-    z = kernel.one_mark if anc_marks is None else float(anc_marks[0])
-    return GWCluster(points, float(ancestor), z, owner, sizes)
+    return GWCluster(np.concatenate(pts), roots if batch else float(ancestor),
+                     np.concatenate(owners))
 
 
 class TruncationCertificate(_Frozen):

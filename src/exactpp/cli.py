@@ -12,7 +12,7 @@ outputs are byte-identical across reruns and independent of EXACTPP_WORKERS.
 
 Configs are read by one reader, _Obj, and each sampler's registry entry
 declares its params keys, its window dimension and the module that holds its
-builder, _build_<sampler>: Poisson's is here, since its sampler is core's, and
+builder, _build_<sampler>: Poisson's is in core, beside the draws it makes, and
 every other one is at the end of its sampler's module. Every config error about
 a single value (an unknown, missing or mistyped key, or a value out of its
 range) names the value's dotted path and exits 2. Conditions on several
@@ -23,13 +23,14 @@ keeps the sampler's exit code. Model-level impossibilities (supercritical
 kernels, unbounded buffers, point counts too large to draw) exit 3.
 
 Only core is imported with this module, and argparse only when main() runs.
-build imports the module of the sampler a config names, and each validation
-imports validation and each oracle imports oracles when it runs; so a run
-loads only the modules of the sampler its config names (validation and
-oracles only when validation runs), a build or a sample run with validation
-off loads no validation, the plot module is loaded only by plotdata, and
-concurrent.futures is loaded only when EXACTPP_WORKERS > 1. No other module
-imports this one, so `python -m exactpp.cli` compiles it once.
+build imports the module that holds the builder a config names (core, already
+loaded, for Poisson), and each validation imports validation and each oracle
+imports oracles when it runs; so a run loads only the modules of the sampler
+its config names (validation and oracles only when validation runs), a build
+or a sample run with validation off loads no validation, the plot module is
+loaded only by plotdata, and concurrent.futures is loaded only when
+EXACTPP_WORKERS > 1. No other module imports this one, so
+`python -m exactpp.cli` compiles it once.
 """
 
 from __future__ import annotations
@@ -51,14 +52,10 @@ from .core import (
     RngStream,
     SamplerError,
     Window,
-    _built,
-    _count_checks,
     _finite,
     _jsonable,
     _made,
     config_hash,
-    homogeneous_chains,
-    sample_homogeneous,
 )
 
 SCHEMA_VERSION = 1
@@ -147,31 +144,17 @@ class _Obj:
 # -- sampler registry ----------------------------------------------------------------
 #
 # Each builder, _build_<sampler>, takes the params reader and the window (None for
-# a sampler without one). Poisson's is here, since its sampler is core's; every
+# a sampler without one). Poisson's is in core, beside the draws it makes; every
 # other one is at the end of its sampler's module.
-
-
-def _build_poisson(p, window):
-    rate = p.get("rate", float, check=_NONNEG)
-
-    def sample(rng):
-        return sample_homogeneous(window, rate, rng)
-
-    def chains(n_reps, rng):
-        return homogeneous_chains(window, rate, n_reps, rng)
-
-    mean = rate * window.volume()
-    return _built(sample, window, _count_checks(chains, mean=("poisson-mean-count", mean),
-                                                per_rep=mean))
 
 
 _HALF_AXIS = "runs on its own half-axis"
 
-# name -> (the module that defines its builder, None for this one; its params keys
-#          (None: the builder's variant checks them); its window: a dimension, None
-#          for any, or for a sampler without one a phrase saying where it draws)
+# name -> (the module that defines its builder; its params keys (None: the
+#          builder's variant checks them); its window: a dimension, None for any,
+#          or for a sampler without one a phrase saying where it draws)
 _BUILDERS = {
-    "poisson": (None, ("rate",), None),
+    "poisson": ("core", ("rate",), None),
     "brix_kendall": ("cluster_exact", ("rate0", "cluster_mean", "displacement"), None),
     "boolean_disks": ("boolean_model", ("rate", "radius"), 2),
     "boolean_segments": ("boolean_model", ("rate", "length"), 2),
@@ -220,11 +203,9 @@ def build(cfg):
     """The built sampler of a loaded config, as a dict: sample(rng), window,
     validate(stream, n_reps, collector), plots, meta and sampler-specific extras."""
     home, keys, dim = _BUILDERS[cfg["sampler"]]
-    # Poisson's builder is this module's own: under `python -m exactpp.cli` this
-    # module is __main__, and importing exactpp.cli would compile it a second time
-    scope = vars(importlib.import_module(f".{home}", __package__)) if home else globals()
+    make = getattr(importlib.import_module(f".{home}", __package__), f"_build_{cfg['sampler']}")
     top = _Obj(cfg, "", _TOP_KEYS)
-    return scope[f"_build_{cfg['sampler']}"](top.obj("params", keys), top.window("window", dim))
+    return make(top.obj("params", keys), top.window("window", dim))
 
 
 # -- commands -------------------------------------------------------------------------

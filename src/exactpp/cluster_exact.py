@@ -98,17 +98,9 @@ class TranslatedPoissonCluster(_Frozen):
     def dim(self):
         return self.displacement.dim
 
-    # a branching_approx.sample_gw_cluster kernel: one mark, 1, and total_mean children a point
-    one_mark = 1.0
+    # a branching_approx.sample_gw_cluster kernel: one mark, and total_mean children a point
     one_mark_nu = property(lambda self: self.total_mean)
     sample_displacement = property(lambda self: self.displacement.sample)
-
-    def mass_in(self, xs, window):
-        d = self.displacement
-        return self.total_mean * d.prob_in(d.overlap(xs, window))
-
-    def retention(self, xs, window):
-        return -np.expm1(-self.mass_in(xs, window))
 
     def germ_region(self, window):
         """Smallest box containing every germ whose cluster can hit the window."""
@@ -121,10 +113,11 @@ class TranslatedPoissonCluster(_Frozen):
         hitting W, and the k cluster sizes; corners are the germs' overlaps
         (x + box) ∩ W, from displacement.overlap.
 
-        lam holds mass_in(germs, W): the in-W count at x is Poisson(lam). Given a
-        hit it is 1 + Poisson(lam - T1), with T1 the first arrival of a unit-rate
-        process given that it falls below lam, drawn by inversion; the points
-        are i.i.d. uniform on (x + box) ∩ W. No loop, and no point outside W.
+        lam holds K(x, W - x) at each germ: the in-W count at x is
+        Poisson(lam). Given a hit it is 1 + Poisson(lam - T1), with T1 the
+        first arrival of a unit-rate process given that it falls below lam,
+        drawn by inversion; the points are i.i.d. uniform on (x + box) ∩ W. No
+        loop, and no point outside W.
         """
         if not lam.min(initial=1.0) > 0:
             raise SamplerError("cannot condition a cluster that misses the window to hit it")
@@ -168,7 +161,7 @@ class BrixKendallSampler:
         germs, offsets = homogeneous_chains(self.region, self.rate, n_chains, rng)
         disp = self.kernel.displacement
         corners = disp.overlap(germs, self.window)
-        lam = self.kernel.total_mean * disp.prob_in(corners)  # mass_in, from the corners
+        lam = self.kernel.total_mean * disp.prob_in(corners)  # K(x, W - x), from the corners
         if len(germs):
             keep, offsets = thin_chains(offsets, -np.expm1(-lam), rng)
             germs, lam, corners = germs[keep], lam[keep], (corners[0][keep], corners[1][keep])

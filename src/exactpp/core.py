@@ -26,7 +26,9 @@ homogeneous_chains draws n such replicates, kept_rows carries the offsets
 through a filter of the rows, and thin_chains is thin over every replicate's
 rows at once. sample_homogeneous is homogeneous_chains at n = 1, and a form
 at n = 1 makes the generator calls of the single draw. order_by_label sorts
-rows by replicate, then by value. The config builders' shared parts end the module.
+rows by replicate, then by value. The Poisson sampler's config builder,
+_build_poisson, follows the draws it makes, and the config builders' shared
+parts end the module.
 """
 
 from __future__ import annotations
@@ -199,10 +201,6 @@ class PointPattern(_Frozen):
             if marks.shape[0] != pts.shape[0]:
                 raise ValueError("marks length must match point count")
         self.__dict__.update(points=np.array(pts, order="C"), marks=marks, dim=pts.shape[1])
-
-    @classmethod
-    def empty(cls, dim):
-        return cls(np.empty((0, int(dim))), dim=int(dim))
 
     @property
     def n(self):
@@ -522,6 +520,21 @@ def homogeneous_chains(window, rate, n_chains, rng):
     replicate draws what sample_homogeneous draws."""
     offsets = chain_offsets(poisson_counts(_mean_count(rate, window.volume()), n_chains, rng))
     return window.sample_uniform(offsets[-1], rng), offsets
+
+
+# the Poisson sampler's config builder, which cli.build calls, beside the draws it makes
+def _build_poisson(p, window):
+    rate = p.get("rate", float, check=_NONNEG)
+
+    def sample(rng):
+        return sample_homogeneous(window, rate, rng)
+
+    def chains(n_reps, rng):
+        return homogeneous_chains(window, rate, n_reps, rng)
+
+    mean = rate * window.volume()
+    return _built(sample, window, _count_checks(chains, mean=("poisson-mean-count", mean),
+                                                per_rep=mean))
 
 
 def thin(points, p, rng):

@@ -104,9 +104,8 @@ class FertilityKernel:
         self._base = base = self._nu0_inf()  # the total mass, kept: nu_inf(z) = z * base
         if base < 0 or not np.isfinite(base):
             raise SamplerError("offspring mass must be finite and nonnegative")
-        # the one mark, and the offspring mean of every point, when there is one mark, else None
-        self.one_mark = float(self._zs[0]) if self._zs.size == 1 else None
-        self.one_mark_nu = None if self.one_mark is None else float(self.nu_inf(self.one_mark))
+        # the offspring mean of every point when there is one mark, else None
+        self.one_mark_nu = float(self.nu_inf(float(self._zs[0]))) if self._zs.size == 1 else None
         self.mean_mark = float(np.sum(self._weights * self._zs))
         self.rho = float(self.mean_mark * base)
         if self.rho >= 1:
@@ -837,9 +836,15 @@ def _build_hawkes_mr(p, window):
         return chains(kernel, mu, a, burn, n_reps, rng)
 
     # a replicate's points: the clusters of its mu (t1 + a) roots on [-t1, a) and of its
-    # mu (1 - rho_theta) / theta far ancestors, with 1 / (1 - rho_theta) spine nodes each
-    far = 1.0 / kernel.theta if kernel.rho > 0 else 0.0
-    per_rep = mu * (window.upper[0] + sampler._t1 + far) / (1.0 - kernel.rho)
+    # mu (1 - rho_theta) / theta far ancestors, with 1 / (1 - rho_theta) spine nodes each;
+    # its mu rho_theta / theta spine nodes before the last carry z-size-biased marks, whose
+    # clusters grow (E[z^2] / E[z] - E[z]) nu0 / (1 - rho) more points each (0 for one mark)
+    far = biased = 0.0
+    if kernel.rho > 0:
+        far = 1.0 / kernel.theta
+        spread = float(np.sum(kernel._weights * (kernel._zs - kernel.mean_mark) ** 2))
+        biased = kernel.rho_theta / kernel.theta * spread / kernel.mean_mark * kernel._base
+    per_rep = mu * (window.upper[0] + sampler._t1 + far + biased) / (1.0 - kernel.rho)
     validate = _count_checks(
         sampler.sample_chains,
         mean=("self-exciting-mean-count", mu * window.upper[0] / (1.0 - kernel.rho)),

@@ -214,13 +214,24 @@ BOX2 = UniformDisplacement((-0.1, -0.2), (0.15, 0.1))
 PROGENY2 = TranslatedPoissonCluster(total_mean=0.9, displacement=BOX2)
 
 
+# a unit step: every generation moves each coordinate by 1 to 1.1, so the whole
+# part of a point's offset from its root at 0 is its generation, below 10
+STEP2 = TranslatedPoissonCluster(
+    total_mean=0.9, displacement=UniformDisplacement((1.0, 1.0), (1.1, 1.1)))
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 5])
 def test_engine_stops_at_the_generation_cap(k):
     roots = np.zeros((50, 2))
+    deepest = 0
     for r in range(20):
-        cl = sample_gw_cluster(PROGENY2, roots, _gen(120, r), generations=k)
-        assert cl.generations.max() <= k
-        assert cl.generations.size == cl.owner.size == cl.n
+        cl = sample_gw_cluster(STEP2, roots, _gen(120, r), generations=k)
+        depth = np.floor(cl.points[:, 0]).astype(int)
+        assert np.array_equal(depth, np.floor(cl.points[:, 1]))
+        assert depth.max() <= k
+        assert cl.owner.shape == depth.shape
+        deepest = max(deepest, depth.max())
+    assert deepest == k  # and the cap is reached
 
 
 def test_engine_at_zero_generations_returns_the_roots_and_draws_nothing():
@@ -228,21 +239,29 @@ def test_engine_at_zero_generations_returns_the_roots_and_draws_nothing():
     roots = np.arange(12.0).reshape(6, 2)
     cl = sample_gw_cluster(PROGENY2, roots, rng, generations=0)
     assert np.array_equal(cl.points, roots)
-    assert cl.generations.tolist() == [0] * 6 and cl.owner.tolist() == list(range(6))
+    assert cl.owner.tolist() == list(range(6))
     assert rng.random(4).tolist() == _gen(121).random(4).tolist()  # the stream is untouched
 
 
 def test_engine_keeps_row_roots_aligned_with_their_labels():
     roots = _gen(122).random((300, 2)) * 4.0
     cl = sample_gw_cluster(PROGENY2, roots, _gen(123), generations=6)
-    assert cl.points.shape == (cl.n, 2) and cl.owner.shape == cl.generations.shape == (cl.n,)
-    assert cl.generations.max() > 1
-    gen0 = cl.generations == 0
-    assert np.array_equal(cl.points[gen0], roots)
-    assert np.array_equal(cl.owner[gen0], np.arange(300))
+    assert cl.points.shape == (cl.owner.size, 2)
+    # a run capped at g - 1 generations on the same seed is the prefix of this
+    # one that holds generations 0..g - 1, so the points past it are generation g on
+    sizes = []
+    for g in range(6):
+        capped = sample_gw_cluster(PROGENY2, roots, _gen(123), generations=g)
+        assert np.array_equal(capped.points, cl.points[:len(capped.points)])
+        assert np.array_equal(capped.owner, cl.owner[:len(capped.points)])
+        sizes.append(len(capped.points))
+    generation = np.searchsorted(sizes, np.arange(len(cl.points)), side="right")
+    assert sizes[0] == 300 and generation.max() > 1
+    assert np.array_equal(cl.points[:300], roots)
+    assert np.array_equal(cl.owner[:300], np.arange(300))
     # g displacements from the box [lo, hi] leave each point within g * box of its root
     offsets = cl.points - roots[cl.owner]
-    g = cl.generations[:, None]
+    g = generation[:, None]
     tol = 1e-12
     assert np.all(offsets >= g * np.array(BOX2.lo) - tol)
     assert np.all(offsets <= g * np.array(BOX2.hi) + tol)
@@ -250,8 +269,8 @@ def test_engine_keeps_row_roots_aligned_with_their_labels():
 
 def _brood_engine(kernel, ancestor, rng, root_marks=None, generations=None):
     """The engine's draws with its labels derived as the reference: the loop keeps
-    broods[k][j], the children of point j of generation k, and owner and
-    generations are rebuilt from them after the loop."""
+    broods[k][j], the children of point j of generation k, and owner is rebuilt
+    from them after the loop."""
     roots = np.asarray(ancestor, dtype=float)
     roots = roots if roots.ndim else roots.reshape(1)
     nu = kernel.one_mark_nu
@@ -259,7 +278,6 @@ def _brood_engine(kernel, ancestor, rng, root_marks=None, generations=None):
         marks = np.asarray(root_marks, dtype=float).reshape(-1)
     else:
         marks = None if nu is not None else kernel.sample_mark(len(roots), rng)
-    anc_marks = np.full(len(roots), kernel.one_mark) if marks is None else marks
     pts, broods, gen = [roots], [], roots
     for _ in itertools.count() if generations is None else range(generations):
         counts = rng.poisson(nu, len(gen)) if marks is None else rng.poisson(kernel.nu_inf(marks))
@@ -276,16 +294,12 @@ def _brood_engine(kernel, ancestor, rng, root_marks=None, generations=None):
     for counts in broods[:-1]:
         owners.append(owners[-1].repeat(counts))
     points, owner = np.concatenate(pts), np.concatenate(owners)
-    labels = {"points": points, "owner": owner,
-              "generations": np.arange(len(broods)).repeat([b.size for b in broods])}
+    labels = {"points": points, "owner": owner}
     if np.ndim(ancestor) == 0:
-        labels["ancestor_mark"] = float(anc_marks[0])
         labels["extinction_time"] = float(points.max() - float(ancestor))
-    else:
-        labels["ancestor_mark"] = anc_marks
-        if roots.ndim == 1:
-            labels["extinction_time"] = np.zeros(roots.size)
-            np.maximum.at(labels["extinction_time"], owner, points - roots[owner])
+    elif roots.ndim == 1:
+        labels["extinction_time"] = np.zeros(roots.size)
+        np.maximum.at(labels["extinction_time"], owner, points - roots[owner])
     return labels
 
 

@@ -333,7 +333,7 @@ def test_heavy_hawkes_battery_stays_within_the_point_cap(tmp_path, capsys, monke
 
     def recording(kernel, roots, rng, point_cap, **kwargs):
         cl = grow(kernel, roots, rng, point_cap, **kwargs)
-        grown.append((cl.n, point_cap))
+        grown.append((len(cl.points), point_cap))
         return cl
 
     monkeypatch.setattr(hawkes_mr, "sample_gw_cluster", recording)
@@ -355,10 +355,18 @@ def test_heavy_hawkes_battery_stays_within_the_point_cap(tmp_path, capsys, monke
     assert peak < 128 * 2**20  # about 57 MiB, at the oracle's first block
 
 
-def test_hawkes_battery_blocks_are_sized_by_the_points_a_draw_grows(tmp_path, monkeypatch):
-    # the build's per_rep, mu (a + 2 t0 + 1/theta) / (1 - rho), is the mean
-    # count of the points that the engine grows a replicate: 2,558 at mu = 60,
-    # against a standard error of about 2.7 at 2,000 draws
+@pytest.mark.parametrize(
+    "marks, per_rep",
+    [(None, 2_558.13), ([[0.25, 0.5], [0.75, 7 / 6]], 2_569.38)],
+    ids=["one-mark", "two-marks"],
+)
+def test_hawkes_battery_blocks_are_sized_by_the_points_a_draw_grows(
+        tmp_path, monkeypatch, marks, per_rep):
+    # the build's per_rep, mu (a + 2 t0 + 1/theta + b) / (1 - rho), is the mean
+    # count of the points that the engine grows a replicate, with
+    # b = (rho_theta / theta) Var(z) / E[z] nu0 for the spine nodes' size-biased
+    # marks (0 for one mark): 2,558 and 2,569 at mu = 60, against a standard
+    # error of about 2.7 at 2,000 draws
     from exactpp import RngStream, cli, hawkes_mr
 
     count_checks, grow, seen, grown = hawkes_mr._count_checks, hawkes_mr.sample_gw_cluster, {}, []
@@ -369,18 +377,20 @@ def test_hawkes_battery_blocks_are_sized_by_the_points_a_draw_grows(tmp_path, mo
 
     def recording_growth(*args, **kwargs):
         cl = grow(*args, **kwargs)
-        grown.append(cl.n)
+        grown.append(len(cl.points))
         return cl
 
     monkeypatch.setattr(hawkes_mr, "_count_checks", recording_checks)
     monkeypatch.setattr(hawkes_mr, "sample_gw_cluster", recording_growth)
     cfg = json.loads((CONFIG_DIR / "hawkes_mr.json").read_text())
     cfg["params"]["mu"] = 60.0
+    if marks is not None:
+        cfg["params"]["kernel"]["marks"] = marks
     sampler = cli.build(cli.load_config(_cfg_file(tmp_path, cfg)))["sampler"]
     for r in range(2_000):
         sampler.sample(RngStream(133, r).generator())
     assert len(grown) == 2_000  # one engine call a draw
-    assert seen["per_rep"] == pytest.approx(2_558.13, abs=0.01)
+    assert seen["per_rep"] == pytest.approx(per_rep, abs=0.01)
     mean, se = np.mean(grown), np.std(grown) / math.sqrt(len(grown))
     assert abs(mean - seen["per_rep"]) < 3.0 * se, (mean, se, seen["per_rep"])
 

@@ -33,9 +33,21 @@ def _kernel(mean):
     return TranslatedPoissonCluster(total_mean=mean, displacement=DISP)
 
 
+def _mass_in(kernel, germs, window):
+    """K(x, W - x) at each germ, as the sampler computes it from the overlap's
+    corners (test_retained_germs_carry_their_window_mass holds it to that)."""
+    d = kernel.displacement
+    return kernel.total_mean * d.prob_in(d.overlap(germs, window))
+
+
+def _retention(kernel, germs, window):
+    """The sampler's retention probability 1 - e^{-K(x, W - x)} at each germ."""
+    return -np.expm1(-_mass_in(kernel, germs, window))
+
+
 def _conditioned(kernel, germs, window, rng):
     corners = kernel.displacement.overlap(germs, window)
-    return kernel.sample_conditioned(corners, kernel.mass_in(germs, window), rng)
+    return kernel.sample_conditioned(corners, _mass_in(kernel, germs, window), rng)
 
 
 # -- retention probability ------------------------------------------------------
@@ -44,28 +56,28 @@ def _conditioned(kernel, germs, window, rng):
 def test_retention_closed_form_values():
     # an interior germ has full displacement overlap, so p = 1 - e^{-mean}
     x = np.array([[5.0]])
-    assert _kernel(1e-12).retention(x, W10)[0] == pytest.approx(0.0, abs=1e-11)
-    assert _kernel(math.log(2.0)).retention(x, W10)[0] == pytest.approx(0.5)
-    assert _kernel(1.0).retention(x, W10)[0] == pytest.approx(1.0 - math.exp(-1.0))
+    assert _retention(_kernel(1e-12), x, W10)[0] == pytest.approx(0.0, abs=1e-11)
+    assert _retention(_kernel(math.log(2.0)), x, W10)[0] == pytest.approx(0.5)
+    assert _retention(_kernel(1.0), x, W10)[0] == pytest.approx(1.0 - math.exp(-1.0))
 
 
 def test_retention_vanishes_out_of_reach():
     xs = np.array([[-0.6], [10.6], [100.0]])
-    assert np.all(_kernel(2.0).retention(xs, W10) == 0.0)
+    assert np.all(_retention(_kernel(2.0), xs, W10) == 0.0)
 
 
 def test_retention_monotone_in_the_window():
     xs = np.linspace(-1.0, 11.0, 241)[:, None]
     small = Window((2.0,), (8.0,))
-    p_small = _kernel(2.0).retention(xs, small)
-    p_big = _kernel(2.0).retention(xs, W10)
+    p_small = _retention(_kernel(2.0), xs, small)
+    p_big = _retention(_kernel(2.0), xs, W10)
     assert np.all(p_small <= p_big + 1e-15)
 
 
 def test_retention_monotone_in_cluster_mean():
     xs = np.linspace(-0.5, 10.5, 101)[:, None]
-    p1 = _kernel(1.0).retention(xs, W10)
-    p2 = _kernel(2.0).retention(xs, W10)
+    p1 = _retention(_kernel(1.0), xs, W10)
+    p2 = _retention(_kernel(2.0), xs, W10)
     assert np.all(p1 <= p2 + 1e-15)
 
 
@@ -134,7 +146,7 @@ def test_conditioned_points_never_leave_the_window(window, disp):
     region = kernel.germ_region(window)
     rng = _gen(27)
     germs = region.sample_uniform(5_000, rng)
-    germs = germs[kernel.mass_in(germs, window) > 0]
+    germs = germs[_mass_in(kernel, germs, window) > 0]
     edge = np.array(region.lower) + 1e-12
     points, _ = _conditioned(kernel, np.vstack([germs, edge]), window, rng)
     assert points.shape[0] > germs.shape[0]
@@ -187,7 +199,7 @@ def test_retained_germs_carry_their_window_mass():
     rng = _gen(30)
     for _ in range(50):
         germs, lam, (lo, hi), _ = sampler._retained_germs(rng)
-        assert np.array_equal(lam, sampler.kernel.mass_in(germs, W10))
+        assert np.array_equal(lam, _mass_in(sampler.kernel, germs, W10))
         assert np.array_equal(lo, np.maximum(germs - 0.5, 0.0))
         assert np.array_equal(hi, np.minimum(germs + 0.5, 10.0))
 

@@ -326,7 +326,7 @@ def test_csv_header_for_unmarked_1d():
 
 def test_empty_pattern_csv_round_trip(tmp_path):
     path = tmp_path / "empty.csv"
-    PointPattern.empty(3).to_csv(path)
+    PointPattern([], dim=3).to_csv(path)
     assert path.read_text() == "x1,x2,x3\n"
     back = PointPattern.from_csv(path)
     assert back.n == 0 and back.dim == 3

@@ -359,40 +359,46 @@ def test_zero_excitation_cluster_is_the_bare_ancestor():
     rng = _gen(84)
     for _ in range(20):
         cl = sample_gw_cluster(ZERO_KERNEL, 3.0, rng)
-        assert cl.n == 1
+        assert cl.points.tolist() == [3.0] and cl.owner.tolist() == [0]
         assert cl.extinction_time == 0.0
-        assert cl.points[0] == 3.0
-        assert cl.generations.tolist() == [0]
 
 
 def test_cluster_mean_size_is_the_geometric_series():
     rng = _gen(85)
-    sizes = np.array([sample_gw_cluster(KERNEL, 0.0, rng).n for _ in range(30_000)])
+    sizes = np.array([sample_gw_cluster(KERNEL, 0.0, rng).points.size for _ in range(30_000)])
     mean, half = mean_ci(sizes, z=4.0)
     assert abs(mean - 2.0) < half  # 1 / (1 - rho)
 
 
 def test_cluster_offsets_are_nonnegative_and_generations_consistent():
-    rng = _gen(86)
-    for _ in range(200):
-        cl = sample_gw_cluster(KERNEL, 1.5, rng)
+    # a run capped at g generations on the same seed is a prefix of the whole
+    # cluster, the ancestor alone at g = 0, and it grows at every g until the
+    # whole cluster is drawn: no generation is empty before the last
+    for r in range(200):
+        cl = sample_gw_cluster(KERNEL, 1.5, _gen(86, r))
         offsets = cl.points - cl.ancestor
         assert np.all(offsets >= 0.0)
-        assert cl.generations[0] == 0
-        assert np.all(np.diff(np.unique(cl.generations)) == 1)
         assert cl.extinction_time == pytest.approx(float(np.max(offsets)))
+        sizes = []
+        while not sizes or sizes[-1] < cl.points.size:
+            capped = sample_gw_cluster(KERNEL, 1.5, _gen(86, r), generations=len(sizes)).points
+            assert np.array_equal(capped, cl.points[:capped.size])
+            assert capped.size > (sizes[-1] if sizes else 0)
+            sizes.append(capped.size)
+        assert sizes[0] == 1 and cl.points[0] == 1.5
 
 
 def test_first_generation_is_poisson_per_ancestor_mark():
+    # 4,000 roots of each mark, grown one generation: a root's children are
+    # the points it owns besides itself
     kernel = ExponentialFertility(0.5, 1.0, marks=((0.5, 0.4), (0.5, 1.2)))
-    rng = _gen(87)
-    per_mark = {0.4: [], 1.2: []}
-    for _ in range(8_000):
-        cl = sample_gw_cluster(kernel, 0.0, rng)
-        per_mark[round(cl.ancestor_mark, 6)].append(int(np.sum(cl.generations == 1)))
-    for z, counts in per_mark.items():
+    marks = np.tile([0.4, 1.2], 4_000)
+    cl = sample_gw_cluster(kernel, np.zeros(marks.size), _gen(87), root_marks=marks,
+                           generations=1)
+    children = np.bincount(cl.owner, minlength=marks.size) - 1
+    for z in (0.4, 1.2):
         lam = kernel.nu_inf(z)
-        counts = np.asarray(counts)
+        counts = children[marks == z]
         k_hi = 4
         probs = [math.exp(-lam) * lam**k / math.factorial(k) for k in range(k_hi)]
         probs.append(1.0 - sum(probs))
@@ -422,12 +428,10 @@ def test_forest_bookkeeping_per_root():
     kernel = ExponentialFertility(0.5, 1.0, marks=((0.5, 0.4), (0.5, 1.2)))
     roots = np.linspace(-3.0, 3.0, 400)
     cl = sample_gw_cluster(kernel, roots, _gen(103))
-    # every root appears once, at generation 0, owning itself
-    gen0 = cl.generations == 0
-    assert np.array_equal(cl.points[gen0], roots)
-    assert np.array_equal(cl.owner[gen0], np.arange(roots.size))
+    # every root comes first, once, owning itself
+    assert np.array_equal(cl.points[:roots.size], roots)
+    assert np.array_equal(cl.owner[:roots.size], np.arange(roots.size))
     assert np.array_equal(cl.ancestor, roots)
-    assert cl.ancestor_mark.shape == roots.shape
     # each root's extinction time is the largest offset in its owner group
     offsets = cl.points - cl.ancestor[cl.owner]
     assert np.all(offsets >= 0.0)
@@ -442,7 +446,7 @@ def test_forest_bookkeeping_per_root():
 
 def test_point_cap_counts_the_whole_call():
     # ten bare ancestors: the cap covers all of them together, roots included
-    assert sample_gw_cluster(ZERO_KERNEL, np.zeros(10), _gen(105), point_cap=10).n == 10
+    assert sample_gw_cluster(ZERO_KERNEL, np.zeros(10), _gen(105), point_cap=10).points.size == 10
     with pytest.raises(SamplerError, match="cluster exceeded 9 points"):
         sample_gw_cluster(ZERO_KERNEL, np.zeros(10), _gen(105), point_cap=9)
 
@@ -452,9 +456,9 @@ def test_given_root_marks_drive_the_first_generation():
     # roots with mark 0 stay childless; roots with mark 1.5 get Poisson(0.75) children
     kernel = ExponentialFertility(0.5, 1.0, marks=((0.5, 0.4), (0.5, 1.2)))
     marks = np.tile([0.0, 1.5], 5_000)
-    cl = sample_gw_cluster(kernel, np.zeros(marks.size), _gen(115), root_marks=marks)
-    assert np.array_equal(cl.ancestor_mark, marks)
-    children = np.bincount(cl.owner[cl.generations == 1], minlength=marks.size)
+    cl = sample_gw_cluster(kernel, np.zeros(marks.size), _gen(115), root_marks=marks,
+                           generations=1)
+    children = np.bincount(cl.owner, minlength=marks.size) - 1
     assert np.all(children[marks == 0.0] == 0)
     mean, half = mean_ci(children[marks == 1.5], z=4.0)
     assert abs(mean - 0.75) < half
@@ -518,15 +522,15 @@ def test_scalar_cluster_extinction_times_keep_their_bytes():
 def test_two_mark_forest_keeps_its_bytes():
     kernel = ExponentialFertility(0.5, 1.0, marks=TWO_MARKS)
     cl = sample_gw_cluster(kernel, np.linspace(0.0, 1.0, 2_000), _gen(213))
-    digest = _sha256(cl.points, cl.generations, cl.owner, cl.ancestor_mark, cl.extinction_time)
-    assert digest == "7c234c164f466c86325a2e0a7e1028e8331fa58b80ff5633c7021c6c0a8c817d", (
+    digest = _sha256(cl.points, cl.owner, cl.extinction_time)
+    assert digest == "ec6f4e770a73b2fd7280e912fc7305a295b7448c20e9527bd2228b217bd58767", (
         pin_message("the two-mark forest's bytes"))
 
 
-# The engine digests below were computed before GWCluster built its labels on
-# first read, the one-mark ones again when one-mark kernels stopped drawing
-# marks; they keep their bytes now that the engine grows the owner labels in its
-# generation loop and derives the generation labels from each generation's size.
+# The engine digests below and the two-mark forest's above hash the fields a
+# cluster keeps: its points, owners and sizes or extinction times. They were
+# restated over these fields when the cluster stopped keeping generation labels
+# and root marks, and the engine that kept them gives the same digests.
 # The Hawkes draw digests (here and in test_demo_sampler_draws_keep_their_bytes)
 # were taken again when the roots before the window came to be drawn with the
 # immigrants, as one process on [-t0, a), and the far ancestors' clusters to
@@ -542,10 +546,10 @@ def test_two_mark_forest_keeps_its_bytes():
 @pytest.mark.parametrize(
     "kernel, digest",
     [
-        (KERNEL, "97a2f888cbee76cd690afa3d36b7be4059fee14cc87b64f113258eee3923a05d"),
+        (KERNEL, "e824a0c675c7b40991cbb0469c36194b53c3b8d2b625aeedda80de3d36a4ec14"),
         (
             ExponentialFertility(0.5, 1.0, marks=TWO_MARKS),
-            "ab6d2b3b4d16ce8fed3e742aace0c42c9ae9ba4ba7a5341a6204bca46fb35501",
+            "6e6e1ac29b317d0ebb0a08851c76b810a966403c2df863cefac76121f56c186e",
         ),
     ],
     ids=["one-mark", "two-marks"],
@@ -553,8 +557,8 @@ def test_two_mark_forest_keeps_its_bytes():
 def test_scalar_clusters_keep_their_bytes(kernel, digest):
     rng = _gen(214)
     cls = [sample_gw_cluster(kernel, 0.5, rng) for _ in range(3_000)]
-    parts = [np.array([cl.n for cl in cls]), np.array([cl.ancestor_mark for cl in cls])]
-    for field in ("points", "generations", "owner"):
+    parts = [np.array([cl.points.size for cl in cls])]
+    for field in ("points", "owner"):
         parts.append(np.concatenate([getattr(cl, field) for cl in cls]))
     assert _sha256(*parts) == digest, pin_message("scalar clusters' bytes")
 

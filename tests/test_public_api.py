@@ -28,8 +28,8 @@ def _module(name):
     return importlib.import_module(f"exactpp.{name}")
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _tracer(path=TRACER_PATH):
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     return tracer
@@ -117,10 +117,16 @@ def test_traced_draws_pass_through_the_wrapped_engine():
 
 
 # Public names that nothing in the package, the benchmark or the acceptance
-# tests calls, kept because unit tests use them as references.
+# tests uses, kept because unit tests use them as references.
 UNCALLED_ALLOWED = {
-    "hawkes_bounded_burn_in": "one-chain Ogata thinning, the reference for its lockstep form",
+    "oracles.hawkes_bounded_burn_in": "one-chain Ogata thinning, the reference for its "
+    "lockstep form",
+    "poisson.FiniteDensitySampler.total_mass": "the benchmark tracer alone keeps the "
+    "finite-density module, until the benchmark stops wrapping it (ROADMAP item 8)",
 }
+
+# attribute loads on these modules name their functions, never the package's
+_FOREIGN = {"np", "math"}
 
 
 def _all_names(tree):
@@ -136,53 +142,162 @@ def _all_names(tree):
     return set()
 
 
-def _references(tree, strings=False):
-    """Names a module uses: loads, attributes, imports that are not re-exports,
-    getattr strings and, with `strings`, every identifier-shaped string."""
+def _base(node):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return getattr(node, "id", None)
+
+
+def _uses(tree):
+    """(names, attributes) a module uses. Names: bare-name loads and imports
+    that are not re-exports. Attributes: attribute loads, except on np and
+    math, and getattr strings. An assignment uses nothing."""
     reexports = _all_names(tree)
-    found = set()
+    names, attrs = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if _base(node) not in _FOREIGN:
+                attrs.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
-            found.update(a.name for a in node.names if a.name not in reexports)
+            names.update(a.name for a in node.names if a.name not in reexports)
         elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr":
-            found.update(a.value for a in node.args[1:2] if isinstance(a, ast.Constant))
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.isidentifier():
-                found.add(node.value)
-    return found
+            attrs.update(a.value for a in node.args[1:2] if isinstance(a, ast.Constant))
+    return names, attrs
+
+
+def _readme_uses(text):
+    """(names, attributes) of the README's fenced and inline code: every word,
+    and every word after a dot that does not follow np or math."""
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    code = "\n".join(re.findall(r"```.*?```", text, re.S) + re.findall(r"`([^`\n]+)`", prose))
+    return set(re.findall(r"\w+", code)), set(re.findall(r"(?<!\bnp)(?<!\bmath)\.(\w+)", code))
+
+
+def _instance_attributes(cls):
+    """The public attributes a class's __init__ sets on self, by assignment or
+    through self.__dict__.update, less its _fields, which value semantics read."""
+    fields, init = set(), None
+    for node in cls.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_fields"
+                                                for t in node.targets):
+            fields = set(ast.literal_eval(node.value))
+        elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            init = node
+    found = set()
+    for node in ast.walk(init) if init else ():
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if getattr(node.value, "id", None) == "self":
+                found.add(node.attr)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "self.__dict__.update":
+            found.update(k.arg for k in node.keywords if k.arg)
+    return sorted(a for a in found - fields if not a.startswith("_"))
+
+
+def _uncalled(root):
+    """The public names under root that nothing outside the unit tests uses:
+    each `__all__` name, public method and public instance attribute of the
+    package. A module-level name counts as used by a bare name or an attribute
+    load anywhere in the package or the acceptance tests, and a class member
+    only by an attribute load. The README counts only in its code, and the
+    benchmark only by its attribute loads and the names its tracer resolves."""
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted((root / "src" / "exactpp").glob("*.py"))}
+    names, attrs = set(), set()
+    for tree in [*trees.values(), ast.parse((root / "tests" / "test_acceptance.py").read_text())]:
+        n, a = _uses(tree)
+        names |= n
+        attrs |= a
+    n, a = _readme_uses((root / "README.md").read_text())
+    names |= n
+    attrs |= a
+    for path in (root / "perfbench").glob("*.py"):
+        attrs |= _uses(ast.parse(path.read_text()))[1]
+    tracer = _tracer(root / "perfbench" / "tracer.py")
+    attrs |= {name for entry in tracer.FUNCTIONS + tracer.METHODS for name in entry[1:-1]}
+    attrs |= set(tracer.ORACLES)
+    names |= attrs
+
+    uncalled = []
+    for mod, tree in trees.items():
+        defined = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        uncalled += [f"{mod}.{name}" for name in sorted((_all_names(tree) & defined) - names)]
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            members = [f.name for f in cls.body
+                       if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and not f.name.startswith("_")]
+            if not cls.name.startswith("_"):
+                members += _instance_attributes(cls)
+            uncalled += [f"{mod}.{cls.name}.{m}" for m in members if m not in attrs]
+    return uncalled
 
 
 def test_every_public_name_has_a_caller():
-    """Each name in a module's `__all__` and each public method is used by the
-    package, the benchmark, the acceptance tests or a README example. Unit
-    tests do not count: a name only they call is dead surface."""
-    sources = sorted((ROOT / "src" / "exactpp").glob("*.py"))
-    trees = {p.stem: ast.parse(p.read_text()) for p in sources}
-    used = set().union(*(_references(t) for t in trees.values()))
-    used |= _references(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
-    # the benchmark names the layers it wraps as strings and resolves them with getattr
-    for path in (ROOT / "perfbench").glob("*.py"):
-        used |= _references(ast.parse(path.read_text()), strings=True)
-    used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
-
-    public = []
-    for mod, tree in trees.items():
-        defined = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
-        public += [f"{mod}.{name}" for name in sorted(_all_names(tree) & defined)]
-        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
-            public += [
-                f"{mod}.{cls.name}.{f.name}"
-                for f in cls.body
-                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and not f.name.startswith("_")
-            ]
-    dead = [q for q in public if q.rsplit(".", 1)[1] not in used | UNCALLED_ALLOWED.keys()]
+    """Each name in a module's `__all__`, each public method and each public
+    instance attribute is used by the package, the benchmark, the acceptance
+    tests or the README's code. Unit tests do not count: a name only they use
+    is dead surface."""
+    uncalled = set(_uncalled(ROOT))
+    dead = sorted(uncalled - UNCALLED_ALLOWED.keys())
     assert not dead, "no caller outside the unit tests: " + ", ".join(dead)
-    assert not UNCALLED_ALLOWED.keys() & used, "allowlisted names that now have a caller"
+    assert not UNCALLED_ALLOWED.keys() - uncalled, "allowlisted names that are used or gone"
+
+
+GUARDED_MODULE = """
+import numpy as np
+
+__all__ = ["Thing", "make"]
+
+
+class Thing:
+    def __init__(self):
+        self.kept = 1
+        self.assigned_only = 2
+
+    def in_readme_code(self):
+        return self.kept
+
+    def in_benchmark_code(self):
+        pass
+
+    def prose_only(self):
+        pass
+
+    def numpy_only(self):
+        pass
+
+    def local_only(self):
+        pass
+
+    def perfbench_only(self):
+        pass
+
+
+def make():
+    local_only = Thing()
+    return np.numpy_only, local_only
+"""
+
+
+def test_the_caller_guard_sees_names_that_only_look_used(tmp_path):
+    """A member named only in README prose, as np.<name>, as a local variable
+    or in a benchmark string, and an instance attribute that is only assigned,
+    have no caller; members read in README code, in the benchmark's code or
+    by the package do."""
+    (tmp_path / "src" / "exactpp").mkdir(parents=True)
+    (tmp_path / "src" / "exactpp" / "mod.py").write_text(GUARDED_MODULE)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_acceptance.py").write_text("from exactpp.mod import make\n")
+    (tmp_path / "README.md").write_text(
+        "`make().in_readme_code()` reads a thing; prose_only is only named.\n")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "tracer.py").write_text(
+        'FUNCTIONS = METHODS = ORACLES = ()\nCONFIG = {"perfbench_only": 1}\n\n\n'
+        "def run(thing):\n    thing.in_benchmark_code()\n")
+    assert _uncalled(tmp_path) == [
+        f"mod.Thing.{name}" for name in
+        ("prose_only", "numpy_only", "local_only", "perfbench_only", "assigned_only")]
 
 
 # Defaulted parameters that nothing in the package, the benchmark, the
@@ -232,7 +347,7 @@ def _defaulted_parameters(trees):
     for mod, tree in trees.items():
         defs = [(f"{mod}.{n.name}", {n.name}, n, 0) for n in tree.body
                 if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
-                and n.name not in UNCALLED_ALLOWED]
+                and f"{mod}.{n.name}" not in UNCALLED_ALLOWED]
         for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
             if cls.name.startswith("_"):
                 continue
