@@ -43,11 +43,13 @@ class GWCluster:
     """All points of one or more single-ancestor clusters, with their owners.
 
     owner[i] is the root that point i descends from, grown in the generation
-    loop beside the points; the roots come first, in order.  ancestor and
+    loop beside the points; the roots come first, in order.  owner is None
+    when the call grew no labels (owners=False).  ancestor and
     extinction_time (last point minus ancestor, on the line) are floats for a
-    scalar ancestor and have one entry per root otherwise.  extinction_time is
-    built when first read: a Hawkes draw reads only points and owner, and a
-    branching draw only points.
+    scalar ancestor and have one entry per root otherwise; a batch's
+    extinction times read the owners.  extinction_time is built when first
+    read: a Hawkes draw reads only points and owner, a branching draw only
+    points, and plotdata's extinction times the owners.
     """
 
     def __init__(self, points, ancestor, owner):
@@ -63,7 +65,7 @@ class GWCluster:
 
 
 def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=None,
-                      generations=None):
+                      generations=None, owners=True):
     """Generation-by-generation draw of the clusters of a scalar ancestor, a 1-D
     array of them, or a (k, d) array of k roots in R^d.
 
@@ -76,7 +78,11 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
     gives them, one per root.  Each generation costs its generator calls, two
     repeats by the same counts (of the parents' positions and of their owner
     labels) and one add; the points and owners of every generation are
-    concatenated once, after the loop.
+    concatenated once, after the loop.  With owners=False, for a caller that
+    reads only the points, no owner label is grown: the owners' repeats and
+    concatenation are skipped and the result's owner is None.  The labels
+    take no random number, so the points and the generator's state are the
+    same either way.
 
     A kernel with one mark (one_mark_nu, the offspring mean of every point,
     is not None) draws no marks: each generation's offspring counts are one
@@ -97,8 +103,8 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
         marks = kernel.sample_mark(len(roots), rng)
     else:
         marks = None  # None: every mark is the kernel's one mark
-    gen, own, total = roots, np.arange(len(roots)), len(roots)
-    pts, owners = [gen], [own]
+    gen, total, pts = roots, len(roots), [roots]
+    labels = [np.arange(len(roots))] if owners else None
     for _ in itertools.repeat(None) if generations is None else range(generations):
         counts = poisson(nu, len(gen)) if marks is None else poisson(kernel.nu_inf(marks))
         gen = gen.repeat(counts, 0)  # each child at its parent (axis 0): the size is the count
@@ -112,12 +118,12 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
         if n == 0:
             break
         gen += displace(n, rng)
-        own = own.repeat(counts)
         pts.append(gen)
-        owners.append(own)
+        if owners:
+            labels.append(labels[-1].repeat(counts))
         marks = None if nu is not None else kernel.sample_mark(n, rng)
     return GWCluster(np.concatenate(pts), roots if batch else float(ancestor),
-                     np.concatenate(owners))
+                     np.concatenate(labels) if owners else None)
 
 
 class TruncationCertificate(_Frozen):
@@ -210,12 +216,14 @@ def approx_branching_chains(rate0, progeny, window, n, n_chains, rng):
     of all n_chains replicates together (the CLI's battery asks for blocks of
     replicates that hold about validation.BATTERY_POINTS points, well within
     it).
-    Past one replicate, the window points are grouped by
-    replicate, each in the engine's order.
+    Past one replicate, the window points are grouped by replicate, each in
+    the engine's order, which reads the owner labels the engine grows; one
+    replicate's points need no grouping, and the engine grows no labels.
     """
     cert, region = _checked(rate0, progeny, window, n)
     germs, offsets = homogeneous_chains(region, rate0, n_chains, rng)
-    cluster = sample_gw_cluster(progeny, germs, rng, POINT_CAP, generations=int(n))
+    cluster = sample_gw_cluster(progeny, germs, rng, POINT_CAP, generations=int(n),
+                                owners=n_chains != 1)
     inside = window.contains(cluster.points)
     points = cluster.points[inside]
     if n_chains == 1:  # no need to label the points with their replicates

@@ -173,11 +173,18 @@ _TOP_KEYS = ("schema", "sampler", "seed", "replicates", "window", "params", "val
 
 
 def load_config(path):
+    """The config at path, read as UTF-8 JSON and checked at the top level; a
+    file that cannot be read (missing, a directory, unreadable, not UTF-8)
+    raises ConfigError naming the path, as a schema error does."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file is not UTF-8 text: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
@@ -254,7 +261,10 @@ def cmd_sample(cfg, outdir):
         raise ConfigError("EXACTPP_WORKERS must be an integer") from None
     built = build(cfg)  # a config the build refuses leaves no output directory
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file at the path, say
+        raise ConfigError(f"cannot make output directory {outdir}: {exc.strerror}") from None
     # replicate r goes to chunk r % workers; the parent writes chunk 0 (all of a serial run)
     chunks = [list(range(i, reps, workers)) for i in range(workers)]
     pool = nullcontext()
@@ -274,9 +284,11 @@ def cmd_sample(cfg, outdir):
         "replicates": reps,
         "config_hash": config_hash(cfg),
         "meta": _jsonable(built["meta"]),
-        # pattern bytes also depend on numpy's distribution algorithms
+        # pattern bytes also depend on numpy's distribution algorithms and on
+        # the SIMD kernels numpy picks for this CPU
         "numpy": np.__version__,
         "python": "%d.%d.%d" % sys.version_info[:3],
+        "simd": np.show_config(mode="dicts")["SIMD Extensions"]["found"],
     }
     with open(outdir / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)

@@ -9,9 +9,11 @@ pins down the output bit-for-bit.
 RngStream(seed, stream_id, lineage).generator() is numpy's
 Generator(Philox(SeedSequence(seed, spawn_key=(stream_id, *lineage)))), bit
 for bit, so numpy alone re-derives any stream. The Philox key is computed here
-in Python (SeedSequence's hashing, with its pool cached per seed) and handed
-to Philox through a seed object that holds only the key, so no SeedSequence
-is built, Philox reads no OS entropy, and rng.spawn() is not supported.
+with SeedSequence's hashing (its pool cached per seed; the keys of a
+top-level stream's 256 neighbouring ids computed at once and cached per
+block) and handed to Philox through a seed object that holds only the key,
+so no SeedSequence is built, Philox reads no OS entropy, and rng.spawn() is
+not supported.
 numpy.random itself is imported on the first generator() call, not with this
 module.
 
@@ -366,6 +368,32 @@ def _pool_key(pool):
     return p0 ^ p0 >> 16 | (p1 ^ p1 >> 16) << 32, p2 ^ p2 >> 16 | (p3 ^ p3 >> 16) << 32
 
 
+_BLOCK_BITS = 8  # a key block holds the 2^8 = 256 stream ids that share id >> 8
+_BLOCK_MASK = (1 << _BLOCK_BITS) - 1  # an id's row in its block
+
+
+@functools.lru_cache(maxsize=64)
+def _key_block(seed, block):
+    """The Philox keys of the streams block * 256 to block * 256 + 255 of a
+    seed, with no lineage, as a read-only (256, 2) uint64 array: _philox_key
+    of each one-word spawn key, all 256 in one pass of numpy uint64
+    arithmetic. Every product fits in 64 bits and & _M32 keeps the low word,
+    as SeedSequence's uint32 arithmetic does, so the keys are the same bits.
+    block is at most 2^24 - 1, whose last id is 2^32 - 1. At most 64 blocks of
+    4,096 bytes of keys are cached (4,224 bytes an array with its header)."""
+    pool, h = _seed_pool(seed)
+    ids = np.arange(block << _BLOCK_BITS, block + 1 << _BLOCK_BITS, dtype=np.uint64)
+    mixed = []
+    for p in pool:  # _mix_in's hashmix and mix of one word, every id at once
+        a, h = h, h * _MULT_A & _M32
+        v = (ids ^ a) * h & _M32
+        r = _MIX_MULT_L * p - _MIX_MULT_R * (v ^ v >> 16) & _M32
+        mixed.append(r ^ r >> 16)
+    keys = np.stack(_pool_key(mixed), axis=1)
+    keys.setflags(write=False)  # a generator's seed object holds a row
+    return keys
+
+
 # Philox's first counter, which it copies; it reads an array faster than the int 0
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 _ZERO_COUNTER.setflags(write=False)
@@ -412,12 +440,15 @@ class RngStream(_Frozen):
 
     so any replicate's stream can be re-derived with numpy alone, and
     replicate r of a run can be redrawn in isolation. The Philox key is
-    computed here in Python, with SeedSequence's pool for each seed cached,
-    which halves the cost of a generator; seed, stream_id and the lineage
-    entries must be integers >= 0 (else generator() raises ValueError). The
-    generator's seed object holds only the key, so rng.spawn() is not
-    supported: substream(i) derives an independent child stream, used for
-    per-germ or per-replicate randomness.
+    computed here, with SeedSequence's pool for each seed cached. A
+    top-level stream (no lineage, stream_id at most 2^32 - 1) reads its key
+    from _key_block, which computes the keys of 256 neighbouring ids in one
+    numpy pass, each at a small part of what _philox_key's Python costs; a
+    substream or a larger id goes through _philox_key. seed, stream_id and
+    the lineage entries must be integers >= 0 (else generator() raises
+    ValueError). The generator's seed object holds only the key, so
+    rng.spawn() is not supported: substream(i) derives an independent child
+    stream, used for per-germ or per-replicate randomness.
     """
 
     _fields = ("seed", "stream_id", "lineage")
@@ -429,7 +460,11 @@ class RngStream(_Frozen):
 
     def generator(self):
         generator, philox, seed = _numpy_random()
-        key = _philox_key(int(self.seed), (int(self.stream_id),) + self.lineage)
+        stream_id = int(self.stream_id)
+        if not self.lineage and 0 <= stream_id <= _M32:
+            key = _key_block(int(self.seed), stream_id >> _BLOCK_BITS)[stream_id & _BLOCK_MASK]
+        else:
+            key = _philox_key(int(self.seed), (stream_id,) + self.lineage)
         return generator(philox(seed(key), counter=_ZERO_COUNTER))
 
     def substream(self, i):

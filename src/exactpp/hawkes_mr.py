@@ -619,15 +619,19 @@ def _kept_clusters(kernel, far, rng, roots, root_counts):
     them are read, and the cluster is dropped once they are.
 
     With no far ancestor the plain roots' clusters grow alone: no spine,
-    tilted step, weight or coin.
+    tilted step, weight or coin; and for one replicate, whose points all have
+    the one owner, the engine grows no owner labels.
 
     Returns the points of the kept clusters and the owner of each: the far
     ancestors are owners 0 to far.size - 1, and replicate r's plain roots
-    owner far.size + r.
+    owner far.size + r.  With no far ancestor and one replicate the owners
+    are None.
     """
     n_far, n_reps = far.size, len(root_counts)
     if n_far == 0:  # no spine, tilted step, weight or coin: the roots' clusters alone
-        cl = sample_gw_cluster(kernel, roots, rng, POINT_CAP * n_reps)
+        cl = sample_gw_cluster(kernel, roots, rng, POINT_CAP * n_reps, owners=n_reps != 1)
+        if n_reps == 1:
+            return cl.points, None
         return cl.points, np.arange(n_reps).repeat(root_counts)[cl.owner]
     nodes = rng.geometric(1.0 - kernel.rho_theta, size=n_far)
     roots_of = np.concatenate((nodes, root_counts))  # a far ancestor's roots are its spine nodes
@@ -703,7 +707,8 @@ class HawkesSampler:
     One body, _conditioned_cluster, draws n replicates from one generator and
     grows the clusters of all their roots and far ancestors in one
     sample_gw_cluster call, reading only their points and the owner labels
-    that the engine grows beside them.  sample is its one-replicate case and
+    that the engine grows beside them (none for one replicate with no far
+    ancestor).  sample is its one-replicate case and
     sample_chains, the lockstep form, cuts and sorts its n replicates.
     POINT_CAP bounds the points a call grows, per replicate: at most POINT_CAP
     for a draw, n * POINT_CAP for n replicates together.  A battery's blocks

@@ -333,6 +333,58 @@ def test_engine_labels_equal_the_brood_count_reference(kernel, ancestor, kwargs)
     assert rng.random(4).tolist() == ref_rng.random(4).tolist()
 
 
+@pytest.mark.parametrize(
+    "kernel, ancestor, kwargs",
+    [
+        (ExponentialFertility(0.5, 1.0), 0.5, {}),
+        (TWO_MARK_KERNEL, 0.5, {}),
+        (ExponentialFertility(0.5, 1.0), np.linspace(0.0, 1.0, 40), {}),
+        (TWO_MARK_KERNEL, np.linspace(0.0, 1.0, 40), {"root_marks": np.tile([0.5, 7 / 6], 20)}),
+        (PROGENY2, np.arange(24.0).reshape(12, 2), {"generations": 6}),
+    ],
+    ids=["scalar", "scalar-two-marks", "forest", "root-marks", "rows-generations-6"],
+)
+def test_engine_without_owner_labels_grows_the_same_points(kernel, ancestor, kwargs):
+    # the labels take no random number: the same point bytes, and the generator
+    # left in the same state, with or without them
+    rng, bare_rng = _gen(127), _gen(127)
+    for _ in range(200):
+        cl = sample_gw_cluster(kernel, ancestor, rng, **kwargs)
+        bare = sample_gw_cluster(kernel, ancestor, bare_rng, owners=False, **kwargs)
+        assert bare.owner is None
+        assert bare.points.tobytes() == cl.points.tobytes()
+        assert bare.points.shape == cl.points.shape
+        if np.ndim(ancestor) == 0:
+            assert bare.extinction_time == cl.extinction_time
+    assert repr(bare_rng.bit_generator.state) == repr(rng.bit_generator.state)
+
+
+def test_only_callers_that_read_owner_labels_grow_them(monkeypatch):
+    # a one-replicate branching draw and a Hawkes draw with no far ancestor read
+    # only the points; the lockstep forms and the far-ancestor coin read owners
+    from exactpp import branching_approx, hawkes_mr
+
+    grown = []
+    for mod in (branching_approx, hawkes_mr):
+        def recording(*args, _grow=mod.sample_gw_cluster, **kwargs):
+            cl = _grow(*args, **kwargs)
+            grown.append(cl.owner is not None)
+            return cl
+
+        monkeypatch.setattr(mod, "sample_gw_cluster", recording)
+    for n in (1, 5):
+        branching_approx.approx_branching_chains(2.0, PROGENY, W1, 3, n, _gen(128, n))
+    assert grown == [False, True]
+    sampler, far = HawkesSampler(ExponentialFertility(0.5, 1.0), mu=1.0, a=10.0), []
+    for r in range(40):
+        before = sampler.stats["condition_attempts"]
+        sampler.sample(_gen(129, r))
+        far.append(sampler.stats["condition_attempts"] > before)
+    assert grown[2:] == far and 0 < sum(far) < 40
+    sampler.sample_chains(5, _gen(130))
+    assert grown[-1]
+
+
 def test_each_draw_grows_its_generations_in_one_engine_call(monkeypatch):
     # branching draws call branching_approx's engine; Hawkes draws call it through
     # hawkes_mr's own name, the one the benchmark tracer wraps

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from exactpp.cli import main
-from pins import pin_message
+from pins import pin_message, simd_found
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -194,6 +194,34 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     rc = main(["sample", "-c", str(tmp_path / "absent.json"), "-o", str(tmp_path / "o")])
     assert rc == 2
     assert "config file not found" in capsys.readouterr().err
+
+
+def test_directory_as_config_exits_2(tmp_path, capsys):
+    # an unreadable file (PermissionError) takes the same path, but a test of it
+    # cannot run as root
+    rc = main(["sample", "-c", str(tmp_path), "-o", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "cannot read config file" in err and str(tmp_path) in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe{")
+    rc = main(["validate", "-c", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config file is not UTF-8 text" in err and str(path) in err
+
+
+def test_output_path_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me")
+    rc = main(["sample", "-c", _cfg_file(tmp_path, POISSON_CFG), "-o", str(taken)])
+    assert rc == 2
+    assert "output directory" in capsys.readouterr().err
+    assert taken.read_text() == "keep me"
 
 
 def test_window_on_windowless_sampler_exits_2(tmp_path, capsys):
@@ -504,10 +532,11 @@ def test_sample_writes_patterns_and_meta(tmp_path, capsys):
                      "pattern-00002.csv"]
     meta = json.loads((outdir / "meta.json").read_text())
     assert set(meta) == {"schema", "sampler", "seed", "replicates", "config_hash", "meta",
-                         "numpy", "python"}
+                         "numpy", "python", "simd"}
     assert meta["sampler"] == "poisson" and meta["replicates"] == 3
     assert meta["numpy"] == np.__version__
     assert meta["python"] == "%d.%d.%d" % sys.version_info[:3]
+    assert meta["simd"] == simd_found()
     header = (outdir / "pattern-00000.csv").read_text().splitlines()[0]
     assert header == "x1,x2"
     assert "wrote 3 pattern file(s)" in capsys.readouterr().out

@@ -164,7 +164,7 @@ def test_rng_stream_reproducible_and_splittable():
 
 
 SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1]
-STREAM_IDS = [0, 20_000, 30_000, 2**33]
+STREAM_IDS = [0, 255, 256, 511, 20_000, 30_000, 2**32 - 1, 2**33]
 LINEAGES = [(), (10_001,), (10_002, 2**40 + 3), (7, 2**64 + 9, 10_001)]
 
 
@@ -189,6 +189,51 @@ def test_stream_key_and_words_match_numpy_seed_sequence(seed):
                                   ref.bit_generator.random_raw(16))
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_key_blocks_are_the_reference_keys(seed):
+    # the first and last blocks of the one-word stream ids, against _philox_key
+    for block in (0, 2**24 - 1):
+        ids = range(block * 256, block * 256 + 256)
+        want = [list(core._philox_key(seed, (i,))) for i in ids]
+        assert core._key_block(seed, block).tolist() == want
+
+
+def _check_top_level_streams(seed, stream_ids):
+    for stream_id in stream_ids:
+        rng = RngStream(seed, stream_id).generator()
+        ref = _numpy_generator(seed, (stream_id,))
+        assert np.array_equal(rng.bit_generator.random_raw(4), ref.bit_generator.random_raw(4))
+
+
+def test_top_level_streams_in_shuffled_order_match_numpy():
+    core._key_block.cache_clear()
+    ids = np.random.default_rng(3).permutation(np.r_[0:520, 2**32 - 300:2**32]).tolist()
+    for seed in (3, 2**64 + 5):
+        _check_top_level_streams(seed, ids)
+    assert core._key_block.cache_info().currsize == 2 * 5  # blocks 0-2 and the last two a seed
+
+
+def test_top_level_streams_match_numpy_after_blocks_are_evicted():
+    # 80 blocks drawn twice in shuffled order: the cache of 64 evicts blocks
+    # between the two passes, and a block computed again gives the same keys
+    core._key_block.cache_clear()
+    pick = np.random.default_rng(4)
+    ids = (np.arange(80) * 256 + pick.integers(0, 256, 80)).tolist()
+    for _ in range(2):
+        _check_top_level_streams(11, pick.permutation(ids).tolist())
+    info = core._key_block.cache_info()
+    assert info.maxsize == 64 and info.currsize == 64
+    assert info.misses > 80  # some blocks were computed twice
+
+
+def test_cached_keys_cannot_be_written_through_a_generator():
+    rng = RngStream(8, 300).generator()
+    with pytest.raises(ValueError):
+        rng.bit_generator.seed_seq.key[0] = 0
+    assert np.array_equal(RngStream(8, 300).generator().bit_generator.random_raw(4),
+                          _numpy_generator(8, (300,)).bit_generator.random_raw(4))
+
+
 def test_substream_is_the_stream_with_a_longer_lineage():
     stream = RngStream(5, 30_000).substream(10_001).substream(2**40)
     assert stream == RngStream(5, 30_000, [10_001, np.int64(2**40)])
@@ -210,11 +255,13 @@ def test_negative_stream_words_raise_value_error(stream):
 @pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
                          ids=["pickle", "deepcopy"])
 def test_generator_survives_pickling_and_copying(clone):
-    rng = RngStream(17, 2, (9,)).generator()
-    head = rng.random(5)
-    twin = clone(rng)
-    assert np.array_equal(twin.random(40), rng.random(40))
-    assert np.array_equal(head, _numpy_generator(17, (2, 9)).random(5))
+    # a substream's key and a top-level stream's cached key
+    for lineage in ((9,), ()):
+        rng = RngStream(17, 2, lineage).generator()
+        head = rng.random(5)
+        twin = clone(rng)
+        assert np.array_equal(twin.random(40), rng.random(40))
+        assert np.array_equal(head, _numpy_generator(17, (2, *lineage)).random(5))
 
 
 def test_live_generators_of_one_stream_share_no_state():
