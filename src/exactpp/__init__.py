@@ -14,8 +14,9 @@ is organized by construction:
 - germ_thinning: thinned grids, renewal streams, Matern hard cores,
   non-linear self-exciting germs
 - hawkes_mr: perfect sampling of linear Hawkes processes by thinning under
-  a closed-form tilted envelope with spine clusters, and certified
-  fixed-point sandwich bounds on the cluster-length distribution
+  a closed-form tilted envelope with spine clusters
+- sandwich: certified fixed-point sandwich bounds on the Hawkes
+  cluster-length distribution, loaded only when a sampler's curve is read
 - branching_approx: the Galton-Watson engine that grows every iterated
   cluster (Hawkes and spatial branching), and generation-truncated branching
   with variation-distance certificates
@@ -56,9 +57,9 @@ _HOMES = {
              "SamplerError", "Window"),
     "germ_thinning": ("GeometricGrid", "InverseSquareGrid", "TableGrid", "matern_thin_first",
                       "nonlinear_hawkes_germ", "renewal_thin_first", "thin_grid"),
-    "hawkes_mr": ("ExponentialFertility", "HawkesSampler", "PhiOperator",
-                  "PiecewiseConstantFertility", "PolynomialFertility", "Sandwich",
-                  "build_sandwich"),
+    "hawkes_mr": ("ExponentialFertility", "HawkesSampler", "PiecewiseConstantFertility",
+                  "PolynomialFertility"),
+    "sandwich": ("PhiOperator", "Sandwich", "build_sandwich"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

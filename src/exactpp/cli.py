@@ -55,6 +55,7 @@ from .core import (
     _finite,
     _jsonable,
     _made,
+    _make_output_dir,
     config_hash,
 )
 
@@ -261,10 +262,7 @@ def cmd_sample(cfg, outdir):
         raise ConfigError("EXACTPP_WORKERS must be an integer") from None
     built = build(cfg)  # a config the build refuses leaves no output directory
     outdir = Path(outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # an existing file at the path, say
-        raise ConfigError(f"cannot make output directory {outdir}: {exc.strerror}") from None
+    _make_output_dir(outdir)
     # replicate r goes to chunk r % workers; the parent writes chunk 0 (all of a serial run)
     chunks = [list(range(i, reps, workers)) for i in range(workers)]
     pool = nullcontext()

@@ -496,6 +496,15 @@ def _jsonable(v):
     return v
 
 
+def _make_output_dir(outdir):
+    """Make the pathlib.Path outdir and its parents, as `sample -o` and
+    `plotdata -o` do; a path that cannot be a directory is a ConfigError."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file at the path, say
+        raise ConfigError(f"cannot make output directory {outdir}: {exc.strerror}") from None
+
+
 # -- dominating process and thinning ---------------------------------------
 
 MAX_MEAN_POINTS = 1e9  # largest mean count of any Poisson draw; more cannot fit in memory

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, RngStream
+from .core import ConfigError, RngStream, _make_output_dir
 
 
 def _csv_rows(path, header, rows):
@@ -29,7 +29,7 @@ def cmd_plotdata(cfg, built, kind, outdir):
             f"(available: {', '.join(sorted(built['plots']))})"
         )
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_output_dir(outdir)
     seed = cfg["seed"]
     out = outdir / f"{kind}.csv"
     if kind == "points-2d":

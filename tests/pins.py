@@ -20,9 +20,13 @@ def simd_found():
     return np.show_config(mode="dicts")["SIMD Extensions"]["found"]
 
 
-def pin_message(what):
+def pin_message(what, simd=False):
     """The failure message of a byte pin: what differs, the versions and SIMD
-    extensions the digest was taken on and those of this run."""
+    extensions the digest was taken on and those of this run. simd=True marks
+    a digest known to depend on numpy's SIMD kernels: it changed with numpy's
+    X86_V4 kernels off (NPY_DISABLE_CPU_FEATURES), while every law held."""
+    depends = ("; these bytes depend on numpy's SIMD kernels, so another SIMD path "
+               "changes them while every law holds" if simd else "")
     return (f"{what} differ from the digest taken on {PINNED_ON}; this run has numpy "
             f"{np.__version__}, Python {'%d.%d.%d' % sys.version_info[:3]}, "
-            f"SIMD {' '.join(simd_found()) or 'none'}")
+            f"SIMD {' '.join(simd_found()) or 'none'}{depends}")

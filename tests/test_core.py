@@ -39,7 +39,7 @@ from exactpp import (
 from exactpp import core
 from exactpp.boolean_model import LineSample, _steiner
 from exactpp.core import thin
-from exactpp.hawkes_mr import BoundPair
+from exactpp.sandwich import BoundPair
 from exactpp.validation import TestReport
 
 UNIT = Window((0.0,), (1.0,))

@@ -21,13 +21,14 @@ from exactpp import (
     build_sandwich,
     sample_gw_cluster,
 )
-from exactpp.hawkes_mr import EPS_ROUND, _kept_clusters, _next_fast_len
+from exactpp.hawkes_mr import _kept_clusters
 from exactpp.oracles import (
     hawkes_bounded_burn_in,
     hawkes_bounded_burn_in_chains,
     hawkes_exp_burn_in,
     hawkes_exp_burn_in_chains,
 )
+from exactpp.sandwich import EPS_ROUND, _next_fast_len
 from exactpp.validation import chi_square, mean_ci, two_sample_ks
 from pins import pin_message
 
@@ -584,8 +585,9 @@ def test_scalar_clusters_keep_their_bytes(kernel, digest):
 def test_sampler_draws_keep_their_bytes(kernel, mu, a, digest):
     sampler = HawkesSampler(kernel, mu=mu, a=a)
     pats = [sampler.sample(_gen(32, r)).points[:, 0] for r in range(400)]
+    # the piecewise kernel's tilted displacements go through np.log1p and np.expm1
     assert _sha256(np.array([p.size for p in pats]), np.concatenate(pats)) == digest, (
-        pin_message("the sampler's draws"))
+        pin_message("the sampler's draws", isinstance(kernel, PiecewiseConstantFertility)))
 
 
 # The digests below were taken before the split between the plain roots and the

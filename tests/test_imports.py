@@ -9,7 +9,9 @@ one, and only reading a pattern back the other, so a fresh process shows
 what a cold run pays. Nor does such a run load the modules of samplers other
 than the one its config names, or concurrent.futures when it runs with one
 worker. Neither an import nor a build loads dataclasses or argparse, and a
-sample run with validation off loads no validation module."""
+sample run with validation off loads no validation module. Only the
+certified curve's readers (the sandwich-curves plot and its names in the
+package) load exactpp.sandwich: no Hawkes import, sample or validate does."""
 
 import functools
 import importlib
@@ -333,6 +335,67 @@ def test_only_plotdata_loads_the_plot_module(tmp_path):
         check=True,
     )
     assert json.loads(out.stdout.splitlines()[-1]) == [False, False, True]
+
+
+SANDWICH_SCRIPT = """
+import json, sys
+loaded = lambda: "exactpp.sandwich" in sys.modules
+import exactpp.hawkes_mr as hawkes_mr
+import exactpp.cli as cli
+cfg, out = "configs/hawkes_mr.json", sys.argv[1]
+steps = {"import": loaded()}
+validated = json.load(open(cfg))
+validated.setdefault("validation", {})["enabled"] = True
+json.dump(validated, open(out + "/config.json", "w"))
+steps["sample"] = [cli.main(["sample", "-c", out + "/config.json", "-o", out + "/s"]), loaded()]
+steps["validate"] = [cli.main(["validate", "-c", cfg]), loaded()]
+steps["plotdata"] = [cli.main(["plotdata", "-c", cfg, "--kind", "sandwich-curves",
+                               "-o", out + "/p"]), loaded()]
+import exactpp.sandwich as sandwich
+steps["same"] = [getattr(hawkes_mr, n) is getattr(sandwich, n)
+                 for n in ("build_sandwich", "PhiOperator", "Sandwich")]
+print(json.dumps(steps))
+"""
+
+
+def test_only_readers_of_the_certified_curve_load_its_module(tmp_path):
+    """Importing hawkes_mr and a cold validated `exactpp sample` and `exactpp
+    validate` of the Hawkes demo compile no certified curve; the sandwich-curves
+    plot loads exactpp.sandwich, whose names hawkes_mr resolves for perfbench."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), EXACTPP_WORKERS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", SANDWICH_SCRIPT, str(tmp_path)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    steps = json.loads(out.stdout.splitlines()[-1])
+    assert steps == {"import": False, "sample": [0, False], "validate": [0, False],
+                     "plotdata": [0, True], "same": [True, True, True]}
+
+
+PACKAGE_SANDWICH_SCRIPT = """
+import sys
+from exactpp import build_sandwich
+print(build_sandwich.__module__, "exactpp.sandwich" in sys.modules)
+"""
+
+
+def test_package_names_of_the_certified_curve_load_its_module():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", PACKAGE_SANDWICH_SCRIPT],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    assert out.stdout.split() == ["exactpp.sandwich", "True"]
 
 
 HIDDEN_SCIPY_SCRIPT = """

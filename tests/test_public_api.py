@@ -303,8 +303,8 @@ def test_the_caller_guard_sees_names_that_only_look_used(tmp_path):
 # Defaulted parameters that nothing in the package, the benchmark, the
 # acceptance tests or a README example passes, kept because unit tests pass them.
 UNPASSED_ALLOWED = {
-    "hawkes_mr.build_sandwich.t_max": "a short grid builds the sandwich tests' small curves",
-    "hawkes_mr.build_sandwich.quad_tol": "the refusal of a too coarse grid is tested with it",
+    "sandwich.build_sandwich.t_max": "a short grid builds the sandwich tests' small curves",
+    "sandwich.build_sandwich.quad_tol": "the refusal of a too coarse grid is tested with it",
     "poisson.FiniteDensitySampler.__init__.upper": "the finite-density sampler is a tested "
     "reference that no sampler uses; its tests give a support endpoint",
     "poisson.FiniteDensitySampler.__init__.total_mass": "its tests give the mass in closed form",
