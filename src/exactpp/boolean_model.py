@@ -272,7 +272,7 @@ class BooleanSample(_Frozen):
 
         Each grain is compared with the probes within its radius along the
         first coordinate (a relative slack of 1e-9 covers rounding), at most
-        core.PAIR_BLOCK pairs at once, and the distances decide.
+        core.BLOCK pairs at once, and the distances decide.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n_chains = 1 if offsets is None else len(offsets) - 1

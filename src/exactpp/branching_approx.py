@@ -24,6 +24,7 @@ import math
 
 import numpy as np
 
+from . import core
 from .core import (_NONNEG, _POS, PointPattern, SamplerError, _built, _count_checks, _Frozen,
                    _mean_count, chain_offsets, homogeneous_chains)
 
@@ -35,9 +36,6 @@ __all__ = [
     "certificate_generations_for",
     "sample_gw_cluster",
 ]
-
-POINT_CAP = 5_000_000
-
 
 class GWCluster:
     """All points of one or more single-ancestor clusters, with their owners.
@@ -64,15 +62,16 @@ class GWCluster:
         return extinction
 
 
-def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=None,
-                      generations=None, owners=True):
+def sample_gw_cluster(kernel, ancestor, rng, root_marks=None, generations=None, owners=True):
     """Generation-by-generation draw of the clusters of a scalar ancestor, a 1-D
     array of them, or a (k, d) array of k roots in R^d.
 
     Each point with mark z spawns Poisson(nu_inf(z)) children displaced by
     kernel.sample_displacement, (n,) or (n, d); the recursion terminates a.s.
-    (mean brood < 1).  All clusters grow in one generation loop, and point_cap
-    bounds the points of the whole call, roots included.  generations, if
+    (mean brood < 1).  All clusters grow in one generation loop, and
+    core.POINT_CAP, read at each call, bounds the points of the whole call,
+    roots included, whatever its replicate count; a call that grows more
+    raises SamplerError.  generations, if
     given, keeps generations 0..generations: the last one's points get no
     children.  The roots draw their marks from the mixture unless root_marks
     gives them, one per root.  Each generation costs its generator calls, two
@@ -93,7 +92,7 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
     roots = np.asarray(ancestor, dtype=float)
     batch = roots.ndim > 0
     roots = roots if batch else roots.reshape(1)
-    nu = kernel.one_mark_nu
+    nu, cap = kernel.one_mark_nu, core.POINT_CAP
     poisson, displace = rng.poisson, kernel.sample_displacement
     if root_marks is not None:
         marks = np.asarray(root_marks, dtype=float).reshape(-1)
@@ -110,9 +109,9 @@ def sample_gw_cluster(kernel, ancestor, rng, point_cap=POINT_CAP, root_marks=Non
         gen = gen.repeat(counts, 0)  # each child at its parent (axis 0): the size is the count
         n = len(gen)
         total += n
-        if total > point_cap:
+        if total > cap:
             raise SamplerError(
-                f"cluster exceeded {point_cap} points: near-critical progeny grows huge "
+                f"cluster exceeded {cap} points: near-critical progeny grows huge "
                 "clusters; lower the progeny mass, the generations or the root count"
             )
         if n == 0:
@@ -175,7 +174,7 @@ def _checked(rate0, progeny, window, n):
     """The certificate and the germ region of a draw of generations 0..n,
     after every refusal that comes before its first random number: n < 0, an
     unbounded displacement, rho >= 1, and a germ region whose mean count
-    exceeds MAX_MEAN_POINTS. A call with the very (frozen) objects of the last
+    exceeds core.MAX_MEAN_POINTS. A call with the very (frozen) objects of the last
     call returns its result: one built sampler checks once."""
     global _last_check
     if all(a is b for a, b in zip(_last_check[0], (rate0, progeny, window, n))):
@@ -212,18 +211,16 @@ def approx_branching_chains(rate0, progeny, window, n, n_chains, rng):
     approx_branching_sample, in lockstep.
 
     The germs of every replicate are drawn first, then all of them grow in one
-    sample_gw_cluster call, so POINT_CAP, read at each call, bounds the points
-    of all n_chains replicates together (the CLI's battery asks for blocks of
-    replicates that hold about validation.BATTERY_POINTS points, well within
-    it).
+    sample_gw_cluster call, so core.POINT_CAP bounds the points of all
+    n_chains replicates together (the CLI's battery asks for blocks of
+    replicates that hold about core.BLOCK mean points, well within it).
     Past one replicate, the window points are grouped by replicate, each in
     the engine's order, which reads the owner labels the engine grows; one
     replicate's points need no grouping, and the engine grows no labels.
     """
     cert, region = _checked(rate0, progeny, window, n)
     germs, offsets = homogeneous_chains(region, rate0, n_chains, rng)
-    cluster = sample_gw_cluster(progeny, germs, rng, POINT_CAP, generations=int(n),
-                                owners=n_chains != 1)
+    cluster = sample_gw_cluster(progeny, germs, rng, generations=int(n), owners=n_chains != 1)
     inside = window.contains(cluster.points)
     points = cluster.points[inside]
     if n_chains == 1:  # no need to label the points with their replicates

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (MAX_MEAN_POINTS, _NONNEG, _POS, LebesgueIntensity, PointPattern, SamplerError,
-                   _built, _count_checks, _Frozen, _made, chain_offsets, homogeneous_chains,
-                   thin_chains)
+from . import core
+from .core import (_NONNEG, _POS, LebesgueIntensity, PointPattern, SamplerError, _built,
+                   _count_checks, _Frozen, _made, chain_offsets, homogeneous_chains, thin_chains)
 
 __all__ = [
     "UniformDisplacement",
@@ -88,9 +88,9 @@ class TranslatedPoissonCluster(_Frozen):
     def __init__(self, total_mean, displacement):
         if not total_mean > 0:
             raise SamplerError("cluster mean must be positive")
-        if not total_mean <= MAX_MEAN_POINTS:
+        if not total_mean <= core.MAX_MEAN_POINTS:
             raise SamplerError(
-                f"cluster mean {total_mean:.3g} exceeds the limit {MAX_MEAN_POINTS:.0e}"
+                f"cluster mean {total_mean:.3g} exceeds the limit {core.MAX_MEAN_POINTS:.0e}"
             )
         self.__dict__.update(total_mean=total_mean, displacement=displacement)
 

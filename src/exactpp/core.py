@@ -507,7 +507,11 @@ def _make_output_dir(outdir):
 
 # -- dominating process and thinning ---------------------------------------
 
-MAX_MEAN_POINTS = 1e9  # largest mean count of any Poisson draw; more cannot fit in memory
+# The three memory limits. Every module reads them here, as core.NAME, when a
+# call runs, so one assignment (a test's monkeypatch) reaches every reader.
+MAX_MEAN_POINTS = 1e9  # admission limit on a draw's mean count, checked before it draws
+POINT_CAP = 5_000_000  # most points one sample_gw_cluster call grows, all replicates together
+BLOCK = 1 << 18  # the points, pairs or coins that one vectorised step holds
 
 
 def _mean_count(rate, volume):
@@ -614,20 +618,17 @@ def thin_chains(offsets, p, rng):
     return rows, np.searchsorted(rows, offsets)
 
 
-PAIR_BLOCK = 1 << 18  # pairs compared at once by the range sweeps of the lockstep forms
-
-
 def pair_blocks(width):
     """Slices of consecutive rows whose widths (pair counts) sum to at most
-    PAIR_BLOCK, or of one row; all rows in one slice when they fit."""
+    BLOCK, or of one row; all rows in one slice when they fit."""
     ends = np.cumsum(width)
-    if len(ends) and ends[-1] <= PAIR_BLOCK:  # the usual case: one slice
+    if len(ends) and ends[-1] <= BLOCK:  # the usual case: one slice
         yield slice(0, len(ends))
         return
     first = 0
     while first < len(ends):
         done = ends[first - 1] if first else 0
-        last = max(first + 1, int(ends.searchsorted(done + PAIR_BLOCK, side="right")))
+        last = max(first + 1, int(ends.searchsorted(done + BLOCK, side="right")))
         yield slice(first, last)
         first = last
 

@@ -30,10 +30,10 @@ import sys
 
 import numpy as np
 
-from .core import (MAX_MEAN_POINTS, PAIR_BLOCK, _AT_LEAST_1, _NONNEG, _OPEN_UNIT, _POS, _UNIT,
-                   PointPattern, SamplerError, _built, _count_checks, _Frozen, _mean_count,
-                   chain_offsets, homogeneous_chains, kept_rows, order_by_label, pair_blocks,
-                   poisson_counts, thin, thin_chains)
+from . import core
+from .core import (_AT_LEAST_1, _NONNEG, _OPEN_UNIT, _POS, _UNIT, PointPattern, SamplerError,
+                   _built, _count_checks, _Frozen, _mean_count, chain_offsets, homogeneous_chains,
+                   kept_rows, order_by_label, pair_blocks, poisson_counts, thin, thin_chains)
 
 __all__ = [
     "TableGrid",
@@ -47,9 +47,6 @@ __all__ = [
     "nonlinear_hawkes_germ",
     "nonlinear_hawkes_germ_chains",
 ]
-
-NEGLECTED_TAIL = 1e-14  # allowed truncation residue in sums of p_k
-
 
 class _GridBase:
     """Shared sampling logic over S(n) = P(no retained site beyond n)."""
@@ -137,16 +134,20 @@ class TableGrid(_GridBase, _Frozen):
 
 
 class GeometricGrid(_GridBase, _Frozen):
-    """p_n = c * ratio^n; tail products truncated with a certified residue."""
+    """p_n = c * ratio^n. The tail products stop at k_max, the first index
+    from 1 at which the neglected sum c * ratio^(k_max + 1) / (1 - ratio) of
+    the p_k beyond it falls below sys.float_info.epsilon / 4 = 2^-54. The
+    neglected product of the (1 - p_k) beyond k_max then lies in
+    (1 - 2^-54, 1], which rounds to 1.0: the truncation is below float
+    resolution, and S(n) is 1.0 from n = k_max on."""
 
     _fields = ("c", "ratio")
 
     def __init__(self, c, ratio):
         if not (0 <= c <= 1 and 0 < ratio < 1):
             raise SamplerError("need c in [0,1] and ratio in (0,1)")
-        # truncate where the neglected sum of p_k is provably < NEGLECTED_TAIL
-        k_max = 1
-        while c * ratio**k_max / (1 - ratio) >= NEGLECTED_TAIL:
+        k_max = 1  # the neglected sum of the p_k beyond k_max falls below 2^-54
+        while c * ratio ** (k_max + 1) / (1 - ratio) >= sys.float_info.epsilon / 4:
             k_max += 1
         ps = c * ratio ** np.arange(k_max + 1)
         logs = np.full(ps.size, -np.inf)  # log(1 - p) is -inf where p = 1 (c = 1 at k = 0)
@@ -210,7 +211,9 @@ def _trigamma(x):
 
 def thin_grid(spec, rng):
     """Exact draw of the retained sites of a thinned grid on N, sorted: the last
-    site T, then independent coins below it; one replicate of spec.sample_chains."""
+    site T, then independent coins below it; one replicate of spec.sample_chains.
+    A GeometricGrid's tail products drop only a factor that rounds to 1.0 (its
+    neglected sum of p_k is below 2^-54), so no constant sets a residue."""
     return spec.sample_chains(1, rng)[0]
 
 
@@ -306,9 +309,9 @@ def _last_candidate(p_tail, y, bound):
     lo, hi, g_lo = 0.0, 1.0, math.inf  # p_tail(0) is not evaluated
     while (p := p_tail(hi)) > y:
         lo, hi, g_lo = hi, 2.0 * hi, g(p)
-        if bound * hi > MAX_MEAN_POINTS:
+        if bound * hi > core.MAX_MEAN_POINTS:
             raise SamplerError(f"p_tail stays above {y:.3g} past t = {lo:.3g}: the stream "
-                               f"would exceed {MAX_MEAN_POINTS:.0e} points")
+                               f"would exceed {core.MAX_MEAN_POINTS:.0e} points")
     a, g_a, b, g_b = lo, g_lo, hi, g(p)  # the last two evaluations, b the latest
     streak, limit, last = 0, math.inf, math.inf
     while lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -415,18 +418,18 @@ def _mark_minimal(points, marks, idx, radius, offsets=None):
     """Mask of the rows idx whose mark beats every other point of their
     replicate (rows listed by offsets; one replicate by default) within radius.
 
-    One replicate whose (len(idx) x n) block holds at most core.PAIR_BLOCK
+    One replicate whose (len(idx) x n) block holds at most core.BLOCK
     pairs compares every row of idx with every point in that block. Larger
     replicates, and many replicates, are swept instead, so memory stays
     bounded: the points are sorted by replicate, then by first coordinate,
     through one key that keeps replicates apart, and each row of idx is
     compared with the points whose key lies within radius of its own, with a
-    relative slack of 1e-9 for the key's rounding, at most core.PAIR_BLOCK
+    relative slack of 1e-9 for the key's rounding, at most core.BLOCK
     pairs at once. Either way the distances decide, with the same arithmetic.
     A point's own mark is never smaller than itself, so it needs no exclusion.
     """
     if offsets is None or len(offsets) <= 2:
-        if idx.size * len(points) <= PAIR_BLOCK:
+        if idx.size * len(points) <= core.BLOCK:
             d2 = np.add.reduce((points[None, :, :] - points[idx, None, :]) ** 2, axis=2)  # np.sum's
             beaten = (d2 <= radius**2) & (marks[None, :] < marks[idx, None])
             return ~beaten.any(axis=1)
@@ -496,10 +499,10 @@ def nonlinear_hawkes_germ_chains(phi, phi_bound, h, h_support, window, n_chains,
     lam = float(phi_bound)
     a = float(h_support)
     scan = math.exp(min(lam * a, 700.0))  # about the points the backward scan draws
-    if not scan <= MAX_MEAN_POINTS:
+    if not scan <= core.MAX_MEAN_POINTS:
         raise SamplerError(
             f"regeneration-gap scan of about e^(bound * support) = {scan:.3g} points "
-            f"exceeds the limit {MAX_MEAN_POINTS:.0e}"
+            f"exceeds the limit {core.MAX_MEAN_POINTS:.0e}"
         )
     expected_reach = scan / lam
     search_horizon = SEARCH_REACHES * expected_reach + 10.0 * a

@@ -31,8 +31,9 @@ import sys
 
 import numpy as np
 
+from . import core
 from .branching_approx import sample_gw_cluster
-from .core import (MAX_MEAN_POINTS, _NONNEG, _POS, ConfigError, PointPattern, SamplerError, _built,
+from .core import (_NONNEG, _POS, ConfigError, PointPattern, SamplerError, _built,
                    _count_checks, _finite, _made, chain_offsets, order_by_label, poisson_counts)
 
 __all__ = [
@@ -42,8 +43,6 @@ __all__ = [
     "PiecewiseConstantFertility",
     "HawkesSampler",
 ]
-
-POINT_CAP = 1_000_000
 
 # the certified curve's names that perfbench's tracer wraps on this module
 _SANDWICH_NAMES = ("PhiOperator", "Sandwich", "build_sandwich")
@@ -364,9 +363,11 @@ def _kept_clusters(kernel, far, rng, roots, root_counts):
     spine nodes before the last carry z-size-biased marks, and every spine
     node roots an ordinary cluster with its mark; the last spine nodes and
     the plain roots draw ordinary marks.  All clusters of the call grow in
-    one sample_gw_cluster call, whose point cap, POINT_CAP a replicate,
-    bounds them together; only its points and the owner labels grown beside
-    them are read, and the cluster is dropped once they are.
+    one sample_gw_cluster call, whose point cap, core.POINT_CAP, bounds them
+    together, whatever the replicate count; only its points and the owner
+    labels grown beside them are read, and the cluster is dropped once they
+    are.  The engine is called through this module's global, so a wrapper set
+    on hawkes_mr.sample_gw_cluster sees every call.
 
     With no far ancestor the plain roots' clusters grow alone: no spine,
     tilted step, weight or coin; and for one replicate, whose points all have
@@ -379,7 +380,7 @@ def _kept_clusters(kernel, far, rng, roots, root_counts):
     """
     n_far, n_reps = far.size, len(root_counts)
     if n_far == 0:  # no spine, tilted step, weight or coin: the roots' clusters alone
-        cl = sample_gw_cluster(kernel, roots, rng, POINT_CAP * n_reps, owners=n_reps != 1)
+        cl = sample_gw_cluster(kernel, roots, rng, owners=n_reps != 1)
         if n_reps == 1:
             return cl.points, None
         return cl.points, np.arange(n_reps).repeat(root_counts)[cl.owner]
@@ -405,7 +406,7 @@ def _kept_clusters(kernel, far, rng, roots, root_counts):
         marks[~biased] = kernel.sample_mark(roots.size - n_biased, rng)
         del biased
     del roots_of, pos, ends, nodes  # not held through the engine
-    cl = sample_gw_cluster(kernel, roots, rng, POINT_CAP * n_reps, root_marks=marks)
+    cl = sample_gw_cluster(kernel, roots, rng, root_marks=marks)
     del roots, marks
     points, who = cl.points, owner[cl.owner]
     del cl, owner  # the labels, one per grown point and one per root, are read no more
@@ -460,10 +461,10 @@ class HawkesSampler:
     that the engine grows beside them (none for one replicate with no far
     ancestor).  sample is its one-replicate case and
     sample_chains, the lockstep form, cuts and sorts its n replicates.
-    POINT_CAP bounds the points a call grows, per replicate: at most POINT_CAP
-    for a draw, n * POINT_CAP for n replicates together.  A battery's blocks
-    bound a call's mean points (validation.BATTERY_POINTS), and the cap stops
-    a runaway near-critical call.
+    core.POINT_CAP bounds the points one call grows, for one replicate or n
+    together: a call that grows more raises SamplerError, so a large batch is
+    drawn in blocks, as the battery's blocks of about core.BLOCK mean points
+    are, and the cap stops a runaway near-critical call.
 
     tol and step describe only the certified curve of F, the sandwich
     property: it is built from them by exactpp.sandwich when first read, and
@@ -491,9 +492,10 @@ class HawkesSampler:
         self._far_mean = (self.mu * (1.0 - kernel.rho_theta) / kernel.theta
                           if kernel.rho > 0 else 0.0)
         mean = self.mu * (self.a + self._t1) + self._far_mean
-        if not mean <= MAX_MEAN_POINTS:
+        if not mean <= core.MAX_MEAN_POINTS:
             raise SamplerError(
-                f"mean candidate count {mean:.3g} per draw exceeds the limit {MAX_MEAN_POINTS:.0e}"
+                f"mean candidate count {mean:.3g} per draw exceeds the limit "
+                f"{core.MAX_MEAN_POINTS:.0e}"
             )
         self.meta = {"theta": kernel.theta, "rho_theta": kernel.rho_theta, "t0": self._t0}
 

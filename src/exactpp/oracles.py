@@ -22,7 +22,8 @@ one-chain case of cluster_direct_chains, matern_direct_chains and
 grid_thin_after_chains calls the generator exactly as the scalar routine
 does, so those scalar routines are one-chain calls.  Memory grows with the
 points drawn; the pairs compared at once by the hard-core sweep and the coins
-drawn at once by the grid are held to blocks (_PAIR_BLOCK, _COIN_BLOCK).
+drawn at once by the grid are held to blocks of core.BLOCK, read at each call,
+and no result depends on the block size.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import math
 
 import numpy as np
 
+from . import core
 from .core import PointPattern, SamplerError, _mean_count
 
 __all__ = [
@@ -50,10 +52,6 @@ __all__ = [
     "grid_thin_after",
     "grid_thin_after_chains",
 ]
-
-_PAIR_BLOCK = 1 << 20  # point pairs compared at once by the hard-core sweep
-_COIN_BLOCK = 1 << 20  # site coins held at once by grid_thin_after_chains
-
 
 def _offsets(chain, n_chains):
     """Offsets of points listed chain by chain, from each point's chain index."""
@@ -157,7 +155,7 @@ def _mark_minimal(pts, marks, chain, radius):
     compared with the successors that lie at most radius beyond it along the
     first coordinate, found by one search on a key that puts the chains apart;
     the reach carries a slack above radius for the key's rounding, and the
-    distances decide.  At most _PAIR_BLOCK pairs are compared at once.
+    distances decide.  At most core.BLOCK pairs are compared at once.
     """
     order = np.lexsort((pts[:, 0], chain))
     pts, marks, chain = pts[order], marks[order], chain[order]
@@ -169,8 +167,8 @@ def _mark_minimal(pts, marks, chain, radius):
         width = np.searchsorted(key, key + reach, side="right") - np.arange(1, len(key) + 1)
         ends = np.cumsum(width)
         lo = 0
-        while lo < len(pts):  # the pairs of points lo..hi-1: at most _PAIR_BLOCK, or one point's
-            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - width[lo] + _PAIR_BLOCK, "right")))
+        while lo < len(pts):  # the pairs of points lo..hi-1: at most core.BLOCK, or one point's
+            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - width[lo] + core.BLOCK, "right")))
             w = width[lo:hi]
             a = np.repeat(np.arange(lo, hi), w)
             b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(w) - w, w)  # a's w successors
@@ -475,13 +473,13 @@ def grid_thin_after_chains(p_fn, n_sites, n_chains, rng):
     """(points, offsets) of n_chains grid_thin_after chains, points their retained sites.
 
     The coins are drawn chain by chain, site by site, for as many whole
-    chains at a time as _COIN_BLOCK coins allow (at least one).
+    chains at a time as core.BLOCK coins allow (at least one).
     """
     sites = np.arange(int(n_sites))
     p = np.asarray(p_fn(sites), dtype=float)
     if np.any((p < 0) | (p > 1)):
         raise SamplerError("site retention probabilities must lie in [0, 1]")
-    rows = max(1, _COIN_BLOCK // max(sites.size, 1))
+    rows = max(1, core.BLOCK // max(sites.size, 1))
     chains, kept = [np.empty(0, dtype=np.int64)], [sites[:0]]
     for lo in range(0, int(n_chains), rows):
         c, k = np.nonzero(rng.random((min(rows, int(n_chains) - lo), sites.size)) < p)

@@ -45,7 +45,7 @@ def cmd_plotdata(cfg, built, kind, outdir):
         hist = np.bincount(counts)
         _csv_rows(out, "count,frequency", ([str(k), str(int(v))] for k, v in enumerate(hist)))
     elif kind == "sandwich-curves":
-        from .hawkes_mr import POINT_CAP, sample_gw_cluster
+        from .hawkes_mr import sample_gw_cluster
 
         b = built["sampler"].sandwich.bounds()
         stride = max(1, b.taus.size // 2000)
@@ -53,7 +53,6 @@ def cmd_plotdata(cfg, built, kind, outdir):
         n_clusters = 20_000
         lengths = np.sort(sample_gw_cluster(
             built["kernel"], np.zeros(n_clusters), RngStream(seed, stream_id=30_000).generator(),
-            POINT_CAP,
         ).extinction_time)
         oracle = 1.0 - np.searchsorted(lengths, taus, side="right") / n_clusters
         _csv_rows(out, "t,lower,upper,oracle_tail",

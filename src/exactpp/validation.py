@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from . import core
 from .core import _Frozen, _jsonable
 
 __all__ = [
@@ -504,19 +505,16 @@ class ReportCollector:
 LOCKSTEP, ORACLE, PROBES = 1, 2, 3
 
 
-BATTERY_POINTS = 1 << 20  # mean points one lockstep call of a battery draws, at most
-
-
 def _counts(points, offsets):
     return np.diff(offsets)
 
 
 def battery_blocks(n_reps, per_rep):
     """The replicate counts of the blocks, in turn, of a battery of n_reps
-    replicates of per_rep mean points each: at most BATTERY_POINTS / per_rep
+    replicates of per_rep mean points each: at most core.BLOCK / per_rep
     replicates a block (at least one), and one block for a battery within
-    BATTERY_POINTS."""
-    block = n_reps if per_rep * n_reps <= BATTERY_POINTS else max(1, int(BATTERY_POINTS // per_rep))
+    core.BLOCK mean points."""
+    block = n_reps if per_rep * n_reps <= core.BLOCK else max(1, int(core.BLOCK // per_rep))
     return [min(block, n_reps - a) for a in range(0, n_reps, block)]
 
 
@@ -533,7 +531,7 @@ def replicate_counts(n_reps, stream, chains, per_rep=0.0, reduce=_counts):
     per_rep is the mean count of the points one replicate draws, candidates
     included. The replicates are drawn in the blocks of battery_blocks, each
     reduced before the next is drawn, so the battery never holds much more
-    than BATTERY_POINTS points, or one replicate's.
+    than core.BLOCK mean points, or one replicate's.
     """
     n_reps = int(n_reps)
     if n_reps < 1:

@@ -196,12 +196,12 @@ def test_unbounded_displacement_rejected():
 
 def test_point_cap_overflow_raises(monkeypatch):
     # the cap is read when a draw is made, not when the module is loaded
-    from exactpp import branching_approx
+    from exactpp import core
 
     progeny = TranslatedPoissonCluster(
         total_mean=0.9, displacement=UniformDisplacement((-0.25,), (0.25,))
     )
-    monkeypatch.setattr(branching_approx, "POINT_CAP", 20)
+    monkeypatch.setattr(core, "POINT_CAP", 20)
     with pytest.raises(SamplerError, match="cluster exceeded 20 points"):
         approx_branching_sample(30.0, progeny, W1, 3, _gen(114))
     with pytest.raises(TypeError, match="point_cap"):

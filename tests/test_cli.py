@@ -351,29 +351,41 @@ def test_branching_approx_build_draws_nothing(monkeypatch):
 def test_heavy_branching_battery_stays_within_the_point_cap(tmp_path, capsys):
     # about 26k points a replicate: the 400 replicates' 1e7 points, drawn in
     # one call, would pass the engine's 5e6-point cap; drawn in blocks of
-    # about BATTERY_POINTS, the battery runs and accepts
+    # about core.BLOCK mean points, the battery runs and accepts, in bounded memory
     cfg = json.loads((CONFIG_DIR / "branching_approx.json").read_text())
     cfg["params"]["rate0"] = 2500.0
     cfg["window"] = {"lower": [0.0], "upper": [4.0]}
     cfg["validation"] = {"enabled": True, "replicates": 400}
-    rc = main(["validate", "-c", _cfg_file(tmp_path, cfg)])
+    path = _cfg_file(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        rc = main(["validate", "-c", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert rc == 0, capsys.readouterr().err
     assert "PASS branching-mean-count" in capsys.readouterr().out
+    assert peak < 14 * 2**20  # about 11.8 MiB
 
 
 def test_heavy_hawkes_battery_stays_within_the_point_cap(tmp_path, capsys, monkeypatch):
-    # about 2,970 points a replicate: a block of about BATTERY_POINTS mean points
-    # grows more than POINT_CAP points in one call, which stays within that
-    # call's cap of POINT_CAP a replicate; the battery's blocks bound its memory
-    from exactpp import hawkes_mr
+    # about 2,970 points a replicate: the 400 replicates come in blocks of about
+    # core.BLOCK mean points, one engine call a block, each within the cap of
+    # a call, core.POINT_CAP; the blocks bound the battery's memory
+    from exactpp import core, hawkes_mr, validation
 
-    grow, grown = hawkes_mr.sample_gw_cluster, []
+    checks, grow, seen, grown = hawkes_mr._count_checks, hawkes_mr.sample_gw_cluster, {}, []
 
-    def recording(kernel, roots, rng, point_cap, **kwargs):
-        cl = grow(kernel, roots, rng, point_cap, **kwargs)
-        grown.append((len(cl.points), point_cap))
+    def recording_checks(chains, **kwargs):
+        seen.update(kwargs)
+        return checks(chains, **kwargs)
+
+    def recording(*args, **kwargs):
+        cl = grow(*args, **kwargs)
+        grown.append(len(cl.points))
         return cl
 
+    monkeypatch.setattr(hawkes_mr, "_count_checks", recording_checks)
     monkeypatch.setattr(hawkes_mr, "sample_gw_cluster", recording)
     cfg = json.loads((CONFIG_DIR / "hawkes_mr.json").read_text())
     cfg["params"]["kernel"] = {"family": "exponential", "beta": 5.0, "gamma": 10.0}
@@ -388,9 +400,9 @@ def test_heavy_hawkes_battery_stays_within_the_point_cap(tmp_path, capsys, monke
         tracemalloc.stop()
     assert rc == 0, capsys.readouterr().err
     assert "PASS self-exciting-mean-count" in capsys.readouterr().out
-    assert [cap for _, cap in grown] == [353 * hawkes_mr.POINT_CAP, 47 * hawkes_mr.POINT_CAP]
-    assert grown[0][0] > hawkes_mr.POINT_CAP
-    assert peak < 128 * 2**20  # about 57 MiB, at the oracle's first block
+    blocks = validation.battery_blocks(400, seen["per_rep"])
+    assert len(grown) == len(blocks) > 1 and max(grown) <= core.POINT_CAP
+    assert peak < 18 * 2**20  # about 15.4 MiB, 14.7 with the oracles imported already
 
 
 @pytest.mark.parametrize(
@@ -435,9 +447,9 @@ def test_hawkes_battery_blocks_are_sized_by_the_points_a_draw_grows(
 
 def test_heavy_oracle_draws_its_chains_in_the_battery_blocks(tmp_path, capsys, monkeypatch):
     # clusters of 1,000 points on [0, 10]: 600 oracle chains drawn in one call
-    # peaked near 200 MiB; drawn in the battery's blocks of 104 chains, one
-    # after another on the one ORACLE generator, the run stays below 64 MiB
-    from exactpp import oracles, validation
+    # peaked near 200 MiB; drawn in the battery's blocks of core.BLOCK mean
+    # points, one after another on the one ORACLE generator, far less
+    from exactpp import core, oracles, validation
 
     draw, asked = oracles.cluster_direct_chains, []
 
@@ -457,9 +469,11 @@ def test_heavy_oracle_draws_its_chains_in_the_battery_blocks(tmp_path, capsys, m
         tracemalloc.stop()
     assert rc == 0, capsys.readouterr().err
     per_rep = 1.0 * (11.0 + 1000.0 * 10.0)  # the battery's germs and points a replicate
-    assert [k for k, _ in asked] == validation.battery_blocks(600, per_rep) == [104] * 5 + [80]
+    block = int(core.BLOCK // per_rep)
+    assert [k for k, _ in asked] == validation.battery_blocks(600, per_rep) == (
+        [block] * (600 // block) + [600 % block] * (600 % block > 0))
     assert len({id(rng) for _, rng in asked}) == 1
-    assert peak < 64 * 2**20
+    assert peak < 12 * 2**20  # about 10.5 MiB, 9.8 with the oracles imported already
 
 
 # -- validation rejection exits 1 ---------------------------------------------------

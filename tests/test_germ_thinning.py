@@ -423,9 +423,9 @@ def test_matern_thin_first_matches_direct_oracle():
 
 
 def test_mark_minimal_survival_matches_per_point_loop(monkeypatch):
-    # one replicate takes the dense block only while it holds PAIR_BLOCK pairs,
+    # one replicate takes the dense block only while it holds core.BLOCK pairs,
     # and the sweep past that: both match the loop
-    from exactpp import germ_thinning
+    from exactpp import core
     from exactpp.germ_thinning import _mark_minimal
 
     rng = _gen(68)
@@ -444,7 +444,7 @@ def test_mark_minimal_survival_matches_per_point_loop(monkeypatch):
                 expected[j] = False
         assert np.array_equal(_mark_minimal(pts, marks, idx, radius), expected)
         with monkeypatch.context() as m:
-            m.setattr(germ_thinning, "PAIR_BLOCK", 0)
+            m.setattr(core, "BLOCK", 0)
             assert np.array_equal(_mark_minimal(pts, marks, idx, radius), expected)
 
 

@@ -408,12 +408,15 @@ def test_first_generation_is_poisson_per_ancestor_mark():
         assert rep.accepted, (z, rep.to_dict())
 
 
-def test_cluster_point_cap_guards_near_critical_growth():
+def test_cluster_point_cap_guards_near_critical_growth(monkeypatch):
+    from exactpp import core
+
     kernel = ExponentialFertility(0.9, 1.0)
     rng = _gen(88)
+    monkeypatch.setattr(core, "POINT_CAP", 5)
     with pytest.raises(SamplerError, match="cluster exceeded"):
         for _ in range(500):
-            sample_gw_cluster(kernel, 0.0, rng, point_cap=5)
+            sample_gw_cluster(kernel, 0.0, rng)
 
 
 def test_forest_extinction_times_match_single_clusters():
@@ -445,11 +448,15 @@ def test_forest_bookkeeping_per_root():
     assert one.extinction_time[0] == scalar.extinction_time
 
 
-def test_point_cap_counts_the_whole_call():
+def test_point_cap_counts_the_whole_call(monkeypatch):
     # ten bare ancestors: the cap covers all of them together, roots included
-    assert sample_gw_cluster(ZERO_KERNEL, np.zeros(10), _gen(105), point_cap=10).points.size == 10
+    from exactpp import core
+
+    monkeypatch.setattr(core, "POINT_CAP", 10)
+    assert sample_gw_cluster(ZERO_KERNEL, np.zeros(10), _gen(105)).points.size == 10
+    monkeypatch.setattr(core, "POINT_CAP", 9)
     with pytest.raises(SamplerError, match="cluster exceeded 9 points"):
-        sample_gw_cluster(ZERO_KERNEL, np.zeros(10), _gen(105), point_cap=9)
+        sample_gw_cluster(ZERO_KERNEL, np.zeros(10), _gen(105))
 
 
 
@@ -969,17 +976,17 @@ def test_each_draw_grows_its_clusters_in_one_call(monkeypatch, kernel, mu):
     ids=["one-mark", "two-marks", "zero-kernel"],
 )
 def test_lockstep_form_grows_every_replicate_in_one_call(monkeypatch, kernel, mu):
-    # one sample_gw_cluster call for all replicates, capped at POINT_CAP a replicate;
+    # one sample_gw_cluster call for all replicates, under the one cap of a call;
     # stats count the far ancestors that _kept_clusters receives, the only
     # clusters that a coin decides
     from exactpp import hawkes_mr
 
-    caps, candidates = [], []
+    calls, candidates = [], []
     grow, keep = hawkes_mr.sample_gw_cluster, hawkes_mr._kept_clusters
 
-    def recording(kernel, roots, rng, point_cap, **kwargs):
-        caps.append(point_cap)
-        return grow(kernel, roots, rng, point_cap, **kwargs)
+    def recording(kernel, roots, rng, *args, **kwargs):
+        calls.append(args)  # no cap is passed: the engine reads core.POINT_CAP
+        return grow(kernel, roots, rng, *args, **kwargs)
 
     def counting(kernel, far, *args):
         candidates.append(far.size)
@@ -991,10 +998,24 @@ def test_lockstep_form_grows_every_replicate_in_one_call(monkeypatch, kernel, mu
     for n in (1, 7, 60):
         before = sampler.stats["condition_attempts"]
         points, offsets = sampler.sample_chains(n, _gen(125, n))
-        assert caps == [n * hawkes_mr.POINT_CAP] and offsets.size == n + 1
+        assert calls == [()] and offsets.size == n + 1
         assert sampler.stats["condition_attempts"] - before == sum(candidates)
         assert len(candidates) == 1  # the zero kernel's too, with no far ancestor
-        del caps[:], candidates[:]
+        del calls[:], candidates[:]
+
+
+def test_lockstep_call_is_capped_as_a_whole(monkeypatch):
+    # about 43 points a replicate: single draws stay far within a cap of 1,000,
+    # but 50 replicates grow about 2,150 points in their one engine call, and
+    # the cap bounds that call, whatever its replicate count
+    from exactpp import core
+
+    monkeypatch.setattr(core, "POINT_CAP", 1_000)
+    sampler = HawkesSampler(KERNEL, mu=1.0, a=10.0)
+    for r in range(20):
+        sampler.sample(_gen(128, r))
+    with pytest.raises(SamplerError, match="cluster exceeded 1000 points: near-critical"):
+        sampler.sample_chains(50, _gen(128))
 
 
 def test_burn_in_oracle_draws_its_own_marks(monkeypatch):

@@ -39,7 +39,7 @@ from exactpp import (
     sample_poisson_lines,
     thin_grid,
 )
-from exactpp import core, validation
+from exactpp import boolean_model, core, germ_thinning, oracles, validation
 from exactpp.boolean_model import DiskWindow, boolean_exact_chains, poisson_lines_chains
 from exactpp.branching_approx import approx_branching_chains
 from exactpp.core import homogeneous_chains, sample_homogeneous
@@ -253,9 +253,107 @@ def test_form_at_zero_replicates_is_empty():
 def test_lockstep_matern_blocks_do_not_change_the_output(monkeypatch):
     chains = CASES["matern"][1]
     whole = chains(300, _gen(406))
-    monkeypatch.setattr(core, "PAIR_BLOCK", 7)
+    monkeypatch.setattr(core, "BLOCK", 7)
     blocked = chains(300, _gen(406))
     assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+
+
+def _counted(func, calls):
+    """func, appending to calls at each call."""
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return func(*args, **kwargs)
+    return counting
+
+
+def _counted_slices(func, calls):
+    """pair_blocks, appending to calls at each slice it yields."""
+    def counting(width):
+        for rows in func(width):
+            calls.append(1)
+            yield rows
+    return counting
+
+
+class _CountingNumpy:
+    """numpy, with the calls of one of its functions counted."""
+
+    def __init__(self, name, calls):
+        self.name, self.calls = name, calls
+
+    def __getattr__(self, attr):
+        value = getattr(np, attr)
+        return _counted(value, self.calls) if attr == self.name else value
+
+
+class _CountingRandom:
+    """A generator whose random calls, the grid oracle's only draws, are counted."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def random(self, *args):
+        self.calls.append(1)
+        return self.rng.random(*args)
+
+
+def _grid_p(ks):
+    return 0.9 ** (ks + 1.0)
+
+
+def _battery(monkeypatch, calls):
+    # the grid oracle's chains, whose coins come chain after chain, as a battery
+    # of 300 replicates that declare 40 points each
+    chains = _counted(lambda k, rng: oracles.grid_thin_after_chains(_grid_p, 40, k, rng), calls)
+    return (replicate_counts(300, RngStream(9, 20_000), chains=chains, per_rep=40.0),)
+
+
+def _matern_sweep(monkeypatch, calls):
+    monkeypatch.setattr(germ_thinning, "pair_blocks", _counted_slices(core.pair_blocks, calls))
+    return matern_thin_first_chains(2.0, 0.3, lambda pts: 0.8, W2, 40, _gen(409))
+
+
+def _coverage_sweep(monkeypatch, calls):
+    monkeypatch.setattr(boolean_model, "pair_blocks", _counted_slices(core.pair_blocks, calls))
+    drawn, offsets = boolean_exact_chains(0.3, DISKS, W2, 40, _gen(410))
+    return (drawn.coverage(W2.sample_uniform(300, _gen(411)), offsets),)
+
+
+def _dense_threshold(monkeypatch, calls):
+    # one replicate of 200 points: 100 x 200 pairs, the dense path at the default block
+    monkeypatch.setattr(germ_thinning, "pair_blocks", _counted_slices(core.pair_blocks, calls))
+    rng = _gen(412)
+    pts, marks = W2.sample_uniform(200, rng), rng.random(200)
+    return (germ_thinning._mark_minimal(pts, marks, np.arange(0, 200, 2), 0.4),)
+
+
+def _oracle_pairs(monkeypatch, calls):
+    monkeypatch.setattr(oracles, "np", _CountingNumpy("sqrt", calls))  # one sqrt a block
+    return oracles.matern_direct_chains(2.0, 0.3, lambda pts: np.full(len(pts), 0.8), W2, 40,
+                                        _gen(413))
+
+
+def _oracle_coins(monkeypatch, calls):
+    return oracles.grid_thin_after_chains(_grid_p, 40, 300, _CountingRandom(_gen(414), calls))
+
+
+@pytest.mark.parametrize("reader", [_battery, _matern_sweep, _coverage_sweep, _dense_threshold,
+                                    _oracle_pairs, _oracle_coins],
+                         ids=["battery", "matern-sweep", "coverage-sweep", "dense-threshold",
+                              "oracle-pairs", "oracle-coins"])
+def test_one_block_size_splits_every_reader(reader, monkeypatch):
+    # the default core.BLOCK holds each of these in one step (the dense path
+    # needs no sweep); a block of 1,000 splits every one of them, and the
+    # output keeps its bytes
+    calls = []
+    with monkeypatch.context() as m:
+        whole = reader(m, calls)
+    steps = len(calls)
+    del calls[:]
+    monkeypatch.setattr(core, "BLOCK", 1_000)
+    split = reader(monkeypatch, calls)
+    assert steps == (0 if reader is _dense_threshold else 1) and len(calls) > 1
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, split, strict=True))
 
 
 def test_boolean_coverage_per_replicate_is_each_replicates_union():
@@ -385,7 +483,7 @@ def test_replicate_counts_draw_from_the_battery_streams():
     counts = replicate_counts(5, stream, chains=lambda n, rng: homogeneous_chains(w, 2.0, n, rng),
                               reduce=_keeping(seen))
     ref = homogeneous_chains(w, 2.0, 5, stream.substream(validation.LOCKSTEP).generator())
-    assert len(seen) == 1  # within BATTERY_POINTS: one block
+    assert len(seen) == 1  # within core.BLOCK: one block
     assert np.array_equal(seen[0][0], ref[0]) and np.array_equal(seen[0][1], ref[1])
     assert np.array_equal(counts, np.diff(ref[1]))
 
@@ -394,7 +492,7 @@ def test_replicate_counts_draw_blocks_of_bounded_points(monkeypatch):
     # 6 points a replicate against a bound of 20: blocks of 3, 3 and 2
     # replicates, drawn in turn from the one lockstep generator and each
     # reduced before the next is drawn
-    monkeypatch.setattr(validation, "BATTERY_POINTS", 20)
+    monkeypatch.setattr(core, "BLOCK", 20)
     stream = RngStream(8, 20_000)
     w = Window((0.0,), (3.0,))
     asked, seen = [], []
@@ -459,7 +557,7 @@ def test_validated_run_draws_its_battery_in_bounded_blocks(monkeypatch, tmp_path
     asked = []
 
     def bounded(n_reps, stream, chains=None, per_rep=0.0, **kw):
-        monkeypatch.setattr(validation, "BATTERY_POINTS", 7.5 * per_rep)
+        monkeypatch.setattr(core, "BLOCK", 7.5 * per_rep)
 
         def counting(k, rng):
             asked.append(k)

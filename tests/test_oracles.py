@@ -21,7 +21,7 @@ from exactpp import (
     TranslatedPoissonCluster,
     UniformDisplacement,
     Window,
-    oracles,
+    core,
 )
 from exactpp.oracles import (
     cluster_direct_chains,
@@ -184,7 +184,7 @@ def _matern_loop(rate, radius, thin_p, window, rng):
 )
 def test_matern_oracle_equals_the_per_point_loop(window, rate, radius, block, monkeypatch):
     if block is not None:
-        monkeypatch.setattr(oracles, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(core, "BLOCK", block)
 
     def thin_p(pts):
         return np.full(pts.shape[0], 0.8)
@@ -345,14 +345,12 @@ def test_lockstep_bounded_hawkes_oracle_without_immigrants_is_empty():
     assert points.size == 0 and offsets.tolist() == [0] * 8
 
 
-@pytest.mark.parametrize(
-    "case, block",
-    [("matern-1d", "_PAIR_BLOCK"), ("matern-2d", "_PAIR_BLOCK"), ("grid", "_COIN_BLOCK")],
-)
-def test_lockstep_blocks_do_not_change_the_output(case, block, monkeypatch):
+@pytest.mark.parametrize("case", ["matern-1d", "matern-2d", "grid"])
+def test_lockstep_blocks_do_not_change_the_output(case, monkeypatch):
+    # blocks of one pair (the hard-core sweep) or one chain's coins (the grid)
     _, chains = ONE_CHAIN_CASES[case]
     want = chains(300, _gen(320))
-    monkeypatch.setattr(oracles, block, 1)
+    monkeypatch.setattr(core, "BLOCK", 1)
     got = chains(300, _gen(320))
     assert got[0].tobytes() == want[0].tobytes()
     assert np.array_equal(got[1], want[1])

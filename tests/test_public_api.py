@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 import json
 import math
+import operator
 import os
 import pkgutil
 import re
@@ -398,3 +399,83 @@ def test_every_defaulted_parameter_has_a_caller():
         "defaulted parameters that no call outside the unit tests passes: "
         + ", ".join(sorted(unpassed - UNPASSED_ALLOWED.keys())))
     assert not UNPASSED_ALLOWED.keys() - unpassed, "allowlisted parameters that are passed or gone"
+
+
+# Module-level numbers of at least 2^16 in the package. A memory limit is one
+# of core's three; any other large constant would be one more limit tuned alone.
+LARGE_CONSTANTS_ALLOWED = {
+    "core.MAX_MEAN_POINTS": "the admission limit on a draw's mean count",
+    "core.POINT_CAP": "the most points one Galton-Watson engine call grows",
+    "core.BLOCK": "the points, pairs or coins that one vectorised step holds",
+    "germ_thinning._GAMMA_ITERATIONS": "an iteration bound of the incomplete gamma "
+    "expansions, not a size",
+    "core._M32": "SeedSequence's 32-bit mask, which the Philox keys must reproduce",
+    "core._INIT_A": "a SeedSequence hash constant",
+    "core._MULT_A": "a SeedSequence hash constant",
+    "core._INIT_B": "a SeedSequence hash constant",
+    "core._MULT_B": "a SeedSequence hash constant",
+    "core._MIX_MULT_L": "a SeedSequence hash constant",
+    "core._MIX_MULT_R": "a SeedSequence hash constant",
+}
+
+_NUMERIC_OPS = {ast.LShift: operator.lshift, ast.Mult: operator.mul, ast.Pow: operator.pow}
+
+
+def _numeric(node):
+    """The value of a number literal, or of <<, * or ** over such values; None otherwise."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        value = _numeric(node.operand)
+        return None if value is None else -value
+    if isinstance(node, ast.BinOp) and type(node.op) in _NUMERIC_OPS:
+        left, right = _numeric(node.left), _numeric(node.right)
+        if left is not None and right is not None:
+            return _NUMERIC_OPS[type(node.op)](left, right)
+    return None
+
+
+def _large_constants(root):
+    """The qualified names of the package's module-level numbers of magnitude
+    at least 2^16, assigned alone or in a tuple of names."""
+    found = []
+    for path in sorted((root / "src" / "exactpp").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                pairs = [(t, node.value) for t in node.targets]
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                pairs = [(node.target, node.value)]
+            else:
+                continue
+            for target, value in pairs:  # a tuple of names adds its pairs to the list
+                if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                    pairs += zip(target.elts, value.elts)
+                elif isinstance(target, ast.Name):
+                    number = _numeric(value)
+                    if number is not None and abs(number) >= 1 << 16:
+                        found.append(f"{path.stem}.{target.id}")
+    return found
+
+
+def test_no_large_constant_outside_the_allowlist():
+    """Every module-level number of at least 2^16 in the package, as a
+    literal, a shift such as 1 << 18 or a product of literals, is allowlisted
+    with its reason. Only module-level assignments are scanned: a literal
+    inline in the code, such as the refusal of a last-site search past
+    10_000_000 sites in germ_thinning, is not."""
+    found = set(_large_constants(ROOT))
+    assert not found - LARGE_CONSTANTS_ALLOWED.keys(), (
+        "large constants that are not core's memory limits: "
+        + ", ".join(sorted(found - LARGE_CONSTANTS_ALLOWED.keys())))
+    assert not LARGE_CONSTANTS_ALLOWED.keys() - found, "allowlisted constants that are gone"
+
+
+def test_the_constant_guard_sees_every_form_of_a_large_number(tmp_path):
+    (tmp_path / "src" / "exactpp").mkdir(parents=True)
+    (tmp_path / "src" / "exactpp" / "mod.py").write_text(
+        "LITERAL = 1_000_000\nSHIFT = 1 << 20\nPRODUCT = 5 * 10**6\nFLOAT = 1e9\n"
+        "NEGATIVE = -70_000\nPAIR_A, PAIR_B = 0xFFFF, 0x10000\nTYPED: int = 2**16\n"
+        "SMALL = 65_535\nDERIVED = LITERAL // 2\n\n\ndef f(n):\n    return n > 10_000_000\n")
+    assert _large_constants(tmp_path) == [
+        f"mod.{name}" for name in
+        ("LITERAL", "SHIFT", "PRODUCT", "FLOAT", "NEGATIVE", "PAIR_B", "TYPED")]
