@@ -36,9 +36,9 @@ classes are plain classes on one read-only base in core, so an import
 compiles no generated methods.
 
 numpy is the only runtime dependency: no module imports scipy. The
-two-sample KS test computes its p-value with a numpy port of scipy's
-Kolmogorov distribution, and the chi-square test with the incomplete gamma
-function of germ_thinning.
+two-sample KS test computes its p-value with `math` (exact for equal sample
+sizes, from the Kolmogorov limit otherwise), and the chi-square test with
+the incomplete gamma function of germ_thinning.
 """
 
 import importlib

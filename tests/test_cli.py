@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -507,7 +508,7 @@ def test_validation_rejection_exits_1(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("alpha,expected", [(0.05, 0), (0.5, 0), (0.999, 1)])
 def test_configured_alpha_decides_the_verdict(tmp_path, capsys, alpha, expected):
-    # the grid's one KS test reads p = 0.9953 on this seed: the run accepts at
+    # the grid's one KS test reads p = 0.99733 on this seed: the run accepts at
     # alpha 0.05 and 0.5 and rejects at 0.999, so only the configured alpha
     # tells the runs apart; every report records the alpha it was judged at
     cfg = {
@@ -519,7 +520,7 @@ def test_configured_alpha_decides_the_verdict(tmp_path, capsys, alpha, expected)
     assert rc == expected
     reports = json.loads((outdir / "validation_report.json").read_text())
     assert [r["name"] for r in reports] == ["grid-counts-vs-thin-after"]
-    assert reports[0]["pvalue"] == pytest.approx(0.9953, abs=5e-5)
+    assert reports[0]["pvalue"] == pytest.approx(0.99733, abs=5e-5)
     assert all(r["alpha"] == alpha for r in reports)
     assert ("validation rejected" in capsys.readouterr().err) == (expected == 1)
 
@@ -627,14 +628,14 @@ DEMO_REPORT_SHA256 = {
     "boolean_disks": "203a40eb7fd8e024f2875b210a4c548f1e49386e4f39ae4195fee058afd1d248",
     "boolean_segments": "c499b32fc3674d58421b2729c606224dbf7e99cf2f7c1a0b837dce56c71ecbfe",
     "branching_approx": "cfb3edb3458ca3e78c175f71fcfa55415f36cf1c059eb8f759d488802e7b1bd3",
-    "brix_kendall": "39a3cfc432e446b086a42da209b89f8271ae47c0f5fd7db79592dfdc817055f0",
-    "grid_thinning": "2ca44e6f64a6a6ae8efec3f11a2b21682f38a2a972f286b50a7f00f06f5fd230",
-    "hawkes_mr": "7f7033768fa479e14fe8e1f08354a1c567eee7437cff4fe4f7d5d88007940eb5",
-    "matern": "a16c5a444fabc6d0f68c934dacb29c3230129fde5bcb5542d75c578c2a197105",
-    "nonlinear_hawkes": "74b7f107a2fecda9ea9353a6d528e235afb505c15be9c5bd1854b7774a118f5d",
+    "brix_kendall": "2b8e5a75d554c639dea2d5640b5a404db68d1348ed8a7ed4e768e0294259a030",
+    "grid_thinning": "a91c7ea1f7d59fc3ea9c1afa3110a7f64779e7cfdca320b3d4ff0e8b0680c788",
+    "hawkes_mr": "d2497eb152e6f8214887b637003d7a274d5989a25de3642737627eb5bffb0f1a",
+    "matern": "e8ff0fec7852906d4b737ef3691fa157e0bcf275b7f5360c9f5d4d1be9cb1695",
+    "nonlinear_hawkes": "60a047146991f3f46096096eb76ff750d842bad8554e2bce8f25bddbe566da64",
     "poisson": "d71c57fa1c6cab791bea9bc3ee17f339e8a4c858deb63e3881ed9c1e95d781a0",
     "poisson_lines": "f7f3171845f7f135c8ed58996a10c16fe9d24180544e0dcd0e74ea6ca343bef2",
-    "renewal": "cd3dfb9b30eab18ae93ec11bb931946761a5707ee3dcd1e7984bb79e726d8697",
+    "renewal": "051e030cc2dc7541e575c7472fe49deb84f30cb493c9ae605e124bd980ae234d",
 }
 DEMO_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
@@ -669,6 +670,77 @@ def test_demo_validation_reports_keep_their_bytes(tmp_path, path):
     report = (outdir / "validation_report.json").read_bytes()
     assert (hashlib.sha256(report).hexdigest() == DEMO_REPORT_SHA256[path.stem]
             ), pin_message("validation report bytes")
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_demo_ks_pvalues_are_scipys_exact(tmp_path, monkeypatch, path):
+    # every KS report of a demo battery carries the exact p-value of the two
+    # samples it compared, scipy's ks_2samp(method="exact")
+    from scipy import stats
+
+    from exactpp import validation
+
+    ks, samples = validation.two_sample_ks, []
+
+    def recording(a, b, *args, **kwargs):
+        samples.append((np.asarray(a), np.asarray(b)))
+        return ks(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(validation, "two_sample_ks", recording)
+    cfg = json.loads(path.read_text())
+    rc, outdir = _sample(tmp_path, dict(cfg, validation=dict(cfg["validation"], enabled=True)))
+    assert rc == 0
+    reports = json.loads((outdir / "validation_report.json").read_text())
+    ks_reports = [r for r in reports if "m" in r["details"]]  # in the order they ran
+    assert len(ks_reports) == len(samples)
+    for (a, b), report in zip(samples, ks_reports):
+        exact = stats.ks_2samp(a, b, method="exact").pvalue
+        assert report["pvalue"] == pytest.approx(exact, rel=1e-10), report["name"]
+
+
+def test_no_module_computes_in_long_double():
+    # a long double is 80 bits on x86-64 Linux and 64 on macOS arm64, so a
+    # value computed in one would tie written bytes to the platform
+    src = Path(__file__).resolve().parents[1] / "src" / "exactpp"
+    named = [p.name for p in sorted(src.glob("*.py"))
+             if any(t in p.read_text() for t in ("longdouble", "float128", "float96"))]
+    assert named == []
+
+
+AVX512_GROUPS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def test_demo_pins_hold_with_avx512_kernels_off(tmp_path):
+    """The demo pattern and report pins, rerun in a child process with
+    numpy's AVX-512 kernels off (NPY_DISABLE_CPU_FEATURES acts only on that
+    child): no report pin fails, and every pattern pin that fails is one
+    marked as depending on numpy's SIMD kernels. Only the groups this CPU has
+    are disabled, so on a CPU without AVX-512 the child runs the default
+    dispatch."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               NPY_DISABLE_CPU_FEATURES=" ".join(g for g in AVX512_GROUPS if g in simd_found()))
+    found = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, 'tests'); import pins; "
+         "print(' '.join(pins.simd_found()))"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert found.returncode == 0, found.stderr
+    assert not set(found.stdout.split()) & set(AVX512_GROUPS)
+    xml = tmp_path / "pins.xml"
+    tests = [f"{__file__}::test_demo_patterns_keep_their_bytes",
+             f"{__file__}::test_demo_validation_reports_keep_their_bytes"]
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={xml}",
+         *tests], cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode in (0, 1), run.stdout + run.stderr
+    cases = ET.parse(xml).getroot().iter("testcase")
+    outcomes = {c.get("name"): [(e.tag, e.get("message", "")) for e in c
+                                if e.tag in ("failure", "error", "skipped")] for c in cases}
+    assert len(outcomes) == 2 * len(DEMO_CONFIGS)
+    failed = {name: problems for name, problems in outcomes.items() if problems}
+    assert not [name for name in failed if name.startswith("test_demo_validation_reports")]
+    assert all(tag == "failure" and "depend on numpy's SIMD kernels" in message
+               for problems in failed.values() for tag, message in problems), failed
 
 
 class _ReadLog(dict):

@@ -1,7 +1,6 @@
 """Validation harness self-checks: summary statistics against closed forms,
-calibration and power of the KS/chi-square wrappers, the numpy Kolmogorov
-survival function against scipy.stats.kstwo, Holm correction arithmetic, and
-report serialization."""
+calibration and power of the KS/chi-square wrappers, the KS p-values against
+scipy.stats.ks_2samp, Holm correction arithmetic, and report serialization."""
 
 import json
 import math
@@ -15,7 +14,6 @@ from exactpp.core import homogeneous_chains
 from exactpp.validation import (
     ReportCollector,
     TestReport,
-    _kolmogorov_sf,
     chi_square,
     empirical_laplace,
     holm_correct,
@@ -106,41 +104,64 @@ def test_two_sample_ks_rejects_a_nan_value():
         two_sample_ks(np.array([1.0, np.nan, 2.0]), np.arange(5.0))
 
 
-def test_two_sample_ks_rejects_one_value_against_one():
-    # the effective size nm/(n+m) = 1/2 rounds to 0: no Kolmogorov law to read
-    with pytest.raises(ValueError, match="effective size"):
-        two_sample_ks([1.0], [2.0])
+def test_two_sample_ks_reads_one_value_against_one_as_scipy_does():
+    # equal sizes have an exact law down to n = 1: D = 1 there, with p = 1
+    rep = two_sample_ks([1.0], [2.0])
+    assert rep.statistic == 1.0
+    assert rep.pvalue == stats.ks_2samp([1.0], [2.0], method="exact").pvalue == 1.0
 
 
-def _not_literal(n, x):
-    """Where the port departs from scipy's arithmetic: scipy's 2 * smirnov
-    regime (x >= 1/2, or n x^2 >= 2.2 at n > 140) and all of n <= 140, where
-    scipy runs the Pomeranz recursion or 2 * smirnov."""
-    return n <= 140 or x >= 0.5 or n * x * x >= 2.2
+def _shifted(n, c):
+    """Two samples of n values whose KS statistic is c/n: 0..n-1 against the
+    same values moved c - 1/2 to the right (or not moved, for c = 0)."""
+    a = np.arange(float(n))
+    return a, a + (c - 0.5 if c else 0.0)
 
 
-def _attainable(n):
-    """Every x = i/(2n) in [0, 1]: the edges of every branch, and the values a
-    two-sample statistic often takes at effective size n."""
-    return np.arange(2 * n + 1) / (2 * n)
+# where scipy's exact sum rounds above 1 (at some c near 1), it warns and
+# returns its asymptotic value, 1.0
+@pytest.mark.filterwarnings("ignore:ks_2samp. Exact calculation unsuccessful")
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 200, 400, 500, 600, 800, 2500])
+def test_equal_sizes_pvalue_is_scipys_exact_at_every_attainable_statistic(n):
+    for c in range(n + 1):
+        a, b = _shifted(n, c)
+        rep = two_sample_ks(a, b)
+        ref = stats.ks_2samp(a, b, method="exact")
+        assert rep.statistic == pytest.approx(c / n, abs=1e-12)
+        # relative 1e-10, down to the smallest normal double (subnormals hold fewer digits)
+        assert rep.pvalue == pytest.approx(ref.pvalue, rel=1e-10, abs=np.finfo(float).tiny), c
 
 
-@pytest.mark.parametrize("n", [141, 200, 250, 300, 400, 1000, 2500])
-def test_kolmogorov_sf_is_scipys_bit_for_bit_where_ported_literally(n):
-    xs = [x for x in _attainable(n) if not _not_literal(n, x)]
-    assert len(xs) > 10
-    got = np.array([_kolmogorov_sf(n, x) for x in xs])
-    assert np.array_equal(got, stats.kstwo.sf(xs, n))
+def _limit_bound(n, m):
+    """The stated distance of the unequal-size p-value from the exact one."""
+    return 0.4 / math.sqrt(n * m / (n + m))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 25, 64, 139, 140, 141, 250, 1000, 2500])
-def test_kolmogorov_sf_matches_scipy_where_the_arithmetic_differs(n):
-    xs = [x for x in _attainable(n) if _not_literal(n, x)]
-    xs = xs[:: max(1, len(xs) // 60)]
-    got = np.array([_kolmogorov_sf(n, x) for x in xs])
-    want = stats.kstwo.sf(xs, n)
-    # relative 1e-10, down to the smallest normal double (subnormals hold fewer digits)
-    assert np.all(np.abs(got - want) <= 1e-10 * want + np.finfo(float).tiny)
+@pytest.mark.parametrize("sizes", [(30, 70), (400, 800), (300, 1000), (400, 10_000)])
+def test_unequal_sizes_pvalue_is_within_its_bound_of_scipys_exact(sizes):
+    n, m = sizes
+    a, b = (np.arange(n) + 0.5) / n, (np.arange(m) + 0.5) / m
+    pvalues = []
+    for shift in np.linspace(0.0, 6.0 / math.sqrt(n * m / (n + m)), 61):
+        rep = two_sample_ks(a, b + shift)
+        ref = stats.ks_2samp(a, b + shift, method="exact")
+        assert rep.statistic == pytest.approx(ref.statistic, abs=1e-12)
+        assert abs(rep.pvalue - ref.pvalue) <= _limit_bound(n, m), shift
+        pvalues.append(ref.pvalue)
+    assert max(pvalues) > 0.9 and min(pvalues) < 1e-6  # the shifts sweep the whole law
+
+
+def test_unequal_sizes_pvalue_is_within_its_bound_at_ac8s_size():
+    # AC-8 pools 68,565 against 68,605 nearest-neighbour distances; scipy has
+    # no exact count at that size (method="exact" falls back to "asymp"), so
+    # the reference is its asymptotic value, kstwo.sf at round(nm/(n+m))
+    n, m = 68_565, 68_605
+    a, b = (np.arange(n) + 0.5) / n, (np.arange(m) + 0.5) / m
+    for shift in np.linspace(0.0, 6.0 / math.sqrt(n * m / (n + m)), 31):
+        rep = two_sample_ks(a, b + shift)
+        ref = stats.ks_2samp(a, b + shift, method="asymp")
+        assert rep.statistic == ref.statistic
+        assert abs(rep.pvalue - ref.pvalue) <= _limit_bound(n, m), shift
 
 
 @pytest.mark.parametrize("sizes", [(400, 400), (400, 800), (300, 1000), (800, 800), (30, 70)])
@@ -150,13 +171,12 @@ def test_two_sample_ks_matches_scipy_on_tied_counts(sizes, shift):
     a = rng.poisson(5.0, sizes[0]).astype(float)
     b = rng.poisson(5.0 + shift, sizes[1]).astype(float)
     rep = two_sample_ks(a, b)
-    ref = stats.ks_2samp(a, b, method="asymp")
-    assert rep.statistic == ref.statistic
-    size = round(sizes[0] * sizes[1] / sum(sizes))
-    if _not_literal(size, rep.statistic):
+    assert rep.statistic == stats.ks_2samp(a, b, method="asymp").statistic
+    ref = stats.ks_2samp(a, b, method="exact")  # its statistic is rounded to the lattice
+    if sizes[0] == sizes[1]:  # the exact law
         assert rep.pvalue == pytest.approx(ref.pvalue, rel=1e-10, abs=np.finfo(float).tiny)
-    else:
-        assert rep.pvalue == ref.pvalue
+    else:  # its limit, within the stated bound
+        assert abs(rep.pvalue - ref.pvalue) <= _limit_bound(*sizes)
     assert rep.accepted == (ref.pvalue >= rep.alpha)
 
 
