@@ -5,13 +5,14 @@ with intensity h(., z) scaled by the parent's mark, each offspring spawning
 its own independent subtree) has extinction time L = last point - ancestor.
 An ancestor a distance t before the window reaches it iff L > t, an event of
 probability F(t) = P(L > t).  HawkesSampler draws the ancestors that reach
-the window without evaluating F.  Up to t1 = 2 t0, twice the distance where
-the closed-form envelope U(t) = e^(-theta t) / (1 - rho_theta) of an
+the window without evaluating F.  Up to t1 = 3 t0, three times the distance
+where the closed-form envelope U(t) = e^(-theta t) / (1 - rho_theta) of an
 exponentially tilted cluster law falls to 1, ancestors arrive at rate mu with
 ordinary clusters, and the cut to the window drops the points of those that
 do not reach it; beyond t1 it thins candidates under U with a coin on their
 tilted clusters, drawn through their spine.  The coin is exact at any
-distance, and t1 is the split at which a draw grows the fewest points.
+distance, and t1 is a measured time choice: most draws then have no far
+ancestor and pay for no spine or coin.
 Every cluster grows through branching_approx.sample_gw_cluster, the
 Galton-Watson engine that spatial branching draws share.
 
@@ -436,23 +437,31 @@ class HawkesSampler:
     with Q the Z-size-biased cluster law (Chen & Wang 2020 tilt the Hawkes
     cluster this way; Lyons, Pemantle & Peres 1995 give the spine form of Q).
     U(t0) = 1 at t0 = -ln(1 - rho_theta)/theta.  Roots arrive at rate mu on
-    [-t1, a), t1 = 2 t0, the immigrants and the near ancestors in one process,
+    [-t1, a), t1 = 3 t0, the immigrants and the near ancestors in one process,
     and each carries an ordinary cluster: a root before the window whose
     cluster dies out before 0 puts no point in it, and the cut to [0, a] drops
-    its points.  Beyond t1, Poisson(mu (1 - rho_theta)/theta) far ancestors
-    arrive at t1 + Exp(theta), rate mu U(t), each with a Q-cluster that
-    _kept_clusters keeps with probability min(1, e^(theta t) / Z).  A kept far
-    cluster with L <= t has every point at or before 0, and for L > t,
+    its points.  Beyond t1, Poisson(mu e^(-theta t1)/(theta (1 - rho_theta)))
+    far ancestors, a mean of mu (1 - rho_theta)^2/theta, arrive at
+    t1 + Exp(theta), rate mu U(t), each with a Q-cluster that _kept_clusters
+    keeps with probability min(1, e^(theta t) / Z).  A kept far cluster with
+    L <= t has every point at or before 0, and for L > t,
     Z >= e^(theta L) > e^(theta t), so the kept clusters that reach the window
     have intensity mu U(t) Q(dc) e^(theta t) / Z = mu P(dc) 1{L > t}: those of
     the ancestors at distance t that reach it.  That holds at every t, so the
-    split is a cost choice, not a law choice: a split at s grows
+    split is a cost choice, not a law choice.  A split at s grows
     G(s) = mu (a + s)/(1 - rho) + mu e^(-theta s)/(theta (1 - rho_theta)^2 (1 - rho))
-    points a draw, least where e^(-theta s) = (1 - rho_theta)^2, at s = t1.
-    A draw with no far ancestor (e^(-3/4), 47% of the demo's) grows its roots'
-    clusters with no spine, weight or coin; the zero kernel (rho = 0) has
-    t1 = 0 and no far ancestor.  mu is a constant nonnegative rate.  A mean
-    candidate count per draw, mu (a + t1 + (1 - rho_theta)/theta), above
+    points a draw, the fewest where e^(-theta s) = (1 - rho_theta)^2, at 2 t0.
+    Yet a draw's time is set more by its numpy calls than by its points, and
+    a draw with any far ancestor makes about 25 more: the spine, the tilted
+    steps, the owner labels, the weights and the coin.  So the split is a
+    measured time choice: at 3 t0 a draw with no far ancestor (e^(-3/16), 83%
+    of the demo's, against 47% at 2 t0) grows its roots' clusters with no
+    spine, weight or coin, and a demo draw takes about a fifth less time
+    than at 2 t0 (BENCH_42.json, on a 2-core x86-64 machine).  A
+    split at 4 t0 is quicker still, but it takes a heavy lockstep block's
+    memory peak past its test's bound.  The zero kernel (rho = 0) has t1 = 0
+    and no far ancestor.  mu is a constant nonnegative rate.  A mean
+    candidate count per draw, mu (a + t1) plus the far ancestors' mean, above
     core.MAX_MEAN_POINTS raises SamplerError when the sampler is built.
 
     One body, _conditioned_cluster, draws n replicates from one generator and
@@ -487,10 +496,11 @@ class HawkesSampler:
         self.step = float(step)
         self.stats = {"condition_attempts": 0, "fallback_coins": 0, "grid_levels_built": 0}
         self._t0 = -math.log1p(-kernel.rho_theta) / kernel.theta if kernel.rho > 0 else 0.0
-        # roots on [-t1, a), then Poisson(mu (1 - rho_theta) / theta) far ancestors beyond t1
-        self._t1 = 2.0 * self._t0
-        self._far_mean = (self.mu * (1.0 - kernel.rho_theta) / kernel.theta
-                          if kernel.rho > 0 else 0.0)
+        # roots on [-t1, a), then Poisson(int_t1^inf mu U(t) dt) far ancestors beyond t1:
+        # mu (1 - rho_theta)^2 / theta at t1 = 3 t0, where e^(-theta t1) = (1 - rho_theta)^3
+        self._t1 = 3.0 * self._t0
+        self._far_mean = (self.mu * math.exp(-kernel.theta * self._t1)
+                          / (kernel.theta * (1.0 - kernel.rho_theta)) if kernel.rho > 0 else 0.0)
         mean = self.mu * (self.a + self._t1) + self._far_mean
         if not mean <= core.MAX_MEAN_POINTS:
             raise SamplerError(
@@ -597,16 +607,16 @@ def _build_hawkes_mr(p, window):
                   else hawkes_bounded_burn_in_chains)
         return chains(kernel, mu, a, burn, n_reps, rng)
 
-    # a replicate's points: the clusters of its mu (t1 + a) roots on [-t1, a) and of its
-    # mu (1 - rho_theta) / theta far ancestors, with 1 / (1 - rho_theta) spine nodes each;
-    # its mu rho_theta / theta spine nodes before the last carry z-size-biased marks, whose
+    # a replicate's points: the clusters of its mu (t1 + a) roots on [-t1, a) and of the
+    # spine nodes of its _far_mean far ancestors, 1 / (1 - rho_theta) each; a share rho_theta
+    # of the nodes, those before each spine's last, carry z-size-biased marks, whose
     # clusters grow (E[z^2] / E[z] - E[z]) nu0 / (1 - rho) more points each (0 for one mark)
-    far = biased = 0.0
+    nodes = biased = 0.0
     if kernel.rho > 0:
-        far = 1.0 / kernel.theta
+        nodes = sampler._far_mean / (1.0 - kernel.rho_theta)
         spread = float(np.sum(kernel._weights * (kernel._zs - kernel.mean_mark) ** 2))
-        biased = kernel.rho_theta / kernel.theta * spread / kernel.mean_mark * kernel._base
-    per_rep = mu * (window.upper[0] + sampler._t1 + far + biased) / (1.0 - kernel.rho)
+        biased = kernel.rho_theta * spread / kernel.mean_mark * kernel._base
+    per_rep = (mu * (window.upper[0] + sampler._t1) + nodes * (1.0 + biased)) / (1.0 - kernel.rho)
     validate = _count_checks(
         sampler.sample_chains,
         mean=("self-exciting-mean-count", mu * window.upper[0] / (1.0 - kernel.rho)),

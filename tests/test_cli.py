@@ -408,16 +408,17 @@ def test_heavy_hawkes_battery_stays_within_the_point_cap(tmp_path, capsys, monke
 
 @pytest.mark.parametrize(
     "marks, per_rep",
-    [(None, 2_558.13), ([[0.25, 0.5], [0.75, 7 / 6]], 2_569.38)],
+    [(None, 2_787.20), ([[0.25, 0.5], [0.75, 7 / 6]], 2_790.01)],
     ids=["one-mark", "two-marks"],
 )
 def test_hawkes_battery_blocks_are_sized_by_the_points_a_draw_grows(
         tmp_path, monkeypatch, marks, per_rep):
-    # the build's per_rep, mu (a + 2 t0 + 1/theta + b) / (1 - rho), is the mean
-    # count of the points that the engine grows a replicate, with
-    # b = (rho_theta / theta) Var(z) / E[z] nu0 for the spine nodes' size-biased
-    # marks (0 for one mark): 2,558 and 2,569 at mu = 60, against a standard
-    # error of about 2.7 at 2,000 draws
+    # the build's per_rep, (mu (a + t1) + n (1 + b)) / (1 - rho), is the mean
+    # count of the points that the engine grows a replicate: n spine nodes,
+    # n = mu e^(-theta t1) / (theta (1 - rho_theta)^2), and
+    # b = rho_theta Var(z) / E[z] nu0 for the size-biased marks of those before
+    # each spine's last (0 for one mark): 2,787 and 2,790 at mu = 60 and
+    # t1 = 3 t0, against a standard error of about 2.4 at 2,000 draws
     from exactpp import RngStream, cli, hawkes_mr
 
     count_checks, grow, seen, grown = hawkes_mr._count_checks, hawkes_mr.sample_gw_cluster, {}, []
@@ -605,7 +606,7 @@ DEMO_PATTERN_SHA256 = {
     "branching_approx": "00adf7c7626448b72711f5d05dd399bcf23b7093f245f51f15512987341f33d0",
     "brix_kendall": "f184dffaf6882b38eb7f12bde501f4c99e7820ab8b8f96e07b69ec9b6944aeed",
     "grid_thinning": "f80dae499e94fbcfbcb28981110c5383ccf72bf0627d503f3a8fda63f91675a1",
-    "hawkes_mr": "1e763c8297ec47dcb0863a5bbb4730cf34eecb48b5dd4d259eb0549920863b0b",
+    "hawkes_mr": "890f9ba674b3edea263688c54e929c64593b314ca1522eda6fe32c6f9176b4ab",
     "matern": "d712ee7c1379720d814486f1e3923c2d46daee120728acb2baaa17daaba3cde6",
     "nonlinear_hawkes": "e0381820be80cf6f0f6a85ce9cdc33d8140743f9d71846d527f4b2a6d8f538f5",
     "poisson": "fdabfb0707869de0d31a7e1c78a17adf1789a6cf9f5bd2041f2320c149172d3d",
@@ -630,7 +631,7 @@ DEMO_REPORT_SHA256 = {
     "branching_approx": "cfb3edb3458ca3e78c175f71fcfa55415f36cf1c059eb8f759d488802e7b1bd3",
     "brix_kendall": "2b8e5a75d554c639dea2d5640b5a404db68d1348ed8a7ed4e768e0294259a030",
     "grid_thinning": "a91c7ea1f7d59fc3ea9c1afa3110a7f64779e7cfdca320b3d4ff0e8b0680c788",
-    "hawkes_mr": "d2497eb152e6f8214887b637003d7a274d5989a25de3642737627eb5bffb0f1a",
+    "hawkes_mr": "bd9de35e5ebd6b661bb76797385eda5215a7cbca4aa7cac247201af9a89510f6",
     "matern": "e8ff0fec7852906d4b737ef3691fa157e0bcf275b7f5360c9f5d4d1be9cb1695",
     "nonlinear_hawkes": "60a047146991f3f46096096eb76ff750d842bad8554e2bce8f25bddbe566da64",
     "poisson": "d71c57fa1c6cab791bea9bc3ee17f339e8a4c858deb63e3881ed9c1e95d781a0",

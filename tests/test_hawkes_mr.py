@@ -516,7 +516,7 @@ def test_demo_sampler_draws_keep_their_bytes():
     sampler = HawkesSampler(KERNEL, mu=1.0, a=10.0)  # configs/hawkes_mr.json
     pats = [sampler.sample(_gen(31, r)).points[:, 0] for r in range(500)]
     digest = _sha256(np.array([p.size for p in pats]), np.concatenate(pats))
-    assert digest == "f1eb9402d9a808b1f8a5c350648584fad9156ae2f6e22a4a75f0c504405e2583", (
+    assert digest == "7dd990fdc92f8911642147212c7ebaff164d436e7b5d439f39c181fc109d9698", (
         pin_message("the demo sampler's draws"))
 
 
@@ -548,7 +548,10 @@ def test_two_mark_forest_keeps_its_bytes():
 # no difference in law. They were taken again when the split between the plain
 # roots and the thinned far ancestors moved from t0 to 2 t0: fewer far
 # ancestors draw other random numbers, and the same checks, with the mean count
-# on [0, 1], found no difference in law against the split at t0.
+# on [0, 1], found no difference in law against the split at t0. They were taken
+# again when it moved from 2 t0 to 3 t0, and KS tests of the window counts and
+# of each draw's first point, with the mean count on [0, 1], found no
+# difference in law against the split at 2 t0.
 
 
 @pytest.mark.parametrize(
@@ -576,15 +579,15 @@ def test_scalar_clusters_keep_their_bytes(kernel, digest):
     [
         (
             ExponentialFertility(0.5, 1.0, marks=TWO_MARKS), 1.0, 10.0,
-            "ecfc60a5a59a7b16e7c7ba19986a2cca82b368c0a15c1b876249bd7d0a851e56",
+            "c76e23287cf219358f7aec234c6417d4da0958d687bb67486a9f1d1732882ab4",
         ),
         (
             PolynomialFertility((0.45, -0.225), 2.0), 1.0, 5.0,
-            "79cb0bfa6521153a95125706a1340dd685653a6ba27ceca763ea49e6f5c146f6",
+            "36569734038a9340dbc083f15e8e4d7aa742f5735104a2128ad1185e30cf25d4",
         ),
         (
             PiecewiseConstantFertility((0.0, 0.5, 2.0), (0.6, 0.1)), 1.0, 5.0,
-            "3ff69898fb4a75875981254419d0708fc5ab54fc5a44b8739765693177722830",
+            "9b7b18205536b3858442d59bb22d0afa70e9883591e79d2bf98e3990f7f876db",
         ),
     ],
     ids=["two-marks", "polynomial", "piecewise"],
@@ -598,9 +601,10 @@ def test_sampler_draws_keep_their_bytes(kernel, mu, a, digest):
 
 
 # The digests below were taken before the split between the plain roots and the
-# far ancestors moved from t0 to 2 t0, and hold since: the zero kernel has no
-# far ancestor at any split, and a call with no far ancestor grows the roots'
-# clusters alone, drawing the random numbers that the spine path drew with none.
+# far ancestors moved from t0 to 2 t0, and hold since, at 3 t0 too: the zero
+# kernel has no far ancestor at any split, and a call with no far ancestor grows
+# the roots' clusters alone, drawing the random numbers that the spine path drew
+# with none.
 
 
 def test_zero_kernel_draws_keep_their_bytes():
@@ -739,8 +743,8 @@ def _no_roots_before_the_window(kernel, far, rng, roots, root_counts):
 def test_edge_strip_count_fails_without_a_pre_window_part(monkeypatch, mutant):
     # the roots before the window, missing, leave the strip short by more than
     # 4 standard errors (the whole window's mean moves far less). The far
-    # ancestors, beyond 2 t0, feed the strip too little for this test to see
-    # them (0.0123 mu, an eighth of what those beyond t0 fed): the next test
+    # ancestors, beyond 3 t0, feed the strip too little for this test to see
+    # them (0.0015 mu, an eighth of what those beyond 2 t0 fed): the next test
     # counts them alone
     from exactpp import hawkes_mr
 
@@ -755,8 +759,8 @@ def test_far_clusters_feed_the_edge_strip_as_the_closed_form_says(monkeypatch, k
     # with h = beta e^(-gamma s) a cluster's descendants arrive at rate
     # beta e^(-(gamma - beta) s) after its root, so the ancestors beyond t1 put
     # mu beta (1 - e^(-(gamma - beta))) e^(-(gamma - beta) t1) / (gamma - beta)^2
-    # points on [0, 1] a draw: 0.74 at mu = 60, with a standard error of about
-    # 1.6% at 10,000 draws; with no far ancestor kept, none
+    # points on [0, 1] a draw: 0.092 at mu = 60 and t1 = 3 t0, with a standard
+    # error of about 5% at 10,000 draws; with no far ancestor kept, none
     from exactpp import hawkes_mr
 
     far_flags = []
@@ -775,19 +779,19 @@ def test_far_clusters_feed_the_edge_strip_as_the_closed_form_says(monkeypatch, k
         pts, rep = s._conditioned_cluster(rng, block)
         in_strip = far_flags.pop() & (pts >= 0.0) & (pts <= 1.0)
         counts.append(np.bincount(rep[in_strip], minlength=block))
-    g, t1 = KERNEL.gamma - KERNEL.beta, 2.0 * s.meta["t0"]
+    g, t1 = KERNEL.gamma - KERNEL.beta, s._t1
     expected = mu * KERNEL.beta * -math.expm1(-g) * math.exp(-g * t1) / g**2
     mean, half = mean_ci(np.concatenate(counts), z=4.0)
     assert (abs(mean - expected) < half) == fits, (mean, half, expected)
 
 
-@pytest.mark.parametrize("split", ["t0", "zero"])
+@pytest.mark.parametrize("split", ["2t0", "t0", "zero"])
 def test_the_split_is_a_cost_choice_not_a_law_choice(monkeypatch, split):
     # the coin keeps a far cluster that reaches the window with probability
-    # e^(theta t) / Z_0 at every distance t, so a split at t0 or at 0, with
-    # mu U(t) far ancestors beyond it, draws the law of the split at 2 t0
+    # e^(theta t) / Z_0 at every distance t, so a split at 2 t0, t0 or 0, with
+    # mu U(t) far ancestors beyond it, draws the law of the default split at 3 t0
     default, moved = HawkesSampler(KERNEL, mu=1.0, a=10.0), HawkesSampler(KERNEL, mu=1.0, a=10.0)
-    at = moved.meta["t0"] if split == "t0" else 0.0
+    at = {"2t0": 2.0, "t0": 1.0, "zero": 0.0}[split] * moved.meta["t0"]
     theta, rho_theta = KERNEL.theta, KERNEL.rho_theta
     monkeypatch.setattr(moved, "_t1", at)
     monkeypatch.setattr(moved, "_far_mean",
@@ -887,8 +891,10 @@ def test_draws_allocate_nothing_the_size_of_the_grid():
 
 
 def test_a_heavy_lockstep_block_stays_under_60_mib():
-    # about 850k grown points. With the split at 2 t0, the block peaks at
-    # 35.3-35.5 MiB (tracemalloc, seeds 126-131); at t0 it grew about 1.05M
+    # about 930k grown points. With the split at 3 t0, the block peaks at
+    # 35.3-35.4 MiB (tracemalloc, seeds 126-131), and at 2 t0, with about 850k
+    # points, at 32.1-32.2 MiB; at 4 t0 it would peak at 40.7-40.9 MiB, past the
+    # bound, which is why the split stops at 3 t0. At t0 it grew about 1.05M
     # points and peaked at 42.4-42.5 MiB, and a reach and a shift per point
     # took that to 52.7-53.0 MiB. The bound, 40 MiB, leaves about 13%.
     s = HawkesSampler(KERNEL, mu=60.0, a=10.0)
@@ -899,7 +905,7 @@ def test_a_heavy_lockstep_block_stays_under_60_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert offsets[-1] > 350_000  # points in the window; the block grows about 2.1 times as many
+    assert offsets[-1] > 350_000  # points in the window; the block grows about 2.3 times as many
     assert peak < 40 * 2**20, peak / 2**20
 
 

@@ -372,7 +372,7 @@ def test_boolean_coverage_per_replicate_is_each_replicates_union():
 # every demo config and ten variants. Taken on the code before the single
 # draws became their lockstep forms, with numpy 2.4.6 on Python 3.11.7;
 # hawkes_mr's again when its roots before the window joined the immigrants,
-# and when its split between plain and thinned ancestors moved to 2 t0.
+# and when its split between plain and thinned ancestors moved to 2 t0, then 3 t0.
 SINGLE_DRAW_SHA256 = {
     "poisson": "a3fba5576cea4c4f0775c2cdd5c4dd06f6e064d275011cb63d88ff7a5418fd27",
     "brix_kendall": "610ac9964576023ee9713830d2435520cb352aadad108d160700f43b569c185d",
@@ -384,7 +384,7 @@ SINGLE_DRAW_SHA256 = {
     "matern": "bcc111e0c245aeb9ad05b963429aa197cdfc7b92346989aa7c91a82609eca1d1",
     "renewal": "3c7f0355bb7a0ac8934244fe4b98f53222b35d6ddaa423d5f5aeea5d64553526",
     "nonlinear_hawkes": "5b78a67827026df09d67974883606492b7909f31f4c2488402479115868f625e",
-    "hawkes_mr": "608abb8526b914d0962ee11b4b377335377f36f73f1e5f27ff58573c5547cb29",
+    "hawkes_mr": "e892835d6f7a411ce95d256f0c1dc5d3d60a3365158ceb7d8496d46b465b59e1",
     "brix_kendall_2d": "4225d3c28c93f6afc7bf4fe5c84fa41190fc73959b9beb3787ce302915bd8985",
     "disks_uniform": "3ac9b51cfa9d0ef81b2bfaa931b8241f37b538288bc833ed10d88e93a3f3b1bf",
     "disks_exp": "1dadad54e45bde68e1464e5c9db40f24c085cf47dd4f6bb7e53f4c33ab45b8cb",
