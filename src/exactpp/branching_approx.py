@@ -73,39 +73,60 @@ def sample_gw_cluster(kernel, ancestor, rng, root_marks=None, generations=None, 
     roots included, whatever its replicate count; a call that grows more
     raises SamplerError.  generations, if
     given, keeps generations 0..generations: the last one's points get no
-    children.  The roots draw their marks from the mixture unless root_marks
-    gives them, one per root.  Each generation costs its generator calls, two
-    repeats by the same counts (of the parents' positions and of their owner
-    labels) and one add; the points and owners of every generation are
-    concatenated once, after the loop.  With owners=False, for a caller that
-    reads only the points, no owner label is grown: the owners' repeats and
-    concatenation are skipped and the result's owner is None.  The labels
-    take no random number, so the points and the generator's state are the
-    same either way.
+    children.  root_marks, if given, are the roots' marks, one per root.
+
+    A point's mark decides only its offspring count, so the engine draws each
+    point's count whole, as Poisson(nu_inf(z)) with z drawn from the mixture,
+    and its displacement, in blocks: a generation slices its counts and its
+    children's displacements from the current block of each, and draws a new
+    block, discarding what is left of the old one, only when that is too
+    short.  A block holds the call's mean point count, roots / (1 - mean
+    brood), at most core.BLOCK, or the generation's size if that is larger,
+    so a call draws one or two blocks of counts and mostly one of
+    displacements, whatever its generation count.  Blocks are drawn when
+    first needed: a call of zero generations draws nothing, and a generation
+    with no child no displacement.  Roots given their marks draw their counts
+    in a call of their own.  Each generation then costs two slices, two repeats by the same
+    counts (of the parents' positions and of their int32 owner labels) and
+    one add; the points and owners of every generation are concatenated once,
+    after the loop.  With owners=False, for a caller that reads only the
+    points, no owner label is grown: the owners' repeats and concatenation
+    are skipped and the result's owner is None.  The labels take no random
+    number, so the points and the generator's state are the same either way.
 
     A kernel with one mark (one_mark_nu, the offspring mean of every point,
-    is not None) draws no marks: each generation's offspring counts are one
-    Poisson with the scalar rate one_mark_nu, and no random number is spent on
-    a mark whose only outcome is the one mark.  Its clusters have the law, not
-    the bytes, of a mixture of equal marks.
+    is not None) draws no marks: its counts are one Poisson with the scalar
+    rate one_mark_nu, and no random number is spent on a mark whose only
+    outcome is the one mark.  Its clusters have the law, not the bytes, of a
+    mixture of equal marks.
     """
     roots = np.asarray(ancestor, dtype=float)
     batch = roots.ndim > 0
     roots = roots if batch else roots.reshape(1)
     nu, cap = kernel.one_mark_nu, core.POINT_CAP
     poisson, displace = rng.poisson, kernel.sample_displacement
+    rates = None  # the given root marks' offspring means, drawn in their own call
     if root_marks is not None:
         marks = np.asarray(root_marks, dtype=float).reshape(-1)
         if marks.size != len(roots):
             raise SamplerError(f"root_marks gives {marks.size} marks for {len(roots)} ancestors")
-    elif nu is None:
-        marks = kernel.sample_mark(len(roots), rng)
-    else:
-        marks = None  # None: every mark is the kernel's one mark
+        rates = kernel.nu_inf(marks)
+    brood = kernel.rho if nu is None else nu  # the mean brood
+    block = int(min(len(roots) / (1.0 - brood), core.BLOCK)) if brood < 1 else core.BLOCK
+    counts_of = ((lambda k: poisson(nu, k)) if nu is not None
+                 else lambda k: poisson(kernel.nu_inf(kernel.sample_mark(k, rng))))
+    count_block = step_block = counts = ()  # the current blocks, drawn when first needed
+    c = s = 0  # the first unused entry of each
     gen, total, pts = roots, len(roots), [roots]
-    labels = [np.arange(len(roots))] if owners else None
+    labels = [np.arange(len(roots), dtype=np.int32)] if owners else None
     for _ in itertools.repeat(None) if generations is None else range(generations):
-        counts = poisson(nu, len(gen)) if marks is None else poisson(kernel.nu_inf(marks))
+        if rates is not None:
+            counts, rates = poisson(rates), None
+        else:
+            k = len(gen)
+            if c + k > len(count_block):
+                count_block, c = counts_of(max(block, k)), 0
+            counts, c = count_block[c : c + k], c + k
         gen = gen.repeat(counts, 0)  # each child at its parent (axis 0): the size is the count
         n = len(gen)
         total += n
@@ -116,11 +137,14 @@ def sample_gw_cluster(kernel, ancestor, rng, root_marks=None, generations=None, 
             )
         if n == 0:
             break
-        gen += displace(n, rng)
+        if s + n > len(step_block):
+            step_block, s = displace(max(block, n), rng), 0
+        gen += step_block[s : s + n]
+        s += n
         pts.append(gen)
         if owners:
             labels.append(labels[-1].repeat(counts))
-        marks = None if nu is not None else kernel.sample_mark(n, rng)
+    del count_block, step_block, counts  # a block, and a view of one, not held to the end
     return GWCluster(np.concatenate(pts), roots if batch else float(ancestor),
                      np.concatenate(labels) if owners else None)
 

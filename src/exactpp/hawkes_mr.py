@@ -5,7 +5,7 @@ with intensity h(., z) scaled by the parent's mark, each offspring spawning
 its own independent subtree) has extinction time L = last point - ancestor.
 An ancestor a distance t before the window reaches it iff L > t, an event of
 probability F(t) = P(L > t).  HawkesSampler draws the ancestors that reach
-the window without evaluating F.  Up to t1 = 3 t0, three times the distance
+the window without evaluating F.  Up to t1 = 4 t0, four times the distance
 where the closed-form envelope U(t) = e^(-theta t) / (1 - rho_theta) of an
 exponentially tilted cluster law falls to 1, ancestors arrive at rate mu with
 ordinary clusters, and the cut to the window drops the points of those that
@@ -384,10 +384,10 @@ def _kept_clusters(kernel, far, rng, roots, root_counts):
         cl = sample_gw_cluster(kernel, roots, rng, owners=n_reps != 1)
         if n_reps == 1:
             return cl.points, None
-        return cl.points, np.arange(n_reps).repeat(root_counts)[cl.owner]
+        return cl.points, np.arange(n_reps, dtype=np.int32).repeat(root_counts)[cl.owner]
     nodes = rng.geometric(1.0 - kernel.rho_theta, size=n_far)
     roots_of = np.concatenate((nodes, root_counts))  # a far ancestor's roots are its spine nodes
-    owner = np.arange(n_far + n_reps).repeat(roots_of)  # the owner of each root
+    owner = np.arange(n_far + n_reps, dtype=np.int32).repeat(roots_of)  # the owner of each root
     n_nodes = owner.size - roots.size  # the spine nodes
     ends = nodes.cumsum()
     # one tilted step a node, summed over all spines; taking away the running sum at each
@@ -437,11 +437,11 @@ class HawkesSampler:
     with Q the Z-size-biased cluster law (Chen & Wang 2020 tilt the Hawkes
     cluster this way; Lyons, Pemantle & Peres 1995 give the spine form of Q).
     U(t0) = 1 at t0 = -ln(1 - rho_theta)/theta.  Roots arrive at rate mu on
-    [-t1, a), t1 = 3 t0, the immigrants and the near ancestors in one process,
+    [-t1, a), t1 = 4 t0, the immigrants and the near ancestors in one process,
     and each carries an ordinary cluster: a root before the window whose
     cluster dies out before 0 puts no point in it, and the cut to [0, a] drops
     its points.  Beyond t1, Poisson(mu e^(-theta t1)/(theta (1 - rho_theta)))
-    far ancestors, a mean of mu (1 - rho_theta)^2/theta, arrive at
+    far ancestors, a mean of mu (1 - rho_theta)^3/theta, arrive at
     t1 + Exp(theta), rate mu U(t), each with a Q-cluster that _kept_clusters
     keeps with probability min(1, e^(theta t) / Z).  A kept far cluster with
     L <= t has every point at or before 0, and for L > t,
@@ -454,12 +454,14 @@ class HawkesSampler:
     Yet a draw's time is set more by its numpy calls than by its points, and
     a draw with any far ancestor makes about 25 more: the spine, the tilted
     steps, the owner labels, the weights and the coin.  So the split is a
-    measured time choice: at 3 t0 a draw with no far ancestor (e^(-3/16), 83%
-    of the demo's, against 47% at 2 t0) grows its roots' clusters with no
-    spine, weight or coin, and a demo draw takes about a fifth less time
-    than at 2 t0 (BENCH_42.json, on a 2-core x86-64 machine).  A
-    split at 4 t0 is quicker still, but it takes a heavy lockstep block's
-    memory peak past its test's bound.  The zero kernel (rho = 0) has t1 = 0
+    measured time choice: at 4 t0 a draw with no far ancestor (e^(-3/64), 95%
+    of the demo's, against 83% at 3 t0 and 47% at 2 t0) grows its roots'
+    clusters with no spine, weight or coin.  A demo draw took about a fifth
+    less time at 3 t0 than at 2 t0 (BENCH_42.json), and less again at 4 t0
+    with the engine's random numbers drawn in blocks (BENCH_43.json, both on
+    a 2-core x86-64 machine).  The far path's int32 owner labels keep a heavy
+    lockstep block, which grows more points at 4 t0, under its memory test's
+    bound.  The zero kernel (rho = 0) has t1 = 0
     and no far ancestor.  mu is a constant nonnegative rate.  A mean
     candidate count per draw, mu (a + t1) plus the far ancestors' mean, above
     core.MAX_MEAN_POINTS raises SamplerError when the sampler is built.
@@ -497,8 +499,8 @@ class HawkesSampler:
         self.stats = {"condition_attempts": 0, "fallback_coins": 0, "grid_levels_built": 0}
         self._t0 = -math.log1p(-kernel.rho_theta) / kernel.theta if kernel.rho > 0 else 0.0
         # roots on [-t1, a), then Poisson(int_t1^inf mu U(t) dt) far ancestors beyond t1:
-        # mu (1 - rho_theta)^2 / theta at t1 = 3 t0, where e^(-theta t1) = (1 - rho_theta)^3
-        self._t1 = 3.0 * self._t0
+        # mu (1 - rho_theta)^3 / theta at t1 = 4 t0, where e^(-theta t1) = (1 - rho_theta)^4
+        self._t1 = 4.0 * self._t0
         self._far_mean = (self.mu * math.exp(-kernel.theta * self._t1)
                           / (kernel.theta * (1.0 - kernel.rho_theta)) if kernel.rho > 0 else 0.0)
         mean = self.mu * (self.a + self._t1) + self._far_mean

@@ -6,6 +6,7 @@ the Hawkes sampler."""
 import hashlib
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,9 +26,10 @@ from exactpp import (
     Window,
     approx_branching_sample,
     certificate_generations_for,
+    core,
     sample_gw_cluster,
 )
-from exactpp.validation import chi_square, mean_ci
+from exactpp.validation import chi_square, mean_ci, two_sample_ks
 from pins import pin_message
 
 W1 = Window((0.0,), (1.0,))
@@ -196,8 +198,6 @@ def test_unbounded_displacement_rejected():
 
 def test_point_cap_overflow_raises(monkeypatch):
     # the cap is read when a draw is made, not when the module is loaded
-    from exactpp import core
-
     progeny = TranslatedPoissonCluster(
         total_mean=0.9, displacement=UniformDisplacement((-0.25,), (0.25,))
     )
@@ -267,32 +267,55 @@ def test_engine_keeps_row_roots_aligned_with_their_labels():
     assert np.all(offsets <= g * np.array(BOX2.hi) + tol)
 
 
+class _Blocks:
+    """Entries handed out in order from blocks of draw(size): a request that the
+    current block cannot fill draws a block of max(size, request) and drops the
+    rest of the old one. No block is drawn before the first request."""
+
+    def __init__(self, draw, size):
+        self.draw, self.size, self.rest = draw, size, None
+
+    def take(self, k):
+        if self.rest is None or len(self.rest) < k:
+            self.rest = self.draw(max(self.size, k))
+        got, self.rest = self.rest[:k], self.rest[k:]
+        return got
+
+
 def _brood_engine(kernel, ancestor, rng, root_marks=None, generations=None):
     """The engine's draws with its labels derived as the reference: the loop keeps
     broods[k][j], the children of point j of generation k, and owner is rebuilt
-    from them after the loop."""
+    from them after the loop. Counts and displacements come from _Blocks of the
+    call's mean point count, roots / (1 - mean brood), at most core.BLOCK;
+    counts are Poisson(nu_inf(z)) with a fresh mark z, except given root marks',
+    which take a call of their own."""
     roots = np.asarray(ancestor, dtype=float)
     roots = roots if roots.ndim else roots.reshape(1)
     nu = kernel.one_mark_nu
-    if root_marks is not None:
-        marks = np.asarray(root_marks, dtype=float).reshape(-1)
+    mean_brood = kernel.rho if nu is None else nu
+    size = int(min(len(roots) / (1.0 - mean_brood), core.BLOCK))
+    if nu is None:
+        counts = _Blocks(lambda k: rng.poisson(kernel.nu_inf(kernel.sample_mark(k, rng))), size)
     else:
-        marks = None if nu is not None else kernel.sample_mark(len(roots), rng)
+        counts = _Blocks(lambda k: rng.poisson(nu, k), size)
+    steps = _Blocks(lambda k: kernel.sample_displacement(k, rng), size)
     pts, broods, gen = [roots], [], roots
-    for _ in itertools.count() if generations is None else range(generations):
-        counts = rng.poisson(nu, len(gen)) if marks is None else rng.poisson(kernel.nu_inf(marks))
-        broods.append(counts)
-        gen = gen.repeat(counts, 0)
+    for g in itertools.count() if generations is None else range(generations):
+        if g == 0 and root_marks is not None:
+            brood = rng.poisson(kernel.nu_inf(np.asarray(root_marks, dtype=float)))
+        else:
+            brood = counts.take(len(gen))
+        broods.append(brood)
+        gen = gen.repeat(brood, 0)
         if len(gen) == 0:
             break
-        gen += kernel.sample_displacement(len(gen), rng)
+        gen += steps.take(len(gen))
         pts.append(gen)
-        marks = None if nu is not None else kernel.sample_mark(len(gen), rng)
     else:  # the generation cap: the last generation has no children
         broods.append(np.zeros(len(gen), dtype=int))
-    owners = [np.arange(len(roots))]
-    for counts in broods[:-1]:
-        owners.append(owners[-1].repeat(counts))
+    owners = [np.arange(len(roots), dtype=np.int32)]
+    for brood in broods[:-1]:
+        owners.append(owners[-1].repeat(brood))
     points, owner = np.concatenate(pts), np.concatenate(owners)
     labels = {"points": points, "owner": owner}
     if np.ndim(ancestor) == 0:
@@ -359,6 +382,53 @@ def test_engine_without_owner_labels_grows_the_same_points(kernel, ancestor, kwa
     assert repr(bare_rng.bit_generator.state) == repr(rng.bit_generator.state)
 
 
+@pytest.mark.parametrize(
+    "kernel, roots, kwargs, mean",
+    [
+        (ExponentialFertility(0.5, 1.0), np.zeros(4), {}, 2.0),
+        # a root of mark z has Poisson(z nu0) children of mean cluster 1 / (1 - rho)
+        (TWO_MARK_KERNEL, np.zeros(4), {"root_marks": [0.5, 7 / 6, 0.5, 7 / 6]},
+         1.0 + 0.5 * (0.5 + 7 / 6) / 2 / 0.5),
+        (PROGENY2, np.zeros((4, 2)), {"generations": 3}, 1.0 + 0.9 + 0.9**2 + 0.9**3),
+    ],
+    ids=["one-mark", "two-marks-root-marks", "rows-generations-3"],
+)
+def test_engine_blocks_that_run_short_inside_a_call_keep_the_law(monkeypatch, kernel, roots,
+                                                                 kwargs, mean):
+    # blocks of 3 counts and 3 displacements run short in most calls, so a
+    # call's generations come from several blocks and drop what each leaves;
+    # its clusters' sizes keep the law of the default blocks and the closed form
+    sizes = []
+    for block in (core.BLOCK, 3):
+        monkeypatch.setattr(core, "BLOCK", block)
+        rng = _gen(131, block)
+        owners = [sample_gw_cluster(kernel, roots, rng, **kwargs).owner for _ in range(5_000)]
+        sizes.append(np.concatenate([np.bincount(o, minlength=len(roots)) for o in owners]))
+    rep = two_sample_ks(*sizes, alpha=0.01)
+    assert rep.accepted, rep.to_dict()
+    for got in sizes:
+        m, half = mean_ci(got, z=4.0)
+        assert abs(m - mean) < half, (m, half, mean)
+
+
+def test_engine_grows_a_forest_within_its_bytes_per_point():
+    # a million-point forest with owner labels peaks at 20.0 bytes a point
+    # (tracemalloc, seeds 140-142): the float64 points of the generations and
+    # of their concatenation, and the int32 labels of both; the blocks are
+    # dropped before the concatenation. The bound leaves about 15%.
+    roots = np.zeros(500_000)
+    rng = _gen(140)
+    tracemalloc.start()
+    try:
+        cl = sample_gw_cluster(ExponentialFertility(0.5, 1.0), roots, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cl.owner.dtype == np.int32
+    assert len(cl.points) > 900_000
+    assert peak < 23 * len(cl.points), peak / len(cl.points)
+
+
 def test_only_callers_that_read_owner_labels_grow_them(monkeypatch):
     # a one-replicate branching draw and a Hawkes draw with no far ancestor read
     # only the points; the lockstep forms and the far-ancestor coin read owners
@@ -416,20 +486,21 @@ def _digest(rate0, progeny, window, n):
     return sum(sizes), h.hexdigest()
 
 
-# Pinned before branching draws moved onto sample_gw_cluster: the same generator
-# calls in the same order give the same bytes in every dimension.
+# Pinned before branching draws moved onto sample_gw_cluster, and taken again
+# when the engine came to draw its counts and displacements in blocks; the law
+# checks of BENCH_43.json found no difference in 1-D and 2-D.
 def test_branching_bytes_in_two_and_three_dimensions():
     assert _digest(
         20.0,
         TranslatedPoissonCluster(0.6, UniformDisplacement((-0.1, -0.1), (0.1, 0.15))),
         Window((0.0, 0.0), (1.0, 1.0)),
         4,
-    ) == (8924, "31ceff06c9de6bda8e1770605f37adb3af58266ed35183ff551890ec4b5acb91"), (
+    ) == (9383, "70e4cf5f2fc142fa479597584dc82c7aed1b1b8ad6435c24ea315eeb4d051f17"), (
         pin_message("2-D branching draws"))
     assert _digest(
         15.0,
         TranslatedPoissonCluster(0.7, UniformDisplacement((-0.1, -0.2, -0.05), (0.1, 0.1, 0.15))),
         Window((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
         8,
-    ) == (9704, "69088a66ce17b0476f724b9f53d5d22422f0d32608ddf644a3e79c4be8b32b60"), (
+    ) == (10029, "3b7e6d88f47b942b91e9d3a1909f3e52be67a1be01dfef7060bc83cee11b3405"), (
         pin_message("3-D branching draws"))

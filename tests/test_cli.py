@@ -408,7 +408,7 @@ def test_heavy_hawkes_battery_stays_within_the_point_cap(tmp_path, capsys, monke
 
 @pytest.mark.parametrize(
     "marks, per_rep",
-    [(None, 2_787.20), ([[0.25, 0.5], [0.75, 7 / 6]], 2_790.01)],
+    [(None, 3_218.76), ([[0.25, 0.5], [0.75, 7 / 6]], 3_219.47)],
     ids=["one-mark", "two-marks"],
 )
 def test_hawkes_battery_blocks_are_sized_by_the_points_a_draw_grows(
@@ -417,8 +417,8 @@ def test_hawkes_battery_blocks_are_sized_by_the_points_a_draw_grows(
     # count of the points that the engine grows a replicate: n spine nodes,
     # n = mu e^(-theta t1) / (theta (1 - rho_theta)^2), and
     # b = rho_theta Var(z) / E[z] nu0 for the size-biased marks of those before
-    # each spine's last (0 for one mark): 2,787 and 2,790 at mu = 60 and
-    # t1 = 3 t0, against a standard error of about 2.4 at 2,000 draws
+    # each spine's last (0 for one mark): 3,218.8 and 3,219.5 at mu = 60 and
+    # t1 = 4 t0, against a standard error of about 2.6 at 2,000 draws
     from exactpp import RngStream, cli, hawkes_mr
 
     count_checks, grow, seen, grown = hawkes_mr._count_checks, hawkes_mr.sample_gw_cluster, {}, []
@@ -603,10 +603,10 @@ def test_sample_rerun_is_byte_identical(tmp_path):
 DEMO_PATTERN_SHA256 = {
     "boolean_disks": "14d857481fcbca656e3495f3f0698f8118b04cb0fa23f65b06af137f1e6de593",
     "boolean_segments": "3b7698e4846aa2305e0c9a489bb7e581fe91d14c3272b82a5b8e2f3940e6d6ee",
-    "branching_approx": "00adf7c7626448b72711f5d05dd399bcf23b7093f245f51f15512987341f33d0",
+    "branching_approx": "3f36fa71db1236e79111abf5c699c26c02e83c1e62aa700f6ab99009b002f9b8",
     "brix_kendall": "f184dffaf6882b38eb7f12bde501f4c99e7820ab8b8f96e07b69ec9b6944aeed",
     "grid_thinning": "f80dae499e94fbcfbcb28981110c5383ccf72bf0627d503f3a8fda63f91675a1",
-    "hawkes_mr": "890f9ba674b3edea263688c54e929c64593b314ca1522eda6fe32c6f9176b4ab",
+    "hawkes_mr": "670d61b75b25f597cd84ce37104e38636a27454f17fd34c5e33c633161c0bd18",
     "matern": "d712ee7c1379720d814486f1e3923c2d46daee120728acb2baaa17daaba3cde6",
     "nonlinear_hawkes": "e0381820be80cf6f0f6a85ce9cdc33d8140743f9d71846d527f4b2a6d8f538f5",
     "poisson": "fdabfb0707869de0d31a7e1c78a17adf1789a6cf9f5bd2041f2320c149172d3d",
@@ -618,7 +618,7 @@ DEMO_PATTERN_SHA256 = {
 DEMO_PATTERN_SHA256_200 = {
     "boolean_disks": "18909177b855fb2c1e7c2cdbeb3bc01b2a1ae3b8b34db8a9d77e50f5e00a1914",
     "boolean_segments": "cfe555e7d983a8ad40696743f3871134dea426f780bfa92ceaa70e69edd523e8",
-    "branching_approx": "0c9e7a3208ae18a725c8131e905a4fc6d51321357b3fcabbc0389b62dc1db4c4",
+    "branching_approx": "75b9f783dd1dbade56db7b4d6f2b82e8163744e463ad0427e861abb039cb175b",
     "matern": "7d728f6c8bc76390abd76a10690c50fac1658bac78829681cc0a85f5ca306503",
     "nonlinear_hawkes": "a9c9da773f9c26b803cecb737f38089fcc7db85c86107ad3e14213fe5a512e89",
     "poisson_lines": "52f92a54ecd8cc35b3cff155c57eb6981c3f88182f0506ce7de4da4327b44f05",
@@ -628,10 +628,10 @@ DEMO_PATTERN_SHA256_200 = {
 DEMO_REPORT_SHA256 = {
     "boolean_disks": "203a40eb7fd8e024f2875b210a4c548f1e49386e4f39ae4195fee058afd1d248",
     "boolean_segments": "c499b32fc3674d58421b2729c606224dbf7e99cf2f7c1a0b837dce56c71ecbfe",
-    "branching_approx": "cfb3edb3458ca3e78c175f71fcfa55415f36cf1c059eb8f759d488802e7b1bd3",
+    "branching_approx": "a01a882b6905e9ed61b0cbf27cc1d00770b77e2944f11234d1b08d8e831ae339",
     "brix_kendall": "2b8e5a75d554c639dea2d5640b5a404db68d1348ed8a7ed4e768e0294259a030",
     "grid_thinning": "a91c7ea1f7d59fc3ea9c1afa3110a7f64779e7cfdca320b3d4ff0e8b0680c788",
-    "hawkes_mr": "bd9de35e5ebd6b661bb76797385eda5215a7cbca4aa7cac247201af9a89510f6",
+    "hawkes_mr": "6ade05c78a72ff0ff38d481267fb32f23c216aefd28985e37dc9f240d8574e49",
     "matern": "e8ff0fec7852906d4b737ef3691fa157e0bcf275b7f5360c9f5d4d1be9cb1695",
     "nonlinear_hawkes": "60a047146991f3f46096096eb76ff750d842bad8554e2bce8f25bddbe566da64",
     "poisson": "d71c57fa1c6cab791bea9bc3ee17f339e8a4c858deb63e3881ed9c1e95d781a0",
@@ -712,9 +712,10 @@ AVX512_GROUPS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 
 def test_demo_pins_hold_with_avx512_kernels_off(tmp_path):
-    """The demo pattern and report pins, rerun in a child process with
+    """The demo pattern and report pins, the single-draw pins, the Hawkes
+    sampler pins and the plot-data curve pin, rerun in a child process with
     numpy's AVX-512 kernels off (NPY_DISABLE_CPU_FEATURES acts only on that
-    child): no report pin fails, and every pattern pin that fails is one
+    child): no report pin fails, and every other pin that fails is one
     marked as depending on numpy's SIMD kernels. Only the groups this CPU has
     are disabled, so on a CPU without AVX-512 the child runs the default
     dispatch."""
@@ -729,7 +730,10 @@ def test_demo_pins_hold_with_avx512_kernels_off(tmp_path):
     assert not set(found.stdout.split()) & set(AVX512_GROUPS)
     xml = tmp_path / "pins.xml"
     tests = [f"{__file__}::test_demo_patterns_keep_their_bytes",
-             f"{__file__}::test_demo_validation_reports_keep_their_bytes"]
+             f"{__file__}::test_demo_validation_reports_keep_their_bytes",
+             f"{__file__}::test_plotdata_sandwich_curves",
+             f"{root / 'tests' / 'test_lockstep.py'}::test_single_draws_keep_their_bytes",
+             f"{root / 'tests' / 'test_hawkes_mr.py'}::test_sampler_draws_keep_their_bytes"]
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={xml}",
          *tests], cwd=root, env=env, capture_output=True, text=True, timeout=600)
@@ -737,7 +741,8 @@ def test_demo_pins_hold_with_avx512_kernels_off(tmp_path):
     cases = ET.parse(xml).getroot().iter("testcase")
     outcomes = {c.get("name"): [(e.tag, e.get("message", "")) for e in c
                                 if e.tag in ("failure", "error", "skipped")] for c in cases}
-    assert len(outcomes) == 2 * len(DEMO_CONFIGS)
+    names = {name.split("[")[0] for name in outcomes}
+    assert names == {test.rsplit("::", 1)[1] for test in tests}  # every test ran in the child
     failed = {name: problems for name, problems in outcomes.items() if problems}
     assert not [name for name in failed if name.startswith("test_demo_validation_reports")]
     assert all(tag == "failure" and "depend on numpy's SIMD kernels" in message
@@ -932,7 +937,7 @@ def test_sample_writes_validation_report_when_enabled(tmp_path):
 PLOTDATA_SHA256 = {
     "points-2d": "3ab20d93fc80ba40d205fdcf9888b485971be392ded5058e29d153bd5f43570c",
     "counts-histogram": "799e4e4f56b51169abba558641ce1d24a4fe28d080ac982986e60d449cd191d6",
-    "sandwich-curves": "3d49ebee91631eb60f25c454cdcb543c527c2f6ed11f4d8d9f3d1a71e96a0d2b",
+    "sandwich-curves": "7532ca6d5441f5e8f50e3a0e5d58dc41bcf0a4606d4a10a13ae237106cd1560c",
     "coverage-raster": "691d470f3b25f394ffbfef55c35d9d14a130901f7bdbc7c4d6f571d894496824",
 }
 
