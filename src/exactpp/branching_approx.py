@@ -19,7 +19,6 @@ only the dropped generations, never the geometry.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -86,13 +85,17 @@ def sample_gw_cluster(kernel, ancestor, rng, root_marks=None, generations=None, 
     displacements, whatever its generation count.  Blocks are drawn when
     first needed: a call of zero generations draws nothing, and a generation
     with no child no displacement.  Roots given their marks draw their counts
-    in a call of their own.  Each generation then costs two slices, two repeats by the same
-    counts (of the parents' positions and of their int32 owner labels) and
-    one add; the points and owners of every generation are concatenated once,
-    after the loop.  With owners=False, for a caller that reads only the
-    points, no owner label is grown: the owners' repeats and concatenation
-    are skipped and the result's owner is None.  The labels take no random
-    number, so the points and the generator's state are the same either way.
+    in a call of their own.  Each generation then costs two slices, two
+    repeats by the same counts (of the parents' positions and of their int32
+    owner labels) and one add, and little Python besides: the loop counts
+    down the generations left, keeps each block's length in a local and
+    builds no function or iterator per call.  The point cap is checked before
+    an empty generation ends the loop, and the points and owners of every
+    generation are concatenated once, after it.  With owners=False, for a
+    caller that reads only the points, no owner label is grown: the owners'
+    repeats and concatenation are skipped and the result's owner is None.
+    The labels take no random number, so the points and the generator's
+    state are the same either way.
 
     A kernel with one mark (one_mark_nu, the offspring mean of every point,
     is not None) draws no marks: its counts are one Poisson with the scalar
@@ -103,30 +106,32 @@ def sample_gw_cluster(kernel, ancestor, rng, root_marks=None, generations=None, 
     roots = np.asarray(ancestor, dtype=float)
     batch = roots.ndim > 0
     roots = roots if batch else roots.reshape(1)
-    nu, cap = kernel.one_mark_nu, core.POINT_CAP
+    nu, cap, n = kernel.one_mark_nu, core.POINT_CAP, len(roots)
     poisson, displace = rng.poisson, kernel.sample_displacement
     rates = None  # the given root marks' offspring means, drawn in their own call
     if root_marks is not None:
         marks = np.asarray(root_marks, dtype=float).reshape(-1)
-        if marks.size != len(roots):
-            raise SamplerError(f"root_marks gives {marks.size} marks for {len(roots)} ancestors")
+        if marks.size != n:
+            raise SamplerError(f"root_marks gives {marks.size} marks for {n} ancestors")
         rates = kernel.nu_inf(marks)
     brood = kernel.rho if nu is None else nu  # the mean brood
-    block = int(min(len(roots) / (1.0 - brood), core.BLOCK)) if brood < 1 else core.BLOCK
-    counts_of = ((lambda k: poisson(nu, k)) if nu is not None
-                 else lambda k: poisson(kernel.nu_inf(kernel.sample_mark(k, rng))))
+    block = int(min(n / (1.0 - brood), core.BLOCK)) if brood < 1 else core.BLOCK
     count_block = step_block = counts = ()  # the current blocks, drawn when first needed
-    c = s = 0  # the first unused entry of each
-    gen, total, pts = roots, len(roots), [roots]
-    labels = [np.arange(len(roots), dtype=np.int32)] if owners else None
-    for _ in itertools.repeat(None) if generations is None else range(generations):
+    c = s = c_end = s_end = 0  # the first unused entry of each, and its length
+    gen, total, pts = roots, n, [roots]
+    labels = [np.arange(n, dtype=np.int32)] if owners else None
+    left = -1 if generations is None else max(generations, 0)  # from -1, never down to 0
+    while left:
+        left -= 1
         if rates is not None:
             counts, rates = poisson(rates), None
         else:
-            k = len(gen)
-            if c + k > len(count_block):
-                count_block, c = counts_of(max(block, k)), 0
-            counts, c = count_block[c : c + k], c + k
+            if c + n > c_end:  # n, the size of the generation whose broods these are
+                c_end = max(block, n)
+                count_block = (poisson(nu, c_end) if nu is not None
+                               else poisson(kernel.nu_inf(kernel.sample_mark(c_end, rng))))
+                c = 0
+            counts, c = count_block[c : c + n], c + n
         gen = gen.repeat(counts, 0)  # each child at its parent (axis 0): the size is the count
         n = len(gen)
         total += n
@@ -137,8 +142,9 @@ def sample_gw_cluster(kernel, ancestor, rng, root_marks=None, generations=None, 
             )
         if n == 0:
             break
-        if s + n > len(step_block):
-            step_block, s = displace(max(block, n), rng), 0
+        if s + n > s_end:
+            s_end = max(block, n)
+            step_block, s = displace(s_end, rng), 0
         gen += step_block[s : s + n]
         s += n
         pts.append(gen)

@@ -286,7 +286,7 @@ def cmd_sample(cfg, outdir):
         # the SIMD kernels numpy picks for this CPU
         "numpy": np.__version__,
         "python": "%d.%d.%d" % sys.version_info[:3],
-        "simd": np.show_config(mode="dicts")["SIMD Extensions"]["found"],
+        "simd": np.show_config(mode="dicts")["SIMD Extensions"].get("found", []),  # absent if none
     }
     with open(outdir / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)

@@ -176,6 +176,9 @@ class Window(_Frozen):
         return self.lo + rng.random((int(n), self.dim)) * self.sides
 
 
+_FLOAT64 = np.dtype(np.float64)  # numpy's float64 dtype, which the arrays it computes share
+
+
 def _as_points(points, dim=None):
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -197,7 +200,10 @@ class PointPattern(_Frozen):
     _fields = ("points", "marks", "dim")
 
     def __init__(self, points, marks=None, dim=None):
-        pts = _as_points(points, dim)
+        pts = points  # a sampler's float64 (n, dim) rows, n > 0 and dim given, skip _as_points
+        if not (type(pts) is np.ndarray and pts.dtype is _FLOAT64 and pts.ndim == 2
+                and pts.size and pts.shape[1] == dim):
+            pts = _as_points(points, dim)
         if marks is not None:
             marks = np.array(marks, dtype=float, order="C").reshape(-1)  # a copy
             if marks.shape[0] != pts.shape[0]:
@@ -413,7 +419,8 @@ def _numpy_random():
     from numpy.random.bit_generator import ISeedSequence
 
     class PhiloxKey(ISeedSequence):
-        """generate_state(2, np.uint64) returns the stream's key, so Philox
+        """generate_state(2, np.uint64) returns the stream's key, the uint64
+        array of two words it holds, uncopied: Philox only reads it. So Philox
         neither builds a SeedSequence nor reads OS entropy. It cannot spawn:
         Generator.spawn raises TypeError."""
 
@@ -423,7 +430,7 @@ def _numpy_random():
         def generate_state(self, n_words, dtype=np.uint32):
             if n_words != 2 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
                 raise ValueError("a Philox key is generate_state(2, np.uint64)")
-            return np.array(self.key, dtype=np.uint64)
+            return self.key
 
         def __reduce__(self):
             return _philox_seed, (self.key,)
@@ -444,9 +451,10 @@ class RngStream(_Frozen):
     top-level stream (no lineage, stream_id at most 2^32 - 1) reads its key
     from _key_block, which computes the keys of 256 neighbouring ids in one
     numpy pass, each at a small part of what _philox_key's Python costs; a
-    substream or a larger id goes through _philox_key. seed, stream_id and
-    the lineage entries must be integers >= 0 (else generator() raises
-    ValueError). The generator's seed object holds only the key, so
+    substream or a larger id goes through _philox_key, whose two words become
+    a uint64 array as well. seed, stream_id and the lineage entries must be
+    integers >= 0 (else generator() raises ValueError). The generator's seed
+    object holds only the key, so
     rng.spawn() is not supported: substream(i) derives an independent child
     stream, used for per-germ or per-replicate randomness.
     """
@@ -465,6 +473,7 @@ class RngStream(_Frozen):
             key = _key_block(int(self.seed), stream_id >> _BLOCK_BITS)[stream_id & _BLOCK_MASK]
         else:
             key = _philox_key(int(self.seed), (stream_id,) + self.lineage)
+            key = np.array(key, dtype=np.uint64)
         return generator(philox(seed(key), counter=_ZERO_COUNTER))
 
     def substream(self, i):

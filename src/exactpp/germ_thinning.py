@@ -48,6 +48,10 @@ __all__ = [
     "nonlinear_hawkes_germ_chains",
 ]
 
+
+_LAST_SITES = 10_000_000  # a last-site search past this many sites is a runaway
+
+
 class _GridBase:
     """Shared sampling logic over S(n) = P(no retained site beyond n)."""
 
@@ -77,7 +81,7 @@ class _GridBase:
         n = 0
         while self.survival(n) < u:
             n += 1
-            if n > 10_000_000:
+            if n > _LAST_SITES:
                 raise SamplerError("last-site search runaway; check the retention family")
         return n
 
@@ -557,12 +561,15 @@ def nonlinear_hawkes_germ_chains(phi, phi_bound, h, h_support, window, n_chains,
 # -- config builders, which cli.build calls --------------------------------------
 
 
+_HORIZON_SITES = 50_000_000  # an oracle horizon past this many sites is refused
+
+
 def _grid_horizon(spec, tail=1e-5):
     """A site index beyond which any retained site has probability <= tail."""
     n = 4
     while 1.0 - spec.survival(n) > tail:
         n *= 2
-        if n > 50_000_000:
+        if n > _HORIZON_SITES:
             raise SamplerError("retention tail too heavy for a finite-horizon oracle")
     return n + 1
 

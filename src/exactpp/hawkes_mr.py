@@ -35,7 +35,7 @@ import numpy as np
 from . import core
 from .branching_approx import sample_gw_cluster
 from .core import (_NONNEG, _POS, ConfigError, PointPattern, SamplerError, _built,
-                   _count_checks, _finite, _made, chain_offsets, order_by_label, poisson_counts)
+                   _count_checks, _finite, _made, chain_offsets, order_by_label)
 
 __all__ = [
     "FertilityKernel",
@@ -339,9 +339,8 @@ class PiecewiseConstantFertility(FertilityKernel):
 # -- the perfect sampler ---------------------------------------------------------------
 
 
-def _total(counts):
-    """The sum of poisson_counts' counts; one replicate's is its one count."""
-    return counts[0] if len(counts) == 1 else int(counts.sum())
+_NO_FAR = np.empty(0)  # the far ancestors of a draw that has none
+_NO_FAR.setflags(write=False)
 
 
 def _kept_clusters(kernel, far, rng, roots, root_counts):
@@ -470,8 +469,12 @@ class HawkesSampler:
     grows the clusters of all their roots and far ancestors in one
     sample_gw_cluster call, reading only their points and the owner labels
     that the engine grows beside them (none for one replicate with no far
-    ancestor).  sample is its one-replicate case and
-    sample_chains, the lockstep form, cuts and sorts its n replicates.
+    ancestor).  sample is its one-replicate case and sample_chains, the
+    lockstep form, cuts and sorts its n replicates.  At one replicate the
+    counts are scalar generator calls, and the engine, the RNG set-up and the
+    pattern add little Python to their numpy calls, so a demo draw pays
+    mostly for those: its generator, about 5.5 generations of repeat and add,
+    two or three block draws, one sort and one concatenation (BENCH_44.json).
     core.POINT_CAP bounds the points one call grows, for one replicate or n
     together: a call that grows more raises SamplerError, so a large batch is
     drawn in blocks, as the battery's blocks of about core.BLOCK mean points
@@ -525,17 +528,24 @@ class HawkesSampler:
         the roots on [-t1, a) and of the far ancestors that the coin keeps.
 
         Every replicate's roots, then its far ancestors are drawn, each count
-        and each position one generator call for all replicates; then the
-        clusters of all of them grow in one _kept_clusters call.  Past one
-        replicate, each point's replicate is returned too.
+        and each position one generator call for all replicates; one
+        replicate's counts are scalar calls, which draw the variates of the
+        size-1 calls at less cost and make no array to sum.  Then the clusters
+        of all of them grow in one _kept_clusters call.  Past one replicate,
+        each point's replicate is returned too.
         """
         mu, a, t1 = self.mu, self.a, self._t1
         # roots at rate mu on [-t1, a), then far ancestors at distance t1 + Exp(theta)
-        roots_n = poisson_counts(mu * (t1 + a), n, rng)
-        roots = rng.random(_total(roots_n)) * (t1 + a) - t1
-        far_n = poisson_counts(self._far_mean, n, rng)
-        n_far = _total(far_n)
-        far = t1 + rng.exponential(1.0 / self.kernel.theta, size=n_far) if n_far else np.empty(0)
+        if n == 1:
+            roots_n = (rng.poisson(mu * (t1 + a)),)
+            roots = rng.random(roots_n[0]) * (t1 + a) - t1
+            n_far = rng.poisson(self._far_mean)
+        else:
+            roots_n = rng.poisson(mu * (t1 + a), n)
+            roots = rng.random(roots_n.sum()) * (t1 + a) - t1
+            far_n = rng.poisson(self._far_mean, n)
+            n_far = far_n.sum()
+        far = t1 + rng.exponential(1.0 / self.kernel.theta, size=n_far) if n_far else _NO_FAR
         self.stats["condition_attempts"] += far.size
         pts, who = _kept_clusters(self.kernel, far, rng, roots, roots_n)
         if n == 1:

@@ -19,6 +19,7 @@ __all__ = [
 ]
 
 TAIL_TOL = 1e-12  # largest share of the mass a certified truncation may drop
+_UPPER_LIMIT = 1e12  # a tail search that doubles the truncation point past this gives up
 
 
 class FiniteDensitySampler:
@@ -62,7 +63,7 @@ class FiniteDensitySampler:
             upper = 1.0
             while tail_mass(upper) > TAIL_TOL * max(total_mass, 1e-300):
                 upper *= 2.0
-                if upper > 1e12:
+                if upper > _UPPER_LIMIT:
                     raise SamplerError("tail mass does not reach the truncation tolerance")
         self.upper = float(upper)
         self._intensity = DensityIntensity(density, bound)

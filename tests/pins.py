@@ -17,7 +17,7 @@ PINNED_ON = "numpy 2.4.6, Python 3.11.7, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SP
 
 def simd_found():
     """The SIMD extensions numpy found on this CPU, as meta.json records them."""
-    return np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    return np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])  # absent if none
 
 
 def pin_message(what, simd=False):

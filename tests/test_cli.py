@@ -568,6 +568,22 @@ def test_sample_writes_patterns_and_meta(tmp_path, capsys):
     assert "wrote 3 pattern file(s)" in capsys.readouterr().out
 
 
+def test_sample_records_no_simd_extension_when_numpy_finds_none(tmp_path):
+    """With every SIMD group that numpy finds on this CPU disabled in a child
+    (NPY_DISABLE_CPU_FEATURES acts only there), numpy lists them as "not found"
+    and gives no "found" key: exactpp sample of a demo config still exits 0
+    and records "simd": [] in meta.json."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               NPY_DISABLE_CPU_FEATURES=" ".join(simd_found()))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "exactpp.cli", "sample", "-c", str(CONFIG_DIR / "poisson.json"),
+         "-o", str(out)], cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "meta.json").read_text())["simd"] == []
+
+
 def test_sample_one_dimensional_header(tmp_path):
     rc, outdir = _sample(tmp_path, RENEWAL_CFG)
     assert rc == 0
@@ -709,44 +725,48 @@ def test_no_module_computes_in_long_double():
 
 
 AVX512_GROUPS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+SIMD_LEVELS = (AVX512_GROUPS, ("X86_V3", *AVX512_GROUPS))  # AVX-512 off, then AVX2 off too
 
 
 def test_demo_pins_hold_with_avx512_kernels_off(tmp_path):
     """The demo pattern and report pins, the single-draw pins, the Hawkes
-    sampler pins and the plot-data curve pin, rerun in a child process with
-    numpy's AVX-512 kernels off (NPY_DISABLE_CPU_FEATURES acts only on that
-    child): no report pin fails, and every other pin that fails is one
+    sampler pins and the plot-data curve pin, rerun in a child process at two
+    lower SIMD levels: numpy's AVX-512 kernels off, then its X86_V3 (AVX2)
+    kernels off too (NPY_DISABLE_CPU_FEATURES acts only on that child). At
+    each level no report pin fails, and every other pin that fails is one
     marked as depending on numpy's SIMD kernels. Only the groups this CPU has
-    are disabled, so on a CPU without AVX-512 the child runs the default
+    are disabled, so on a CPU without them the child runs the default
     dispatch."""
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"),
-               NPY_DISABLE_CPU_FEATURES=" ".join(g for g in AVX512_GROUPS if g in simd_found()))
-    found = subprocess.run(
-        [sys.executable, "-c", "import sys; sys.path.insert(0, 'tests'); import pins; "
-         "print(' '.join(pins.simd_found()))"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=60)
-    assert found.returncode == 0, found.stderr
-    assert not set(found.stdout.split()) & set(AVX512_GROUPS)
-    xml = tmp_path / "pins.xml"
     tests = [f"{__file__}::test_demo_patterns_keep_their_bytes",
              f"{__file__}::test_demo_validation_reports_keep_their_bytes",
              f"{__file__}::test_plotdata_sandwich_curves",
              f"{root / 'tests' / 'test_lockstep.py'}::test_single_draws_keep_their_bytes",
              f"{root / 'tests' / 'test_hawkes_mr.py'}::test_sampler_draws_keep_their_bytes"]
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={xml}",
-         *tests], cwd=root, env=env, capture_output=True, text=True, timeout=600)
-    assert run.returncode in (0, 1), run.stdout + run.stderr
-    cases = ET.parse(xml).getroot().iter("testcase")
-    outcomes = {c.get("name"): [(e.tag, e.get("message", "")) for e in c
-                                if e.tag in ("failure", "error", "skipped")] for c in cases}
-    names = {name.split("[")[0] for name in outcomes}
-    assert names == {test.rsplit("::", 1)[1] for test in tests}  # every test ran in the child
-    failed = {name: problems for name, problems in outcomes.items() if problems}
-    assert not [name for name in failed if name.startswith("test_demo_validation_reports")]
-    assert all(tag == "failure" and "depend on numpy's SIMD kernels" in message
-               for problems in failed.values() for tag, message in problems), failed
+    for level, groups in enumerate(SIMD_LEVELS):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                   NPY_DISABLE_CPU_FEATURES=" ".join(g for g in groups if g in simd_found()))
+        found = subprocess.run(
+            [sys.executable, "-c", "import sys; sys.path.insert(0, 'tests'); import pins; "
+             "print(' '.join(pins.simd_found()))"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60)
+        assert found.returncode == 0, found.stderr
+        assert not set(found.stdout.split()) & set(groups)
+        xml = tmp_path / f"pins-{level}.xml"
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"--junitxml={xml}", *tests],
+            cwd=root, env=env, capture_output=True, text=True, timeout=600)
+        assert run.returncode in (0, 1), run.stdout + run.stderr
+        cases = ET.parse(xml).getroot().iter("testcase")
+        outcomes = {c.get("name"): [(e.tag, e.get("message", "")) for e in c
+                                    if e.tag in ("failure", "error", "skipped")] for c in cases}
+        names = {name.split("[")[0] for name in outcomes}
+        assert names == {test.rsplit("::", 1)[1] for test in tests}  # every test ran
+        failed = {name: problems for name, problems in outcomes.items() if problems}
+        assert not [name for name in failed if name.startswith("test_demo_validation_reports")]
+        assert all(tag == "failure" and "depend on numpy's SIMD kernels" in message
+                   for problems in failed.values() for tag, message in problems), (groups, failed)
 
 
 class _ReadLog(dict):

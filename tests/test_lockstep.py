@@ -180,12 +180,16 @@ CASES = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_single_draw_is_the_form_at_one_replicate(case):
+    """The form at one replicate returns the single draw and leaves its
+    generator in the same state: it makes the single draw's generator calls."""
     single, chains = CASES[case]
     for r in range(300):
-        one = single(_gen(401, r))
-        points, offsets = chains(1, _gen(401, r))
+        one_rng, form_rng = _gen(401, r), _gen(401, r)
+        one = single(one_rng)
+        points, offsets = chains(1, form_rng)
         assert np.array_equal(one, points)
         assert offsets.tolist() == [0, len(one)]
+        assert repr(one_rng.bit_generator.state) == repr(form_rng.bit_generator.state)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

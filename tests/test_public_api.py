@@ -403,12 +403,19 @@ def test_every_defaulted_parameter_has_a_caller():
 
 # Module-level numbers of at least 2^16 in the package. A memory limit is one
 # of core's three; any other large constant would be one more limit tuned alone.
+# A large number written inside a function is never allowed: it is hoisted to
+# a named module constant that this list gives a reason.
 LARGE_CONSTANTS_ALLOWED = {
     "core.MAX_MEAN_POINTS": "the admission limit on a draw's mean count",
     "core.POINT_CAP": "the most points one Galton-Watson engine call grows",
     "core.BLOCK": "the points, pairs or coins that one vectorised step holds",
     "germ_thinning._GAMMA_ITERATIONS": "an iteration bound of the incomplete gamma "
     "expansions, not a size",
+    "germ_thinning._LAST_SITES": "the runaway guard of the last-site search, a site "
+    "index, not a size",
+    "germ_thinning._HORIZON_SITES": "the runaway guard of the grid oracle's horizon "
+    "search, a site index, not a size",
+    "poisson._UPPER_LIMIT": "the runaway guard of the tail search, a time, not a size",
     "core._M32": "SeedSequence's 32-bit mask, which the Philox keys must reproduce",
     "core._INIT_A": "a SeedSequence hash constant",
     "core._MULT_A": "a SeedSequence hash constant",
@@ -435,12 +442,33 @@ def _numeric(node):
     return None
 
 
+def _inline_numbers(node, where, found):
+    """Append where:line for each number of magnitude at least 2^16 written
+    under node, once, in its largest form that _numeric reads."""
+    for child in ast.iter_child_nodes(node):
+        number = _numeric(child)
+        if number is None:
+            _inline_numbers(child, where, found)
+        elif abs(number) >= 1 << 16:
+            found.append(f"{where}:{child.lineno}")
+
+
 def _large_constants(root):
     """The qualified names of the package's module-level numbers of magnitude
-    at least 2^16, assigned alone or in a tuple of names."""
+    at least 2^16, assigned alone or in a tuple of names, and as
+    module.function:line each such number written inside a function or a
+    method, in source order."""
     found = []
     for path in sorted((root / "src" / "exactpp").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                _inline_numbers(node, f"{path.stem}.{node.name}", found)
+                continue
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        _inline_numbers(item, f"{path.stem}.{node.name}.{item.name}", found)
+                continue
             if isinstance(node, ast.Assign):
                 pairs = [(t, node.value) for t in node.targets]
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
@@ -460,9 +488,9 @@ def _large_constants(root):
 def test_no_large_constant_outside_the_allowlist():
     """Every module-level number of at least 2^16 in the package, as a
     literal, a shift such as 1 << 18 or a product of literals, is allowlisted
-    with its reason. Only module-level assignments are scanned: a literal
-    inline in the code, such as the refusal of a last-site search past
-    10_000_000 sites in germ_thinning, is not."""
+    with its reason, and no function or method writes one inline: a refusal
+    such as the last-site search's past 10_000_000 sites names its limit as a
+    module constant."""
     found = set(_large_constants(ROOT))
     assert not found - LARGE_CONSTANTS_ALLOWED.keys(), (
         "large constants that are not core's memory limits: "
@@ -475,7 +503,9 @@ def test_the_constant_guard_sees_every_form_of_a_large_number(tmp_path):
     (tmp_path / "src" / "exactpp" / "mod.py").write_text(
         "LITERAL = 1_000_000\nSHIFT = 1 << 20\nPRODUCT = 5 * 10**6\nFLOAT = 1e9\n"
         "NEGATIVE = -70_000\nPAIR_A, PAIR_B = 0xFFFF, 0x10000\nTYPED: int = 2**16\n"
-        "SMALL = 65_535\nDERIVED = LITERAL // 2\n\n\ndef f(n):\n    return n > 10_000_000\n")
+        "SMALL = 65_535\nDERIVED = LITERAL // 2\n\n\ndef f(n):\n    return n > 10_000_000\n"
+        "\n\nclass C:\n    def g(self, n=65_535):\n        return n < 5 * 10**6 - 1e12\n")
     assert _large_constants(tmp_path) == [
-        f"mod.{name}" for name in
-        ("LITERAL", "SHIFT", "PRODUCT", "FLOAT", "NEGATIVE", "PAIR_B", "TYPED")]
+        *(f"mod.{name}" for name in
+          ("LITERAL", "SHIFT", "PRODUCT", "FLOAT", "NEGATIVE", "PAIR_B", "TYPED")),
+        "mod.f:13", "mod.C.g:18", "mod.C.g:18"]
