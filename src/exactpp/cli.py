@@ -346,6 +346,9 @@ def main(argv=None):
     except SamplerError as exc:
         print(f"sampler error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an output file that cannot be written: a directory at its path, say
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

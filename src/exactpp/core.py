@@ -8,14 +8,13 @@ pins down the output bit-for-bit.
 
 RngStream(seed, stream_id, lineage).generator() is numpy's
 Generator(Philox(SeedSequence(seed, spawn_key=(stream_id, *lineage)))), bit
-for bit, so numpy alone re-derives any stream. The Philox key is computed here
-with SeedSequence's hashing (its pool cached per seed; the keys of a
-top-level stream's 256 neighbouring ids computed at once and cached per
-block) and handed to Philox through a seed object that holds only the key,
-so no SeedSequence is built, Philox reads no OS entropy, and rng.spawn() is
-not supported.
-numpy.random itself is imported on the first generator() call, not with this
-module.
+for bit, so numpy alone re-derives any stream. A top-level stream's key comes
+from _key_block, which hashes 256 neighbouring stream ids into the seed's
+SeedSequence pool at once and caches the block; any other stream's key comes
+from numpy's SeedSequence. The key is handed to Philox through a seed object
+that holds only the key, so Philox reads no OS entropy and rng.spawn() is not
+supported. numpy.random itself is imported on the first generator() call, not
+with this module.
 
 sample_homogeneous draws the dominating homogeneous Poisson process on a box
 and thin is the one coin step: one uniform per row, kept iff it is below the
@@ -274,105 +273,15 @@ def _csv_layout(dim, marks):
 
 # -- replicate streams --------------------------------------------------------
 #
-# RngStream keys its Philox generator exactly as numpy's SeedSequence (pool
-# size 4, numpy/random/bit_generator.pyx) keys it, in Python ints with uint32
-# wrap-around: the constants below carry that file's names.
+# _key_block mixes stream ids into a seed's pool and hashes the output exactly
+# as numpy's SeedSequence (pool size 4, numpy/random/bit_generator.pyx) does,
+# in uint64 arrays masked to uint32 wrap-around: the constants below carry that
+# file's names.
 
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _words(n):
-    """The little-endian 32-bit words of an integer n >= 0, as SeedSequence
-    reads it ([0] for 0); a negative n raises ValueError."""
-    if n < 0:
-        raise ValueError(f"expected non-negative integer, got {n}")
-    words = [n & _M32]
-    while n := n >> 32:
-        words.append(n & _M32)
-    return words
-
-
-def _hashmix(value, h):
-    """SeedSequence's hashmix of a word: the hashed word and the next hash constant."""
-    nh = h * _MULT_A & _M32
-    value = (value ^ h) * nh & _M32
-    return value ^ value >> 16, nh
-
-
-def _mix_in(pool, h, ints):
-    """The 4-word pool and hash constant after mixing every 32-bit word of each
-    integer into every pool word, as SeedSequence mixes the entropy words past
-    its pool (the spawn key, and the run entropy beyond 128 bits)."""
-    p0, p1, p2, p3 = pool
-    for n in ints:
-        for w in (n,) if 0 <= n <= _M32 else _words(n):
-            # hashmix(w) then mix(p_i, .) into each pool word, unrolled: this
-            # is the per-replicate cost of a generator
-            a, h = h, h * _MULT_A & _M32
-            v = (w ^ a) * h & _M32
-            p0 = _MIX_MULT_L * p0 - _MIX_MULT_R * (v ^ v >> 16) & _M32
-            p0 ^= p0 >> 16
-            a, h = h, h * _MULT_A & _M32
-            v = (w ^ a) * h & _M32
-            p1 = _MIX_MULT_L * p1 - _MIX_MULT_R * (v ^ v >> 16) & _M32
-            p1 ^= p1 >> 16
-            a, h = h, h * _MULT_A & _M32
-            v = (w ^ a) * h & _M32
-            p2 = _MIX_MULT_L * p2 - _MIX_MULT_R * (v ^ v >> 16) & _M32
-            p2 ^= p2 >> 16
-            a, h = h, h * _MULT_A & _M32
-            v = (w ^ a) * h & _M32
-            p3 = _MIX_MULT_L * p3 - _MIX_MULT_R * (v ^ v >> 16) & _M32
-            p3 ^= p3 >> 16
-    return (p0, p1, p2, p3), h
-
-
-@functools.lru_cache(maxsize=64)
-def _seed_pool(seed):
-    """The pool and hash constant of SeedSequence(entropy=seed, spawn_key=k)
-    once its run entropy is hashed in, for any non-empty spawn key k: the
-    entropy words, zero-padded to the pool size, hashed into the pool, mixed
-    all to all, then the words past the pool mixed in. Cached per seed."""
-    words = _words(seed)
-    words += [0] * (4 - len(words))
-    h = _INIT_A
-    pool = []
-    for w in words[:4]:
-        v, h = _hashmix(w, h)
-        pool.append(v)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                v, h = _hashmix(pool[src], h)
-                r = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * v) & _M32
-                pool[dst] = r ^ r >> 16
-    return _mix_in(pool, h, words[4:])
-
-
-# generate_state's hash constant before each of its four output words, and after the last
-_OUT_HASH = tuple(_INIT_B * pow(_MULT_B, k, 1 << 32) & _M32 for k in range(5))
-
-
-def _philox_key(seed, spawn_key):
-    """The Philox key of a stream: the two words of
-    SeedSequence(entropy=seed, spawn_key=spawn_key).generate_state(2, np.uint64),
-    as Python ints. spawn_key is a non-empty tuple of integers >= 0."""
-    return _pool_key(_mix_in(*_seed_pool(seed), spawn_key)[0])
-
-
-def _pool_key(pool):
-    """The Philox key that SeedSequence's generate_state(2, np.uint64) makes of a pool."""
-    p0, p1, p2, p3 = pool
-    h0, h1, h2, h3, h4 = _OUT_HASH
-    p0 = (p0 ^ h0) * h1 & _M32
-    p1 = (p1 ^ h1) * h2 & _M32
-    p2 = (p2 ^ h2) * h3 & _M32
-    p3 = (p3 ^ h3) * h4 & _M32
-    return p0 ^ p0 >> 16 | (p1 ^ p1 >> 16) << 32, p2 ^ p2 >> 16 | (p3 ^ p3 >> 16) << 32
-
 
 _BLOCK_BITS = 8  # a key block holds the 2^8 = 256 stream ids that share id >> 8
 _BLOCK_MASK = (1 << _BLOCK_BITS) - 1  # an id's row in its block
@@ -381,21 +290,32 @@ _BLOCK_MASK = (1 << _BLOCK_BITS) - 1  # an id's row in its block
 @functools.lru_cache(maxsize=64)
 def _key_block(seed, block):
     """The Philox keys of the streams block * 256 to block * 256 + 255 of a
-    seed, with no lineage, as a read-only (256, 2) uint64 array: _philox_key
-    of each one-word spawn key, all 256 in one pass of numpy uint64
-    arithmetic. Every product fits in 64 bits and & _M32 keeps the low word,
-    as SeedSequence's uint32 arithmetic does, so the keys are the same bits.
-    block is at most 2^24 - 1, whose last id is 2^32 - 1. At most 64 blocks of
-    4,096 bytes of keys are cached (4,224 bytes an array with its header)."""
-    pool, h = _seed_pool(seed)
+    seed, with no lineage, as a read-only (256, 2) uint64 array whose row i
+    is SeedSequence(seed, spawn_key=(block * 256 + i,)).generate_state(2,
+    np.uint64). SeedSequence(seed).pool is the pool with the seed mixed in,
+    and the hash constant after it is _INIT_A * _MULT_A^(4 * max(4, w)) for
+    a seed of w 32-bit words: a hashmix for each pool word, 12 for the
+    all-to-all mix and 4 for each word past the pool. Each id is hashmixed
+    into every pool word and the 4 words are hashed out, all 256 ids in one
+    pass of numpy uint64 arithmetic: every product fits in 64 bits and & _M32
+    keeps the low word, as SeedSequence's uint32 arithmetic does. block is at
+    most 2^24 - 1, whose last id is 2^32 - 1. At most 64 blocks of 4,096
+    bytes of keys are cached (4,224 bytes an array with its header)."""
+    from numpy.random import SeedSequence
+
+    pool = SeedSequence(seed).pool.tolist()
+    h = _INIT_A * pow(_MULT_A, 4 * max(4, (seed.bit_length() + 31) // 32), _M32 + 1) & _M32
+    g = _INIT_B
     ids = np.arange(block << _BLOCK_BITS, block + 1 << _BLOCK_BITS, dtype=np.uint64)
-    mixed = []
-    for p in pool:  # _mix_in's hashmix and mix of one word, every id at once
-        a, h = h, h * _MULT_A & _M32
+    out = []
+    for p in pool:
+        a, h = h, h * _MULT_A & _M32  # hashmix each id, and mix it into pool word p
         v = (ids ^ a) * h & _M32
         r = _MIX_MULT_L * p - _MIX_MULT_R * (v ^ v >> 16) & _M32
-        mixed.append(r ^ r >> 16)
-    keys = np.stack(_pool_key(mixed), axis=1)
+        b, g = g, g * _MULT_B & _M32  # generate_state's hash of the mixed word
+        r = (r ^ r >> 16 ^ b) * g & _M32
+        out.append(r ^ r >> 16)
+    keys = np.stack((out[0] | out[1] << 32, out[2] | out[3] << 32), axis=1)
     keys.setflags(write=False)  # a generator's seed object holds a row
     return keys
 
@@ -446,17 +366,15 @@ class RngStream(_Frozen):
         Generator(Philox(SeedSequence(seed, spawn_key=(stream_id, *lineage))))
 
     so any replicate's stream can be re-derived with numpy alone, and
-    replicate r of a run can be redrawn in isolation. The Philox key is
-    computed here, with SeedSequence's pool for each seed cached. A
-    top-level stream (no lineage, stream_id at most 2^32 - 1) reads its key
-    from _key_block, which computes the keys of 256 neighbouring ids in one
-    numpy pass, each at a small part of what _philox_key's Python costs; a
-    substream or a larger id goes through _philox_key, whose two words become
-    a uint64 array as well. seed, stream_id and the lineage entries must be
-    integers >= 0 (else generator() raises ValueError). The generator's seed
-    object holds only the key, so
-    rng.spawn() is not supported: substream(i) derives an independent child
-    stream, used for per-germ or per-replicate randomness.
+    replicate r of a run can be redrawn in isolation. A top-level stream (no
+    lineage, stream_id at most 2^32 - 1) reads its key from _key_block, which
+    computes the keys of 256 neighbouring ids in one numpy pass and caches
+    them; any other stream (a substream, or a larger id) takes its key from
+    numpy's SeedSequence itself. seed, stream_id and the lineage entries must
+    be integers >= 0 (else generator() raises ValueError). The generator's
+    seed object holds only the key, so rng.spawn() is not supported:
+    substream(i) derives an independent child stream, which the validation
+    battery draws its roles from (validation.LOCKSTEP, ORACLE and PROBES).
     """
 
     _fields = ("seed", "stream_id", "lineage")
@@ -472,8 +390,10 @@ class RngStream(_Frozen):
         if not self.lineage and 0 <= stream_id <= _M32:
             key = _key_block(int(self.seed), stream_id >> _BLOCK_BITS)[stream_id & _BLOCK_MASK]
         else:
-            key = _philox_key(int(self.seed), (stream_id,) + self.lineage)
-            key = np.array(key, dtype=np.uint64)
+            from numpy.random import SeedSequence
+
+            key = SeedSequence(int(self.seed), spawn_key=(stream_id, *self.lineage))
+            key = key.generate_state(2, np.uint64)
         return generator(philox(seed(key), counter=_ZERO_COUNTER))
 
     def substream(self, i):

@@ -235,6 +235,26 @@ def test_plotdata_output_path_that_is_a_file_exits_2(tmp_path, capsys):
     assert taken.read_text() == "keep me"
 
 
+@pytest.mark.parametrize("command, blocked, workers, validation", [
+    ("sample", "pattern-00000.csv", "1", False),
+    ("sample", "pattern-00001.csv", "2", False),  # written by the pool worker
+    ("sample", "meta.json", "1", False),
+    ("sample", "validation_report.json", "1", True),
+    ("plotdata", "points-2d.csv", "1", False),
+], ids=["pattern", "worker-pattern", "meta", "report", "plotdata"])
+def test_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, command,
+                                                    blocked, workers, validation):
+    monkeypatch.setenv("EXACTPP_WORKERS", workers)
+    cfg = dict(POISSON_CFG, validation={"enabled": validation, "replicates": 50})
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)  # a directory where the file should go
+    argv = [command, "-c", _cfg_file(tmp_path, cfg), "-o", str(out)]
+    rc = main(argv + ["--kind", "points-2d"] if command == "plotdata" else argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(out / blocked) in err and "Traceback" not in err
+
+
 def test_window_on_windowless_sampler_exits_2(tmp_path, capsys):
     cfg = json.loads(json.dumps(RENEWAL_CFG))
     cfg["window"] = {"lower": [0.0], "upper": [1.0]}

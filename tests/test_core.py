@@ -163,7 +163,7 @@ def test_rng_stream_reproducible_and_splittable():
     assert not np.array_equal(sub1, a)
 
 
-SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1]
+SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128 + 1, 2**224 + 3]
 STREAM_IDS = [0, 255, 256, 511, 20_000, 30_000, 2**32 - 1, 2**33]
 LINEAGES = [(), (10_001,), (10_002, 2**40 + 3), (7, 2**64 + 9, 10_001)]
 
@@ -180,10 +180,9 @@ def test_stream_key_and_words_match_numpy_seed_sequence(seed):
         for lineage in LINEAGES:
             spawn_key = (stream_id, *lineage)
             want = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
-            key = core._philox_key(seed, spawn_key)
-            assert key == tuple(int(v) for v in want.generate_state(2, np.uint64))
+            key = want.generate_state(2, np.uint64).tolist()
             rng = RngStream(seed, stream_id, lineage).generator()
-            assert rng.bit_generator.state["state"]["key"].tolist() == list(key)
+            assert rng.bit_generator.state["state"]["key"].tolist() == key
             ref = _numpy_generator(seed, spawn_key)
             assert np.array_equal(rng.bit_generator.random_raw(16),
                                   ref.bit_generator.random_raw(16))
@@ -191,10 +190,11 @@ def test_stream_key_and_words_match_numpy_seed_sequence(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_key_blocks_are_the_reference_keys(seed):
-    # the first and last blocks of the one-word stream ids, against _philox_key
+    # the first and last blocks of the one-word stream ids, against numpy's SeedSequence
     for block in (0, 2**24 - 1):
         ids = range(block * 256, block * 256 + 256)
-        want = [list(core._philox_key(seed, (i,))) for i in ids]
+        want = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64).tolist()
+                for i in ids]
         assert core._key_block(seed, block).tolist() == want
 
 
@@ -224,6 +224,25 @@ def test_top_level_streams_match_numpy_after_blocks_are_evicted():
     info = core._key_block.cache_info()
     assert info.maxsize == 64 and info.currsize == 64
     assert info.misses > 80  # some blocks were computed twice
+
+
+def test_top_level_streams_build_one_seed_sequence_a_key_block(monkeypatch):
+    # replicates share their block's SeedSequence; a substream builds its own
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("spawn_key", ()))
+        return seed_sequence(*args, **kwargs)
+
+    core._key_block.cache_clear()
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    for r in range(512):
+        RngStream(23, r).generator()
+    assert built == [(), ()]
+    del built[:]
+    RngStream(23, 20_000).substream(1).generator()
+    assert built == [(20_000, 1)]
 
 
 def test_cached_keys_cannot_be_written_through_a_generator():
@@ -278,14 +297,6 @@ def test_stream_generator_cannot_spawn():
         rng.spawn(1)
     with pytest.raises(ValueError):
         rng.bit_generator.seed_seq.generate_state(4, np.uint32)
-
-
-def test_seed_cache_stays_bounded():
-    for seed in range(10_000, 20_000):
-        RngStream(seed, 1).generator()
-    info = core._seed_pool.cache_info()
-    assert info.maxsize == 64
-    assert info.currsize <= 64
 
 
 # -- point-pattern algebra ----------------------------------------------------------

@@ -460,18 +460,16 @@ def test_single_draws_keep_their_bytes(name, cfg):
 # -- the battery's streams and generators ----------------------------------------------
 
 
-def _spawn_words(stream):
-    """The 32-bit words SeedSequence mixes in for a stream's spawn key."""
-    return tuple(w for v in (stream.stream_id, *stream.lineage) for w in core._words(v))
-
-
 def test_battery_stream_keys_cannot_coincide():
     keys = (validation.LOCKSTEP, validation.ORACLE, validation.PROBES)
     assert keys == (1, 2, 3)  # the words the battery's streams have always had
     stream = RngStream(5, 20_000)
-    words = {_spawn_words(stream.substream(k)) for k in keys}
-    assert len(words) == 3
-    assert len({core._philox_key(5, w) for w in words}) == 3
+    got = [stream.substream(k).generator().bit_generator.state["state"]["key"].tolist()
+           for k in keys]
+    want = [np.random.SeedSequence(5, spawn_key=(20_000, k)).generate_state(2, np.uint64).tolist()
+            for k in keys]
+    assert got == want
+    assert len({tuple(key) for key in got}) == 3
 
 
 def _keeping(seen):
