@@ -18,8 +18,8 @@ is organized by construction:
 - sandwich: certified fixed-point sandwich bounds on the Hawkes
   cluster-length distribution, loaded only when a sampler's curve is read
 - branching_approx: the Galton-Watson engine that grows every iterated
-  cluster (Hawkes and spatial branching), and generation-truncated branching
-  with variation-distance certificates
+  cluster (Hawkes and spatial branching), the layout of size-biased spines,
+  and generation-truncated branching with variation-distance certificates
 - validation: statistical acceptance harness (KS, chi-square, Laplace, Holm)
 - oracles: independently-coded reference samplers used only by validation
 - cli: `exactpp sample | validate | plotdata` driven by JSON configs; each

@@ -1,5 +1,7 @@
 """Generation-truncated branching sampler with a total-variation certificate,
-and the Galton-Watson engine that grows its generations and hawkes_mr's clusters.
+the Galton-Watson engine that grows its generations and hawkes_mr's clusters,
+and the layout of the size-biased spines whose nodes root hawkes_mr's tilted
+clusters.
 
 A spatial branching process starts from a Poisson germ (generation 0) and
 lets every point spawn an independent Poisson(progeny mass) brood of
@@ -34,6 +36,7 @@ __all__ = [
     "approx_branching_chains",
     "certificate_generations_for",
     "sample_gw_cluster",
+    "spine_nodes",
 ]
 
 class GWCluster:
@@ -102,6 +105,10 @@ def sample_gw_cluster(kernel, ancestor, rng, root_marks=None, generations=None, 
     rate one_mark_nu, and no random number is spent on a mark whose only
     outcome is the one mark.  Its clusters have the law, not the bytes, of a
     mixture of equal marks.
+
+    The roots of a size-biased cluster are the nodes of its spine, which
+    spine_nodes lays out; hawkes_mr grows its far ancestors' spines and its
+    plain roots in one call, with the spine nodes' marks as root_marks.
     """
     roots = np.asarray(ancestor, dtype=float)
     batch = roots.ndim > 0
@@ -153,6 +160,26 @@ def sample_gw_cluster(kernel, ancestor, rng, root_marks=None, generations=None, 
     del count_block, step_block, counts  # a block, and a view of one, not held to the end
     return GWCluster(np.concatenate(pts), roots if batch else float(ancestor),
                      np.concatenate(labels) if owners else None)
+
+
+def spine_nodes(nodes, start, steps):
+    """(positions, spine) of the nodes of size-biased spines, from steps the caller drew.
+
+    A size-biased cluster is a spine of nodes, each the root of an ordinary
+    cluster (Lyons, Pemantle & Peres 1995): the caller draws the spines' node
+    counts, nodes[i] >= 1, and one step a node, and grows the clusters of the
+    returned positions in one sample_gw_cluster call.  start[i] is spine i's
+    first node, and steps holds one row a node, spine by spine; a node's row
+    is its step from the node before, so a spine's first row is not a step.
+    Node j of a spine lies at its start plus its rows 1..j: one running sum
+    over all rows, less its value at the spine's first row.  start and steps
+    are indexed on axis 0, so their rows may be scalars or points in R^d.
+    spine[k] is node k's spine, as int32 owner labels like the engine's.
+    """
+    pos = steps.cumsum(axis=0)
+    ends = nodes.cumsum()
+    pos -= (pos[ends - nodes] - start).repeat(nodes, axis=0)
+    return pos, np.arange(nodes.size, dtype=np.int32).repeat(nodes)
 
 
 class TruncationCertificate(_Frozen):

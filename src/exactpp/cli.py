@@ -1,8 +1,8 @@
 """Command-line interface: exact sampling runs driven by JSON configs.
 
 Subcommands:
-  sample   -c CONFIG -o DIR   write one CSV pattern per replicate plus meta.json
-                              (and a validation report when the config enables it)
+  sample   -c CONFIG -o DIR   write one CSV pattern per replicate (and a validation
+                              report when the config enables it), then meta.json
   validate -c CONFIG          run the sampler's statistical battery (Holm-joint)
   plotdata -c CONFIG --kind K [-o DIR]  emit plot-ready CSV for the given kind
 
@@ -263,6 +263,8 @@ def cmd_sample(cfg, outdir):
     built = build(cfg)  # a config the build refuses leaves no output directory
     outdir = Path(outdir)
     _make_output_dir(outdir)
+    # meta.json is written last, so a directory holds one only once a run has finished
+    (outdir / "meta.json").unlink(missing_ok=True)
     # replicate r goes to chunk r % workers; the parent writes chunk 0 (all of a serial run)
     chunks = [list(range(i, reps, workers)) for i in range(workers)]
     pool = nullcontext()
@@ -288,16 +290,17 @@ def cmd_sample(cfg, outdir):
         "python": "%d.%d.%d" % sys.version_info[:3],
         "simd": np.show_config(mode="dicts")["SIMD Extensions"].get("found", []),  # absent if none
     }
-    with open(outdir / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
     print(f"wrote {reps} pattern file(s) to {outdir}")
+    all_ok = True
     if cfg.get("validation", {}).get("enabled", False):
         reports, all_ok = _run_validation(cfg, built)
         _write_reports(reports, outdir / "validation_report.json")
-        if not all_ok:
-            print("validation rejected", file=sys.stderr)
-            return 1
+    with open(outdir / "meta.json", "w") as fh:  # a rejected validation finishes the run too
+        json.dump(meta, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    if not all_ok:
+        print("validation rejected", file=sys.stderr)
+        return 1
     return 0
 
 

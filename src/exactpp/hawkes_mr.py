@@ -14,7 +14,9 @@ tilted clusters, drawn through their spine.  The coin is exact at any
 distance, and t1 is a measured time choice: most draws then have no far
 ancestor and pay for no spine or coin.
 Every cluster grows through branching_approx.sample_gw_cluster, the
-Galton-Watson engine that spatial branching draws share.
+Galton-Watson engine that spatial branching draws share, and the spines'
+nodes are laid out by branching_approx.spine_nodes; this module keeps only
+the Hawkes law of a spine (its node count, tilted steps and marks) and the coin.
 
 The certified curve of F, a sandwich of bounds driven by the fixed-point
 operator Phi whose fixed point is 1 - F, lives in exactpp.sandwich, which no
@@ -33,7 +35,7 @@ import sys
 import numpy as np
 
 from . import core
-from .branching_approx import sample_gw_cluster
+from .branching_approx import sample_gw_cluster, spine_nodes
 from .core import (_NONNEG, _POS, ConfigError, PointPattern, SamplerError, _built,
                    _count_checks, _finite, _made, chain_offsets, order_by_label)
 
@@ -357,12 +359,13 @@ def _kept_clusters(kernel, far, rng, roots, root_counts):
     Z_0 >= e^(theta L) > e^(theta t), so the coin keeps it with probability
     e^(theta t) / Z_0.
 
-    A Q-cluster is a cluster size-biased by Z_0.  Under Q, a distinguished node
-    lies Geometric(1 - rho_theta) - 1 generations deep, and the path to it (the
-    spine) takes steps with density proportional to h0(s) e^(theta s).  The
-    spine nodes before the last carry z-size-biased marks, and every spine
-    node roots an ordinary cluster with its mark; the last spine nodes and
-    the plain roots draw ordinary marks.  All clusters of the call grow in
+    A Q-cluster is a cluster size-biased by Z_0: a spine of nodes, each the
+    root of an ordinary cluster, which branching_approx.spine_nodes lays out
+    from its ancestor.  This function keeps the Hawkes law of the spine: a
+    Geometric(1 - rho_theta) node count, one step a node with density
+    proportional to h0(s) e^(theta s), z-size-biased marks for the nodes
+    before each spine's last and ordinary marks for the last nodes and the
+    plain roots, drawn in that order.  All clusters of the call grow in
     one sample_gw_cluster call, whose point cap, core.POINT_CAP, bounds them
     together, whatever the replicate count; only its points and the owner
     labels grown beside them are read, and the cluster is dropped once they
@@ -385,27 +388,22 @@ def _kept_clusters(kernel, far, rng, roots, root_counts):
             return cl.points, None
         return cl.points, np.arange(n_reps, dtype=np.int32).repeat(root_counts)[cl.owner]
     nodes = rng.geometric(1.0 - kernel.rho_theta, size=n_far)
-    roots_of = np.concatenate((nodes, root_counts))  # a far ancestor's roots are its spine nodes
-    owner = np.arange(n_far + n_reps, dtype=np.int32).repeat(roots_of)  # the owner of each root
-    n_nodes = owner.size - roots.size  # the spine nodes
-    ends = nodes.cumsum()
-    # one tilted step a node, summed over all spines; taking away the running sum at each
-    # spine's first node puts that node at its ancestor, -t, and every later node at -t
-    # plus its depth
-    pos = kernel.sample_tilted_displacement(n_nodes, rng).cumsum()
-    pos -= (pos[ends - nodes] + far).repeat(nodes)
+    # each spine's first node at its ancestor, -t, and every later one a tilted step on
+    pos, spine = spine_nodes(nodes, -far, kernel.sample_tilted_displacement(nodes.sum(), rng))
+    plain = np.arange(n_far, n_far + n_reps, dtype=np.int32).repeat(root_counts)
+    owner = np.concatenate((spine, plain))  # the owner of each root
     roots = np.concatenate((pos, roots))
     marks = None  # one mark: sample_gw_cluster draws none
     if kernel.one_mark_nu is None:
         biased = np.zeros(roots.size, dtype=bool)
-        biased[:n_nodes] = True
-        biased[ends - 1] = False  # the spine nodes before the last
-        n_biased = n_nodes - n_far
+        biased[:pos.size] = True
+        biased[nodes.cumsum() - 1] = False  # the spine nodes before the last
+        n_biased = pos.size - n_far
         marks = np.empty(roots.size)
         marks[biased] = kernel.sample_biased_mark(n_biased, rng)
         marks[~biased] = kernel.sample_mark(roots.size - n_biased, rng)
         del biased
-    del roots_of, pos, ends, nodes  # not held through the engine
+    del pos, spine, plain, nodes  # not held through the engine
     cl = sample_gw_cluster(kernel, roots, rng, root_marks=marks)
     del roots, marks
     points, who = cl.points, owner[cl.owner]

@@ -247,27 +247,21 @@ def _certified_floor(phi, n_nodes, cert_max=160, stall=0.25 * EPS_ROUND):
     return z, used
 
 
-def build_sandwich(
-    kernel,
-    n_max=200,
-    tol=1e-3,
-    t_max=None,
-    step=1e-4,
-    quad_tol=0.25,
-):
+def build_sandwich(kernel, n_max=200, tol=1e-3, step=1e-4):
     """Certified sandwich driven to tolerance on a uniform grid.
 
-    The lower CDF path starts at the zero-started certified floor.
+    The grid runs from 0 to t_max = 30 / (decay / 2), the decay being the
+    kernel's suggested_decay (at least 2e-6), in steps of step; a grid whose
+    staircase quadrature is wider than 0.25 anywhere is refused.  The lower
+    CDF path starts at the zero-started certified floor.
     """
-    if t_max is None:
-        t_max = 30.0 / max(kernel.suggested_decay() / 2.0, 1e-6)
+    t_max = 30.0 / max(kernel.suggested_decay() / 2.0, 1e-6)
     n_nodes = max(int(math.ceil(t_max / step)) + 1, 8)
     phi = PhiOperator(kernel, step, n_nodes)
     floor, cert_iters = _certified_floor(phi, n_nodes)
-    if phi.max_width > quad_tol:
+    if phi.max_width > 0.25:
         raise SamplerError(
-            f"grid too coarse: staircase quadrature width {phi.max_width:.3g} "
-            f"exceeds {quad_tol:.3g}"
+            f"grid too coarse: staircase quadrature width {phi.max_width:.3g} exceeds 0.25"
         )
     sw = Sandwich(
         kernel=kernel,

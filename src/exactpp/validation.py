@@ -171,11 +171,12 @@ def _kolmogorov_limit_sf(n, m, d):
     return math.fsum(2 * (-1) ** (k - 1) * math.exp(-2 * (k * lam) ** 2) for k in range(1, 101))
 
 
-def chi_square(observed, expected_probs, alpha=0.05, name="chi-square", min_expected=5.0):
-    """Pearson chi-square of category counts against expected probabilities.
+def chi_square(observed, expected_probs, alpha=0.05):
+    """Pearson chi-square of category counts against expected probabilities,
+    reported under the name "chi-square".
 
     Trailing categories are pooled until every expected count reaches
-    min_expected; expected_probs must sum to 1 over the given categories, and
+    5; expected_probs must sum to 1 over the given categories, and
     at least two cells must remain. The statistic is sum (obs - exp)^2 / exp,
     the arithmetic of scipy.stats.chisquare. With df = cells - 1, the p-value
     is the chi-square survival function Q(df/2, stat/2) of
@@ -195,7 +196,7 @@ def chi_square(observed, expected_probs, alpha=0.05, name="chi-square", min_expe
         raise ValueError("expected probabilities must sum to 1")
     exp = probs * total
     # pool from the tail until all expected counts are large enough
-    while exp.size > 1 and exp[-1] < min_expected:
+    while exp.size > 1 and exp[-1] < 5.0:
         exp = np.concatenate([exp[:-2], [exp[-2] + exp[-1]]])
         obs = np.concatenate([obs[:-2], [obs[-2] + obs[-1]]])
     if obs.size < 2:
@@ -214,7 +215,7 @@ def chi_square(observed, expected_probs, alpha=0.05, name="chi-square", min_expe
         lo, hi = (mid, hi) if sf(mid) >= alpha else (lo, mid)
     decision = "accept" if pvalue >= alpha else "reject"
     return TestReport(
-        name=name,
+        name="chi-square",
         statistic=stat,
         threshold=hi,
         alpha=alpha,

@@ -29,6 +29,7 @@ from exactpp import (
     core,
     sample_gw_cluster,
 )
+from exactpp.branching_approx import spine_nodes
 from exactpp.validation import chi_square, mean_ci, two_sample_ks
 from pins import pin_message
 
@@ -133,7 +134,7 @@ def test_zero_generations_is_the_poisson_germ():
     probs = [math.exp(-4.0) * 4.0**k / math.factorial(k) for k in range(k_hi)]
     probs.append(1.0 - sum(probs))
     observed = np.bincount(np.minimum(counts, k_hi), minlength=k_hi + 1)
-    report = chi_square(observed, probs, alpha=0.01, name="germ-only counts")
+    report = chi_square(observed, probs, alpha=0.01)
     assert report.accepted, report.to_dict()
 
 
@@ -427,6 +428,34 @@ def test_engine_grows_a_forest_within_its_bytes_per_point():
     assert cl.owner.dtype == np.int32
     assert len(cl.points) > 900_000
     assert peak < 23 * len(cl.points), peak / len(cl.points)
+
+
+def test_spines_lay_out_their_nodes_and_grow_their_clusters_in_one_call():
+    # 4,000 spines of 3 nodes in the plane, from starts and steps of whole numbers,
+    # whose sums are exact: node j lies at its start plus its spine's steps 1..j.
+    # Under a one-mark kernel of mass rho = 0.5, each node roots an ordinary
+    # cluster of mean 1 / (1 - rho) points, grown in one engine call.
+    k, depth, rho = 4_000, 3, 0.5
+    rng = _gen(150)
+    nodes = np.full(k, depth)
+    start = rng.integers(-1_000, 1_000, (k, 2)).astype(float)
+    steps = rng.integers(0, 1_000, (k * depth, 2)).astype(float)
+    pos, spine = spine_nodes(nodes, start, steps)
+    walked = np.cumsum(steps.reshape(k, depth, 2)[:, 1:], axis=1)
+    laid = start[:, None] + np.concatenate((np.zeros((k, 1, 2)), walked), axis=1)
+    assert np.array_equal(pos, laid.reshape(-1, 2))
+    assert spine.dtype == np.int32 and np.array_equal(spine, np.arange(k).repeat(depth))
+    kernel = TranslatedPoissonCluster(rho, UniformDisplacement((-0.25, -0.25), (0.25, 0.25)))
+    cl = sample_gw_cluster(kernel, pos, rng)
+    m, half = mean_ci(np.bincount(spine[cl.owner], minlength=k), z=4.0)
+    assert abs(m - depth / (1.0 - rho)) < half, (m, half)
+    # spines of unequal node counts on the line
+    nodes = rng.integers(1, 6, 50)
+    start, steps = rng.integers(-1_000, 1_000, 50) * 1.0, rng.integers(0, 1_000, nodes.sum()) * 1.0
+    pos, spine = spine_nodes(nodes, start, steps)
+    first = np.cumsum(nodes) - nodes
+    for node, (i, at) in enumerate(zip(spine, pos)):
+        assert at == start[i] + steps[first[i] + 1 : node + 1].sum()
 
 
 def test_only_callers_that_read_owner_labels_grow_them(monkeypatch):

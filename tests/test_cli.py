@@ -248,11 +248,14 @@ def test_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatc
     cfg = dict(POISSON_CFG, validation={"enabled": validation, "replicates": 50})
     out = tmp_path / "out"
     (out / blocked).mkdir(parents=True)  # a directory where the file should go
+    if command == "sample" and blocked != "meta.json":
+        (out / "meta.json").write_text("{}\n")  # an earlier run's record
     argv = [command, "-c", _cfg_file(tmp_path, cfg), "-o", str(out)]
     rc = main(argv + ["--kind", "points-2d"] if command == "plotdata" else argv)
     err = capsys.readouterr().err
     assert rc == 2
     assert str(out / blocked) in err and "Traceback" not in err
+    assert not (out / "meta.json").is_file()  # a run that did not finish leaves no record
 
 
 def test_window_on_windowless_sampler_exits_2(tmp_path, capsys):
@@ -546,6 +549,40 @@ def test_configured_alpha_decides_the_verdict(tmp_path, capsys, alpha, expected)
     assert ("validation rejected" in capsys.readouterr().err) == (expected == 1)
 
 
+def test_meta_json_is_written_last(tmp_path, monkeypatch):
+    """A stale meta.json is gone before the first pattern is written, and the
+    run's own is written after the validation report, also when the
+    validation rejects: a directory holds a meta.json only once a run has
+    finished."""
+    from exactpp import cli
+
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "meta.json").write_text("{}\n")  # an earlier run's record
+    seen, write_patterns, write_reports = [], cli._write_patterns, cli._write_reports
+
+    def patterns(*args):
+        seen.append(("patterns", (out / "meta.json").exists()))
+        write_patterns(*args)
+
+    def reports(*args):
+        seen.append(("report", (out / "meta.json").exists()))
+        write_reports(*args)
+
+    monkeypatch.setattr(cli, "_write_patterns", patterns)
+    monkeypatch.setattr(cli, "_write_reports", reports)
+    cfg = {  # the rejecting run of test_configured_alpha_decides_the_verdict
+        "schema": 1, "sampler": "grid_thinning", "seed": 2, "replicates": 2,
+        "params": {"family": "geometric", "c": 0.7, "ratio": 0.6},
+        "validation": {"enabled": True, "replicates": 200, "alpha": 0.999},
+    }
+    rc = main(["sample", "-c", _cfg_file(tmp_path, cfg), "-o", str(out)])
+    assert rc == 1
+    assert seen == [("patterns", False), ("report", False)]
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["sampler"] == "grid_thinning" and meta["replicates"] == 2
+
+
 def test_validate_accepts_and_prints_reports(tmp_path, capsys):
     cfg = dict(POISSON_CFG, validation={"enabled": True, "replicates": 300})
     rc = main(["validate", "-c", _cfg_file(tmp_path, cfg)])
@@ -565,6 +602,22 @@ def test_two_dimensional_brix_kendall_validates(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "PASS cluster-counts-vs-oracle" in out
+
+
+@pytest.mark.parametrize("kernel", [
+    {"family": "polynomial", "coeffs": [0.45, -0.225], "support": 2.0},
+    {"family": "table", "breaks": [0.0, 0.5, 2.0], "values": [0.6, 0.1]},
+], ids=["polynomial", "table"])
+def test_bounded_hawkes_kernels_validate(tmp_path, capsys, kernel):
+    # the demo config with a kernel of bounded support, which the burn-in
+    # oracle for bounded kernels checks
+    cfg = json.loads((CONFIG_DIR / "hawkes_mr.json").read_text())
+    cfg["params"]["kernel"] = kernel
+    cfg["validation"]["replicates"] = 200
+    rc = main(["validate", "-c", _cfg_file(tmp_path, cfg)])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "PASS self-exciting-counts-vs-burn-in" in out
 
 
 # -- sample command -----------------------------------------------------------------
@@ -588,6 +641,14 @@ def test_sample_writes_patterns_and_meta(tmp_path, capsys):
     assert "wrote 3 pattern file(s)" in capsys.readouterr().out
 
 
+def _simd_off(groups):
+    """NPY_DISABLE_CPU_FEATURES for a child process: this process's own
+    setting, which the child keeps, plus those of groups that numpy finds here."""
+    own = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").replace(",", " ").split()
+    found = simd_found()
+    return " ".join(dict.fromkeys([*own, *(g for g in groups if g in found)]))
+
+
 def test_sample_records_no_simd_extension_when_numpy_finds_none(tmp_path):
     """With every SIMD group that numpy finds on this CPU disabled in a child
     (NPY_DISABLE_CPU_FEATURES acts only there), numpy lists them as "not found"
@@ -595,7 +656,7 @@ def test_sample_records_no_simd_extension_when_numpy_finds_none(tmp_path):
     and records "simd": [] in meta.json."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"),
-               NPY_DISABLE_CPU_FEATURES=" ".join(simd_found()))
+               NPY_DISABLE_CPU_FEATURES=_simd_off(simd_found()))
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "exactpp.cli", "sample", "-c", str(CONFIG_DIR / "poisson.json"),
@@ -755,8 +816,8 @@ def test_demo_pins_hold_with_avx512_kernels_off(tmp_path):
     kernels off too (NPY_DISABLE_CPU_FEATURES acts only on that child). At
     each level no report pin fails, and every other pin that fails is one
     marked as depending on numpy's SIMD kernels. Only the groups this CPU has
-    are disabled, so on a CPU without them the child runs the default
-    dispatch."""
+    are disabled, beside those this process already disables, so on a CPU
+    without them the child runs this process's dispatch."""
     root = Path(__file__).resolve().parents[1]
     tests = [f"{__file__}::test_demo_patterns_keep_their_bytes",
              f"{__file__}::test_demo_validation_reports_keep_their_bytes",
@@ -765,7 +826,7 @@ def test_demo_pins_hold_with_avx512_kernels_off(tmp_path):
              f"{root / 'tests' / 'test_hawkes_mr.py'}::test_sampler_draws_keep_their_bytes"]
     for level, groups in enumerate(SIMD_LEVELS):
         env = dict(os.environ, PYTHONPATH=str(root / "src"),
-                   NPY_DISABLE_CPU_FEATURES=" ".join(g for g in groups if g in simd_found()))
+                   NPY_DISABLE_CPU_FEATURES=_simd_off(groups))
         found = subprocess.run(
             [sys.executable, "-c", "import sys; sys.path.insert(0, 'tests'); import pins; "
              "print(' '.join(pins.simd_found()))"],

@@ -265,11 +265,23 @@ def test_operator_rejects_out_of_range_grid_functions():
         op.apply(np.zeros(32), "nearest")
 
 
-def test_coarse_grid_is_refused():
-    with pytest.raises(SamplerError, match="grid too coarse"):
-        build_sandwich(
-            ExponentialFertility(0.45, 0.5), step=5.0, t_max=20.0, quad_tol=0.1
-        )
+def test_coarse_grid_is_refused(monkeypatch):
+    # A staircase wider than 0.25 is refused. No kernel with rho < 1 builds one:
+    # a width is at most about rho times the floor's largest step between two
+    # nodes, and the widest of 300 random kernels on grids of 7 to 100 cells was
+    # 0.164. So the floor is made to report a width of 0.3.
+    from exactpp import sandwich as module
+
+    floor = module._certified_floor
+
+    def widened(phi, n_nodes):
+        result = floor(phi, n_nodes)
+        phi.max_width = 0.3
+        return result
+
+    monkeypatch.setattr(module, "_certified_floor", widened)
+    with pytest.raises(SamplerError, match="grid too coarse: .* width 0.3 exceeds 0.25"):
+        build_sandwich(ExponentialFertility(0.45, 0.5), step=5.0)
 
 
 # -- the sandwich -------------------------------------------------------------------
@@ -347,7 +359,7 @@ def test_sandwich_iteration_budget_is_enforced():
 
 
 def test_zero_excitation_sandwich_collapses_immediately():
-    sw = build_sandwich(ZERO_KERNEL, tol=1e-3, step=0.01, t_max=5.0)
+    sw = build_sandwich(ZERO_KERNEL, tol=1e-3, step=0.01)
     b = sw.bounds()
     assert np.all(b.upp <= 5e-10)  # the tail of a point mass at 0
     assert sw.gap <= 5e-10

@@ -304,14 +304,10 @@ def test_the_caller_guard_sees_names_that_only_look_used(tmp_path):
 # Defaulted parameters that nothing in the package, the benchmark, the
 # acceptance tests or a README example passes, kept because unit tests pass them.
 UNPASSED_ALLOWED = {
-    "sandwich.build_sandwich.t_max": "a short grid builds the sandwich tests' small curves",
-    "sandwich.build_sandwich.quad_tol": "the refusal of a too coarse grid is tested with it",
     "poisson.FiniteDensitySampler.__init__.upper": "the finite-density sampler is a tested "
     "reference that no sampler uses; its tests give a support endpoint",
     "poisson.FiniteDensitySampler.__init__.total_mass": "its tests give the mass in closed form",
     "poisson.FiniteDensitySampler.__init__.tail_mass": "its tests give a tail to certify",
-    "validation.chi_square.name": "the chi-square test runs only in tests, under its own name",
-    "validation.chi_square.min_expected": "tests check the pooling of sparse cells with it",
 }
 
 

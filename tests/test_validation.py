@@ -194,7 +194,7 @@ def test_chi_square_pools_sparse_tail():
     # the last two cells expect 2.5 each; one pool brings the tail to 5
     probs = np.array([0.5, 0.4, 0.05, 0.025, 0.025])
     obs = np.array([50.0, 40.0, 5.0, 3.0, 2.0])
-    rep = chi_square(obs, probs, alpha=0.05, min_expected=5.0)
+    rep = chi_square(obs, probs, alpha=0.05)  # cells expecting under 5 are pooled
     assert rep.details["df"] == 3  # 5 cells pooled down to 4
     assert rep.accepted
 
@@ -335,12 +335,12 @@ def test_replicate_counts_deterministic_per_stream():
 
 
 def test_report_to_json_round_trip():
-    rep = chi_square([52, 48], [0.5, 0.5], alpha=0.05, name="demo")
+    rep = chi_square([52, 48], [0.5, 0.5], alpha=0.05)
     loaded = json.loads(json.dumps(rep.to_dict()))
     assert set(loaded) == {
         "name", "statistic", "threshold", "alpha", "decision", "pvalue", "n", "details",
     }
-    assert loaded["name"] == "demo"
+    assert loaded["name"] == "chi-square"
     assert loaded["decision"] == "accept"
     assert loaded["details"]["df"] == 1
 
