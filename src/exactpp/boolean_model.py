@@ -112,9 +112,19 @@ class UniformRadius(_Frozen):
         return (self.hi ** (k + 1) - self.lo ** (k + 1)) / ((k + 1) * (self.hi - self.lo))
 
     def sample_biased(self, k, n, rng):
-        """n radii with density proportional to r^k on [lo, hi], by inverse CDF."""
+        """n radii with density proportional to r^k on [lo, hi], by inverse CDF.
+
+        The root is none for k = 0, np.sqrt for k = 1, which IEEE 754 rounds
+        correctly, and Python's float ** (the platform's libm pow) otherwise,
+        so the written radii do not depend on numpy's SIMD kernels."""
         a, b = self.lo ** (k + 1), self.hi ** (k + 1)
-        return (a + rng.random(int(n)) * (b - a)) ** (1.0 / (k + 1))
+        v = a + rng.random(int(n)) * (b - a)
+        if k == 0:
+            return v
+        if k == 1:
+            return np.sqrt(v)
+        e = 1.0 / (k + 1)
+        return np.array([x ** e for x in v.tolist()])
 
 
 class ExpRadius(_Frozen):
@@ -362,12 +372,14 @@ def poisson_lines_chains(rate, target, germ_region, n_chains, rng):
 
 def _line_angles(x, radius, rng):
     """Uniform ray directions in [0, 2 pi) from centre-relative germs x,
-    conditioned on the ray meeting the disk of the given radius."""
+    conditioned on the ray meeting the disk of the given radius.  Each angle
+    comes from math.asin and math.atan2 (the platform's libm), so the written
+    angles do not depend on numpy's SIMD kernels."""
     u = rng.random(x.shape[0])
     rho = np.hypot(x[:, 0], x[:, 1])
     far = rho > radius
-    half = np.arcsin(radius / np.where(far, rho, radius))
-    toward = np.arctan2(-x[:, 1], -x[:, 0])
+    half = np.array(list(map(math.asin, (radius / np.where(far, rho, radius)).tolist())))
+    toward = np.array(list(map(math.atan2, (-x[:, 1]).tolist(), (-x[:, 0]).tolist())))
     return np.where(far, np.mod(toward + (2.0 * u - 1.0) * half, 2.0 * np.pi), 2.0 * np.pi * u)
 
 

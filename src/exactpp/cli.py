@@ -2,7 +2,9 @@
 
 Subcommands:
   sample   -c CONFIG -o DIR   write one CSV pattern per replicate (and a validation
-                              report when the config enables it), then meta.json
+                              report when the config enables it), then meta.json;
+                              an earlier run's meta.json, report and patterns past
+                              this run's replicates are removed first
   validate -c CONFIG          run the sampler's statistical battery (Holm-joint)
   plotdata -c CONFIG --kind K [-o DIR]  emit plot-ready CSV for the given kind
 
@@ -263,8 +265,14 @@ def cmd_sample(cfg, outdir):
     built = build(cfg)  # a config the build refuses leaves no output directory
     outdir = Path(outdir)
     _make_output_dir(outdir)
-    # meta.json is written last, so a directory holds one only once a run has finished
+    # meta.json is written last, so a directory holds one only once a run has finished;
+    # an earlier run's report and its patterns past this run's replicates go with it
     (outdir / "meta.json").unlink(missing_ok=True)
+    (outdir / "validation_report.json").unlink(missing_ok=True)
+    for path in outdir.glob("pattern-*.csv"):
+        r = path.name[len("pattern-"):-len(".csv")]
+        if r.isdigit() and int(r) >= reps and path.name == f"pattern-{int(r):05d}.csv":
+            path.unlink()
     # replicate r goes to chunk r % workers; the parent writes chunk 0 (all of a serial run)
     chunks = [list(range(i, reps, workers)) for i in range(workers)]
     pool = nullcontext()

@@ -631,10 +631,12 @@ def _build_renewal(p, window):
         )
 
     def oracle(n_reps, rng):
-        from .oracles import renewal_thin_after_chains
+        from .oracles import TV_PER_CHAIN, renewal_thin_after_chains
 
+        # the retained points past the horizon T number bound p_tail(T) = TV_PER_CHAIN on average
+        horizon = math.log(bound / (thin_rate * TV_PER_CHAIN)) / thin_rate
         return renewal_thin_after_chains(
-            lambda r, size: r.gamma(shape, scale, size), thin_p, 60.0 / thin_rate, n_reps, rng
+            lambda r, size: r.gamma(shape, scale, size), thin_p, horizon, n_reps, rng
         )
 
     validate = _count_checks(chains, oracle=("renewal-counts-vs-thin-after", oracle),

@@ -12,7 +12,10 @@ ordinary clusters, and the cut to the window drops the points of those that
 do not reach it; beyond t1 it thins candidates under U with a coin on their
 tilted clusters, drawn through their spine.  The coin is exact at any
 distance, and t1 is a measured time choice: most draws then have no far
-ancestor and pay for no spine or coin.
+ancestor and pay for no spine or coin.  FertilityKernel.reach(u), the
+distance where U falls to u, gives t0 = reach(1) and the two other Hawkes
+distances: the end of the certified curve's grid and the burn-in of the
+oracle that validation compares the draws with.
 Every cluster grows through branching_approx.sample_gw_cluster, the
 Galton-Watson engine that spatial branching draws share, and the spines'
 nodes are laid out by branching_approx.spine_nodes; this module keeps only
@@ -88,12 +91,15 @@ class FertilityKernel:
     _tilted_mass(theta) = int h0(s) e^(theta s) ds, and exact samplers of one
     displacement and of one tilted displacement (density proportional to
     h0(s) e^(theta s)): sample_displacement and sample_tilted_displacement.
-    A shape of unbounded support also overrides suggested_decay and _tilt.
+    A shape of unbounded support also overrides _tilt.
 
     theta is the tilt of the spine construction (see HawkesSampler), a
     function of the kernel alone: the theta > 0 where rho_theta =
     E[z] * _tilted_mass(theta) equals (1 + rho) / 2.  The zero kernel (rho = 0)
-    has theta = rho_theta = 0 and never needs a tilt.
+    has theta = rho_theta = 0 and never needs a tilt.  The envelope
+    U(t) = e^(-theta t) / (1 - rho_theta) >= F(t) of that tilt gives every
+    Hawkes distance through reach: the sampler's split, the certified curve's
+    grid end and the burn-in of the oracle that checks the draws.
     """
 
     def __init__(self, marks=((1.0, 1.0),)):
@@ -115,9 +121,13 @@ class FertilityKernel:
             self._biased_cdf = _cdf(self._weights * self._zs)
             self.theta, self.rho_theta = self._tilt()
 
-    def suggested_decay(self):
-        """The certified curve's decay rate for a bounded shape: rho^(t / support)."""
-        return -math.log(max(self.rho, 1e-12)) / self.support
+    def reach(self, u):
+        """The distance t >= 0 where the envelope U(t) = e^(-theta t) / (1 - rho_theta)
+        falls to u: 0 where U(0) <= u already, and 0 for the zero kernel, whose
+        clusters die at their ancestor.  At u = 1 it is t0 = -ln(1 - rho_theta) / theta."""
+        if self.rho == 0:
+            return 0.0
+        return max((-math.log(u) - math.log1p(-self.rho_theta)) / self.theta, 0.0)
 
     def _tilt(self):
         """(theta, rho_theta) with rho_theta = (1 + rho) / 2, by bisection on the closed form.
@@ -196,9 +206,6 @@ class ExponentialFertility(FertilityKernel):
 
     def sample_tilted_displacement(self, n, rng):
         return rng.exponential(1.0 / (self.gamma - self.theta), size=int(n))
-
-    def suggested_decay(self):
-        return self.gamma * (1.0 - self.rho)
 
 
 class PolynomialFertility(FertilityKernel):
@@ -433,11 +440,11 @@ class HawkesSampler:
 
     with Q the Z-size-biased cluster law (Chen & Wang 2020 tilt the Hawkes
     cluster this way; Lyons, Pemantle & Peres 1995 give the spine form of Q).
-    U(t0) = 1 at t0 = -ln(1 - rho_theta)/theta.  Roots arrive at rate mu on
-    [-t1, a), t1 = 4 t0, the immigrants and the near ancestors in one process,
-    and each carries an ordinary cluster: a root before the window whose
-    cluster dies out before 0 puts no point in it, and the cut to [0, a] drops
-    its points.  Beyond t1, Poisson(mu e^(-theta t1)/(theta (1 - rho_theta)))
+    U(t0) = 1 at t0 = kernel.reach(1) = -ln(1 - rho_theta)/theta.  Roots
+    arrive at rate mu on [-t1, a), t1 = 4 t0, the immigrants and the near
+    ancestors in one process, and each carries an ordinary cluster: a root
+    before the window whose cluster dies out before 0 puts no point in it,
+    and the cut to [0, a] drops its points.  Beyond t1, Poisson(mu e^(-theta t1)/(theta (1 - rho_theta)))
     far ancestors, a mean of mu (1 - rho_theta)^3/theta, arrive at
     t1 + Exp(theta), rate mu U(t), each with a Q-cluster that _kept_clusters
     keeps with probability min(1, e^(theta t) / Z).  A kept far cluster with
@@ -498,7 +505,7 @@ class HawkesSampler:
         self.tol = float(tol)
         self.step = float(step)
         self.stats = {"condition_attempts": 0, "fallback_coins": 0, "grid_levels_built": 0}
-        self._t0 = -math.log1p(-kernel.rho_theta) / kernel.theta if kernel.rho > 0 else 0.0
+        self._t0 = kernel.reach(1.0)
         # roots on [-t1, a), then Poisson(int_t1^inf mu U(t) dt) far ancestors beyond t1:
         # mu (1 - rho_theta)^3 / theta at t1 = 4 t0, where e^(-theta t1) = (1 - rho_theta)^4
         self._t1 = 4.0 * self._t0
@@ -610,9 +617,12 @@ def _build_hawkes_mr(p, window):
                             step=p.get("step", float, 1e-4, _POS))
 
     def oracle(n_reps, rng):
-        from .oracles import hawkes_bounded_burn_in_chains, hawkes_exp_burn_in_chains
+        from .oracles import TV_PER_CHAIN, hawkes_bounded_burn_in_chains, hawkes_exp_burn_in_chains
 
-        a, burn = window.upper[0], 60.0 / max(kernel.suggested_decay(), 1e-6)
+        # a chain differs from the stationary law only if an ancestor before -burn reaches
+        # the window: mean mu int_burn^inf F <= mu U(burn) / theta = TV_PER_CHAIN
+        a = window.upper[0]
+        burn = kernel.reach(TV_PER_CHAIN * kernel.theta / mu) if mu > 0 else 0.0
         chains = (hawkes_exp_burn_in_chains if isinstance(kernel, ExponentialFertility)
                   else hawkes_bounded_burn_in_chains)
         return chains(kernel, mu, a, burn, n_reps, rng)

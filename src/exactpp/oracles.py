@@ -6,9 +6,10 @@ thin-first, state-based thinning instead of cluster attachment.  Agreement
 between the two routes is the evidence; sharing code would collapse it.
 
 Exactness status is part of each contract: the buffered cluster and hard-core
-oracles are exact for bounded displacement/interaction ranges, the burn-in
-self-exciting oracles carry an exponentially small initialization bias that
-the caller sizes far below test resolution.
+oracles are exact for bounded displacement/interaction ranges; the linear
+burn-in self-exciting oracles and the renewal oracle's horizon carry a bias
+that their callers size to TV_PER_CHAIN per chain, and the non-linear burn-in
+and the grid horizon carry a fixed one.
 
 Every oracle also has a lockstep form, named *_chains, that draws n_chains
 independent chains from one generator with a fixed number of numpy calls per
@@ -52,6 +53,12 @@ __all__ = [
     "grid_thin_after",
     "grid_thin_after_chains",
 ]
+
+# The total-variation distance from the target that a truncated oracle allows each
+# chain: the Hawkes burn-in (hawkes_mr) and the renewal horizon (germ_thinning) are
+# sized to it, so a battery of n chains compares with a law within n * TV_PER_CHAIN.
+TV_PER_CHAIN = 1e-9
+
 
 def _offsets(chain, n_chains):
     """Offsets of points listed chain by chain, from each point's chain index."""
@@ -232,8 +239,9 @@ def hawkes_exp_burn_in(kernel, mu, a, burn_in, rng):
     S(t) = sum z_i beta exp(-gamma (t - t_i)) decays between events, so
     mu + S(current) dominates the future intensity and classic thinning is
     exact given the empty start.  Initialization bias is the chance that
-    pre-start points would have influenced [0, a]; it decays like
-    exp(-gamma (1 - rho) burn_in) and the caller sizes burn_in accordingly.
+    pre-start points would have influenced [0, a]: at most mu U(burn_in) / theta
+    under the kernel's envelope U (FertilityKernel.reach), and the caller sizes
+    burn_in by it.
     Marks are drawn here from kernel.components(), not by the sampler's own
     mark routine, so the oracle does not share code with what it checks.
     """
@@ -307,12 +315,11 @@ def hawkes_bounded_burn_in(kernel, mu, a, burn_in, rng):
     only leave the support, so mu + h_max * sum z_i over the events still
     within the support dominates the future intensity; thinning against that
     running bound is exact given the empty start.  The initialization bias
-    is the chance that pre-start points would have influenced [0, a]; a
-    cluster spans at most one support per generation, so the bias decays like
-    rho^(burn_in / support) and the caller sizes burn_in accordingly.  The
-    fertility is read through kernel.h, kernel.support and kernel.h_max, and
-    marks are drawn here from kernel.components(), not by the sampler's own
-    mark routine.
+    is the chance that pre-start points would have influenced [0, a]: at most
+    mu U(burn_in) / theta under the kernel's envelope U (FertilityKernel.reach),
+    and the caller sizes burn_in by it.  The fertility is read through
+    kernel.h, kernel.support and kernel.h_max, and marks are drawn here from
+    kernel.components(), not by the sampler's own mark routine.
     """
     if mu < 0:
         raise SamplerError("immigrant intensity must be nonnegative")

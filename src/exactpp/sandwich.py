@@ -17,7 +17,11 @@ validation suite discriminates the two forms.
 build_sandwich drives certified bounds l_n <= F <= u_n on a grid:
 quadrature is bracketed by staircase envelopes with exact per-cell kernel
 mass, every step rounds outward by EPS_ROUND, and iterates are clamped
-monotone, so the bounds stay valid on the grid by induction.  The sandwich
+monotone, so the bounds stay valid on the grid by induction.  The grid ends
+where the kernel's envelope U >= F falls to EPS_ROUND (FertilityKernel.reach):
+Phi at a node reads only earlier nodes, so the cut loosens no kept bound, and
+past it the grid's own upper bound, held at 2 EPS_ROUND or more by the
+outward rounding, would be looser than U.  The sandwich
 is an independent construction of F that checks the spine route; no draw
 uses it, so only its readers load this module: HawkesSampler.sandwich, the
 sandwich-curves plot and the tests.
@@ -88,7 +92,6 @@ class PhiOperator:
             self._dnu_fft.append(np.fft.rfft(dnu, self._fft_len) if np.any(dnu) else None)
             self._nu_inf.append(float(kernel.nu_inf(z)))
             self._w.append(float(w))
-        self.max_width = 0.0
 
     def _integrals(self, f):
         """Per-component (I_down, I_up) staircase quadratures as arrays."""
@@ -117,7 +120,6 @@ class PhiOperator:
         if np.any(f < -1e-12) or np.any(f > 1 + 1e-12):
             raise SamplerError("grid function must take values in [0, 1]")
         out = np.zeros(self.n_nodes)
-        width = 0.0
         for (i_down, i_up), nu_inf, w in zip(self._integrals(f), self._nu_inf, self._w):
             if rounding == "up":
                 integral = i_up
@@ -125,9 +127,7 @@ class PhiOperator:
                 integral = i_down
             else:
                 integral = 0.5 * (i_down + i_up)
-            width = max(width, w * float(np.max(i_up - i_down)))
             out += w * np.exp(np.minimum(-nu_inf + integral, 0.0))
-        self.max_width = max(self.max_width, width)
         if rounding == "up":
             out += EPS_ROUND
         elif rounding == "down":
@@ -169,16 +169,15 @@ class Sandwich:
     advance() is the only code that moves the iterates; the read-only
     BoundPair of the current iterate is built there and at construction, and
     bounds() returns it without copying. The iterate count n starts at 0 and
-    gap0, the residual of the certificate, is the initial gap; gaps and
-    cert_ok record each iterate's gap and whether the certificate held. A
-    sandwich is mutable, so it has no hash.
+    gap0, the residual of the certificate, is the initial gap. A sandwich is
+    mutable, so it has no hash.
     """
 
     __hash__ = None
 
-    def __init__(self, kernel, phi, e_lo, e_hi, *, meta):
-        self.kernel, self.phi, self.e_lo, self.e_hi, self.meta = kernel, phi, e_lo, e_hi, meta
-        self.n, self.gaps, self.cert_ok = 0, [], []
+    def __init__(self, kernel, phi, e_lo, e_hi):
+        self.kernel, self.phi, self.e_lo, self.e_hi = kernel, phi, e_lo, e_hi
+        self.n = 0
         self._set_bounds()
         self.gap0 = self.gap
 
@@ -213,9 +212,6 @@ class Sandwich:
             if np.any(self.e_lo > self.e_hi + 1e-15):
                 raise SamplerError("sandwich sides crossed: rigor leak")
             self.n += 1
-            g = self.gap
-            self.gaps.append(g)
-            self.cert_ok.append(bool(g <= self.certificate_bound()))
         self._set_bounds()
         return self.gap
 
@@ -234,43 +230,27 @@ class Sandwich:
 def _certified_floor(phi, n_nodes, cert_max=160, stall=0.25 * EPS_ROUND):
     """Zero-started down-rounded iterates: always <= E, driven to their stall."""
     z = np.zeros(n_nodes)
-    used = 0
     for _ in range(cert_max):
         nxt = phi.apply(z, "down")
         nxt = np.maximum.accumulate(nxt)
         nxt = np.maximum(z, nxt)
         moved = float(np.max(nxt - z))
         z = nxt
-        used += 1
         if moved < stall:
             break
-    return z, used
+    return z
 
 
 def build_sandwich(kernel, n_max=200, tol=1e-3, step=1e-4):
     """Certified sandwich driven to tolerance on a uniform grid.
 
-    The grid runs from 0 to t_max = 30 / (decay / 2), the decay being the
-    kernel's suggested_decay (at least 2e-6), in steps of step; a grid whose
-    staircase quadrature is wider than 0.25 anywhere is refused.  The lower
-    CDF path starts at the zero-started certified floor.
+    The grid runs from 0 in steps of step to kernel.reach(EPS_ROUND), where
+    the envelope U >= F falls to EPS_ROUND, and has at least 8 nodes.  The
+    lower CDF path starts at the zero-started certified floor; drive refuses
+    a grid too coarse to reach tol.
     """
-    t_max = 30.0 / max(kernel.suggested_decay() / 2.0, 1e-6)
-    n_nodes = max(int(math.ceil(t_max / step)) + 1, 8)
+    n_nodes = max(int(math.ceil(kernel.reach(EPS_ROUND) / step)) + 1, 8)
     phi = PhiOperator(kernel, step, n_nodes)
-    floor, cert_iters = _certified_floor(phi, n_nodes)
-    if phi.max_width > 0.25:
-        raise SamplerError(
-            f"grid too coarse: staircase quadrature width {phi.max_width:.3g} exceeds 0.25"
-        )
-    sw = Sandwich(
-        kernel=kernel,
-        phi=phi,
-        e_lo=floor,
-        e_hi=np.ones(n_nodes),
-        meta={"t_max": float(t_max), "step": float(step), "cert_iterations": cert_iters},
-    )
+    sw = Sandwich(kernel, phi, _certified_floor(phi, n_nodes), np.ones(n_nodes))
     sw.drive(tol, n_max)
-    sw.meta["n_at_tol"] = sw.n
-    sw.meta["gap_at_tol"] = sw.gap
     return sw

@@ -583,6 +583,40 @@ def test_meta_json_is_written_last(tmp_path, monkeypatch):
     assert meta["sampler"] == "grid_thinning" and meta["replicates"] == 2
 
 
+@pytest.mark.parametrize("first, second, workers", [
+    (True, False, "1"),
+    (False, True, "1"),
+    (True, True, "2"),
+    (False, False, "2"),
+], ids=["report-then-none", "none-then-report", "both-reports-2-workers", "no-report-2-workers"])
+def test_a_rerun_with_fewer_replicates_leaves_only_its_own_files(tmp_path, monkeypatch, first,
+                                                                 second, workers):
+    """A run of 6 replicates and then one of 2 into the same directory leave
+    what the second run alone leaves in a new one, byte for byte, beside the
+    files that no run writes."""
+    monkeypatch.setenv("EXACTPP_WORKERS", workers)
+
+    def cfg(reps, validation):
+        return dict(POISSON_CFG, replicates=reps,
+                    validation={"enabled": validation, "replicates": 50})
+
+    out = tmp_path / "out"
+    assert _sample(tmp_path, cfg(6, first), name="first.json")[0] == 0
+    assert len(list(out.glob("pattern-*.csv"))) == 6
+    assert (out / "validation_report.json").exists() == first
+    others = ("notes.txt", "pattern-7.csv", "pattern-00009.csv.bak")  # no run writes these
+    for name in others:
+        (out / name).write_text("keep me\n")
+    assert _sample(tmp_path, cfg(2, second), name="second.json")[0] == 0
+    assert _sample(tmp_path, cfg(2, second), sub="fresh", name="second.json")[0] == 0
+    fresh = tmp_path / "fresh"
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [p.name for p in fresh.iterdir()] + list(others))
+    for path in fresh.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+    assert all((out / name).read_text() == "keep me\n" for name in others)
+
+
 def test_validate_accepts_and_prints_reports(tmp_path, capsys):
     cfg = dict(POISSON_CFG, validation={"enabled": True, "replicates": 300})
     rc = main(["validate", "-c", _cfg_file(tmp_path, cfg)])
@@ -707,7 +741,7 @@ DEMO_PATTERN_SHA256 = {
     "matern": "d712ee7c1379720d814486f1e3923c2d46daee120728acb2baaa17daaba3cde6",
     "nonlinear_hawkes": "e0381820be80cf6f0f6a85ce9cdc33d8140743f9d71846d527f4b2a6d8f538f5",
     "poisson": "fdabfb0707869de0d31a7e1c78a17adf1789a6cf9f5bd2041f2320c149172d3d",
-    "poisson_lines": "87737d8f109eefdbe84facdd3fdad30be0147d2bdd59338c56be755424d8ff42",
+    "poisson_lines": "845b6ec7e9881fee6c61d58f2db1991ec11f6d715f1948d403ed990b5b56df52",
     "renewal": "96998dca9d3c5ad2e45704fd36b0d436577f66b840e6e1aad939f3b771dbfae5",
 }
 # the same digest over 200 replicates, for the demo configs of the samplers
@@ -718,7 +752,7 @@ DEMO_PATTERN_SHA256_200 = {
     "branching_approx": "75b9f783dd1dbade56db7b4d6f2b82e8163744e463ad0427e861abb039cb175b",
     "matern": "7d728f6c8bc76390abd76a10690c50fac1658bac78829681cc0a85f5ca306503",
     "nonlinear_hawkes": "a9c9da773f9c26b803cecb737f38089fcc7db85c86107ad3e14213fe5a512e89",
-    "poisson_lines": "52f92a54ecd8cc35b3cff155c57eb6981c3f88182f0506ce7de4da4327b44f05",
+    "poisson_lines": "e8249130a67b4130476f16ef350ccafcbef561c5da135d5b5442aff41d68d022",
 }
 # validation_report.json of each demo config sampled with validation on: the
 # reports of a change that draws other reference or replicate numbers show here
@@ -728,12 +762,12 @@ DEMO_REPORT_SHA256 = {
     "branching_approx": "a01a882b6905e9ed61b0cbf27cc1d00770b77e2944f11234d1b08d8e831ae339",
     "brix_kendall": "2b8e5a75d554c639dea2d5640b5a404db68d1348ed8a7ed4e768e0294259a030",
     "grid_thinning": "a91c7ea1f7d59fc3ea9c1afa3110a7f64779e7cfdca320b3d4ff0e8b0680c788",
-    "hawkes_mr": "6ade05c78a72ff0ff38d481267fb32f23c216aefd28985e37dc9f240d8574e49",
+    "hawkes_mr": "8a9bc36f2086274ab17c4ed836d04f296422c941830e262011bf795296c8caf9",
     "matern": "e8ff0fec7852906d4b737ef3691fa157e0bcf275b7f5360c9f5d4d1be9cb1695",
     "nonlinear_hawkes": "60a047146991f3f46096096eb76ff750d842bad8554e2bce8f25bddbe566da64",
     "poisson": "d71c57fa1c6cab791bea9bc3ee17f339e8a4c858deb63e3881ed9c1e95d781a0",
     "poisson_lines": "f7f3171845f7f135c8ed58996a10c16fe9d24180544e0dcd0e74ea6ca343bef2",
-    "renewal": "051e030cc2dc7541e575c7472fe49deb84f30cb493c9ae605e124bd980ae234d",
+    "renewal": "705093551cc8b0af5152b2888afa59bc7da09dbb1b0d8e71f49a94e036af1648",
 }
 DEMO_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
@@ -751,13 +785,12 @@ def test_demo_patterns_keep_their_bytes(tmp_path, path):
     cfg = json.loads(path.read_text())
     rc, outdir = _sample(tmp_path, cfg)
     assert rc == 0
-    simd = path.stem == "poisson_lines"  # its ray angles come from np.arcsin and np.arctan2
-    assert _pattern_digest(outdir) == DEMO_PATTERN_SHA256[path.stem], pin_message("patterns", simd)
+    assert _pattern_digest(outdir) == DEMO_PATTERN_SHA256[path.stem], pin_message("patterns")
     if path.stem in DEMO_PATTERN_SHA256_200:
         rc, outdir = _sample(tmp_path, dict(cfg, replicates=200), sub="out200")
         assert rc == 0
         assert (_pattern_digest(outdir) == DEMO_PATTERN_SHA256_200[path.stem]
-                ), pin_message("patterns of 200 replicates", simd)
+                ), pin_message("patterns of 200 replicates")
 
 
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
@@ -1038,7 +1071,7 @@ def test_sample_writes_validation_report_when_enabled(tmp_path):
 PLOTDATA_SHA256 = {
     "points-2d": "3ab20d93fc80ba40d205fdcf9888b485971be392ded5058e29d153bd5f43570c",
     "counts-histogram": "799e4e4f56b51169abba558641ce1d24a4fe28d080ac982986e60d449cd191d6",
-    "sandwich-curves": "7532ca6d5441f5e8f50e3a0e5d58dc41bcf0a4606d4a10a13ae237106cd1560c",
+    "sandwich-curves": "7fbec14bd83fdf4e1fd8584d51593790ca5c4935d6b56049730af4fa0e2ac72f",
     "coverage-raster": "691d470f3b25f394ffbfef55c35d9d14a130901f7bdbc7c4d6f571d894496824",
 }
 

@@ -562,5 +562,7 @@ def test_sandwich_stays_mutable_and_unhashable():
     sandwich.advance(1)
     assert sandwich.n == sandwich.bounds().n == n + 1
     for clone in (copy.deepcopy(sandwich), pickle.loads(pickle.dumps(sandwich))):
-        assert clone.n == n + 1 and clone.gaps == sandwich.gaps
+        assert clone.n == n + 1 and (clone.gap0, clone.gap) == (sandwich.gap0, sandwich.gap)
         assert np.array_equal(clone.bounds().ell, sandwich.bounds().ell)
+        clone.advance(1)  # a clone iterates on its own, and its certificate holds
+        assert clone.gap <= clone.certificate_bound() and sandwich.n == n + 1

@@ -87,6 +87,31 @@ def test_piecewise_kernel_scalars():
         PiecewiseConstantFertility((0.0, 1.0), (-0.1,))
 
 
+FAMILIES = [KERNEL, ExponentialFertility(0.5, 1.0, marks=TWO_MARKS),
+            PolynomialFertility((0.45, -0.225), 2.0),
+            PiecewiseConstantFertility((0.0, 0.5, 2.0), (0.6, 0.1),
+                                       marks=((0.5, 0.5), (0.5, 1.5)))]
+
+
+@pytest.mark.parametrize("kernel", FAMILIES, ids=["exponential", "two-marks", "polynomial",
+                                                  "piecewise"])
+def test_reach_inverts_the_envelope(kernel):
+    # reach(1) is the sampler's t0 = -ln(1 - rho_theta) / theta bit for bit, and
+    # U(reach(u)) = u up to the rounding of reach's value t: a relative theta ulp(t)
+    t0 = -math.log1p(-kernel.rho_theta) / kernel.theta
+    assert kernel.reach(1.0) == t0 == HawkesSampler(kernel, mu=1.0, a=1.0).meta["t0"]
+    for u in (1.0, 1e-3, EPS_ROUND):
+        t = kernel.reach(u)
+        envelope = math.exp(-kernel.theta * t) / (1.0 - kernel.rho_theta)
+        assert abs(envelope - u) <= 4.0 * (kernel.theta * math.ulp(t) * u + math.ulp(u)), u
+    assert kernel.reach(2.0 / (1.0 - kernel.rho_theta)) == 0.0  # U(0) is below u already
+
+
+def test_reach_of_the_zero_kernel_is_zero():
+    assert [ZERO_KERNEL.reach(u) for u in (1.0, 1e-3, EPS_ROUND)] == [0.0, 0.0, 0.0]
+    assert HawkesSampler(ZERO_KERNEL, mu=1.0, a=1.0).meta["t0"] == 0.0
+
+
 def test_supercritical_kernel_rejected():
     with pytest.raises(SamplerError, match="supercritical, no finite clusters"):
         ExponentialFertility(2.0, 1.0)
@@ -226,10 +251,11 @@ def test_directed_rounding_brackets_the_midpoint():
 def test_fft_length_matches_scipy():
     from scipy import fft
 
-    # the grids over t_max = 120 that the demo config and the tests build, at
-    # step 1e-2 down to the third halving of step 1e-3 (smaller ones are in range)
+    # the grids up to the demo kernel's reach(EPS_ROUND) = 73.24 that the demo
+    # config and the tests build, at step 1e-2 down to the third halving of
+    # step 1e-3 (smaller ones are in range)
     steps = (1e-2, 2e-3, 1e-3, 5e-4, 2.5e-4, 1.25e-4)
-    grids = [math.ceil(120.0 / step) + 1 for step in steps]
+    grids = [math.ceil(KERNEL.reach(EPS_ROUND) / step) + 1 for step in steps]
     for target in [*range(2, 20_001), *(2 * n - 2 for n in grids)]:
         assert _next_fast_len(target) == fft.next_fast_len(target), target
 
@@ -265,25 +291,6 @@ def test_operator_rejects_out_of_range_grid_functions():
         op.apply(np.zeros(32), "nearest")
 
 
-def test_coarse_grid_is_refused(monkeypatch):
-    # A staircase wider than 0.25 is refused. No kernel with rho < 1 builds one:
-    # a width is at most about rho times the floor's largest step between two
-    # nodes, and the widest of 300 random kernels on grids of 7 to 100 cells was
-    # 0.164. So the floor is made to report a width of 0.3.
-    from exactpp import sandwich as module
-
-    floor = module._certified_floor
-
-    def widened(phi, n_nodes):
-        result = floor(phi, n_nodes)
-        phi.max_width = 0.3
-        return result
-
-    monkeypatch.setattr(module, "_certified_floor", widened)
-    with pytest.raises(SamplerError, match="grid too coarse: .* width 0.3 exceeds 0.25"):
-        build_sandwich(ExponentialFertility(0.45, 0.5), step=5.0)
-
-
 # -- the sandwich -------------------------------------------------------------------
 
 
@@ -293,10 +300,14 @@ def sandwich():
 
 
 def test_sandwich_reaches_tolerance_with_certificates(sandwich):
-    assert sandwich.gap <= 1e-3
-    assert all(sandwich.cert_ok), "some iteration broke the geometric certificate"
-    assert sandwich.meta["cert_iterations"] >= 1
-    assert sandwich.meta["n_at_tol"] == sandwich.n
+    # driven one iterate at a time from the floor, as AC-10 drives it, the
+    # geometric certificate holds at every iterate, and the build stops at the same one
+    sw = build_sandwich(KERNEL, tol=1.0, n_max=0, step=1e-3)
+    assert sw.n == 0
+    while sw.gap > 1e-3:
+        sw.advance(1)
+        assert sw.gap <= sw.certificate_bound(), sw.n
+    assert sw.n == sandwich.n >= 1 and sw.gap == sandwich.gap <= 1e-3
 
 
 def test_sandwich_bounds_are_valid_tail_brackets(sandwich):
@@ -323,12 +334,14 @@ def test_sandwich_certificate_formula(sandwich):
 
 def test_sandwich_advance_only_tightens():
     sw = build_sandwich(KERNEL, tol=5e-2, step=2e-3)
-    before = sw.bounds()
-    sw.advance(2)
+    before, gap = sw.bounds(), sw.gap
+    for _ in range(2):
+        sw.advance(1)
+        assert sw.gap <= sw.certificate_bound()
     after = sw.bounds()
     assert np.all(after.ell >= before.ell - 1e-15)
     assert np.all(after.upp <= before.upp + 1e-15)
-    assert sw.gap <= sw.gaps[-3] + 1e-15
+    assert sw.gap <= gap + 1e-15
 
 
 def test_sandwich_bounds_are_built_once_per_iterate():
@@ -356,6 +369,29 @@ def test_sandwich_near_fixed_point_residual(sandwich):
 def test_sandwich_iteration_budget_is_enforced():
     with pytest.raises(SamplerError, match="did not reach tolerance"):
         build_sandwich(KERNEL, tol=1e-9, n_max=3, step=2e-3)
+
+
+def test_the_cut_grid_keeps_the_curve_of_a_longer_grid():
+    # Phi at a node reads only earlier nodes, so the curve on the grid cut at
+    # reach(EPS_ROUND) equals, node for node, the curve on a grid twice as long,
+    # up to the rounding of FFTs of other lengths; the iterates stop at the same n
+    from exactpp.sandwich import Sandwich, _certified_floor
+
+    step = 1e-2
+    cut = build_sandwich(KERNEL, tol=1e-3, step=step)
+    n = cut.phi.n_nodes
+    assert n == math.ceil(KERNEL.reach(EPS_ROUND) / step) + 1
+    phi = PhiOperator(KERNEL, step, 2 * n)
+    long = Sandwich(KERNEL, phi, _certified_floor(phi, 2 * n), np.ones(2 * n))
+    long.drive(1e-3, 200)
+    assert long.n == cut.n
+    for side in ("ell", "upp"):
+        a, b = getattr(cut.bounds(), side), getattr(long.bounds(), side)[:n]
+        assert np.max(np.abs(a - b)) <= 4 * np.finfo(float).eps, side
+    # past the cut the longer grid's upper bound stays above U(t) itself
+    t = phi.taus[n:]
+    envelope = np.exp(-KERNEL.theta * t) / (1.0 - KERNEL.rho_theta)
+    assert np.all(long.bounds().upp[n:] >= envelope)
 
 
 def test_zero_excitation_sandwich_collapses_immediately():
@@ -1122,20 +1158,20 @@ def _counts_and_first_points(points, offsets, a):
 
 
 @pytest.mark.parametrize(
-    "kernel",
-    [
-        PolynomialFertility((0.45, -0.225), 2.0),
-        PiecewiseConstantFertility((0.0, 0.5, 2.0), (0.6, 0.1), marks=((0.5, 0.5), (0.5, 1.5))),
-        ExponentialFertility(0.5, 1.0, marks=((0.5, 0.4), (0.5, 1.4))),
+    "kernel, burn",
+    [  # burn-ins of 15 support / -ln(rho) and 15 / (gamma (1 - rho)), rho = 0.45
+        (PolynomialFertility((0.45, -0.225), 2.0), 37.57008247021116),
+        (PiecewiseConstantFertility((0.0, 0.5, 2.0), (0.6, 0.1),
+                                    marks=((0.5, 0.5), (0.5, 1.5))), 37.57008247021116),
+        (ExponentialFertility(0.5, 1.0, marks=((0.5, 0.4), (0.5, 1.4))), 27.27272727272727),
     ],
     ids=["polynomial", "piecewise", "exponential-two-marks"],
 )
-def test_sampler_matches_burn_in_oracle_per_family(kernel):
+def test_sampler_matches_burn_in_oracle_per_family(kernel, burn):
     # a short window, where pre-window ancestors carry much of the law; the
     # burn-in leaves a bias below e^-15 relative to the pre-window mass
     a, n = 3.0, 1_500
     s = HawkesSampler(kernel, mu=1.0, a=a)
-    burn = 15.0 / kernel.suggested_decay()
     exact = [s.sample(_gen(118, r)) for r in range(n)]
     exact = (np.array([p.n for p in exact]), np.array([_first_point(p, a) for p in exact]))
     if isinstance(kernel, ExponentialFertility):

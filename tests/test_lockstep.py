@@ -378,21 +378,23 @@ def test_boolean_coverage_per_replicate_is_each_replicates_union():
 # hawkes_mr's again when its roots before the window joined the immigrants,
 # and when its split between plain and thinned ancestors moved to 2 t0, then 3 t0;
 # it and the branching digests again when the Galton-Watson engine came to draw
-# its counts and displacements in blocks, and the split moved to 4 t0.
+# its counts and displacements in blocks, and the split moved to 4 t0;
+# poisson_lines' and disks_uniform's when their line angles and size-biased
+# radii came from the platform's libm instead of numpy's SIMD kernels.
 SINGLE_DRAW_SHA256 = {
     "poisson": "a3fba5576cea4c4f0775c2cdd5c4dd06f6e064d275011cb63d88ff7a5418fd27",
     "brix_kendall": "610ac9964576023ee9713830d2435520cb352aadad108d160700f43b569c185d",
     "branching_approx": "29fefb232b90e68c8d893936eb6508013d2dff8712d5fbcce545decfc949da58",
     "boolean_disks": "fe0ae27c9b51051529d369983b250ffe421d5446d2213a1f062b547961c79386",
     "boolean_segments": "a3ae79b135c2579896eaa54a576f49c0287aaf062ef69ef4e9cfc644fb9661f0",
-    "poisson_lines": "c846aff84434a67724a3be1710602d6c464ccf973d53bbcc174d27e24f2ead10",
+    "poisson_lines": "976930b8e51bb9a77b5ae1584454e7f97eb6b6b62f1412e36701f1889f54d6f6",
     "grid_thinning": "d2d2c82ba1745acdf9302eb9c154f9fd8937bac8463ff0f6a84dfdd393c69076",
     "matern": "bcc111e0c245aeb9ad05b963429aa197cdfc7b92346989aa7c91a82609eca1d1",
     "renewal": "3c7f0355bb7a0ac8934244fe4b98f53222b35d6ddaa423d5f5aeea5d64553526",
     "nonlinear_hawkes": "5b78a67827026df09d67974883606492b7909f31f4c2488402479115868f625e",
     "hawkes_mr": "6e7fda90e70e007afb3ce4628c3e1599c9b8170922fb2017b3c1f97749f235bd",
     "brix_kendall_2d": "4225d3c28c93f6afc7bf4fe5c84fa41190fc73959b9beb3787ce302915bd8985",
-    "disks_uniform": "3ac9b51cfa9d0ef81b2bfaa931b8241f37b538288bc833ed10d88e93a3f3b1bf",
+    "disks_uniform": "97ad17ce76503a7eb855f5493e58a589ac8647db78bb0a40618302a01c419dab",
     "disks_exp": "1dadad54e45bde68e1464e5c9db40f24c085cf47dd4f6bb7e53f4c33ab45b8cb",
     "grid_table": "ca9d097bdb66d362776778cf81ca5393ad8ae52a20b70b4d0767add8125b4494",
     "grid_inverse_square": "7220960eb0a6e75baf00ebb17062a01a7f7304364e5d4dd0561ae36ae02ccdab",
@@ -452,9 +454,7 @@ def _single_draw_digest(cfg):
 
 @pytest.mark.parametrize("name, cfg", list(_variants()), ids=lambda v: v if isinstance(v, str) else "")
 def test_single_draws_keep_their_bytes(name, cfg):
-    # line angles (np.arcsin, np.arctan2) and size-biased radii (**) are written out
-    assert _single_draw_digest(cfg) == SINGLE_DRAW_SHA256[name], pin_message(
-        f"{name}: single draws", name in ("poisson_lines", "disks_uniform"))
+    assert _single_draw_digest(cfg) == SINGLE_DRAW_SHA256[name], pin_message(f"{name}: single draws")
 
 
 # -- the battery's streams and generators ----------------------------------------------

@@ -5,7 +5,9 @@ against its closed-form mean, and the hard-core sweep against a per-point
 loop."""
 
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from exactpp.validation import mean_ci, two_sample_ks
 from pins import pin_message
 
 N_CHAINS = 2_000
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _gen(seed, stream=0):
@@ -133,7 +136,7 @@ def test_burn_in_oracle_keeps_its_counts(marks, digest):
     # compares, were computed while each chain stepped in numpy scalars with
     # np.exp; math.exp moves some event times by an ulp, never a count here
     kernel = ExponentialFertility(0.5, 1.0, marks=marks)
-    burn = 60.0 / kernel.suggested_decay()
+    burn = 120.0  # 60 / (gamma (1 - rho)), the burn-in these counts were pinned at
     rng = _gen(214)
     counts = np.array([hawkes_exp_burn_in(kernel, 1.0, 10.0, burn, rng).n for _ in range(500)])
     assert hashlib.sha256(counts.tobytes()).hexdigest() == digest, (
@@ -143,7 +146,7 @@ def test_burn_in_oracle_keeps_its_counts(marks, digest):
 def test_lockstep_hawkes_oracle_mean_count():
     # E N([0, a]) = mu a / (1 - rho) = 20 for the stationary process
     kernel = ExponentialFertility(0.5, 1.0)
-    burn = 60.0 / kernel.suggested_decay()
+    burn = 120.0  # 60 / (gamma (1 - rho))
     counts = _counts(hawkes_exp_burn_in_chains(kernel, 1.0, 10.0, burn, 20_000, _gen(306)))
     mean, half = mean_ci(counts, z=4.0)
     assert abs(mean - 1.0 * 10.0 / (1.0 - kernel.rho)) < half
@@ -307,7 +310,8 @@ def test_lockstep_renewal_points_are_each_chains_thinned_stream():
 )
 def test_lockstep_bounded_hawkes_oracle_matches_scalar(kernel):
     # the scalar oracle steps about 4 ms a chain here, so its side stays small
-    a, burn = 3.0, 15.0 / kernel.suggested_decay()
+    # 15 support / -ln(rho) for both kernels (rho = 0.45), the burn-in of the test's seeds
+    a, burn = 3.0, 37.57008247021116
     points, offsets = hawkes_bounded_burn_in_chains(kernel, 1.0, a, burn, N_CHAINS, _gen(316))
     assert np.all((points >= 0.0) & (points <= a))
     rng = _gen(317)
@@ -354,3 +358,65 @@ def test_lockstep_blocks_do_not_change_the_output(case, monkeypatch):
     got = chains(300, _gen(320))
     assert got[0].tobytes() == want[0].tobytes()
     assert np.array_equal(got[1], want[1])
+
+
+# -- the truncated oracles' sizing ------------------------------------------------------
+
+HEAVY_HAWKES = {"kernel": {"family": "exponential", "beta": 5.0, "gamma": 10.0}, "mu": 29.0}
+
+
+def _oracle_of(module, cfg, monkeypatch):
+    """The oracle closure that the build of cfg hands to module._count_checks."""
+    from exactpp import cli
+
+    checks, seen = module._count_checks, {}
+
+    def recording(chains, **kwargs):
+        seen.update(kwargs)
+        return checks(chains, **kwargs)
+
+    monkeypatch.setattr(module, "_count_checks", recording)
+    cli.build(cfg)
+    return seen["oracle"][1]
+
+
+@pytest.mark.parametrize("params, window, burn", [
+    ({}, [10.0], 69.62),
+    (HEAVY_HAWKES, [50.0], 7.29),
+], ids=["demo", "heavy"])
+def test_hawkes_burn_in_is_sized_to_the_chain_bound(monkeypatch, params, window, burn):
+    # a chain differs from the stationary law only if an ancestor before the
+    # burn-in reaches the window: mean mu int_burn^inf F <= mu U(burn) / theta
+    from exactpp import hawkes_mr, oracles
+
+    cfg = json.loads((CONFIG_DIR / "hawkes_mr.json").read_text())
+    cfg["params"].update(params)
+    cfg["window"]["upper"] = window
+    oracle = _oracle_of(hawkes_mr, cfg, monkeypatch)
+    asked = []
+    monkeypatch.setattr(oracles, "hawkes_exp_burn_in_chains",
+                        lambda kernel, mu, a, burn_in, n, rng: asked.append((kernel, mu, burn_in)))
+    oracle(1, _gen(1))
+    [(kernel, mu, burn_in)] = asked
+    assert burn_in == pytest.approx(burn, abs=0.01)
+    bound = mu * math.exp(-kernel.theta * burn_in) / (kernel.theta * (1.0 - kernel.rho_theta))
+    assert bound <= oracles.TV_PER_CHAIN * (1.0 + 1e-12)
+    assert bound >= 0.99 * oracles.TV_PER_CHAIN  # sized to the bound, not past it
+
+
+def test_renewal_horizon_is_sized_to_the_chain_bound(monkeypatch):
+    # the renewal chain is dominated by the rate-bound stream, so the retained
+    # points past the horizon T number at most bound p_tail(T) on average
+    from exactpp import germ_thinning, oracles
+
+    cfg = json.loads((CONFIG_DIR / "renewal.json").read_text())
+    oracle = _oracle_of(germ_thinning, cfg, monkeypatch)
+    asked = []
+    monkeypatch.setattr(oracles, "renewal_thin_after_chains",
+                        lambda draw, thin_p, t_end, n, rng: asked.append(t_end))
+    oracle(1, _gen(1))
+    [horizon] = asked
+    assert horizon == pytest.approx(20.72, abs=0.01)
+    rate, bound = cfg["params"]["thin"]["rate"], 1.0 / cfg["params"]["interarrival"]["scale"]
+    tail = bound * math.exp(-rate * horizon) / rate
+    assert 0.99 * oracles.TV_PER_CHAIN <= tail <= oracles.TV_PER_CHAIN * (1.0 + 1e-12)

@@ -149,17 +149,33 @@ def _base(node):
     return getattr(node, "id", None)
 
 
+def _written_only(tree):
+    """The attribute loads that only write into the attribute: x.a in x.a[k] = v,
+    in del x.a[k] and in a statement x.a.append(...) or x.a.extend(...)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            found.add(id(node.value))
+        elif (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+              and isinstance(node.value.func, ast.Attribute)
+              and node.value.func.attr in ("append", "extend")):
+            found.add(id(node.value.func.value))
+    return found
+
+
 def _uses(tree):
     """(names, attributes) a module uses. Names: bare-name loads and imports
     that are not re-exports. Attributes: attribute loads, except on np and
-    math, and getattr strings. An assignment uses nothing."""
+    math and those that only write into the attribute, and getattr strings.
+    An assignment uses nothing."""
     reexports = _all_names(tree)
+    written = _written_only(tree)
     names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            if _base(node) not in _FOREIGN:
+            if _base(node) not in _FOREIGN and id(node) not in written:
                 attrs.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(a.name for a in node.names if a.name not in reexports)
@@ -255,8 +271,13 @@ class Thing:
     def __init__(self):
         self.kept = 1
         self.assigned_only = 2
+        self.written_only = [0]
 
     def in_readme_code(self):
+        self.written_only.append(self.kept)
+        self.written_only.extend([self.kept])
+        self.written_only[0] = 3
+        del self.written_only[0]
         return self.kept
 
     def in_benchmark_code(self):
@@ -283,9 +304,10 @@ def make():
 
 def test_the_caller_guard_sees_names_that_only_look_used(tmp_path):
     """A member named only in README prose, as np.<name>, as a local variable
-    or in a benchmark string, and an instance attribute that is only assigned,
-    have no caller; members read in README code, in the benchmark's code or
-    by the package do."""
+    or in a benchmark string, an instance attribute that is only assigned,
+    and one that is only written into (appended to, or stored or deleted at
+    an index), have no caller; members read in README code, in the
+    benchmark's code or by the package do."""
     (tmp_path / "src" / "exactpp").mkdir(parents=True)
     (tmp_path / "src" / "exactpp" / "mod.py").write_text(GUARDED_MODULE)
     (tmp_path / "tests").mkdir()
@@ -298,7 +320,8 @@ def test_the_caller_guard_sees_names_that_only_look_used(tmp_path):
         "def run(thing):\n    thing.in_benchmark_code()\n")
     assert _uncalled(tmp_path) == [
         f"mod.Thing.{name}" for name in
-        ("prose_only", "numpy_only", "local_only", "perfbench_only", "assigned_only")]
+        ("prose_only", "numpy_only", "local_only", "perfbench_only", "assigned_only",
+         "written_only")]
 
 
 # Defaulted parameters that nothing in the package, the benchmark, the
