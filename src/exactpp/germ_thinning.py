@@ -13,7 +13,7 @@ it; a Matern candidate competes only with stream points within the radius.
 
 Every independent coin -- the grid sites below T and the renewal and Matern
 candidates -- is core.thin; only the sequential renewal chain and the
-non-linear self-exciting germ (regeneration gaps), whose coins depend on
+non-linear self-exciting germ (coupling from the past), whose coins depend on
 earlier decisions, flip their own.
 
 The grid, renewal, Matern and non-linear draws each have a lockstep form
@@ -25,6 +25,7 @@ forms at n = 1.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 
@@ -469,25 +470,26 @@ def _mark_minimal(points, marks, idx, radius, offsets=None):
 # -- non-linear self-exciting germ -------------------------------------------------
 
 
-SEARCH_REACHES = 60.0  # the backward scan gives up this many expected reaches past the window
-
-
 def nonlinear_hawkes_germ(phi, phi_bound, h, h_support, window, rng):
-    """Stationary non-linear self-exciting process on a bounded interval.
+    """Stationary non-linear self-exciting process on a bounded interval, by
+    dominated coupling from the past (Propp & Wilson 1996; Kendall & Moller
+    2000, Adv. Appl. Probab. 32).
 
     Intensity phi(sum h(t - s) over past points), phi <= phi_bound, h
-    supported on [0, h_support]. Any dominating-stream gap longer than
-    h_support is a regeneration: the intensity after it never sees older
-    points. Scan backward from the window for the first such gap, then thin
-    the same dominating stream forward (the point opening the gap included,
-    with phi(0) intensity).
+    supported on [0, h_support]. phi must be nondecreasing and h >= 0: then
+    thinning one rate-phi_bound dominating stream by one coin per point is
+    monotone, and a larger history keeps a superset of points. Two chains
+    thin the stream from b0 - T: a lower one from an empty history, and an
+    upper one that keeps every stream point of [b0 - T, b0 - T + h_support).
+    The stationary process keeps a subset of the upper chain's points and a
+    superset of the lower chain's, so once the two agree on the window that is
+    the draw. Until then T doubles from h_support, and every point and coin
+    already drawn is reused. A dominating gap longer than h_support makes the
+    two agree after it, so they agree no later than the first such gap.
 
-    The scan draws about e^(phi_bound * h_support) points, so a pair whose
-    e^(phi_bound * h_support) exceeds core.MAX_MEAN_POINTS raises
-    SamplerError before any random number is drawn. A scan that passes
-    SEARCH_REACHES expected reaches (e^(phi_bound * h_support) / phi_bound)
-    plus 10 supports before the window without finding a gap raises
-    SamplerError too. One replicate of nonlinear_hawkes_germ_chains.
+    Each span's mean count is refused past core.MAX_MEAN_POINTS before it is
+    drawn; a negative h or a phi outside [0, phi_bound] raises SamplerError.
+    One replicate of nonlinear_hawkes_germ_chains.
     """
     points, _ = nonlinear_hawkes_germ_chains(phi, phi_bound, h, h_support, window, 1, rng)
     return PointPattern(points, dim=1)
@@ -495,79 +497,76 @@ def nonlinear_hawkes_germ(phi, phi_bound, h, h_support, window, rng):
 
 def nonlinear_hawkes_germ_chains(phi, phi_bound, h, h_support, window, n_chains, rng):
     """(points, offsets) of n_chains independent nonlinear_hawkes_germ draws, in
-    lockstep: every replicate's backward scan in turn, one scalar exponential
-    per step, then all forward streams in one homogeneous_chains call and all
-    coins in one call; the thinning is a Python loop over the replicates."""
+    lockstep: all window streams in one homogeneous_chains call and all their
+    coins in one call, then each replicate's backward spans in turn, each a
+    count, its positions and its coins. phi must be nondecreasing and h >= 0."""
     n_chains = int(n_chains)
-    b0, b1 = float(window.lower[0]), float(window.upper[0])
-    lam = float(phi_bound)
-    a = float(h_support)
-    scan = math.exp(min(lam * a, 700.0))  # about the points the backward scan draws
-    if not scan <= core.MAX_MEAN_POINTS:
-        raise SamplerError(
-            f"regeneration-gap scan of about e^(bound * support) = {scan:.3g} points "
-            f"exceeds the limit {core.MAX_MEAN_POINTS:.0e}"
-        )
-    expected_reach = scan / lam
-    search_horizon = SEARCH_REACHES * expected_reach + 10.0 * a
-
-    # backward scans: dominating points below b0 until a gap > a opens before one
-    scans = []
-    for _ in range(n_chains):
-        back = []
-        pos = b0
-        while True:
-            nxt = pos - rng.exponential(1.0 / lam)
-            if back and (pos - nxt) > a:
-                break  # pos is a dominating point whose predecessor gap exceeds a
-            if (b0 - nxt) > search_horizon:
-                raise SamplerError(
-                    f"no regeneration gap within {search_horizon:.3g} "
-                    f"(expected distance about {expected_reach:.3g})"
-                )
-            back.append(nxt)
-            pos = nxt
-        scans.append(back)
-
+    b0 = float(window.lower[0])
+    lam, a = float(phi_bound), float(h_support)
     forward, offsets = homogeneous_chains(window, lam, n_chains, rng)
     forward = forward[:, 0]
-    # nothing else draws in the loops, so one call gives every stream's coins in stream order
-    coins = rng.random(sum(map(len, scans)) + int(offsets[-1])).tolist()
+    coins = rng.random(forward.size)
     inside, kept = [], [0] * n_chains
-    at = 0
-    for c, back in enumerate(scans):
-        # each scan falls, so reversed it is sorted
-        stream = back[::-1] + np.sort(forward[offsets[c]:offsets[c + 1]]).tolist()
-        retained = []
-        for t, u in zip(stream, coins[at:at + len(stream)]):
-            drive = 0.0
-            for s in reversed(retained):
-                if t - s > a:
-                    break
-                if t > s:
-                    drive += float(h(t - s))
-            lam_t = float(phi(drive))
-            if lam_t < 0 or lam_t > lam * (1 + 1e-12):
-                raise SamplerError("phi left its declared bound")
-            if u * lam < lam_t:
-                retained.append(t)
-        at += len(stream)
-        mine = [t for t in retained if b0 <= t <= b1]
+    for c in range(n_chains):
+        times = np.sort(forward[offsets[c]:offsets[c + 1]]).tolist()
+        us = coins[offsets[c]:offsets[c + 1]].tolist()
+        n_back, reach = 0, 0.0  # the stream before b0 covers [b0 - reach, b0)
+        while True:
+            span = reach or a  # the first span is a long, each later one doubles the reach
+            k = rng.poisson(_mean_count(lam, span))
+            reach += span
+            times[:0] = np.sort(rng.random(k) * span + (b0 - reach)).tolist()
+            us[:0] = rng.random(k).tolist()
+            n_back += k
+            lower = _retained(times, us, 0, phi, lam, h, a)[n_back:]
+            upper = _retained(times, us, bisect.bisect_left(times, b0 - reach + a),
+                              phi, lam, h, a)[n_back:]
+            if lower == upper:
+                break
+        mine = [t for t, keep in zip(times[n_back:], lower) if keep]
         inside += mine
         kept[c] = len(mine)
     return np.asarray(inside, dtype=float).reshape(-1, 1), chain_offsets(kept)
+
+
+def _retained(times, coins, forced, phi, lam, h, a):
+    """The keep flags of one chain thinning the sorted stream times by its
+    coins: the first `forced` points are kept outright, and each later one
+    while its coin is below phi(drive) / lam, the drive summing h over the
+    points kept within a before it."""
+    flags = [True] * forced
+    kept = times[:forced]
+    for t, u in zip(times[forced:], coins[forced:]):
+        drive = 0.0
+        for s in reversed(kept):
+            if t - s > a:
+                break
+            if t > s:
+                v = float(h(t - s))
+                if v < 0:
+                    raise SamplerError("h took a negative value")
+                drive += v
+        lam_t = float(phi(drive))
+        if lam_t < 0 or lam_t > lam * (1 + 1e-12):
+            raise SamplerError("phi left its declared bound")
+        keep = u * lam < lam_t
+        flags.append(keep)
+        if keep:
+            kept.append(t)
+    return flags
 
 
 # -- config builders, which cli.build calls --------------------------------------
 
 
 _HORIZON_SITES = 50_000_000  # an oracle horizon past this many sites is refused
+_GRID_TAIL = 1e-5  # the chance of a retained site that the grid oracle's horizon leaves out
 
 
-def _grid_horizon(spec, tail=1e-5):
-    """A site index beyond which any retained site has probability <= tail."""
+def _grid_horizon(spec):
+    """A site index beyond which any retained site has probability <= _GRID_TAIL."""
     n = 4
-    while 1.0 - spec.survival(n) > tail:
+    while 1.0 - spec.survival(n) > _GRID_TAIL:
         n *= 2
         if n > _HORIZON_SITES:
             raise SamplerError("retention tail too heavy for a finite-horizon oracle")
@@ -703,8 +702,7 @@ def _build_nonlinear_hawkes(p, window):
             phi_array, lam, h_array, support, window, burn, n_reps, rng
         )
 
-    # the backward scan's e^(bound * support) points and the forward stream's
-    per_rep = math.exp(min(lam * support, 700.0)) + lam * window.volume()
+    # the window stream's points and those of the first backward span
     validate = _count_checks(chains, oracle=("nonlinear-counts-vs-burn-in", oracle),
-                             per_rep=per_rep)
+                             per_rep=lam * (window.volume() + support))
     return _built(sample, window, validate, ())

@@ -440,8 +440,12 @@ def nonlinear_hawkes_burn_in_chains(phi, phi_bound, h, h_support, window, burn_i
     in a ring buffer, one row per chain, written in time order; the slot
     written next holds the chain's oldest point.  When that point is still
     within h_support of the chain's time, the buffer doubles instead, so the
-    drive always sums h over every retained point within the support.
+    drive always sums h over every retained point within the support.  A
+    chain whose stream of burn_in + |window| at rate phi_bound has a mean
+    count above core.MAX_MEAN_POINTS raises SamplerError before any random
+    number is drawn.
     """
+    _mean_count(phi_bound, float(burn_in) + window.volume())
     b0, b1 = float(window.lower[0]), float(window.upper[0])
     chain = np.arange(int(n_chains))
     t = np.full(chain.size, b0 - float(burn_in))

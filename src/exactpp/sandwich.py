@@ -227,16 +227,20 @@ class Sandwich:
         return self.bounds()
 
 
-def _certified_floor(phi, n_nodes, cert_max=160, stall=0.25 * EPS_ROUND):
+_CERT_MAX = 160  # the most iterations of the certified floor
+_CERT_STALL = 0.25 * EPS_ROUND  # the floor stops once no node moves by this much
+
+
+def _certified_floor(phi, n_nodes):
     """Zero-started down-rounded iterates: always <= E, driven to their stall."""
     z = np.zeros(n_nodes)
-    for _ in range(cert_max):
+    for _ in range(_CERT_MAX):
         nxt = phi.apply(z, "down")
         nxt = np.maximum.accumulate(nxt)
         nxt = np.maximum(z, nxt)
         moved = float(np.max(nxt - z))
         z = nxt
-        if moved < stall:
+        if moved < _CERT_STALL:
             break
     return z
 

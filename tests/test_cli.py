@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -328,14 +329,22 @@ def test_absurd_mean_per_draw_exits_3_at_build(tmp_path, capsys, cfg):
     assert err.startswith("sampler error:") and "exceeds the limit 1e+09" in err
 
 
-def test_hopeless_regeneration_scan_exits_3(tmp_path, capsys):
-    # bound * support = 50: the scan for a regeneration gap would never end
+def test_long_excitation_samples_but_its_burn_in_oracle_exits_3(tmp_path, capsys):
+    # bound * support = 50: the coupled draw is cheap, but the burn-in oracle's
+    # 20 e^30 / bound + 10 support would draw about 2e14 points, refused at once
     cfg = json.loads((CONFIG_DIR / "nonlinear_hawkes.json").read_text())
     cfg["params"]["excitation"]["support"] = 25.0
-    rc, _ = _sample(tmp_path, cfg)
+    start = time.perf_counter()
+    rc, out = _sample(tmp_path, cfg)
+    assert rc == 0 and len(list(out.glob("pattern-*.csv"))) == cfg["replicates"]
+    assert time.perf_counter() - start < 5.0
+    capsys.readouterr()
+    start = time.perf_counter()
+    rc = main(["validate", "-c", _cfg_file(tmp_path, cfg, "validate.json")])
     assert rc == 3
+    assert time.perf_counter() - start < 10.0
     err = capsys.readouterr().err
-    assert err.startswith("sampler error: regeneration-gap scan") and "exceeds the limit" in err
+    assert err.startswith("sampler error: mean point count") and "exceeds the limit 1e+09" in err
 
 
 @pytest.mark.parametrize(
@@ -739,7 +748,7 @@ DEMO_PATTERN_SHA256 = {
     "grid_thinning": "f80dae499e94fbcfbcb28981110c5383ccf72bf0627d503f3a8fda63f91675a1",
     "hawkes_mr": "670d61b75b25f597cd84ce37104e38636a27454f17fd34c5e33c633161c0bd18",
     "matern": "d712ee7c1379720d814486f1e3923c2d46daee120728acb2baaa17daaba3cde6",
-    "nonlinear_hawkes": "e0381820be80cf6f0f6a85ce9cdc33d8140743f9d71846d527f4b2a6d8f538f5",
+    "nonlinear_hawkes": "595d09286931615395d5f22e4e7ae7197c20ac92117bb9a8a8824a4df8596841",
     "poisson": "fdabfb0707869de0d31a7e1c78a17adf1789a6cf9f5bd2041f2320c149172d3d",
     "poisson_lines": "845b6ec7e9881fee6c61d58f2db1991ec11f6d715f1948d403ed990b5b56df52",
     "renewal": "96998dca9d3c5ad2e45704fd36b0d436577f66b840e6e1aad939f3b771dbfae5",
@@ -751,7 +760,7 @@ DEMO_PATTERN_SHA256_200 = {
     "boolean_segments": "cfe555e7d983a8ad40696743f3871134dea426f780bfa92ceaa70e69edd523e8",
     "branching_approx": "75b9f783dd1dbade56db7b4d6f2b82e8163744e463ad0427e861abb039cb175b",
     "matern": "7d728f6c8bc76390abd76a10690c50fac1658bac78829681cc0a85f5ca306503",
-    "nonlinear_hawkes": "a9c9da773f9c26b803cecb737f38089fcc7db85c86107ad3e14213fe5a512e89",
+    "nonlinear_hawkes": "cb5456de2b282f5f4804c8d2984089e343bad090a659df70a236d446a628ab9f",
     "poisson_lines": "e8249130a67b4130476f16ef350ccafcbef561c5da135d5b5442aff41d68d022",
 }
 # validation_report.json of each demo config sampled with validation on: the

@@ -1,8 +1,10 @@
 """Thinned grids (last-site law, enumeration identities),
-renewal thin-first, Matern hard cores, and the regenerative non-linear
-self-exciting germ."""
+renewal thin-first, Matern hard cores, and the non-linear self-exciting
+germ drawn by coupling from the past."""
 
+import bisect
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from exactpp import (
     renewal_thin_first,
     thin_grid,
 )
+from exactpp import core
+from exactpp.germ_thinning import _retained
 from exactpp.oracles import grid_thin_after, renewal_thin_after
 from exactpp.validation import chi_square, two_sample_ks
 
@@ -556,27 +560,86 @@ def test_nonlinear_phi_bound_is_enforced():
         nonlinear_hawkes_germ(lambda d: 3.0, 1.0, lambda t: 0.0, 1.0, window, _gen(73))
 
 
-class _NoDraws:
-    """A generator stand-in that fails on any draw."""
+def test_nonlinear_negative_excitation_is_refused():
+    window = Window((0.0,), (2.0,))
+    with pytest.raises(SamplerError, match="h took a negative value"):
+        nonlinear_hawkes_germ(lambda d: 1.0, 1.0, lambda t: -0.1, 1.0, window, _gen(74))
+
+
+def _saturating(bound, base):
+    def phi(drive):
+        return bound * -math.expm1(-(base + drive) / bound)
+
+    return phi
+
+
+def test_nonlinear_draw_at_large_bound_times_support_is_cheap_and_exact():
+    # bound * support = 13, where a scan for a regeneration gap would draw
+    # about e^13 points; with h = 0 the chains agree at once, and the law is
+    # Poisson with rate phi(0)
+    window = Window((0.0,), (5.0,))
+    phi = _saturating(2.0, 0.5)
+    rng = _gen(75)
+    n = 3_000
+    start = time.perf_counter()
+    counts = np.array(
+        [nonlinear_hawkes_germ(phi, 2.0, lambda t: 0.0, 6.5, window, rng).n for _ in range(n)]
+    )
+    assert (time.perf_counter() - start) / n < 1e-3
+    expected = phi(0.0) * 5.0
+    assert abs(counts.mean() - expected) < 3 * math.sqrt(expected / n)
+
+
+@pytest.mark.parametrize("height,support", [(0.8, 1.0), (0.8, 3.0), (2.0, 0.5)])
+def test_nonlinear_lower_chain_keeps_no_point_the_upper_drops(height, support):
+    # the coupling's monotonicity, on random streams and coins: a chain that
+    # starts from the full history keeps every point the empty start keeps
+    bound = 2.0
+    phi = _saturating(bound, 0.5)
+
+    def h(t):
+        return height * max(1.0 - t / support, 0.0)
+
+    rng = _gen(76)
+    differ = 0
+    for _ in range(300):
+        length = rng.uniform(0.5, 10.0)
+        times = np.sort(rng.random(rng.poisson(bound * length)) * length).tolist()
+        coins = rng.random(len(times)).tolist()
+        forced = bisect.bisect_left(times, support)
+        lower = _retained(times, coins, 0, phi, bound, h, support)
+        upper = _retained(times, coins, forced, phi, bound, h, support)
+        assert upper[:forced] == [True] * forced
+        assert not any(lo and not up for lo, up in zip(lower, upper))
+        differ += lower[forced:] != upper[forced:]
+    assert differ > 0  # the chains do differ past the forced points
+
+
+class _Recorded:
+    """A generator that records the name of each method call it makes."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
 
     def __getattr__(self, name):
-        raise AssertionError(f"rng.{name} was reached")
+        def call(*args, **kwargs):
+            self.calls.append(name)
+            return getattr(self.rng, name)(*args, **kwargs)
+
+        return call
 
 
-def test_nonlinear_missing_regeneration_gap_raises():
-    # at bound * support = 50 the backward scan would draw about e^50 points
-    # before its first gap: refused before any random number
+def test_nonlinear_span_past_the_limit_is_refused_before_it_is_drawn(monkeypatch):
+    # phi(0) = 0: the lower chain keeps nothing, the upper keeps every point
+    # until a gap longer than the support, which a span of 4 at rate 5
+    # rarely holds, so at this seed the two differ on the window's points;
+    # the limit admits spans of 2 (mean 10), so the third, of 4, is refused
+    # before its count is drawn
+    monkeypatch.setattr(core, "MAX_MEAN_POINTS", 15.0)
     window = Window((0.0,), (1.0,))
-    with pytest.raises(SamplerError, match=r"scan of about .* 5.18e\+21 points exceeds"):
-        nonlinear_hawkes_germ(lambda d: 5.0, 5.0, lambda t: 0.0, 10.0, window, _NoDraws())
-
-
-def test_nonlinear_scan_past_its_horizon_raises(monkeypatch):
-    # with no reach allowed the scan stops 10 supports before the window; at
-    # bound * support = 10 a gap within that is rare
-    from exactpp import germ_thinning
-
-    monkeypatch.setattr(germ_thinning, "SEARCH_REACHES", 0.0)
-    window = Window((0.0,), (1.0,))
-    with pytest.raises(SamplerError, match="no regeneration gap within 20"):
-        nonlinear_hawkes_germ(lambda d: 5.0, 5.0, lambda t: 0.0, 2.0, window, _gen(74))
+    rng = _Recorded(_gen(77))
+    with pytest.raises(SamplerError, match="mean point count 20 exceeds the limit"):
+        nonlinear_hawkes_germ(lambda d: 5.0 if d >= 1.0 else 0.0, 5.0, lambda t: 1.0, 2.0,
+                              window, rng)
+    # the window's count, positions and coins, then two spans' counts, positions and coins
+    assert rng.calls == ["poisson", "random", "random"] + ["poisson", "random", "random"] * 2

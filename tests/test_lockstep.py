@@ -391,7 +391,7 @@ SINGLE_DRAW_SHA256 = {
     "grid_thinning": "d2d2c82ba1745acdf9302eb9c154f9fd8937bac8463ff0f6a84dfdd393c69076",
     "matern": "bcc111e0c245aeb9ad05b963429aa197cdfc7b92346989aa7c91a82609eca1d1",
     "renewal": "3c7f0355bb7a0ac8934244fe4b98f53222b35d6ddaa423d5f5aeea5d64553526",
-    "nonlinear_hawkes": "5b78a67827026df09d67974883606492b7909f31f4c2488402479115868f625e",
+    "nonlinear_hawkes": "362766c9fc2ed94904c8853dfe7804d573c97cfc6aece55061cc7dafd638a6bd",
     "hawkes_mr": "6e7fda90e70e007afb3ce4628c3e1599c9b8170922fb2017b3c1f97749f235bd",
     "brix_kendall_2d": "4225d3c28c93f6afc7bf4fe5c84fa41190fc73959b9beb3787ce302915bd8985",
     "disks_uniform": "97ad17ce76503a7eb855f5493e58a589ac8647db78bb0a40618302a01c419dab",

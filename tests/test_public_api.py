@@ -358,26 +358,28 @@ def _passes(call):
     return name, positions, None if None in keywords else keywords
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _defaulted_parameters(trees):
     """(qualified name, callee names, position or None, name) of each defaulted
-    parameter of a public function, public method or constructor, but not of a
-    function that only unit tests call (UNCALLED_ALLOWED); a method's positions
-    skip self, and a constructor is called by its class's name or through
-    super().__init__."""
+    parameter of a function, method or constructor, private ones included and
+    dunders other than __init__ left out, but not of a function that only unit
+    tests call (UNCALLED_ALLOWED); a method's positions skip self, and a
+    constructor is called by its class's name or through super().__init__."""
     for mod, tree in trees.items():
         defs = [(f"{mod}.{n.name}", {n.name}, n, 0) for n in tree.body
-                if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
+                if isinstance(n, ast.FunctionDef) and not _dunder(n.name)
                 and f"{mod}.{n.name}" not in UNCALLED_ALLOWED]
         for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
-            if cls.name.startswith("_"):
-                continue
             for f in cls.body:
                 if not isinstance(f, ast.FunctionDef):
                     continue
                 static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
                 if f.name == "__init__":
                     defs.append((f"{mod}.{cls.name}.__init__", {cls.name, "__init__"}, f, 1))
-                elif not f.name.startswith("_"):
+                elif not _dunder(f.name):
                     defs.append((f"{mod}.{cls.name}.{f.name}", {f.name}, f, 0 if static else 1))
         for qual, callees, f, skip in defs:
             a = f.args
@@ -391,9 +393,10 @@ def _defaulted_parameters(trees):
 
 
 def test_every_defaulted_parameter_has_a_caller():
-    """Each defaulted parameter of a public function, method or constructor is
-    passed, by position, by keyword or through *args or **kwargs, by some call
-    in the package, the benchmark, the acceptance tests or a README example.
+    """Each defaulted parameter of a function, method or constructor, private
+    or public, is passed, by position, by keyword or through *args or
+    **kwargs, by some call in the package, the benchmark, the acceptance
+    tests or a README example.
     A default that only unit tests override is a parameter that cannot change
     what a user gets."""
     sources = sorted((ROOT / "src" / "exactpp").glob("*.py"))
